@@ -49,10 +49,8 @@ from .knots import (
 from .patterns import (
     PatternFacts,
     genus_twist_bound,
-    mirror_pattern,
     one_bridge_braid,
     pattern_from_json,
-    pattern_twisted_facts,
     table_pattern,
     torus_pattern,
 )
@@ -100,11 +98,9 @@ __all__ = [
     "lspace_slope_set",
     "meridian_longitude_swap",
     "mirror_facts",
-    "mirror_pattern",
     "necessary_check",
     "one_bridge_braid",
     "pattern_from_json",
-    "pattern_twisted_facts",
     "positive_braid_closure_genus",
     "replay_certificate",
     "rr_shape_check",

@@ -10,7 +10,8 @@ Subcommands:
 * oracle       -- brute-force cross-checks of the exact cover test
 
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
-3 input errors.  All numbers in files are decimal strings.
+3 input errors (including a certificate that is malformed or fails to
+replay).  All numbers in files are decimal strings.
 """
 
 from __future__ import annotations
@@ -59,14 +60,14 @@ def _load_json_arg(text: str):
 def _parse_companion(text: str):
     try:
         return companion_from_json(_load_json_arg(text))
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, LookupError, TypeError) as e:
         raise InputError(f"bad companion {text!r}: {e}")
 
 
 def _parse_pattern(text: str):
     try:
         return pattern_from_json(_load_json_arg(text))
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, LookupError, TypeError) as e:
         raise InputError(f"bad pattern {text!r}: {e}")
 
 
@@ -89,9 +90,11 @@ def _emit_certificate(cert: Certificate, args, out) -> int:
 
 def _cmd_certify(args, out) -> int:
     if args.replay:
-        with open(args.replay) as fh:
-            cert = Certificate.from_json(fh.read())
-        verdict = replay_certificate(cert)
+        try:
+            with open(args.replay) as fh:
+                verdict = replay_certificate(Certificate.from_json(fh.read()))
+        except (ValueError, LookupError, TypeError, AttributeError) as e:
+            raise InputError(f"cannot replay {args.replay}: {type(e).__name__}: {e}")
         print(f"REPLAY OK: verdict {verdict} reproduced", file=out)
         return _VERDICT_EXIT[verdict]
     if not args.pattern or not args.companion:

@@ -51,34 +51,13 @@ class GluingMap:
         return GluingMap(self.d, -self.b, -self.c, self.a)
 
     def image_of_set(self, s: SlopeSet) -> SlopeSet:
-        if s.is_empty or s.is_full:
+        if s.is_full:
             return s
-        if s.kind == "copoint":
-            assert s.hole is not None
-            return SlopeSet.copoint(self.apply(s.hole))
-        mapped = []
-        for arc in s.arcs:
-            if arc.is_point:
-                p = self.apply(arc.start)
-                mapped.append(Arc(p, p))
-            elif self.det == 1:
-                mapped.append(
-                    Arc(
-                        self.apply(arc.start),
-                        self.apply(arc.end),
-                        arc.start_closed,
-                        arc.end_closed,
-                    )
-                )
-            else:
-                mapped.append(
-                    Arc(
-                        self.apply(arc.end),
-                        self.apply(arc.start),
-                        arc.end_closed,
-                        arc.start_closed,
-                    )
-                )
+        f = self.apply
+        if self.det == 1:
+            mapped = (Arc(f(a.start), f(a.end), a.start_closed, a.end_closed) for a in s.arcs)
+        else:
+            mapped = (Arc(f(a.end), f(a.start), a.end_closed, a.start_closed) for a in s.arcs)
         return SlopeSet.from_arcs(mapped)
 
     def __str__(self) -> str:
@@ -94,18 +73,3 @@ def meridian_longitude_swap() -> GluingMap:
     0-framed longitude of the other."""
     return GluingMap(0, 1, 1, 0)
 
-
-def apply(m: GluingMap, x: Slope) -> Slope:
-    return m.apply(x)
-
-
-def compose(m1: GluingMap, m2: GluingMap) -> GluingMap:
-    return m1.compose(m2)
-
-
-def inverse(m: GluingMap) -> GluingMap:
-    return m.inverse()
-
-
-def image_of_set(m: GluingMap, s: SlopeSet) -> SlopeSet:
-    return m.image_of_set(s)

@@ -142,10 +142,6 @@ class PatternFacts:
         return facts
 
 
-def pattern_twisted_facts(p: PatternFacts, n: int) -> KnotFacts:
-    return p.twisted_facts(n)
-
-
 def torus_pattern(p: int, q: int) -> PatternFacts:
     """The (p, q)-torus knot in its standard solid-torus embedding;
     p is the longitudinal winding and P(U, n) = T(p, q + n·p)."""
@@ -232,30 +228,6 @@ def table_pattern(
         family=family,
         neg_lspace_threshold=neg_threshold,
     )
-
-
-def mirror_pattern(p: PatternFacts) -> PatternFacts:
-    """The mirrored pattern, for running the construction on negative
-    L-space companions by mirroring both sides.  Exact for torus
-    patterns; other families lose their negative-tail assertion."""
-    if isinstance(p.family, TorusTwistFamily):
-        return torus_pattern(p.family.p, -p.family.q)
-    if isinstance(p.family, BraidTwistFamily):
-        from .knots import mirror_facts
-
-        mirrored = BraidTwistFamily(
-            braid_mirror(p.family.word),
-            {-n: mirror_facts(f) for n, f in p.family.overrides.items()},
-        )
-        return PatternFacts(
-            name=f"m({p.name})",
-            winding=p.winding,
-            genus_s3=p.genus_s3,
-            has_minimal_meridional_disk=p.has_minimal_meridional_disk,
-            family=mirrored,
-            neg_lspace_threshold=None,
-        )
-    raise ValueError("mirroring a table pattern needs a mirrored table")
 
 
 def pattern_from_json(obj) -> PatternFacts:

@@ -1,36 +1,38 @@
 """Circular-arc subsets of QP^1.
 
-A SlopeSet is one of: the empty set, all of QP^1, the complement of a
-single point, or a canonical finite union of arcs.  An arc runs from its
-start slope to its end slope in the positive orientation of the circle,
-with independent closure flags at the two endpoints; a single point is
-the degenerate arc with start = end, both closed.
+A SlopeSet is a canonical tuple of arcs, or all of QP^1 (is_full).  An
+arc runs from its start slope to its end slope in the positive
+orientation of the circle, with independent closure flags at the two
+endpoints.  Two arcs have start = end: a single point (both ends
+closed) and the complement of a point, the open arc h -> h that runs
+once round the circle.
 
-Canonical form is computed pointwise: the endpoints of all contributing
-arcs cut the circle into points and open gaps, each gap gets one exact
-rational witness, and maximal covered runs are reassembled into arcs.
-Because witnesses are exact this decides coverage questions outright --
-no sampling is ever needed outside the test suite's brute-force oracles.
+Canonical form is one integer sweep: the m distinct endpoints of all
+contributing arcs cut the circle into 2m pieces (each endpoint, then the
+open gap after it), every arc covers a cyclic run of pieces, a
+difference array counts the runs, and maximal covered runs become the
+canonical arcs.  Only endpoint comparisons are needed, so every coverage
+question is decided exactly in integer arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable
 
 from .slopes import INFINITY, Slope, circular_key, slope_ccw
 
 
 @dataclass(frozen=True)
 class Arc:
-    """A closed, half-open or open arc of QP^1, or a single point.
+    """A closed, half-open or open arc of QP^1, a point, or the
+    complement of a point.
 
     The arc is traversed from start to end in the positive orientation.
-    start == end is only allowed with both endpoints closed (a point);
-    a coincident open pair would denote the full circle minus a point,
-    which lives at the SlopeSet level instead.
+    start == end is a point when both endpoints are closed and the whole
+    circle minus that point when both are open; mixed flags are rejected.
     """
 
     start: Slope
@@ -39,55 +41,48 @@ class Arc:
     end_closed: bool = True
 
     def __post_init__(self) -> None:
-        if self.start == self.end and not (self.start_closed and self.end_closed):
-            raise ValueError("degenerate arc must be a closed point")
+        if self.start == self.end and self.start_closed != self.end_closed:
+            raise ValueError("degenerate arc must be a closed point or an open copoint")
 
     @property
     def is_point(self) -> bool:
-        return self.start == self.end
+        return self.start == self.end and self.start_closed
 
     def contains(self, x: Slope) -> bool:
         if x == self.start:
             return self.start_closed
         if x == self.end:
             return self.end_closed
-        if self.is_point:
-            return False
+        if self.start == self.end:
+            return not self.start_closed
         return slope_ccw(self.start, x, self.end)
-
-
-_EMPTY = "empty"
-_FULL = "full"
-_COPOINT = "copoint"
-_ARCS = "arcs"
 
 
 @dataclass(frozen=True)
 class SlopeSet:
     """A canonical finite union of arcs and points on QP^1."""
 
-    kind: str = _EMPTY
     arcs: tuple[Arc, ...] = ()
-    hole: Slope | None = None
+    is_full: bool = False
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def empty(cls) -> "SlopeSet":
-        return cls(_EMPTY)
+        return cls()
 
     @classmethod
     def full(cls) -> "SlopeSet":
-        return cls(_FULL)
+        return cls(is_full=True)
 
     @classmethod
     def copoint(cls, hole: Slope) -> "SlopeSet":
         """All of QP^1 except the given point."""
-        return cls(_COPOINT, hole=hole)
+        return cls((Arc(hole, hole, False, False),))
 
     @classmethod
     def point(cls, x: Slope) -> "SlopeSet":
-        return cls(_ARCS, (Arc(x, x),))
+        return cls((Arc(x, x),))
 
     @classmethod
     def arc(
@@ -97,82 +92,48 @@ class SlopeSet:
         start_closed: bool = True,
         end_closed: bool = True,
     ) -> "SlopeSet":
-        return cls(_ARCS, (Arc(start, end, start_closed, end_closed),))
+        return cls((Arc(start, end, start_closed, end_closed),))
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[Arc]) -> "SlopeSet":
         """Canonical set with the same points as the given arcs."""
-        arcs = tuple(arcs)
-        if not arcs:
-            return cls.empty()
-        endpoints = [p for a in arcs for p in (a.start, a.end)]
-        return _from_membership(endpoints, lambda x: any(a.contains(x) for a in arcs))
+        return _canonical(tuple(arcs))
 
     # -- queries --------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return self.kind == _EMPTY
-
-    @property
-    def is_full(self) -> bool:
-        return self.kind == _FULL
+        return not self.arcs and not self.is_full
 
     def contains(self, x: Slope) -> bool:
-        if self.kind == _EMPTY:
-            return False
-        if self.kind == _FULL:
-            return True
-        if self.kind == _COPOINT:
-            return x != self.hole
-        return any(a.contains(x) for a in self.arcs)
-
-    def endpoints(self) -> list[Slope]:
-        if self.kind == _COPOINT:
-            assert self.hole is not None
-            return [self.hole]
-        if self.kind == _ARCS:
-            return [p for a in self.arcs for p in (a.start, a.end)]
-        return []
+        return self.is_full or any(a.contains(x) for a in self.arcs)
 
     # -- operations -----------------------------------------------------
 
     def union(self, other: "SlopeSet") -> "SlopeSet":
         if self.is_full or other.is_full:
             return SlopeSet.full()
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        endpoints = self.endpoints() + other.endpoints()
-        return _from_membership(
-            endpoints, lambda x: self.contains(x) or other.contains(x)
-        )
+        return _canonical(self.arcs + other.arcs)
 
     def interior(self) -> "SlopeSet":
         """Topological interior in QP^1.
 
-        Closed endpoints of non-degenerate arcs open up, isolated points
-        vanish; Empty, Full and complements of a point are already open.
+        Closed endpoints of arcs open up and isolated points vanish;
+        Full and the complement of a point are already open.
         """
-        if self.kind != _ARCS:
+        if self.is_full:
             return self
-        opened = [
-            Arc(a.start, a.end, False, False) for a in self.arcs if not a.is_point
-        ]
-        if not opened:
-            return SlopeSet.empty()
-        return SlopeSet.from_arcs(opened)
+        return _canonical(
+            tuple(Arc(a.start, a.end, False, False) for a in self.arcs if not a.is_point)
+        )
 
     # -- serialization --------------------------------------------------
 
     def __str__(self) -> str:
-        if self.kind == _EMPTY:
-            return "EMPTY"
-        if self.kind == _FULL:
+        if self.is_full:
             return "FULL"
-        if self.kind == _COPOINT:
-            return f"QP1 \\ {{{self.hole}}}"
+        if not self.arcs:
+            return "EMPTY"
         return " ∪ ".join(_arc_to_str(a) for a in self.arcs)
 
     @classmethod
@@ -181,8 +142,8 @@ class SlopeSet:
 
 
 def _arc_to_str(a: Arc) -> str:
-    if a.is_point:
-        return f"{{{a.start}}}"
+    if a.start == a.end:
+        return f"{{{a.start}}}" if a.start_closed else f"QP1 \\ {{{a.start}}}"
     sb = "[" if a.start_closed else "("
     eb = "]" if a.end_closed else ")"
     if a.start.is_infinity:
@@ -198,85 +159,50 @@ def _arc_to_str(a: Arc) -> str:
 # -- canonicalization ---------------------------------------------------
 
 
-def _witness_between(a: Slope, b: Slope) -> Slope:
-    """An exact rational strictly inside the positive arc a -> b."""
-    if a == b:
-        return INFINITY if not a.is_infinity else Slope(0, 1)
-    if a.is_infinity:
-        return Slope.from_fraction(b.value - 1)
-    if b.is_infinity:
-        return Slope.from_fraction(a.value + 1)
-    if a.value < b.value:
-        return Slope.from_fraction(Fraction(a.value + b.value, 2))
-    return Slope.from_fraction(a.value + 1)  # arc wraps through ∞
+def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
+    """Canonical SlopeSet covering exactly the points of the given arcs.
 
-
-def _from_membership(
-    endpoints: Sequence[Slope], member: Callable[[Slope], bool]
-) -> SlopeSet:
-    """Canonical SlopeSet for a membership predicate whose boundary is
-    contained in the given endpoint list."""
-    pts = sorted(set(endpoints), key=circular_key)
-    if not pts:
-        return SlopeSet.full() if member(Slope(0, 1)) else SlopeSet.empty()
-    n = len(pts)
-    # Alternating pieces around the circle: each endpoint, then the open
-    # gap to the next endpoint, probed at one interior witness.
-    pieces: list[tuple[str, object, bool]] = []
-    for i, p in enumerate(pts):
-        nxt = pts[(i + 1) % n]
-        pieces.append(("pt", p, member(p)))
-        pieces.append(("gap", (p, nxt), member(_witness_between(p, nxt))))
-    covered = [c for (_, _, c) in pieces]
-    if all(covered):
-        return SlopeSet.full()
+    With the distinct endpoints p_0, ..., p_{m-1} in circular order,
+    piece 2i is the point p_i and piece 2i+1 the open gap from p_i to
+    p_{i+1 mod m}.  Each arc covers one cyclic run of pieces; a
+    difference array counts the runs, and every maximal covered run
+    becomes one canonical arc.
+    """
+    pts = sorted({p for a in arcs for p in (a.start, a.end)}, key=circular_key)
+    index = {p: i for i, p in enumerate(pts)}
+    n = 2 * len(pts)
+    diff = [0] * (n + 1)
+    for a in arcs:
+        first = 2 * index[a.start] + (not a.start_closed)
+        last = 2 * index[a.end] - (not a.end_closed)
+        stop = first + (last - first) % n + 1
+        diff[first] += 1
+        if stop > n:
+            diff[0] += 1
+            stop -= n
+        diff[stop] -= 1
+    covered = [depth > 0 for depth in accumulate(diff[:n])]
     if not any(covered):
-        return SlopeSet.empty()
-    holes = [i for i, c in enumerate(covered) if not c]
-    if len(holes) == 1 and pieces[holes[0]][0] == "pt":
-        return SlopeSet.copoint(pieces[holes[0]][1])  # type: ignore[arg-type]
-    start = holes[0]
-    order = pieces[start:] + pieces[:start]
-    arcs: list[Arc] = []
-    run: list[tuple[str, object, bool]] = []
-    for piece in order:
-        if piece[2]:
-            run.append(piece)
-        elif run:
-            arcs.append(_run_to_arc(run))
-            run = []
-    if run:
-        arcs.append(_run_to_arc(run))
-    arcs.sort(key=lambda a: circular_key(a.start))
-    return SlopeSet(_ARCS, tuple(arcs))
+        return SlopeSet()
+    if all(covered):
+        return SlopeSet(is_full=True)
+    # Maximal runs, in piece order; a run through piece 0 pairs the last
+    # start with the first end.
+    starts = [k for k in range(n) if covered[k] and not covered[k - 1]]
+    ends = [k for k in range(n) if covered[k] and not covered[(k + 1) % n]]
+    if ends[0] < starts[0]:
+        ends = ends[1:] + ends[:1]
+    return SlopeSet(tuple(_run_to_arc(pts, s, e) for s, e in zip(starts, ends)))
 
 
-def _run_to_arc(run: list[tuple[str, object, bool]]) -> Arc:
-    first, last = run[0], run[-1]
-    if first[0] == "pt":
-        start, start_closed = first[1], True
-    else:
-        start, start_closed = first[1][0], False  # type: ignore[index]
-    if last[0] == "pt":
-        end, end_closed = last[1], True
-    else:
-        end, end_closed = last[1][1], False  # type: ignore[index]
-    return Arc(start, end, start_closed, end_closed)  # type: ignore[arg-type]
+def _run_to_arc(pts: list[Slope], first: int, last: int) -> Arc:
+    """The arc covering pieces first..last (cyclically) of the sweep."""
+    start = pts[first // 2]
+    end = pts[(last + 1) // 2 % len(pts)]
+    return Arc(start, end, first % 2 == 0, last % 2 == 0)
 
 
-# -- module-level operations -------------------------------------------
-
-
-def union(s1: SlopeSet, s2: SlopeSet) -> SlopeSet:
-    return s1.union(s2)
-
-
-def interior(s: SlopeSet) -> SlopeSet:
-    return s.interior()
-
-
-def contains(s: SlopeSet, x: Slope) -> bool:
-    return s.contains(x)
+# -- cover and shape tests -----------------------------------------------
 
 
 def covers_circle(s1: SlopeSet, s2: SlopeSet) -> bool:
@@ -292,22 +218,19 @@ def rr_shape_check(s: SlopeSet, longitude: Slope) -> bool:
     """Whether s has one of the admissible shapes for a set of L-space
     filling slopes: empty, a point, a closed arc, or the whole circle
     minus the rational longitude."""
-    if s.is_empty:
+    if s.is_full or len(s.arcs) > 1:
+        return False
+    if not s.arcs:
         return True
-    if s.is_full:
-        return False
-    if s.kind == _COPOINT:
-        return s.hole == longitude
-    if len(s.arcs) != 1:
-        return False
     a = s.arcs[0]
+    if a.start == a.end and not a.start_closed:
+        return a.start == longitude
     return a.start_closed and a.end_closed
 
 
 # -- parsing ------------------------------------------------------------
 
-_INF_TOKENS = {"inf", "+inf", "∞", "+∞"}
-_NEG_INF_TOKENS = {"-inf", "-∞"}
+_INF_TOKENS = {"inf", "+inf", "∞", "+∞", "-inf", "-∞"}
 
 
 def _parse_set(text: str) -> SlopeSet:
@@ -321,11 +244,7 @@ def _parse_set(text: str) -> SlopeSet:
     m = re.fullmatch(r"QP1\s*\\\s*\{(.+)\}", t)
     if m:
         return SlopeSet.copoint(Slope.from_string(m.group(1)))
-    pieces = [_parse_piece(p) for p in _split_top_level(t)]
-    out = SlopeSet.empty()
-    for p in pieces:
-        out = out.union(p)
-    return out
+    return _canonical(tuple(a for p in _split_top_level(t) for a in _parse_piece(p)))
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -349,29 +268,27 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-def _parse_piece(text: str) -> SlopeSet:
+def _parse_piece(text: str) -> list[Arc]:
     t = text.strip()
     m = re.fullmatch(r"\{(.+)\}", t)
     if m:
-        return SlopeSet.point(Slope.from_string(m.group(1)))
+        x = Slope.from_string(m.group(1))
+        return [Arc(x, x)]
     m = re.fullmatch(r"([\[(])(.+?),(.+?)([\])])", t)
     if m is None:
         raise ValueError(f"cannot parse arc {text!r}")
     sb, astr, bstr, eb = m.groups()
     start_closed = sb == "["
     end_closed = eb == "]"
-    a_inf = astr.strip() in _INF_TOKENS | _NEG_INF_TOKENS
-    b_inf = bstr.strip() in _INF_TOKENS | _NEG_INF_TOKENS
+    a_inf = astr.strip() in _INF_TOKENS
+    b_inf = bstr.strip() in _INF_TOKENS
     if a_inf and b_inf:
         # (-inf, inf) is everything but ∞; a closed bracket on either
         # side puts ∞ back in.
-        if start_closed or end_closed:
-            return SlopeSet.full()
-        return SlopeSet.copoint(INFINITY)
+        arcs = [Arc(INFINITY, INFINITY, False, False)]
+        return arcs + [Arc(INFINITY, INFINITY)] if start_closed or end_closed else arcs
     start = INFINITY if a_inf else Slope.from_string(astr)
     end = INFINITY if b_inf else Slope.from_string(bstr)
-    if start == end:
-        if start_closed and end_closed:
-            return SlopeSet.point(start)
+    if start == end and not (start_closed and end_closed):
         raise ValueError(f"degenerate open arc {text!r}")
-    return SlopeSet.arc(start, end, start_closed, end_closed)
+    return [Arc(start, end, start_closed, end_closed)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 
@@ -60,10 +61,6 @@ class Slope:
         if self.den == 0:
             return None
         return Fraction(self.num, self.den)
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "Slope":
-        return cls(f.numerator, f.denominator)
 
     @classmethod
     def from_string(cls, text: str) -> "Slope":
@@ -153,8 +150,12 @@ def farey_enumerate(
     return unique
 
 
-def circular_key(x: Slope):
-    """Sort key realizing the circular order starting at ∞."""
-    if x.den == 0:
-        return (0, Fraction(0))
-    return (1, Fraction(x.num, x.den))
+def _circular_cmp(a: Slope, b: Slope) -> int:
+    # ∞ first, then the rationals in increasing order.
+    if a.den == 0 or b.den == 0:
+        return a.den - b.den
+    return slope_det(a, b)
+
+
+# Sort key realizing the circular order starting at ∞.
+circular_key = cmp_to_key(_circular_cmp)

@@ -164,6 +164,16 @@ class TestCertifySatellite:
             "[-inf, 2) ∪ (7, inf]"
         )
 
+    def test_worked_pipeline_canonical_text(self):
+        # Golden strings: the certificate text of the worked example must
+        # not move when the slope-set internals change.
+        cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
+        assert cert.companion_set == "[1/1, inf]"
+        assert cert.pattern_side_set == "[1/2, inf] ∪ [-inf, 1/7]"
+        assert cert.glued_image == "(7/1, inf] ∪ [-inf, 2/1)"
+        cover = cert.checks[-1]
+        assert cover.id == "hrrw.cover" and cover.values["s1"] == "(1/1, inf)"
+
     def test_sufficient_but_not_necessary(self):
         cert = certify_satellite(torus_pattern(3, 4), TREFOIL)
         assert cert.verdict == NOT_CERTIFIED

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from lspacesat.cli import main
 
 
@@ -8,6 +10,24 @@ def run(argv):
     buf = io.StringIO()
     code = main(argv, out=buf)
     return code, buf.getvalue()
+
+
+def write_tampered_certificate(path):
+    """The worked (2,3)-cable certificate with its verdict flipped."""
+    run(
+        [
+            "certify",
+            "--pattern",
+            '{"torus_pattern": [2, 3]}',
+            "--companion",
+            "trefoil",
+            "--out",
+            str(path),
+        ]
+    )
+    data = json.loads(path.read_text())
+    data["verdict"] = "NOT_CERTIFIED"
+    path.write_text(json.dumps(data))
 
 
 class TestCertify:
@@ -77,25 +97,35 @@ class TestCertify:
 
     def test_replay_detects_tampering(self, tmp_path):
         path = tmp_path / "cert.json"
-        run(
-            [
-                "certify",
-                "--pattern",
-                '{"torus_pattern": [2, 3]}',
-                "--companion",
-                "trefoil",
-                "--out",
-                str(path),
-            ]
-        )
-        data = json.loads(path.read_text())
-        data["verdict"] = "NOT_CERTIFIED"
-        path.write_text(json.dumps(data))
-        import pytest
-        from lspacesat.certify import ReplayMismatchError
+        write_tampered_certificate(path)
+        code, _ = run(["certify", "--replay", str(path)])
+        assert code == 3
 
-        with pytest.raises(ReplayMismatchError):
-            run(["certify", "--replay", str(path)])
+    @pytest.mark.parametrize(
+        "certificate",
+        [None, b'{"verdict": "CERTIFIED"}', b"not json", b"\xd0\x00", b"[]", "tampered"],
+        ids=["link_pattern", "incomplete", "not_json", "not_utf8", "json_list", "tampered"],
+    )
+    def test_bad_input_exits_3_without_traceback(self, certificate, tmp_path, capsys):
+        """Inputs that used to escape main as exceptions (and so exit 1,
+        which reads as "not certified") end in one error line and exit 3."""
+        path = tmp_path / "cert.json"
+        if certificate is None:
+            # B(7, 3, 4) closes to a two-component link.
+            pattern = '{"one_bridge_braid": {"w": 7, "b": 3, "t": 4}}'
+            argv = ["certify", "--pattern", pattern, "--companion", "trefoil"]
+        else:
+            if certificate == "tampered":
+                write_tampered_certificate(path)
+            else:
+                path.write_bytes(certificate)
+            argv = ["certify", "--replay", str(path)]
+        capsys.readouterr()
+        code, text = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3 and text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestCable:

@@ -6,7 +6,6 @@ from lspacesat import (
     genus_twist_bound,
     one_bridge_braid,
     pattern_from_json,
-    pattern_twisted_facts,
     table_pattern,
     torus_knot,
     torus_pattern,
@@ -178,10 +177,6 @@ class TestTablePattern:
             pat.twisted_facts(-3)
         with pytest.raises(UnknownTwistError):
             pat.twisted_facts(2)
-
-    def test_module_level_helper(self):
-        pat = self.build()
-        assert pattern_twisted_facts(pat, 0) == torus_knot(2, 3)
 
 
 class TestJson:

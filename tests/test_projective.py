@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lspacesat import INFINITY, Slope, SlopeSet, covers_circle, farey_enumerate, rr_shape_check, slope
 from lspacesat.projective import Arc
@@ -144,6 +146,43 @@ class TestCanonicalForm:
             s1 = random_slope_set(rng, endpoints)
             s2 = random_slope_set(rng, endpoints)
             assert covers_circle(s1, s2) == brute_force_covers(s1, s2, 20)
+
+
+POOL = farey_enumerate(4)
+SAMPLE = farey_enumerate(12)
+
+# Points, complements of a point, and arcs between distinct pool slopes
+# (about half of which run through ∞).
+pool_arcs = st.lists(
+    st.one_of(
+        st.sampled_from(POOL).map(lambda x: Arc(x, x)),
+        st.sampled_from(POOL).map(lambda x: Arc(x, x, False, False)),
+        st.tuples(st.sampled_from(POOL), st.sampled_from(POOL), st.booleans(), st.booleans())
+        .filter(lambda t: t[0] != t[1])
+        .map(lambda t: Arc(*t)),
+    ),
+    max_size=6,
+)
+
+
+class TestCanonicalProperties:
+    @given(pool_arcs)
+    def test_membership_matches_arcs(self, arcs):
+        s = SlopeSet.from_arcs(arcs)
+        for x in SAMPLE:
+            assert s.contains(x) == any(a.contains(x) for a in arcs)
+
+    @given(pool_arcs, st.data())
+    def test_canonical_form_is_a_fixed_point(self, arcs, data):
+        s = SlopeSet.from_arcs(arcs)
+        assert SlopeSet.from_arcs(data.draw(st.permutations(arcs))) == s
+        if not s.is_full:
+            assert SlopeSet.from_arcs(s.arcs) == s
+
+    @given(pool_arcs)
+    def test_text_round_trip(self, arcs):
+        s = SlopeSet.from_arcs(arcs)
+        assert SlopeSet.parse(str(s)) == s
 
 
 class TestSerialization:
