@@ -1,9 +1,9 @@
 """1-bridge braid patterns and full twists.
 
 B(w, b, t) is the braid word (σ_b ⋯ σ_1)(σ_{w-1} ⋯ σ_1)^t on w strands.
-Twisting the solid-torus embedding appends full twists; the literal sign
-of the freely reduced word decides which L-space flags follow from the
-Bennequin equality.
+A full twist is w more passes of the strand cycle, so twisting B(w, b, t)
+n times gives B(w, b, t + n·w): a positive word when t + n·w >= 0 and,
+after free reduction, a negative one otherwise.
 """
 
 from lspacesat import (
@@ -13,7 +13,7 @@ from lspacesat import (
     one_bridge_braid,
     positive_braid_closure_genus,
 )
-from lspacesat.patterns import UnknownTwistError, one_bridge_braid_word
+from lspacesat.patterns import one_bridge_braid_word
 
 word = one_bridge_braid_word(5, 2, 3)
 print("B(5,2,3) word:", " ".join(f"s{i}" for i, _ in word.letters))
@@ -25,19 +25,12 @@ print("\npattern:", pattern.name, "winding:", pattern.winding)
 
 for n in (2, 1, 0, -1, -2):
     twisted = braid_free_reduce(braid_add_full_twists(word, n))
-    try:
-        facts = pattern.twisted_facts(n)
-        status = (
-            "L-space knot" if facts.is_lspace
-            else "negative L-space knot" if facts.is_neg_lspace
-            else "neither"
-        )
-    except UnknownTwistError:
-        status = "unknown (mixed word, needs an override)"
+    facts = pattern.twisted_facts(n)
+    status = "L-space knot" if facts.is_lspace else "negative L-space knot"
     print(
-        f"  n={n:+d}: {len(twisted.letters):2d} letters after reduction, "
-        f"sign {braid_sign(twisted).value:8s} -> {status}"
+        f"  n={n:+d}: t+5n={3 + 5 * n:+3d}, {len(twisted.letters):2d} letters after "
+        f"reduction, sign {braid_sign(twisted).value:8s} -> {status}"
     )
 
-print("\nUntwisting cancels whole strand cycles, so small negative twists")
-print("land on all-negative words and stay decidable by mirror symmetry.")
+print("\nUntwisting cancels whole strand cycles: once t+5n < 0 the reduced")
+print("word is all-negative, and its genus follows by mirror symmetry.")

@@ -35,7 +35,7 @@ from .certify import (
 )
 from .knots import companion_from_json
 from .patterns import pattern_from_json, torus_pattern
-from .projective import SlopeSet, covers_circle
+from .projective import Arc, SlopeSet, covers_circle
 from .slopes import farey_enumerate
 
 EXIT_OK = 0
@@ -191,16 +191,12 @@ def _cmd_set_algebra(args, out) -> int:
     raise InputError("set-algebra needs one of --covers, --union, --interior")
 
 
-def _random_set(rng: random.Random, endpoints) -> SlopeSet:
-    n_arcs = rng.choice([1, 1, 2])
-    arcs = []
-    for _ in range(n_arcs):
-        a, b = rng.sample(endpoints, 2)
-        arcs.append((a, b, rng.random() < 0.5, rng.random() < 0.5))
-    out = SlopeSet.empty()
-    for a, b, ac, bc in arcs:
-        out = out.union(SlopeSet.arc(a, b, ac, bc))
-    return out
+def random_slope_set(rng: random.Random, endpoints) -> SlopeSet:
+    """A random union of one or two arcs with ends drawn from endpoints."""
+    return SlopeSet.from_arcs(
+        Arc(*rng.sample(endpoints, 2), rng.random() < 0.5, rng.random() < 0.5)
+        for _ in range(rng.choice([1, 1, 2]))
+    )
 
 
 def _cmd_oracle(args, out) -> int:
@@ -209,8 +205,8 @@ def _cmd_oracle(args, out) -> int:
     sample = farey_enumerate(args.max_den)
     bad = 0
     for _ in range(args.trials):
-        s1 = _random_set(rng, endpoints)
-        s2 = _random_set(rng, endpoints)
+        s1 = random_slope_set(rng, endpoints)
+        s2 = random_slope_set(rng, endpoints)
         exact = covers_circle(s1, s2)
         brute = all(s1.contains(x) or s2.contains(x) for x in sample)
         if exact != brute:

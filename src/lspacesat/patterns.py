@@ -5,9 +5,10 @@ untwisted satellite of the unknot, the meridional-disk flag, and a twist
 family answering "what knot is P(U, n)?".  Three families are built in:
 
 * torus patterns, where P(U, n) = T(p, q + n·p) exactly;
-* 1-bridge braid words, where positively (or negatively) literal words
-  give L-space (or negative L-space) knots with Bennequin genus, and
-  mixed words require user overrides;
+* 1-bridge braids B(w, b, t), where P(U, n) is the closure of
+  B(w, b, t + n·w): a positive word (an L-space knot) for t + n·w >= 0,
+  a negative one (a negative L-space knot) otherwise, with Bennequin
+  genus read off the letter count;
 * explicit tables with asserted tail behavior.
 
 Everything the engine cannot derive is a trusted input and is recorded
@@ -16,19 +17,10 @@ as such by the certifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
-from .braids import (
-    BraidSign,
-    BraidWord,
-    braid_add_full_twists,
-    braid_free_reduce,
-    braid_mirror,
-    braid_sign,
-    closure_components,
-    positive_braid_closure_genus,
-)
+from .braids import BraidWord, closure_components
 from .knots import KnotFacts, NotCoprimeError, companion_from_json, torus_knot
 from math import gcd
 
@@ -67,25 +59,42 @@ class TorusTwistFamily:
 
 
 @dataclass(frozen=True)
-class BraidTwistFamily:
-    word: BraidWord
-    overrides: Mapping[int, KnotFacts] = field(default_factory=dict)
+class OneBridgeTwistFamily:
+    """P(U, n) of B(w, b, t) is the closure of B(w, b, t + n·w), since a
+    full twist is w more passes of the strand cycle.
+
+    With t' = t + n·w the freely reduced word is positive with
+    b + t'(w-1) letters when t' >= 0; when t' < 0 the b bridge letters
+    cancel against the first inverse pass, leaving a negative word of
+    -t'(w-1) - b letters.  The Bennequin genus (c - w + 1)/2 of the
+    closure (or of its mirror) follows from the letter count c alone.
+    """
+
+    w: int
+    b: int
+    t: int
+
+    def __post_init__(self) -> None:
+        if self.w < 3:
+            raise BridgeOutOfRangeError(f"need w >= 3 strands, got {self.w}")
+        if not 1 <= self.b <= self.w - 2:
+            raise BridgeOutOfRangeError(
+                f"bridge width must satisfy 1 <= b <= w-2, got {self.b}"
+            )
+        # Full twists permute the strands trivially, so every P(U, n) has
+        # as many components as B(w, b, t mod w).
+        word = one_bridge_braid_word(self.w, self.b, self.t % self.w)
+        if closure_components(word) != 1:
+            raise UnknownTwistError(0, "closure is a link, not a knot")
 
     def facts(self, n: int) -> KnotFacts:
-        if n in self.overrides:
-            return self.overrides[n]
-        twisted = braid_free_reduce(braid_add_full_twists(self.word, n))
-        sign = braid_sign(twisted)
-        name = f"closure({self.word}; {n} twists)"
-        if sign in (BraidSign.POSITIVE, BraidSign.TRIVIAL):
-            if closure_components(twisted) != 1:
-                raise UnknownTwistError(n, "closure is a link, not a knot")
-            g = positive_braid_closure_genus(twisted)
+        w, b, t = self.w, self.b, self.t + n * self.w
+        name = f"closure of B({w},{b},{t})"
+        c = b + t * (w - 1) if t >= 0 else -t * (w - 1) - b
+        g = (c - w + 1) // 2
+        if t >= 0:
             return KnotFacts(name, g, True, g == 0, True, g == 0)
-        if sign is BraidSign.NEGATIVE:
-            g = positive_braid_closure_genus(braid_mirror(twisted))
-            return KnotFacts(name, g, g == 0, True, True, g == 0)
-        raise UnknownTwistError(n, "mixed-sign word and no override supplied")
+        return KnotFacts(name, g, g == 0, True, True, g == 0)
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,7 @@ class PatternFacts:
     winding: int
     genus_s3: int
     has_minimal_meridional_disk: bool
-    family: TorusTwistFamily | BraidTwistFamily | TableTwistFamily
+    family: TorusTwistFamily | OneBridgeTwistFamily | TableTwistFamily
     neg_lspace_threshold: int | None = None
 
     def __post_init__(self) -> None:
@@ -174,24 +183,16 @@ def one_bridge_braid_word(w: int, b: int, t: int) -> BraidWord:
 
 
 def one_bridge_braid(
-    w: int,
-    b: int,
-    t: int,
-    overrides: Mapping[int, KnotFacts] | None = None,
-    neg_lspace_threshold: int | None = None,
+    w: int, b: int, t: int, neg_lspace_threshold: int | None = None
 ) -> PatternFacts:
     """A 1-bridge braid pattern B(w, b, t) with bridge width b and t
-    extra passes of the strand cycle.
+    extra passes of the strand cycle; its closure must be a knot.
 
-    The literal word sign decides the L-space flags of each twist; mixed
-    words need per-twist overrides, and the negative tail must be
-    asserted through neg_lspace_threshold to certify anything.
+    Each twist P(U, n) is B(w, b, t + n·w) (see OneBridgeTwistFamily);
+    the negative tail must be asserted through neg_lspace_threshold to
+    certify anything.
     """
-    if w < 3:
-        raise BridgeOutOfRangeError(f"need w >= 3 strands, got {w}")
-    if not 1 <= b <= w - 2:
-        raise BridgeOutOfRangeError(f"bridge width must satisfy 1 <= b <= w-2, got {b}")
-    family = BraidTwistFamily(one_bridge_braid_word(w, b, t), dict(overrides or {}))
+    family = OneBridgeTwistFamily(w, b, t)
     genus_s3 = family.facts(0).genus
     return PatternFacts(
         name=f"B({w},{b},{t})",
@@ -239,16 +240,13 @@ def pattern_from_json(obj) -> PatternFacts:
         return torus_pattern(int(p), int(q))
     if "one_bridge_braid" in obj:
         spec = obj["one_bridge_braid"]
-        overrides = {
-            int(n): companion_from_json(facts)
-            for n, facts in spec.get("overrides", {}).items()
-        }
+        if "overrides" in spec:
+            raise ValueError("one_bridge_braid takes no overrides: every twist is derived")
         threshold = spec.get("neg_threshold")
         return one_bridge_braid(
             int(spec["w"]),
             int(spec["b"]),
             int(spec["t"]),
-            overrides=overrides,
             neg_lspace_threshold=None if threshold is None else int(threshold),
         )
     if "table" in obj:

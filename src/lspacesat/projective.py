@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .slopes import INFINITY, Slope, circular_key, slope_ccw
+from .slopes import INF_TOKENS, INFINITY, Slope, circular_key, slope_ccw
 
 
 @dataclass(frozen=True)
@@ -230,8 +230,6 @@ def rr_shape_check(s: SlopeSet, longitude: Slope) -> bool:
 
 # -- parsing ------------------------------------------------------------
 
-_INF_TOKENS = {"inf", "+inf", "∞", "+∞", "-inf", "-∞"}
-
 
 def _parse_set(text: str) -> SlopeSet:
     t = text.strip()
@@ -280,8 +278,8 @@ def _parse_piece(text: str) -> list[Arc]:
     sb, astr, bstr, eb = m.groups()
     start_closed = sb == "["
     end_closed = eb == "]"
-    a_inf = astr.strip() in _INF_TOKENS
-    b_inf = bstr.strip() in _INF_TOKENS
+    a_inf = astr.strip() in INF_TOKENS
+    b_inf = bstr.strip() in INF_TOKENS
     if a_inf and b_inf:
         # (-inf, inf) is everything but ∞; a closed bracket on either
         # side puts ∞ back in.

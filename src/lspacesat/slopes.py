@@ -20,6 +20,10 @@ from functools import cmp_to_key
 from math import gcd
 
 
+# Every spelling of ∞ a parser accepts; "1/0" parses as a fraction.
+INF_TOKENS = frozenset({"inf", "+inf", "-inf", "∞", "+∞", "-∞"})
+
+
 class ZeroZeroError(ValueError):
     """(0, 0) is not a point of QP^1."""
 
@@ -66,7 +70,7 @@ class Slope:
     def from_string(cls, text: str) -> "Slope":
         """Parse "p/q", a bare integer, or an infinity token."""
         t = text.strip()
-        if t in ("inf", "+inf", "-inf", "∞", "-∞", "1/0"):
+        if t in INF_TOKENS:
             return INFINITY
         m = re.fullmatch(r"([+-]?\d+)\s*(?:/\s*([+-]?\d+))?", t)
         if m is None:

@@ -8,7 +8,6 @@ homology oracle clears denominators in a rational 2x2 determinant.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from lspacesat import BraidWord, SlopeSet, Slope, farey_enumerate
@@ -99,12 +98,3 @@ def linking_matrix_order_oracle(r: Slope, s: Slope, w: int) -> int:
     cleared = det * r.den * s.den
     assert cleared.denominator == 1
     return abs(int(cleared))
-
-
-def random_slope_set(rng: random.Random, endpoints: list[Slope]) -> SlopeSet:
-    """A random union of one or two arcs with the given endpoint pool."""
-    out = SlopeSet.empty()
-    for _ in range(rng.choice([1, 1, 2])):
-        a, b = rng.sample(endpoints, 2)
-        out = out.union(SlopeSet.arc(a, b, rng.random() < 0.5, rng.random() < 0.5))
-    return out

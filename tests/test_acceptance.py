@@ -30,12 +30,12 @@ from lspacesat import (
     torus_knot,
     torus_pattern,
 )
+from lspacesat.cli import random_slope_set
 from lspacesat.patterns import one_bridge_braid_word
 
 from oracle_helpers import (
     brute_force_covers,
     linking_matrix_order_oracle,
-    random_slope_set,
     seifert_genus_oracle,
 )
 

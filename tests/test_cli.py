@@ -103,16 +103,38 @@ class TestCertify:
 
     @pytest.mark.parametrize(
         "certificate",
-        [None, b'{"verdict": "CERTIFIED"}', b"not json", b"\xd0\x00", b"[]", "tampered"],
-        ids=["link_pattern", "incomplete", "not_json", "not_utf8", "json_list", "tampered"],
+        [
+            None,
+            "overrides",
+            b'{"verdict": "CERTIFIED"}',
+            b"not json",
+            b"\xd0\x00",
+            b"[]",
+            "tampered",
+        ],
+        ids=[
+            "link_pattern",
+            "overrides",
+            "incomplete",
+            "not_json",
+            "not_utf8",
+            "json_list",
+            "tampered",
+        ],
     )
     def test_bad_input_exits_3_without_traceback(self, certificate, tmp_path, capsys):
-        """Inputs that used to escape main as exceptions (and so exit 1,
-        which reads as "not certified") end in one error line and exit 3."""
+        """Bad inputs, including those that used to escape main as
+        exceptions (and so exit 1, which reads as "not certified") or be
+        silently ignored, end in one error line and exit 3."""
         path = tmp_path / "cert.json"
         if certificate is None:
             # B(7, 3, 4) closes to a two-component link.
             pattern = '{"one_bridge_braid": {"w": 7, "b": 3, "t": 4}}'
+            argv = ["certify", "--pattern", pattern, "--companion", "trefoil"]
+        elif certificate == "overrides":
+            # Every twist of a one-bridge braid is derived; none is supplied.
+            spec = {"w": 5, "b": 2, "t": 3, "overrides": {"-1": "trefoil"}}
+            pattern = json.dumps({"one_bridge_braid": spec})
             argv = ["certify", "--pattern", pattern, "--companion", "trefoil"]
         else:
             if certificate == "tampered":

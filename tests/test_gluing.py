@@ -11,8 +11,7 @@ from lspacesat import (
     meridian_longitude_swap,
     slope,
 )
-
-from oracle_helpers import random_slope_set
+from lspacesat.cli import random_slope_set
 
 SWAP = meridian_longitude_swap()
 

@@ -2,19 +2,25 @@ import pytest
 
 from lspacesat import (
     BraidSign,
+    KnotFacts,
+    braid_add_full_twists,
+    braid_free_reduce,
+    braid_mirror,
     braid_sign,
+    closure_components,
     genus_twist_bound,
     one_bridge_braid,
     pattern_from_json,
+    positive_braid_closure_genus,
     table_pattern,
     torus_knot,
     torus_pattern,
 )
-from lspacesat.braids import BraidWord
 from lspacesat.patterns import (
-    BraidTwistFamily,
     BridgeOutOfRangeError,
     InvalidTwistFactsError,
+    PatternFacts,
+    TableTwistFamily,
     UnknownTwistError,
     one_bridge_braid_word,
 )
@@ -84,8 +90,6 @@ class TestOneBridgeBraid:
         pat = one_bridge_braid(5, 2, 3)
         assert pat.twisted_facts(1).is_lspace
         word = one_bridge_braid_word(5, 2, 3)
-        from lspacesat import braid_add_full_twists
-
         assert braid_sign(braid_add_full_twists(word, 1)) is BraidSign.POSITIVE
 
     def test_negative_twist_reduces_to_negative_word(self):
@@ -94,17 +98,34 @@ class TestOneBridgeBraid:
         f = one_bridge_braid(5, 2, 3).twisted_facts(-1)
         assert f.is_neg_lspace and not f.is_lspace
 
-    def test_mixed_twist_unknown_without_override(self):
-        from lspacesat.patterns import PatternFacts
-
-        family = BraidTwistFamily(BraidWord(3, ((1, 1),) * 5), {})
-        pat = PatternFacts("mixed-after-untwist", 3, 2, True, family)
-        with pytest.raises(UnknownTwistError):
-            pat.twisted_facts(-1)
-
-    def test_override_supplies_mixed_twist(self):
-        pat = one_bridge_braid(5, 2, 3, overrides={-1: torus_knot(2, 3)})
-        assert pat.twisted_facts(-1) == torus_knot(2, 3)
+    def test_twists_match_the_braid_engine(self):
+        """P(U, n) of B(w, b, t) read off B(w, b, t + n·w) agrees with
+        twisting, reducing and measuring the literal word."""
+        checked = 0
+        for w in range(3, 8):
+            for b in range(1, w - 1):
+                for t in range(-15, 16):
+                    word = one_bridge_braid_word(w, b, t)
+                    if closure_components(word) != 1:
+                        with pytest.raises(UnknownTwistError):
+                            one_bridge_braid(w, b, t)
+                        continue
+                    pat = one_bridge_braid(w, b, t)
+                    for n in range(-4, 5):
+                        twisted = braid_free_reduce(braid_add_full_twists(word, n))
+                        sign = braid_sign(twisted)
+                        assert sign is not BraidSign.MIXED
+                        positive = sign in (BraidSign.POSITIVE, BraidSign.TRIVIAL)
+                        g = positive_braid_closure_genus(
+                            twisted if positive else braid_mirror(twisted)
+                        )
+                        name = f"closure of B({w},{b},{t + n * w})"
+                        expected = KnotFacts(
+                            name, g, positive or g == 0, not positive or g == 0, True, g == 0
+                        )
+                        assert pat.twisted_facts(n) == expected
+                        checked += 1
+        assert checked == 96 * 9  # 96 of the 465 (w, b, t) close to knots
 
     def test_bridge_range(self):
         with pytest.raises(BridgeOutOfRangeError):
@@ -139,11 +160,7 @@ class TestGenusTwistBound:
         assert torus_pattern(2, 3).twisted_facts(-2).genus == 0 <= genus_twist_bound(1, 2, -2)
 
     def test_violating_answer_is_rejected(self):
-        family = BraidTwistFamily(
-            one_bridge_braid_word(4, 1, 1), {2: torus_knot(2, 99)}
-        )
-        from lspacesat.patterns import PatternFacts
-
+        family = TableTwistFamily({2: torus_knot(2, 99)}, winding=4, genus_s3=2)
         pat = PatternFacts("bad", 4, 2, True, family)
         with pytest.raises(InvalidTwistFactsError):
             pat.twisted_facts(2)

@@ -5,9 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lspacesat import INFINITY, Slope, SlopeSet, covers_circle, farey_enumerate, rr_shape_check, slope
+from lspacesat.cli import random_slope_set
 from lspacesat.projective import Arc
 
-from oracle_helpers import brute_force_covers, random_slope_set
+from oracle_helpers import brute_force_covers
 
 
 class TestContains:
@@ -212,3 +213,5 @@ class TestSerialization:
     def test_infinity_interval_forms(self):
         assert SlopeSet.parse("[-inf, inf]").is_full
         assert SlopeSet.parse("(-inf, inf)") == SlopeSet.copoint(INFINITY)
+        assert SlopeSet.parse("{+∞}") == SlopeSet.point(INFINITY)
+        assert SlopeSet.parse("QP1 \\ {+∞}") == SlopeSet.copoint(INFINITY)

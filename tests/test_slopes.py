@@ -40,7 +40,7 @@ class TestNormalization:
         assert Slope(p, q) == Slope(-p, -q)
 
     def test_string_round_trip(self):
-        for text in ["13/1", "1/0", "-5/3", "7", "inf", "-inf"]:
+        for text in ["13/1", "1/0", "-5/3", "7", "inf", "-inf", "+∞"]:
             s = Slope.from_string(text)
             assert Slope.from_string(str(s)) == s
 
