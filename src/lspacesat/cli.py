@@ -50,25 +50,21 @@ class InputError(Exception):
     pass
 
 
-def _load_json_arg(text: str):
+# What reading malformed input raises: a missing key, a value of the wrong
+# type or shape, or a number too large for a float (int(1e400)).
+_BAD_INPUT = (ValueError, LookupError, TypeError, AttributeError, ArithmeticError)
+
+
+def _parse_json_arg(kind: str, parse, text: str):
+    """parse() applied to the JSON text, or to a bare name like trefoil."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError:
-        return text.strip()  # allow bare shortcut names like trefoil
-
-
-def _parse_companion(text: str):
+        obj = text.strip()
     try:
-        return companion_from_json(_load_json_arg(text))
-    except (ValueError, LookupError, TypeError) as e:
-        raise InputError(f"bad companion {text!r}: {e}")
-
-
-def _parse_pattern(text: str):
-    try:
-        return pattern_from_json(_load_json_arg(text))
-    except (ValueError, LookupError, TypeError) as e:
-        raise InputError(f"bad pattern {text!r}: {e}")
+        return parse(obj)
+    except _BAD_INPUT as e:
+        raise InputError(f"bad {kind} {text!r}: {e}")
 
 
 def _emit_certificate(cert: Certificate, args, out) -> int:
@@ -93,20 +89,20 @@ def _cmd_certify(args, out) -> int:
         try:
             with open(args.replay) as fh:
                 verdict = replay_certificate(Certificate.from_json(fh.read()))
-        except (ValueError, LookupError, TypeError, AttributeError) as e:
+        except _BAD_INPUT as e:
             raise InputError(f"cannot replay {args.replay}: {type(e).__name__}: {e}")
         print(f"REPLAY OK: verdict {verdict} reproduced", file=out)
         return _VERDICT_EXIT[verdict]
     if not args.pattern or not args.companion:
         raise InputError("certify needs --pattern and --companion (or --replay)")
-    pattern = _parse_pattern(args.pattern)
-    companion = _parse_companion(args.companion)
+    pattern = _parse_json_arg("pattern", pattern_from_json, args.pattern)
+    companion = _parse_json_arg("companion", companion_from_json, args.companion)
     cert = certify_satellite(pattern, companion)
     return _emit_certificate(cert, args, out)
 
 
 def _cmd_cable(args, out) -> int:
-    companion = _parse_companion(args.companion)
+    companion = _parse_json_arg("companion", companion_from_json, args.companion)
     try:
         cmp = certify_cable(companion, args.p, args.q)
     except ValueError as e:
@@ -136,7 +132,9 @@ def _split_names(text: str) -> list[str]:
 
 def _cmd_sweep(args, out) -> int:
     names = _split_names(args.companion)
-    companions = [(name, _parse_companion(name)) for name in names]
+    companions = [
+        (name, _parse_json_arg("companion", companion_from_json, name)) for name in names
+    ]
     rows = []
     for name, k in companions:
         for p in range(2, args.p_max + 1):

@@ -11,8 +11,9 @@ Canonical form is one integer sweep: the m distinct endpoints of all
 contributing arcs cut the circle into 2m pieces (each endpoint, then the
 open gap after it), every arc covers a cyclic run of pieces, a
 difference array counts the runs, and maximal covered runs become the
-canonical arcs.  Only endpoint comparisons are needed, so every coverage
-question is decided exactly in integer arithmetic.
+canonical arcs.  Each finite endpoint gets one exact integer key,
+num·Q² // den, and ∞ goes first; the keys sort, deduplicate and index
+the endpoints, so every coverage question is decided in integers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .slopes import INF_TOKENS, INFINITY, Slope, circular_key, slope_ccw
+from .slopes import INF_TOKENS, INFINITY, Slope, slope_ccw
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,8 @@ class Arc:
     end_closed: bool = True
 
     def __post_init__(self) -> None:
-        if self.start == self.end and self.start_closed != self.end_closed:
+        # Flags first: most arcs then pass without comparing two Slopes.
+        if self.start_closed != self.end_closed and self.start == self.end:
             raise ValueError("degenerate arc must be a closed point or an open copoint")
 
     @property
@@ -166,15 +168,29 @@ def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
     piece 2i is the point p_i and piece 2i+1 the open gap from p_i to
     p_{i+1 mod m}.  Each arc covers one cyclic run of pieces; a
     difference array counts the runs, and every maximal covered run
-    becomes one canonical arc.
+    becomes one canonical arc.  With Q the largest denominator among the
+    endpoints, distinct finite slopes differ by at least 1/Q², so the key
+    num·Q² // den sorts them exactly; ∞, keyed None, comes first.
     """
-    pts = sorted({p for a in arcs for p in (a.start, a.end)}, key=circular_key)
-    index = {p: i for i, p in enumerate(pts)}
-    n = 2 * len(pts)
+    if not arcs:
+        return SlopeSet()
+    endpoints = [p for a in arcs for p in (a.start, a.end)]
+    q2 = max([p.den for p in endpoints]) ** 2
+    keys = [p.num * q2 // p.den if p.den else None for p in endpoints]
+    distinct = set(keys)
+    order = sorted(distinct - {None})
+    if None in distinct:
+        order.insert(0, None)
+    index = dict(zip(order, range(len(order))))
+    pts = [None] * len(order)  # filled by the sweep below
+    n = 2 * len(order)
     diff = [0] * (n + 1)
-    for a in arcs:
-        first = 2 * index[a.start] + (not a.start_closed)
-        last = 2 * index[a.end] - (not a.end_closed)
+    pairs = iter(keys)  # start and end keys, arc by arc
+    for a, start_key, end_key in zip(arcs, pairs, pairs):
+        i, j = index[start_key], index[end_key]
+        pts[i], pts[j] = a.start, a.end
+        first = 2 * i + (not a.start_closed)
+        last = 2 * j - (not a.end_closed)
         stop = first + (last - first) % n + 1
         diff[first] += 1
         if stop > n:

@@ -8,7 +8,8 @@ built on it) touches floating point.
 
 The circle QP^1 carries a fixed positive orientation: rationals in
 increasing order, wrapping through ∞ (so ∞ sits between arbitrarily large
-positive and arbitrarily negative slopes).
+positive and arbitrarily negative slopes).  slope_det is the one ordering
+primitive; a sort uses the exact key num·Q² // den, Q ≥ every denominator.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 
@@ -131,7 +131,6 @@ def farey_enumerate(
         raise ValueError("max_den must be >= 1")
     out: list[Slope] = []
     if window is None:
-        out.append(INFINITY)
         for q in range(1, max_den + 1):
             for p in range(-max_den, max_den + 1):
                 if gcd(p, q) == 1:
@@ -144,22 +143,8 @@ def farey_enumerate(
             for p in range(p_lo, p_hi + 1):
                 if gcd(p, q) == 1:
                     out.append(Slope(p, q))
-    seen: set[Slope] = set()
-    unique = []
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    unique.sort(key=circular_key)
-    return unique
-
-
-def _circular_cmp(a: Slope, b: Slope) -> int:
-    # ∞ first, then the rationals in increasing order.
-    if a.den == 0 or b.den == 0:
-        return a.den - b.den
-    return slope_det(a, b)
-
-
-# Sort key realizing the circular order starting at ∞.
-circular_key = cmp_to_key(_circular_cmp)
+    # Distinct slopes with denominators at most max_den differ by at least
+    # 1/max_den², so num·max_den² // den is an exact sort key.
+    q2 = max_den * max_den
+    out.sort(key=lambda s: s.num * q2 // s.den)
+    return [INFINITY] + out if window is None else out

@@ -102,10 +102,23 @@ class TestCertify:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "certificate",
+        "bad",
         [
-            None,
-            "overrides",
+            # B(7, 3, 4) closes to a two-component link.
+            ('{"one_bridge_braid": {"w": 7, "b": 3, "t": 4}}', "trefoil"),
+            # Every twist of a one-bridge braid is derived; none is supplied.
+            (
+                '{"one_bridge_braid": {"w": 5, "b": 2, "t": 3, "overrides": {"-1": "trefoil"}}}',
+                "trefoil",
+            ),
+            ('{"one_bridge_braid": "x"}', "trefoil"),
+            (
+                '{"table": {"winding": 2, "genus_s3": 1, "has_disk": true, "twists": []}}',
+                "trefoil",
+            ),
+            # A JSON number beyond the float range loads as inf.
+            ('{"one_bridge_braid": {"w": 5, "b": 2, "t": 1e400}}', "trefoil"),
+            ('{"torus_pattern": [2, 3]}', '{"torus_knot": [2, 1e400]}'),
             b'{"verdict": "CERTIFIED"}',
             b"not json",
             b"\xd0\x00",
@@ -115,6 +128,10 @@ class TestCertify:
         ids=[
             "link_pattern",
             "overrides",
+            "braid_spec_not_an_object",
+            "table_twists_not_an_object",
+            "braid_twist_beyond_float",
+            "companion_beyond_float",
             "incomplete",
             "not_json",
             "not_utf8",
@@ -122,25 +139,18 @@ class TestCertify:
             "tampered",
         ],
     )
-    def test_bad_input_exits_3_without_traceback(self, certificate, tmp_path, capsys):
+    def test_bad_input_exits_3_without_traceback(self, bad, tmp_path, capsys):
         """Bad inputs, including those that used to escape main as
         exceptions (and so exit 1, which reads as "not certified") or be
         silently ignored, end in one error line and exit 3."""
         path = tmp_path / "cert.json"
-        if certificate is None:
-            # B(7, 3, 4) closes to a two-component link.
-            pattern = '{"one_bridge_braid": {"w": 7, "b": 3, "t": 4}}'
-            argv = ["certify", "--pattern", pattern, "--companion", "trefoil"]
-        elif certificate == "overrides":
-            # Every twist of a one-bridge braid is derived; none is supplied.
-            spec = {"w": 5, "b": 2, "t": 3, "overrides": {"-1": "trefoil"}}
-            pattern = json.dumps({"one_bridge_braid": spec})
-            argv = ["certify", "--pattern", pattern, "--companion", "trefoil"]
+        if isinstance(bad, tuple):
+            argv = ["certify", "--pattern", bad[0], "--companion", bad[1]]
         else:
-            if certificate == "tampered":
+            if bad == "tampered":
                 write_tampered_certificate(path)
             else:
-                path.write_bytes(certificate)
+                path.write_bytes(bad)
             argv = ["certify", "--replay", str(path)]
         capsys.readouterr()
         code, text = run(argv)

@@ -152,18 +152,54 @@ class TestCanonicalForm:
 POOL = farey_enumerate(4)
 SAMPLE = farey_enumerate(12)
 
-# Points, complements of a point, and arcs between distinct pool slopes
-# (about half of which run through ∞).
-pool_arcs = st.lists(
-    st.one_of(
-        st.sampled_from(POOL).map(lambda x: Arc(x, x)),
-        st.sampled_from(POOL).map(lambda x: Arc(x, x, False, False)),
-        st.tuples(st.sampled_from(POOL), st.sampled_from(POOL), st.booleans(), st.booleans())
-        .filter(lambda t: t[0] != t[1])
-        .map(lambda t: Arc(*t)),
-    ),
-    max_size=6,
-)
+
+def close_pool():
+    """Slopes with denominators near 10**20, 0 and ∞.  A pair of Farey
+    neighbours and five of their mediants lie within 10**-39 of each
+    other; their negatives form a second such cluster."""
+    q = 10**20 + 39
+    p = 31415926535897932384
+    s = pow(p, -1, q)
+    r = (p * s - 1) // q  # p·s - q·r = 1
+    near = [Slope(p, q), Slope(r, s)]
+    near += [Slope(p + k * r, q + k * s) for k in (1, 2, 3)]
+    near += [Slope(k * p + r, k * q + s) for k in (2, 3)]
+    return near + [Slope(-x.num, x.den) for x in near] + [slope(0), INFINITY]
+
+
+CLOSE_POOL = close_pool()
+
+
+def arcs_over(pool):
+    """Points, complements of a point, and arcs between distinct pool
+    slopes (about half of which run through ∞)."""
+    return st.lists(
+        st.one_of(
+            st.sampled_from(pool).map(lambda x: Arc(x, x)),
+            st.sampled_from(pool).map(lambda x: Arc(x, x, False, False)),
+            st.tuples(st.sampled_from(pool), st.sampled_from(pool), st.booleans(), st.booleans())
+            .filter(lambda t: t[0] != t[1])
+            .map(lambda t: Arc(*t)),
+        ),
+        max_size=6,
+    )
+
+
+pool_arcs = arcs_over(POOL)
+
+
+def endpoints_and_gap_witnesses(arcs):
+    """Every endpoint of the arcs, and one slope strictly inside each gap
+    between circularly consecutive endpoints (the mediant, or ∞ for the
+    gap that runs through it)."""
+    ends = {x for a in arcs for x in (a.start, a.end) if not x.is_infinity}
+    finite = sorted(ends, key=lambda x: x.value)
+    witnesses = [Slope(a.num + b.num, a.den + b.den) for a, b in zip(finite, finite[1:])]
+    if finite:
+        # Inside (last, ∞) and (∞, first); ∞ itself is tested as a point.
+        lo, hi = finite[0], finite[-1]
+        witnesses += [Slope(hi.num + 1, hi.den), Slope(lo.num - 1, lo.den)]
+    return finite + [INFINITY] + witnesses
 
 
 class TestCanonicalProperties:
@@ -171,6 +207,12 @@ class TestCanonicalProperties:
     def test_membership_matches_arcs(self, arcs):
         s = SlopeSet.from_arcs(arcs)
         for x in SAMPLE:
+            assert s.contains(x) == any(a.contains(x) for a in arcs)
+
+    @given(arcs_over(CLOSE_POOL))
+    def test_membership_matches_arcs_at_large_denominators(self, arcs):
+        s = SlopeSet.from_arcs(arcs)
+        for x in endpoints_and_gap_witnesses(arcs):
             assert s.contains(x) == any(a.contains(x) for a in arcs)
 
     @given(pool_arcs, st.data())

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lspacesat import INFINITY, Slope, farey_enumerate, slope, slope_ccw, slope_det
+from lspacesat import INFINITY, Slope, SlopeSet, farey_enumerate, slope, slope_ccw, slope_det
+from lspacesat.projective import Arc
 from lspacesat.slopes import NotDistinctError, ZeroZeroError
 
 
@@ -114,3 +117,81 @@ class TestFarey:
         ball = set(farey_enumerate(4))
         assert slope(1, 4) in ball and slope(-4, 1) in ball
         assert slope(5, 1) not in ball
+
+
+# -- the exact sort key --------------------------------------------------
+
+BIG = 10**40
+big_slopes = st.one_of(
+    st.just(INFINITY),
+    st.builds(Slope, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    # Huge numerators over small denominators.
+    st.builds(Slope, st.integers(-BIG, BIG), st.integers(1, 9)),
+)
+
+
+@st.composite
+def farey_neighbours(draw):
+    """Two slopes with |det| = 1, denominators up to about 10**40."""
+    q = draw(st.integers(2, BIG))
+    p = draw(st.integers(-3 * q, 3 * q).filter(lambda p: gcd(p, q) == 1))
+    s = pow(p, -1, q)  # p·s - q·r = 1
+    r = (p * s - 1) // q
+    k = draw(st.integers(0, 3))
+    return Slope(p, q), Slope(r + k * p, s + k * q)
+
+
+def circular_sorted(points):
+    """Reference order: ∞ first, then finite slopes by slope_det."""
+    def cmp(a, b):
+        if a.is_infinity or b.is_infinity:
+            return a.den - b.den
+        return slope_det(a, b)
+
+    return sorted(set(points), key=cmp_to_key(cmp))
+
+
+def canonical_point_order(points):
+    """The points of SlopeSet.from_arcs over the given points, in arc order,
+    which is the order of the sweep's integer key."""
+    return [a.start for a in SlopeSet.from_arcs([Arc(x, x) for x in points]).arcs]
+
+
+class TestSortKey:
+    """The sweep of SlopeSet.from_arcs sorts by num·Q² // den with Q the
+    largest denominator; it must order every pair as slope_det does."""
+
+    @given(st.lists(big_slopes, min_size=1, max_size=6))
+    def test_key_order_agrees_with_det(self, points):
+        assert canonical_point_order(points) == circular_sorted(points)
+
+    @given(farey_neighbours(), big_slopes)
+    def test_farey_neighbours_stay_apart(self, pair, other):
+        a, b = pair
+        assert abs(slope_det(a, b)) == 1
+        for points in ([a, b], [b, a], [b, a, other, INFINITY]):
+            assert canonical_point_order(points) == circular_sorted(points)
+
+    @given(st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG)))
+    def test_equal_slopes_share_a_key(self, pq):
+        p, q = pq
+        x = Slope(p, q)
+        assert canonical_point_order([x, Slope(3 * p, 3 * q), Slope(-p, -q)]) == [x]
+
+    @pytest.mark.parametrize("max_den", [1, 2, 5, 9])
+    def test_farey_order_unchanged(self, max_den):
+        ball = [INFINITY] + [
+            Slope(p, q)
+            for q in range(1, max_den + 1)
+            for p in range(-max_den, max_den + 1)
+            if gcd(p, q) == 1
+        ]
+        assert farey_enumerate(max_den) == circular_sorted(ball)
+        lo, hi = Fraction(-7, 3), Fraction(5, 4)
+        inside = [
+            Slope(p, q)
+            for q in range(1, max_den + 1)
+            for p in range(-3 * q, 3 * q + 1)
+            if gcd(p, q) == 1 and lo <= Fraction(p, q) <= hi
+        ]
+        assert farey_enumerate(max_den, (lo, hi)) == circular_sorted(inside)
