@@ -33,9 +33,8 @@ from .certify import (
     homology_order,
     necessary_check,
     replay_certificate,
-    twisted_surgery_coefficient,
 )
-from .gluing import GluingMap, identity_map, meridian_longitude_swap
+from .gluing import GluingMap, meridian_longitude_swap
 from .knots import (
     UNKNOT,
     KnotFacts,
@@ -43,7 +42,6 @@ from .knots import (
     cable_is_lspace_exact,
     companion_from_json,
     lspace_slope_set,
-    mirror_facts,
     torus_knot,
 )
 from .patterns import (
@@ -94,10 +92,8 @@ __all__ = [
     "farey_enumerate",
     "genus_twist_bound",
     "homology_order",
-    "identity_map",
     "lspace_slope_set",
     "meridian_longitude_swap",
-    "mirror_facts",
     "necessary_check",
     "one_bridge_braid",
     "pattern_from_json",
@@ -110,5 +106,4 @@ __all__ = [
     "table_pattern",
     "torus_knot",
     "torus_pattern",
-    "twisted_surgery_coefficient",
 ]

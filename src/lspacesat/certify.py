@@ -12,16 +12,26 @@ QP^1.
 
 Everything is exact; a Certified verdict means "r-surgery on P(K) is an
 L-space, so P(K) is an L-space knot", with r recorded.
+
+A certificate carries its own pattern and companion, so replay is the
+pipeline re-run on those inputs and compared field by field with what
+the certificate records; nothing recorded is trusted on its own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .gluing import meridian_longitude_swap
-from .knots import KnotFacts, lspace_slope_set
-from .patterns import PatternFacts, UnknownTwistError, torus_pattern
+from .knots import KnotFacts, companion_from_json, companion_to_json, lspace_slope_set
+from .patterns import (
+    PatternFacts,
+    UnknownTwistError,
+    pattern_from_json,
+    pattern_to_json,
+    torus_pattern,
+)
 from .projective import SlopeSet, covers_circle
 from .slopes import Slope
 
@@ -43,7 +53,7 @@ class ConsistencyError(AssertionError):
 
 
 class ReplayMismatchError(ValueError):
-    """Re-running a recorded check did not reproduce its outcome."""
+    """Re-running the pipeline did not reproduce a stored certificate."""
 
 
 # -- elementary surgery arithmetic --------------------------------------
@@ -57,12 +67,6 @@ def homology_order(r: Slope, s: Slope, w: int) -> int:
     r.num·s.num - w²·r.den·s.den; 0 signals positive first Betti number
     (never an L-space)."""
     return abs(r.num * s.num - w * w * r.den * s.den)
-
-
-def twisted_surgery_coefficient(r: int, a: int, w: int) -> int:
-    """Surgery coefficient r - a·w² left on the pattern after trading
-    1/a-surgery on the axis for a negative full twists."""
-    return r - a * w * w
 
 
 # -- audit records ------------------------------------------------------
@@ -89,11 +93,11 @@ class CheckRecord:
 
 
 def _ge(id: str, statement: str, lhs: int, rhs: int, **extra) -> CheckRecord:
-    return CheckRecord(id, statement, lhs >= rhs, {"op": "ge", "lhs": lhs, "rhs": rhs, **extra})
+    return CheckRecord(id, statement, lhs >= rhs, {"lhs": lhs, "rhs": rhs, **extra})
 
 
 def _flag(id: str, statement: str, value: bool, **extra) -> CheckRecord:
-    return CheckRecord(id, statement, bool(value), {"op": "flag", "value": bool(value), **extra})
+    return CheckRecord(id, statement, bool(value), extra)
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,8 @@ class LemmaResult:
 
 @dataclass
 class Certificate:
+    pattern: PatternFacts
+    companion: KnotFacts
     verdict: str
     reason: str | None
     params: LemmaParams | None
@@ -128,6 +134,8 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return {
+            "pattern": pattern_to_json(self.pattern),
+            "companion": companion_to_json(self.companion),
             "verdict": self.verdict,
             "reason": self.reason,
             "params": None if self.params is None else self.params.to_dict(),
@@ -138,13 +146,15 @@ class Certificate:
             "trusted_inputs": self.trusted_inputs,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
         params = d.get("params")
         return cls(
+            pattern=pattern_from_json(d["pattern"]),
+            companion=companion_from_json(d["companion"]),
             verdict=d["verdict"],
             reason=d.get("reason"),
             params=None if params is None else LemmaParams(**params),
@@ -257,7 +267,7 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
             "lem.sandwich",
             "a·w² < r < b·w² (so 1/b < w²/r < 1/a)",
             aw2 < r < bw2,
-            {"op": "sandwich", "aw2": aw2, "r": r, "bw2": bw2},
+            {"aw2": aw2, "r": r, "bw2": bw2},
         )
     )
 
@@ -336,7 +346,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
 
     def result(verdict, reason, params=None, companion="", side="", glued=""):
         return Certificate(
-            verdict, reason, params, companion, side, glued, checks, trusted
+            p, k, verdict, reason, params, companion, side, glued, checks, trusted
         )
 
     try:
@@ -422,7 +432,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
             "hrrw.cover",
             "strict slope sets of the two sides jointly cover QP^1",
             covered,
-            {"op": "cover", "s1": str(companion_strict), "s2": str(glued)},
+            {"s1": str(companion_strict), "s2": str(glued)},
         )
     )
     verdict = CERTIFIED if covered else NOT_CERTIFIED
@@ -488,44 +498,14 @@ def certify_cable(k: KnotFacts, p: int, q: int) -> CableComparison:
 
 
 def replay_certificate(cert: Certificate) -> str:
-    """Re-run every recorded check from its recorded values and
-    reconstruct the verdict.  Raises ReplayMismatchError if any check or
-    the verdict fails to reproduce."""
-    cover_ok = None
-    necessary_failed = False
-    all_pass = True
-    for c in cert.checks:
-        v = c.values
-        op = v.get("op")
-        if op == "ge":
-            recomputed = v["lhs"] >= v["rhs"]
-        elif op == "flag":
-            recomputed = bool(v["value"])
-        elif op == "sandwich":
-            recomputed = v["aw2"] < v["r"] < v["bw2"]
-        elif op == "cover":
-            recomputed = covers_circle(
-                SlopeSet.parse(v["s1"]), SlopeSet.parse(v["s2"])
-            )
-        else:
-            raise ReplayMismatchError(f"unknown check op {op!r} in {c.id}")
-        if recomputed != c.passed:
+    """Re-run the pipeline on the certificate's own pattern and companion
+    and return the verdict.  Raises ReplayMismatchError naming the first
+    field of the certificate that the re-run does not reproduce."""
+    rerun = certify_satellite(cert.pattern, cert.companion)
+    for f in fields(Certificate):
+        if getattr(rerun, f.name) != getattr(cert, f.name):
             raise ReplayMismatchError(
-                f"check {c.id} recorded pass={c.passed} but replays {recomputed}"
+                f"field {f.name!r} differs from a re-run of the pipeline "
+                "on the certificate's pattern and companion"
             )
-        if c.id == "hrrw.cover":
-            cover_ok = recomputed
-        if c.id.startswith("necessary.") and not recomputed:
-            necessary_failed = True
-        all_pass = all_pass and recomputed
-    if necessary_failed:
-        verdict = REJECTED
-    elif all_pass and cover_ok:
-        verdict = CERTIFIED
-    else:
-        verdict = NOT_CERTIFIED
-    if verdict != cert.verdict:
-        raise ReplayMismatchError(
-            f"recorded verdict {cert.verdict} but replay gives {verdict}"
-        )
-    return verdict
+    return rerun.verdict

@@ -2,16 +2,19 @@
 
 Subcommands:
 
-* certify      -- run the satellite pipeline on a pattern/companion pair
-                  (or re-validate a stored certificate with --replay)
+* certify      -- run the satellite pipeline on a pattern/companion pair,
+                  or with --replay re-run it on the pattern and companion
+                  a stored certificate carries and compare the result
 * cable        -- certify a cable and compare with the exact criterion
 * sweep        -- tabulate sufficient vs exact verdicts over a (p, q) grid
 * set-algebra  -- evaluate union / interior / cover on serialized sets
 * oracle       -- brute-force cross-checks of the exact cover test
 
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
-3 input errors (including a certificate that is malformed or fails to
-replay).  All numbers in files are decimal strings.
+3 input errors (including a certificate that is malformed, lacks its
+pattern or companion, or differs from the re-run).  Pattern and
+companion JSON is read strictly: integers must be JSON integers, flags
+JSON true or false, and table twist keys decimal integers.
 """
 
 from __future__ import annotations

@@ -36,20 +36,6 @@ class GluingMap:
     def apply(self, x: Slope) -> Slope:
         return Slope(self.a * x.num + self.b * x.den, self.c * x.num + self.d * x.den)
 
-    def compose(self, other: "GluingMap") -> "GluingMap":
-        """Matrix product; apply(compose(m1, m2), x) = apply(m1, apply(m2, x))."""
-        return GluingMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "GluingMap":
-        # The adjugate inverts any determinant-±1 matrix up to sign,
-        # which is all a projective action can see.
-        return GluingMap(self.d, -self.b, -self.c, self.a)
-
     def image_of_set(self, s: SlopeSet) -> SlopeSet:
         if s.is_full:
             return s
@@ -62,10 +48,6 @@ class GluingMap:
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
-
-
-def identity_map() -> GluingMap:
-    return GluingMap(1, 0, 0, 1)
 
 
 def meridian_longitude_swap() -> GluingMap:

@@ -91,15 +91,6 @@ def torus_knot(p: int, m: int) -> KnotFacts:
     )
 
 
-def mirror_facts(k: KnotFacts) -> KnotFacts:
-    name = k.name[2:-1] if k.name.startswith("m(") and k.name.endswith(")") else f"m({k.name})"
-    if k.is_unknot:
-        name = k.name
-    return KnotFacts(
-        name, k.genus, k.is_neg_lspace, k.is_lspace, k.is_fibered, k.is_unknot
-    )
-
-
 def lspace_slope_set(k: KnotFacts) -> SlopeSet:
     """The set of L-space filling slopes of the knot complement.
 
@@ -154,6 +145,21 @@ _NAMED = {
 }
 
 
+def json_int(value) -> int:
+    """A JSON integer, read as is: a float or a bool is refused, not
+    rounded or coerced."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_flag(value) -> bool:
+    """A JSON true or false, read as is: nothing else is coerced."""
+    if type(value) is not bool:
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def companion_from_json(obj) -> KnotFacts:
     """Build KnotFacts from the documented JSON forms.
 
@@ -173,18 +179,18 @@ def companion_from_json(obj) -> KnotFacts:
         raise ValueError(f"cannot parse companion from {obj!r}")
     if "torus_knot" in obj:
         p, m = obj["torus_knot"]
-        return torus_knot(int(p), int(m))
+        return torus_knot(json_int(p), json_int(m))
     if "cable" in obj:
         spec = obj["cable"]
         inner = companion_from_json(spec["companion"])
-        return cable_facts(inner, int(spec["p"]), int(spec["q"]))
+        return cable_facts(inner, json_int(spec["p"]), json_int(spec["q"]))
     return KnotFacts(
         name=str(obj["name"]),
-        genus=int(obj["genus"]),
-        is_lspace=bool(obj["is_lspace"]),
-        is_neg_lspace=bool(obj["is_neg_lspace"]),
-        is_fibered=bool(obj["is_fibered"]),
-        is_unknot=bool(obj["is_unknot"]),
+        genus=json_int(obj["genus"]),
+        is_lspace=json_flag(obj["is_lspace"]),
+        is_neg_lspace=json_flag(obj["is_neg_lspace"]),
+        is_fibered=json_flag(obj["is_fibered"]),
+        is_unknot=json_flag(obj["is_unknot"]),
     )
 
 

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .braids import BraidWord, closure_components
-from .knots import KnotFacts, NotCoprimeError, companion_from_json, torus_knot
+from .knots import (
+    KnotFacts,
+    NotCoprimeError,
+    companion_from_json,
+    companion_to_json,
+    json_flag,
+    json_int,
+    torus_knot,
+)
 from math import gcd
 
 
@@ -231,41 +239,63 @@ def table_pattern(
     )
 
 
+def _optional_int(value) -> int | None:
+    return None if value is None else json_int(value)
+
+
 def pattern_from_json(obj) -> PatternFacts:
     """Build PatternFacts from the documented JSON forms."""
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse pattern from {obj!r}")
     if "torus_pattern" in obj:
         p, q = obj["torus_pattern"]
-        return torus_pattern(int(p), int(q))
+        return torus_pattern(json_int(p), json_int(q))
     if "one_bridge_braid" in obj:
         spec = obj["one_bridge_braid"]
         if "overrides" in spec:
             raise ValueError("one_bridge_braid takes no overrides: every twist is derived")
-        threshold = spec.get("neg_threshold")
         return one_bridge_braid(
-            int(spec["w"]),
-            int(spec["b"]),
-            int(spec["t"]),
-            neg_lspace_threshold=None if threshold is None else int(threshold),
+            json_int(spec["w"]),
+            json_int(spec["b"]),
+            json_int(spec["t"]),
+            neg_lspace_threshold=_optional_int(spec.get("neg_threshold")),
         )
     if "table" in obj:
         spec = obj["table"]
-        twists = {
-            int(n): companion_from_json(facts)
-            for n, facts in spec.get("twists", {}).items()
-        }
+        twists = {}
+        for n, facts in spec.get("twists", {}).items():
+            if str(int(n)) != n:
+                raise ValueError(f"twist keys are decimal integers, got {n!r}")
+            twists[int(n)] = companion_from_json(facts)
         return table_pattern(
             name=str(spec.get("name", "table-pattern")),
-            winding=int(spec["winding"]),
-            genus_s3=int(spec["genus_s3"]),
-            has_disk=bool(spec["has_disk"]),
+            winding=json_int(spec["winding"]),
+            genus_s3=json_int(spec["genus_s3"]),
+            has_disk=json_flag(spec["has_disk"]),
             twists=twists,
-            neg_threshold=(
-                None if spec.get("neg_threshold") is None else int(spec["neg_threshold"])
-            ),
-            pos_from=(
-                None if spec.get("pos_from") is None else int(spec["pos_from"])
-            ),
+            neg_threshold=_optional_int(spec.get("neg_threshold")),
+            pos_from=_optional_int(spec.get("pos_from")),
         )
     raise ValueError(f"unrecognized pattern description: {sorted(obj)}")
+
+
+def pattern_to_json(p: PatternFacts) -> dict:
+    """The JSON form that pattern_from_json reads back to p, for patterns
+    built by torus_pattern, one_bridge_braid and table_pattern."""
+    f = p.family
+    if isinstance(f, TorusTwistFamily):
+        return {"torus_pattern": [f.p, f.q]}
+    threshold = p.neg_lspace_threshold
+    if isinstance(f, OneBridgeTwistFamily):
+        return {"one_bridge_braid": {"w": f.w, "b": f.b, "t": f.t, "neg_threshold": threshold}}
+    return {
+        "table": {
+            "name": p.name,
+            "winding": p.winding,
+            "genus_s3": p.genus_s3,
+            "has_disk": p.has_minimal_meridional_disk,
+            "twists": {str(n): companion_to_json(k) for n, k in f.entries.items()},
+            "neg_threshold": threshold,
+            "pos_from": f.pos_tail_from,
+        }
+    }

@@ -17,12 +17,12 @@ from lspacesat import (
     choose_lemma_params,
     homology_order,
     necessary_check,
+    one_bridge_braid,
     replay_certificate,
     slope,
     table_pattern,
     torus_knot,
     torus_pattern,
-    twisted_surgery_coefficient,
 )
 from lspacesat.certify import NoThresholdError, NotCertifiedError, ReplayMismatchError
 from lspacesat.patterns import UnknownTwistError
@@ -52,13 +52,6 @@ class TestHomologyOrder:
             assert homology_order(r, s, w) == linking_matrix_order_oracle(r, s, w)
 
 
-class TestTwistedCoefficient:
-    def test_values(self):
-        assert twisted_surgery_coefficient(13, 2, 2) == 5
-        assert twisted_surgery_coefficient(13, 0, 2) == 13
-        assert twisted_surgery_coefficient(13, 7, 2) == -15
-
-
 class TestCheckLemma:
     def test_worked_instance(self):
         res = check_lemma(torus_pattern(2, 3), 2, 7, 13)
@@ -66,7 +59,7 @@ class TestCheckLemma:
         assert res.arc == SlopeSet.arc(slope(1, 2), slope(1, 7))
         assert res.arc.contains(INFINITY)
         sandwich = next(c for c in res.checks if c.id == "lem.sandwich")
-        assert sandwich.values == {"op": "sandwich", "aw2": 8, "r": 13, "bw2": 28}
+        assert sandwich.values == {"aw2": 8, "r": 13, "bw2": 28}
 
     def test_r_too_small(self):
         res = check_lemma(torus_pattern(2, 3), 2, 7, 12)
@@ -234,20 +227,38 @@ class TestCertifyCable:
         assert cmp.certificate.verdict == NOT_CERTIFIED and not cmp.exact
 
 
+# Pairs whose certificates cover every pattern family, CERTIFIED, REJECTED
+# and the NOT_CERTIFIED reasons thm1.1, thm1.3, thm1.4 and unknown-twist.
+GENUINE = [
+    (torus_pattern(2, 3), TREFOIL),
+    (torus_pattern(3, 4), TREFOIL),
+    (torus_pattern(2, 3), FIGURE8),
+    (torus_pattern(2, 3), KnotFacts("unfibered", 2, False, False, False, False)),
+    (one_bridge_braid(5, 2, 21, neg_lspace_threshold=3), torus_knot(2, 5)),
+    (one_bridge_braid(5, 2, 21), torus_knot(2, 5)),
+    (
+        table_pattern(
+            "tabled", 2, 1, True, {0: TREFOIL, -2: torus_knot(2, -1)},
+            neg_threshold=100, pos_from=-10,
+        ),
+        TREFOIL,
+    ),
+    (table_pattern("sparse", 2, 1, True, {0: TREFOIL}, neg_threshold=50), TREFOIL),
+]
+
+
 class TestCertificateSerialization:
     def test_json_round_trip(self):
-        cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
-        again = Certificate.from_json(cert.to_json())
-        assert again == cert
+        for pat, k in GENUINE:
+            cert = certify_satellite(pat, k)
+            again = Certificate.from_json(cert.to_json())
+            assert again == cert
 
     def test_replay_reproduces_verdict(self):
-        for pat, k in [
-            (torus_pattern(2, 3), TREFOIL),
-            (torus_pattern(3, 4), TREFOIL),
-            (torus_pattern(2, 3), FIGURE8),
-        ]:
+        for pat, k in GENUINE:
             cert = certify_satellite(pat, k)
-            assert replay_certificate(cert) == cert.verdict
+            stored = Certificate.from_json(cert.to_json())
+            assert replay_certificate(stored) == cert.verdict
 
     def test_tampered_certificate_detected(self):
         cert = certify_satellite(torus_pattern(2, 3), TREFOIL)

@@ -1,8 +1,21 @@
+import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lspacesat import (
+    Certificate,
+    KnotFacts,
+    certify_satellite,
+    one_bridge_braid,
+    torus_knot,
+    torus_pattern,
+)
 from lspacesat.cli import main
 
 
@@ -12,22 +25,66 @@ def run(argv):
     return code, buf.getvalue()
 
 
-def write_tampered_certificate(path):
-    """The worked (2,3)-cable certificate with its verdict flipped."""
-    run(
-        [
-            "certify",
-            "--pattern",
-            '{"torus_pattern": [2, 3]}',
-            "--companion",
-            "trefoil",
-            "--out",
-            str(path),
-        ]
-    )
-    data = json.loads(path.read_text())
+def write_forgery(path, name):
+    """Certify a pair with --out, then rewrite the certificate at path
+    with the edit FORGERIES names."""
+    pattern, companion, edit = FORGERIES[name]
+    run(["certify", "--pattern", pattern, "--companion", companion, "--out", str(path)])
+    path.write_text(edit(json.loads(path.read_text())))
+
+
+def _flip_verdict(data):
     data["verdict"] = "NOT_CERTIFIED"
-    path.write_text(json.dumps(data))
+    return json.dumps(data)
+
+
+def _cover_only(data):
+    cover = data["checks"][-1]
+    cover["values"]["s1"] = "FULL"
+    data["checks"] = [cover]
+    data["companion_set"] = "junk"
+    return json.dumps(data)
+
+
+def _all_pass(data):
+    # Certificates without inputs also recorded each flag's "value" and
+    # each check's "op"; setting those too gives the forgery their replay
+    # accepted.
+    for check in data["checks"]:
+        check["pass"] = True
+        if "value" in check["values"]:
+            check["values"]["value"] = True
+    data["verdict"], data["reason"] = "CERTIFIED", None
+    data["checks"].append(
+        {
+            "id": "hrrw.cover",
+            "statement": "strict slope sets of the two sides jointly cover QP^1",
+            "pass": True,
+            "values": {"op": "cover", "s1": "FULL", "s2": "EMPTY"},
+        }
+    )
+    return json.dumps(data)
+
+
+def _params_beyond_float(data):
+    # 1e400 loads as inf.
+    return json.dumps(data).replace('"params": {"a": 2', '"params": {"a": 1e400')
+
+
+def _without_inputs(data):
+    # The certificate format before certificates carried their inputs.
+    del data["pattern"], data["companion"]
+    return json.dumps(data, indent=2)
+
+
+TORUS_23 = '{"torus_pattern": [2, 3]}'
+FORGERIES = {
+    "tampered": (TORUS_23, "trefoil", _flip_verdict),
+    "cover_only": (TORUS_23, "trefoil", _cover_only),
+    "all_pass": ('{"torus_pattern": [3, 4]}', "trefoil", _all_pass),
+    "params_beyond_float": (TORUS_23, "trefoil", _params_beyond_float),
+    "without_inputs": (TORUS_23, "trefoil", _without_inputs),
+}
 
 
 class TestCertify:
@@ -95,9 +152,42 @@ class TestCertify:
         code, text = run(["certify", "--replay", str(path)])
         assert code == 0 and "REPLAY OK" in text
 
+    @pytest.mark.parametrize(
+        "pattern, companion, verdict",
+        [
+            (
+                '{"one_bridge_braid": {"w": 5, "b": 2, "t": 21, "neg_threshold": 3}}',
+                "T(2,5)",
+                "CERTIFIED",
+            ),
+            (
+                TORUS_23,
+                '{"name": "5_2", "genus": 1, "is_lspace": false, "is_neg_lspace": false,'
+                ' "is_fibered": false, "is_unknot": false}',
+                "REJECTED",
+            ),
+            (
+                '{"table": {"name": "sparse", "winding": 2, "genus_s3": 1, "has_disk": true,'
+                ' "twists": {"0": "trefoil"}, "neg_threshold": 50}}',
+                "trefoil",
+                "NOT_CERTIFIED",
+            ),
+        ],
+        ids=["certified", "rejected", "unknown_twist"],
+    )
+    def test_replay_reproduces_each_verdict(self, pattern, companion, verdict, tmp_path):
+        path = tmp_path / "cert.json"
+        argv = ["certify", "--pattern", pattern, "--companion", companion]
+        code, _ = run(argv + ["--out", str(path)])
+        if verdict == "NOT_CERTIFIED":
+            assert json.loads(path.read_text())["reason"].startswith("unknown-twist:")
+        replay_code, text = run(["certify", "--replay", str(path)])
+        assert replay_code == code
+        assert text.strip() == f"REPLAY OK: verdict {verdict} reproduced"
+
     def test_replay_detects_tampering(self, tmp_path):
         path = tmp_path / "cert.json"
-        write_tampered_certificate(path)
+        write_forgery(path, "tampered")
         code, _ = run(["certify", "--replay", str(path)])
         assert code == 3
 
@@ -119,11 +209,29 @@ class TestCertify:
             # A JSON number beyond the float range loads as inf.
             ('{"one_bridge_braid": {"w": 5, "b": 2, "t": 1e400}}', "trefoil"),
             ('{"torus_pattern": [2, 3]}', '{"torus_knot": [2, 1e400]}'),
+            # Integers must be JSON integers and flags JSON true or false.
+            (
+                '{"torus_pattern": [2, 3]}',
+                '{"name": "x", "genus": 1, "is_lspace": "false", "is_neg_lspace": false,'
+                ' "is_fibered": true, "is_unknot": false}',
+            ),
+            ('{"torus_pattern": [2, 3.9]}', "trefoil"),
+            ('{"torus_pattern": [2, true]}', "trefoil"),
+            (
+                '{"table": {"winding": 2, "genus_s3": 1, "has_disk": "no",'
+                ' "neg_threshold": 4, "pos_from": -10}}',
+                "trefoil",
+            ),
+            (
+                '{"table": {"winding": 2, "genus_s3": 1, "has_disk": true,'
+                ' "twists": {"-1_0": "trefoil"}, "neg_threshold": 4}}',
+                "trefoil",
+            ),
             b'{"verdict": "CERTIFIED"}',
             b"not json",
             b"\xd0\x00",
             b"[]",
-            "tampered",
+            *FORGERIES,
         ],
         ids=[
             "link_pattern",
@@ -132,11 +240,16 @@ class TestCertify:
             "table_twists_not_an_object",
             "braid_twist_beyond_float",
             "companion_beyond_float",
+            "companion_flag_is_a_string",
+            "torus_q_is_a_float",
+            "torus_q_is_a_bool",
+            "table_disk_is_a_string",
+            "table_twist_key_not_decimal",
             "incomplete",
             "not_json",
             "not_utf8",
             "json_list",
-            "tampered",
+            *FORGERIES,
         ],
     )
     def test_bad_input_exits_3_without_traceback(self, bad, tmp_path, capsys):
@@ -147,8 +260,8 @@ class TestCertify:
         if isinstance(bad, tuple):
             argv = ["certify", "--pattern", bad[0], "--companion", bad[1]]
         else:
-            if bad == "tampered":
-                write_tampered_certificate(path)
+            if isinstance(bad, str):
+                write_forgery(path, bad)
             else:
                 path.write_bytes(bad)
             argv = ["certify", "--replay", str(path)]
@@ -158,6 +271,68 @@ class TestCertify:
         assert code == 3 and text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every value of a JSON document that is not a non-empty
+    object or array."""
+    if isinstance(node, dict) and node:
+        for key, child in node.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, path + (i,))
+    else:
+        yield path
+
+
+# Every input of these pairs reaches some recorded field, so a changed
+# input cannot leave a certificate that is the genuine one of other inputs.
+_FUZZ_CERTIFICATES = [
+    certify_satellite(pattern, companion)
+    for pattern, companion in [
+        (torus_pattern(2, 3), torus_knot(2, 3)),
+        (torus_pattern(3, 4), torus_knot(2, 3)),
+        (torus_pattern(2, 3), KnotFacts("unfibered", 2, False, False, False, False)),
+        (one_bridge_braid(5, 2, 21, neg_lspace_threshold=3), torus_knot(2, 5)),
+    ]
+]
+_FUZZ_LEAVES = [
+    (cert, path) for cert in _FUZZ_CERTIFICATES for path in _leaf_paths(cert.to_dict())
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestReplayFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(leaf=st.sampled_from(_FUZZ_LEAVES), value=_JSON_VALUES)
+    def test_one_changed_leaf(self, leaf, value):
+        """A certificate with one leaf replaced replays (exit 0, 1 or 2)
+        only when it reads back as the genuine certificate; anything else
+        exits 3 with one error line."""
+        cert, path = leaf
+        data = cert.to_dict()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            file = Path(tmp) / "cert.json"
+            file.write_text(json.dumps(data))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, _ = run(["certify", "--replay", str(file)])
+        if code == 3:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert code in (0, 1, 2)
+            assert Certificate.from_dict(data) == cert
 
 
 class TestCable:

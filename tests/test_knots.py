@@ -9,7 +9,6 @@ from lspacesat import (
     cable_is_lspace_exact,
     companion_from_json,
     lspace_slope_set,
-    mirror_facts,
     slope,
     torus_knot,
 )
@@ -79,12 +78,6 @@ class TestKnotFactsInvariants:
     def test_unknot_shape(self):
         with pytest.raises(InvalidKnotFactsError):
             KnotFacts("bad", 1, True, False, True, True)
-
-    def test_mirror_swaps_flags(self):
-        t = torus_knot(3, -4)
-        m = mirror_facts(t)
-        assert m.is_lspace and not m.is_neg_lspace
-        assert mirror_facts(m).is_lspace == t.is_lspace
 
 
 class TestLspaceSlopeSet:

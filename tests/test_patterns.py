@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lspacesat import (
@@ -23,6 +25,7 @@ from lspacesat.patterns import (
     TableTwistFamily,
     UnknownTwistError,
     one_bridge_braid_word,
+    pattern_to_json,
 )
 from lspacesat.knots import NotCoprimeError
 
@@ -226,3 +229,27 @@ class TestJson:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             pattern_from_json({"mystery": 1})
+
+    @pytest.mark.parametrize(
+        "pat",
+        [
+            torus_pattern(2, 3),
+            torus_pattern(3, -7),
+            one_bridge_braid(5, 2, 3),
+            one_bridge_braid(5, 2, 21, neg_lspace_threshold=3),
+            table_pattern(
+                "tabled",
+                2,
+                1,
+                True,
+                {0: torus_knot(2, 3), -2: torus_knot(2, -1)},
+                neg_threshold=4,
+                pos_from=-10,
+            ),
+            table_pattern("bare", 0, 0, False, {}),
+        ],
+        ids=["torus", "torus_negative", "braid", "braid_threshold", "table", "table_bare"],
+    )
+    def test_to_json_round_trip(self, pat):
+        text = json.dumps(pattern_to_json(pat))
+        assert pattern_from_json(json.loads(text)) == pat
