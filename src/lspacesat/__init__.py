@@ -25,7 +25,6 @@ from .certify import (
     Certificate,
     CheckRecord,
     LemmaParams,
-    certified_twist_range,
     certify_cable,
     certify_satellite,
     check_lemma,
@@ -52,7 +51,7 @@ from .patterns import (
     table_pattern,
     torus_pattern,
 )
-from .projective import Arc, SlopeSet, covers_circle, rr_shape_check
+from .projective import Arc, SlopeSet, covers_circle
 from .slopes import INFINITY, Slope, farey_enumerate, slope, slope_ccw, slope_det
 
 __version__ = "0.1.0"
@@ -81,7 +80,6 @@ __all__ = [
     "braid_sign",
     "cable_facts",
     "cable_is_lspace_exact",
-    "certified_twist_range",
     "certify_cable",
     "certify_satellite",
     "check_lemma",
@@ -99,7 +97,6 @@ __all__ = [
     "pattern_from_json",
     "positive_braid_closure_genus",
     "replay_certificate",
-    "rr_shape_check",
     "slope",
     "slope_ccw",
     "slope_det",

@@ -61,12 +61,6 @@ def braid_free_reduce(bw: BraidWord) -> BraidWord:
     return BraidWord(bw.strands, tuple(stack))
 
 
-def braid_inverse(bw: BraidWord) -> BraidWord:
-    return BraidWord(
-        bw.strands, tuple((idx, -sign) for idx, sign in reversed(bw.letters))
-    )
-
-
 def braid_mirror(bw: BraidWord) -> BraidWord:
     """Flip every crossing sign (the mirror diagram)."""
     return BraidWord(bw.strands, tuple((idx, -sign) for idx, sign in bw.letters))

@@ -44,10 +44,6 @@ class NoThresholdError(ValueError):
     """The pattern carries no negative-tail assertion."""
 
 
-class NotCertifiedError(ValueError):
-    pass
-
-
 class ConsistencyError(AssertionError):
     """An internal cross-check that should never fail did fail."""
 
@@ -176,7 +172,10 @@ class Certificate:
 def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
     """Audit the hypotheses guaranteeing that the closed arc from 1/a
     through ∞ to 1/b consists of L-space filling slopes of the
-    r-surgered pattern complement."""
+    r-surgered pattern complement.
+
+    Raises UnknownTwistError when the pattern's twist family cannot
+    answer P(U, -a) or P(U, -b)."""
     if min(a, b, r) < 1:
         raise ValueError("a, b, r must be positive integers")
     w = p.winding
@@ -228,38 +227,18 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
             knot=facts_a.name,
         )
     )
-    try:
-        facts_b = p.twisted_facts(-b)
-        checks.append(
-            _flag(
-                "lem.7",
-                f"P(U, {-b}) is a negative L-space knot",
-                facts_b.is_neg_lspace,
-                twist=-b,
-                knot=facts_b.name,
-            )
+    facts_b = p.twisted_facts(-b)
+    checks.append(
+        _flag(
+            "lem.7",
+            f"P(U, {-b}) is a negative L-space knot",
+            facts_b.is_neg_lspace,
+            twist=-b,
+            knot=facts_b.name,
         )
-        if isinstance(facts_b.name, str) and facts_b.name.startswith("table tail"):
-            trusted.append(
-                f"negative tail assertion used for twist {-b} of {p.name}"
-            )
-    except UnknownTwistError:
-        if p.neg_lspace_threshold is not None and b >= p.neg_lspace_threshold:
-            checks.append(
-                _flag(
-                    "lem.7",
-                    f"P(U, {-b}) is a negative L-space knot (tail assertion)",
-                    True,
-                    twist=-b,
-                    threshold=p.neg_lspace_threshold,
-                )
-            )
-            trusted.append(
-                f"negative L-space tail (n >= {p.neg_lspace_threshold}) "
-                f"asserted for {p.name}, used at twist {-b}"
-            )
-        else:
-            raise
+    )
+    if facts_b.name.startswith("table tail"):
+        trusted.append(f"negative tail assertion used for twist {-b} of {p.name}")
 
     aw2, bw2 = a * w * w, b * w * w
     checks.append(
@@ -416,7 +395,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     except UnknownTwistError as e:
         return result(NOT_CERTIFIED, f"unknown-twist:lemma ({e})", params)
     checks.extend(lem.checks)
-    trusted.extend(t for t in lem.trusted if t not in trusted)
+    trusted.extend(lem.trusted)
     if not lem.ok:
         return result(NOT_CERTIFIED, lem.failed[0], params)
 
@@ -444,26 +423,6 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
         side=str(lem.arc),
         glued=str(glued),
     )
-
-
-def certified_twist_range(p: PatternFacts, k: KnotFacts) -> int:
-    """The twist bound n0 = -2g(K) below which nothing is claimed:
-    every P(U, n) with n >= n0 is an L-space knot for a certified pair.
-    Spot-verifies the first few twists on families that can answer."""
-    cert = certify_satellite(p, k)
-    if cert.verdict != CERTIFIED:
-        raise NotCertifiedError(f"pipeline verdict was {cert.verdict}")
-    n0 = -2 * k.genus
-    for n in range(n0, n0 + 6):
-        try:
-            facts = p.twisted_facts(n)
-        except UnknownTwistError:
-            continue
-        if not facts.is_lspace:
-            raise ConsistencyError(
-                f"certified pattern {p.name} reports non-L-space twist {n}"
-            )
-    return n0
 
 
 @dataclass

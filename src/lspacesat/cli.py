@@ -37,7 +37,7 @@ from .certify import (
     replay_certificate,
 )
 from .knots import companion_from_json
-from .patterns import pattern_from_json, torus_pattern
+from .patterns import pattern_from_json
 from .projective import Arc, SlopeSet, covers_circle
 from .slopes import farey_enumerate
 
@@ -221,8 +221,14 @@ def _cmd_oracle(args, out) -> int:
     return EXIT_OK if bad == 0 else EXIT_NOT_CERTIFIED
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print usage and exit 2, which reads as REJECTED.
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lspacesat",
         description="Exact certification of satellite L-space knots.",
     )
@@ -272,19 +278,14 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for key in ("p_max", "q_max", "max_den", "trials"):
-        value = getattr(args, key, None)
-        if value is not None and value < 1:
-            print(f"error: --{key.replace('_', '-')} must be positive", file=sys.stderr)
-            return EXIT_INPUT
     try:
+        args = build_parser().parse_args(argv)
+        for key in ("p_max", "q_max", "max_den", "trials"):
+            value = getattr(args, key, None)
+            if value is not None and value < 1:
+                raise InputError(f"--{key.replace('_', '-')} must be positive")
         return _COMMANDS[args.command](args, out)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -46,9 +46,6 @@ class GluingMap:
             mapped = (Arc(f(a.end), f(a.start), a.end_closed, a.start_closed) for a in s.arcs)
         return SlopeSet.from_arcs(mapped)
 
-    def __str__(self) -> str:
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
-
 
 def meridian_longitude_swap() -> GluingMap:
     """The gluing p/q ↦ q/p identifying the meridian of one side with the

@@ -58,6 +58,8 @@ class KnotFacts:
             and self.is_fibered
         ):
             raise InvalidKnotFactsError("unknot facts are genus 0 with all flags set")
+        if self.genus == 0 and not self.is_unknot:
+            raise InvalidKnotFactsError("a knot of genus 0 is the unknot")
         if self.genus >= 1 and self.is_lspace and self.is_neg_lspace:
             raise InvalidKnotFactsError(
                 "a nontrivial knot cannot admit both positive and negative "

@@ -117,12 +117,15 @@ class TableTwistFamily:
         if n in self.entries:
             return self.entries[n]
         # Tail assertions pin the flags only; the genus field carries the
-        # twisting upper bound, which is all downstream checks consume.
+        # twisting upper bound, which is all downstream checks consume.  A
+        # bound of 0 pins the knot itself: genus 0 is the unknot.
         bound = genus_twist_bound(self.genus_s3, self.winding, n)
+        name = f"table tail n={n}"
+        unknot = bound == 0
         if self.neg_tail_from is not None and n <= -self.neg_tail_from:
-            return KnotFacts(f"table tail n={n}", bound, False, True, True, False)
+            return KnotFacts(name, bound, unknot, True, True, unknot)
         if self.pos_tail_from is not None and n >= self.pos_tail_from:
-            return KnotFacts(f"table tail n={n}", bound, True, False, True, False)
+            return KnotFacts(name, bound, True, unknot, True, unknot)
         raise UnknownTwistError(n, "outside table and asserted tails")
 
 

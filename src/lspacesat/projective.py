@@ -103,10 +103,6 @@ class SlopeSet:
 
     # -- queries --------------------------------------------------------
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.arcs and not self.is_full
-
     def contains(self, x: Slope) -> bool:
         return self.is_full or any(a.contains(x) for a in self.arcs)
 
@@ -218,7 +214,7 @@ def _run_to_arc(pts: list[Slope], first: int, last: int) -> Arc:
     return Arc(start, end, first % 2 == 0, last % 2 == 0)
 
 
-# -- cover and shape tests -----------------------------------------------
+# -- cover test ---------------------------------------------------------
 
 
 def covers_circle(s1: SlopeSet, s2: SlopeSet) -> bool:
@@ -228,20 +224,6 @@ def covers_circle(s1: SlopeSet, s2: SlopeSet) -> bool:
     apply the gluing map to one side first.
     """
     return s1.union(s2).is_full
-
-
-def rr_shape_check(s: SlopeSet, longitude: Slope) -> bool:
-    """Whether s has one of the admissible shapes for a set of L-space
-    filling slopes: empty, a point, a closed arc, or the whole circle
-    minus the rational longitude."""
-    if s.is_full or len(s.arcs) > 1:
-        return False
-    if not s.arcs:
-        return True
-    a = s.arcs[0]
-    if a.start == a.end and not a.start_closed:
-        return a.start == longitude
-    return a.start_closed and a.end_closed
 
 
 # -- parsing ------------------------------------------------------------

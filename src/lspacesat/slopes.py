@@ -59,13 +59,6 @@ class Slope:
     def is_infinity(self) -> bool:
         return self.den == 0
 
-    @property
-    def value(self) -> Fraction | None:
-        """The slope as a rational number, or None for ∞."""
-        if self.den == 0:
-            return None
-        return Fraction(self.num, self.den)
-
     @classmethod
     def from_string(cls, text: str) -> "Slope":
         """Parse "p/q", a bare integer, or an infinity token."""

@@ -1,0 +1,116 @@
+"""Hypothesis strategies for valid patterns and companions.
+
+Companions come with one of their documented JSON forms (a shortcut name,
+{"torus_knot": …}, {"cable": …} or an explicit field dictionary), so the
+same draws serve the library and the command line.  Patterns are built by
+torus_pattern, one_bridge_braid and table_pattern; pattern_to_json gives
+their JSON form.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from hypothesis import strategies as st
+
+from lspacesat import KnotFacts, cable_facts, one_bridge_braid, table_pattern, torus_knot, torus_pattern
+from lspacesat.braids import closure_components
+from lspacesat.knots import InvalidKnotFactsError, companion_from_json
+from lspacesat.patterns import genus_twist_bound, one_bridge_braid_word
+
+
+def _coprime_pairs(p_values, q_values):
+    return st.tuples(p_values, q_values).filter(lambda pq: gcd(*pq) == 1)
+
+
+def _torus_companion(pm):
+    p, m = pm
+    return st.sampled_from([f"T({p},{m})", {"torus_knot": [p, m]}]).map(
+        lambda form: (torus_knot(p, m), form)
+    )
+
+
+def _explicit_companion(fields):
+    try:
+        return KnotFacts(**fields), fields
+    except InvalidKnotFactsError:
+        return None
+
+
+def _cable(inner, pq):
+    (k, form), (p, q) = inner, pq
+    try:
+        return cable_facts(k, p, q), {"cable": {"companion": form, "p": p, "q": q}}
+    except InvalidKnotFactsError:
+        # cable_facts gives some cables of the unknot both L-space flags.
+        return None
+
+
+_named = st.sampled_from(["trefoil", "figure8", "unknot"]).map(
+    lambda name: (companion_from_json(name), name)
+)
+_explicit = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=4),
+        "genus": st.integers(0, 12),
+        "is_lspace": st.booleans(),
+        "is_neg_lspace": st.booleans(),
+        "is_fibered": st.booleans(),
+        "is_unknot": st.booleans(),
+    }
+).map(_explicit_companion).filter(lambda pair: pair is not None)
+
+# (KnotFacts, JSON form) pairs: shortcut names, torus knots, explicit facts
+# and cables of them.
+companion_pairs = st.recursive(
+    _named | _coprime_pairs(st.integers(2, 7), st.integers(-30, 30)).flatmap(_torus_companion) | _explicit,
+    lambda inner: st.builds(
+        _cable, inner, _coprime_pairs(st.integers(2, 5), st.integers(-30, 30))
+    ).filter(lambda pair: pair is not None),
+    max_leaves=3,
+)
+companions = companion_pairs.map(lambda pair: pair[0])
+
+torus_patterns = _coprime_pairs(st.integers(2, 8), st.integers(-40, 40)).map(
+    lambda pq: torus_pattern(*pq)
+)
+
+# (w, b, t mod w) whose braid closes to a knot; full twists keep the
+# number of components, so every t with that residue is a knot too.
+_KNOTTED = [
+    (w, b, r)
+    for w in range(3, 10)
+    for b in range(1, w - 1)
+    for r in range(w)
+    if closure_components(one_bridge_braid_word(w, b, r)) == 1
+]
+one_bridge_patterns = st.builds(
+    lambda wbr, k, threshold: one_bridge_braid(wbr[0], wbr[1], wbr[2] + k * wbr[0], threshold),
+    st.sampled_from(_KNOTTED),
+    st.integers(-4, 5),
+    st.none() | st.integers(0, 60),
+)
+
+
+@st.composite
+def table_patterns(draw):
+    winding = draw(st.integers(0, 5))
+    genus_s3 = draw(st.integers(0, 6))
+    twists = {
+        n: k
+        for n, k in draw(st.dictionaries(st.integers(-12, 12), companions, max_size=4)).items()
+        if k.genus <= genus_twist_bound(genus_s3, winding, n)
+    }
+    return table_pattern(
+        draw(st.text(max_size=4)),
+        winding,
+        genus_s3,
+        winding >= 1 and draw(st.booleans()),
+        twists,
+        # -1 and 3 stand for an absent tail.
+        neg_threshold=draw(st.integers(-1, 12).map(lambda n: None if n < 0 else n)),
+        pos_from=draw(st.integers(-12, 3).map(lambda n: None if n > 2 else n)),
+    )
+
+
+patterns = torus_patterns | one_bridge_patterns | table_patterns()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from lspacesat import (
     CERTIFIED,
@@ -10,7 +11,6 @@ from lspacesat import (
     INFINITY,
     KnotFacts,
     SlopeSet,
-    certified_twist_range,
     certify_cable,
     certify_satellite,
     check_lemma,
@@ -24,10 +24,11 @@ from lspacesat import (
     torus_knot,
     torus_pattern,
 )
-from lspacesat.certify import NoThresholdError, NotCertifiedError, ReplayMismatchError
-from lspacesat.patterns import UnknownTwistError
+from lspacesat.certify import NoThresholdError, ReplayMismatchError
+from lspacesat.patterns import PatternFacts, TableTwistFamily, UnknownTwistError
 
 from oracle_helpers import linking_matrix_order_oracle
+import strategies
 
 TREFOIL = torus_knot(2, 3)
 FIGURE8 = KnotFacts("4_1", 1, False, False, True, False)
@@ -195,22 +196,18 @@ class TestCertifySatellite:
         assert cert.verdict == NOT_CERTIFIED
         assert cert.reason.startswith("unknown-twist:")
 
+    def test_lemma_reads_the_twist_family_only(self):
+        # Hand-built, so the threshold asserts a negative tail that the
+        # twist family does not answer: P(U, -7) stays unknown.
+        family = TableTwistFamily({0: TREFOIL}, 2, 1, pos_tail_from=-2)
+        pat = PatternFacts("hand-built", 2, 1, True, family, neg_lspace_threshold=3)
+        cert = certify_satellite(pat, TREFOIL)
+        assert cert.verdict == NOT_CERTIFIED
+        assert cert.reason.startswith("unknown-twist:lemma")
+
     def test_trusted_inputs_recorded(self):
         cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
         assert any("meridional-disk" in t for t in cert.trusted_inputs)
-
-
-class TestTwistRange:
-    def test_worked_value(self):
-        assert certified_twist_range(torus_pattern(2, 3), TREFOIL) == -2
-
-    def test_formula(self):
-        t25 = torus_knot(2, 5)  # genus 2
-        assert certified_twist_range(torus_pattern(2, 9), t25) == -4
-
-    def test_requires_certified(self):
-        with pytest.raises(NotCertifiedError):
-            certified_twist_range(torus_pattern(3, 4), TREFOIL)
 
 
 class TestCertifyCable:
@@ -266,3 +263,14 @@ class TestCertificateSerialization:
         data["checks"][-1]["values"]["s1"] = "EMPTY"
         with pytest.raises(ReplayMismatchError):
             replay_certificate(Certificate.from_dict(data))
+
+
+class TestTotality:
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=strategies.patterns, companion=strategies.companions)
+    def test_certify_satellite_is_total(self, pattern, companion):
+        """Every valid pattern of each family with torus, cable and explicit
+        companion facts gets a certificate that replays to its verdict."""
+        cert = certify_satellite(pattern, companion)
+        assert isinstance(cert, Certificate)
+        assert replay_certificate(Certificate.from_json(cert.to_json())) == cert.verdict

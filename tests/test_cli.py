@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lspacesat import (
@@ -17,6 +17,9 @@ from lspacesat import (
     torus_pattern,
 )
 from lspacesat.cli import main
+from lspacesat.patterns import pattern_to_json
+
+import strategies
 
 
 def run(argv):
@@ -78,6 +81,10 @@ def _without_inputs(data):
 
 
 TORUS_23 = '{"torus_pattern": [2, 3]}'
+GENUS_ZERO_NOT_UNKNOT = (
+    '{"name": "x", "genus": 0, "is_lspace": true, "is_neg_lspace": false,'
+    ' "is_fibered": true, "is_unknot": false}'
+)
 FORGERIES = {
     "tampered": (TORUS_23, "trefoil", _flip_verdict),
     "cover_only": (TORUS_23, "trefoil", _cover_only),
@@ -227,6 +234,8 @@ class TestCertify:
                 ' "twists": {"-1_0": "trefoil"}, "neg_threshold": 4}}',
                 "trefoil",
             ),
+            # A knot of genus 0 is the unknot.
+            (TORUS_23, GENUS_ZERO_NOT_UNKNOT),
             b'{"verdict": "CERTIFIED"}',
             b"not json",
             b"\xd0\x00",
@@ -245,6 +254,7 @@ class TestCertify:
             "torus_q_is_a_bool",
             "table_disk_is_a_string",
             "table_twist_key_not_decimal",
+            "companion_genus_zero_not_unknot",
             "incomplete",
             "not_json",
             "not_utf8",
@@ -286,6 +296,18 @@ def _leaf_paths(node, path=()):
         yield path
 
 
+def _replaced(doc, path, value):
+    """doc with the value at path set to value, in place; value itself
+    for the empty path."""
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
 # Every input of these pairs reaches some recorded field, so a changed
 # input cannot leave a certificate that is the genuine one of other inputs.
 _FUZZ_CERTIFICATES = [
@@ -316,11 +338,7 @@ class TestReplayFuzz:
         only when it reads back as the genuine certificate; anything else
         exits 3 with one error line."""
         cert, path = leaf
-        data = cert.to_dict()
-        node = data
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        data = _replaced(cert.to_dict(), path, value)
         with tempfile.TemporaryDirectory() as tmp:
             file = Path(tmp) / "cert.json"
             file.write_text(json.dumps(data))
@@ -333,6 +351,60 @@ class TestReplayFuzz:
         else:
             assert code in (0, 1, 2)
             assert Certificate.from_dict(data) == cert
+
+
+def _node_paths(node, path=()):
+    """Paths to every value of a JSON document, the document included."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _node_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _node_paths(child, path + (i,))
+
+
+# Integers stay small: a one-bridge braid B(w, b, t) builds a word of
+# about (t mod w)·w letters, so a huge width would exhaust memory.
+_ODD_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-100, 100) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _with_odd_values(doc):
+    """The JSON document doc as it is, or with one of its values, a leaf
+    or not, replaced by any JSON value."""
+    edits = st.tuples(st.sampled_from(list(_node_paths(doc))), _ODD_VALUES)
+    return st.none().map(lambda _: doc) | edits.map(
+        lambda edit: _replaced(json.loads(json.dumps(doc)), *edit)
+    )
+
+
+class TestInputFuzz:
+    @settings(max_examples=300, deadline=None)
+    @example(pattern={"torus_pattern": [2, 3]}, companion=json.loads(GENUS_ZERO_NOT_UNKNOT))
+    @given(
+        pattern=strategies.patterns.map(pattern_to_json).flatmap(_with_odd_values),
+        companion=strategies.companion_pairs.map(lambda pair: pair[1]).flatmap(_with_odd_values),
+    )
+    def test_certify_exits_with_a_documented_code(self, pattern, companion):
+        """Any pattern and companion in the documented JSON forms, with
+        arbitrary values in some places, ends in exit 0, 1, 2 or 3, never
+        in a traceback, with one error line exactly when it is 3."""
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(
+                ["certify", "--pattern", json.dumps(pattern), "--companion", json.dumps(companion)]
+            )
+        assert code in (0, 1, 2, 3)
+        if code == 3:
+            assert text == "" and err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
 
 
 class TestCable:

@@ -70,6 +70,3 @@ class TestImageOfSet:
         s = SlopeSet.parse("[2, 3)")
         img = SWAP.image_of_set(s)
         assert img == SlopeSet.arc(slope(1, 3), slope(1, 2), False, True)
-
-    def test_serialization(self):
-        assert str(SWAP) == "[[0,1],[1,0]]"

@@ -79,6 +79,10 @@ class TestKnotFactsInvariants:
         with pytest.raises(InvalidKnotFactsError):
             KnotFacts("bad", 1, True, False, True, True)
 
+    def test_genus_zero_is_the_unknot(self):
+        with pytest.raises(InvalidKnotFactsError):
+            KnotFacts("bad", 0, True, False, True, False)
+
 
 class TestLspaceSlopeSet:
     def test_trefoil_closed_arc(self):
@@ -91,7 +95,7 @@ class TestLspaceSlopeSet:
 
     def test_non_lspace_knot_empty(self):
         figure8 = KnotFacts("4_1", 1, False, False, True, False)
-        assert lspace_slope_set(figure8).is_empty
+        assert lspace_slope_set(figure8) == SlopeSet()
 
     def test_unknot_rejected(self):
         with pytest.raises(UnknotCompanionError):

@@ -9,6 +9,7 @@ from lspacesat import (
     braid_free_reduce,
     braid_mirror,
     braid_sign,
+    certify_satellite,
     closure_components,
     genus_twist_bound,
     one_bridge_braid,
@@ -190,6 +191,16 @@ class TestTablePattern:
         pat = self.build()
         assert pat.twisted_facts(-7).is_neg_lspace
         assert pat.twisted_facts(4).is_lspace
+
+    def test_tail_at_genus_bound_zero_is_the_unknot(self):
+        # Winding 1 adds no genus under twisting, so every tail twist of a
+        # genus-0 pattern is bounded by genus 0.
+        pat = table_pattern("t", 1, 0, True, {}, neg_threshold=0, pos_from=1)
+        for n in (-3, 0, 2):
+            assert pat.twisted_facts(n) == KnotFacts(
+                f"table tail n={n}", 0, True, True, True, True
+            )
+        assert certify_satellite(pat, torus_knot(2, 3)).reason == "thm1.2"
 
     def test_gap_errors(self):
         pat = self.build()

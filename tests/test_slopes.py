@@ -109,7 +109,7 @@ class TestFarey:
     def test_ball_starts_at_infinity_and_is_sorted(self):
         ball = farey_enumerate(6)
         assert ball[0] == INFINITY
-        values = [s.value for s in ball[1:]]
+        values = [Fraction(s.num, s.den) for s in ball[1:]]
         assert values == sorted(values)
         assert len(set(ball)) == len(ball)
 
