@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -227,7 +228,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    main() call: parse_args leaves it unchanged."""
     parser = _Parser(
         prog="lspacesat",
         description="Exact certification of satellite L-space knots.",

@@ -6,6 +6,11 @@ circular orientation of QP^1, so the image of an arc from α to β is the
 arc from the image of β to the image of α, with the closure flags
 travelling along.
 
+Such a map is a homeomorphism of the circle, so the image of a canonical
+slope set needs no sweep: its arcs stay disjoint and maximal, and their
+circular order is kept (det 1) or reversed (det -1).  Only the first arc
+changes, which a rotation to the smallest start, ∞ first, restores.
+
 The map used to glue a pattern complement to a companion complement
 swaps meridian and longitude: p/q ↦ q/p.
 """
@@ -41,14 +46,23 @@ class GluingMap:
             return s
         f = self.apply
         if self.det == 1:
-            mapped = (Arc(f(a.start), f(a.end), a.start_closed, a.end_closed) for a in s.arcs)
+            arcs = [Arc(f(a.start), f(a.end), a.start_closed, a.end_closed) for a in s.arcs]
         else:
-            mapped = (Arc(f(a.end), f(a.start), a.end_closed, a.start_closed) for a in s.arcs)
-        return SlopeSet.from_arcs(mapped)
+            arcs = [
+                Arc(f(a.end), f(a.start), a.end_closed, a.start_closed)
+                for a in reversed(s.arcs)
+            ]
+        if len(arcs) > 1:
+            # The sweep's order: starts sorted by the exact key num·Q² // den
+            # (see projective._canonical), ∞ first.
+            q2 = max(a.start.den for a in arcs) ** 2
+            keys = [a.start.num * q2 // a.start.den if a.start.den else None for a in arcs]
+            first = keys.index(None) if None in keys else keys.index(min(keys))
+            arcs = arcs[first:] + arcs[:first]
+        return SlopeSet(tuple(arcs))
 
 
 def meridian_longitude_swap() -> GluingMap:
     """The gluing p/q ↦ q/p identifying the meridian of one side with the
     0-framed longitude of the other."""
     return GluingMap(0, 1, 1, 0)
-

@@ -122,21 +122,21 @@ def cable_is_lspace_exact(companion: KnotFacts, p: int, q: int) -> bool:
 def cable_facts(companion: KnotFacts, p: int, q: int) -> KnotFacts:
     """Derived facts of the (p, q)-cable, as a convenience for building
     companions out of cables.  Genus p·g + (p-1)(|q|-1)/2; L-space flags
-    from the exact criterion on each side."""
+    from the exact criterion on each side.  That criterion is for
+    nontrivial companions: a cable of the unknot is the torus knot T(p, q)."""
     if p <= 1:
         raise InvalidPError(f"longitudinal winding p must be > 1, got {p}")
     if gcd(p, q) != 1:
         raise NotCoprimeError(f"cable needs gcd(p, q) = 1, got ({p}, {q})")
-    genus = p * companion.genus + (p - 1) * (abs(q) - 1) // 2
-    is_unknot = companion.is_unknot and abs(q) == 1
+    if companion.is_unknot:
+        return torus_knot(p, q)
     return KnotFacts(
         name=f"({companion.name})_{{{p},{q}}}",
-        genus=genus,
-        is_lspace=is_unknot or cable_is_lspace_exact(companion, p, q),
-        is_neg_lspace=is_unknot
-        or (companion.is_neg_lspace and -q > p * (2 * companion.genus - 1)),
+        genus=p * companion.genus + (p - 1) * (abs(q) - 1) // 2,
+        is_lspace=cable_is_lspace_exact(companion, p, q),
+        is_neg_lspace=companion.is_neg_lspace and -q > p * (2 * companion.genus - 1),
         is_fibered=companion.is_fibered,
-        is_unknot=is_unknot,
+        is_unknot=False,
     )
 
 

@@ -14,6 +14,12 @@ difference array counts the runs, and maximal covered runs become the
 canonical arcs.  Each finite endpoint gets one exact integer key,
 num·Q² // den, and ∞ goes first; the keys sort, deduplicate and index
 the endpoints, so every coverage question is decided in integers.
+
+Only from_arcs, union and parse sweep, since only there can arcs
+overlap.  interior opens the ends of arcs that are already disjoint and
+maximal, and the image under a gluing map (gluing.GluingMap) is a
+homeomorphism of the circle; both map a canonical set to a canonical set
+arc by arc.
 """
 
 from __future__ import annotations
@@ -117,11 +123,13 @@ class SlopeSet:
         """Topological interior in QP^1.
 
         Closed endpoints of arcs open up and isolated points vanish;
-        Full and the complement of a point are already open.
+        Full and the complement of a point are already open.  Opening the
+        ends of disjoint maximal arcs keeps them disjoint, maximal and in
+        the same order, so the result is canonical without a sweep.
         """
         if self.is_full:
             return self
-        return _canonical(
+        return SlopeSet(
             tuple(Arc(a.start, a.end, False, False) for a in self.arcs if not a.is_point)
         )
 

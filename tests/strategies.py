@@ -4,19 +4,33 @@ Companions come with one of their documented JSON forms (a shortcut name,
 {"torus_knot": …}, {"cable": …} or an explicit field dictionary), so the
 same draws serve the library and the command line.  Patterns are built by
 torus_pattern, one_bridge_braid and table_pattern; pattern_to_json gives
-their JSON form.
+their JSON form.  Slope-set inputs are lists of arcs over a small Farey
+pool or over a pool of slopes with denominators near 10**20.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import strategies as st
 
-from lspacesat import KnotFacts, cable_facts, one_bridge_braid, table_pattern, torus_knot, torus_pattern
+from lspacesat import (
+    INFINITY,
+    KnotFacts,
+    Slope,
+    cable_facts,
+    farey_enumerate,
+    one_bridge_braid,
+    slope,
+    table_pattern,
+    torus_knot,
+    torus_pattern,
+)
 from lspacesat.braids import closure_components
 from lspacesat.knots import InvalidKnotFactsError, companion_from_json
 from lspacesat.patterns import genus_twist_bound, one_bridge_braid_word
+from lspacesat.projective import Arc
 
 
 def _coprime_pairs(p_values, q_values):
@@ -39,11 +53,7 @@ def _explicit_companion(fields):
 
 def _cable(inner, pq):
     (k, form), (p, q) = inner, pq
-    try:
-        return cable_facts(k, p, q), {"cable": {"companion": form, "p": p, "q": q}}
-    except InvalidKnotFactsError:
-        # cable_facts gives some cables of the unknot both L-space flags.
-        return None
+    return cable_facts(k, p, q), {"cable": {"companion": form, "p": p, "q": q}}
 
 
 _named = st.sampled_from(["trefoil", "figure8", "unknot"]).map(
@@ -66,7 +76,7 @@ companion_pairs = st.recursive(
     _named | _coprime_pairs(st.integers(2, 7), st.integers(-30, 30)).flatmap(_torus_companion) | _explicit,
     lambda inner: st.builds(
         _cable, inner, _coprime_pairs(st.integers(2, 5), st.integers(-30, 30))
-    ).filter(lambda pair: pair is not None),
+    ),
     max_leaves=3,
 )
 companions = companion_pairs.map(lambda pair: pair[0])
@@ -114,3 +124,62 @@ def table_patterns(draw):
 
 
 patterns = torus_patterns | one_bridge_patterns | table_patterns()
+
+
+def close_pool():
+    """Slopes with denominators near 10**20, 0 and ∞.  A pair of Farey
+    neighbours and five of their mediants lie within 10**-39 of each
+    other; their negatives form a second such cluster."""
+    q = 10**20 + 39
+    p = 31415926535897932384
+    s = pow(p, -1, q)
+    r = (p * s - 1) // q  # p·s - q·r = 1
+    near = [Slope(p, q), Slope(r, s)]
+    near += [Slope(p + k * r, q + k * s) for k in (1, 2, 3)]
+    near += [Slope(k * p + r, k * q + s) for k in (2, 3)]
+    return near + [Slope(-x.num, x.den) for x in near] + [slope(0), INFINITY]
+
+
+CLOSE_POOL = close_pool()
+
+
+def arcs_over(pool):
+    """Points, complements of a point, and arcs between distinct pool
+    slopes (about half of which run through ∞)."""
+    return st.lists(
+        st.one_of(
+            st.sampled_from(pool).map(lambda x: Arc(x, x)),
+            st.sampled_from(pool).map(lambda x: Arc(x, x, False, False)),
+            st.tuples(st.sampled_from(pool), st.sampled_from(pool), st.booleans(), st.booleans())
+            .filter(lambda t: t[0] != t[1])
+            .map(lambda t: Arc(*t)),
+        ),
+        max_size=6,
+    )
+
+
+pool_arcs = arcs_over(farey_enumerate(4))
+
+
+@st.composite
+def disjoint_arcs(draw, pool):
+    """Separated arcs, and a point when the draw is odd, between slopes
+    of the pool taken in circular order from a random first slope, so
+    that their canonical set keeps every one of them."""
+    ordered = sorted(pool, key=lambda x: (x.den != 0, Fraction(x.num, x.den or 1)))
+    shift = draw(st.integers(0, len(ordered) - 1))
+    ordered = ordered[shift:] + ordered[:shift]
+    picks = draw(st.sets(st.integers(0, len(ordered) - 1), min_size=1, max_size=8))
+    ends = [ordered[i] for i in sorted(picks)]
+    arcs = [Arc(x, y, draw(st.booleans()), draw(st.booleans())) for x, y in zip(ends[::2], ends[1::2])]
+    return arcs + [Arc(ends[-1], ends[-1])] if len(ends) % 2 else arcs
+
+
+# Arc lists for slope-set properties: overlapping arcs over both pools,
+# and separated ones, which survive as several canonical arcs.
+slope_set_arcs = st.one_of(
+    pool_arcs,
+    arcs_over(CLOSE_POOL),
+    disjoint_arcs(farey_enumerate(4)),
+    disjoint_arcs(CLOSE_POOL),
+)

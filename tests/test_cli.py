@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -141,6 +144,19 @@ class TestCertify:
     def test_missing_args(self):
         code, _ = run(["certify", "--pattern", '{"torus_pattern": [2, 3]}'])
         assert code == 3
+
+    def test_cable_of_unknot_companion(self):
+        # The (3,2)-cable of the unknot is the trefoil.
+        code, text = run(
+            [
+                "certify",
+                "--pattern",
+                TORUS_23,
+                "--companion",
+                '{"cable": {"companion": "unknot", "p": 3, "q": 2}}',
+            ]
+        )
+        assert code == 0 and text.strip() == "CERTIFIED: r=13 surgery is an L-space"
 
     def test_out_and_replay_round_trip(self, tmp_path):
         path = tmp_path / "cert.json"
@@ -405,6 +421,32 @@ class TestInputFuzz:
             assert err.getvalue().count("\n") == 1
         else:
             assert err.getvalue() == ""
+
+
+class TestRepeatedMain:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        """main() builds its parser once; a run of commands in one
+        process, an argparse error among them, gives what each command
+        gives in a process of its own."""
+        commands = [
+            ["certify", "--pattern", TORUS_23, "--companion", "trefoil", "--format", "json"],
+            ["sweep", "--p-max", "3", "--q-max", "6", "--companion", "trefoil"],
+            ["certify", "--pattern", TORUS_23, "--bogus"],
+            ["certify", "--pattern", '{"torus_pattern": [3, 4]}', "--companion", "trefoil"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        for argv in commands:
+            capsys.readouterr()
+            code, text = run(argv)
+            got = (code, text, capsys.readouterr().err)
+            proc = subprocess.run(
+                [sys.executable, "-m", "lspacesat.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert got == (proc.returncode, proc.stdout, proc.stderr)
 
 
 class TestCable:

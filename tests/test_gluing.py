@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from lspacesat import (
     GluingMap,
@@ -11,6 +12,8 @@ from lspacesat import (
     slope,
 )
 from lspacesat.cli import random_slope_set
+
+from strategies import slope_set_arcs
 
 SWAP = meridian_longitude_swap()
 
@@ -65,6 +68,16 @@ class TestImageOfSet:
                 img = m.image_of_set(s)
                 for x in sample:
                     assert img.contains(m.apply(x)) == s.contains(x)
+
+    @given(slope_set_arcs)
+    def test_image_is_canonical(self, arcs):
+        """image_of_set() skips the sweep; the sweep must leave every
+        image as it is."""
+        s = SlopeSet.from_arcs(arcs)
+        for m in MAPS:
+            img = m.image_of_set(s)
+            if not img.is_full:
+                assert SlopeSet.from_arcs(img.arcs) == img
 
     def test_endpoint_closure_flip_on_reversal(self):
         s = SlopeSet.parse("[2, 3)")

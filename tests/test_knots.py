@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from lspacesat import (
@@ -126,6 +128,12 @@ class TestCableCriterion:
     def test_coprime_required(self):
         with pytest.raises(NotCoprimeError):
             cable_is_lspace_exact(torus_knot(2, 3), 4, 6)
+
+    def test_cable_of_unknot_is_torus_knot(self):
+        for p in range(2, 7):
+            for q in range(-9, 10):
+                if gcd(p, q) == 1:
+                    assert cable_facts(UNKNOT, p, q) == torus_knot(p, q)
 
 
 class TestJson:

@@ -10,6 +10,7 @@ from lspacesat.cli import random_slope_set
 from lspacesat.projective import Arc
 
 from oracle_helpers import brute_force_covers
+from strategies import CLOSE_POOL, arcs_over, pool_arcs, slope_set_arcs
 
 
 class TestContains:
@@ -130,43 +131,7 @@ class TestCanonicalForm:
             assert covers_circle(s1, s2) == brute_force_covers(s1, s2, 20)
 
 
-POOL = farey_enumerate(4)
 SAMPLE = farey_enumerate(12)
-
-
-def close_pool():
-    """Slopes with denominators near 10**20, 0 and ∞.  A pair of Farey
-    neighbours and five of their mediants lie within 10**-39 of each
-    other; their negatives form a second such cluster."""
-    q = 10**20 + 39
-    p = 31415926535897932384
-    s = pow(p, -1, q)
-    r = (p * s - 1) // q  # p·s - q·r = 1
-    near = [Slope(p, q), Slope(r, s)]
-    near += [Slope(p + k * r, q + k * s) for k in (1, 2, 3)]
-    near += [Slope(k * p + r, k * q + s) for k in (2, 3)]
-    return near + [Slope(-x.num, x.den) for x in near] + [slope(0), INFINITY]
-
-
-CLOSE_POOL = close_pool()
-
-
-def arcs_over(pool):
-    """Points, complements of a point, and arcs between distinct pool
-    slopes (about half of which run through ∞)."""
-    return st.lists(
-        st.one_of(
-            st.sampled_from(pool).map(lambda x: Arc(x, x)),
-            st.sampled_from(pool).map(lambda x: Arc(x, x, False, False)),
-            st.tuples(st.sampled_from(pool), st.sampled_from(pool), st.booleans(), st.booleans())
-            .filter(lambda t: t[0] != t[1])
-            .map(lambda t: Arc(*t)),
-        ),
-        max_size=6,
-    )
-
-
-pool_arcs = arcs_over(POOL)
 
 
 def endpoints_and_gap_witnesses(arcs):
@@ -202,6 +167,13 @@ class TestCanonicalProperties:
         assert SlopeSet.from_arcs(data.draw(st.permutations(arcs))) == s
         if not s.is_full:
             assert SlopeSet.from_arcs(s.arcs) == s
+
+    @given(slope_set_arcs)
+    def test_interior_is_canonical(self, arcs):
+        """interior() skips the sweep; the sweep must leave it as it is."""
+        inner = SlopeSet.from_arcs(arcs).interior()
+        if not inner.is_full:
+            assert SlopeSet.from_arcs(inner.arcs) == inner
 
     @given(pool_arcs)
     def test_text_round_trip(self, arcs):
