@@ -28,8 +28,8 @@ print("glued strict image:     ", cert.glued_image)
 
 print("\naudit trail:")
 for check in cert.checks:
-    mark = "ok " if check.passed else "FAIL"
-    print(f"  [{mark}] {check.id:16s} {check.statement}")
+    mark = "ok " if check["pass"] else "FAIL"
+    print(f"  [{mark}] {check['id']:16s} {check['statement']}")
 
 # The gluing map acts by reciprocal; watch the arc endpoints transport.
 h = meridian_longitude_swap()

@@ -23,7 +23,6 @@ from .certify import (
     REJECTED,
     CableComparison,
     Certificate,
-    CheckRecord,
     LemmaParams,
     certify_cable,
     certify_satellite,
@@ -62,7 +61,6 @@ __all__ = [
     "BraidWord",
     "CableComparison",
     "Certificate",
-    "CheckRecord",
     "CERTIFIED",
     "GluingMap",
     "INFINITY",

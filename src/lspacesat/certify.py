@@ -14,19 +14,30 @@ Everything is exact; a Certified verdict means "r-surgery on P(K) is an
 L-space, so P(K) is an L-space knot", with r recorded.
 
 A certificate carries its own pattern and companion, so replay is the
-pipeline re-run on those inputs and compared field by field with what
-the certificate records; nothing recorded is trusted on its own.
+pipeline re-run on those inputs and compared with what the certificate
+records; nothing recorded is trusted on its own.  Each check is built
+once, in its JSON form {"id", "statement", "pass", "values"}, so writing
+a certificate passes the checks through and replay compares them as
+loaded.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 
 from .gluing import meridian_longitude_swap
-from .knots import KnotFacts, companion_from_json, companion_to_json, lspace_slope_set
+from .knots import (
+    KnotFacts,
+    cable_is_lspace_exact,
+    companion_from_json,
+    companion_to_json,
+    lspace_slope_set,
+)
 from .patterns import (
     PatternFacts,
+    TableTwistFamily,
     UnknownTwistError,
     pattern_from_json,
     pattern_to_json,
@@ -68,32 +79,25 @@ def homology_order(r: Slope, s: Slope, w: int) -> int:
 # -- audit records ------------------------------------------------------
 
 
-@dataclass
-class CheckRecord:
-    id: str
-    statement: str
-    passed: bool
-    values: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "pass": self.passed,
-            "values": self.values,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckRecord":
-        return cls(d["id"], d["statement"], d["pass"], d["values"])
+def _check(id: str, statement: str, passed: bool, values: dict) -> dict:
+    """One audit record, in the JSON form the certificate stores."""
+    return {"id": id, "statement": statement, "pass": passed, "values": values}
 
 
-def _ge(id: str, statement: str, lhs: int, rhs: int, **extra) -> CheckRecord:
-    return CheckRecord(id, statement, lhs >= rhs, {"lhs": lhs, "rhs": rhs, **extra})
+def _ge(id: str, statement: str, lhs: int, rhs: int, **extra) -> dict:
+    return _check(id, statement, lhs >= rhs, {"lhs": lhs, "rhs": rhs, **extra})
 
 
-def _flag(id: str, statement: str, value: bool, **extra) -> CheckRecord:
-    return CheckRecord(id, statement, bool(value), extra)
+def _flag(id: str, statement: str, value: bool, **extra) -> dict:
+    return _check(id, statement, bool(value), extra)
+
+
+def _note_tail(p: PatternFacts, n: int, trusted: list[str]) -> None:
+    """Record, once, the asserted table tail that answered P(U, n)."""
+    side = p.family.tail(n) if isinstance(p.family, TableTwistFamily) else None
+    note = f"{side} tail assertion used for twist {n} of {p.name}"
+    if side is not None and note not in trusted:
+        trusted.append(note)
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,21 @@ class LemmaParams:
 class LemmaResult:
     ok: bool
     arc: SlopeSet | None
-    checks: list[CheckRecord]
+    checks: list[dict]
     trusted: list[str]
     failed: list[str]
 
 
-@dataclass
+def _no_floats(text: str):
+    raise ValueError(f"certificates hold integers only, got {text}")
+
+
+# Certificates are read through this decoder: a float, NaN or Infinity
+# could compare equal to the integer the re-run records (3.0 == 3).
+_CERTIFICATE_JSON = json.JSONDecoder(parse_float=_no_floats, parse_constant=_no_floats)
+
+
+@dataclass(slots=True)
 class Certificate:
     pattern: PatternFacts
     companion: KnotFacts
@@ -125,10 +138,12 @@ class Certificate:
     companion_set: str
     pattern_side_set: str
     glued_image: str
-    checks: list[CheckRecord]
+    checks: list[dict]
     trusted_inputs: list[str]
 
     def to_dict(self) -> dict:
+        """The JSON form; checks and trusted_inputs are this certificate's
+        own lists, not copies."""
         return {
             "pattern": pattern_to_json(self.pattern),
             "companion": companion_to_json(self.companion),
@@ -138,7 +153,7 @@ class Certificate:
             "companion_set": self.companion_set,
             "pattern_side_set": self.pattern_side_set,
             "glued_image": self.glued_image,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": self.checks,
             "trusted_inputs": self.trusted_inputs,
         }
 
@@ -147,6 +162,8 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
+        """Parse the inputs and params; every other field is kept as
+        loaded, for replay to compare with its re-run."""
         params = d.get("params")
         return cls(
             pattern=pattern_from_json(d["pattern"]),
@@ -157,13 +174,13 @@ class Certificate:
             companion_set=d["companion_set"],
             pattern_side_set=d["pattern_side_set"],
             glued_image=d["glued_image"],
-            checks=[CheckRecord.from_dict(c) for c in d["checks"]],
-            trusted_inputs=list(d["trusted_inputs"]),
+            checks=d["checks"],
+            trusted_inputs=d["trusted_inputs"],
         )
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_CERTIFICATE_JSON.decode(text))
 
 
 # -- the Lemma machinery ------------------------------------------------
@@ -180,7 +197,7 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
         raise ValueError("a, b, r must be positive integers")
     w = p.winding
     g = p.genus_s3
-    checks: list[CheckRecord] = []
+    checks: list[dict] = []
     trusted: list[str] = []
 
     checks.append(_ge("lem.2", "winding number w >= 2", w, 2, w=w))
@@ -218,6 +235,7 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
     )
 
     facts_a = p.twisted_facts(-a)
+    _note_tail(p, -a, trusted)
     checks.append(
         _flag(
             "lem.6",
@@ -228,6 +246,7 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
         )
     )
     facts_b = p.twisted_facts(-b)
+    _note_tail(p, -b, trusted)
     checks.append(
         _flag(
             "lem.7",
@@ -237,12 +256,10 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
             knot=facts_b.name,
         )
     )
-    if facts_b.name.startswith("table tail"):
-        trusted.append(f"negative tail assertion used for twist {-b} of {p.name}")
 
     aw2, bw2 = a * w * w, b * w * w
     checks.append(
-        CheckRecord(
+        _check(
             "lem.sandwich",
             "a·w² < r < b·w² (so 1/b < w²/r < 1/a)",
             aw2 < r < bw2,
@@ -250,7 +267,7 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
         )
     )
 
-    failed = [c.id for c in checks if not c.passed]
+    failed = [c["id"] for c in checks if not c["pass"]]
     ok = not failed
     arc = SlopeSet.arc(Slope(1, a), Slope(1, b)) if ok else None
     return LemmaResult(ok, arc, checks, trusted, failed)
@@ -281,7 +298,7 @@ def choose_lemma_params(p: PatternFacts, g_k: int) -> LemmaParams:
 class NecessaryResult:
     possibly_lspace: bool
     reason: str | None
-    checks: list[CheckRecord]
+    checks: list[dict]
 
 
 def necessary_check(p: PatternFacts, k: KnotFacts) -> NecessaryResult:
@@ -303,22 +320,34 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> NecessaryResult:
             winding=p.winding,
         ),
     ]
-    failed = [c.id for c in checks if not c.passed]
+    failed = [c["id"] for c in checks if not c["pass"]]
     return NecessaryResult(not failed, failed[0] if failed else None, checks)
 
 
 # -- the main pipeline --------------------------------------------------
+
+# Gluing map from the pattern side to the companion side, built once.
+_SWAP = meridian_longitude_swap()
+
+
+@functools.lru_cache(maxsize=256)
+def _companion_note(k: KnotFacts) -> str:
+    """The trusted-input line of a companion: built once per companion
+    and shared by the certificates that name it."""
+    return (
+        f"companion facts: {k.name} (genus={k.genus}, is_lspace={k.is_lspace}, "
+        f"is_neg_lspace={k.is_neg_lspace}, is_fibered={k.is_fibered}, "
+        f"is_unknot={k.is_unknot})"
+    )
 
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     """Run the full sufficient-condition pipeline and return a
     self-contained certificate (a total function: every failure mode
     becomes a NotCertified or Rejected verdict)."""
-    checks: list[CheckRecord] = []
+    checks: list[dict] = []
     trusted = [
-        f"companion facts: {k.name} (genus={k.genus}, is_lspace={k.is_lspace}, "
-        f"is_neg_lspace={k.is_neg_lspace}, is_fibered={k.is_fibered}, "
-        f"is_unknot={k.is_unknot})",
+        _companion_note(k),
         f"pattern facts: {p.name} (winding={p.winding}, genus_s3={p.genus_s3}, "
         f"meridional_disk={p.has_minimal_meridional_disk})",
     ]
@@ -333,6 +362,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     except UnknownTwistError as e:
         return result(NOT_CERTIFIED, f"unknown-twist:necessary ({e})")
     checks.extend(nec.checks)
+    _note_tail(p, 0, trusted)
     if not nec.possibly_lspace:
         return result(REJECTED, nec.reason)
 
@@ -357,6 +387,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     g_k = k.genus
     try:
         f2g = p.twisted_facts(-2 * g_k)
+        _note_tail(p, -2 * g_k, trusted)
         checks.append(
             _flag(
                 "thm1.3",
@@ -385,7 +416,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
             threshold=p.neg_lspace_threshold,
         )
     )
-    failed = [c.id for c in checks if not c.passed]
+    failed = [c["id"] for c in checks if not c["pass"]]
     if failed:
         return result(NOT_CERTIFIED, failed[0])
 
@@ -395,23 +426,22 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     except UnknownTwistError as e:
         return result(NOT_CERTIFIED, f"unknown-twist:lemma ({e})", params)
     checks.extend(lem.checks)
-    trusted.extend(lem.trusted)
+    trusted.extend([t for t in lem.trusted if t not in trusted])
     if not lem.ok:
         return result(NOT_CERTIFIED, lem.failed[0], params)
 
     companion_set = lspace_slope_set(k)
     companion_strict = companion_set.interior()
     assert lem.arc is not None
-    pattern_strict = lem.arc.interior()
-    h = meridian_longitude_swap()
-    glued = h.image_of_set(pattern_strict)
+    glued = _SWAP.image_of_set(lem.arc.interior())
+    glued_text = str(glued)
     covered = covers_circle(companion_strict, glued)
     checks.append(
-        CheckRecord(
+        _check(
             "hrrw.cover",
             "strict slope sets of the two sides jointly cover QP^1",
             covered,
-            {"s1": str(companion_strict), "s2": str(glued)},
+            {"s1": str(companion_strict), "s2": glued_text},
         )
     )
     verdict = CERTIFIED if covered else NOT_CERTIFIED
@@ -421,11 +451,11 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
         params,
         companion=str(companion_set),
         side=str(lem.arc),
-        glued=str(glued),
+        glued=glued_text,
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class CableComparison:
     certificate: Certificate
     exact: bool
@@ -440,8 +470,6 @@ class CableComparison:
 def certify_cable(k: KnotFacts, p: int, q: int) -> CableComparison:
     """Certify the (p, q)-cable of k through the satellite pipeline and
     attach the exact cabling criterion as ground truth."""
-    from .knots import cable_is_lspace_exact
-
     pattern = torus_pattern(p, q)
     cert = certify_satellite(pattern, k)
     exact = cable_is_lspace_exact(k, p, q)
@@ -461,10 +489,12 @@ def replay_certificate(cert: Certificate) -> str:
     and return the verdict.  Raises ReplayMismatchError naming the first
     field of the certificate that the re-run does not reproduce."""
     rerun = certify_satellite(cert.pattern, cert.companion)
-    for f in fields(Certificate):
-        if getattr(rerun, f.name) != getattr(cert, f.name):
-            raise ReplayMismatchError(
-                f"field {f.name!r} differs from a re-run of the pipeline "
-                "on the certificate's pattern and companion"
-            )
+    if rerun != cert:
+        name = next(
+            f.name for f in fields(Certificate) if getattr(rerun, f.name) != getattr(cert, f.name)
+        )
+        raise ReplayMismatchError(
+            f"field {name!r} differs from a re-run of the pipeline "
+            "on the certificate's pattern and companion"
+        )
     return rerun.verdict

@@ -11,10 +11,11 @@ Subcommands:
 * oracle       -- brute-force cross-checks of the exact cover test
 
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
-3 input errors (including a certificate that is malformed, lacks its
-pattern or companion, or differs from the re-run).  Pattern and
-companion JSON is read strictly: integers must be JSON integers, flags
-JSON true or false, and table twist keys decimal integers.
+3 input errors (including a certificate that is malformed, holds a
+float, lacks its pattern or companion, or differs from the re-run).
+Pattern and companion JSON is read strictly: integers must be JSON
+integers, flags JSON true or false, and table twist keys decimal
+integers.
 """
 
 from __future__ import annotations

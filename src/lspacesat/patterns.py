@@ -57,7 +57,7 @@ def genus_twist_bound(g_p: int, w: int, n: int) -> int:
     return g_p + abs(n) * w * (w - 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusTwistFamily:
     p: int
     q: int
@@ -66,7 +66,7 @@ class TorusTwistFamily:
         return torus_knot(self.p, self.q + n * self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OneBridgeTwistFamily:
     """P(U, n) of B(w, b, t) is the closure of B(w, b, t + n·w), since a
     full twist is w more passes of the strand cycle.
@@ -105,7 +105,7 @@ class OneBridgeTwistFamily:
         return KnotFacts(name, g, g == 0, True, True, g == 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableTwistFamily:
     entries: Mapping[int, KnotFacts]
     winding: int
@@ -113,23 +113,35 @@ class TableTwistFamily:
     neg_tail_from: int | None = None  # is_neg_lspace asserted for n <= -this
     pos_tail_from: int | None = None  # is_lspace asserted for n >= this
 
+    def tail(self, n: int) -> str | None:
+        """The asserted tail that answers P(U, n), "negative" or
+        "positive"; None for a table entry or a twist no tail covers."""
+        if n in self.entries:
+            return None
+        if self.neg_tail_from is not None and n <= -self.neg_tail_from:
+            return "negative"
+        if self.pos_tail_from is not None and n >= self.pos_tail_from:
+            return "positive"
+        return None
+
     def facts(self, n: int) -> KnotFacts:
         if n in self.entries:
             return self.entries[n]
+        tail = self.tail(n)
+        if tail is None:
+            raise UnknownTwistError(n, "outside table and asserted tails")
         # Tail assertions pin the flags only; the genus field carries the
         # twisting upper bound, which is all downstream checks consume.  A
         # bound of 0 pins the knot itself: genus 0 is the unknot.
         bound = genus_twist_bound(self.genus_s3, self.winding, n)
         name = f"table tail n={n}"
         unknot = bound == 0
-        if self.neg_tail_from is not None and n <= -self.neg_tail_from:
+        if tail == "negative":
             return KnotFacts(name, bound, unknot, True, True, unknot)
-        if self.pos_tail_from is not None and n >= self.pos_tail_from:
-            return KnotFacts(name, bound, True, unknot, True, unknot)
-        raise UnknownTwistError(n, "outside table and asserted tails")
+        return KnotFacts(name, bound, True, unknot, True, unknot)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternFacts:
     """Combinatorial data of a pattern knot P ⊂ D^2 × S^1."""
 

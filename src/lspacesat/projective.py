@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .slopes import INF_TOKENS, INFINITY, Slope, slope_ccw
+from .slopes import INF_TOKENS, INFINITY, Slope, slope_ccw, slope_det
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,9 @@ def _arc_to_str(a: Arc) -> str:
         return f"{sb}-inf, {a.end}{eb}"
     if a.end.is_infinity:
         return f"{sb}{a.start}, inf{eb}"
-    if slope_ccw(a.start, INFINITY, a.end):
-        # Wraps through ∞; print in the two-interval notation.
+    if slope_det(a.start, a.end) > 0:
+        # start > end, so the arc wraps through ∞; print in the
+        # two-interval notation.
         return f"{sb}{a.start}, inf] ∪ [-inf, {a.end}{eb}"
     return f"{sb}{a.start}, {a.end}{eb}"
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -59,8 +60,8 @@ class TestCheckLemma:
         assert res.ok
         assert res.arc == SlopeSet.arc(slope(1, 2), slope(1, 7))
         assert res.arc.contains(INFINITY)
-        sandwich = next(c for c in res.checks if c.id == "lem.sandwich")
-        assert sandwich.values == {"aw2": 8, "r": 13, "bw2": 28}
+        sandwich = next(c for c in res.checks if c["id"] == "lem.sandwich")
+        assert sandwich["values"] == {"aw2": 8, "r": 13, "bw2": 28}
 
     def test_r_too_small(self):
         res = check_lemma(torus_pattern(2, 3), 2, 7, 12)
@@ -166,7 +167,7 @@ class TestCertifySatellite:
         assert cert.pattern_side_set == "[1/2, inf] ∪ [-inf, 1/7]"
         assert cert.glued_image == "(7/1, inf] ∪ [-inf, 2/1)"
         cover = cert.checks[-1]
-        assert cover.id == "hrrw.cover" and cover.values["s1"] == "(1/1, inf)"
+        assert cover["id"] == "hrrw.cover" and cover["values"]["s1"] == "(1/1, inf)"
 
     def test_sufficient_but_not_necessary(self):
         cert = certify_satellite(torus_pattern(3, 4), TREFOIL)
@@ -208,6 +209,26 @@ class TestCertifySatellite:
     def test_trusted_inputs_recorded(self):
         cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
         assert any("meridional-disk" in t for t in cert.trusted_inputs)
+
+    @pytest.mark.parametrize(
+        "twists, tails",
+        [
+            # thm1.3 and lem.6 read the positive tail at -2, lem.7 the
+            # negative tail at -7; P(U, 0) is a table entry.
+            ({0: TREFOIL}, [("positive", -2), ("negative", -7)]),
+            # Without the entry, necessary's P(U, 0) is a tail too.
+            ({}, [("positive", 0), ("positive", -2), ("negative", -7)]),
+        ],
+        ids=["entry_at_0", "tail_at_0"],
+    )
+    def test_trusted_inputs_name_every_table_tail_read(self, twists, tails):
+        pat = table_pattern("t", 2, 1, True, twists, neg_threshold=7, pos_from=-2)
+        cert = certify_satellite(pat, TREFOIL)
+        assert cert.verdict == CERTIFIED
+        recorded = [t for t in cert.trusted_inputs if "tail" in t]
+        assert recorded == [
+            f"{side} tail assertion used for twist {n} of t" for side, n in tails
+        ]
 
 
 class TestCertifyCable:
@@ -263,6 +284,108 @@ class TestCertificateSerialization:
         data["checks"][-1]["values"]["s1"] = "EMPTY"
         with pytest.raises(ReplayMismatchError):
             replay_certificate(Certificate.from_dict(data))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("verdict", "NOT_CERTIFIED"),
+            ("reason", "thm1.3"),
+            ("params", {"a": 2, "b": 7, "r": 14}),
+            ("companion_set", "FULL"),
+            ("pattern_side_set", "EMPTY"),
+            ("glued_image", "EMPTY"),
+            ("checks", []),
+            ("trusted_inputs", []),
+        ],
+    )
+    def test_mismatch_names_the_tampered_field(self, field, value):
+        cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
+        assert cert.verdict == CERTIFIED
+        data = json.loads(cert.to_json())
+        data[field] = value
+        with pytest.raises(ReplayMismatchError, match=f"^field '{field}' differs"):
+            replay_certificate(Certificate.from_dict(data))
+
+
+# The exact certificate text.  A change of representation that moves a
+# single byte of it breaks stored certificates' replay.
+CABLE_2_3_OF_TREFOIL = (
+    r'{"pattern": {"torus_pattern": [2, 3]}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, "r": 13}, '
+    r'"companion_set": "[1/1, inf]", '
+    r'"pattern_side_set": "[1/2, inf] \u222a [-inf, 1/7]", '
+    r'"glued_image": "(7/1, inf] \u222a [-inf, 2/1)", '
+    r'"checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", '
+    r'"pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "thm1.4", "statement": "negative L-space tail asserted for large negative twists", '
+    r'"pass": true, "values": {"threshold": 1}}, '
+    r'{"id": "lem.2", "statement": "winding number w >= 2", '
+    r'"pass": true, "values": {"lhs": 2, "rhs": 2, "w": 2}}, '
+    r'{"id": "lem.3", "statement": "axis bounds a disk meeting the pattern in w points", '
+    r'"pass": true, "values": {}}, '
+    r'{"id": "lem.4", "statement": "r >= 2g(P) + a\u00b7w(2w-1) - 1", '
+    r'"pass": true, "values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}}, '
+    r'{"id": "lem.5", "statement": "b\u00b7w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)", '
+    r'"pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}}, '
+    r'{"id": "lem.6", "statement": "P(U, -2) is an L-space knot", '
+    r'"pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "lem.7", "statement": "P(U, -7) is a negative L-space knot", '
+    r'"pass": true, "values": {"twist": -7, "knot": "T(2,-11)"}}, '
+    r'{"id": "lem.sandwich", "statement": "a\u00b7w\u00b2 < r < b\u00b7w\u00b2 (so 1/b < w\u00b2/r < 1/a)", '
+    r'"pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}, '
+    r'{"id": "hrrw.cover", "statement": "strict slope sets of the two sides jointly cover QP^1", '
+    r'"pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, inf] \u222a [-inf, 2/1)"}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: T(2,3)-pattern (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"meridional-disk condition asserted for T(2,3)-pattern"]}'
+)
+CABLE_3_2_OF_TREFOIL = (
+    r'{"pattern": {"torus_pattern": [3, 2]}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", "reason": "thm1.3", "params": null, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", '
+    r'"checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 3}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 3, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", '
+    r'"pass": false, "values": {"twist": -2, "knot": "T(3,-4)"}}, '
+    r'{"id": "thm1.4", "statement": "negative L-space tail asserted for large negative twists", '
+    r'"pass": true, "values": {"threshold": 1}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: T(3,2)-pattern (winding=3, genus_s3=1, meridional_disk=True)"]}'
+)
+
+
+class TestCertificateText:
+    @pytest.mark.parametrize(
+        "p, q, text",
+        [(2, 3, CABLE_2_3_OF_TREFOIL), (3, 2, CABLE_3_2_OF_TREFOIL)],
+        ids=["cable_2_3_certified", "cable_3_2_thm1.3"],
+    )
+    def test_golden_json(self, p, q, text):
+        assert certify_satellite(torus_pattern(p, q), TREFOIL).to_json() == text
 
 
 class TestTotality:

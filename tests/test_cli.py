@@ -77,6 +77,17 @@ def _params_beyond_float(data):
     return json.dumps(data).replace('"params": {"a": 2', '"params": {"a": 1e400')
 
 
+def _params_float(data):
+    data["params"]["r"] = float(data["params"]["r"])
+    return json.dumps(data)
+
+
+def _operand(data, value):
+    lem2 = next(c for c in data["checks"] if c["id"] == "lem.2")
+    lem2["values"]["lhs"] = value
+    return json.dumps(data)
+
+
 def _without_inputs(data):
     # The certificate format before certificates carried their inputs.
     del data["pattern"], data["companion"]
@@ -93,6 +104,11 @@ FORGERIES = {
     "cover_only": (TORUS_23, "trefoil", _cover_only),
     "all_pass": ('{"torus_pattern": [3, 4]}', "trefoil", _all_pass),
     "params_beyond_float": (TORUS_23, "trefoil", _params_beyond_float),
+    # Equal to the re-run's integers (13.0 == 13), but not JSON integers.
+    "params_float": (TORUS_23, "trefoil", _params_float),
+    "operand_float": (TORUS_23, "trefoil", lambda data: _operand(data, 2.0)),
+    "operand_nan": (TORUS_23, "trefoil", lambda data: _operand(data, float("nan"))),
+    "operand_infinity": (TORUS_23, "trefoil", lambda data: _operand(data, float("inf"))),
     "without_inputs": (TORUS_23, "trefoil", _without_inputs),
 }
 
@@ -354,7 +370,9 @@ class TestReplayFuzz:
         only when it reads back as the genuine certificate; anything else
         exits 3 with one error line."""
         cert, path = leaf
-        data = _replaced(cert.to_dict(), path, value)
+        # A copy: to_dict shares the certificate's checks, which must stay
+        # intact for the next example.
+        data = _replaced(json.loads(cert.to_json()), path, value)
         with tempfile.TemporaryDirectory() as tmp:
             file = Path(tmp) / "cert.json"
             file.write_text(json.dumps(data))
