@@ -16,10 +16,11 @@ num·Q² // den, and ∞ goes first; the keys sort, deduplicate and index
 the endpoints, so every coverage question is decided in integers.
 
 Only from_arcs, union and parse sweep, since only there can arcs
-overlap.  interior opens the ends of arcs that are already disjoint and
-maximal, and the image under a gluing map (gluing.GluingMap) is a
-homeomorphism of the circle; both map a canonical set to a canonical set
-arc by arc.
+overlap; parse is one scan of compiled patterns over its text (the
+slope grammar is slopes.SLOPE_GRAMMAR) followed by the sweep.  interior
+opens the ends of arcs that are already disjoint and maximal, and the
+image under a gluing map (gluing.GluingMap) is a homeomorphism of the
+circle; both map a canonical set to a canonical set arc by arc.
 """
 
 from __future__ import annotations
@@ -29,7 +30,17 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .slopes import INF_TOKENS, INFINITY, Slope, slope_ccw, slope_det
+from .slopes import INFINITY, SLOPE_GRAMMAR, Slope, slope_ccw, slope_det
+
+# The text parse reads: a piece "{x}" (groups 1-2) or an arc (groups 3-8),
+# with no newline inside, and a run of separators between pieces.
+_W = r"[^\S\n]*"
+_PIECE = re.compile(
+    rf"\{{{_W}{SLOPE_GRAMMAR}{_W}\}}"
+    rf"|([\[(]){_W}{SLOPE_GRAMMAR}{_W},{_W}{SLOPE_GRAMMAR}{_W}([\])])"
+)
+_SEPARATORS = re.compile(r"\s*([∪Uu][\s∪Uu]*)?")
+_COPOINT = re.compile(rf"QP1\s*\\\s*\{{{_W}{SLOPE_GRAMMAR}{_W}\}}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,56 @@ class SlopeSet:
 
     @classmethod
     def parse(cls, text: str) -> "SlopeSet":
-        return _parse_set(text)
+        """The slope set a text spells; parse(str(s)) == s.
+
+            set   := EMPTY | FULL | QP1 \\ {slope} | piece, joined by ∪, U or u
+            piece := {slope} | [ or ( slope , slope ] or )
+            slope := p/q | p | inf | +inf | -inf | ∞ | +∞ | -∞
+
+        EMPTY and FULL may be in any case, p and q are integers, and
+        whitespace may go between tokens but not a newline inside a piece.
+        Extra separators are ignored; a missing one is an error.  An arc
+        runs from its first slope to its second in the positive
+        orientation; [ and ] close an end, ( and ) open it.  Two ∞ ends
+        give QP1 \\ {∞}, or FULL if a bracket is closed; an open arc from a
+        slope to itself is an error.  One scan of compiled patterns reads
+        the pieces, then the sweep merges them.  Malformed text raises
+        ValueError.
+        """
+        t = text.strip()
+        if t.upper() in ("EMPTY", "FULL"):
+            return cls(is_full=t.upper() == "FULL")
+        m = _COPOINT.fullmatch(t)
+        if m:
+            return cls.copoint(Slope.from_groups(*m.groups()))
+        arcs = []
+        pos = _SEPARATORS.match(t).end()
+        while pos < len(t):
+            m = _PIECE.match(t, pos)
+            if m is None:
+                raise ValueError(f"cannot parse slope set {text!r} at position {pos}")
+            x_num, x_den, sb, a_num, a_den, b_num, b_den, eb = m.groups()
+            if sb is None:
+                x = Slope.from_groups(x_num, x_den)
+                arcs.append(Arc(x, x))
+            elif a_num is None and b_num is None:
+                # Both ends spelled as ∞: all but ∞, and ∞ too if a bracket is closed.
+                arcs.append(Arc(INFINITY, INFINITY, False, False))
+                if sb == "[" or eb == "]":
+                    arcs.append(Arc(INFINITY, INFINITY))
+            else:
+                start, end = Slope.from_groups(a_num, a_den), Slope.from_groups(b_num, b_den)
+                start_closed, end_closed = sb == "[", eb == "]"
+                if not (start_closed and end_closed) and start == end:
+                    raise ValueError(f"degenerate open arc {m.group()!r}")
+                arcs.append(Arc(start, end, start_closed, end_closed))
+            sep = _SEPARATORS.match(t, m.end())
+            pos = sep.end()
+            if sep.group(1) is None and pos < len(t):
+                raise ValueError(f"slope set {text!r} needs ∪ at position {pos}")
+        if not arcs:
+            raise ValueError(f"cannot parse slope set {text!r}")
+        return _canonical(tuple(arcs))
 
 
 def _arc_to_str(a: Arc) -> str:
@@ -233,67 +293,3 @@ def covers_circle(s1: SlopeSet, s2: SlopeSet) -> bool:
     apply the gluing map to one side first.
     """
     return s1.union(s2).is_full
-
-
-# -- parsing ------------------------------------------------------------
-
-
-def _parse_set(text: str) -> SlopeSet:
-    t = text.strip()
-    if not t:
-        raise ValueError("empty slope-set expression")
-    if t.upper() == "EMPTY":
-        return SlopeSet.empty()
-    if t.upper() == "FULL":
-        return SlopeSet.full()
-    m = re.fullmatch(r"QP1\s*\\\s*\{(.+)\}", t)
-    if m:
-        return SlopeSet.copoint(Slope.from_string(m.group(1)))
-    return _canonical(tuple(a for p in _split_top_level(t) for a in _parse_piece(p)))
-
-
-def _split_top_level(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    for ch in text:
-        if ch in "[({":
-            depth += 1
-        elif ch in "])}":
-            depth -= 1
-        if depth == 0 and ch in "∪Uu":
-            parts.append("".join(cur))
-            cur = []
-            continue
-        cur.append(ch)
-    parts.append("".join(cur))
-    parts = [p.strip() for p in parts if p.strip()]
-    if not parts:
-        raise ValueError(f"cannot parse slope set {text!r}")
-    return parts
-
-
-def _parse_piece(text: str) -> list[Arc]:
-    t = text.strip()
-    m = re.fullmatch(r"\{(.+)\}", t)
-    if m:
-        x = Slope.from_string(m.group(1))
-        return [Arc(x, x)]
-    m = re.fullmatch(r"([\[(])(.+?),(.+?)([\])])", t)
-    if m is None:
-        raise ValueError(f"cannot parse arc {text!r}")
-    sb, astr, bstr, eb = m.groups()
-    start_closed = sb == "["
-    end_closed = eb == "]"
-    a_inf = astr.strip() in INF_TOKENS
-    b_inf = bstr.strip() in INF_TOKENS
-    if a_inf and b_inf:
-        # (-inf, inf) is everything but ∞; a closed bracket on either
-        # side puts ∞ back in.
-        arcs = [Arc(INFINITY, INFINITY, False, False)]
-        return arcs + [Arc(INFINITY, INFINITY)] if start_closed or end_closed else arcs
-    start = INFINITY if a_inf else Slope.from_string(astr)
-    end = INFINITY if b_inf else Slope.from_string(bstr)
-    if start == end and not (start_closed and end_closed):
-        raise ValueError(f"degenerate open arc {text!r}")
-    return [Arc(start, end, start_closed, end_closed)]

@@ -20,8 +20,12 @@ from fractions import Fraction
 from math import gcd
 
 
-# Every spelling of ∞ a parser accepts; "1/0" parses as a fraction.
-INF_TOKENS = frozenset({"inf", "+inf", "-inf", "∞", "+∞", "-∞"})
+# The one text grammar of a slope: [+-]inf, [+-]∞, or p with an optional /q
+# (groups 1 and 2; p is None for ∞).  No newline inside; the whitespace
+# before "/" sits inside the optional group, since a second \s* next to a
+# piece's own would backtrack quadratically on a failed match.
+SLOPE_GRAMMAR = r"(?:[+-]?(?:inf|∞)|([+-]?\d+)(?:[^\S\n]*/[^\S\n]*([+-]?\d+))?)"
+_SLOPE = re.compile(SLOPE_GRAMMAR)
 
 
 class ZeroZeroError(ValueError):
@@ -61,16 +65,16 @@ class Slope:
 
     @classmethod
     def from_string(cls, text: str) -> "Slope":
-        """Parse "p/q", a bare integer, or an infinity token."""
-        t = text.strip()
-        if t in INF_TOKENS:
-            return INFINITY
-        m = re.fullmatch(r"([+-]?\d+)\s*(?:/\s*([+-]?\d+))?", t)
+        """Parse p/q, an integer or ∞ (SLOPE_GRAMMAR, any whitespace by "/")."""
+        m = _SLOPE.fullmatch(" ".join(text.split()))
         if m is None:
             raise ValueError(f"cannot parse slope {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
-        return cls(num, den)
+        return cls.from_groups(*m.groups())
+
+    @classmethod
+    def from_groups(cls, num: str | None, den: str | None) -> "Slope":
+        """The slope that one match of SLOPE_GRAMMAR spells, from its groups."""
+        return INFINITY if num is None else cls(int(num), int(den) if den else 1)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"

@@ -565,6 +565,53 @@ class TestSetAlgebra:
         assert code == 3
 
 
+_SLOPE_TEXTS = st.sampled_from(["inf", "-inf", "+∞", "-∞"]) | st.builds(
+    "{}{}".format,
+    st.integers(-50, 50),
+    st.sampled_from(["", "/3", " / -7", "/0", "/1"]),
+)
+_PIECE_TEXTS = st.builds("{{{}}}".format, _SLOPE_TEXTS) | st.builds(
+    "{}{}, {}{}".format,
+    st.sampled_from("[("),
+    _SLOPE_TEXTS,
+    _SLOPE_TEXTS,
+    st.sampled_from("])"),
+)
+_SET_TEXTS = (
+    st.lists(_PIECE_TEXTS, min_size=1, max_size=4).map(" ∪ ".join)
+    | st.sampled_from(["EMPTY", "FULL"])
+    | st.builds("QP1 \\ {{{}}}".format, _SLOPE_TEXTS)
+)
+
+
+@st.composite
+def _one_inserted(draw, texts):
+    """A text of the set grammar with one arbitrary character inserted."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(st.characters()) + text[i:]
+
+
+_FUZZ_SET_TEXTS = st.text() | _SET_TEXTS | _one_inserted(_SET_TEXTS)
+
+
+class TestSetAlgebraFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(a=_FUZZ_SET_TEXTS, b=_FUZZ_SET_TEXTS)
+    def test_covers_exits_with_a_documented_code(self, a, b):
+        """Any two texts, well formed or not, end in exit 0 (the union is
+        FULL), 1 (it is not) or 3 (one error line), never in a traceback."""
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(["set-algebra", "--covers", a, b])
+        assert code in (0, 1, 3)
+        if code == 3:
+            assert text == "" and err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == "" and (text == "FULL\n") == (code == 0)
+
+
 class TestOracle:
     def test_small_run_clean(self):
         code, text = run(["oracle", "--max-den", "30", "--trials", "40", "--seed", "7"])

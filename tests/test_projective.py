@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,3 +211,79 @@ class TestSerialization:
         assert SlopeSet.parse("(-inf, inf)") == SlopeSet.copoint(INFINITY)
         assert SlopeSet.parse("{+∞}") == SlopeSet.point(INFINITY)
         assert SlopeSet.parse("QP1 \\ {+∞}") == SlopeSet.copoint(INFINITY)
+
+
+class TestParseGrammar:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2] [3, 4]",  # no separator between the pieces
+            "{1} {2}",
+            "[1, 2]x",
+            "[1, 2, 3]",
+            "{}",
+            "[0/0, 1]",
+            "[1/2/3, 4]",
+            "(1/2, 1/2)",
+            "(1, 1]",
+            "[inf, 1/0)",  # 1/0 is a fraction, so the arc is degenerate
+            "[inf/2, 3]",
+            "[1 2, 3]",
+            "[1, 2)]",
+            "[1,\n2]",  # no newline inside a piece
+            "{1\n}",
+            "",
+            " ∪ u U ",
+            "EMPTY ∪ [1, 2]",
+            "QP1 \\ {1} ∪ {2}",
+            "[1, 2] ∪ QP1 \\ {3}",
+        ],
+    )
+    def test_rejects(self, text):
+        with pytest.raises(ValueError):
+            SlopeSet.parse(text)
+
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            ("∪ [1, 2] ∪ ∪ [3, 4] ∪", "[1/1, 2/1] ∪ [3/1, 4/1]"),
+            ("[1, 2] U [3, 4]", "[1/1, 2/1] ∪ [3/1, 4/1]"),
+            ("[1, 2]u[3, 4]", "[1/1, 2/1] ∪ [3/1, 4/1]"),
+            ("\n[1, 2]\n∪\n(3, 4)\n", "[1/1, 2/1] ∪ (3/1, 4/1)"),
+            ("[2/4, +5]", "[1/2, 5/1]"),
+            ("[1 / -2, inf]", "[-1/2, inf]"),
+            ("[٣, 007]", "[3/1, 7/1]"),  # any decimal digits, as int() reads them
+            ("{ 0 / 7 }", "{0/1}"),
+            ("[3, 1]", "[3/1, inf] ∪ [-inf, 1/1]"),
+            ("(-∞, 0/5]", "(-inf, 0/1]"),
+            # Two ends spelled as ∞ make QP1 \ {∞}, or FULL with a closed
+            # bracket; 1/0 is a fraction, so [-inf, 1/0] is the point ∞.
+            ("(inf, +∞)", "QP1 \\ {1/0}"),
+            ("[inf, -inf)", "FULL"),
+            ("[-inf, 1/0]", "{1/0}"),
+            ("empty", "EMPTY"),
+            ("Full", "FULL"),
+            ("QP1\n\\ { -3 }", "QP1 \\ {-3/1}"),
+        ],
+    )
+    def test_accepts(self, text, canonical):
+        assert str(SlopeSet.parse(text)) == canonical
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1" + " " * 200_000 + "x",
+            "{1" + " " * 200_000 + "x",
+            "QP1" + " " * 200_000 + "x",
+            " ∪ ".join(["[100/201, 300/401]"] * 10_000) + " x",
+        ],
+        ids=["arc-whitespace", "point-whitespace", "copoint-whitespace", "trailing-garbage"],
+    )
+    def test_malformed_long_text_fails_fast(self, text):
+        """A failed match must not backtrack over long runs: each of these
+        texts of 2·10⁵ characters is rejected in well under a second."""
+        assert len(text) >= 200_000
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            SlopeSet.parse(text)
+        assert time.perf_counter() - start < 1.0
