@@ -19,6 +19,14 @@ records; nothing recorded is trusted on its own.  Each check is built
 once, in its JSON form {"id", "statement", "pass", "values"}, so writing
 a certificate passes the checks through and replay compares them as
 loaded.
+
+Each stage returns its checks and nothing that can be read off them:
+necessary_check its list of checks, check_lemma its checks with the
+trusted inputs it read, and Theorem 1 and the gluing cover append theirs
+inside certify_satellite.  A verdict's reason is the id of the first
+failing check (_first_failure), or unknown-twist:<stage> when a twist
+family cannot answer that stage; a trusted input is recorded once, where
+it was first read.
 """
 
 from __future__ import annotations
@@ -92,12 +100,17 @@ def _flag(id: str, statement: str, value: bool, **extra) -> dict:
     return _check(id, statement, bool(value), extra)
 
 
-def _note_tail(p: PatternFacts, n: int, trusted: list[str]) -> None:
-    """Record, once, the asserted table tail that answered P(U, n)."""
+def _first_failure(checks: list[dict]) -> str | None:
+    """The id of the first failing check: the reason of every verdict
+    but an unknown twist."""
+    return next((c["id"] for c in checks if not c["pass"]), None)
+
+
+def _tail_note(p: PatternFacts, n: int) -> list[str]:
+    """The trusted-input line of the asserted table tail that answered
+    P(U, n); none for a table entry or a pattern without a table."""
     side = p.family.tail(n) if isinstance(p.family, TableTwistFamily) else None
-    note = f"{side} tail assertion used for twist {n} of {p.name}"
-    if side is not None and note not in trusted:
-        trusted.append(note)
+    return [] if side is None else [f"{side} tail assertion used for twist {n} of {p.name}"]
 
 
 @dataclass(frozen=True)
@@ -108,15 +121,6 @@ class LemmaParams:
 
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "r": self.r}
-
-
-@dataclass
-class LemmaResult:
-    ok: bool
-    arc: SlopeSet | None
-    checks: list[dict]
-    trusted: list[str]
-    failed: list[str]
 
 
 def _no_floats(text: str):
@@ -186,10 +190,12 @@ class Certificate:
 # -- the Lemma machinery ------------------------------------------------
 
 
-def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
+def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> tuple[list[dict], list[str]]:
     """Audit the hypotheses guaranteeing that the closed arc from 1/a
     through ∞ to 1/b consists of L-space filling slopes of the
-    r-surgered pattern complement.
+    r-surgered pattern complement.  Returns the checks, whose passing
+    together certifies the arc, and the trusted inputs read, in reading
+    order.
 
     Raises UnknownTwistError when the pattern's twist family cannot
     answer P(U, -a) or P(U, -b)."""
@@ -197,20 +203,13 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
         raise ValueError("a, b, r must be positive integers")
     w = p.winding
     g = p.genus_s3
-    checks: list[dict] = []
-    trusted: list[str] = []
-
-    checks.append(_ge("lem.2", "winding number w >= 2", w, 2, w=w))
-    checks.append(
-        _flag(
-            "lem.3",
-            "axis bounds a disk meeting the pattern in w points",
-            p.has_minimal_meridional_disk,
-        )
-    )
-    if p.has_minimal_meridional_disk:
-        trusted.append(f"meridional-disk condition asserted for {p.name}")
-    checks.append(
+    disk = p.has_minimal_meridional_disk
+    facts_a = p.twisted_facts(-a)
+    facts_b = p.twisted_facts(-b)
+    aw2, bw2 = a * w * w, b * w * w
+    checks = [
+        _ge("lem.2", "winding number w >= 2", w, 2, w=w),
+        _flag("lem.3", "axis bounds a disk meeting the pattern in w points", disk),
         _ge(
             "lem.4",
             "r >= 2g(P) + a·w(2w-1) - 1",
@@ -219,9 +218,7 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
             a=a,
             g=g,
             w=w,
-        )
-    )
-    checks.append(
+        ),
         _ge(
             "lem.5",
             "b·w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)",
@@ -231,46 +228,30 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> LemmaResult:
             g=g,
             w=w,
             r=r,
-        )
-    )
-
-    facts_a = p.twisted_facts(-a)
-    _note_tail(p, -a, trusted)
-    checks.append(
+        ),
         _flag(
             "lem.6",
             f"P(U, {-a}) is an L-space knot",
             facts_a.is_lspace,
             twist=-a,
             knot=facts_a.name,
-        )
-    )
-    facts_b = p.twisted_facts(-b)
-    _note_tail(p, -b, trusted)
-    checks.append(
+        ),
         _flag(
             "lem.7",
             f"P(U, {-b}) is a negative L-space knot",
             facts_b.is_neg_lspace,
             twist=-b,
             knot=facts_b.name,
-        )
-    )
-
-    aw2, bw2 = a * w * w, b * w * w
-    checks.append(
+        ),
         _check(
             "lem.sandwich",
             "a·w² < r < b·w² (so 1/b < w²/r < 1/a)",
             aw2 < r < bw2,
             {"aw2": aw2, "r": r, "bw2": bw2},
-        )
-    )
-
-    failed = [c["id"] for c in checks if not c["pass"]]
-    ok = not failed
-    arc = SlopeSet.arc(Slope(1, a), Slope(1, b)) if ok else None
-    return LemmaResult(ok, arc, checks, trusted, failed)
+        ),
+    ]
+    trusted = [f"meridional-disk condition asserted for {p.name}"] if disk else []
+    return checks, trusted + _tail_note(p, -a) + _tail_note(p, -b)
 
 
 def choose_lemma_params(p: PatternFacts, g_k: int) -> LemmaParams:
@@ -294,18 +275,11 @@ def choose_lemma_params(p: PatternFacts, g_k: int) -> LemmaParams:
 # -- necessary conditions ----------------------------------------------
 
 
-@dataclass
-class NecessaryResult:
-    possibly_lspace: bool
-    reason: str | None
-    checks: list[dict]
-
-
-def necessary_check(p: PatternFacts, k: KnotFacts) -> NecessaryResult:
+def necessary_check(p: PatternFacts, k: KnotFacts) -> list[dict]:
     """Obstructions: an L-space satellite forces both the companion and
-    P(U) to be fibered, and nonzero winding."""
+    P(U) to be fibered, and nonzero winding.  A failing check rejects it."""
     pu = p.twisted_facts(0)
-    checks = [
+    return [
         _flag(
             "necessary.fibered",
             "companion and P(U) are fibered",
@@ -320,8 +294,6 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> NecessaryResult:
             winding=p.winding,
         ),
     ]
-    failed = [c["id"] for c in checks if not c["pass"]]
-    return NecessaryResult(not failed, failed[0] if failed else None, checks)
 
 
 # -- the main pipeline --------------------------------------------------
@@ -353,61 +325,47 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     ]
 
     def result(verdict, reason, params=None, companion="", side="", glued=""):
+        # The one dedup rule: a trusted input read twice is kept where first read.
         return Certificate(
-            p, k, verdict, reason, params, companion, side, glued, checks, trusted
+            p, k, verdict, reason, params, companion, side, glued, checks,
+            list(dict.fromkeys(trusted)),
         )
 
     try:
-        nec = necessary_check(p, k)
+        checks += necessary_check(p, k)
     except UnknownTwistError as e:
         return result(NOT_CERTIFIED, f"unknown-twist:necessary ({e})")
-    checks.extend(nec.checks)
-    _note_tail(p, 0, trusted)
-    if not nec.possibly_lspace:
-        return result(REJECTED, nec.reason)
+    trusted += _tail_note(p, 0)
+    if reason := _first_failure(checks):
+        return result(REJECTED, reason)
 
-    checks.append(
+    n = -2 * k.genus
+    try:
+        f2g = p.twisted_facts(n)
+    except UnknownTwistError as e:
+        lspace, about, unknown = False, {"error": str(e)}, f"unknown-twist:thm1.3 ({e})"
+    else:
+        lspace, about, unknown = f2g.is_lspace, {"knot": f2g.name}, None
+    checks += [
         _flag(
             "thm1.1",
             "companion is a nontrivial L-space knot",
             k.is_lspace and not k.is_unknot,
             is_lspace=k.is_lspace,
             is_unknot=k.is_unknot,
-        )
-    )
-    checks.append(
+        ),
         _flag(
             "thm1.2",
             "winding >= 2 with a minimal meridional disk",
             p.winding >= 2 and p.has_minimal_meridional_disk,
             winding=p.winding,
             disk=p.has_minimal_meridional_disk,
-        )
-    )
-    g_k = k.genus
-    try:
-        f2g = p.twisted_facts(-2 * g_k)
-        _note_tail(p, -2 * g_k, trusted)
-        checks.append(
-            _flag(
-                "thm1.3",
-                f"P(U, {-2 * g_k}) is an L-space knot",
-                f2g.is_lspace,
-                twist=-2 * g_k,
-                knot=f2g.name,
-            )
-        )
-    except UnknownTwistError as e:
-        checks.append(
-            _flag(
-                "thm1.3",
-                f"P(U, {-2 * g_k}) is an L-space knot",
-                False,
-                twist=-2 * g_k,
-                error=str(e),
-            )
-        )
-        return result(NOT_CERTIFIED, f"unknown-twist:thm1.3 ({e})")
+        ),
+        _flag("thm1.3", f"P(U, {n}) is an L-space knot", lspace, twist=n, **about),
+    ]
+    if unknown:
+        return result(NOT_CERTIFIED, unknown)
+    trusted += _tail_note(p, n)
     checks.append(
         _flag(
             "thm1.4",
@@ -416,24 +374,23 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
             threshold=p.neg_lspace_threshold,
         )
     )
-    failed = [c["id"] for c in checks if not c["pass"]]
-    if failed:
-        return result(NOT_CERTIFIED, failed[0])
+    if reason := _first_failure(checks):
+        return result(NOT_CERTIFIED, reason)
 
-    params = choose_lemma_params(p, g_k)
+    params = choose_lemma_params(p, k.genus)
     try:
-        lem = check_lemma(p, params.a, params.b, params.r)
+        lemma_checks, lemma_trusted = check_lemma(p, params.a, params.b, params.r)
     except UnknownTwistError as e:
         return result(NOT_CERTIFIED, f"unknown-twist:lemma ({e})", params)
-    checks.extend(lem.checks)
-    trusted.extend([t for t in lem.trusted if t not in trusted])
-    if not lem.ok:
-        return result(NOT_CERTIFIED, lem.failed[0], params)
+    checks += lemma_checks
+    trusted += lemma_trusted
+    if reason := _first_failure(checks):
+        return result(NOT_CERTIFIED, reason, params)
 
+    arc = SlopeSet.arc(Slope(1, params.a), Slope(1, params.b))
     companion_set = lspace_slope_set(k)
     companion_strict = companion_set.interior()
-    assert lem.arc is not None
-    glued = _SWAP.image_of_set(lem.arc.interior())
+    glued = _SWAP.image_of_set(arc.interior())
     glued_text = str(glued)
     covered = covers_circle(companion_strict, glued)
     checks.append(
@@ -444,13 +401,12 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
             {"s1": str(companion_strict), "s2": glued_text},
         )
     )
-    verdict = CERTIFIED if covered else NOT_CERTIFIED
     return result(
-        verdict,
-        None if covered else "hrrw.cover",
+        CERTIFIED if covered else NOT_CERTIFIED,
+        _first_failure(checks),
         params,
         companion=str(companion_set),
-        side=str(lem.arc),
+        side=str(arc),
         glued=glued_text,
     )
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .projective import Arc, SlopeSet
-from .slopes import Slope
+from .slopes import Slope, circular_keys
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,9 @@ class GluingMap:
                 for a in reversed(s.arcs)
             ]
         if len(arcs) > 1:
-            # The sweep's order: starts sorted by the exact key num·Q² // den
-            # (see projective._canonical), ∞ first.
-            q2 = max(a.start.den for a in arcs) ** 2
-            keys = [a.start.num * q2 // a.start.den if a.start.den else None for a in arcs]
-            first = keys.index(None) if None in keys else keys.index(min(keys))
+            # The sweep's order: the smallest start by circular_keys, ∞ first.
+            keys, order = circular_keys([a.start for a in arcs])
+            first = keys.index(order[0])
             arcs = arcs[first:] + arcs[:first]
         return SlopeSet(tuple(arcs))
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .slopes import INFINITY, SLOPE_GRAMMAR, Slope, slope_ccw, slope_det
+from .slopes import INFINITY, SLOPE_GRAMMAR, Slope, circular_keys, slope_ccw, slope_det
 
 # The text parse reads: a piece "{x}" (groups 1-2) or an arc (groups 3-8),
 # with no newline inside, and a run of separators between pieces.
@@ -165,11 +165,13 @@ class SlopeSet:
         whitespace may go between tokens but not a newline inside a piece.
         Extra separators are ignored; a missing one is an error.  An arc
         runs from its first slope to its second in the positive
-        orientation; [ and ] close an end, ( and ) open it.  Two ∞ ends
-        give QP1 \\ {∞}, or FULL if a bracket is closed; an open arc from a
-        slope to itself is an error.  One scan of compiled patterns reads
-        the pieces, then the sweep merges them.  Malformed text raises
-        ValueError.
+        orientation; [ and ] close an end, ( and ) open it.  Two ends both
+        spelled inf or ∞ (any sign) give QP1 \\ {∞}, or FULL if a bracket
+        is closed.  Otherwise an arc from a slope to itself is a point
+        when both brackets are closed and an error when not, so
+        [1/0, 1/0] and [-inf, 1/0] are the point {1/0} and (inf, 1/0)
+        is an error.  One scan of compiled patterns reads the pieces,
+        then the sweep merges them.  Malformed text raises ValueError.
         """
         t = text.strip()
         if t.upper() in ("EMPTY", "FULL"):
@@ -233,19 +235,12 @@ def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
     piece 2i is the point p_i and piece 2i+1 the open gap from p_i to
     p_{i+1 mod m}.  Each arc covers one cyclic run of pieces; a
     difference array counts the runs, and every maximal covered run
-    becomes one canonical arc.  With Q the largest denominator among the
-    endpoints, distinct finite slopes differ by at least 1/Q², so the key
-    num·Q² // den sorts them exactly; ∞, keyed None, comes first.
+    becomes one canonical arc.  The endpoints are sorted by
+    slopes.circular_keys, ∞ first.
     """
     if not arcs:
         return SlopeSet()
-    endpoints = [p for a in arcs for p in (a.start, a.end)]
-    q2 = max([p.den for p in endpoints]) ** 2
-    keys = [p.num * q2 // p.den if p.den else None for p in endpoints]
-    distinct = set(keys)
-    order = sorted(distinct - {None})
-    if None in distinct:
-        order.insert(0, None)
+    keys, order = circular_keys([p for a in arcs for p in (a.start, a.end)])
     index = dict(zip(order, range(len(order))))
     pts = [None] * len(order)  # filled by the sweep below
     n = 2 * len(order)

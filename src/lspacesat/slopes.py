@@ -9,7 +9,8 @@ built on it) touches floating point.
 The circle QP^1 carries a fixed positive orientation: rationals in
 increasing order, wrapping through ∞ (so ∞ sits between arbitrarily large
 positive and arbitrarily negative slopes).  slope_det is the one ordering
-primitive; a sort uses the exact key num·Q² // den, Q ≥ every denominator.
+primitive; a sort uses circular_keys, the exact key num·Q² // den with Q
+the largest denominator, ∞ first.
 """
 
 from __future__ import annotations
@@ -112,6 +113,23 @@ def slope_ccw(a: Slope, b: Slope, c: Slope) -> bool:
     return _lt(a, b) or _lt(b, c)
 
 
+def circular_keys(slopes: list[Slope]) -> tuple[list[int | None], list[int | None]]:
+    """Exact circular sort keys: the key of each slope, and the distinct
+    keys in circular order starting at ∞.
+
+    With Q the largest denominator among the slopes, distinct finite
+    slopes differ by at least 1/Q², so num·Q² // den orders them exactly;
+    ∞ is keyed None and comes first.
+    """
+    q2 = max([s.den for s in slopes], default=0) ** 2
+    keys = [s.num * q2 // s.den if s.den else None for s in slopes]
+    distinct = set(keys)
+    order = sorted(distinct - {None})
+    if None in distinct:
+        order.insert(0, None)
+    return keys, order
+
+
 def farey_enumerate(
     max_den: int,
     window: tuple[Fraction, Fraction] | None = None,
@@ -128,6 +146,7 @@ def farey_enumerate(
         raise ValueError("max_den must be >= 1")
     out: list[Slope] = []
     if window is None:
+        out.append(INFINITY)
         for q in range(1, max_den + 1):
             for p in range(-max_den, max_den + 1):
                 if gcd(p, q) == 1:
@@ -140,8 +159,6 @@ def farey_enumerate(
             for p in range(p_lo, p_hi + 1):
                 if gcd(p, q) == 1:
                     out.append(Slope(p, q))
-    # Distinct slopes with denominators at most max_den differ by at least
-    # 1/max_den², so num·max_den² // den is an exact sort key.
-    q2 = max_den * max_den
-    out.sort(key=lambda s: s.num * q2 // s.den)
-    return [INFINITY] + out if window is None else out
+    keys, order = circular_keys(out)
+    by_key = dict(zip(keys, out))
+    return [by_key[key] for key in order]

@@ -33,6 +33,12 @@ import strategies
 
 TREFOIL = torus_knot(2, 3)
 FIGURE8 = KnotFacts("4_1", 1, False, False, True, False)
+UNFIBERED = KnotFacts("unfibered", 2, False, False, False, False)
+
+
+def failed(checks):
+    """The ids of the failing checks, in order."""
+    return [c["id"] for c in checks if not c["pass"]]
 
 
 class TestHomologyOrder:
@@ -56,28 +62,28 @@ class TestHomologyOrder:
 
 class TestCheckLemma:
     def test_worked_instance(self):
-        res = check_lemma(torus_pattern(2, 3), 2, 7, 13)
-        assert res.ok
-        assert res.arc == SlopeSet.arc(slope(1, 2), slope(1, 7))
-        assert res.arc.contains(INFINITY)
-        sandwich = next(c for c in res.checks if c["id"] == "lem.sandwich")
+        checks, _ = check_lemma(torus_pattern(2, 3), 2, 7, 13)
+        assert not failed(checks)
+        # The arc the lemma certifies runs from 1/a through ∞ to 1/b.
+        assert SlopeSet.arc(slope(1, 2), slope(1, 7)).contains(INFINITY)
+        sandwich = next(c for c in checks if c["id"] == "lem.sandwich")
         assert sandwich["values"] == {"aw2": 8, "r": 13, "bw2": 28}
 
     def test_r_too_small(self):
-        res = check_lemma(torus_pattern(2, 3), 2, 7, 12)
-        assert not res.ok and "lem.4" in res.failed
+        checks, _ = check_lemma(torus_pattern(2, 3), 2, 7, 12)
+        assert "lem.4" in failed(checks)
 
     def test_b_too_small(self):
-        res = check_lemma(torus_pattern(2, 3), 2, 6, 13)
-        assert not res.ok and "lem.5" in res.failed
+        checks, _ = check_lemma(torus_pattern(2, 3), 2, 6, 13)
+        assert "lem.5" in failed(checks)
 
     def test_wrong_twist_flags_fail(self):
         # a = 1: P(U, -1) = T(2, 1) is the unknot, which is an L-space
         # knot, but the sandwich needs r > a·w² and lem.4 compensates.
-        res = check_lemma(torus_pattern(2, 3), 1, 7, 13)
-        assert res.ok
-        res2 = check_lemma(torus_pattern(3, 7), 4, 2, 200)
-        assert not res2.ok
+        checks, _ = check_lemma(torus_pattern(2, 3), 1, 7, 13)
+        assert not failed(checks)
+        checks2, _ = check_lemma(torus_pattern(3, 7), 4, 2, 200)
+        assert failed(checks2)
 
     def test_unknown_twist_propagates(self):
         pat = table_pattern(
@@ -126,7 +132,8 @@ class TestChooseParams:
                     if not pat.twisted_facts(-2 * g_k).is_lspace:
                         continue  # the pipeline screens this out via thm1.3
                     params = choose_lemma_params(pat, g_k)
-                    assert check_lemma(pat, params.a, params.b, params.r).ok
+                    checks, _ = check_lemma(pat, params.a, params.b, params.r)
+                    assert not failed(checks)
 
 
 class TestNecessaryCheck:
@@ -134,17 +141,15 @@ class TestNecessaryCheck:
         pat = table_pattern(
             "core-less", 0, 1, False, {0: torus_knot(2, 3)}
         )
-        res = necessary_check(pat, TREFOIL)
-        assert not res.possibly_lspace and res.reason == "necessary.winding"
+        assert failed(necessary_check(pat, TREFOIL))[:1] == ["necessary.winding"]
 
     def test_all_fibered(self):
-        assert necessary_check(torus_pattern(2, 3), TREFOIL).possibly_lspace
+        assert not failed(necessary_check(torus_pattern(2, 3), TREFOIL))
 
     def test_non_fibered_pattern(self):
         unfibered = KnotFacts("unfibered", 2, False, False, False, False)
         pat = table_pattern("nf", 2, 2, True, {0: unfibered})
-        res = necessary_check(pat, TREFOIL)
-        assert not res.possibly_lspace and res.reason == "necessary.fibered"
+        assert failed(necessary_check(pat, TREFOIL))[:1] == ["necessary.fibered"]
 
 
 class TestCertifySatellite:
@@ -378,14 +383,364 @@ CABLE_3_2_OF_TREFOIL = (
 )
 
 
+# One certificate for each other exit path of certify_satellite; the last
+# pins the order of trusted_inputs, tails included.
+EXIT_UNKNOWN_TWIST_NECESSARY = (
+    r'{"pattern": {"table": {"name": "gap", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": null}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", '
+    r'"reason": "unknown-twist:necessary (twist family cannot answer n = 0 (outside '
+    r'table and asserted tails))", "params": null, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": [], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: gap (winding=2, genus_s3=1, meridional_disk=True)"]}'
+)
+EXIT_REJECTED_FIBERED = (
+    r'{"pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "unfibered", '
+    r'"genus": 2, "is_lspace": false, "is_neg_lspace": false, "is_fibered": false, '
+    r'"is_unknot": false}, '
+    r'"verdict": "REJECTED", "reason": "necessary.fibered", "params": null, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": false, "values": {"companion_fibered": false, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: unfibered (genus=2, is_lspace=False, is_neg_lspace=False, '
+    r'is_fibered=False, is_unknot=False)", '
+    r'"pattern facts: T(2,3)-pattern (winding=2, genus_s3=1, meridional_disk=True)"]}'
+)
+EXIT_REJECTED_WINDING = (
+    r'{"pattern": {"table": {"name": "core-less", "winding": 0, "genus_s3": 1, '
+    r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
+    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}}, "neg_threshold": null, "pos_from": null}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "REJECTED", "reason": "necessary.winding", "params": null, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": false, "values": {"winding": 0}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: core-less (winding=0, genus_s3=1, meridional_disk=False)"]}'
+)
+EXIT_UNKNOWN_TWIST_THM1_3 = (
+    r'{"pattern": {"table": {"name": "sparse", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
+    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}}, "neg_threshold": 50, "pos_from": null}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", '
+    r'"reason": "unknown-twist:thm1.3 (twist family cannot answer n = -2 (outside table '
+    r'and asserted tails))", "params": null, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", "pass": false, '
+    r'"values": {"twist": -2, '
+    r'"error": "twist family cannot answer n = -2 (outside table and asserted '
+    r'tails)"}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: sparse (winding=2, genus_s3=1, meridional_disk=True)"]}'
+)
+EXIT_THM1_1 = (
+    r'{"pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "4_1", "genus": 1, '
+    r'"is_lspace": false, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", "reason": "thm1.1", "params": null, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": false, "values": {"is_lspace": false, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", "pass": true, '
+    r'"values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "thm1.4", "statement": '
+    r'"negative L-space tail asserted for large negative twists", "pass": true, '
+    r'"values": {"threshold": 1}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: 4_1 (genus=1, is_lspace=False, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: T(2,3)-pattern (winding=2, genus_s3=1, meridional_disk=True)"]}'
+)
+EXIT_THM1_2 = (
+    r'{"pattern": {"table": {"name": "no-disk", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
+    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}}, "neg_threshold": 7, "pos_from": -2}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", "reason": "thm1.2", "params": null, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": false, "values": {"winding": 2, "disk": false}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", "pass": true, '
+    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "thm1.4", "statement": '
+    r'"negative L-space tail asserted for large negative twists", "pass": true, '
+    r'"values": {"threshold": 7}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: no-disk (winding=2, genus_s3=1, meridional_disk=False)", '
+    r'"positive tail assertion used for twist -2 of no-disk"]}'
+)
+EXIT_THM1_4 = (
+    r'{"pattern": {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, '
+    r'"neg_threshold": null}}, "companion": {"name": "T(2,5)", "genus": 2, '
+    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", "reason": "thm1.4", "params": null, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 5}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 5, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -4) is an L-space knot", "pass": true, '
+    r'"values": {"twist": -4, "knot": "closure of B(5,2,1)"}}, '
+    r'{"id": "thm1.4", "statement": '
+    r'"negative L-space tail asserted for large negative twists", "pass": false, '
+    r'"values": {"threshold": null}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,5) (genus=2, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: B(5,2,21) (winding=5, genus_s3=41, meridional_disk=True)"]}'
+)
+EXIT_LEM_7 = (
+    r'{"pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
+    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, "-7": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, '
+    r'"neg_threshold": 7, "pos_from": -2}}, "companion": {"name": "T(2,3)", "genus": 1, '
+    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", "reason": "lem.7", "params": {"a": 2, "b": 7, '
+    r'"r": 13}, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", "pass": true, '
+    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "thm1.4", "statement": '
+    r'"negative L-space tail asserted for large negative twists", "pass": true, '
+    r'"values": {"threshold": 7}}, '
+    r'{"id": "lem.2", "statement": "winding number w >= 2", "pass": true, '
+    r'"values": {"lhs": 2, "rhs": 2, "w": 2}}, '
+    r'{"id": "lem.3", '
+    r'"statement": "axis bounds a disk meeting the pattern in w points", "pass": true, '
+    r'"values": {}}, '
+    r'{"id": "lem.4", "statement": "r >= 2g(P) + a\u00b7w(2w-1) - 1", "pass": true, '
+    r'"values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}}, '
+    r'{"id": "lem.5", '
+    r'"statement": "b\u00b7w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)", '
+    r'"pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}}, '
+    r'{"id": "lem.6", "statement": "P(U, -2) is an L-space knot", "pass": true, '
+    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "lem.7", "statement": "P(U, -7) is a negative L-space knot", '
+    r'"pass": false, "values": {"twist": -7, "knot": "T(2,3)"}}, '
+    r'{"id": "lem.sandwich", '
+    r'"statement": "a\u00b7w\u00b2 < r < b\u00b7w\u00b2 (so 1/b < w\u00b2/r < 1/a)", '
+    r'"pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: t (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"positive tail assertion used for twist -2 of t", '
+    r'"meridional-disk condition asserted for t"]}'
+)
+EXIT_UNKNOWN_TWIST_LEMMA = (
+    r'{"pattern": {"table": {"name": "hand-built", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
+    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}}, "neg_threshold": 3, "pos_from": -2}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", '
+    r'"reason": "unknown-twist:lemma (twist family cannot answer n = -7 (outside table '
+    r'and asserted tails))", "params": {"a": 2, "b": 7, "r": 13}, '
+    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", "pass": true, '
+    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "thm1.4", "statement": '
+    r'"negative L-space tail asserted for large negative twists", "pass": true, '
+    r'"values": {"threshold": 3}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: hand-built (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"positive tail assertion used for twist -2 of hand-built"]}'
+)
+EXIT_TABLE_CERTIFIED = (
+    r'{"pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": -2}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, "r": 13}, '
+    r'"companion_set": "[1/1, inf]", '
+    r'"pattern_side_set": "[1/2, inf] \u222a [-inf, 1/7]", '
+    r'"glued_image": "(7/1, inf] \u222a [-inf, 2/1)", "checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", "pass": true, '
+    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "thm1.4", "statement": '
+    r'"negative L-space tail asserted for large negative twists", "pass": true, '
+    r'"values": {"threshold": 7}}, '
+    r'{"id": "lem.2", "statement": "winding number w >= 2", "pass": true, '
+    r'"values": {"lhs": 2, "rhs": 2, "w": 2}}, '
+    r'{"id": "lem.3", '
+    r'"statement": "axis bounds a disk meeting the pattern in w points", "pass": true, '
+    r'"values": {}}, '
+    r'{"id": "lem.4", "statement": "r >= 2g(P) + a\u00b7w(2w-1) - 1", "pass": true, '
+    r'"values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}}, '
+    r'{"id": "lem.5", '
+    r'"statement": "b\u00b7w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)", '
+    r'"pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}}, '
+    r'{"id": "lem.6", "statement": "P(U, -2) is an L-space knot", "pass": true, '
+    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "lem.7", "statement": "P(U, -7) is a negative L-space knot", "pass": true, '
+    r'"values": {"twist": -7, "knot": "table tail n=-7"}}, '
+    r'{"id": "lem.sandwich", '
+    r'"statement": "a\u00b7w\u00b2 < r < b\u00b7w\u00b2 (so 1/b < w\u00b2/r < 1/a)", '
+    r'"pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}, '
+    r'{"id": "hrrw.cover", '
+    r'"statement": "strict slope sets of the two sides jointly cover QP^1", '
+    r'"pass": true, "values": {"s1": "(1/1, inf)", '
+    r'"s2": "(7/1, inf] \u222a [-inf, 2/1)"}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: t (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"positive tail assertion used for twist 0 of t", '
+    r'"positive tail assertion used for twist -2 of t", '
+    r'"meridional-disk condition asserted for t", '
+    r'"negative tail assertion used for twist -7 of t"]}'
+)
+
+
 class TestCertificateText:
     @pytest.mark.parametrize(
-        "p, q, text",
-        [(2, 3, CABLE_2_3_OF_TREFOIL), (3, 2, CABLE_3_2_OF_TREFOIL)],
-        ids=["cable_2_3_certified", "cable_3_2_thm1.3"],
+        "pattern, companion, text",
+        [
+            pytest.param(
+                torus_pattern(2, 3), TREFOIL, CABLE_2_3_OF_TREFOIL, id="cable_2_3_certified"
+            ),
+            pytest.param(
+                torus_pattern(3, 2), TREFOIL, CABLE_3_2_OF_TREFOIL, id="cable_3_2_thm1.3"
+            ),
+            pytest.param(
+                table_pattern("gap", 2, 1, True, {}, neg_threshold=7),
+                TREFOIL,
+                EXIT_UNKNOWN_TWIST_NECESSARY,
+                id="unknown_twist_necessary",
+            ),
+            pytest.param(
+                torus_pattern(2, 3), UNFIBERED, EXIT_REJECTED_FIBERED, id="rejected_fibered"
+            ),
+            pytest.param(
+                table_pattern("core-less", 0, 1, False, {0: TREFOIL}),
+                TREFOIL,
+                EXIT_REJECTED_WINDING,
+                id="rejected_winding",
+            ),
+            pytest.param(
+                table_pattern("sparse", 2, 1, True, {0: TREFOIL}, neg_threshold=50),
+                TREFOIL,
+                EXIT_UNKNOWN_TWIST_THM1_3,
+                id="unknown_twist_thm1.3",
+            ),
+            pytest.param(torus_pattern(2, 3), FIGURE8, EXIT_THM1_1, id="thm1.1"),
+            pytest.param(
+                table_pattern(
+                    "no-disk", 2, 1, False, {0: TREFOIL}, neg_threshold=7, pos_from=-2
+                ),
+                TREFOIL,
+                EXIT_THM1_2,
+                id="thm1.2",
+            ),
+            pytest.param(
+                one_bridge_braid(5, 2, 21), torus_knot(2, 5), EXIT_THM1_4, id="thm1.4"
+            ),
+            pytest.param(
+                table_pattern(
+                    "t", 2, 1, True, {0: TREFOIL, -7: TREFOIL}, neg_threshold=7, pos_from=-2
+                ),
+                TREFOIL,
+                EXIT_LEM_7,
+                id="lem.7",
+            ),
+            pytest.param(
+                PatternFacts(
+                    "hand-built", 2, 1, True,
+                    TableTwistFamily({0: TREFOIL}, 2, 1, pos_tail_from=-2),
+                    neg_lspace_threshold=3,
+                ),
+                TREFOIL,
+                EXIT_UNKNOWN_TWIST_LEMMA,
+                id="unknown_twist_lemma",
+            ),
+            pytest.param(
+                table_pattern("t", 2, 1, True, {}, neg_threshold=7, pos_from=-2),
+                TREFOIL,
+                EXIT_TABLE_CERTIFIED,
+                id="table_certified",
+            ),
+        ],
     )
-    def test_golden_json(self, p, q, text):
-        assert certify_satellite(torus_pattern(p, q), TREFOIL).to_json() == text
+    def test_golden_json(self, pattern, companion, text):
+        assert certify_satellite(pattern, companion).to_json() == text
 
 
 class TestTotality:
