@@ -5,21 +5,21 @@ the rationals and wraps around through ∞.  Everything below is exact
 integer arithmetic — no floats anywhere.
 """
 
-from lspacesat import INFINITY, farey_enumerate, slope, slope_ccw, slope_det
+from lspacesat import INFINITY, Slope, farey_enumerate, slope_ccw, slope_det
 
 # Normalization: slopes reduce to coprime pairs with nonnegative
 # denominator, so 6/4 and -3/-2 name the same point.
-print("6/4  ==", slope(6, 4))
-print("-3/-2 ==", slope(-3, -2))
-assert slope(6, 4) == slope(-3, -2) == slope(3, 2)
+print("6/4  ==", Slope(6, 4))
+print("-3/-2 ==", Slope(-3, -2))
+assert Slope(6, 4) == Slope(-3, -2) == Slope(3, 2)
 
 # The determinant p1*q2 - p2*q1 is the exact comparison primitive.
-print("\ndet(1/2, 2/3) =", slope_det(slope(1, 2), slope(2, 3)))
+print("\ndet(1/2, 2/3) =", slope_det(Slope(1, 2), Slope(2, 3)))
 
 # Counterclockwise order wraps through ∞: 2 < 5 < ∞ < -1 reading around.
-print("ccw(2, 5, ∞):", slope_ccw(slope(2), slope(5), INFINITY))
-print("ccw(5, ∞, -1):", slope_ccw(slope(5), INFINITY, slope(-1)))
-print("ccw(∞, -1, 2):", slope_ccw(INFINITY, slope(-1), slope(2)))
+print("ccw(2, 5, ∞):", slope_ccw(Slope(2), Slope(5), INFINITY))
+print("ccw(5, ∞, -1):", slope_ccw(Slope(5), INFINITY, Slope(-1)))
+print("ccw(∞, -1, 2):", slope_ccw(INFINITY, Slope(-1), Slope(2)))
 
 # A Farey window enumerates every reduced fraction of bounded
 # denominator in an interval; this is F_5 on [0, 1].

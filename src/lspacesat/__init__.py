@@ -28,7 +28,6 @@ from .certify import (
     certify_satellite,
     check_lemma,
     choose_lemma_params,
-    homology_order,
     necessary_check,
     replay_certificate,
 )
@@ -51,7 +50,7 @@ from .patterns import (
     torus_pattern,
 )
 from .projective import Arc, SlopeSet, covers_circle
-from .slopes import INFINITY, Slope, farey_enumerate, slope, slope_ccw, slope_det
+from .slopes import INFINITY, Slope, farey_enumerate, slope_ccw, slope_det
 
 __version__ = "0.1.0"
 
@@ -87,7 +86,6 @@ __all__ = [
     "covers_circle",
     "farey_enumerate",
     "genus_twist_bound",
-    "homology_order",
     "lspace_slope_set",
     "meridian_longitude_swap",
     "necessary_check",
@@ -95,7 +93,6 @@ __all__ = [
     "pattern_from_json",
     "positive_braid_closure_genus",
     "replay_certificate",
-    "slope",
     "slope_ccw",
     "slope_det",
     "table_pattern",

@@ -71,19 +71,6 @@ class ReplayMismatchError(ValueError):
     """Re-running the pipeline did not reproduce a stored certificate."""
 
 
-# -- elementary surgery arithmetic --------------------------------------
-
-
-def homology_order(r: Slope, s: Slope, w: int) -> int:
-    """|H_1| of the manifold obtained by r-surgery on the pattern and
-    s-surgery on the axis, for linking number w.
-
-    The linking matrix determinant with denominators cleared is
-    r.num·s.num - w²·r.den·s.den; 0 signals positive first Betti number
-    (never an L-space)."""
-    return abs(r.num * s.num - w * w * r.den * s.den)
-
-
 # -- audit records ------------------------------------------------------
 
 

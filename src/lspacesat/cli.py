@@ -177,11 +177,9 @@ def _cmd_set_algebra(args, out) -> int:
     try:
         if args.covers:
             s1, s2 = (SlopeSet.parse(t) for t in args.covers)
-            if covers_circle(s1, s2):
-                print("FULL", file=out)
-                return EXIT_OK
-            print(str(s1.union(s2)), file=out)
-            return EXIT_NOT_CERTIFIED
+            u = s1.union(s2)
+            print(str(u), file=out)
+            return EXIT_OK if u.is_full else EXIT_NOT_CERTIFIED
         if args.union:
             s1, s2 = (SlopeSet.parse(t) for t in args.union)
             print(str(s1.union(s2)), file=out)

@@ -106,7 +106,7 @@ def lspace_slope_set(k: KnotFacts) -> SlopeSet:
         return SlopeSet.arc(Slope(2 * k.genus - 1), INFINITY)
     if k.is_neg_lspace:
         return SlopeSet.arc(INFINITY, Slope(-2 * k.genus + 1))
-    return SlopeSet.empty()
+    return SlopeSet()
 
 
 def cable_is_lspace_exact(companion: KnotFacts, p: int, q: int) -> bool:
@@ -124,10 +124,6 @@ def cable_facts(companion: KnotFacts, p: int, q: int) -> KnotFacts:
     companions out of cables.  Genus p·g + (p-1)(|q|-1)/2; L-space flags
     from the exact criterion on each side.  That criterion is for
     nontrivial companions: a cable of the unknot is the torus knot T(p, q)."""
-    if p <= 1:
-        raise InvalidPError(f"longitudinal winding p must be > 1, got {p}")
-    if gcd(p, q) != 1:
-        raise NotCoprimeError(f"cable needs gcd(p, q) = 1, got ({p}, {q})")
     if companion.is_unknot:
         return torus_knot(p, q)
     return KnotFacts(

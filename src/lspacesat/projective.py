@@ -87,21 +87,9 @@ class SlopeSet:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def empty(cls) -> "SlopeSet":
-        return cls()
-
-    @classmethod
-    def full(cls) -> "SlopeSet":
-        return cls(is_full=True)
-
-    @classmethod
     def copoint(cls, hole: Slope) -> "SlopeSet":
         """All of QP^1 except the given point."""
         return cls((Arc(hole, hole, False, False),))
-
-    @classmethod
-    def point(cls, x: Slope) -> "SlopeSet":
-        return cls((Arc(x, x),))
 
     @classmethod
     def arc(
@@ -127,7 +115,7 @@ class SlopeSet:
 
     def union(self, other: "SlopeSet") -> "SlopeSet":
         if self.is_full or other.is_full:
-            return SlopeSet.full()
+            return SlopeSet(is_full=True)
         return _canonical(self.arcs + other.arcs)
 
     def interior(self) -> "SlopeSet":

@@ -15,7 +15,6 @@ the largest denominator, ∞ first.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -26,7 +25,6 @@ from math import gcd
 # before "/" sits inside the optional group, since a second \s* next to a
 # piece's own would backtrack quadratically on a failed match.
 SLOPE_GRAMMAR = r"(?:[+-]?(?:inf|∞)|([+-]?\d+)(?:[^\S\n]*/[^\S\n]*([+-]?\d+))?)"
-_SLOPE = re.compile(SLOPE_GRAMMAR)
 
 
 class ZeroZeroError(ValueError):
@@ -65,14 +63,6 @@ class Slope:
         return self.den == 0
 
     @classmethod
-    def from_string(cls, text: str) -> "Slope":
-        """Parse p/q, an integer or ∞ (SLOPE_GRAMMAR, any whitespace by "/")."""
-        m = _SLOPE.fullmatch(" ".join(text.split()))
-        if m is None:
-            raise ValueError(f"cannot parse slope {text!r}")
-        return cls.from_groups(*m.groups())
-
-    @classmethod
     def from_groups(cls, num: str | None, den: str | None) -> "Slope":
         """The slope that one match of SLOPE_GRAMMAR spells, from its groups."""
         return INFINITY if num is None else cls(int(num), int(den) if den else 1)
@@ -82,11 +72,6 @@ class Slope:
 
 
 INFINITY = Slope(1, 0)
-
-
-def slope(p: int, q: int = 1) -> Slope:
-    """Shorthand constructor for the normalized slope p/q."""
-    return Slope(p, q)
 
 
 def slope_det(a: Slope, b: Slope) -> int:

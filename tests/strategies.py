@@ -22,7 +22,6 @@ from lspacesat import (
     cable_facts,
     farey_enumerate,
     one_bridge_braid,
-    slope,
     table_pattern,
     torus_knot,
     torus_pattern,
@@ -137,7 +136,7 @@ def close_pool():
     near = [Slope(p, q), Slope(r, s)]
     near += [Slope(p + k * r, q + k * s) for k in (1, 2, 3)]
     near += [Slope(k * p + r, k * q + s) for k in (2, 3)]
-    return near + [Slope(-x.num, x.den) for x in near] + [slope(0), INFINITY]
+    return near + [Slope(-x.num, x.den) for x in near] + [Slope(0), INFINITY]
 
 
 CLOSE_POOL = close_pool()

@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +10,15 @@ from lspacesat import (
     Certificate,
     INFINITY,
     KnotFacts,
+    Slope,
     SlopeSet,
     certify_cable,
     certify_satellite,
     check_lemma,
     choose_lemma_params,
-    homology_order,
     necessary_check,
     one_bridge_braid,
     replay_certificate,
-    slope,
     table_pattern,
     torus_knot,
     torus_pattern,
@@ -28,7 +26,6 @@ from lspacesat import (
 from lspacesat.certify import NoThresholdError, ReplayMismatchError
 from lspacesat.patterns import PatternFacts, TableTwistFamily, UnknownTwistError
 
-from oracle_helpers import linking_matrix_order_oracle
 import strategies
 
 TREFOIL = torus_knot(2, 3)
@@ -41,31 +38,12 @@ def failed(checks):
     return [c["id"] for c in checks if not c["pass"]]
 
 
-class TestHomologyOrder:
-    def test_reducible_filling(self):
-        assert homology_order(slope(13), slope(4, 13), 2) == 0
-
-    def test_generic_filling(self):
-        assert homology_order(slope(13), slope(1, 2), 2) == 5
-
-    def test_infinity_filling_recovers_r(self):
-        assert homology_order(slope(13), INFINITY, 2) == 13
-
-    def test_matches_linking_matrix_oracle(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            r = slope(rng.randint(-30, 30) or 1, rng.randint(0, 9))
-            s = slope(rng.randint(-30, 30) or 1, rng.randint(0, 9))
-            w = rng.randint(0, 6)
-            assert homology_order(r, s, w) == linking_matrix_order_oracle(r, s, w)
-
-
 class TestCheckLemma:
     def test_worked_instance(self):
         checks, _ = check_lemma(torus_pattern(2, 3), 2, 7, 13)
         assert not failed(checks)
         # The arc the lemma certifies runs from 1/a through ∞ to 1/b.
-        assert SlopeSet.arc(slope(1, 2), slope(1, 7)).contains(INFINITY)
+        assert SlopeSet.arc(Slope(1, 2), Slope(1, 7)).contains(INFINITY)
         sandwich = next(c for c in checks if c["id"] == "lem.sandwich")
         assert sandwich["values"] == {"aw2": 8, "r": 13, "bw2": 28}
 
@@ -158,7 +136,7 @@ class TestCertifySatellite:
         assert cert.verdict == CERTIFIED
         assert cert.params is not None and cert.params.r == 13
         assert SlopeSet.parse(cert.pattern_side_set) == SlopeSet.arc(
-            slope(1, 2), slope(1, 7)
+            Slope(1, 2), Slope(1, 7)
         )
         assert SlopeSet.parse(cert.glued_image) == SlopeSet.parse(
             "[-inf, 2) ∪ (7, inf]"

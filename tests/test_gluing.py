@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 
 from lspacesat import (
+    Arc,
     GluingMap,
     INFINITY,
+    Slope,
     SlopeSet,
     farey_enumerate,
     meridian_longitude_swap,
-    slope,
 )
 from lspacesat.cli import random_slope_set
 
@@ -28,10 +29,10 @@ MAPS = [
 
 class TestApply:
     def test_swap_is_reciprocal(self):
-        assert SWAP.apply(slope(3, 5)) == slope(5, 3)
+        assert SWAP.apply(Slope(3, 5)) == Slope(5, 3)
 
     def test_swap_meridian_to_longitude(self):
-        assert SWAP.apply(INFINITY) == slope(0)
+        assert SWAP.apply(INFINITY) == Slope(0)
 
     def test_identity(self):
         for x in farey_enumerate(10):
@@ -48,8 +49,9 @@ class TestImageOfSet:
         assert SWAP.image_of_set(s) == SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
 
     def test_swap_full_and_point(self):
-        assert SWAP.image_of_set(SlopeSet.full()).is_full
-        assert SWAP.image_of_set(SlopeSet.point(INFINITY)) == SlopeSet.point(slope(0))
+        assert SWAP.image_of_set(SlopeSet(is_full=True)).is_full
+        point = SlopeSet.from_arcs([Arc(INFINITY, INFINITY)])
+        assert SWAP.image_of_set(point) == SlopeSet.parse("{0}")
 
     def test_swap_set_involution(self):
         rng = random.Random(5)
@@ -82,4 +84,4 @@ class TestImageOfSet:
     def test_endpoint_closure_flip_on_reversal(self):
         s = SlopeSet.parse("[2, 3)")
         img = SWAP.image_of_set(s)
-        assert img == SlopeSet.arc(slope(1, 3), slope(1, 2), False, True)
+        assert img == SlopeSet.arc(Slope(1, 3), Slope(1, 2), False, True)

@@ -5,13 +5,13 @@ import pytest
 from lspacesat import (
     INFINITY,
     KnotFacts,
+    Slope,
     SlopeSet,
     UNKNOT,
     cable_facts,
     cable_is_lspace_exact,
     companion_from_json,
     lspace_slope_set,
-    slope,
     torus_knot,
 )
 from lspacesat.knots import (
@@ -88,12 +88,12 @@ class TestKnotFactsInvariants:
 
 class TestLspaceSlopeSet:
     def test_trefoil_closed_arc(self):
-        assert lspace_slope_set(torus_knot(2, 3)) == SlopeSet.arc(slope(1), INFINITY)
+        assert lspace_slope_set(torus_knot(2, 3)) == SlopeSet.arc(Slope(1), INFINITY)
 
     def test_negative_trefoil(self):
         got = lspace_slope_set(torus_knot(2, -3))
-        assert got == SlopeSet.arc(INFINITY, slope(-1))
-        assert got.contains(slope(-5)) and not got.contains(slope(0))
+        assert got == SlopeSet.arc(INFINITY, Slope(-1))
+        assert got.contains(Slope(-5)) and not got.contains(Slope(0))
 
     def test_non_lspace_knot_empty(self):
         figure8 = KnotFacts("4_1", 1, False, False, True, False)
@@ -106,7 +106,7 @@ class TestLspaceSlopeSet:
     @pytest.mark.parametrize("p,m", [(2, 3), (2, 5), (3, 5), (4, 7)])
     def test_interior_formula(self, p, m):
         got = lspace_slope_set(torus_knot(p, m)).interior()
-        assert got == SlopeSet.arc(slope(p * m - p - m), INFINITY, False, False)
+        assert got == SlopeSet.arc(Slope(p * m - p - m), INFINITY, False, False)
 
 
 class TestCableCriterion:
@@ -134,6 +134,12 @@ class TestCableCriterion:
             for q in range(-9, 10):
                 if gcd(p, q) == 1:
                     assert cable_facts(UNKNOT, p, q) == torus_knot(p, q)
+
+    @pytest.mark.parametrize("companion", [UNKNOT, torus_knot(2, 3)], ids=["unknot", "trefoil"])
+    @pytest.mark.parametrize(("p", "q", "error"), [(1, 3, InvalidPError), (4, 6, NotCoprimeError)])
+    def test_cable_facts_rejects_bad_p_q(self, companion, p, q, error):
+        with pytest.raises(error):
+            cable_facts(companion, p, q)
 
 
 class TestJson:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lspacesat import INFINITY, Slope, SlopeSet, covers_circle, farey_enumerate, slope
+from lspacesat import INFINITY, Slope, SlopeSet, covers_circle, farey_enumerate
 from lspacesat.cli import random_slope_set
 from lspacesat.projective import Arc
 
@@ -16,61 +16,61 @@ from strategies import CLOSE_POOL, arcs_over, pool_arcs, slope_set_arcs
 
 class TestContains:
     def test_full(self):
-        assert SlopeSet.full().contains(INFINITY)
+        assert SlopeSet(is_full=True).contains(INFINITY)
 
     def test_closed_arc_endpoints(self):
-        s = SlopeSet.arc(slope(1), INFINITY)
-        assert s.contains(slope(1))
-        assert not s.contains(slope(0))
+        s = SlopeSet.arc(Slope(1), INFINITY)
+        assert s.contains(Slope(1))
+        assert not s.contains(Slope(0))
 
     def test_open_arc_through_positives(self):
-        s = SlopeSet.arc(slope(1, 2), INFINITY, False, False)
-        assert s.contains(slope(3))
-        assert not s.contains(slope(1, 2)) and not s.contains(INFINITY)
+        s = SlopeSet.arc(Slope(1, 2), INFINITY, False, False)
+        assert s.contains(Slope(3))
+        assert not s.contains(Slope(1, 2)) and not s.contains(INFINITY)
 
     def test_point(self):
-        s = SlopeSet.point(slope(5, 7))
-        assert s.contains(slope(5, 7)) and not s.contains(slope(5, 8))
+        s = SlopeSet.parse("{5/7}")
+        assert s.contains(Slope(5, 7)) and not s.contains(Slope(5, 8))
 
 
 class TestUnion:
     def test_merge_at_shared_endpoint(self):
-        got = SlopeSet.arc(slope(0), slope(1)).union(SlopeSet.arc(slope(1), slope(2)))
-        assert got == SlopeSet.arc(slope(0), slope(2))
+        got = SlopeSet.arc(Slope(0), Slope(1)).union(SlopeSet.arc(Slope(1), Slope(2)))
+        assert got == SlopeSet.arc(Slope(0), Slope(2))
 
     def test_worked_cover_union_is_full(self):
         # strict companion slopes for genus 1 against the glued pattern
         # side with b = 7
-        s1 = SlopeSet.arc(slope(1), INFINITY, False, False)
+        s1 = SlopeSet.arc(Slope(1), INFINITY, False, False)
         s2 = SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
         assert s1.union(s2).is_full
 
     def test_empty_identity(self):
         s = SlopeSet.parse("[1/3, 4)")
-        assert SlopeSet.empty().union(s) == s
-        assert s.union(SlopeSet.empty()) == s
+        assert SlopeSet().union(s) == s
+        assert s.union(SlopeSet()) == s
 
     def test_half_open_pair_merges(self):
         got = SlopeSet.parse("[0, 1)").union(SlopeSet.parse("[1, 2]"))
-        assert got == SlopeSet.arc(slope(0), slope(2))
+        assert got == SlopeSet.arc(Slope(0), Slope(2))
 
     def test_two_arcs_leaving_a_hole_become_copoint(self):
         got = SlopeSet.parse("[0, 1)").union(SlopeSet.parse("(1, 0]"))
-        assert got == SlopeSet.copoint(slope(1))
+        assert got == SlopeSet.copoint(Slope(1))
         assert str(got) == "QP1 \\ {1/1}"
 
 
 class TestInterior:
     def test_closed_companion_arc(self):
-        got = SlopeSet.arc(slope(1), INFINITY).interior()
-        assert got == SlopeSet.arc(slope(1), INFINITY, False, False)
+        got = SlopeSet.arc(Slope(1), INFINITY).interior()
+        assert got == SlopeSet.arc(Slope(1), INFINITY, False, False)
         assert not got.contains(INFINITY)
 
     def test_point_vanishes(self):
-        assert SlopeSet.point(slope(0)).interior() == SlopeSet()
+        assert SlopeSet.parse("{0}").interior() == SlopeSet()
 
     def test_full_fixed(self):
-        assert SlopeSet.full().interior().is_full
+        assert SlopeSet(is_full=True).interior().is_full
 
     def test_idempotent_and_subset(self):
         rng = random.Random(7)
@@ -97,15 +97,15 @@ class TestCoversCircle:
         assert not covers_circle(s1, s2)
 
     def test_full_empty(self):
-        assert covers_circle(SlopeSet.full(), SlopeSet.empty())
+        assert covers_circle(SlopeSet(is_full=True), SlopeSet())
 
 
 class TestCanonicalForm:
     def test_arc_order_independent(self):
         arcs = [
-            Arc(slope(0), slope(1)),
-            Arc(slope(3), slope(4), False, True),
-            Arc(slope(1), slope(2)),
+            Arc(Slope(0), Slope(1)),
+            Arc(Slope(3), Slope(4), False, True),
+            Arc(Slope(1), Slope(2)),
         ]
         a = SlopeSet.from_arcs(arcs)
         b = SlopeSet.from_arcs(reversed(arcs))
@@ -209,7 +209,7 @@ class TestSerialization:
     def test_infinity_interval_forms(self):
         assert SlopeSet.parse("[-inf, inf]").is_full
         assert SlopeSet.parse("(-inf, inf)") == SlopeSet.copoint(INFINITY)
-        assert SlopeSet.parse("{+∞}") == SlopeSet.point(INFINITY)
+        assert SlopeSet.parse("{+∞}") == SlopeSet.from_arcs([Arc(INFINITY, INFINITY)])
         assert SlopeSet.parse("QP1 \\ {+∞}") == SlopeSet.copoint(INFINITY)
 
 
