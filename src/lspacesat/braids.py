@@ -13,14 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-class NotPositiveError(ValueError):
-    pass
-
-
-class NotAKnotError(ValueError):
-    """The braid closure has more than one component."""
-
-
 class BraidSign(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
@@ -124,9 +116,9 @@ def positive_braid_closure_genus(bw: BraidWord) -> int:
     reduced = braid_free_reduce(bw)
     sign = braid_sign(reduced)
     if sign not in (BraidSign.POSITIVE, BraidSign.TRIVIAL):
-        raise NotPositiveError(f"word is {sign.value}, not positive")
+        raise ValueError(f"word is {sign.value}, not positive")
     if closure_components(reduced) != 1:
-        raise NotAKnotError("closure has more than one component")
+        raise ValueError("closure has more than one component")
     c = len(reduced.letters)
     w = reduced.strands
     assert (c - w + 1) % 2 == 0, "knot closure forces c ≡ w - 1 (mod 2)"

@@ -24,9 +24,10 @@ Each stage returns its checks and nothing that can be read off them:
 necessary_check its list of checks, check_lemma its checks with the
 trusted inputs it read, and Theorem 1 and the gluing cover append theirs
 inside certify_satellite.  A verdict's reason is the id of the first
-failing check (_first_failure), or unknown-twist:<stage> when a twist
-family cannot answer that stage; a trusted input is recorded once, where
-it was first read.
+failing check (_first_failure), or unknown-twist:necessary or
+unknown-twist:thm1.3 when the pattern cannot answer the twist that stage
+reads; past thm1.3 every twist read is answered.  A trusted input is
+recorded once, where it was first read.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .knots import (
 )
 from .patterns import (
     PatternFacts,
-    TableTwistFamily,
     UnknownTwistError,
     pattern_from_json,
     pattern_to_json,
@@ -57,10 +57,6 @@ from .slopes import Slope
 CERTIFIED = "CERTIFIED"
 NOT_CERTIFIED = "NOT_CERTIFIED"
 REJECTED = "REJECTED"
-
-
-class NoThresholdError(ValueError):
-    """The pattern carries no negative-tail assertion."""
 
 
 class ConsistencyError(AssertionError):
@@ -95,8 +91,8 @@ def _first_failure(checks: list[dict]) -> str | None:
 
 def _tail_note(p: PatternFacts, n: int) -> list[str]:
     """The trusted-input line of the asserted table tail that answered
-    P(U, n); none for a table entry or a pattern without a table."""
-    side = p.family.tail(n) if isinstance(p.family, TableTwistFamily) else None
+    P(U, n); none for a twist the pattern derives or tables."""
+    side = p.tail(n)
     return [] if side is None else [f"{side} tail assertion used for twist {n} of {p.name}"]
 
 
@@ -184,8 +180,8 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> tuple[list[dict], li
     together certifies the arc, and the trusted inputs read, in reading
     order.
 
-    Raises UnknownTwistError when the pattern's twist family cannot
-    answer P(U, -a) or P(U, -b)."""
+    Raises UnknownTwistError when the pattern cannot answer P(U, -a) or
+    P(U, -b)."""
     if min(a, b, r) < 1:
         raise ValueError("a, b, r must be positive integers")
     w = p.winding
@@ -248,9 +244,7 @@ def choose_lemma_params(p: PatternFacts, g_k: int) -> LemmaParams:
     if g_k < 1:
         raise ValueError("companion genus must be positive")
     if p.neg_lspace_threshold is None:
-        raise NoThresholdError(
-            f"{p.name} carries no negative-side tail assertion"
-        )
+        raise ValueError(f"{p.name} carries no negative-side tail assertion")
     w = p.winding
     g = p.genus_s3
     a = 2 * g_k
@@ -365,10 +359,9 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
         return result(NOT_CERTIFIED, reason)
 
     params = choose_lemma_params(p, k.genus)
-    try:
-        lemma_checks, lemma_trusted = check_lemma(p, params.a, params.b, params.r)
-    except UnknownTwistError as e:
-        return result(NOT_CERTIFIED, f"unknown-twist:lemma ({e})", params)
+    # No UnknownTwistError: thm1.3 has read P(U, -a), and every pattern
+    # answers P(U, -b) for b at or past its threshold.
+    lemma_checks, lemma_trusted = check_lemma(p, params.a, params.b, params.r)
     checks += lemma_checks
     trusted += lemma_trusted
     if reason := _first_failure(checks):

@@ -7,7 +7,8 @@ Subcommands:
                   a stored certificate carries and compare the result
 * cable        -- certify a cable and compare with the exact criterion
 * sweep        -- tabulate sufficient vs exact verdicts over a (p, q) grid
-* set-algebra  -- evaluate union / interior / cover on serialized sets
+* set-algebra  -- evaluate cover (printing the union) or interior on
+                  serialized sets
 * oracle       -- brute-force cross-checks of the exact cover test
 
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
@@ -180,16 +181,10 @@ def _cmd_set_algebra(args, out) -> int:
             u = s1.union(s2)
             print(str(u), file=out)
             return EXIT_OK if u.is_full else EXIT_NOT_CERTIFIED
-        if args.union:
-            s1, s2 = (SlopeSet.parse(t) for t in args.union)
-            print(str(s1.union(s2)), file=out)
-            return EXIT_OK
-        if args.interior:
-            print(str(SlopeSet.parse(args.interior).interior()), file=out)
-            return EXIT_OK
+        print(str(SlopeSet.parse(args.interior).interior()), file=out)
+        return EXIT_OK
     except ValueError as e:
         raise InputError(str(e))
-    raise InputError("set-algebra needs one of --covers, --union, --interior")
 
 
 def random_slope_set(rng: random.Random, endpoints) -> SlopeSet:
@@ -258,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out")
 
     sets = sub.add_parser("set-algebra", help="exact slope-set operations")
-    sets.add_argument("--covers", nargs=2, metavar=("S1", "S2"))
-    sets.add_argument("--union", nargs=2, metavar=("S1", "S2"))
-    sets.add_argument("--interior", metavar="S")
+    operation = sets.add_mutually_exclusive_group(required=True)
+    operation.add_argument("--covers", nargs=2, metavar=("S1", "S2"))
+    operation.add_argument("--interior", metavar="S")
 
     oracle = sub.add_parser("oracle", help="brute-force cover cross-checks")
     oracle.add_argument("--max-den", type=int, default=50)

@@ -17,22 +17,6 @@ from .projective import SlopeSet
 from .slopes import INFINITY, Slope
 
 
-class NotCoprimeError(ValueError):
-    pass
-
-
-class InvalidPError(ValueError):
-    pass
-
-
-class UnknotCompanionError(ValueError):
-    """The satellite construction requires a nontrivial companion."""
-
-
-class InvalidKnotFactsError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class KnotFacts:
     """Seifert genus and surgery flags of a knot in S^3.
@@ -50,23 +34,23 @@ class KnotFacts:
 
     def __post_init__(self) -> None:
         if self.genus < 0:
-            raise InvalidKnotFactsError("genus must be nonnegative")
+            raise ValueError("genus must be nonnegative")
         if self.is_unknot and not (
             self.genus == 0
             and self.is_lspace
             and self.is_neg_lspace
             and self.is_fibered
         ):
-            raise InvalidKnotFactsError("unknot facts are genus 0 with all flags set")
+            raise ValueError("unknot facts are genus 0 with all flags set")
         if self.genus == 0 and not self.is_unknot:
-            raise InvalidKnotFactsError("a knot of genus 0 is the unknot")
+            raise ValueError("a knot of genus 0 is the unknot")
         if self.genus >= 1 and self.is_lspace and self.is_neg_lspace:
-            raise InvalidKnotFactsError(
+            raise ValueError(
                 "a nontrivial knot cannot admit both positive and negative "
                 "L-space surgeries"
             )
         if (self.is_lspace or self.is_neg_lspace) and not self.is_fibered:
-            raise InvalidKnotFactsError("L-space knots are fibered")
+            raise ValueError("L-space knots are fibered")
 
 
 UNKNOT = KnotFacts("unknot", 0, True, True, True, True)
@@ -79,9 +63,9 @@ def torus_knot(p: int, m: int) -> KnotFacts:
     and a negative one iff m <= 1.
     """
     if p < 2:
-        raise InvalidPError(f"longitudinal winding p must be >= 2, got {p}")
+        raise ValueError(f"longitudinal winding p must be >= 2, got {p}")
     if gcd(p, m) != 1:
-        raise NotCoprimeError(f"T({p},{m}) needs gcd(p, m) = 1")
+        raise ValueError(f"T({p},{m}) needs gcd(p, m) = 1")
     genus = (p - 1) * (abs(m) - 1) // 2
     return KnotFacts(
         name=f"T({p},{m})",
@@ -101,7 +85,7 @@ def lspace_slope_set(k: KnotFacts) -> SlopeSet:
     otherwise.  Strict slopes are the interior.
     """
     if k.is_unknot:
-        raise UnknotCompanionError("companion must be nontrivial")
+        raise ValueError("companion must be nontrivial")
     if k.is_lspace:
         return SlopeSet.arc(Slope(2 * k.genus - 1), INFINITY)
     if k.is_neg_lspace:
@@ -113,9 +97,9 @@ def cable_is_lspace_exact(companion: KnotFacts, p: int, q: int) -> bool:
     """The exact cabling criterion: the (p, q)-cable of K is an L-space
     knot iff K is an L-space knot and q > p(2g(K) - 1)."""
     if p <= 1:
-        raise InvalidPError(f"longitudinal winding p must be > 1, got {p}")
+        raise ValueError(f"longitudinal winding p must be > 1, got {p}")
     if gcd(p, q) != 1:
-        raise NotCoprimeError(f"cable needs gcd(p, q) = 1, got ({p}, {q})")
+        raise ValueError(f"cable needs gcd(p, q) = 1, got ({p}, {q})")
     return companion.is_lspace and q > p * (2 * companion.genus - 1)
 
 

@@ -1,16 +1,20 @@
-"""Pattern knots in the solid torus and their twist families.
+"""Pattern knots in the solid torus, one record per pattern kind.
 
 A pattern is summarized by its winding number, the Seifert genus of its
-untwisted satellite of the unknot, the meridional-disk flag, and a twist
-family answering "what knot is P(U, n)?".  Three families are built in:
+untwisted satellite of the unknot, the meridional-disk flag and the
+threshold of its negative L-space tail, and answers "what knot is
+P(U, n)?".  Each kind is a subclass of PatternFacts that adds only the
+data its answer needs:
 
 * torus patterns, where P(U, n) = T(p, q + n·p) exactly;
 * 1-bridge braids B(w, b, t), where P(U, n) is the closure of
   B(w, b, t + n·w): a positive word (an L-space knot) for t + n·w >= 0,
   a negative one (a negative L-space knot) otherwise, with Bennequin
   genus read off the letter count;
-* explicit tables with asserted tail behavior.
+* explicit tables with asserted tails, whose negative tail is the
+  threshold itself.
 
+Patterns are built by torus_pattern, one_bridge_braid and table_pattern.
 Everything the engine cannot derive is a trusted input and is recorded
 as such by the certifier.
 """
@@ -23,7 +27,6 @@ from typing import Mapping
 from .braids import BraidWord, closure_components
 from .knots import (
     KnotFacts,
-    NotCoprimeError,
     companion_from_json,
     companion_to_json,
     json_flag,
@@ -34,19 +37,12 @@ from math import gcd
 
 
 class UnknownTwistError(LookupError):
-    """The twist family cannot answer this twisting parameter."""
+    """The pattern cannot answer this twisting parameter."""
 
     def __init__(self, n: int, why: str = ""):
         self.n = n
+        # Stored certificates quote this text in their reasons.
         super().__init__(f"twist family cannot answer n = {n}" + (f" ({why})" if why else ""))
-
-
-class BridgeOutOfRangeError(ValueError):
-    pass
-
-
-class InvalidTwistFactsError(ValueError):
-    """A twist family answer violated the genus-under-twisting bound."""
 
 
 def genus_twist_bound(g_p: int, w: int, n: int) -> int:
@@ -58,73 +54,101 @@ def genus_twist_bound(g_p: int, w: int, n: int) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class TorusTwistFamily:
-    p: int
-    q: int
+class PatternFacts:
+    """Combinatorial data of a pattern knot P ⊂ D^2 × S^1, shared by every
+    pattern kind; each kind answers P(U, n) through _twist."""
 
-    def facts(self, n: int) -> KnotFacts:
-        return torus_knot(self.p, self.q + n * self.p)
-
-
-@dataclass(frozen=True, slots=True)
-class OneBridgeTwistFamily:
-    """P(U, n) of B(w, b, t) is the closure of B(w, b, t + n·w), since a
-    full twist is w more passes of the strand cycle.
-
-    With t' = t + n·w the freely reduced word is positive with
-    b + t'(w-1) letters when t' >= 0; when t' < 0 the b bridge letters
-    cancel against the first inverse pass, leaving a negative word of
-    -t'(w-1) - b letters.  The Bennequin genus (c - w + 1)/2 of the
-    closure (or of its mirror) follows from the letter count c alone.
-    """
-
-    w: int
-    b: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.w < 3:
-            raise BridgeOutOfRangeError(f"need w >= 3 strands, got {self.w}")
-        if not 1 <= self.b <= self.w - 2:
-            raise BridgeOutOfRangeError(
-                f"bridge width must satisfy 1 <= b <= w-2, got {self.b}"
-            )
-        # Full twists permute the strands trivially, so every P(U, n) has
-        # as many components as B(w, b, t mod w).
-        word = one_bridge_braid_word(self.w, self.b, self.t % self.w)
-        if closure_components(word) != 1:
-            raise UnknownTwistError(0, "closure is a link, not a knot")
-
-    def facts(self, n: int) -> KnotFacts:
-        w, b, t = self.w, self.b, self.t + n * self.w
-        name = f"closure of B({w},{b},{t})"
-        c = b + t * (w - 1) if t >= 0 else -t * (w - 1) - b
-        g = (c - w + 1) // 2
-        if t >= 0:
-            return KnotFacts(name, g, True, g == 0, True, g == 0)
-        return KnotFacts(name, g, g == 0, True, True, g == 0)
-
-
-@dataclass(frozen=True, slots=True)
-class TableTwistFamily:
-    entries: Mapping[int, KnotFacts]
+    name: str
     winding: int
     genus_s3: int
-    neg_tail_from: int | None = None  # is_neg_lspace asserted for n <= -this
-    pos_tail_from: int | None = None  # is_lspace asserted for n >= this
+    has_minimal_meridional_disk: bool
+    neg_lspace_threshold: int | None
+
+    def __post_init__(self) -> None:
+        if self.winding < 0:
+            raise ValueError("winding must be nonnegative")
+        if self.has_minimal_meridional_disk and self.winding < 1:
+            raise ValueError(
+                "a meridional disk meeting P in w points forces winding >= 1"
+            )
+        if self.neg_lspace_threshold is not None and self.neg_lspace_threshold < 0:
+            raise ValueError("neg_lspace_threshold must be nonnegative")
+
+    def _twist(self, n: int) -> KnotFacts:
+        raise NotImplementedError
 
     def tail(self, n: int) -> str | None:
         """The asserted tail that answers P(U, n), "negative" or
-        "positive"; None for a table entry or a twist no tail covers."""
+        "positive"; None when the twist is derived or tabled."""
+        return None
+
+    def twisted_facts(self, n: int) -> KnotFacts:
+        """Full facts of the n-twisted satellite of the unknot P(U, n)."""
+        facts = self._twist(n)
+        bound = genus_twist_bound(self.genus_s3, self.winding, n)
+        if facts.genus > bound:
+            raise ValueError(
+                f"{self.name}: genus {facts.genus} at twist {n} exceeds "
+                f"bound {bound}"
+            )
+        return facts
+
+
+@dataclass(frozen=True, slots=True)
+class _TorusPattern(PatternFacts):
+    q: int  # p is the winding
+
+    def _twist(self, n: int) -> KnotFacts:
+        return torus_knot(self.winding, self.q + n * self.winding)
+
+
+def _one_bridge_closure(w: int, b: int, t: int) -> KnotFacts:
+    """Facts of the closure of B(w, b, t), a knot.
+
+    The freely reduced word is positive with b + t(w-1) letters when
+    t >= 0; when t < 0 the b bridge letters cancel against the first
+    inverse pass, leaving a negative word of -t(w-1) - b letters.  The
+    Bennequin genus (c - w + 1)/2 of the closure (or of its mirror)
+    follows from the letter count c alone.
+    """
+    name = f"closure of B({w},{b},{t})"
+    c = b + t * (w - 1) if t >= 0 else -t * (w - 1) - b
+    g = (c - w + 1) // 2
+    if t >= 0:
+        return KnotFacts(name, g, True, g == 0, True, g == 0)
+    return KnotFacts(name, g, g == 0, True, True, g == 0)
+
+
+@dataclass(frozen=True, slots=True)
+class _OneBridgePattern(PatternFacts):
+    """P(U, n) of B(w, b, t) is the closure of B(w, b, t + n·w), since a
+    full twist is w more passes of the strand cycle."""
+
+    b: int
+    t: int
+
+    def _twist(self, n: int) -> KnotFacts:
+        return _one_bridge_closure(self.winding, self.b, self.t + n * self.winding)
+
+
+@dataclass(frozen=True, slots=True)
+class _TablePattern(PatternFacts):
+    """Tabled twists; is_neg_lspace is asserted for n <= -threshold and
+    is_lspace for n >= pos_tail_from."""
+
+    entries: Mapping[int, KnotFacts]
+    pos_tail_from: int | None
+
+    def tail(self, n: int) -> str | None:
         if n in self.entries:
             return None
-        if self.neg_tail_from is not None and n <= -self.neg_tail_from:
+        if self.neg_lspace_threshold is not None and n <= -self.neg_lspace_threshold:
             return "negative"
         if self.pos_tail_from is not None and n >= self.pos_tail_from:
             return "positive"
         return None
 
-    def facts(self, n: int) -> KnotFacts:
+    def _twist(self, n: int) -> KnotFacts:
         if n in self.entries:
             return self.entries[n]
         tail = self.tail(n)
@@ -141,56 +165,23 @@ class TableTwistFamily:
         return KnotFacts(name, bound, True, unknot, True, unknot)
 
 
-@dataclass(frozen=True, slots=True)
-class PatternFacts:
-    """Combinatorial data of a pattern knot P ⊂ D^2 × S^1."""
-
-    name: str
-    winding: int
-    genus_s3: int
-    has_minimal_meridional_disk: bool
-    family: TorusTwistFamily | OneBridgeTwistFamily | TableTwistFamily
-    neg_lspace_threshold: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.winding < 0:
-            raise ValueError("winding must be nonnegative")
-        if self.has_minimal_meridional_disk and self.winding < 1:
-            raise ValueError(
-                "a meridional disk meeting P in w points forces winding >= 1"
-            )
-        if self.neg_lspace_threshold is not None and self.neg_lspace_threshold < 0:
-            raise ValueError("neg_lspace_threshold must be nonnegative")
-
-    def twisted_facts(self, n: int) -> KnotFacts:
-        """Full facts of the n-twisted satellite of the unknot P(U, n)."""
-        facts = self.family.facts(n)
-        bound = genus_twist_bound(self.genus_s3, self.winding, n)
-        if facts.genus > bound:
-            raise InvalidTwistFactsError(
-                f"{self.name}: genus {facts.genus} at twist {n} exceeds "
-                f"bound {bound}"
-            )
-        return facts
-
-
 def torus_pattern(p: int, q: int) -> PatternFacts:
     """The (p, q)-torus knot in its standard solid-torus embedding;
     p is the longitudinal winding and P(U, n) = T(p, q + n·p)."""
     if p < 2:
         raise ValueError(f"longitudinal winding p must be >= 2, got {p}")
     if gcd(p, q) != 1:
-        raise NotCoprimeError(f"torus pattern needs gcd(p, q) = 1, got ({p}, {q})")
+        raise ValueError(f"torus pattern needs gcd(p, q) = 1, got ({p}, {q})")
     genus_s3 = (p - 1) * (abs(q) - 1) // 2
     # Least N with q - N·p <= 1, clamped to be nonnegative.
     threshold = max(-(-(q - 1) // p), 0)
-    return PatternFacts(
+    return _TorusPattern(
         name=f"T({p},{q})-pattern",
         winding=p,
         genus_s3=genus_s3,
         has_minimal_meridional_disk=True,
-        family=TorusTwistFamily(p, q),
         neg_lspace_threshold=threshold,
+        q=q,
     )
 
 
@@ -211,19 +202,25 @@ def one_bridge_braid(
     """A 1-bridge braid pattern B(w, b, t) with bridge width b and t
     extra passes of the strand cycle; its closure must be a knot.
 
-    Each twist P(U, n) is B(w, b, t + n·w) (see OneBridgeTwistFamily);
-    the negative tail must be asserted through neg_lspace_threshold to
-    certify anything.
+    Each twist P(U, n) is B(w, b, t + n·w); the negative tail must be
+    asserted through neg_lspace_threshold to certify anything.
     """
-    family = OneBridgeTwistFamily(w, b, t)
-    genus_s3 = family.facts(0).genus
-    return PatternFacts(
+    if w < 3:
+        raise ValueError(f"need w >= 3 strands, got {w}")
+    if not 1 <= b <= w - 2:
+        raise ValueError(f"bridge width must satisfy 1 <= b <= w-2, got {b}")
+    # Full twists permute the strands trivially, so every P(U, n) has as
+    # many components as B(w, b, t mod w).
+    if closure_components(one_bridge_braid_word(w, b, t % w)) != 1:
+        raise UnknownTwistError(0, "closure is a link, not a knot")
+    return _OneBridgePattern(
         name=f"B({w},{b},{t})",
         winding=w,
-        genus_s3=genus_s3,
+        genus_s3=_one_bridge_closure(w, b, t).genus,
         has_minimal_meridional_disk=True,
-        family=family,
         neg_lspace_threshold=neg_lspace_threshold,
+        b=b,
+        t=t,
     )
 
 
@@ -236,21 +233,17 @@ def table_pattern(
     neg_threshold: int | None = None,
     pos_from: int | None = None,
 ) -> PatternFacts:
-    family = TableTwistFamily(
-        dict(twists), winding, genus_s3, neg_threshold, pos_from
-    )
     for n, facts in twists.items():
         if facts.genus > genus_twist_bound(genus_s3, winding, n):
-            raise InvalidTwistFactsError(
-                f"table entry n={n} violates the genus twist bound"
-            )
-    return PatternFacts(
+            raise ValueError(f"table entry n={n} violates the genus twist bound")
+    return _TablePattern(
         name=name,
         winding=winding,
         genus_s3=genus_s3,
         has_minimal_meridional_disk=has_disk,
-        family=family,
         neg_lspace_threshold=neg_threshold,
+        entries=dict(twists),
+        pos_tail_from=pos_from,
     )
 
 
@@ -297,20 +290,19 @@ def pattern_from_json(obj) -> PatternFacts:
 def pattern_to_json(p: PatternFacts) -> dict:
     """The JSON form that pattern_from_json reads back to p, for patterns
     built by torus_pattern, one_bridge_braid and table_pattern."""
-    f = p.family
-    if isinstance(f, TorusTwistFamily):
-        return {"torus_pattern": [f.p, f.q]}
+    if isinstance(p, _TorusPattern):
+        return {"torus_pattern": [p.winding, p.q]}
     threshold = p.neg_lspace_threshold
-    if isinstance(f, OneBridgeTwistFamily):
-        return {"one_bridge_braid": {"w": f.w, "b": f.b, "t": f.t, "neg_threshold": threshold}}
+    if isinstance(p, _OneBridgePattern):
+        return {"one_bridge_braid": {"w": p.winding, "b": p.b, "t": p.t, "neg_threshold": threshold}}
     return {
         "table": {
             "name": p.name,
             "winding": p.winding,
             "genus_s3": p.genus_s3,
             "has_disk": p.has_minimal_meridional_disk,
-            "twists": {str(n): companion_to_json(k) for n, k in f.entries.items()},
+            "twists": {str(n): companion_to_json(k) for n, k in p.entries.items()},
             "neg_threshold": threshold,
-            "pos_from": f.pos_tail_from,
+            "pos_from": p.pos_tail_from,
         }
     }

@@ -27,14 +27,6 @@ from math import gcd
 SLOPE_GRAMMAR = r"(?:[+-]?(?:inf|∞)|([+-]?\d+)(?:[^\S\n]*/[^\S\n]*([+-]?\d+))?)"
 
 
-class ZeroZeroError(ValueError):
-    """(0, 0) is not a point of QP^1."""
-
-
-class NotDistinctError(ValueError):
-    """Circular orientation is only defined for pairwise distinct slopes."""
-
-
 @dataclass(frozen=True)
 class Slope:
     """A point of QP^1, normalized on construction.
@@ -49,7 +41,7 @@ class Slope:
     def __post_init__(self) -> None:
         p, q = self.num, self.den
         if p == 0 and q == 0:
-            raise ZeroZeroError("(0, 0) does not represent a slope")
+            raise ValueError("(0, 0) does not represent a slope")
         g = gcd(p, q)
         p //= g
         q //= g
@@ -92,7 +84,7 @@ def _lt(a: Slope, b: Slope) -> bool:
 def slope_ccw(a: Slope, b: Slope, c: Slope) -> bool:
     """True iff b lies strictly inside the positively oriented arc a -> c."""
     if a == b or b == c or a == c:
-        raise NotDistinctError("slope_ccw needs pairwise distinct slopes")
+        raise ValueError("slope_ccw needs pairwise distinct slopes")
     if _lt(a, c):
         return _lt(a, b) and _lt(b, c)
     return _lt(a, b) or _lt(b, c)

@@ -27,7 +27,7 @@ from lspacesat import (
     torus_pattern,
 )
 from lspacesat.braids import closure_components
-from lspacesat.knots import InvalidKnotFactsError, companion_from_json
+from lspacesat.knots import companion_from_json
 from lspacesat.patterns import genus_twist_bound, one_bridge_braid_word
 from lspacesat.projective import Arc
 
@@ -46,7 +46,7 @@ def _torus_companion(pm):
 def _explicit_companion(fields):
     try:
         return KnotFacts(**fields), fields
-    except InvalidKnotFactsError:
+    except ValueError:
         return None
 
 

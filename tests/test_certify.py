@@ -23,8 +23,8 @@ from lspacesat import (
     torus_knot,
     torus_pattern,
 )
-from lspacesat.certify import NoThresholdError, ReplayMismatchError
-from lspacesat.patterns import PatternFacts, TableTwistFamily, UnknownTwistError
+from lspacesat.certify import ReplayMismatchError
+from lspacesat.patterns import UnknownTwistError
 
 import strategies
 
@@ -95,7 +95,7 @@ class TestChooseParams:
 
     def test_no_threshold(self):
         pat = table_pattern("bare", 2, 1, True, {0: torus_knot(2, 3)})
-        with pytest.raises(NoThresholdError):
+        with pytest.raises(ValueError, match="no negative-side tail"):
             choose_lemma_params(pat, 1)
 
     def test_chosen_params_pass_lemma(self):
@@ -179,15 +179,6 @@ class TestCertifySatellite:
         cert = certify_satellite(pat, TREFOIL)
         assert cert.verdict == NOT_CERTIFIED
         assert cert.reason.startswith("unknown-twist:")
-
-    def test_lemma_reads_the_twist_family_only(self):
-        # Hand-built, so the threshold asserts a negative tail that the
-        # twist family does not answer: P(U, -7) stays unknown.
-        family = TableTwistFamily({0: TREFOIL}, 2, 1, pos_tail_from=-2)
-        pat = PatternFacts("hand-built", 2, 1, True, family, neg_lspace_threshold=3)
-        cert = certify_satellite(pat, TREFOIL)
-        assert cert.verdict == NOT_CERTIFIED
-        assert cert.reason.startswith("unknown-twist:lemma")
 
     def test_trusted_inputs_recorded(self):
         cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
@@ -564,36 +555,6 @@ EXIT_LEM_7 = (
     r'"positive tail assertion used for twist -2 of t", '
     r'"meridional-disk condition asserted for t"]}'
 )
-EXIT_UNKNOWN_TWIST_LEMMA = (
-    r'{"pattern": {"table": {"name": "hand-built", "winding": 2, "genus_s3": 1, '
-    r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
-    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
-    r'"is_unknot": false}}, "neg_threshold": 3, "pos_from": -2}}, '
-    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
-    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
-    r'"verdict": "NOT_CERTIFIED", '
-    r'"reason": "unknown-twist:lemma (twist family cannot answer n = -7 (outside table '
-    r'and asserted tails))", "params": {"a": 2, "b": 7, "r": 13}, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
-    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
-    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
-    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
-    r'"pass": true, "values": {"winding": 2}}, '
-    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
-    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
-    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
-    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
-    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", "pass": true, '
-    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
-    r'{"id": "thm1.4", "statement": '
-    r'"negative L-space tail asserted for large negative twists", "pass": true, '
-    r'"values": {"threshold": 3}}], '
-    r'"trusted_inputs": ['
-    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
-    r'is_fibered=True, is_unknot=False)", '
-    r'"pattern facts: hand-built (winding=2, genus_s3=1, meridional_disk=True)", '
-    r'"positive tail assertion used for twist -2 of hand-built"]}'
-)
 EXIT_TABLE_CERTIFIED = (
     r'{"pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": -2}}, '
@@ -698,16 +659,6 @@ class TestCertificateText:
                 TREFOIL,
                 EXIT_LEM_7,
                 id="lem.7",
-            ),
-            pytest.param(
-                PatternFacts(
-                    "hand-built", 2, 1, True,
-                    TableTwistFamily({0: TREFOIL}, 2, 1, pos_tail_from=-2),
-                    neg_lspace_threshold=3,
-                ),
-                TREFOIL,
-                EXIT_UNKNOWN_TWIST_LEMMA,
-                id="unknown_twist_lemma",
             ),
             pytest.param(
                 table_pattern("t", 2, 1, True, {}, neg_threshold=7, pos_from=-2),

@@ -549,8 +549,8 @@ class TestSetAlgebra:
         assert code == 1 and "∪" in text
 
     def test_union(self):
-        code, text = run(["set-algebra", "--union", "[0, 1]", "[1, 2]"])
-        assert code == 0 and text.strip() == "[0/1, 2/1]"
+        code, text = run(["set-algebra", "--covers", "[0, 1]", "[1, 2]"])
+        assert code == 1 and text.strip() == "[0/1, 2/1]"
 
     def test_interior(self):
         code, text = run(["set-algebra", "--interior", "[1, inf]"])
@@ -563,6 +563,10 @@ class TestSetAlgebra:
     def test_no_operation(self):
         code, _ = run(["set-algebra"])
         assert code == 3
+
+    def test_two_operations(self):
+        code, text = run(["set-algebra", "--covers", "[0, 1]", "[1, 2]", "--interior", "[0, 1]"])
+        assert code == 3 and text == ""
 
 
 _SLOPE_TEXTS = st.sampled_from(["inf", "-inf", "+∞", "-∞"]) | st.builds(

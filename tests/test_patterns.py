@@ -20,15 +20,11 @@ from lspacesat import (
     torus_pattern,
 )
 from lspacesat.patterns import (
-    BridgeOutOfRangeError,
-    InvalidTwistFactsError,
-    PatternFacts,
-    TableTwistFamily,
     UnknownTwistError,
+    _TorusPattern,
     one_bridge_braid_word,
     pattern_to_json,
 )
-from lspacesat.knots import NotCoprimeError
 
 
 class TestTorusPattern:
@@ -60,7 +56,7 @@ class TestTorusPattern:
                 assert not pat.twisted_facts(-(n - 1)).is_neg_lspace
 
     def test_coprime_required(self):
-        with pytest.raises(NotCoprimeError):
+        with pytest.raises(ValueError, match="needs gcd"):
             torus_pattern(4, 6)
 
     def test_exact_family_consistency(self):
@@ -132,9 +128,9 @@ class TestOneBridgeBraid:
         assert checked == 96 * 9  # 96 of the 465 (w, b, t) close to knots
 
     def test_bridge_range(self):
-        with pytest.raises(BridgeOutOfRangeError):
+        with pytest.raises(ValueError, match="bridge width"):
             one_bridge_braid(5, 4, 1)
-        with pytest.raises(BridgeOutOfRangeError):
+        with pytest.raises(ValueError, match="strands"):
             one_bridge_braid(2, 1, 1)
 
     def test_genus_grows_by_full_twist_increment(self):
@@ -164,9 +160,14 @@ class TestGenusTwistBound:
         assert torus_pattern(2, 3).twisted_facts(-2).genus == 0 <= genus_twist_bound(1, 2, -2)
 
     def test_violating_answer_is_rejected(self):
-        family = TableTwistFamily({2: torus_knot(2, 99)}, winding=4, genus_s3=2)
-        pat = PatternFacts("bad", 4, 2, True, family)
-        with pytest.raises(InvalidTwistFactsError):
+        class Lying(_TorusPattern):
+            # A torus kind that answers T(2, 99), of genus 49, for every twist.
+            def _twist(self, n):
+                return torus_knot(2, 99)
+
+        pat = Lying("bad", 2, 1, True, 1, 3)
+        assert pat.twisted_facts(48) == torus_knot(2, 99)  # bound 1 + 48 = 49
+        with pytest.raises(ValueError, match="genus 49 at twist 2 exceeds bound 3"):
             pat.twisted_facts(2)
 
 
