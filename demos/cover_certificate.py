@@ -8,6 +8,7 @@ L-space slopes (1, ∞) it covers the whole circle of gluing slopes.
 """
 
 from lspacesat import (
+    Slope,
     SlopeSet,
     certify_satellite,
     meridian_longitude_swap,
@@ -22,19 +23,23 @@ trefoil = torus_knot(2, 3)
 cert = certify_satellite(pattern, trefoil)
 print("verdict:", cert.verdict)
 print("params:", cert.params)
-print("companion L-space slopes:", cert.companion_set)
-print("pattern-side closed arc:", cert.pattern_side_set)
-print("glued strict image:     ", cert.glued_image)
+# The certificate records each fact once: the arc follows from params,
+# and the cover check holds the two strict sets it joins.
+arc = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b))
+cover = cert.checks[-1]["values"]
+print("pattern-side closed arc:    ", arc)
+print("companion strict slopes s1: ", cover["s1"])
+print("glued strict image s2:      ", cover["s2"])
 
 print("\naudit trail:")
 for check in cert.checks:
     mark = "ok " if check["pass"] else "FAIL"
     print(f"  [{mark}] {check['id']:16s} {check['statement']}")
 
-# The gluing map acts by reciprocal; watch the arc endpoints transport.
+# The gluing map acts by reciprocal and is its own inverse: swapping the
+# glued image back gives the interior of the pattern arc.
 h = meridian_longitude_swap()
-side = SlopeSet.parse(cert.pattern_side_set)
-print("\nswap image of the pattern arc:", h.image_of_set(side))
+print("\nswap of s2:", h.image_of_set(SlopeSet.parse(cover["s2"])))
 
 # Certificates are self-contained JSON and replay to the same verdict.
 replayed = replay_certificate(cert)

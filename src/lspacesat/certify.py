@@ -15,19 +15,21 @@ L-space, so P(K) is an L-space knot", with r recorded.
 
 A certificate carries its own pattern and companion, so replay is the
 pipeline re-run on those inputs and compared with what the certificate
-records; nothing recorded is trusted on its own.  Each check is built
-once, in its JSON form {"id", "statement", "pass", "values"}, so writing
-a certificate passes the checks through and replay compares them as
-loaded.
+records; nothing recorded is trusted on its own, and each fact is
+recorded once (the arc [1/a → ∞ → 1/b] is read off params).  from_dict
+reads exactly the keys to_dict writes and refuses any other key set,
+older certificates included.  Each check is built once, in its JSON form
+{"id", "statement", "pass", "values"}, so writing a certificate passes
+the checks through and replay compares them as loaded.
 
-Each stage returns its checks and nothing that can be read off them:
-necessary_check its list of checks, check_lemma its checks with the
-trusted inputs it read, and Theorem 1 and the gluing cover append theirs
-inside certify_satellite.  A verdict's reason is the id of the first
-failing check (_first_failure), or unknown-twist:necessary or
-unknown-twist:thm1.3 when the pattern cannot answer the twist that stage
-reads; past thm1.3 every twist read is answered.  A trusted input is
-recorded once, where it was first read.
+Each stage returns its list of checks and nothing that can be read off
+them: necessary_check and check_lemma, while Theorem 1 and the gluing
+cover append theirs inside certify_satellite, which alone composes the
+trusted inputs.  A verdict's reason is the id of the first failing check
+(_first_failure), or unknown-twist:necessary or unknown-twist:thm1.3
+when the pattern cannot answer the twist that stage reads; past thm1.3
+every twist read is answered.  A trusted input is recorded once, where
+it was first read.
 """
 
 from __future__ import annotations
@@ -122,9 +124,6 @@ class Certificate:
     verdict: str
     reason: str | None
     params: LemmaParams | None
-    companion_set: str
-    pattern_side_set: str
-    glued_image: str
     checks: list[dict]
     trusted_inputs: list[str]
 
@@ -137,9 +136,6 @@ class Certificate:
             "verdict": self.verdict,
             "reason": self.reason,
             "params": None if self.params is None else self.params.to_dict(),
-            "companion_set": self.companion_set,
-            "pattern_side_set": self.pattern_side_set,
-            "glued_image": self.glued_image,
             "checks": self.checks,
             "trusted_inputs": self.trusted_inputs,
         }
@@ -150,17 +146,17 @@ class Certificate:
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
         """Parse the inputs and params; every other field is kept as
-        loaded, for replay to compare with its re-run."""
-        params = d.get("params")
+        loaded, for replay to compare with its re-run.  Raises ValueError
+        unless d holds exactly the keys to_dict writes."""
+        if d.keys() != _CERTIFICATE_KEYS:
+            raise ValueError(f"certificate keys {sorted(d)} are not {sorted(_CERTIFICATE_KEYS)}")
+        params = d["params"]
         return cls(
             pattern=pattern_from_json(d["pattern"]),
             companion=companion_from_json(d["companion"]),
             verdict=d["verdict"],
-            reason=d.get("reason"),
+            reason=d["reason"],
             params=None if params is None else LemmaParams(**params),
-            companion_set=d["companion_set"],
-            pattern_side_set=d["pattern_side_set"],
-            glued_image=d["glued_image"],
             checks=d["checks"],
             trusted_inputs=d["trusted_inputs"],
         )
@@ -170,15 +166,17 @@ class Certificate:
         return cls.from_dict(_CERTIFICATE_JSON.decode(text))
 
 
+_CERTIFICATE_KEYS = frozenset(f.name for f in fields(Certificate))
+
+
 # -- the Lemma machinery ------------------------------------------------
 
 
-def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> tuple[list[dict], list[str]]:
+def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[dict]:
     """Audit the hypotheses guaranteeing that the closed arc from 1/a
     through ∞ to 1/b consists of L-space filling slopes of the
     r-surgered pattern complement.  Returns the checks, whose passing
-    together certifies the arc, and the trusted inputs read, in reading
-    order.
+    together certifies the arc.
 
     Raises UnknownTwistError when the pattern cannot answer P(U, -a) or
     P(U, -b)."""
@@ -190,7 +188,7 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> tuple[list[dict], li
     facts_a = p.twisted_facts(-a)
     facts_b = p.twisted_facts(-b)
     aw2, bw2 = a * w * w, b * w * w
-    checks = [
+    return [
         _ge("lem.2", "winding number w >= 2", w, 2, w=w),
         _flag("lem.3", "axis bounds a disk meeting the pattern in w points", disk),
         _ge(
@@ -233,8 +231,6 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> tuple[list[dict], li
             {"aw2": aw2, "r": r, "bw2": bw2},
         ),
     ]
-    trusted = [f"meridional-disk condition asserted for {p.name}"] if disk else []
-    return checks, trusted + _tail_note(p, -a) + _tail_note(p, -b)
 
 
 def choose_lemma_params(p: PatternFacts, g_k: int) -> LemmaParams:
@@ -305,12 +301,9 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
         f"meridional_disk={p.has_minimal_meridional_disk})",
     ]
 
-    def result(verdict, reason, params=None, companion="", side="", glued=""):
+    def result(verdict, reason, params=None):
         # The one dedup rule: a trusted input read twice is kept where first read.
-        return Certificate(
-            p, k, verdict, reason, params, companion, side, glued, checks,
-            list(dict.fromkeys(trusted)),
-        )
+        return Certificate(p, k, verdict, reason, params, checks, list(dict.fromkeys(trusted)))
 
     try:
         checks += necessary_check(p, k)
@@ -361,34 +354,27 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     params = choose_lemma_params(p, k.genus)
     # No UnknownTwistError: thm1.3 has read P(U, -a), and every pattern
     # answers P(U, -b) for b at or past its threshold.
-    lemma_checks, lemma_trusted = check_lemma(p, params.a, params.b, params.r)
-    checks += lemma_checks
-    trusted += lemma_trusted
+    checks += check_lemma(p, params.a, params.b, params.r)
+    # thm1.2 passed, so the disk is asserted; P(U, -a) is thm1.3's twist,
+    # whose tail line is already recorded.
+    trusted.append(f"meridional-disk condition asserted for {p.name}")
+    trusted += _tail_note(p, -params.b)
     if reason := _first_failure(checks):
         return result(NOT_CERTIFIED, reason, params)
 
     arc = SlopeSet.arc(Slope(1, params.a), Slope(1, params.b))
-    companion_set = lspace_slope_set(k)
-    companion_strict = companion_set.interior()
+    companion_strict = lspace_slope_set(k).interior()
     glued = _SWAP.image_of_set(arc.interior())
-    glued_text = str(glued)
     covered = covers_circle(companion_strict, glued)
     checks.append(
         _check(
             "hrrw.cover",
             "strict slope sets of the two sides jointly cover QP^1",
             covered,
-            {"s1": str(companion_strict), "s2": glued_text},
+            {"s1": str(companion_strict), "s2": str(glued)},
         )
     )
-    return result(
-        CERTIFIED if covered else NOT_CERTIFIED,
-        _first_failure(checks),
-        params,
-        companion=str(companion_set),
-        side=str(arc),
-        glued=glued_text,
-    )
+    return result(CERTIFIED if covered else NOT_CERTIFIED, _first_failure(checks), params)
 
 
 @dataclass(slots=True)

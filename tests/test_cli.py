@@ -48,7 +48,6 @@ def _cover_only(data):
     cover = data["checks"][-1]
     cover["values"]["s1"] = "FULL"
     data["checks"] = [cover]
-    data["companion_set"] = "junk"
     return json.dumps(data)
 
 
@@ -110,6 +109,25 @@ FORGERIES = {
     "operand_nan": (TORUS_23, "trefoil", lambda data: _operand(data, float("nan"))),
     "operand_infinity": (TORUS_23, "trefoil", lambda data: _operand(data, float("inf"))),
     "without_inputs": (TORUS_23, "trefoil", _without_inputs),
+    # Replay reads exactly the keys a certificate is written with: a
+    # missing reason or params, an extra key, or a key of older
+    # certificates exits 3.
+    "certified_without_reason": (
+        TORUS_23,
+        "trefoil",
+        lambda data: json.dumps({k: v for k, v in data.items() if k != "reason"}),
+    ),
+    "not_certified_without_params": (
+        '{"torus_pattern": [3, 4]}',
+        "trefoil",
+        lambda data: json.dumps({k: v for k, v in data.items() if k != "params"}),
+    ),
+    "extra_key": (TORUS_23, "trefoil", lambda data: json.dumps({**data, "note": "x"})),
+    "old_glued_image": (
+        TORUS_23,
+        "trefoil",
+        lambda data: json.dumps({**data, "glued_image": "(7/1, inf] ∪ [-inf, 2/1)"}),
+    ),
 }
 
 
@@ -268,10 +286,13 @@ class TestCertify:
             ),
             # A knot of genus 0 is the unknot.
             (TORUS_23, GENUS_ZERO_NOT_UNKNOT),
+            # JSON nested past the decoder's recursion limit.
+            ("[" * 5000 + "]" * 5000, "trefoil"),
             b'{"verdict": "CERTIFIED"}',
             b"not json",
             b"\xd0\x00",
             b"[]",
+            b"[" * 100_000,
             *FORGERIES,
         ],
         ids=[
@@ -287,10 +308,12 @@ class TestCertify:
             "table_disk_is_a_string",
             "table_twist_key_not_decimal",
             "companion_genus_zero_not_unknot",
+            "pattern_nested_too_deeply",
             "incomplete",
             "not_json",
             "not_utf8",
             "json_list",
+            "replay_nested_too_deeply",
             *FORGERIES,
         ],
     )

@@ -127,7 +127,9 @@ class TestCableCriterion:
         for p in range(2, 7):
             for q in range(-9, 10):
                 if gcd(p, q) == 1:
-                    assert cable_facts(UNKNOT, p, q) == torus_knot(p, q)
+                    facts = cable_facts(UNKNOT, p, q)
+                    assert facts == torus_knot(p, q)
+                    assert cable_is_lspace_exact(UNKNOT, p, q) == facts.is_lspace
 
     @pytest.mark.parametrize("companion", [UNKNOT, torus_knot(2, 3)], ids=["unknot", "trefoil"])
     @pytest.mark.parametrize(
