@@ -16,20 +16,22 @@ L-space, so P(K) is an L-space knot", with r recorded.
 A certificate carries its own pattern and companion, so replay is the
 pipeline re-run on those inputs and compared with what the certificate
 records; nothing recorded is trusted on its own, and each fact is
-recorded once (the arc [1/a → ∞ → 1/b] is read off params).  from_dict
-reads exactly the keys to_dict writes and refuses any other key set,
+recorded once (the arc [1/a → ∞ → 1/b] is read off params).  from_json
+reads exactly the keys to_json writes and refuses any other key set,
 older certificates included.  Each check is built once, in its JSON form
 {"id", "statement", "pass", "values"}, so writing a certificate passes
-the checks through and replay compares them as loaded.
+the checks through and replay compares them as loaded.  The trusted
+inputs are read off the two inputs, not off the run: the companion's
+facts, which replay takes as given, then what the pattern asserts
+(PatternFacts.asserted), so every run on a pair lists the same.
 
 Each stage returns its list of checks and nothing that can be read off
 them: necessary_check and check_lemma, while Theorem 1 and the gluing
-cover append theirs inside certify_satellite, which alone composes the
-trusted inputs.  A verdict's reason is the id of the first failing check
-(_first_failure), or unknown-twist:necessary or unknown-twist:thm1.3
-when the pattern cannot answer the twist that stage reads; past thm1.3
-every twist read is answered.  A trusted input is recorded once, where
-it was first read.
+cover append theirs inside certify_satellite.  A verdict's reason is the
+id of the first failing check (_first_failure), or
+unknown-twist:necessary or unknown-twist:thm1.3 when the pattern cannot
+answer the twist that stage reads; past thm1.3 every twist read is
+answered.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .knots import (
     cable_is_lspace_exact,
     companion_from_json,
     companion_to_json,
+    facts_note,
     lspace_slope_set,
 )
 from .patterns import (
@@ -91,13 +94,6 @@ def _first_failure(checks: list[dict]) -> str | None:
     return next((c["id"] for c in checks if not c["pass"]), None)
 
 
-def _tail_note(p: PatternFacts, n: int) -> list[str]:
-    """The trusted-input line of the asserted table tail that answered
-    P(U, n); none for a twist the pattern derives or tables."""
-    side = p.tail(n)
-    return [] if side is None else [f"{side} tail assertion used for twist {n} of {p.name}"]
-
-
 @dataclass(frozen=True)
 class LemmaParams:
     a: int
@@ -127,27 +123,28 @@ class Certificate:
     checks: list[dict]
     trusted_inputs: list[str]
 
-    def to_dict(self) -> dict:
-        """The JSON form; checks and trusted_inputs are this certificate's
-        own lists, not copies."""
-        return {
-            "pattern": pattern_to_json(self.pattern),
-            "companion": companion_to_json(self.companion),
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "params": None if self.params is None else self.params.to_dict(),
-            "checks": self.checks,
-            "trusted_inputs": self.trusted_inputs,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(
+            {
+                "pattern": pattern_to_json(self.pattern),
+                "companion": companion_to_json(self.companion),
+                "verdict": self.verdict,
+                "reason": self.reason,
+                "params": None if self.params is None else self.params.to_dict(),
+                "checks": self.checks,
+                "trusted_inputs": self.trusted_inputs,
+            }
+        )
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
+    def from_json(cls, text: str) -> "Certificate":
         """Parse the inputs and params; every other field is kept as
         loaded, for replay to compare with its re-run.  Raises ValueError
-        unless d holds exactly the keys to_dict writes."""
+        unless text is a JSON object with exactly the keys to_json
+        writes."""
+        d = _CERTIFICATE_JSON.decode(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"a certificate is a JSON object, got {type(d).__name__}")
         if d.keys() != _CERTIFICATE_KEYS:
             raise ValueError(f"certificate keys {sorted(d)} are not {sorted(_CERTIFICATE_KEYS)}")
         params = d["params"]
@@ -160,10 +157,6 @@ class Certificate:
             checks=d["checks"],
             trusted_inputs=d["trusted_inputs"],
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        return cls.from_dict(_CERTIFICATE_JSON.decode(text))
 
 
 _CERTIFICATE_KEYS = frozenset(f.name for f in fields(Certificate))
@@ -283,11 +276,7 @@ _SWAP = meridian_longitude_swap()
 def _companion_note(k: KnotFacts) -> str:
     """The trusted-input line of a companion: built once per companion
     and shared by the certificates that name it."""
-    return (
-        f"companion facts: {k.name} (genus={k.genus}, is_lspace={k.is_lspace}, "
-        f"is_neg_lspace={k.is_neg_lspace}, is_fibered={k.is_fibered}, "
-        f"is_unknot={k.is_unknot})"
-    )
+    return f"companion facts: {facts_note(k)}"
 
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
@@ -295,21 +284,15 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     self-contained certificate (a total function: every failure mode
     becomes a NotCertified or Rejected verdict)."""
     checks: list[dict] = []
-    trusted = [
-        _companion_note(k),
-        f"pattern facts: {p.name} (winding={p.winding}, genus_s3={p.genus_s3}, "
-        f"meridional_disk={p.has_minimal_meridional_disk})",
-    ]
+    trusted = [_companion_note(k), *p.asserted()]
 
     def result(verdict, reason, params=None):
-        # The one dedup rule: a trusted input read twice is kept where first read.
-        return Certificate(p, k, verdict, reason, params, checks, list(dict.fromkeys(trusted)))
+        return Certificate(p, k, verdict, reason, params, checks, trusted)
 
     try:
         checks += necessary_check(p, k)
     except UnknownTwistError as e:
         return result(NOT_CERTIFIED, f"unknown-twist:necessary ({e})")
-    trusted += _tail_note(p, 0)
     if reason := _first_failure(checks):
         return result(REJECTED, reason)
 
@@ -339,7 +322,6 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     ]
     if unknown:
         return result(NOT_CERTIFIED, unknown)
-    trusted += _tail_note(p, n)
     checks.append(
         _flag(
             "thm1.4",
@@ -355,10 +337,6 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     # No UnknownTwistError: thm1.3 has read P(U, -a), and every pattern
     # answers P(U, -b) for b at or past its threshold.
     checks += check_lemma(p, params.a, params.b, params.r)
-    # thm1.2 passed, so the disk is asserted; P(U, -a) is thm1.3's twist,
-    # whose tail line is already recorded.
-    trusted.append(f"meridional-disk condition asserted for {p.name}")
-    trusted += _tail_note(p, -params.b)
     if reason := _first_failure(checks):
         return result(NOT_CERTIFIED, reason, params)
 

@@ -51,6 +51,7 @@ EXIT_REJECTED = 2
 EXIT_INPUT = 3
 
 _VERDICT_EXIT = {CERTIFIED: EXIT_OK, NOT_CERTIFIED: EXIT_NOT_CERTIFIED, REJECTED: EXIT_REJECTED}
+_ERROR_CHARS = 500  # a longer error message keeps both ends: the input's start, the reason
 
 
 class InputError(Exception):
@@ -292,7 +293,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except (InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        text = str(e)
+        if len(text) > _ERROR_CHARS:
+            text = f"{text[:_ERROR_CHARS // 2]}…{text[-_ERROR_CHARS // 2:]}"
+        print(f"error: {text}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -56,6 +56,15 @@ class KnotFacts:
 UNKNOT = KnotFacts("unknot", 0, True, True, True, True)
 
 
+def facts_note(k: KnotFacts) -> str:
+    """k's name and every fact, as trusted-input lines quote a knot."""
+    return (
+        f"{k.name} (genus={k.genus}, is_lspace={k.is_lspace}, "
+        f"is_neg_lspace={k.is_neg_lspace}, is_fibered={k.is_fibered}, "
+        f"is_unknot={k.is_unknot})"
+    )
+
+
 def torus_knot(p: int, m: int) -> KnotFacts:
     """The (p, m) torus knot, p >= 2; m = ±1 gives the unknot.
 

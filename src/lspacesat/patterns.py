@@ -15,8 +15,9 @@ data its answer needs:
   threshold itself.
 
 Patterns are built by torus_pattern, one_bridge_braid and table_pattern.
-Everything the engine cannot derive is a trusted input and is recorded
-as such by the certifier.
+Each kind lists in asserted() what it takes as given, the certificate's
+trusted inputs: nothing for torus and one-bridge patterns, which derive
+every fact, and a table's facts, entries and declared tails.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .knots import (
     KnotFacts,
     companion_from_json,
     companion_to_json,
+    facts_note,
     json_flag,
     json_int,
     torus_knot,
@@ -77,10 +79,11 @@ class PatternFacts:
     def _twist(self, n: int) -> KnotFacts:
         raise NotImplementedError
 
-    def tail(self, n: int) -> str | None:
-        """The asserted tail that answers P(U, n), "negative" or
-        "positive"; None when the twist is derived or tabled."""
-        return None
+    def asserted(self) -> list[str]:
+        """The facts this pattern takes as given, one trusted-input line
+        each; none for torus and one-bridge patterns, which derive every
+        fact."""
+        return []
 
     def twisted_facts(self, n: int) -> KnotFacts:
         """Full facts of the n-twisted satellite of the unknot P(U, n)."""
@@ -122,7 +125,8 @@ def _one_bridge_closure(w: int, b: int, t: int) -> KnotFacts:
 @dataclass(frozen=True, slots=True)
 class _OneBridgePattern(PatternFacts):
     """P(U, n) of B(w, b, t) is the closure of B(w, b, t + n·w), since a
-    full twist is w more passes of the strand cycle."""
+    full twist is w more passes of the strand cycle.  Its threshold only
+    picks b: lem.7 derives P(U, -b), so no verdict rests on it."""
 
     b: int
     t: int
@@ -139,30 +143,34 @@ class _TablePattern(PatternFacts):
     entries: Mapping[int, KnotFacts]
     pos_tail_from: int | None
 
-    def tail(self, n: int) -> str | None:
-        if n in self.entries:
-            return None
-        if self.neg_lspace_threshold is not None and n <= -self.neg_lspace_threshold:
-            return "negative"
-        if self.pos_tail_from is not None and n >= self.pos_tail_from:
-            return "positive"
-        return None
+    def asserted(self) -> list[str]:
+        """The facts line, then each tabled twist in table order, then
+        each declared tail."""
+        lines = [
+            f"pattern facts: {self.name} (winding={self.winding}, "
+            f"genus_s3={self.genus_s3}, meridional_disk={self.has_minimal_meridional_disk})",
+            *(f"twist {n} of {self.name}: {facts_note(k)}" for n, k in self.entries.items()),
+        ]
+        if self.neg_lspace_threshold is not None:
+            lines.append(f"negative tail of {self.name}: n <= -{self.neg_lspace_threshold}")
+        if self.pos_tail_from is not None:
+            lines.append(f"positive tail of {self.name}: n >= {self.pos_tail_from}")
+        return lines
 
     def _twist(self, n: int) -> KnotFacts:
         if n in self.entries:
             return self.entries[n]
-        tail = self.tail(n)
-        if tail is None:
-            raise UnknownTwistError(n, "outside table and asserted tails")
         # Tail assertions pin the flags only; the genus field carries the
         # twisting upper bound, which is all downstream checks consume.  A
         # bound of 0 pins the knot itself: genus 0 is the unknot.
         bound = genus_twist_bound(self.genus_s3, self.winding, n)
         name = f"table tail n={n}"
         unknot = bound == 0
-        if tail == "negative":
+        if self.neg_lspace_threshold is not None and n <= -self.neg_lspace_threshold:
             return KnotFacts(name, bound, unknot, True, True, unknot)
-        return KnotFacts(name, bound, True, unknot, True, unknot)
+        if self.pos_tail_from is not None and n >= self.pos_tail_from:
+            return KnotFacts(name, bound, True, unknot, True, unknot)
+        raise UnknownTwistError(n, "outside table and asserted tails")
 
 
 def torus_pattern(p: int, q: int) -> PatternFacts:
@@ -202,8 +210,8 @@ def one_bridge_braid(
     """A 1-bridge braid pattern B(w, b, t) with bridge width b and t
     extra passes of the strand cycle; its closure must be a knot.
 
-    Each twist P(U, n) is B(w, b, t + n·w); the negative tail must be
-    asserted through neg_lspace_threshold to certify anything.
+    Each twist P(U, n) is B(w, b, t + n·w); thm1.4 certifies nothing
+    without neg_lspace_threshold, which picks the lemma's b.
     """
     if w < 3:
         raise ValueError(f"need w >= 3 strands, got {w}")

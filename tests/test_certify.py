@@ -25,13 +25,22 @@ from lspacesat import (
     torus_pattern,
 )
 from lspacesat.certify import ReplayMismatchError
-from lspacesat.patterns import UnknownTwistError
+from lspacesat.patterns import UnknownTwistError, pattern_to_json
 
 import strategies
 
 TREFOIL = torus_knot(2, 3)
 FIGURE8 = KnotFacts("4_1", 1, False, False, True, False)
 UNFIBERED = KnotFacts("unfibered", 2, False, False, False, False)
+
+
+def companion_line(k):
+    """The trusted-input line of companion k."""
+    return (
+        f"companion facts: {k.name} (genus={k.genus}, is_lspace={k.is_lspace}, "
+        f"is_neg_lspace={k.is_neg_lspace}, is_fibered={k.is_fibered}, "
+        f"is_unknot={k.is_unknot})"
+    )
 
 
 def failed(checks):
@@ -182,28 +191,42 @@ class TestCertifySatellite:
         assert cert.verdict == NOT_CERTIFIED
         assert cert.reason.startswith("unknown-twist:")
 
-    def test_trusted_inputs_recorded(self):
-        cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
-        assert any("meridional-disk" in t for t in cert.trusted_inputs)
+    def test_trusted_inputs_are_companion_and_asserted(self):
+        """Torus and one-bridge patterns derive every fact, so only the
+        companion is trusted."""
+        for pat, k in GENUINE:
+            cert = certify_satellite(pat, k)
+            assert cert.trusted_inputs == [companion_line(k), *pat.asserted()]
+            if "table" not in pattern_to_json(pat):
+                assert cert.trusted_inputs == [companion_line(k)]
 
     @pytest.mark.parametrize(
-        "twists, tails",
+        "twists, pos_from, verdict, reason",
         [
-            # thm1.3 and lem.6 read the positive tail at -2, lem.7 the
-            # negative tail at -7; P(U, 0) is a table entry.
-            ({0: TREFOIL}, [("positive", -2), ("negative", -7)]),
-            # Without the entry, necessary's P(U, 0) is a tail too.
-            ({}, [("positive", 0), ("positive", -2), ("negative", -7)]),
+            # thm1.3 and lem.6 read the entry at -2, lem.7 the negative tail.
+            ({0: TREFOIL, -2: torus_knot(2, -1)}, -1, CERTIFIED, ""),
+            # P(U, 0) is neither an entry nor in a tail, so the run stops at
+            # the first twist it reads, having read no other.
+            ({1: TREFOIL, -2: torus_knot(2, -1)}, 2, NOT_CERTIFIED, "unknown-twist:necessary"),
         ],
-        ids=["entry_at_0", "tail_at_0"],
+        ids=["certified", "unknown_twist_necessary"],
     )
-    def test_trusted_inputs_name_every_table_tail_read(self, twists, tails):
-        pat = table_pattern("t", 2, 1, True, twists, neg_threshold=7, pos_from=-2)
+    def test_trusted_inputs_of_a_table(self, twists, pos_from, verdict, reason):
+        """A table's trusted inputs are its facts, entries and tails,
+        however far the run reads."""
+        pat = table_pattern("t", 2, 1, True, twists, neg_threshold=7, pos_from=pos_from)
         cert = certify_satellite(pat, TREFOIL)
-        assert cert.verdict == CERTIFIED
-        recorded = [t for t in cert.trusted_inputs if "tail" in t]
-        assert recorded == [
-            f"{side} tail assertion used for twist {n} of t" for side, n in tails
+        assert cert.verdict == verdict and (cert.reason or "").startswith(reason)
+        n1, n2 = twists
+        assert cert.trusted_inputs == [
+            companion_line(TREFOIL),
+            "pattern facts: t (winding=2, genus_s3=1, meridional_disk=True)",
+            f"twist {n1} of t: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, "
+            "is_fibered=True, is_unknot=False)",
+            f"twist {n2} of t: T(2,-1) (genus=0, is_lspace=True, is_neg_lspace=True, "
+            "is_fibered=True, is_unknot=True)",
+            "negative tail of t: n <= -7",
+            f"positive tail of t: n >= {pos_from}",
         ]
 
 
@@ -256,10 +279,10 @@ class TestCertificateSerialization:
 
     def test_tampered_certificate_detected(self):
         cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
-        data = cert.to_dict()
+        data = json.loads(cert.to_json())
         data["checks"][-1]["values"]["s1"] = "EMPTY"
         with pytest.raises(ReplayMismatchError):
-            replay_certificate(Certificate.from_dict(data))
+            replay_certificate(Certificate.from_json(json.dumps(data)))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -277,7 +300,7 @@ class TestCertificateSerialization:
         data = json.loads(cert.to_json())
         data[field] = value
         with pytest.raises(ReplayMismatchError, match=f"^field '{field}' differs"):
-            replay_certificate(Certificate.from_dict(data))
+            replay_certificate(Certificate.from_json(json.dumps(data)))
 
 
 # The exact certificate text.  A change of representation that moves a
@@ -318,9 +341,7 @@ CABLE_2_3_OF_TREFOIL = (
     r'"pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, inf] \u222a [-inf, 2/1)"}}], '
     r'"trusted_inputs": ['
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
-    r'is_fibered=True, is_unknot=False)", '
-    r'"pattern facts: T(2,3)-pattern (winding=2, genus_s3=1, meridional_disk=True)", '
-    r'"meridional-disk condition asserted for T(2,3)-pattern"]}'
+    r'is_fibered=True, is_unknot=False)"]}'
 )
 CABLE_3_2_OF_TREFOIL = (
     r'{"pattern": {"torus_pattern": [3, 2]}, '
@@ -342,13 +363,12 @@ CABLE_3_2_OF_TREFOIL = (
     r'"pass": true, "values": {"threshold": 1}}], '
     r'"trusted_inputs": ['
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
-    r'is_fibered=True, is_unknot=False)", '
-    r'"pattern facts: T(3,2)-pattern (winding=3, genus_s3=1, meridional_disk=True)"]}'
+    r'is_fibered=True, is_unknot=False)"]}'
 )
 
 
-# One certificate for each other exit path of certify_satellite; the last
-# pins the order of trusted_inputs, tails included.
+# One certificate for each other exit path of certify_satellite; the table
+# ones pin the order of trusted_inputs: facts, entries, then tails.
 EXIT_UNKNOWN_TWIST_NECESSARY = (
     r'{"pattern": {"table": {"name": "gap", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": null}}, '
@@ -361,7 +381,8 @@ EXIT_UNKNOWN_TWIST_NECESSARY = (
     r'"trusted_inputs": ['
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)", '
-    r'"pattern facts: gap (winding=2, genus_s3=1, meridional_disk=True)"]}'
+    r'"pattern facts: gap (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"negative tail of gap: n <= -7"]}'
 )
 EXIT_REJECTED_FIBERED = (
     r'{"pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "unfibered", '
@@ -375,8 +396,7 @@ EXIT_REJECTED_FIBERED = (
     r'"pass": true, "values": {"winding": 2}}], '
     r'"trusted_inputs": ['
     r'"companion facts: unfibered (genus=2, is_lspace=False, is_neg_lspace=False, '
-    r'is_fibered=False, is_unknot=False)", '
-    r'"pattern facts: T(2,3)-pattern (winding=2, genus_s3=1, meridional_disk=True)"]}'
+    r'is_fibered=False, is_unknot=False)"]}'
 )
 EXIT_REJECTED_WINDING = (
     r'{"pattern": {"table": {"name": "core-less", "winding": 0, "genus_s3": 1, '
@@ -394,7 +414,9 @@ EXIT_REJECTED_WINDING = (
     r'"trusted_inputs": ['
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)", '
-    r'"pattern facts: core-less (winding=0, genus_s3=1, meridional_disk=False)"]}'
+    r'"pattern facts: core-less (winding=0, genus_s3=1, meridional_disk=False)", '
+    r'"twist 0 of core-less: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)"]}'
 )
 EXIT_UNKNOWN_TWIST_THM1_3 = (
     r'{"pattern": {"table": {"name": "sparse", "winding": 2, "genus_s3": 1, '
@@ -422,7 +444,10 @@ EXIT_UNKNOWN_TWIST_THM1_3 = (
     r'"trusted_inputs": ['
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)", '
-    r'"pattern facts: sparse (winding=2, genus_s3=1, meridional_disk=True)"]}'
+    r'"pattern facts: sparse (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"twist 0 of sparse: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"negative tail of sparse: n <= -50"]}'
 )
 EXIT_THM1_1 = (
     r'{"pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "4_1", "genus": 1, '
@@ -445,8 +470,7 @@ EXIT_THM1_1 = (
     r'"values": {"threshold": 1}}], '
     r'"trusted_inputs": ['
     r'"companion facts: 4_1 (genus=1, is_lspace=False, is_neg_lspace=False, '
-    r'is_fibered=True, is_unknot=False)", '
-    r'"pattern facts: T(2,3)-pattern (winding=2, genus_s3=1, meridional_disk=True)"]}'
+    r'is_fibered=True, is_unknot=False)"]}'
 )
 EXIT_THM1_2 = (
     r'{"pattern": {"table": {"name": "no-disk", "winding": 2, "genus_s3": 1, '
@@ -474,7 +498,10 @@ EXIT_THM1_2 = (
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)", '
     r'"pattern facts: no-disk (winding=2, genus_s3=1, meridional_disk=False)", '
-    r'"positive tail assertion used for twist -2 of no-disk"]}'
+    r'"twist 0 of no-disk: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"negative tail of no-disk: n <= -7", '
+    r'"positive tail of no-disk: n >= -2"]}'
 )
 EXIT_THM1_4 = (
     r'{"pattern": {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, '
@@ -498,8 +525,7 @@ EXIT_THM1_4 = (
     r'"values": {"threshold": null}}], '
     r'"trusted_inputs": ['
     r'"companion facts: T(2,5) (genus=2, is_lspace=True, is_neg_lspace=False, '
-    r'is_fibered=True, is_unknot=False)", '
-    r'"pattern facts: B(5,2,21) (winding=5, genus_s3=41, meridional_disk=True)"]}'
+    r'is_fibered=True, is_unknot=False)"]}'
 )
 EXIT_LEM_7 = (
     r'{"pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
@@ -547,8 +573,12 @@ EXIT_LEM_7 = (
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)", '
     r'"pattern facts: t (winding=2, genus_s3=1, meridional_disk=True)", '
-    r'"positive tail assertion used for twist -2 of t", '
-    r'"meridional-disk condition asserted for t"]}'
+    r'"twist 0 of t: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"twist -7 of t: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", '
+    r'"negative tail of t: n <= -7", '
+    r'"positive tail of t: n >= -2"]}'
 )
 EXIT_TABLE_CERTIFIED = (
     r'{"pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
@@ -595,10 +625,8 @@ EXIT_TABLE_CERTIFIED = (
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)", '
     r'"pattern facts: t (winding=2, genus_s3=1, meridional_disk=True)", '
-    r'"positive tail assertion used for twist 0 of t", '
-    r'"positive tail assertion used for twist -2 of t", '
-    r'"meridional-disk condition asserted for t", '
-    r'"negative tail assertion used for twist -7 of t"]}'
+    r'"negative tail of t: n <= -7", '
+    r'"positive tail of t: n >= -2"]}'
 )
 
 

@@ -337,6 +337,34 @@ class TestCertify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--pattern", TORUS_23, "--companion", "x" * 50_000],
+            ["set-algebra", "--interior", "[1, 2] ∪ " + "x" * 50_000],
+            ["certify", "--pattern", "[" * 5000, "--companion", "trefoil"],
+        ],
+        ids=["long_companion_name", "long_set_text", "pattern_nested_too_deeply"],
+    )
+    def test_error_line_is_short_for_any_input(self, argv, capsys):
+        """The one error line quotes at most a clipped part of a large
+        bad input, marked by an ellipsis."""
+        code, text = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3 and text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "…" in err and len(err) < 600
+
+    @pytest.mark.parametrize("doc", ["[]", '"x"', "3", "null"])
+    def test_replaying_json_that_is_not_an_object_names_the_format(self, doc, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(doc)
+        code, text = run(["certify", "--replay", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3 and text == "" and err.count("\n") == 1
+        assert "a certificate is a JSON object, got " in err
+        assert "AttributeError" not in err
+
 
 def _leaf_paths(node, path=()):
     """Paths to every value of a JSON document that is not a non-empty
@@ -375,7 +403,7 @@ _FUZZ_CERTIFICATES = [
     ]
 ]
 _FUZZ_LEAVES = [
-    (cert, path) for cert in _FUZZ_CERTIFICATES for path in _leaf_paths(cert.to_dict())
+    (cert, path) for cert in _FUZZ_CERTIFICATES for path in _leaf_paths(json.loads(cert.to_json()))
 ]
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -393,8 +421,6 @@ class TestReplayFuzz:
         only when it reads back as the genuine certificate; anything else
         exits 3 with one error line."""
         cert, path = leaf
-        # A copy: to_dict shares the certificate's checks, which must stay
-        # intact for the next example.
         data = _replaced(json.loads(cert.to_json()), path, value)
         with tempfile.TemporaryDirectory() as tmp:
             file = Path(tmp) / "cert.json"
@@ -407,7 +433,7 @@ class TestReplayFuzz:
             assert err.getvalue().count("\n") == 1
         else:
             assert code in (0, 1, 2)
-            assert Certificate.from_dict(data) == cert
+            assert Certificate.from_json(json.dumps(data)) == cert
 
 
 def _node_paths(node, path=()):
