@@ -23,7 +23,11 @@ older certificates included.  Each check is built once, in its JSON form
 the checks through and replay compares them as loaded.  The trusted
 inputs are read off the two inputs, not off the run: the companion's
 facts, which replay takes as given, then what the pattern asserts
-(PatternFacts.asserted), so every run on a pair lists the same.
+(PatternFacts.asserted), so every run on a pair lists the same.  The
+companion's side of the cover, its strict L-space slopes and their text,
+depends on the companion alone, so like its trusted line it is computed
+once per companion (_companion_side); the pattern side is built directly
+as the open arc (1/a → ∞ → 1/b).
 
 Each stage returns its list of checks and nothing that can be read off
 them: necessary_check and check_lemma, while Theorem 1 and the gluing
@@ -94,7 +98,7 @@ def _first_failure(checks: list[dict]) -> str | None:
     return next((c["id"] for c in checks if not c["pass"]), None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LemmaParams:
     a: int
     b: int
@@ -273,10 +277,16 @@ _SWAP = meridian_longitude_swap()
 
 
 @functools.lru_cache(maxsize=256)
-def _companion_note(k: KnotFacts) -> str:
-    """The trusted-input line of a companion: built once per companion
-    and shared by the certificates that name it."""
-    return f"companion facts: {facts_note(k)}"
+def _companion_side(k: KnotFacts) -> tuple[str, SlopeSet | None, str | None]:
+    """What a certificate reads off the companion alone, built once per
+    companion and shared by the certificates that name it: the trusted
+    input line, then (for a nontrivial companion, the only kind the
+    cover stage sees) its strict L-space slopes and their text."""
+    note = f"companion facts: {facts_note(k)}"
+    if k.is_unknot:
+        return note, None, None
+    strict = lspace_slope_set(k).interior()
+    return note, strict, str(strict)
 
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
@@ -284,7 +294,8 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     self-contained certificate (a total function: every failure mode
     becomes a NotCertified or Rejected verdict)."""
     checks: list[dict] = []
-    trusted = [_companion_note(k), *p.asserted()]
+    note, companion_strict, companion_text = _companion_side(k)
+    trusted = [note, *p.asserted()]
 
     def result(verdict, reason, params=None):
         return Certificate(p, k, verdict, reason, params, checks, trusted)
@@ -340,16 +351,16 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     if reason := _first_failure(checks):
         return result(NOT_CERTIFIED, reason, params)
 
-    arc = SlopeSet.arc(Slope(1, params.a), Slope(1, params.b))
-    companion_strict = lspace_slope_set(k).interior()
-    glued = _SWAP.image_of_set(arc.interior())
+    # The pattern side is the interior of the closed arc [1/a → ∞ → 1/b].
+    pattern_strict = SlopeSet.arc(Slope(1, params.a), Slope(1, params.b), False, False)
+    glued = _SWAP.image_of_set(pattern_strict)
     covered = covers_circle(companion_strict, glued)
     checks.append(
         _check(
             "hrrw.cover",
             "strict slope sets of the two sides jointly cover QP^1",
             covered,
-            {"s1": str(companion_strict), "s2": str(glued)},
+            {"s1": companion_text, "s2": str(glued)},
         )
     )
     return result(CERTIFIED if covered else NOT_CERTIFIED, _first_failure(checks), params)

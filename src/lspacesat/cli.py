@@ -52,10 +52,18 @@ EXIT_INPUT = 3
 
 _VERDICT_EXIT = {CERTIFIED: EXIT_OK, NOT_CERTIFIED: EXIT_NOT_CERTIFIED, REJECTED: EXIT_REJECTED}
 _ERROR_CHARS = 500  # a longer error message keeps both ends: the input's start, the reason
+_QUOTED_CHARS = 100  # an input quoted in an error message keeps its two ends
 
 
 class InputError(Exception):
     pass
+
+
+def _clip(text: str, limit: int) -> str:
+    """text, or its first and last limit // 2 characters with … between."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit // 2]}…{text[-(limit // 2):]}"
 
 
 # What reading malformed input raises: a missing key, a value of the wrong
@@ -73,7 +81,9 @@ def _parse_json_arg(kind: str, parse, text: str):
             obj = text.strip()
         return parse(obj)
     except _BAD_INPUT as e:
-        raise InputError(f"bad {kind} {text!r}: {e}")
+        # The reason may quote the input again, so quote only its ends
+        # here: the whole message's clip then keeps the reason's start.
+        raise InputError(f"bad {kind} {_clip(text, _QUOTED_CHARS)!r}: {e}")
 
 
 def _emit_certificate(cert: Certificate, args, out) -> int:
@@ -293,10 +303,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except (InputError, OSError) as e:
-        text = str(e)
-        if len(text) > _ERROR_CHARS:
-            text = f"{text[:_ERROR_CHARS // 2]}…{text[-_ERROR_CHARS // 2:]}"
-        print(f"error: {text}", file=sys.stderr)
+        print(f"error: {_clip(str(e), _ERROR_CHARS)}", file=sys.stderr)
         return EXIT_INPUT
 
 

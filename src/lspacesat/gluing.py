@@ -23,7 +23,7 @@ from .projective import Arc, SlopeSet
 from .slopes import Slope, circular_keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GluingMap:
     a: int
     b: int

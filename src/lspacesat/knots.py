@@ -17,7 +17,7 @@ from .projective import SlopeSet
 from .slopes import INFINITY, Slope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnotFacts:
     """Seifert genus and surgery flags of a knot in S^3.
 

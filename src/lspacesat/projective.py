@@ -5,7 +5,10 @@ arc runs from its start slope to its end slope in the positive
 orientation of the circle, with independent closure flags at the two
 endpoints.  Two arcs have start = end: a single point (both ends
 closed) and the complement of a point, the open arc h -> h that runs
-once round the circle.
+once round the circle.  Arc's one constructor validates that shape,
+refusing mixed flags when start = end; Arc and SlopeSet are slotted,
+frozen dataclasses, immutable and without a __dict__, like the Slopes
+they hold.
 
 Canonical form is one integer sweep: the m distinct endpoints of all
 contributing arcs cut the circle into 2m pieces (each endpoint, then the
@@ -43,25 +46,32 @@ _SEPARATORS = re.compile(r"\s*([∪Uu][\s∪Uu]*)?")
 _COPOINT = re.compile(rf"QP1\s*\\\s*\{{{_W}{SLOPE_GRAMMAR}{_W}\}}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Arc:
     """A closed, half-open or open arc of QP^1, a point, or the
     complement of a point.
 
     The arc is traversed from start to end in the positive orientation.
     start == end is a point when both endpoints are closed and the whole
-    circle minus that point when both are open; mixed flags are rejected.
+    circle minus that point when both are open; the constructor rejects
+    mixed flags there.
     """
 
     start: Slope
     end: Slope
-    start_closed: bool = True
-    end_closed: bool = True
+    start_closed: bool
+    end_closed: bool
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, start: Slope, end: Slope, start_closed: bool = True, end_closed: bool = True
+    ) -> None:
         # Flags first: most arcs then pass without comparing two Slopes.
-        if self.start_closed != self.end_closed and self.start == self.end:
+        if start_closed != end_closed and start == end:
             raise ValueError("degenerate arc must be a closed point or an open copoint")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "start_closed", start_closed)
+        object.__setattr__(self, "end_closed", end_closed)
 
     @property
     def is_point(self) -> bool:
@@ -77,7 +87,7 @@ class Arc:
         return slope_ccw(self.start, x, self.end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlopeSet:
     """A canonical finite union of arcs and points on QP^1."""
 
@@ -229,9 +239,10 @@ def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
     if not arcs:
         return SlopeSet()
     keys, order = circular_keys([p for a in arcs for p in (a.start, a.end)])
-    index = dict(zip(order, range(len(order))))
-    pts = [None] * len(order)  # filled by the sweep below
-    n = 2 * len(order)
+    m = len(order)
+    index = dict(zip(order, range(m)))
+    pts = [None] * m  # filled by the sweep below
+    n = 2 * m
     diff = [0] * (n + 1)
     pairs = iter(keys)  # start and end keys, arc by arc
     for a, start_key, end_key in zip(arcs, pairs, pairs):
@@ -246,24 +257,23 @@ def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
             stop -= n
         diff[stop] -= 1
     covered = [depth > 0 for depth in accumulate(diff[:n])]
-    if not any(covered):
-        return SlopeSet()
-    if all(covered):
-        return SlopeSet(is_full=True)
-    # Maximal runs, in piece order; a run through piece 0 pairs the last
-    # start with the first end.
+    # Maximal runs, in piece order.  With no run start, every piece is
+    # covered or none is.
     starts = [k for k in range(n) if covered[k] and not covered[k - 1]]
+    if not starts:
+        return SlopeSet(is_full=covered[0])
     ends = [k for k in range(n) if covered[k] and not covered[(k + 1) % n]]
+    # A run through piece 0 pairs the last start with the first end.
     if ends[0] < starts[0]:
         ends = ends[1:] + ends[:1]
-    return SlopeSet(tuple(_run_to_arc(pts, s, e) for s, e in zip(starts, ends)))
-
-
-def _run_to_arc(pts: list[Slope], first: int, last: int) -> Arc:
-    """The arc covering pieces first..last (cyclically) of the sweep."""
-    start = pts[first // 2]
-    end = pts[(last + 1) // 2 % len(pts)]
-    return Arc(start, end, first % 2 == 0, last % 2 == 0)
+    # The run over pieces s..e (cyclically) is the arc from point s // 2 to
+    # point (e + 1) // 2, closed at an end that is a point piece.
+    return SlopeSet(
+        tuple(
+            Arc(pts[s // 2], pts[(e + 1) // 2 % m], s % 2 == 0, e % 2 == 0)
+            for s, e in zip(starts, ends)
+        )
+    )
 
 
 # -- cover test ---------------------------------------------------------

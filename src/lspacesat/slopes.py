@@ -3,8 +3,10 @@
 After fixing a basis of H_1 of the boundary torus, the set of slopes is
 QP^1 = Q ∪ {1/0}.  A slope is stored as a coprime integer pair (num, den)
 taken mod ±1, normalized so that den >= 0 and the point at infinity is
-(1, 0).  All arithmetic is exact; nothing in this module (or anything
-built on it) touches floating point.
+(1, 0).  Slope's one constructor does that normalization, so every Slope
+is normalized; Slope is a slotted, frozen dataclass, immutable and
+without a __dict__.  All arithmetic is exact; nothing in this module (or
+anything built on it) touches floating point.
 
 The circle QP^1 carries a fixed positive orientation: rationals in
 increasing order, wrapping through ∞ (so ∞ sits between arbitrarily large
@@ -27,28 +29,30 @@ from math import gcd
 SLOPE_GRAMMAR = r"(?:[+-]?(?:inf|∞)|([+-]?\d+)(?:[^\S\n]*/[^\S\n]*([+-]?\d+))?)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Slope:
-    """A point of QP^1, normalized on construction.
+    """A point of QP^1, normalized by its one constructor.
 
     Slope(p, q) and Slope(-p, -q) are the same point; den = 0 encodes
-    ∞ = 1/0.
+    ∞ = 1/0.  Slope(0, 0) raises ValueError.
     """
 
     num: int
-    den: int = 1
+    den: int
 
-    def __post_init__(self) -> None:
-        p, q = self.num, self.den
-        if p == 0 and q == 0:
+    def __init__(self, num: int, den: int = 1) -> None:
+        # One gcd: its sign flips the pair to den >= 0 (∞ = 1/0), and the
+        # division runs only when the pair needs it.
+        g = gcd(num, den)
+        if not g:
             raise ValueError("(0, 0) does not represent a slope")
-        g = gcd(p, q)
-        p //= g
-        q //= g
-        if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
-        object.__setattr__(self, "num", p)
-        object.__setattr__(self, "den", q)
+        if den < 0 or (den == 0 and num < 0):
+            g = -g
+        if g != 1:
+            num //= g
+            den //= g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def is_infinity(self) -> bool:

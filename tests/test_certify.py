@@ -24,7 +24,7 @@ from lspacesat import (
     torus_knot,
     torus_pattern,
 )
-from lspacesat.certify import ReplayMismatchError
+from lspacesat.certify import ReplayMismatchError, _companion_side
 from lspacesat.patterns import UnknownTwistError, pattern_to_json
 
 import strategies
@@ -162,6 +162,28 @@ class TestCertifySatellite:
         assert cover["values"]["s2"] == "(7/1, inf] ∪ [-inf, 2/1)"
         assert cover["id"] == "hrrw.cover" and cover["values"]["s1"] == "(1/1, inf)"
         assert str(companion.interior()) == cover["values"]["s1"]
+
+    def test_companion_side_is_keyed_on_every_fact(self):
+        """Two companions with one name but different genus get their own
+        strict slope sets in one process, not the first one's."""
+        texts = []
+        for genus in (1, 2, 1):
+            k = KnotFacts("K", genus, True, False, True, False)
+            cert = certify_satellite(torus_pattern(2, 9), k)
+            assert cert.verdict == CERTIFIED
+            cover = cert.checks[-1]["values"]
+            assert cover["s1"] == str(lspace_slope_set(k).interior())
+            texts.append(cover["s1"])
+        assert texts == ["(1/1, inf)", "(3/1, inf)", "(1/1, inf)"]
+
+    def test_certificate_same_with_cold_and_warm_companion_cache(self):
+        k, pat = torus_knot(2, 5), torus_pattern(3, 17)
+        _companion_side.cache_clear()
+        cold = certify_satellite(pat, k).to_json()
+        warm = certify_satellite(pat, k).to_json()
+        assert _companion_side.cache_info().hits >= 1
+        assert cold == warm
+        assert json.loads(cold)["verdict"] == CERTIFIED
 
     def test_sufficient_but_not_necessary(self):
         cert = certify_satellite(torus_pattern(3, 4), TREFOIL)

@@ -355,6 +355,15 @@ class TestCertify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "…" in err and len(err) < 600
 
+    def test_long_bad_companion_name_keeps_its_reason(self, capsys):
+        """The input is quoted clipped, so the clip of the whole line
+        leaves the reason in."""
+        pattern = '{"torus_pattern": [2, 3]}'
+        code, text = run(["certify", "--pattern", pattern, "--companion", "x" * 50_000])
+        err = capsys.readouterr().err
+        assert code == 3 and text == "" and err.count("\n") == 1
+        assert "unknown companion name" in err and len(err) < 600
+
     @pytest.mark.parametrize("doc", ["[]", '"x"', "3", "null"])
     def test_replaying_json_that_is_not_an_object_names_the_format(self, doc, tmp_path, capsys):
         path = tmp_path / "cert.json"

@@ -1,3 +1,4 @@
+import dataclasses
 from math import gcd
 
 import pytest
@@ -78,6 +79,24 @@ class TestKnotFactsInvariants:
     def test_genus_zero_is_the_unknot(self):
         with pytest.raises(ValueError, match="genus 0 is the unknot"):
             KnotFacts("bad", 0, True, False, True, False)
+
+    def test_immutable_and_slotted(self):
+        k = torus_knot(2, 5)
+        for name in ("genus", "name"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(k, name, 1)
+        # A new name is refused too (as TypeError where CPython's frozen
+        # __setattr__ refers to the class before slots were added).
+        with pytest.raises((AttributeError, TypeError)):
+            k.extra = 1
+        assert not hasattr(k, "__dict__")
+        assert k.genus == 2
+
+    def test_equal_values_hash_equal(self):
+        a, b = torus_knot(2, 3), companion_from_json({"torus_knot": [2, 3]})
+        c = KnotFacts("T(2,3)", 1, True, False, True, False)
+        assert a is not b and a == b == c and hash(a) == hash(b) == hash(c)
+        assert KnotFacts("T(2,3)", 2, True, False, True, False) != a
 
 
 class TestLspaceSlopeSet:

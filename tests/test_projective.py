@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -83,6 +84,52 @@ class TestInterior:
             for x in sample:
                 if inner.contains(x):
                     assert s.contains(x)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (Arc(Slope(0), Slope(1), False, True), "start_closed"),
+            (SlopeSet.parse("[0, 1] ∪ {3}"), "arcs"),
+            (SlopeSet(is_full=True), "is_full"),
+        ],
+        ids=["arc", "slope_set", "full"],
+    )
+    def test_immutable_and_slotted(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, None)
+        # A new name is refused too (as TypeError where CPython's frozen
+        # __setattr__ refers to the class before slots were added).
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = None
+        assert not hasattr(value, "__dict__")
+        assert getattr(value, field) == before
+
+    def test_equal_values_hash_equal(self):
+        a = Arc(Slope(2, 4), Slope(-3, 0), True, False)
+        b = Arc(Slope(1, 2), INFINITY, True, False)
+        assert a == b and hash(a) == hash(b)
+        s = SlopeSet.parse("[1/2, inf) ∪ {-3}")
+        t = SlopeSet.from_arcs([Arc(Slope(-6, 2), Slope(-3, 1)), b])
+        assert s == t and hash(s) == hash(t)
+
+    @pytest.mark.parametrize("flags", [(True, False), (False, True)])
+    @pytest.mark.parametrize("x", [Slope(0), Slope(-5, 3), INFINITY])
+    def test_mixed_flags_at_one_point_rejected(self, x, flags):
+        with pytest.raises(ValueError, match="degenerate arc"):
+            Arc(x, Slope(x.num, x.den), *flags)
+
+    def test_open_arc_is_the_interior_of_the_closed_one(self):
+        """The cover stage builds its pattern side as the open arc; it must
+        equal the interior of the closed arc for every pair of distinct
+        endpoints."""
+        pool = farey_enumerate(6)
+        for x in pool:
+            for y in pool:
+                if x != y:
+                    assert SlopeSet.arc(x, y, False, False) == SlopeSet.arc(x, y).interior()
 
 
 class TestCoversCircle:

@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lspacesat import INFINITY, Slope, SlopeSet, farey_enumerate, slope_ccw, slope_det
@@ -45,6 +46,53 @@ class TestNormalization:
         for text in ["13/1", "1/0", "-5/3", "7", "inf", "-inf", "+∞"]:
             s = SlopeSet.parse(f"{{{text}}}")
             assert SlopeSet.parse(str(s)) == s
+
+
+def reference_normal(p, q):
+    """(p, q) reduced by the gcd, den >= 0, and ∞ written (1, 0)."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return p, q
+
+
+class TestValueType:
+    @given(st.integers(), st.integers())
+    @example(0, 0)
+    @example(0, -7)
+    @example(-9, 0)
+    @example(-6, -4)
+    def test_constructor_is_the_reference_normalization(self, p, q):
+        if p == q == 0:
+            with pytest.raises(ValueError, match="does not represent a slope"):
+                Slope(p, q)
+            return
+        s = Slope(p, q)
+        assert (s.num, s.den) == reference_normal(p, q)
+        if q == 0:
+            assert (s.num, s.den) == (1, 0)
+
+    def test_default_denominator_is_one(self):
+        assert (Slope(-4).num, Slope(-4).den) == (-4, 1)
+
+    def test_immutable_and_slotted(self):
+        s = Slope(2, 3)
+        for name in ("num", "den"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, 5)
+        # A new name is refused too (as TypeError where CPython's frozen
+        # __setattr__ refers to the class before slots were added).
+        with pytest.raises((AttributeError, TypeError)):
+            s.extra = 5
+        assert not hasattr(s, "__dict__")
+        assert (s.num, s.den) == (2, 3)
+
+    @given(nonzero_pairs, st.integers(-50, 50).filter(bool))
+    def test_equal_values_hash_equal(self, pq, k):
+        p, q = pq
+        a, b = Slope(p, q), Slope(k * p, k * q)
+        assert a == b and hash(a) == hash(b)
 
 
 class TestDet:
