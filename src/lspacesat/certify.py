@@ -23,11 +23,23 @@ older certificates included.  Each check is built once, in its JSON form
 the checks through and replay compares them as loaded.  The trusted
 inputs are read off the two inputs, not off the run: the companion's
 facts, which replay takes as given, then what the pattern asserts
-(PatternFacts.asserted), so every run on a pair lists the same.  The
-companion's side of the cover, its strict L-space slopes and their text,
-depends on the companion alone, so like its trusted line it is computed
-once per companion (_companion_side); the pattern side is built directly
-as the open arc (1/a → ∞ → 1/b).
+(PatternFacts.asserted), so every run on a pair lists the same.
+
+The gluing cover (hrrw.cover) is computed in closed form, since every
+check before it has passed:
+
+* thm1.1 makes K a nontrivial L-space knot, so its strict L-space slopes
+  s1 are the open arc (2g(K)-1, ∞);
+* lem.sandwich gives a < b, so the swap p/q ↦ q/p takes the pattern
+  side, the open arc 1/a → ∞ → 1/b, to the open arc b → ∞ → a, whose
+  text s2 is (b, inf] ∪ [-inf, a).
+
+The two open arcs cover QP^1 exactly when s1 holds every slope outside
+s2, the closed arc [a, b], that is when a > 2g(K) - 1.  The text of s1
+depends on the companion alone, so like its trusted line it is built
+once per companion (_companion_side).  The general route (SlopeSet.arc,
+GluingMap.image_of_set, covers_circle, str) stays in the test suite as
+the oracle this closed form is checked against.
 
 Each stage returns its list of checks and nothing that can be read off
 them: necessary_check and check_lemma, while Theorem 1 and the gluing
@@ -44,14 +56,12 @@ import functools
 import json
 from dataclasses import dataclass, fields
 
-from .gluing import meridian_longitude_swap
 from .knots import (
     KnotFacts,
     cable_is_lspace_exact,
     companion_from_json,
     companion_to_json,
     facts_note,
-    lspace_slope_set,
 )
 from .patterns import (
     PatternFacts,
@@ -60,7 +70,6 @@ from .patterns import (
     pattern_to_json,
     torus_pattern,
 )
-from .projective import SlopeSet, covers_circle
 from .slopes import Slope
 
 CERTIFIED = "CERTIFIED"
@@ -272,21 +281,14 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> list[dict]:
 
 # -- the main pipeline --------------------------------------------------
 
-# Gluing map from the pattern side to the companion side, built once.
-_SWAP = meridian_longitude_swap()
-
 
 @functools.lru_cache(maxsize=256)
-def _companion_side(k: KnotFacts) -> tuple[str, SlopeSet | None, str | None]:
+def _companion_side(k: KnotFacts) -> tuple[str, str]:
     """What a certificate reads off the companion alone, built once per
     companion and shared by the certificates that name it: the trusted
-    input line, then (for a nontrivial companion, the only kind the
-    cover stage sees) its strict L-space slopes and their text."""
-    note = f"companion facts: {facts_note(k)}"
-    if k.is_unknot:
-        return note, None, None
-    strict = lspace_slope_set(k).interior()
-    return note, strict, str(strict)
+    input line, then the text of its strict L-space slopes (2g-1, ∞),
+    which only the cover stage reads, for a nontrivial L-space K."""
+    return f"companion facts: {facts_note(k)}", f"({Slope(2 * k.genus - 1)}, inf)"
 
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
@@ -294,7 +296,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     self-contained certificate (a total function: every failure mode
     becomes a NotCertified or Rejected verdict)."""
     checks: list[dict] = []
-    note, companion_strict, companion_text = _companion_side(k)
+    note, companion_text = _companion_side(k)
     trusted = [note, *p.asserted()]
 
     def result(verdict, reason, params=None):
@@ -351,16 +353,16 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     if reason := _first_failure(checks):
         return result(NOT_CERTIFIED, reason, params)
 
-    # The pattern side is the interior of the closed arc [1/a → ∞ → 1/b].
-    pattern_strict = SlopeSet.arc(Slope(1, params.a), Slope(1, params.b), False, False)
-    glued = _SWAP.image_of_set(pattern_strict)
-    covered = covers_circle(companion_strict, glued)
+    # The cover in closed form (see the module docstring): s1 is
+    # (2g-1, ∞) and s2 the swapped open arc b → ∞ → a.
+    covered = params.a > 2 * k.genus - 1
+    glued = f"({Slope(params.b)}, inf] ∪ [-inf, {Slope(params.a)})"
     checks.append(
         _check(
             "hrrw.cover",
             "strict slope sets of the two sides jointly cover QP^1",
             covered,
-            {"s1": companion_text, "s2": str(glued)},
+            {"s1": companion_text, "s2": glued},
         )
     )
     return result(CERTIFIED if covered else NOT_CERTIFIED, _first_failure(checks), params)

@@ -138,7 +138,8 @@ class _OneBridgePattern(PatternFacts):
 @dataclass(frozen=True, slots=True)
 class _TablePattern(PatternFacts):
     """Tabled twists; is_neg_lspace is asserted for n <= -threshold and
-    is_lspace for n >= pos_tail_from."""
+    is_lspace for n >= pos_tail_from.  table_pattern lets the tails
+    overlap only where the genus bound is 0, and both give the unknot."""
 
     entries: Mapping[int, KnotFacts]
     pos_tail_from: int | None
@@ -241,10 +242,15 @@ def table_pattern(
     neg_threshold: int | None = None,
     pos_from: int | None = None,
 ) -> PatternFacts:
-    for n, facts in twists.items():
-        if facts.genus > genus_twist_bound(genus_s3, winding, n):
-            raise ValueError(f"table entry n={n} violates the genus twist bound")
-    return _TablePattern(
+    """A pattern known by tabled twists and asserted tails: P(U, n) is a
+    negative L-space knot for n <= -neg_threshold and an L-space knot for
+    n >= pos_from.  Raises ValueError, naming the twist, for a table that
+    contradicts itself: an entry over the genus twist bound, an entry in a
+    tail that lacks the tail's flag, or tails that overlap where the
+    bound allows a nontrivial knot, which cannot have both flags."""
+    # Built first, so that PatternFacts refuses a negative threshold
+    # before the tails are read.
+    pattern = _TablePattern(
         name=name,
         winding=winding,
         genus_s3=genus_s3,
@@ -253,6 +259,32 @@ def table_pattern(
         entries=dict(twists),
         pos_tail_from=pos_from,
     )
+    for n, facts in twists.items():
+        if facts.genus > genus_twist_bound(genus_s3, winding, n):
+            raise ValueError(f"table entry n={n} violates the genus twist bound")
+        if neg_threshold is not None and n <= -neg_threshold and not facts.is_neg_lspace:
+            raise ValueError(
+                f"table entry n={n} lies in the negative tail n <= -{neg_threshold} "
+                "but is not a negative L-space knot"
+            )
+        if pos_from is not None and n >= pos_from and not facts.is_lspace:
+            raise ValueError(
+                f"table entry n={n} lies in the positive tail n >= {pos_from} "
+                "but is not an L-space knot"
+            )
+    # The tails overlap on [pos_from, -neg_threshold], twists n <= 0, so
+    # the bound, which grows with |n|, is largest at n = pos_from.
+    if (
+        neg_threshold is not None
+        and pos_from is not None
+        and pos_from <= -neg_threshold
+        and (bound := genus_twist_bound(genus_s3, winding, pos_from)) >= 1
+    ):
+        raise ValueError(
+            f"tails n <= -{neg_threshold} and n >= {pos_from} overlap at n={pos_from}, "
+            f"whose genus bound {bound} allows a nontrivial knot"
+        )
+    return pattern
 
 
 def _optional_int(value) -> int | None:

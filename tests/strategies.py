@@ -103,12 +103,28 @@ one_bridge_patterns = st.builds(
 
 @st.composite
 def table_patterns(draw):
+    """Tables that do not contradict themselves: entries over the genus
+    bound or without the flag of a tail they lie in are dropped, and a
+    positive tail that overlaps the negative one where the bound allows a
+    nontrivial knot is clamped to start past it."""
     winding = draw(st.integers(0, 5))
     genus_s3 = draw(st.integers(0, 6))
+    # -1 and 3 stand for an absent tail.
+    neg_threshold = draw(st.integers(-1, 12).map(lambda n: None if n < 0 else n))
+    pos_from = draw(st.integers(-12, 3).map(lambda n: None if n > 2 else n))
+    if (
+        neg_threshold is not None
+        and pos_from is not None
+        and pos_from <= -neg_threshold
+        and genus_twist_bound(genus_s3, winding, pos_from) >= 1
+    ):
+        pos_from = 1 - neg_threshold
     twists = {
         n: k
         for n, k in draw(st.dictionaries(st.integers(-12, 12), companions, max_size=4)).items()
         if k.genus <= genus_twist_bound(genus_s3, winding, n)
+        and (neg_threshold is None or n > -neg_threshold or k.is_neg_lspace)
+        and (pos_from is None or n < pos_from or k.is_lspace)
     }
     return table_pattern(
         draw(st.text(max_size=4)),
@@ -116,9 +132,8 @@ def table_patterns(draw):
         genus_s3,
         winding >= 1 and draw(st.booleans()),
         twists,
-        # -1 and 3 stand for an absent tail.
-        neg_threshold=draw(st.integers(-1, 12).map(lambda n: None if n < 0 else n)),
-        pos_from=draw(st.integers(-12, 3).map(lambda n: None if n > 2 else n)),
+        neg_threshold=neg_threshold,
+        pos_from=pos_from,
     )
 
 

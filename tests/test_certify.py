@@ -1,7 +1,10 @@
+import ast
 import json
+from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from lspacesat import (
     CERTIFIED,
@@ -16,7 +19,10 @@ from lspacesat import (
     certify_satellite,
     check_lemma,
     choose_lemma_params,
+    companion_from_json,
+    covers_circle,
     lspace_slope_set,
+    meridian_longitude_swap,
     necessary_check,
     one_bridge_braid,
     replay_certificate,
@@ -24,6 +30,7 @@ from lspacesat import (
     torus_knot,
     torus_pattern,
 )
+from lspacesat import certify
 from lspacesat.certify import ReplayMismatchError, _companion_side
 from lspacesat.patterns import UnknownTwistError, pattern_to_json
 
@@ -549,59 +556,6 @@ EXIT_THM1_4 = (
     r'"companion facts: T(2,5) (genus=2, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)"]}'
 )
-EXIT_LEM_7 = (
-    r'{"pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
-    r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
-    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
-    r'"is_unknot": false}, "-7": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
-    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, '
-    r'"neg_threshold": 7, "pos_from": -2}}, "companion": {"name": "T(2,3)", "genus": 1, '
-    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
-    r'"is_unknot": false}, '
-    r'"verdict": "NOT_CERTIFIED", "reason": "lem.7", "params": {"a": 2, "b": 7, '
-    r'"r": 13}, '
-    r'"checks": ['
-    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
-    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
-    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
-    r'"pass": true, "values": {"winding": 2}}, '
-    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
-    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
-    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
-    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
-    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", "pass": true, '
-    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
-    r'{"id": "thm1.4", "statement": '
-    r'"negative L-space tail asserted for large negative twists", "pass": true, '
-    r'"values": {"threshold": 7}}, '
-    r'{"id": "lem.2", "statement": "winding number w >= 2", "pass": true, '
-    r'"values": {"lhs": 2, "rhs": 2, "w": 2}}, '
-    r'{"id": "lem.3", '
-    r'"statement": "axis bounds a disk meeting the pattern in w points", "pass": true, '
-    r'"values": {}}, '
-    r'{"id": "lem.4", "statement": "r >= 2g(P) + a\u00b7w(2w-1) - 1", "pass": true, '
-    r'"values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}}, '
-    r'{"id": "lem.5", '
-    r'"statement": "b\u00b7w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)", '
-    r'"pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}}, '
-    r'{"id": "lem.6", "statement": "P(U, -2) is an L-space knot", "pass": true, '
-    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
-    r'{"id": "lem.7", "statement": "P(U, -7) is a negative L-space knot", '
-    r'"pass": false, "values": {"twist": -7, "knot": "T(2,3)"}}, '
-    r'{"id": "lem.sandwich", '
-    r'"statement": "a\u00b7w\u00b2 < r < b\u00b7w\u00b2 (so 1/b < w\u00b2/r < 1/a)", '
-    r'"pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}], '
-    r'"trusted_inputs": ['
-    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
-    r'is_fibered=True, is_unknot=False)", '
-    r'"pattern facts: t (winding=2, genus_s3=1, meridional_disk=True)", '
-    r'"twist 0 of t: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
-    r'is_fibered=True, is_unknot=False)", '
-    r'"twist -7 of t: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
-    r'is_fibered=True, is_unknot=False)", '
-    r'"negative tail of t: n <= -7", '
-    r'"positive tail of t: n >= -2"]}'
-)
 EXIT_TABLE_CERTIFIED = (
     r'{"pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": -2}}, '
@@ -696,14 +650,6 @@ class TestCertificateText:
                 one_bridge_braid(5, 2, 21), torus_knot(2, 5), EXIT_THM1_4, id="thm1.4"
             ),
             pytest.param(
-                table_pattern(
-                    "t", 2, 1, True, {0: TREFOIL, -7: TREFOIL}, neg_threshold=7, pos_from=-2
-                ),
-                TREFOIL,
-                EXIT_LEM_7,
-                id="lem.7",
-            ),
-            pytest.param(
                 table_pattern("t", 2, 1, True, {}, neg_threshold=7, pos_from=-2),
                 TREFOIL,
                 EXIT_TABLE_CERTIFIED,
@@ -713,6 +659,12 @@ class TestCertificateText:
     )
     def test_golden_json(self, pattern, companion, text):
         assert certify_satellite(pattern, companion).to_json() == text
+
+    def test_lem_7_exit_table_is_refused(self):
+        """The one table that reached lem.7 and failed it asserts the
+        trefoil at -7, inside its own negative tail n <= -7."""
+        with pytest.raises(ValueError, match="entry n=-7 lies in the negative tail n <= -7"):
+            table_pattern("t", 2, 1, True, {0: TREFOIL, -7: TREFOIL}, neg_threshold=7, pos_from=-2)
 
 
 class TestTotality:
@@ -724,3 +676,66 @@ class TestTotality:
         cert = certify_satellite(pattern, companion)
         assert isinstance(cert, Certificate)
         assert replay_certificate(Certificate.from_json(cert.to_json())) == cert.verdict
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=strategies.patterns, companion=strategies.companions)
+    def test_no_check_after_thm1_4_fails(self, pattern, companion):
+        """Once thm1.4 passes, the lemma and the cover hold by the choice
+        of (a, b, r) and by the tables' own consistency."""
+        checks = certify_satellite(pattern, companion).checks
+        ids = [c["id"] for c in checks]
+        if "thm1.4" in ids:
+            assert failed(checks[ids.index("thm1.4") + 1 :]) == []
+
+
+def matches_general_route(cert) -> bool:
+    """Assert that hrrw.cover, if cert reaches it, holds the pass, s1 and
+    s2 of the general route: the companion's strict L-space slopes, and
+    the open arc 1/a → ∞ → 1/b carried across by the meridian-longitude
+    swap, joined by covers_circle.  Returns whether cert reaches it."""
+    if not cert.checks or cert.checks[-1]["id"] != "hrrw.cover":
+        return False
+    s1 = lspace_slope_set(cert.companion).interior()
+    arc = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b), False, False)
+    s2 = meridian_longitude_swap().image_of_set(arc)
+    cover = cert.checks[-1]
+    assert cover["pass"] == covers_circle(s1, s2)
+    assert cover["values"] == {"s1": str(s1), "s2": str(s2)}
+    assert cert.verdict == (CERTIFIED if cover["pass"] else NOT_CERTIFIED)
+    return True
+
+
+class TestClosedFormCover:
+    """certify_satellite computes hrrw.cover in closed form; the general
+    slope-set route is its oracle."""
+
+    def test_sweep_grid_matches_general_route(self):
+        """Every certificate of `sweep --p-max 8 --q-max 60` on the
+        trefoil, T(2,5) and T(3,5) that reaches the cover."""
+        reached = 0
+        for name in ("trefoil", "T(2,5)", "T(3,5)"):
+            k = companion_from_json(name)
+            for p in range(2, 9):
+                for q in range(-60, 61):
+                    if gcd(p, q) != 1:
+                        continue
+                    reached += matches_general_route(certify_cable(k, p, q).certificate)
+        assert reached > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=strategies.patterns, companion=strategies.companions)
+    # Few draws certify, so a certified one-bridge and table pair always run.
+    @example(pattern=one_bridge_braid(5, 2, 21, neg_lspace_threshold=3), companion=torus_knot(2, 5))
+    @example(pattern=table_pattern("t", 2, 1, True, {}, neg_threshold=7, pos_from=-2), companion=TREFOIL)
+    def test_strategies_match_general_route(self, pattern, companion):
+        matches_general_route(certify_satellite(pattern, companion))
+
+    def test_certify_imports_no_general_cover_route(self):
+        imported = set()
+        for node in ast.walk(ast.parse(Path(certify.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rpartition(".")[2])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+        assert imported.isdisjoint({"gluing", "projective", "covers_circle", "lspace_slope_set"})

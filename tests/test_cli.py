@@ -284,6 +284,13 @@ class TestCertify:
                 ' "twists": {"-1_0": "trefoil"}, "neg_threshold": 4}}',
                 "trefoil",
             ),
+            # The entry at -8 lies in the negative tail n <= -7, yet the
+            # trefoil is no negative L-space knot.
+            (
+                '{"table": {"name": "t", "winding": 2, "genus_s3": 1, "has_disk": true,'
+                ' "twists": {"-8": "trefoil"}, "neg_threshold": 7, "pos_from": -2}}',
+                "trefoil",
+            ),
             # A knot of genus 0 is the unknot.
             (TORUS_23, GENUS_ZERO_NOT_UNKNOT),
             # JSON nested past the decoder's recursion limit.
@@ -307,6 +314,7 @@ class TestCertify:
             "torus_q_is_a_bool",
             "table_disk_is_a_string",
             "table_twist_key_not_decimal",
+            "table_entry_contradicts_its_tail",
             "companion_genus_zero_not_unknot",
             "pattern_nested_too_deeply",
             "incomplete",

@@ -203,6 +203,35 @@ class TestTablePattern:
             )
         assert certify_satellite(pat, torus_knot(2, 3)).reason == "thm1.2"
 
+    @pytest.mark.parametrize(
+        "twists, neg_threshold, pos_from, message",
+        [
+            (
+                {-8: torus_knot(2, 3)},
+                7,
+                -2,
+                "entry n=-8 lies in the negative tail n <= -7 but is not a negative",
+            ),
+            ({1: torus_knot(2, -3)}, 7, 1, "entry n=1 lies in the positive tail n >= 1 but is not an"),
+            ({}, 2, -10, "tails n <= -2 and n >= -10 overlap at n=-10, whose genus bound 11"),
+        ],
+        ids=["entry_in_negative_tail", "entry_in_positive_tail", "overlapping_tails"],
+    )
+    def test_refuses_a_table_that_contradicts_itself(self, twists, neg_threshold, pos_from, message):
+        with pytest.raises(ValueError, match=message):
+            table_pattern("t", 2, 1, True, twists, neg_threshold=neg_threshold, pos_from=pos_from)
+
+    def test_tails_may_overlap_where_the_bound_is_zero(self):
+        # Winding 1 adds no genus, so both tails of a genus-0 pattern give
+        # the unknot.  The overlap is decided at one twist, not walked.
+        pat = table_pattern("t", 1, 0, True, {}, neg_threshold=0, pos_from=-(10**18))
+        assert pat.twisted_facts(-5) == KnotFacts("table tail n=-5", 0, True, True, True, True)
+        # Winding 2 adds genus at every twist but 0; tails that meet at
+        # one twist overlap there.
+        table_pattern("t", 2, 0, True, {}, neg_threshold=0, pos_from=0)
+        with pytest.raises(ValueError, match="overlap at n=-1, whose genus bound 1"):
+            table_pattern("t", 2, 0, True, {}, neg_threshold=1, pos_from=-1)
+
     def test_gap_errors(self):
         pat = self.build()
         with pytest.raises(UnknownTwistError):
@@ -256,7 +285,7 @@ class TestJson:
                 True,
                 {0: torus_knot(2, 3), -2: torus_knot(2, -1)},
                 neg_threshold=4,
-                pos_from=-10,
+                pos_from=-3,
             ),
             table_pattern("bare", 0, 0, False, {}),
         ],
