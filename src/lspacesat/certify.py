@@ -15,10 +15,18 @@ L-space, so P(K) is an L-space knot", with r recorded.
 
 A certificate carries its own pattern and companion, so replay is the
 pipeline re-run on those inputs and compared with what the certificate
-records; nothing recorded is trusted on its own, and each fact is
-recorded once (the arc [1/a → ∞ → 1/b] is read off params).  from_json
-reads exactly the keys to_json writes and refuses any other key set,
-older certificates included.  Each check is built once, in its JSON form
+records; nothing recorded is trusted on its own.
+
+Certificates are written in format 2, which states each fact once: the
+arc [1/a → ∞ → 1/b] is read off params, and the lemma records only what
+Theorem 1 has not already checked.  Format 1 also held lem.2 (w >= 2)
+and lem.3 (the meridional disk), which restate thm1.2, and lem.6
+(P(U, -a) is an L-space knot), which is thm1.3 again since a = 2g(K):
+the same twist of the same pattern.  to_json writes "format": 2 as its
+first key.  from_json refuses text whose format is not the integer 2
+(a certificate without the key is format 1) before it looks at the other
+keys, then reads exactly the keys to_json writes; there is no reader for
+any other format.  Each check is built once, in its JSON form
 {"id", "statement", "pass", "values"}, so writing a certificate passes
 the checks through and replay compares them as loaded.  The trusted
 inputs are read off the two inputs, not off the run: the companion's
@@ -125,6 +133,13 @@ def _no_floats(text: str):
 # could compare equal to the integer the re-run records (3.0 == 3).
 _CERTIFICATE_JSON = json.JSONDecoder(parse_float=_no_floats, parse_constant=_no_floats)
 
+# ... and written through this encoder, which writes the bytes json.dumps
+# does.  Its cycle check is skipped: a certificate's dict is built afresh
+# from engine-built or JSON-loaded values, and neither can hold a cycle.
+_CERTIFICATE_ENCODER = json.JSONEncoder(check_circular=False)
+
+_FORMAT = 2
+
 
 @dataclass(slots=True)
 class Certificate:
@@ -137,8 +152,9 @@ class Certificate:
     trusted_inputs: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _CERTIFICATE_ENCODER.encode(
             {
+                "format": _FORMAT,
                 "pattern": pattern_to_json(self.pattern),
                 "companion": companion_to_json(self.companion),
                 "verdict": self.verdict,
@@ -153,11 +169,18 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         """Parse the inputs and params; every other field is kept as
         loaded, for replay to compare with its re-run.  Raises ValueError
-        unless text is a JSON object with exactly the keys to_json
-        writes."""
+        unless text is a JSON object of format 2 with exactly the keys
+        to_json writes."""
         d = _CERTIFICATE_JSON.decode(text)
         if not isinstance(d, dict):
             raise ValueError(f"a certificate is a JSON object, got {type(d).__name__}")
+        # The decoder reads no floats and true == 1, so only the JSON
+        # integer 2 equals 2.
+        found = d.get("format", 1)
+        if found != _FORMAT:
+            raise ValueError(
+                f"certificate format {_CERTIFICATE_ENCODER.encode(found)} is not {_FORMAT}"
+            )
         if d.keys() != _CERTIFICATE_KEYS:
             raise ValueError(f"certificate keys {sorted(d)} are not {sorted(_CERTIFICATE_KEYS)}")
         params = d["params"]
@@ -172,7 +195,7 @@ class Certificate:
         )
 
 
-_CERTIFICATE_KEYS = frozenset(f.name for f in fields(Certificate))
+_CERTIFICATE_KEYS = frozenset(["format", *(f.name for f in fields(Certificate))])
 
 
 # -- the Lemma machinery ------------------------------------------------
@@ -184,19 +207,18 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[dict]:
     r-surgered pattern complement.  Returns the checks, whose passing
     together certifies the arc.
 
-    Raises UnknownTwistError when the pattern cannot answer P(U, -a) or
-    P(U, -b)."""
+    The lemma's other hypotheses are Theorem 1's, checked once there:
+    w >= 2 and the meridional disk (thm1.2), and P(U, -a) an L-space
+    knot (thm1.3, as a = 2g(K)).
+
+    Raises UnknownTwistError when the pattern cannot answer P(U, -b)."""
     if min(a, b, r) < 1:
         raise ValueError("a, b, r must be positive integers")
     w = p.winding
     g = p.genus_s3
-    disk = p.has_minimal_meridional_disk
-    facts_a = p.twisted_facts(-a)
     facts_b = p.twisted_facts(-b)
     aw2, bw2 = a * w * w, b * w * w
     return [
-        _ge("lem.2", "winding number w >= 2", w, 2, w=w),
-        _flag("lem.3", "axis bounds a disk meeting the pattern in w points", disk),
         _ge(
             "lem.4",
             "r >= 2g(P) + a·w(2w-1) - 1",
@@ -215,13 +237,6 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[dict]:
             g=g,
             w=w,
             r=r,
-        ),
-        _flag(
-            "lem.6",
-            f"P(U, {-a}) is an L-space knot",
-            facts_a.is_lspace,
-            twist=-a,
-            knot=facts_a.name,
         ),
         _flag(
             "lem.7",
@@ -347,8 +362,8 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
         return result(NOT_CERTIFIED, reason)
 
     params = choose_lemma_params(p, k.genus)
-    # No UnknownTwistError: thm1.3 has read P(U, -a), and every pattern
-    # answers P(U, -b) for b at or past its threshold.
+    # No UnknownTwistError: the lemma reads only P(U, -b), and every
+    # pattern answers it for b at or past its threshold.
     checks += check_lemma(p, params.a, params.b, params.r)
     if reason := _first_failure(checks):
         return result(NOT_CERTIFIED, reason, params)

@@ -12,9 +12,10 @@ Subcommands:
 * oracle       -- brute-force cross-checks of the exact cover test
 
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
-3 input errors (including JSON nested too deeply, and a certificate
-that is malformed, holds a float, has keys other than those certificates
-are written with, older ones included, or differs from the re-run).
+3 input errors (including JSON nested too deeply, a certificate of
+another format, format 1 included, and a certificate that is malformed,
+holds a float, has keys other than those certificates are written with,
+or differs from the re-run).
 Pattern and companion JSON is read strictly: integers must be JSON
 integers, flags JSON true or false, and table twist keys decimal
 integers.

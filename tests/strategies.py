@@ -4,8 +4,10 @@ Companions come with one of their documented JSON forms (a shortcut name,
 {"torus_knot": …}, {"cable": …} or an explicit field dictionary), so the
 same draws serve the library and the command line.  Patterns are built by
 torus_pattern, one_bridge_braid and table_pattern; pattern_to_json gives
-their JSON form.  Slope-set inputs are lists of arcs over a small Farey
-pool or over a pool of slopes with denominators near 10**20.
+their JSON form, and certified_pairs draws pairs of each pattern kind that
+meet the sufficient conditions by construction.  Slope-set inputs are
+lists of arcs over a small Farey pool or over a pool of slopes with
+denominators near 10**20.
 """
 
 from __future__ import annotations
@@ -138,6 +140,78 @@ def table_patterns(draw):
 
 
 patterns = torus_patterns | one_bridge_patterns | table_patterns()
+
+
+# Certified pairs: each draw meets the sufficient conditions by
+# construction, so the lemma and the cover run on every kind of pattern.
+# The companion is an L-space torus knot T(p, m), m >= 2, of genus g; the
+# pattern's P(U, -2g) is an L-space knot (thm1.3), and its negative tail
+# answers the lemma's P(U, -b).
+_lspace_torus_knots = _coprime_pairs(st.integers(2, 5), st.integers(2, 13)).map(
+    lambda pm: torus_knot(*pm)
+)
+
+
+def _certified_torus(draw, g):
+    """T(p, q) with q >= 2g·p - 1, so that P(U, -2g) = T(p, q - 2g·p)
+    has q - 2g·p >= -1."""
+    p = draw(st.integers(2, 8))
+    low = 2 * g * p - 1
+    q = draw(st.sampled_from([q for q in range(low, low + 41) if gcd(p, q) == 1]))
+    return torus_pattern(p, q)
+
+
+def _certified_one_bridge(draw, g):
+    """B(w, b, t), w 4-9, with t >= 2g·w, so that P(U, -2g) is a
+    positive word; the lemma's b·w exceeds t, so P(U, -b) is negative."""
+    w, b, r = draw(st.sampled_from([wbr for wbr in _KNOTTED if wbr[0] >= 4]))
+    passes = -(-(2 * g * w - r) // w) + draw(st.integers(0, 3))
+    return one_bridge_braid(w, b, r + passes * w, draw(st.integers(0, 4)))
+
+
+def _certified_table(draw, g):
+    """A table with a negative tail n <= -N that answers P(U) and
+    P(U, -2g) with an L-space knot.  Inside the tail an entry at -2g
+    needs both flags, so it is the unknot; past it, it is a tabled
+    L-space knot or lies in a positive tail that starts after -N."""
+    winding = draw(st.integers(2, 5))
+    genus_s3 = draw(st.integers(0, 6))
+    neg_threshold = draw(st.integers(0, 12))
+    twists, pos_from = {}, None
+    if neg_threshold <= 2 * g:
+        twists[-2 * g] = torus_knot(2, 1)
+    elif draw(st.booleans()):
+        pos_from = draw(st.integers(1 - neg_threshold, -2 * g))
+    else:
+        bound = genus_twist_bound(genus_s3, winding, -2 * g)
+        twists[-2 * g] = torus_knot(2, 2 * draw(st.integers(0, min(bound, 6))) + 1)
+    if neg_threshold > 0 and pos_from is None:
+        # P(U): a fibered knot within the genus bound.
+        m = 2 * draw(st.integers(0, genus_s3)) + 1
+        twists[0] = torus_knot(2, draw(st.sampled_from([-m, m])))
+    return table_pattern(
+        draw(st.text(max_size=4)),
+        winding,
+        genus_s3,
+        True,
+        twists,
+        neg_threshold=neg_threshold,
+        pos_from=pos_from,
+    )
+
+
+@st.composite
+def _certified_pair(draw):
+    k = draw(_lspace_torus_knots)
+    build = draw(st.sampled_from([_certified_torus, _certified_one_bridge, _certified_table]))
+    return build(draw, k.genus), k
+
+
+certified_pairs = _certified_pair()
+
+# (pattern, companion) pairs for properties of the pipeline: any valid
+# pair, or a certified one about half the time.
+pairs = st.tuples(patterns, companions) | certified_pairs
 
 
 def close_pool():

@@ -50,6 +50,24 @@ def companion_line(k):
     )
 
 
+# The checks of a certified certificate, in order, and the format-1
+# checks that restated Theorem 1.
+CERTIFIED_CHECK_IDS = [
+    "necessary.fibered",
+    "necessary.winding",
+    "thm1.1",
+    "thm1.2",
+    "thm1.3",
+    "thm1.4",
+    "lem.4",
+    "lem.5",
+    "lem.7",
+    "lem.sandwich",
+    "hrrw.cover",
+]
+RESTATED_CHECK_IDS = {"lem.2", "lem.3", "lem.6"}
+
+
 def failed(checks):
     """The ids of the failing checks, in order."""
     return [c["id"] for c in checks if not c["pass"]]
@@ -232,7 +250,7 @@ class TestCertifySatellite:
     @pytest.mark.parametrize(
         "twists, pos_from, verdict, reason",
         [
-            # thm1.3 and lem.6 read the entry at -2, lem.7 the negative tail.
+            # thm1.3 reads the entry at -2, lem.7 the negative tail.
             ({0: TREFOIL, -2: torus_knot(2, -1)}, -1, CERTIFIED, ""),
             # P(U, 0) is neither an entry nor in a tail, so the run stops at
             # the first twist it reads, having read no other.
@@ -335,6 +353,40 @@ class TestCertificateSerialization:
 # The exact certificate text.  A change of representation that moves a
 # single byte of it breaks stored certificates' replay.
 CABLE_2_3_OF_TREFOIL = (
+    r'{"format": 2, "pattern": {"torus_pattern": [2, 3]}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, "r": 13}, '
+    r'"checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", '
+    r'"pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "thm1.4", "statement": "negative L-space tail asserted for large negative twists", '
+    r'"pass": true, "values": {"threshold": 1}}, '
+    r'{"id": "lem.4", "statement": "r >= 2g(P) + a\u00b7w(2w-1) - 1", '
+    r'"pass": true, "values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}}, '
+    r'{"id": "lem.5", "statement": "b\u00b7w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)", '
+    r'"pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}}, '
+    r'{"id": "lem.7", "statement": "P(U, -7) is a negative L-space knot", '
+    r'"pass": true, "values": {"twist": -7, "knot": "T(2,-11)"}}, '
+    r'{"id": "lem.sandwich", "statement": "a\u00b7w\u00b2 < r < b\u00b7w\u00b2 (so 1/b < w\u00b2/r < 1/a)", '
+    r'"pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}, '
+    r'{"id": "hrrw.cover", "statement": "strict slope sets of the two sides jointly cover QP^1", '
+    r'"pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, inf] \u222a [-inf, 2/1)"}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)"]}'
+)
+# The same certificate in format 1, which had no format key and held
+# lem.2, lem.3 and lem.6.
+FORMAT_1_CABLE_2_3_OF_TREFOIL = (
     r'{"pattern": {"torus_pattern": [2, 3]}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
@@ -373,7 +425,7 @@ CABLE_2_3_OF_TREFOIL = (
     r'is_fibered=True, is_unknot=False)"]}'
 )
 CABLE_3_2_OF_TREFOIL = (
-    r'{"pattern": {"torus_pattern": [3, 2]}, '
+    r'{"format": 2, "pattern": {"torus_pattern": [3, 2]}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
     r'"verdict": "NOT_CERTIFIED", "reason": "thm1.3", "params": null, '
@@ -399,7 +451,7 @@ CABLE_3_2_OF_TREFOIL = (
 # One certificate for each other exit path of certify_satellite; the table
 # ones pin the order of trusted_inputs: facts, entries, then tails.
 EXIT_UNKNOWN_TWIST_NECESSARY = (
-    r'{"pattern": {"table": {"name": "gap", "winding": 2, "genus_s3": 1, '
+    r'{"format": 2, "pattern": {"table": {"name": "gap", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": null}}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
@@ -414,7 +466,7 @@ EXIT_UNKNOWN_TWIST_NECESSARY = (
     r'"negative tail of gap: n <= -7"]}'
 )
 EXIT_REJECTED_FIBERED = (
-    r'{"pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "unfibered", '
+    r'{"format": 2, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "unfibered", '
     r'"genus": 2, "is_lspace": false, "is_neg_lspace": false, "is_fibered": false, '
     r'"is_unknot": false}, '
     r'"verdict": "REJECTED", "reason": "necessary.fibered", "params": null, '
@@ -428,7 +480,7 @@ EXIT_REJECTED_FIBERED = (
     r'is_fibered=False, is_unknot=False)"]}'
 )
 EXIT_REJECTED_WINDING = (
-    r'{"pattern": {"table": {"name": "core-less", "winding": 0, "genus_s3": 1, '
+    r'{"format": 2, "pattern": {"table": {"name": "core-less", "winding": 0, "genus_s3": 1, '
     r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
     r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}}, "neg_threshold": null, "pos_from": null}}, '
@@ -448,7 +500,7 @@ EXIT_REJECTED_WINDING = (
     r'is_fibered=True, is_unknot=False)"]}'
 )
 EXIT_UNKNOWN_TWIST_THM1_3 = (
-    r'{"pattern": {"table": {"name": "sparse", "winding": 2, "genus_s3": 1, '
+    r'{"format": 2, "pattern": {"table": {"name": "sparse", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
     r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}}, "neg_threshold": 50, "pos_from": null}}, '
@@ -479,7 +531,7 @@ EXIT_UNKNOWN_TWIST_THM1_3 = (
     r'"negative tail of sparse: n <= -50"]}'
 )
 EXIT_THM1_1 = (
-    r'{"pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "4_1", "genus": 1, '
+    r'{"format": 2, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "4_1", "genus": 1, '
     r'"is_lspace": false, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}, '
     r'"verdict": "NOT_CERTIFIED", "reason": "thm1.1", "params": null, '
@@ -502,7 +554,7 @@ EXIT_THM1_1 = (
     r'is_fibered=True, is_unknot=False)"]}'
 )
 EXIT_THM1_2 = (
-    r'{"pattern": {"table": {"name": "no-disk", "winding": 2, "genus_s3": 1, '
+    r'{"format": 2, "pattern": {"table": {"name": "no-disk", "winding": 2, "genus_s3": 1, '
     r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
     r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}}, "neg_threshold": 7, "pos_from": -2}}, '
@@ -533,7 +585,7 @@ EXIT_THM1_2 = (
     r'"positive tail of no-disk: n >= -2"]}'
 )
 EXIT_THM1_4 = (
-    r'{"pattern": {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, '
+    r'{"format": 2, "pattern": {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, '
     r'"neg_threshold": null}}, "companion": {"name": "T(2,5)", "genus": 2, '
     r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}, '
@@ -557,7 +609,7 @@ EXIT_THM1_4 = (
     r'is_fibered=True, is_unknot=False)"]}'
 )
 EXIT_TABLE_CERTIFIED = (
-    r'{"pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
+    r'{"format": 2, "pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": -2}}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
@@ -576,18 +628,11 @@ EXIT_TABLE_CERTIFIED = (
     r'{"id": "thm1.4", "statement": '
     r'"negative L-space tail asserted for large negative twists", "pass": true, '
     r'"values": {"threshold": 7}}, '
-    r'{"id": "lem.2", "statement": "winding number w >= 2", "pass": true, '
-    r'"values": {"lhs": 2, "rhs": 2, "w": 2}}, '
-    r'{"id": "lem.3", '
-    r'"statement": "axis bounds a disk meeting the pattern in w points", "pass": true, '
-    r'"values": {}}, '
     r'{"id": "lem.4", "statement": "r >= 2g(P) + a\u00b7w(2w-1) - 1", "pass": true, '
     r'"values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}}, '
     r'{"id": "lem.5", '
     r'"statement": "b\u00b7w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)", '
     r'"pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}}, '
-    r'{"id": "lem.6", "statement": "P(U, -2) is an L-space knot", "pass": true, '
-    r'"values": {"twist": -2, "knot": "table tail n=-2"}}, '
     r'{"id": "lem.7", "statement": "P(U, -7) is a negative L-space knot", "pass": true, '
     r'"values": {"twist": -7, "knot": "table tail n=-7"}}, '
     r'{"id": "lem.sandwich", '
@@ -669,23 +714,30 @@ class TestCertificateText:
 
 class TestTotality:
     @settings(max_examples=300, deadline=None)
-    @given(pattern=strategies.patterns, companion=strategies.companions)
-    def test_certify_satellite_is_total(self, pattern, companion):
+    @given(pair=strategies.pairs)
+    def test_certify_satellite_is_total(self, pair):
         """Every valid pattern of each family with torus, cable and explicit
         companion facts gets a certificate that replays to its verdict."""
-        cert = certify_satellite(pattern, companion)
+        cert = certify_satellite(*pair)
         assert isinstance(cert, Certificate)
         assert replay_certificate(Certificate.from_json(cert.to_json())) == cert.verdict
 
     @settings(max_examples=300, deadline=None)
-    @given(pattern=strategies.patterns, companion=strategies.companions)
-    def test_no_check_after_thm1_4_fails(self, pattern, companion):
+    @given(pair=strategies.pairs)
+    def test_no_check_after_thm1_4_fails(self, pair):
         """Once thm1.4 passes, the lemma and the cover hold by the choice
         of (a, b, r) and by the tables' own consistency."""
-        checks = certify_satellite(pattern, companion).checks
+        checks = certify_satellite(*pair).checks
         ids = [c["id"] for c in checks]
         if "thm1.4" in ids:
             assert failed(checks[ids.index("thm1.4") + 1 :]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=strategies.certified_pairs)
+    def test_certified_pairs_certify(self, pair):
+        cert = certify_satellite(*pair)
+        assert cert.verdict == CERTIFIED
+        assert [c["id"] for c in cert.checks] == CERTIFIED_CHECK_IDS
 
 
 def matches_general_route(cert) -> bool:
@@ -705,30 +757,32 @@ def matches_general_route(cert) -> bool:
     return True
 
 
+def sweep_grid_certificates():
+    """The certificates of `sweep --p-max 8 --q-max 60` on the trefoil,
+    T(2,5) and T(3,5)."""
+    for name in ("trefoil", "T(2,5)", "T(3,5)"):
+        k = companion_from_json(name)
+        for p in range(2, 9):
+            for q in range(-60, 61):
+                if gcd(p, q) == 1:
+                    yield certify_cable(k, p, q).certificate
+
+
 class TestClosedFormCover:
     """certify_satellite computes hrrw.cover in closed form; the general
     slope-set route is its oracle."""
 
     def test_sweep_grid_matches_general_route(self):
-        """Every certificate of `sweep --p-max 8 --q-max 60` on the
-        trefoil, T(2,5) and T(3,5) that reaches the cover."""
-        reached = 0
-        for name in ("trefoil", "T(2,5)", "T(3,5)"):
-            k = companion_from_json(name)
-            for p in range(2, 9):
-                for q in range(-60, 61):
-                    if gcd(p, q) != 1:
-                        continue
-                    reached += matches_general_route(certify_cable(k, p, q).certificate)
-        assert reached > 0
+        """Every certificate of the sweep grid that reaches the cover."""
+        assert sum(matches_general_route(cert) for cert in sweep_grid_certificates()) > 0
 
     @settings(max_examples=300, deadline=None)
-    @given(pattern=strategies.patterns, companion=strategies.companions)
-    # Few draws certify, so a certified one-bridge and table pair always run.
-    @example(pattern=one_bridge_braid(5, 2, 21, neg_lspace_threshold=3), companion=torus_knot(2, 5))
-    @example(pattern=table_pattern("t", 2, 1, True, {}, neg_threshold=7, pos_from=-2), companion=TREFOIL)
-    def test_strategies_match_general_route(self, pattern, companion):
-        matches_general_route(certify_satellite(pattern, companion))
+    @given(pair=strategies.pairs)
+    # Fixed certified one-bridge and table pairs, besides the drawn ones.
+    @example(pair=(one_bridge_braid(5, 2, 21, neg_lspace_threshold=3), torus_knot(2, 5)))
+    @example(pair=(table_pattern("t", 2, 1, True, {}, neg_threshold=7, pos_from=-2), TREFOIL))
+    def test_strategies_match_general_route(self, pair):
+        matches_general_route(certify_satellite(*pair))
 
     def test_certify_imports_no_general_cover_route(self):
         imported = set()
@@ -739,3 +793,41 @@ class TestClosedFormCover:
             elif isinstance(node, ast.Import):
                 imported.update(alias.name.rpartition(".")[2] for alias in node.names)
         assert imported.isdisjoint({"gluing", "projective", "covers_circle", "lspace_slope_set"})
+
+
+class TestCertificateFormat:
+    """A certificate names its format in its first key; text of any
+    format but 2 is refused before its key set is read."""
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            (FORMAT_1_CABLE_2_3_OF_TREFOIL, "1"),
+            (CABLE_2_3_OF_TREFOIL.replace('"format": 2', '"format": 3'), "3"),
+            (CABLE_2_3_OF_TREFOIL.replace('"format": 2', '"format": true'), "true"),
+            (CABLE_2_3_OF_TREFOIL.replace('"format": 2', '"format": "2"'), '"2"'),
+        ],
+        ids=["format_1", "3", "true", "string"],
+    )
+    def test_other_formats_are_refused(self, text, shown):
+        with pytest.raises(ValueError, match=f"^certificate format {shown} is not 2$"):
+            Certificate.from_json(text)
+
+    def test_format_2_with_an_extra_key_gets_the_key_set_error(self):
+        data = {**json.loads(CABLE_2_3_OF_TREFOIL), "note": "x"}
+        with pytest.raises(ValueError, match="^certificate keys "):
+            Certificate.from_json(json.dumps(data))
+
+    def test_sweep_grid_states_each_fact_once(self):
+        """Every certified certificate of the sweep grid holds the 11
+        checks in order; none holds a check that restates Theorem 1; every
+        certificate replays."""
+        certified = 0
+        for cert in sweep_grid_certificates():
+            ids = [c["id"] for c in cert.checks]
+            assert RESTATED_CHECK_IDS.isdisjoint(ids)
+            if cert.verdict == CERTIFIED:
+                assert ids == CERTIFIED_CHECK_IDS
+                certified += 1
+            assert replay_certificate(Certificate.from_json(cert.to_json())) == cert.verdict
+        assert certified > 0

@@ -23,6 +23,7 @@ from lspacesat.cli import main
 from lspacesat.patterns import pattern_to_json
 
 import strategies
+from test_certify import FORMAT_1_CABLE_2_3_OF_TREFOIL
 
 
 def run(argv):
@@ -81,9 +82,10 @@ def _params_float(data):
     return json.dumps(data)
 
 
-def _operand(data, value):
-    lem2 = next(c for c in data["checks"] if c["id"] == "lem.2")
-    lem2["values"]["lhs"] = value
+def _operand(data, edit):
+    """lem.4, a >= check, with its left operand lhs replaced by edit(lhs)."""
+    lem4 = next(c for c in data["checks"] if c["id"] == "lem.4")
+    lem4["values"]["lhs"] = edit(lem4["values"]["lhs"])
     return json.dumps(data)
 
 
@@ -105,9 +107,9 @@ FORGERIES = {
     "params_beyond_float": (TORUS_23, "trefoil", _params_beyond_float),
     # Equal to the re-run's integers (13.0 == 13), but not JSON integers.
     "params_float": (TORUS_23, "trefoil", _params_float),
-    "operand_float": (TORUS_23, "trefoil", lambda data: _operand(data, 2.0)),
-    "operand_nan": (TORUS_23, "trefoil", lambda data: _operand(data, float("nan"))),
-    "operand_infinity": (TORUS_23, "trefoil", lambda data: _operand(data, float("inf"))),
+    "operand_float": (TORUS_23, "trefoil", lambda data: _operand(data, float)),
+    "operand_nan": (TORUS_23, "trefoil", lambda data: _operand(data, lambda _: float("nan"))),
+    "operand_infinity": (TORUS_23, "trefoil", lambda data: _operand(data, lambda _: float("inf"))),
     "without_inputs": (TORUS_23, "trefoil", _without_inputs),
     # Replay reads exactly the keys a certificate is written with: a
     # missing reason or params, an extra key, or a key of older
@@ -381,6 +383,14 @@ class TestCertify:
         assert code == 3 and text == "" and err.count("\n") == 1
         assert "a certificate is a JSON object, got " in err
         assert "AttributeError" not in err
+
+    def test_replaying_a_format_1_certificate_names_the_format(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(FORMAT_1_CABLE_2_3_OF_TREFOIL + "\n")
+        code, text = run(["certify", "--replay", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3 and text == "" and err.count("\n") == 1
+        assert err.endswith(": ValueError: certificate format 1 is not 2\n")
 
 
 def _leaf_paths(node, path=()):
