@@ -19,10 +19,7 @@ records; nothing recorded is trusted on its own.
 
 Certificates are written in format 2, which states each fact once: the
 arc [1/a → ∞ → 1/b] is read off params, and the lemma records only what
-Theorem 1 has not already checked.  Format 1 also held lem.2 (w >= 2)
-and lem.3 (the meridional disk), which restate thm1.2, and lem.6
-(P(U, -a) is an L-space knot), which is thm1.3 again since a = 2g(K):
-the same twist of the same pattern.  to_json writes "format": 2 as its
+Theorem 1 has not already checked.  to_json writes "format": 2 as its
 first key.  from_json refuses text whose format is not the integer 2
 (a certificate without the key is format 1) before it looks at the other
 keys, then reads exactly the keys to_json writes; there is no reader for
@@ -33,8 +30,9 @@ inputs are read off the two inputs, not off the run: the companion's
 facts, which replay takes as given, then what the pattern asserts
 (PatternFacts.asserted), so every run on a pair lists the same.
 
-The gluing cover (hrrw.cover) is computed in closed form, since every
-check before it has passed:
+The gluing cover (hrrw.cover) is computed in closed form, which is
+exact once every check before it passes (if one fails, the run raises
+below):
 
 * thm1.1 makes K a nontrivial L-space knot, so its strict L-space slopes
   s1 are the open arc (2g(K)-1, ∞);
@@ -51,11 +49,15 @@ the oracle this closed form is checked against.
 
 Each stage returns its list of checks and nothing that can be read off
 them: necessary_check and check_lemma, while Theorem 1 and the gluing
-cover append theirs inside certify_satellite.  A verdict's reason is the
-id of the first failing check (_first_failure), or
-unknown-twist:necessary or unknown-twist:thm1.3 when the pattern cannot
-answer the twist that stage reads; past thm1.3 every twist read is
-answered.
+cover append theirs inside certify_satellite.  Theorem 1's checks decide
+the verdict.  A REJECTED reason is the id of the first failing
+necessary.* check, and a NOT_CERTIFIED reason the id of the first failing
+thm1.* check (_first_failure), or unknown-twist:necessary or
+unknown-twist:thm1.3 when the pattern cannot answer the twist that stage
+reads.  Past thm1.4 the pipeline proves rather than decides: the lemma
+checks and the cover are the proof of Theorem 1 and hold by the choice
+of (a, b, r), so one of them failing is an engine bug and raises
+ConsistencyError, naming the check, the pattern and the companion.
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ def _flag(id: str, statement: str, value: bool, **extra) -> dict:
 
 
 def _first_failure(checks: list[dict]) -> str | None:
-    """The id of the first failing check: the reason of every verdict
-    but an unknown twist."""
+    """The id of the first failing check, or None: the reason of every
+    verdict but an unknown twist, and the check a ConsistencyError names."""
     return next((c["id"] for c in checks if not c["pass"]), None)
 
 
@@ -308,8 +310,9 @@ def _companion_side(k: KnotFacts) -> tuple[str, str]:
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     """Run the full sufficient-condition pipeline and return a
-    self-contained certificate (a total function: every failure mode
-    becomes a NotCertified or Rejected verdict)."""
+    self-contained certificate.  Every input gets a verdict; a check that
+    fails after thm1.4 has passed raises ConsistencyError instead, since
+    the proof of Theorem 1 makes it hold."""
     checks: list[dict] = []
     note, companion_text = _companion_side(k)
     trusted = [note, *p.asserted()]
@@ -361,26 +364,29 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     if reason := _first_failure(checks):
         return result(NOT_CERTIFIED, reason)
 
+    # Past thm1.4 the lemma and the cover are the proof of Theorem 1 and
+    # hold by construction, so a failing check here is an engine bug.
     params = choose_lemma_params(p, k.genus)
     # No UnknownTwistError: the lemma reads only P(U, -b), and every
     # pattern answers it for b at or past its threshold.
-    checks += check_lemma(p, params.a, params.b, params.r)
-    if reason := _first_failure(checks):
-        return result(NOT_CERTIFIED, reason, params)
-
+    proof = check_lemma(p, params.a, params.b, params.r)
     # The cover in closed form (see the module docstring): s1 is
     # (2g-1, ∞) and s2 the swapped open arc b → ∞ → a.
-    covered = params.a > 2 * k.genus - 1
     glued = f"({Slope(params.b)}, inf] ∪ [-inf, {Slope(params.a)})"
-    checks.append(
+    proof.append(
         _check(
             "hrrw.cover",
             "strict slope sets of the two sides jointly cover QP^1",
-            covered,
+            params.a > 2 * k.genus - 1,
             {"s1": companion_text, "s2": glued},
         )
     )
-    return result(CERTIFIED if covered else NOT_CERTIFIED, _first_failure(checks), params)
+    if failed := _first_failure(proof):
+        raise ConsistencyError(
+            f"{failed} failed after thm1.4 passed, for pattern {p.name} and companion {k.name}"
+        )
+    checks += proof
+    return result(CERTIFIED, None, params)
 
 
 @dataclass(slots=True)

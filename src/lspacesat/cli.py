@@ -15,10 +15,11 @@ Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
 3 input errors (including JSON nested too deeply, a certificate of
 another format, format 1 included, and a certificate that is malformed,
 holds a float, has keys other than those certificates are written with,
-or differs from the re-run).
-Pattern and companion JSON is read strictly: integers must be JSON
-integers, flags JSON true or false, and table twist keys decimal
-integers.
+or differs from the re-run) and internal consistency failures (an engine
+check that holds by construction failing, which no input should reach).
+Pattern and companion JSON is read strictly: each object holds exactly
+its documented keys, integers must be JSON integers, flags JSON true or
+false, names JSON strings, and table twist keys decimal integers.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .certify import (
     NOT_CERTIFIED,
     REJECTED,
     Certificate,
+    ConsistencyError,
     certify_cable,
     certify_satellite,
     replay_certificate,
@@ -88,11 +90,13 @@ def _parse_json_arg(kind: str, parse, text: str):
 
 
 def _emit_certificate(cert: Certificate, args, out) -> int:
+    if args.out or args.format == "json":
+        text = cert.to_json()
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(cert.to_json() + "\n")
+            fh.write(text + "\n")
     if args.format == "json":
-        print(cert.to_json(), file=out)
+        print(text, file=out)
     else:
         if cert.verdict == CERTIFIED:
             assert cert.params is not None
@@ -304,8 +308,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except (InputError, OSError) as e:
-        print(f"error: {_clip(str(e), _ERROR_CHARS)}", file=sys.stderr)
-        return EXIT_INPUT
+        message = str(e)
+    except ConsistencyError as e:
+        # An engine bug: exit 1 would read as "not certified".
+        message = f"internal consistency check failed: {e}"
+    print(f"error: {_clip(message, _ERROR_CHARS)}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

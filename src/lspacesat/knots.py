@@ -10,7 +10,7 @@ criterion used as ground truth in tests, both live here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 
 from .projective import SlopeSet
@@ -154,12 +154,38 @@ def json_flag(value) -> bool:
     return value
 
 
+def json_name(value) -> str:
+    """A name, which is a JSON string read as is: nothing else is coerced."""
+    if type(value) is not str:
+        raise ValueError(f"a name is a JSON string, got {value!r}")
+    return value
+
+
+def json_object(value, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """A JSON object that holds every key of required and no key outside
+    required and optional.  Raises ValueError naming the first key that
+    breaks this: an unknown key is refused, not ignored."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {value!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown key {key!r}: expected only {', '.join(required + optional)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"missing key {key!r}")
+    return value
+
+
+_FACT_KEYS = tuple(f.name for f in fields(KnotFacts))
+
+
 def companion_from_json(obj) -> KnotFacts:
     """Build KnotFacts from the documented JSON forms.
 
     Accepts {"torus_knot": [p, m]}, {"cable": {"companion": ..., "p": p,
-    "q": q}}, an explicit field dictionary, or a shortcut name like
-    "trefoil" or "T(2,3)".
+    "q": q}}, an explicit field dictionary (exactly the six KnotFacts
+    fields, name a JSON string), or a shortcut name like "trefoil" or
+    "T(2,3)".  An object with any other key raises ValueError naming it.
     """
     if isinstance(obj, str):
         key = obj.strip()
@@ -172,14 +198,15 @@ def companion_from_json(obj) -> KnotFacts:
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse companion from {obj!r}")
     if "torus_knot" in obj:
-        p, m = obj["torus_knot"]
+        p, m = json_object(obj, ("torus_knot",))["torus_knot"]
         return torus_knot(json_int(p), json_int(m))
     if "cable" in obj:
-        spec = obj["cable"]
+        spec = json_object(json_object(obj, ("cable",))["cable"], ("companion", "p", "q"))
         inner = companion_from_json(spec["companion"])
         return cable_facts(inner, json_int(spec["p"]), json_int(spec["q"]))
+    json_object(obj, _FACT_KEYS)
     return KnotFacts(
-        name=str(obj["name"]),
+        name=json_name(obj["name"]),
         genus=json_int(obj["genus"]),
         is_lspace=json_flag(obj["is_lspace"]),
         is_neg_lspace=json_flag(obj["is_neg_lspace"]),

@@ -33,6 +33,8 @@ from .knots import (
     facts_note,
     json_flag,
     json_int,
+    json_name,
+    json_object,
     torus_knot,
 )
 from math import gcd
@@ -125,8 +127,9 @@ def _one_bridge_closure(w: int, b: int, t: int) -> KnotFacts:
 @dataclass(frozen=True, slots=True)
 class _OneBridgePattern(PatternFacts):
     """P(U, n) of B(w, b, t) is the closure of B(w, b, t + n·w), since a
-    full twist is w more passes of the strand cycle.  Its threshold only
-    picks b: lem.7 derives P(U, -b), so no verdict rests on it."""
+    full twist is w more passes of the strand cycle.  Without a threshold
+    thm1.4 fails and nothing is certified; with one, it only picks b, and
+    lem.7 derives P(U, -b) whatever threshold was given."""
 
     b: int
     t: int
@@ -292,31 +295,47 @@ def _optional_int(value) -> int | None:
 
 
 def pattern_from_json(obj) -> PatternFacts:
-    """Build PatternFacts from the documented JSON forms."""
+    """Build PatternFacts from the documented JSON forms, each an object
+    with exactly one kind key:
+
+    * {"torus_pattern": [p, q]};
+    * {"one_bridge_braid": {"w", "b", "t"}}, and optionally
+      "neg_threshold";
+    * {"table": {"winding", "genus_s3", "has_disk"}}, and optionally
+      "name" (a JSON string), "twists" (decimal twist keys to companion
+      forms), "neg_threshold" and "pos_from".
+
+    An optional integer may be absent or null.  Any other key, beside the
+    kind key or in its spec, raises ValueError naming it."""
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse pattern from {obj!r}")
-    if "torus_pattern" in obj:
-        p, q = obj["torus_pattern"]
+    if len(obj) != 1:
+        raise ValueError(f"a pattern object has exactly one kind key, got {sorted(obj)}")
+    ((kind, spec),) = obj.items()
+    if kind == "torus_pattern":
+        p, q = spec
         return torus_pattern(json_int(p), json_int(q))
-    if "one_bridge_braid" in obj:
-        spec = obj["one_bridge_braid"]
-        if "overrides" in spec:
-            raise ValueError("one_bridge_braid takes no overrides: every twist is derived")
+    if kind == "one_bridge_braid":
+        spec = json_object(spec, ("w", "b", "t"), ("neg_threshold",))
         return one_bridge_braid(
             json_int(spec["w"]),
             json_int(spec["b"]),
             json_int(spec["t"]),
             neg_lspace_threshold=_optional_int(spec.get("neg_threshold")),
         )
-    if "table" in obj:
-        spec = obj["table"]
+    if kind == "table":
+        spec = json_object(
+            spec,
+            ("winding", "genus_s3", "has_disk"),
+            ("name", "twists", "neg_threshold", "pos_from"),
+        )
         twists = {}
         for n, facts in spec.get("twists", {}).items():
             if str(int(n)) != n:
                 raise ValueError(f"twist keys are decimal integers, got {n!r}")
             twists[int(n)] = companion_from_json(facts)
         return table_pattern(
-            name=str(spec.get("name", "table-pattern")),
+            name=json_name(spec.get("name", "table-pattern")),
             winding=json_int(spec["winding"]),
             genus_s3=json_int(spec["genus_s3"]),
             has_disk=json_flag(spec["has_disk"]),

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 from math import gcd
 from pathlib import Path
@@ -31,7 +32,7 @@ from lspacesat import (
     torus_pattern,
 )
 from lspacesat import certify
-from lspacesat.certify import ReplayMismatchError, _companion_side
+from lspacesat.certify import ConsistencyError, ReplayMismatchError, _companion_side
 from lspacesat.patterns import UnknownTwistError, pattern_to_json
 
 import strategies
@@ -71,6 +72,17 @@ RESTATED_CHECK_IDS = {"lem.2", "lem.3", "lem.6"}
 def failed(checks):
     """The ids of the failing checks, in order."""
     return [c["id"] for c in checks if not c["pass"]]
+
+
+def seed_lemma_bug(monkeypatch, id):
+    """Seed an engine bug: check_lemma, as certify_satellite calls it,
+    records the check id as failing."""
+    check_lemma = certify.check_lemma
+
+    def flipped(*args):
+        return [{**c, "pass": False} if c["id"] == id else c for c in check_lemma(*args)]
+
+    monkeypatch.setattr(certify, "check_lemma", flipped)
 
 
 class TestCheckLemma:
@@ -733,11 +745,47 @@ class TestTotality:
             assert failed(checks[ids.index("thm1.4") + 1 :]) == []
 
     @settings(max_examples=300, deadline=None)
+    @given(pair=strategies.pairs)
+    def test_reason_names_the_deciding_check(self, pair):
+        """Necessary conditions reject and Theorem 1 decides: past thm1.4
+        no check gives a reason."""
+        cert = certify_satellite(*pair)
+        if cert.verdict == REJECTED:
+            assert cert.reason.startswith("necessary.")
+        elif cert.verdict == NOT_CERTIFIED:
+            assert cert.reason.startswith(("thm1.", "unknown-twist:"))
+        else:
+            assert cert.reason is None
+
+    @settings(max_examples=300, deadline=None)
     @given(pair=strategies.certified_pairs)
     def test_certified_pairs_certify(self, pair):
         cert = certify_satellite(*pair)
         assert cert.verdict == CERTIFIED
         assert [c["id"] for c in cert.checks] == CERTIFIED_CHECK_IDS
+
+
+class TestSeededEngineBugs:
+    """Past thm1.4 every check holds by construction, so one that fails
+    there is an engine bug: certify_satellite raises ConsistencyError
+    naming it, the pattern and the companion, and returns no verdict."""
+
+    def test_failing_lemma_check_raises(self, monkeypatch):
+        seed_lemma_bug(monkeypatch, "lem.7")
+        with pytest.raises(ConsistencyError, match=r"^lem\.7 .*T\(2,3\)-pattern.* T\(2,3\)$"):
+            certify_satellite(torus_pattern(2, 3), TREFOIL)
+
+    def test_failing_cover_raises(self, monkeypatch):
+        """a = 2g(K) - 1 keeps every lemma inequality, so the cover is the
+        first check to fail."""
+        choose = certify.choose_lemma_params
+        monkeypatch.setattr(
+            certify,
+            "choose_lemma_params",
+            lambda p, g: dataclasses.replace(choose(p, g), a=2 * g - 1),
+        )
+        with pytest.raises(ConsistencyError, match=r"^hrrw\.cover "):
+            certify_satellite(torus_pattern(2, 3), TREFOIL)
 
 
 def matches_general_route(cert) -> bool:

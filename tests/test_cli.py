@@ -19,11 +19,12 @@ from lspacesat import (
     torus_knot,
     torus_pattern,
 )
+from lspacesat import certify
 from lspacesat.cli import main
 from lspacesat.patterns import pattern_to_json
 
 import strategies
-from test_certify import FORMAT_1_CABLE_2_3_OF_TREFOIL
+from test_certify import FORMAT_1_CABLE_2_3_OF_TREFOIL, seed_lemma_bug
 
 
 def run(argv):
@@ -171,6 +172,21 @@ class TestCertify:
         assert data["verdict"] == "CERTIFIED"
         assert data["params"]["a"] == 4
 
+    def test_out_and_json_format_encode_once(self, tmp_path, monkeypatch):
+        """--out and --format json write the same text, encoded once."""
+        calls = []
+        to_json = Certificate.to_json
+        monkeypatch.setattr(Certificate, "to_json", lambda cert: calls.append(1) or to_json(cert))
+        path = tmp_path / "cert.json"
+        code, text = run(
+            ["certify", "--pattern", TORUS_23, "--companion", "trefoil", "--out", str(path)]
+            + ["--format", "json"]
+        )
+        assert code == 0 and len(calls) == 1
+        assert path.read_text() == text == certify_satellite(
+            torus_pattern(2, 3), torus_knot(2, 3)
+        ).to_json() + "\n"
+
     def test_bad_companion_is_input_error(self):
         code, _ = run(
             ["certify", "--pattern", '{"torus_pattern": [2, 3]}', "--companion", "granny"]
@@ -295,6 +311,27 @@ class TestCertify:
             ),
             # A knot of genus 0 is the unknot.
             (TORUS_23, GENUS_ZERO_NOT_UNKNOT),
+            # Pattern and companion objects hold exactly their documented
+            # keys: a misspelt or extra key is refused, not ignored.
+            ('{"one_bridge_braid": {"w": 4, "b": 1, "t": 10, "neg_treshold": 3}}', "trefoil"),
+            (
+                '{"table": {"name": "t", "winding": 2, "genus_s3": 1, "has_disk": true,'
+                ' "twists": {"0": "trefoil"}, "neg_treshold": 7, "pos_from": -2}}',
+                "trefoil",
+            ),
+            ('{"torus_pattern": [2, 3], "table": {}}', "trefoil"),
+            (
+                TORUS_23,
+                '{"name": "x", "genus": 1, "is_lspace": true, "is_neg_lspace": false,'
+                ' "is_fibered": true, "is_unknot": false, "note": "x"}',
+            ),
+            (
+                TORUS_23,
+                '{"name": 7, "genus": 1, "is_lspace": true, "is_neg_lspace": false,'
+                ' "is_fibered": true, "is_unknot": false}',
+            ),
+            (TORUS_23, '{"torus_knot": [2, 3], "name": "x"}'),
+            (TORUS_23, '{"cable": {"companion": "trefoil", "p": 2, "q": 3, "r": 1}}'),
             # JSON nested past the decoder's recursion limit.
             ("[" * 5000 + "]" * 5000, "trefoil"),
             b'{"verdict": "CERTIFIED"}',
@@ -318,6 +355,13 @@ class TestCertify:
             "table_twist_key_not_decimal",
             "table_entry_contradicts_its_tail",
             "companion_genus_zero_not_unknot",
+            "braid_misspelt_threshold",
+            "table_misspelt_threshold",
+            "pattern_two_kinds",
+            "companion_extra_key",
+            "companion_name_not_a_string",
+            "companion_torus_knot_extra_key",
+            "companion_cable_extra_key",
             "pattern_nested_too_deeply",
             "incomplete",
             "not_json",
@@ -541,6 +585,42 @@ class TestRepeatedMain:
                 timeout=60,
             )
             assert got == (proc.returncode, proc.stdout, proc.stderr)
+
+
+class TestEngineBug:
+    """A seeded engine bug raises ConsistencyError, which main turns into
+    one error line and exit 3: Python's exit 1 for an uncaught exception
+    would read as "not certified"."""
+
+    @staticmethod
+    def assert_exits_3(argv, capsys):
+        capsys.readouterr()
+        code, text = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3 and text == ""
+        assert err.startswith("error: internal consistency check failed: ")
+        assert err.count("\n") == 1
+
+    def test_certify(self, monkeypatch, capsys):
+        seed_lemma_bug(monkeypatch, "lem.7")
+        self.assert_exits_3(["certify", "--pattern", TORUS_23, "--companion", "trefoil"], capsys)
+
+    def test_replay(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        code, _ = run(["certify", "--pattern", TORUS_23, "--companion", "trefoil", "--out", str(path)])
+        assert code == 0
+        seed_lemma_bug(monkeypatch, "lem.7")
+        self.assert_exits_3(["certify", "--replay", str(path)], capsys)
+
+    def test_cable_certified_against_the_exact_criterion(self, monkeypatch, capsys):
+        monkeypatch.setattr(certify, "cable_is_lspace_exact", lambda k, p, q: False)
+        self.assert_exits_3(["cable", "--companion", "trefoil", "--p", "2", "--q", "3"], capsys)
+
+    def test_sweep(self, monkeypatch, capsys):
+        seed_lemma_bug(monkeypatch, "lem.sandwich")
+        self.assert_exits_3(
+            ["sweep", "--p-max", "2", "--q-max", "3", "--companion", "trefoil"], capsys
+        )
 
 
 class TestCable:

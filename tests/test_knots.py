@@ -191,3 +191,18 @@ class TestJson:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             companion_from_json("granny")
+
+    @pytest.mark.parametrize(
+        "obj, error",
+        [
+            ({**companion_to_json(torus_knot(2, 3)), "note": "x"}, "unknown key 'note'"),
+            ({**companion_to_json(torus_knot(2, 3)), "name": 7}, "a name is a JSON string, got 7"),
+            ({"torus_knot": [2, 3], "name": "x"}, "unknown key 'name'"),
+            ({"cable": {"companion": "trefoil", "p": 2, "q": 3, "r": 1}}, "unknown key 'r'"),
+            ({"cable": {"companion": "trefoil", "p": 2}}, "missing key 'q'"),
+        ],
+        ids=["extra_field", "name_not_a_string", "torus_knot_extra", "cable_extra", "cable_missing"],
+    )
+    def test_only_documented_keys(self, obj, error):
+        with pytest.raises(ValueError, match=error):
+            companion_from_json(obj)

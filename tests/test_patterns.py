@@ -272,6 +272,44 @@ class TestJson:
             pattern_from_json({"mystery": 1})
 
     @pytest.mark.parametrize(
+        "obj, error",
+        [
+            (
+                {"one_bridge_braid": {"w": 4, "b": 1, "t": 10, "neg_treshold": 3}},
+                "unknown key 'neg_treshold'",
+            ),
+            (
+                {"one_bridge_braid": {"w": 5, "b": 2, "t": 3, "overrides": {"-1": "trefoil"}}},
+                "unknown key 'overrides'",
+            ),
+            (
+                {"table": {"winding": 2, "genus_s3": 1, "has_disk": True, "neg_treshold": 7}},
+                "unknown key 'neg_treshold'",
+            ),
+            (
+                {"torus_pattern": [2, 3], "table": {}},
+                r"exactly one kind key, got \['table', 'torus_pattern'\]",
+            ),
+            ({"one_bridge_braid": {"w": 4, "b": 1}}, "missing key 't'"),
+            (
+                {"table": {"name": 7, "winding": 2, "genus_s3": 1, "has_disk": True}},
+                "a name is a JSON string, got 7",
+            ),
+        ],
+        ids=[
+            "braid_misspelt_threshold",
+            "braid_overrides",
+            "table_misspelt_threshold",
+            "two_kinds",
+            "braid_missing_t",
+            "table_name_not_a_string",
+        ],
+    )
+    def test_only_documented_keys(self, obj, error):
+        with pytest.raises(ValueError, match=error):
+            pattern_from_json(obj)
+
+    @pytest.mark.parametrize(
         "pat",
         [
             torus_pattern(2, 3),
