@@ -74,6 +74,7 @@ from .knots import (
     facts_note,
 )
 from .patterns import (
+    ConsistencyError,
     PatternFacts,
     UnknownTwistError,
     pattern_from_json,
@@ -85,10 +86,6 @@ from .slopes import Slope
 CERTIFIED = "CERTIFIED"
 NOT_CERTIFIED = "NOT_CERTIFIED"
 REJECTED = "REJECTED"
-
-
-class ConsistencyError(AssertionError):
-    """An internal cross-check that should never fail did fail."""
 
 
 class ReplayMismatchError(ValueError):

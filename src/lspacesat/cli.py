@@ -6,7 +6,9 @@ Subcommands:
                   or with --replay re-run it on the pattern and companion
                   a stored certificate carries and compare the result
 * cable        -- certify a cable and compare with the exact criterion
-* sweep        -- tabulate sufficient vs exact verdicts over a (p, q) grid
+* sweep        -- tabulate sufficient vs exact verdicts over a (p, q) grid,
+                  for --companion given once per companion in any form
+                  certify takes
 * set-algebra  -- evaluate cover (printing the union) or interior on
                   serialized sets
 * oracle       -- brute-force cross-checks of the exact cover test
@@ -139,25 +141,9 @@ def _cmd_cable(args, out) -> int:
     return code
 
 
-def _split_names(text: str) -> list[str]:
-    """Split a comma-separated companion list, ignoring commas inside
-    parentheses so names like T(2,5) survive."""
-    names, buf, depth = [], [], 0
-    for ch in text:
-        if ch == "," and depth == 0:
-            names.append("".join(buf))
-            buf = []
-            continue
-        depth += {"(": 1, ")": -1}.get(ch, 0)
-        buf.append(ch)
-    names.append("".join(buf))
-    return [n.strip() for n in names if n.strip()]
-
-
 def _cmd_sweep(args, out) -> int:
-    names = _split_names(args.companion)
     companions = [
-        (name, _parse_json_arg("companion", companion_from_json, name)) for name in names
+        (text, _parse_json_arg("companion", companion_from_json, text)) for text in args.companion
     ]
     rows = []
     for name, k in companions:
@@ -277,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sufficient vs exact verdicts on a grid")
     sweep.add_argument("--p-max", type=_positive, required=True)
     sweep.add_argument("--q-max", type=_positive, required=True)
-    sweep.add_argument("--companion", required=True, help="comma-separated names")
+    sweep.add_argument(
+        "--companion", action="append", required=True, help="companion JSON or name; repeatable"
+    )
     sweep.add_argument("--out")
 
     sets = sub.add_parser("set-algebra", help="exact slope-set operations")

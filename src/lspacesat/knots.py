@@ -65,20 +65,25 @@ def facts_note(k: KnotFacts) -> str:
     )
 
 
-def torus_knot(p: int, m: int) -> KnotFacts:
-    """The (p, m) torus knot, p >= 2; m = ±1 gives the unknot.
-
-    Genus (p-1)(|m|-1)/2; admits a positive L-space surgery iff m >= -1
-    and a negative one iff m <= 1.
-    """
+def torus_knot_genus(p: int, m: int) -> int:
+    """Genus (p-1)(|m|-1)/2 of the (p, m) torus knot; raises ValueError
+    unless p >= 2 and gcd(p, m) = 1."""
     if p < 2:
         raise ValueError(f"longitudinal winding p must be >= 2, got {p}")
     if gcd(p, m) != 1:
         raise ValueError(f"T({p},{m}) needs gcd(p, m) = 1")
-    genus = (p - 1) * (abs(m) - 1) // 2
+    return (p - 1) * (abs(m) - 1) // 2
+
+
+def torus_knot(p: int, m: int) -> KnotFacts:
+    """The (p, m) torus knot, p >= 2; m = ±1 gives the unknot.
+
+    Genus torus_knot_genus(p, m); admits a positive L-space surgery iff
+    m >= -1 and a negative one iff m <= 1.
+    """
     return KnotFacts(
         name=f"T({p},{m})",
-        genus=genus,
+        genus=torus_knot_genus(p, m),
         is_lspace=m >= -1,
         is_neg_lspace=m <= 1,
         is_fibered=True,

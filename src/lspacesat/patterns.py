@@ -36,8 +36,12 @@ from .knots import (
     json_name,
     json_object,
     torus_knot,
+    torus_knot_genus,
 )
-from math import gcd
+
+
+class ConsistencyError(AssertionError):
+    """A check that holds by construction failed: an engine bug, not bad input."""
 
 
 class UnknownTwistError(LookupError):
@@ -72,9 +76,7 @@ class PatternFacts:
         if self.winding < 0:
             raise ValueError("winding must be nonnegative")
         if self.has_minimal_meridional_disk and self.winding < 1:
-            raise ValueError(
-                "a meridional disk meeting P in w points forces winding >= 1"
-            )
+            raise ValueError("a meridional disk meeting P in w points forces winding >= 1")
         if self.neg_lspace_threshold is not None and self.neg_lspace_threshold < 0:
             raise ValueError("neg_lspace_threshold must be nonnegative")
 
@@ -92,9 +94,8 @@ class PatternFacts:
         facts = self._twist(n)
         bound = genus_twist_bound(self.genus_s3, self.winding, n)
         if facts.genus > bound:
-            raise ValueError(
-                f"{self.name}: genus {facts.genus} at twist {n} exceeds "
-                f"bound {bound}"
+            raise ConsistencyError(
+                f"{self.name}: genus {facts.genus} at twist {n} exceeds bound {bound}"
             )
         return facts
 
@@ -180,13 +181,8 @@ class _TablePattern(PatternFacts):
 def torus_pattern(p: int, q: int) -> PatternFacts:
     """The (p, q)-torus knot in its standard solid-torus embedding;
     p is the longitudinal winding and P(U, n) = T(p, q + n·p)."""
-    if p < 2:
-        raise ValueError(f"longitudinal winding p must be >= 2, got {p}")
-    if gcd(p, q) != 1:
-        raise ValueError(f"torus pattern needs gcd(p, q) = 1, got ({p}, {q})")
-    genus_s3 = (p - 1) * (abs(q) - 1) // 2
-    # Least N with q - N·p <= 1, clamped to be nonnegative.
-    threshold = max(-(-(q - 1) // p), 0)
+    genus_s3 = torus_knot_genus(p, q)  # of P(U); refuses p < 2 and gcd(p, q) != 1
+    threshold = max(-(-(q - 1) // p), 0)  # least N with q - N·p <= 1, at least 0
     return _TorusPattern(
         name=f"T({p},{q})-pattern",
         winding=p,
@@ -248,9 +244,10 @@ def table_pattern(
     """A pattern known by tabled twists and asserted tails: P(U, n) is a
     negative L-space knot for n <= -neg_threshold and an L-space knot for
     n >= pos_from.  Raises ValueError, naming the twist, for a table that
-    contradicts itself: an entry over the genus twist bound, an entry in a
-    tail that lacks the tail's flag, or tails that overlap where the
-    bound allows a nontrivial knot, which cannot have both flags."""
+    contradicts itself: an entry over the genus twist bound, P(U) at n = 0
+    of a genus other than genus_s3, an entry in a tail that lacks the
+    tail's flag, or tails that overlap where the bound allows a
+    nontrivial knot, which cannot have both flags."""
     # Built first, so that PatternFacts refuses a negative threshold
     # before the tails are read.
     pattern = _TablePattern(
@@ -265,6 +262,8 @@ def table_pattern(
     for n, facts in twists.items():
         if facts.genus > genus_twist_bound(genus_s3, winding, n):
             raise ValueError(f"table entry n={n} violates the genus twist bound")
+        if n == 0 and facts.genus != genus_s3:
+            raise ValueError(f"table entry n=0 is P(U), of genus {facts.genus}, not {genus_s3}")
         if neg_threshold is not None and n <= -neg_threshold and not facts.is_neg_lspace:
             raise ValueError(
                 f"table entry n={n} lies in the negative tail n <= -{neg_threshold} "

@@ -105,12 +105,14 @@ one_bridge_patterns = st.builds(
 
 @st.composite
 def table_patterns(draw):
-    """Tables that do not contradict themselves: entries over the genus
-    bound or without the flag of a tail they lie in are dropped, and a
-    positive tail that overlaps the negative one where the bound allows a
-    nontrivial knot is clamped to start past it."""
+    """Tables that do not contradict themselves: a tabled P(U) gives
+    genus_s3 its genus, entries over the genus bound or without the flag
+    of a tail they lie in are dropped, and a positive tail that overlaps
+    the negative one where the bound allows a nontrivial knot is clamped
+    to start past it."""
     winding = draw(st.integers(0, 5))
-    genus_s3 = draw(st.integers(0, 6))
+    drawn = draw(st.dictionaries(st.integers(-12, 12), companions, max_size=4))
+    genus_s3 = drawn[0].genus if 0 in drawn else draw(st.integers(0, 6))
     # -1 and 3 stand for an absent tail.
     neg_threshold = draw(st.integers(-1, 12).map(lambda n: None if n < 0 else n))
     pos_from = draw(st.integers(-12, 3).map(lambda n: None if n > 2 else n))
@@ -123,7 +125,7 @@ def table_patterns(draw):
         pos_from = 1 - neg_threshold
     twists = {
         n: k
-        for n, k in draw(st.dictionaries(st.integers(-12, 12), companions, max_size=4)).items()
+        for n, k in drawn.items()
         if k.genus <= genus_twist_bound(genus_s3, winding, n)
         and (neg_threshold is None or n > -neg_threshold or k.is_neg_lspace)
         and (pos_from is None or n < pos_from or k.is_lspace)
@@ -186,8 +188,8 @@ def _certified_table(draw, g):
         bound = genus_twist_bound(genus_s3, winding, -2 * g)
         twists[-2 * g] = torus_knot(2, 2 * draw(st.integers(0, min(bound, 6))) + 1)
     if neg_threshold > 0 and pos_from is None:
-        # P(U): a fibered knot within the genus bound.
-        m = 2 * draw(st.integers(0, genus_s3)) + 1
+        # P(U): a fibered knot of genus genus_s3.
+        m = 2 * genus_s3 + 1
         twists[0] = torus_knot(2, draw(st.sampled_from([-m, m])))
     return table_pattern(
         draw(st.text(max_size=4)),

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 import os
@@ -21,7 +23,7 @@ from lspacesat import (
 )
 from lspacesat import certify
 from lspacesat.cli import main
-from lspacesat.patterns import pattern_to_json
+from lspacesat.patterns import _TorusPattern, pattern_to_json
 
 import strategies
 from test_certify import FORMAT_1_CABLE_2_3_OF_TREFOIL, seed_lemma_bug
@@ -622,6 +624,26 @@ class TestEngineBug:
             ["sweep", "--p-max", "2", "--q-max", "3", "--companion", "trefoil"], capsys
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--pattern", TORUS_23, "--companion", "trefoil"],
+            ["cable", "--companion", "trefoil", "--p", "2", "--q", "3"],
+        ],
+        ids=["certify", "cable"],
+    )
+    def test_twist_over_the_genus_bound(self, argv, monkeypatch, capsys):
+        # A torus pattern whose P(U) comes out 100 over its genus: the
+        # genus cross-check in twisted_facts fails, which is no bad input.
+        twist = _TorusPattern._twist
+
+        def lying(self, n):
+            facts = twist(self, n)
+            return dataclasses.replace(facts, genus=facts.genus + 100) if n == 0 else facts
+
+        monkeypatch.setattr(_TorusPattern, "_twist", lying)
+        self.assert_exits_3(argv, capsys)
+
 
 class TestCable:
     def test_agreeing(self):
@@ -646,8 +668,6 @@ class TestSweep:
             ["sweep", "--p-max", "3", "--q-max", "12", "--companion", "trefoil"]
         )
         assert code == 0
-        import csv
-
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         assert header == ["p", "q", "companion", "sufficient_verdict", "exact_verdict", "gap_flag"]
@@ -663,16 +683,66 @@ class TestSweep:
 
     def test_soundness_on_grid(self):
         code, text = run(
-            ["sweep", "--p-max", "4", "--q-max", "15", "--companion", "trefoil,T(2,5)"]
+            [
+                "sweep",
+                "--p-max",
+                "4",
+                "--q-max",
+                "15",
+                "--companion",
+                "trefoil",
+                "--companion",
+                "T(2,5)",
+                "--companion",
+                '{"cable": {"companion": "trefoil", "p": 2, "q": 3}}',
+            ]
         )
         assert code == 0
-        import csv
-
         reader = csv.reader(io.StringIO(text))
         next(reader)
         for _, _, _, verdict, exact, _ in reader:
             if verdict == "CERTIFIED":
                 assert exact == "lspace"
+
+    @staticmethod
+    def sweep_rows(*companions):
+        argv = ["sweep", "--p-max", "3", "--q-max", "12"]
+        for companion in companions:
+            argv += ["--companion", companion]
+        code, text = run(argv)
+        assert code == 0
+        return list(csv.reader(io.StringIO(text)))[1:]
+
+    def test_each_companion_form_is_read_as_certify_reads_it(self):
+        rows = self.sweep_rows("trefoil", '{"torus_knot": [2, 3]}')
+        trefoil = [r for r in rows if r[2] == "trefoil"]
+        torus = [r for r in rows if r[2] == '{"torus_knot": [2, 3]}']
+        assert len(trefoil) + len(torus) == len(rows)
+        assert [r[:2] + r[3:] for r in torus] == [r[:2] + r[3:] for r in trefoil]
+
+    def test_explicit_facts_of_a_non_fibered_knot_are_rejected(self):
+        five_two = json.dumps(
+            {
+                "name": "5_2",
+                "genus": 1,
+                "is_lspace": False,
+                "is_neg_lspace": False,
+                "is_fibered": False,
+                "is_unknot": False,
+            }
+        )
+        rows = self.sweep_rows(five_two)
+        assert rows and {tuple(r[2:5]) for r in rows} == {(five_two, "REJECTED", "not_lspace")}
+
+    def test_a_comma_separated_list_is_one_bad_companion(self, capsys):
+        capsys.readouterr()
+        code, text = run(
+            ["sweep", "--p-max", "2", "--q-max", "3", "--companion", "trefoil,T(2,5)"]
+        )
+        err = capsys.readouterr().err
+        assert code == 3 and text == ""
+        assert err.startswith("error: bad companion 'trefoil,T(2,5)'")
+        assert err.count("\n") == 1
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "sweep.csv"

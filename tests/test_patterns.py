@@ -20,6 +20,7 @@ from lspacesat import (
     torus_pattern,
 )
 from lspacesat.patterns import (
+    ConsistencyError,
     UnknownTwistError,
     _TorusPattern,
     one_bridge_braid_word,
@@ -167,7 +168,7 @@ class TestGenusTwistBound:
 
         pat = Lying("bad", 2, 1, True, 1, 3)
         assert pat.twisted_facts(48) == torus_knot(2, 99)  # bound 1 + 48 = 49
-        with pytest.raises(ValueError, match="genus 49 at twist 2 exceeds bound 3"):
+        with pytest.raises(ConsistencyError, match="genus 49 at twist 2 exceeds bound 3"):
             pat.twisted_facts(2)
 
 
@@ -204,22 +205,29 @@ class TestTablePattern:
         assert certify_satellite(pat, torus_knot(2, 3)).reason == "thm1.2"
 
     @pytest.mark.parametrize(
-        "twists, neg_threshold, pos_from, message",
+        "genus_s3, twists, neg_threshold, pos_from, message",
         [
             (
+                1,
                 {-8: torus_knot(2, 3)},
                 7,
                 -2,
                 "entry n=-8 lies in the negative tail n <= -7 but is not a negative",
             ),
-            ({1: torus_knot(2, -3)}, 7, 1, "entry n=1 lies in the positive tail n >= 1 but is not an"),
-            ({}, 2, -10, "tails n <= -2 and n >= -10 overlap at n=-10, whose genus bound 11"),
+            (1, {1: torus_knot(2, -3)}, 7, 1, "entry n=1 lies in the positive tail n >= 1 but is not an"),
+            (1, {}, 2, -10, "tails n <= -2 and n >= -10 overlap at n=-10, whose genus bound 11"),
+            # P(U) is the trefoil, of genus 1, not 5.
+            (5, {0: torus_knot(2, 3)}, 7, -2, r"entry n=0 is P\(U\), of genus 1, not 5"),
         ],
-        ids=["entry_in_negative_tail", "entry_in_positive_tail", "overlapping_tails"],
+        ids=["entry_in_negative_tail", "entry_in_positive_tail", "overlapping_tails", "p_of_u_genus"],
     )
-    def test_refuses_a_table_that_contradicts_itself(self, twists, neg_threshold, pos_from, message):
+    def test_refuses_a_table_that_contradicts_itself(
+        self, genus_s3, twists, neg_threshold, pos_from, message
+    ):
         with pytest.raises(ValueError, match=message):
-            table_pattern("t", 2, 1, True, twists, neg_threshold=neg_threshold, pos_from=pos_from)
+            table_pattern(
+                "t", 2, genus_s3, True, twists, neg_threshold=neg_threshold, pos_from=pos_from
+            )
 
     def test_tails_may_overlap_where_the_bound_is_zero(self):
         # Winding 1 adds no genus, so both tails of a genus-0 pattern give
