@@ -55,7 +55,8 @@ class UnknownTwistError(LookupError):
 
 def genus_twist_bound(g_p: int, w: int, n: int) -> int:
     """Upper bound g_p + |n|·w(w-1)/2 for the genus after |n| full twists
-    (each full twist changes the genus by at most w(w-1)/2)."""
+    (each full twist changes the genus by at most w(w-1)/2, so the genus
+    is also at least g_p - |n|·w(w-1)/2)."""
     if w < 0:
         raise ValueError("winding must be nonnegative")
     return g_p + abs(n) * w * (w - 1) // 2
@@ -244,10 +245,11 @@ def table_pattern(
     """A pattern known by tabled twists and asserted tails: P(U, n) is a
     negative L-space knot for n <= -neg_threshold and an L-space knot for
     n >= pos_from.  Raises ValueError, naming the twist, for a table that
-    contradicts itself: an entry over the genus twist bound, P(U) at n = 0
-    of a genus other than genus_s3, an entry in a tail that lacks the
-    tail's flag, or tails that overlap where the bound allows a
-    nontrivial knot, which cannot have both flags."""
+    contradicts itself: an entry over the genus twist bound or under
+    genus_s3 - |n|·w(w-1)/2, P(U) at n = 0 of a genus other than
+    genus_s3, an entry in a tail that lacks the tail's flag, or tails that
+    overlap where the bound allows a nontrivial knot, which cannot have
+    both flags."""
     # Built first, so that PatternFacts refuses a negative threshold
     # before the tails are read.
     pattern = _TablePattern(
@@ -260,10 +262,16 @@ def table_pattern(
         pos_tail_from=pos_from,
     )
     for n, facts in twists.items():
-        if facts.genus > genus_twist_bound(genus_s3, winding, n):
+        reach = genus_twist_bound(0, winding, n)  # |n|·w(w-1)/2
+        if facts.genus > genus_s3 + reach:
             raise ValueError(f"table entry n={n} violates the genus twist bound")
         if n == 0 and facts.genus != genus_s3:
             raise ValueError(f"table entry n=0 is P(U), of genus {facts.genus}, not {genus_s3}")
+        if facts.genus < genus_s3 - reach:
+            raise ValueError(
+                f"table entry n={n} has genus {facts.genus}, under the lower genus twist "
+                f"bound {genus_s3 - reach}"
+            )
         if neg_threshold is not None and n <= -neg_threshold and not facts.is_neg_lspace:
             raise ValueError(
                 f"table entry n={n} lies in the negative tail n <= -{neg_threshold} "

@@ -6,24 +6,28 @@ orientation of the circle, with independent closure flags at the two
 endpoints.  Two arcs have start = end: a single point (both ends
 closed) and the complement of a point, the open arc h -> h that runs
 once round the circle.  Arc's one constructor validates that shape,
-refusing mixed flags when start = end; Arc and SlopeSet are slotted,
-frozen dataclasses, immutable and without a __dict__, like the Slopes
-they hold.
+refusing mixed flags when start = end, and stores its fields through the
+slot descriptors as Slope's does; Arc and SlopeSet are slotted, frozen
+dataclasses, immutable and without a __dict__, like the Slopes they hold.
 
 Canonical form is one integer sweep: the m distinct endpoints of all
 contributing arcs cut the circle into 2m pieces (each endpoint, then the
-open gap after it), every arc covers a cyclic run of pieces, a
-difference array counts the runs, and maximal covered runs become the
-canonical arcs.  Each finite endpoint gets one exact integer key,
-num·Q² // den, and ∞ goes first; the keys sort, deduplicate and index
-the endpoints, so every coverage question is decided in integers.
+open gap after it), every arc covers a cyclic run of pieces, and a
+difference array counts the runs into a bytes coverage map, one byte per
+piece.  Each finite endpoint gets one exact integer key, num·Q² // den,
+and ∞ goes first; the keys sort, deduplicate and index the endpoints, so
+every coverage question is decided in integers.  _canonical reads the
+maximal covered runs off the map with one compiled scan and makes each
+an arc; covers_circle stops at the map, asking only whether a piece is
+uncovered, and builds no arc.
 
 Only from_arcs, union and parse sweep, since only there can arcs
-overlap; parse is one scan of compiled patterns over its text (the
-slope grammar is slopes.SLOPE_GRAMMAR) followed by the sweep.  interior
-opens the ends of arcs that are already disjoint and maximal, and the
-image under a gluing map (gluing.GluingMap) is a homeomorphism of the
-circle; both map a canonical set to a canonical set arc by arc.
+overlap; parse reads each piece and the separators after it with one
+compiled match (the slope grammar is slopes.SLOPE_GRAMMAR) and then
+sweeps.  interior opens the ends of arcs that are already disjoint and
+maximal, and the image under a gluing map (gluing.GluingMap) is a
+homeomorphism of the circle; both map a canonical set to a canonical set
+arc by arc.
 """
 
 from __future__ import annotations
@@ -36,13 +40,15 @@ from typing import Iterable
 from .slopes import INFINITY, SLOPE_GRAMMAR, Slope, circular_keys, slope_ccw, slope_det
 
 # The text parse reads: a piece "{x}" (groups 1-2) or an arc (groups 3-8),
-# with no newline inside, and a run of separators between pieces.
+# with no newline inside, then the run of separators after it, whose ∪, U
+# or u (group 9) is None when there is none.
 _W = r"[^\S\n]*"
+_SEPARATORS = r"\s*([∪Uu][\s∪Uu]*)?"
 _PIECE = re.compile(
-    rf"\{{{_W}{SLOPE_GRAMMAR}{_W}\}}"
-    rf"|([\[(]){_W}{SLOPE_GRAMMAR}{_W},{_W}{SLOPE_GRAMMAR}{_W}([\])])"
+    rf"(?:\{{{_W}{SLOPE_GRAMMAR}{_W}\}}"
+    rf"|([\[(]){_W}{SLOPE_GRAMMAR}{_W},{_W}{SLOPE_GRAMMAR}{_W}([\])])){_SEPARATORS}"
 )
-_SEPARATORS = re.compile(r"\s*([∪Uu][\s∪Uu]*)?")
+_LEADING_SEPARATORS = re.compile(_SEPARATORS)
 _COPOINT = re.compile(rf"QP1\s*\\\s*\{{{_W}{SLOPE_GRAMMAR}{_W}\}}")
 
 
@@ -68,14 +74,14 @@ class Arc:
         # Flags first: most arcs then pass without comparing two Slopes.
         if start_closed != end_closed and start == end:
             raise ValueError("degenerate arc must be a closed point or an open copoint")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "start_closed", start_closed)
-        object.__setattr__(self, "end_closed", end_closed)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_start_closed(self, start_closed)
+        _set_end_closed(self, end_closed)
 
     @property
     def is_point(self) -> bool:
-        return self.start == self.end and self.start_closed
+        return self.start_closed and self.start == self.end
 
     def contains(self, x: Slope) -> bool:
         if x == self.start:
@@ -85,6 +91,14 @@ class Arc:
         if self.start == self.end:
             return not self.start_closed
         return slope_ccw(self.start, x, self.end)
+
+
+# The slot descriptors' setters, which skip the frozen __setattr__; only
+# the constructor calls them.
+_set_start = Arc.start.__set__
+_set_end = Arc.end.__set__
+_set_start_closed = Arc.start_closed.__set__
+_set_end_closed = Arc.end_closed.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,8 +182,9 @@ class SlopeSet:
         is closed.  Otherwise an arc from a slope to itself is a point
         when both brackets are closed and an error when not, so
         [1/0, 1/0] and [-inf, 1/0] are the point {1/0} and (inf, 1/0)
-        is an error.  One scan of compiled patterns reads the pieces,
-        then the sweep merges them.  Malformed text raises ValueError.
+        is an error.  One compiled match reads each piece with the
+        separators after it, then the sweep merges the pieces.  Malformed
+        text raises ValueError.
         """
         t = text.strip()
         if t.upper() in ("EMPTY", "FULL"):
@@ -178,12 +193,12 @@ class SlopeSet:
         if m:
             return cls.copoint(Slope.from_groups(*m.groups()))
         arcs = []
-        pos = _SEPARATORS.match(t).end()
+        pos = _LEADING_SEPARATORS.match(t).end()
         while pos < len(t):
             m = _PIECE.match(t, pos)
             if m is None:
                 raise ValueError(f"cannot parse slope set {text!r} at position {pos}")
-            x_num, x_den, sb, a_num, a_den, b_num, b_den, eb = m.groups()
+            x_num, x_den, sb, a_num, a_den, b_num, b_den, eb, sep = m.groups()
             if sb is None:
                 x = Slope.from_groups(x_num, x_den)
                 arcs.append(Arc(x, x))
@@ -196,11 +211,10 @@ class SlopeSet:
                 start, end = Slope.from_groups(a_num, a_den), Slope.from_groups(b_num, b_den)
                 start_closed, end_closed = sb == "[", eb == "]"
                 if not (start_closed and end_closed) and start == end:
-                    raise ValueError(f"degenerate open arc {m.group()!r}")
+                    raise ValueError(f"degenerate open arc {t[pos:m.end(8)]!r}")
                 arcs.append(Arc(start, end, start_closed, end_closed))
-            sep = _SEPARATORS.match(t, m.end())
-            pos = sep.end()
-            if sep.group(1) is None and pos < len(t):
+            pos = m.end()
+            if sep is None and pos < len(t):
                 raise ValueError(f"slope set {text!r} needs ∪ at position {pos}")
         if not arcs:
             raise ValueError(f"cannot parse slope set {text!r}")
@@ -225,19 +239,18 @@ def _arc_to_str(a: Arc) -> str:
 
 # -- canonicalization ---------------------------------------------------
 
+_RUN = re.compile(rb"\x01+")  # a maximal run of covered pieces
 
-def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
-    """Canonical SlopeSet covering exactly the points of the given arcs.
 
-    With the distinct endpoints p_0, ..., p_{m-1} in circular order,
-    piece 2i is the point p_i and piece 2i+1 the open gap from p_i to
-    p_{i+1 mod m}.  Each arc covers one cyclic run of pieces; a
-    difference array counts the runs, and every maximal covered run
-    becomes one canonical arc.  The endpoints are sorted by
-    slopes.circular_keys, ∞ first.
+def _coverage(arcs: tuple[Arc, ...]) -> tuple[list[Slope], bytes]:
+    """The distinct endpoints p_0, ..., p_{m-1} of one or more arcs, in
+    circular order (slopes.circular_keys, ∞ first), and the coverage map:
+    byte k is 1 when the arcs cover piece k and 0 when not.
+
+    Piece 2i is the point p_i and piece 2i+1 the open gap from p_i to
+    p_{i+1 mod m}.  Each arc covers one cyclic run of pieces, and a
+    difference array counts the runs.
     """
-    if not arcs:
-        return SlopeSet()
     keys, order = circular_keys([p for a in arcs for p in (a.start, a.end)])
     m = len(order)
     index = dict(zip(order, range(m)))
@@ -256,22 +269,32 @@ def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
             diff[0] += 1
             stop -= n
         diff[stop] -= 1
-    covered = [depth > 0 for depth in accumulate(diff[:n])]
-    # Maximal runs, in piece order.  With no run start, every piece is
-    # covered or none is.
-    starts = [k for k in range(n) if covered[k] and not covered[k - 1]]
-    if not starts:
-        return SlopeSet(is_full=covered[0])
-    ends = [k for k in range(n) if covered[k] and not covered[(k + 1) % n]]
-    # A run through piece 0 pairs the last start with the first end.
-    if ends[0] < starts[0]:
-        ends = ends[1:] + ends[:1]
-    # The run over pieces s..e (cyclically) is the arc from point s // 2 to
-    # point (e + 1) // 2, closed at an end that is a point piece.
+    return pts, bytes(map(bool, accumulate(diff[:n])))
+
+
+def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
+    """Canonical SlopeSet covering exactly the points of the given arcs:
+    one arc per maximal covered run of the coverage map, in piece order.
+    A run through piece 0 shows in the map as a run at its end and a run
+    at its start, which join into the last arc.
+    """
+    if not arcs:
+        return SlopeSet()
+    pts, cov = _coverage(arcs)
+    if 0 not in cov:
+        return SlopeSet(is_full=True)
+    runs = [r.span() for r in _RUN.finditer(cov)]
+    if cov[0] and cov[-1]:
+        # Both ends covered, with an uncovered piece between them: the
+        # last run and the first are one run through piece 0.
+        runs.append((runs.pop()[0], runs.pop(0)[1]))
+    m = len(pts)
+    # The run over pieces s..stop-1 (cyclically) is the arc from point
+    # s // 2 to point stop // 2, closed at an end that is a point piece.
     return SlopeSet(
         tuple(
-            Arc(pts[s // 2], pts[(e + 1) // 2 % m], s % 2 == 0, e % 2 == 0)
-            for s, e in zip(starts, ends)
+            Arc(pts[s // 2], pts[stop // 2 % m], s % 2 == 0, stop % 2 == 1)
+            for s, stop in runs
         )
     )
 
@@ -280,9 +303,13 @@ def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
 
 
 def covers_circle(s1: SlopeSet, s2: SlopeSet) -> bool:
-    """True iff every slope of QP^1 lies in s1 or in s2.
+    """True iff every slope of QP^1 lies in s1 or in s2, read off the
+    coverage map of their arcs; no arc or SlopeSet is built.
 
     Both sets must already live in a common boundary coordinate system;
     apply the gluing map to one side first.
     """
-    return s1.union(s2).is_full
+    if s1.is_full or s2.is_full:
+        return True
+    arcs = s1.arcs + s2.arcs
+    return bool(arcs) and 0 not in _coverage(arcs)[1]

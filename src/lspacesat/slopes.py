@@ -5,7 +5,10 @@ QP^1 = Q ∪ {1/0}.  A slope is stored as a coprime integer pair (num, den)
 taken mod ±1, normalized so that den >= 0 and the point at infinity is
 (1, 0).  Slope's one constructor does that normalization, so every Slope
 is normalized; Slope is a slotted, frozen dataclass, immutable and
-without a __dict__.  All arithmetic is exact; nothing in this module (or
+without a __dict__.  The constructor stores its fields through the slot
+descriptors themselves (_set_num, _set_den), which skip the frozen
+__setattr__ and cost less than object.__setattr__; nothing else writes
+them.  All arithmetic is exact; nothing in this module (or
 anything built on it) touches floating point.
 
 The circle QP^1 carries a fixed positive orientation: rationals in
@@ -23,10 +26,11 @@ from math import gcd
 
 
 # The one text grammar of a slope: [+-]inf, [+-]∞, or p with an optional /q
-# (groups 1 and 2; p is None for ∞).  No newline inside; the whitespace
+# (groups 1 and 2; p is None for ∞).  Digits are ASCII: \d would take any
+# Unicode digit, which int() reads too.  No newline inside; the whitespace
 # before "/" sits inside the optional group, since a second \s* next to a
 # piece's own would backtrack quadratically on a failed match.
-SLOPE_GRAMMAR = r"(?:[+-]?(?:inf|∞)|([+-]?\d+)(?:[^\S\n]*/[^\S\n]*([+-]?\d+))?)"
+SLOPE_GRAMMAR = r"(?:[+-]?(?:inf|∞)|([+-]?[0-9]+)(?:[^\S\n]*/[^\S\n]*([+-]?[0-9]+))?)"
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -51,8 +55,8 @@ class Slope:
         if g != 1:
             num //= g
             den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @property
     def is_infinity(self) -> bool:
@@ -66,6 +70,11 @@ class Slope:
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
+
+# The slot descriptors' setters, which skip the frozen __setattr__; only
+# the constructor calls them.
+_set_num = Slope.num.__set__
+_set_den = Slope.den.__set__
 
 INFINITY = Slope(1, 0)
 

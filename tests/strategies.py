@@ -106,10 +106,10 @@ one_bridge_patterns = st.builds(
 @st.composite
 def table_patterns(draw):
     """Tables that do not contradict themselves: a tabled P(U) gives
-    genus_s3 its genus, entries over the genus bound or without the flag
-    of a tail they lie in are dropped, and a positive tail that overlaps
-    the negative one where the bound allows a nontrivial knot is clamped
-    to start past it."""
+    genus_s3 its genus, entries outside the genus twist bounds or without
+    the flag of a tail they lie in are dropped, and a positive tail that
+    overlaps the negative one where the bound allows a nontrivial knot is
+    clamped to start past it."""
     winding = draw(st.integers(0, 5))
     drawn = draw(st.dictionaries(st.integers(-12, 12), companions, max_size=4))
     genus_s3 = drawn[0].genus if 0 in drawn else draw(st.integers(0, 6))
@@ -126,7 +126,7 @@ def table_patterns(draw):
     twists = {
         n: k
         for n, k in drawn.items()
-        if k.genus <= genus_twist_bound(genus_s3, winding, n)
+        if abs(k.genus - genus_s3) <= genus_twist_bound(0, winding, n)
         and (neg_threshold is None or n > -neg_threshold or k.is_neg_lspace)
         and (pos_from is None or n < pos_from or k.is_lspace)
     }
@@ -175,9 +175,11 @@ def _certified_table(draw, g):
     """A table with a negative tail n <= -N that answers P(U) and
     P(U, -2g) with an L-space knot.  Inside the tail an entry at -2g
     needs both flags, so it is the unknot; past it, it is a tabled
-    L-space knot or lies in a positive tail that starts after -N."""
+    L-space knot or lies in a positive tail that starts after -N.
+    genus_s3 is at most the genus twist bound's reach at -2g, so that the
+    unknot may sit there."""
     winding = draw(st.integers(2, 5))
-    genus_s3 = draw(st.integers(0, 6))
+    genus_s3 = draw(st.integers(0, min(genus_twist_bound(0, winding, -2 * g), 6)))
     neg_threshold = draw(st.integers(0, 12))
     twists, pos_from = {}, None
     if neg_threshold <= 2 * g:

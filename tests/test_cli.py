@@ -311,6 +311,13 @@ class TestCertify:
                 ' "twists": {"-8": "trefoil"}, "neg_threshold": 7, "pos_from": -2}}',
                 "trefoil",
             ),
+            # P(U) has genus 5, so P(U, -1), one full twist on 2 strands
+            # away, has genus at least 4; the unknot is no such knot.
+            (
+                '{"table": {"name": "t", "winding": 2, "genus_s3": 5, "has_disk": true,'
+                ' "twists": {"0": "T(2,11)", "-1": "unknot"}, "neg_threshold": 7, "pos_from": -2}}',
+                "trefoil",
+            ),
             # A knot of genus 0 is the unknot.
             (TORUS_23, GENUS_ZERO_NOT_UNKNOT),
             # Pattern and companion objects hold exactly their documented
@@ -356,6 +363,7 @@ class TestCertify:
             "table_disk_is_a_string",
             "table_twist_key_not_decimal",
             "table_entry_contradicts_its_tail",
+            "table_entry_under_the_lower_genus_bound",
             "companion_genus_zero_not_unknot",
             "braid_misspelt_threshold",
             "table_misspelt_threshold",

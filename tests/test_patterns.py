@@ -218,8 +218,23 @@ class TestTablePattern:
             (1, {}, 2, -10, "tails n <= -2 and n >= -10 overlap at n=-10, whose genus bound 11"),
             # P(U) is the trefoil, of genus 1, not 5.
             (5, {0: torus_knot(2, 3)}, 7, -2, r"entry n=0 is P\(U\), of genus 1, not 5"),
+            # One full twist on 2 strands changes the genus by at most 1,
+            # so P(U, -1) of a genus-5 P(U) has genus at least 4.
+            (
+                5,
+                {0: torus_knot(2, 11), -1: torus_knot(2, 1)},
+                7,
+                -2,
+                "entry n=-1 has genus 0, under the lower genus twist bound 4",
+            ),
         ],
-        ids=["entry_in_negative_tail", "entry_in_positive_tail", "overlapping_tails", "p_of_u_genus"],
+        ids=[
+            "entry_in_negative_tail",
+            "entry_in_positive_tail",
+            "overlapping_tails",
+            "p_of_u_genus",
+            "under_the_lower_bound",
+        ],
     )
     def test_refuses_a_table_that_contradicts_itself(
         self, genus_s3, twists, neg_threshold, pos_from, message

@@ -14,6 +14,14 @@ from lspacesat.projective import Arc
 from oracle_helpers import brute_force_covers
 from strategies import CLOSE_POOL, arcs_over, pool_arcs, slope_set_arcs
 
+# Slope sets for cover properties: FULL, EMPTY and the canonical sets of
+# the arc strategies, which draw points and complements of points too.
+slope_sets = st.one_of(
+    st.just(SlopeSet(is_full=True)),
+    st.just(SlopeSet()),
+    slope_set_arcs.map(SlopeSet.from_arcs),
+)
+
 
 class TestContains:
     def test_full(self):
@@ -146,8 +154,52 @@ class TestCoversCircle:
     def test_full_empty(self):
         assert covers_circle(SlopeSet(is_full=True), SlopeSet())
 
+    @given(slope_sets, slope_sets)
+    def test_agrees_with_the_union(self, s1, s2):
+        """covers_circle stops at the coverage map; the union reads its
+        runs, so the two must agree on whether nothing is left out."""
+        assert covers_circle(s1, s2) == s1.union(s2).is_full
+
 
 class TestCanonicalForm:
+    @pytest.mark.parametrize(
+        "arcs, text",
+        [
+            (
+                [Arc(Slope(0), Slope(1)), Arc(Slope(3), Slope(4), False, True), Arc(Slope(1), Slope(2))],
+                "[0/1, 2/1] ∪ (3/1, 4/1]",
+            ),
+            ([Arc(Slope(0), Slope(1)), Arc(Slope(1), Slope(2))], "[0/1, 2/1]"),
+            ([Arc(Slope(0), Slope(1), True, False), Arc(Slope(1), Slope(0), False, True)], "QP1 \\ {1/1}"),
+            ([Arc(Slope(-6, 2), Slope(-3, 1)), Arc(Slope(1, 2), INFINITY, True, False)], "{-3/1} ∪ [1/2, inf)"),
+            (
+                [
+                    Arc(Slope(1), INFINITY, False, False),
+                    Arc(INFINITY, Slope(2), True, False),
+                    Arc(Slope(7), INFINITY, False, True),
+                ],
+                "FULL",
+            ),
+            ([Arc(Slope(1), INFINITY, False, False), Arc(INFINITY, Slope(1), True, False)], "QP1 \\ {1/1}"),
+            (
+                [Arc(Slope(3), Slope(1)), Arc(Slope(3, 2), Slope(2), False, False)],
+                "(3/2, 2/1) ∪ [3/1, inf] ∪ [-inf, 1/1]",
+            ),
+            ([Arc(INFINITY, Slope(1), True, False), Arc(Slope(2), Slope(5, 2))], "[-inf, 1/1) ∪ [2/1, 5/2]"),
+            ([Arc(Slope(-1), INFINITY, False, False), Arc(INFINITY, INFINITY)], "(-1/1, inf]"),
+            ([Arc(INFINITY, INFINITY)], "{1/0}"),
+            ([], "EMPTY"),
+        ],
+        ids=[
+            "order", "shared-end", "hole", "point-and-arc", "worked-cover",
+            "shared-open-end", "wrap", "from-inf", "to-inf", "point-inf", "empty",
+        ],
+    )
+    def test_text_of_worked_sets(self, arcs, text):
+        """The text of each worked set, byte for byte: runs through piece 0
+        join into one arc, which comes last."""
+        assert str(SlopeSet.from_arcs(arcs)) == text
+
     def test_arc_order_independent(self):
         arcs = [
             Arc(Slope(0), Slope(1)),
@@ -276,6 +328,7 @@ class TestParseGrammar:
             "[inf, 1/0)",  # 1/0 is a fraction, so the arc is degenerate
             "[inf/2, 3]",
             "[1 2, 3]",
+            "[٣, 4]",  # digits are ASCII, though int() reads any decimal digit
             "[1, 2)]",
             "[1,\n2]",  # no newline inside a piece
             "{1\n}",
@@ -291,6 +344,26 @@ class TestParseGrammar:
             SlopeSet.parse(text)
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(1, 1)", "degenerate open arc '(1, 1)'"),
+            # The piece alone is quoted, not the separators after it.
+            ("(1, 1) ∪ [2, 3]", "degenerate open arc '(1, 1)'"),
+            ("[1, 2] ∪ (5/3 , 10/6]  u [0, 1]", "degenerate open arc '(5/3 , 10/6]'"),
+            ("[1, 2] [3, 4]", "slope set '[1, 2] [3, 4]' needs ∪ at position 7"),
+            ("{1}  {2}", "slope set '{1}  {2}' needs ∪ at position 5"),
+            ("[1, 2] ∪ x", "cannot parse slope set '[1, 2] ∪ x' at position 9"),
+            ("[1, 2, 3]", "cannot parse slope set '[1, 2, 3]' at position 0"),
+            ("", "cannot parse slope set ''"),
+            (" ∪ u U ", "cannot parse slope set ' ∪ u U '"),
+        ],
+    )
+    def test_error_text(self, text, message):
+        with pytest.raises(ValueError) as info:
+            SlopeSet.parse(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "text, canonical",
         [
             ("∪ [1, 2] ∪ ∪ [3, 4] ∪", "[1/1, 2/1] ∪ [3/1, 4/1]"),
@@ -299,7 +372,7 @@ class TestParseGrammar:
             ("\n[1, 2]\n∪\n(3, 4)\n", "[1/1, 2/1] ∪ (3/1, 4/1)"),
             ("[2/4, +5]", "[1/2, 5/1]"),
             ("[1 / -2, inf]", "[-1/2, inf]"),
-            ("[٣, 007]", "[3/1, 7/1]"),  # any decimal digits, as int() reads them
+            ("[003, 007]", "[3/1, 7/1]"),
             ("{ 0 / 7 }", "{0/1}"),
             ("[3, 1]", "[3/1, inf] ∪ [-inf, 1/1]"),
             ("(-∞, 0/5]", "(-inf, 0/1]"),
