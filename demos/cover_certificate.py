@@ -12,6 +12,7 @@ from lspacesat import (
     SlopeSet,
     certify_satellite,
     meridian_longitude_swap,
+    render_statement,
     replay_certificate,
     torus_knot,
     torus_pattern,
@@ -31,10 +32,12 @@ print("pattern-side closed arc:    ", arc)
 print("companion strict slopes s1: ", cover["s1"])
 print("glued strict image s2:      ", cover["s2"])
 
+# A certificate stores each check's id, pass and values; its statement is
+# rendered from them.
 print("\naudit trail:")
 for check in cert.checks:
     mark = "ok " if check["pass"] else "FAIL"
-    print(f"  [{mark}] {check['id']:16s} {check['statement']}")
+    print(f"  [{mark}] {check['id']:16s} {render_statement(check)}")
 
 # The gluing map acts by reciprocal and is its own inverse: swapping the
 # glued image back gives the interior of the pattern arc.

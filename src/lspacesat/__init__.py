@@ -29,6 +29,7 @@ from .certify import (
     check_lemma,
     choose_lemma_params,
     necessary_check,
+    render_statement,
     replay_certificate,
 )
 from .gluing import GluingMap, meridian_longitude_swap
@@ -92,6 +93,7 @@ __all__ = [
     "one_bridge_braid",
     "pattern_from_json",
     "positive_braid_closure_genus",
+    "render_statement",
     "replay_certificate",
     "slope_ccw",
     "slope_det",

@@ -17,18 +17,22 @@ A certificate carries its own pattern and companion, so replay is the
 pipeline re-run on those inputs and compared with what the certificate
 records; nothing recorded is trusted on its own.
 
-Certificates are written in format 2, which states each fact once: the
-arc [1/a → ∞ → 1/b] is read off params, and the lemma records only what
-Theorem 1 has not already checked.  to_json writes "format": 2 as its
-first key.  from_json refuses text whose format is not the integer 2
-(a certificate without the key is format 1) before it looks at the other
-keys, then reads exactly the keys to_json writes; there is no reader for
-any other format.  Each check is built once, in its JSON form
-{"id", "statement", "pass", "values"}, so writing a certificate passes
-the checks through and replay compares them as loaded.  The trusted
-inputs are read off the two inputs, not off the run: the companion's
-facts, which replay takes as given, then what the pattern asserts
-(PatternFacts.asserted), so every run on a pair lists the same.
+Certificates are written in format 3, which states each fact once: the
+arc [1/a → ∞ → 1/b] is read off params, the lemma records only what
+Theorem 1 has not already checked, and a check records no statement.
+to_json writes "format": 3 as its first key.  from_json refuses text
+whose format is not the integer 3 (a certificate without the key is
+format 1) before it looks at the other keys, then reads exactly the keys
+to_json writes; there is no reader for any other format.  Each check is
+built once, in its JSON form {"id", "pass", "values"}, so writing a
+certificate passes the checks through and replay compares them as
+loaded.  What a check states is a fixed text per id (STATEMENTS), filled
+in from the check's own values by render_statement, which lspacesat
+explain prints beside each check; only thm1.3 and lem.7 read a value,
+the twist.  The trusted inputs are read off the two inputs, not off the
+run: the companion's facts, which replay takes as given, then what the
+pattern asserts (PatternFacts.asserted), so every run on a pair lists
+the same.
 
 The gluing cover (hrrw.cover) is computed in closed form, which is
 exact once every check before it passes (if one fails, the run raises
@@ -95,17 +99,40 @@ class ReplayMismatchError(ValueError):
 # -- audit records ------------------------------------------------------
 
 
-def _check(id: str, statement: str, passed: bool, values: dict) -> dict:
+# What each check states, by id; the certificate stores the values that
+# render_statement fills in.
+STATEMENTS = {
+    "necessary.fibered": "companion and P(U) are fibered",
+    "necessary.winding": "winding number is nonzero",
+    "thm1.1": "companion is a nontrivial L-space knot",
+    "thm1.2": "winding >= 2 with a minimal meridional disk",
+    "thm1.3": "P(U, {twist}) is an L-space knot",
+    "thm1.4": "negative L-space tail asserted for large negative twists",
+    "lem.4": "r >= 2g(P) + a·w(2w-1) - 1",
+    "lem.5": "b·w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)",
+    "lem.7": "P(U, {twist}) is a negative L-space knot",
+    "lem.sandwich": "a·w² < r < b·w² (so 1/b < w²/r < 1/a)",
+    "hrrw.cover": "strict slope sets of the two sides jointly cover QP^1",
+}
+
+
+def render_statement(check: dict) -> str:
+    """The statement of a check record: its id's template filled in from
+    its values."""
+    return STATEMENTS[check["id"]].format_map(check["values"])
+
+
+def _check(id: str, passed: bool, values: dict) -> dict:
     """One audit record, in the JSON form the certificate stores."""
-    return {"id": id, "statement": statement, "pass": passed, "values": values}
+    return {"id": id, "pass": passed, "values": values}
 
 
-def _ge(id: str, statement: str, lhs: int, rhs: int, **extra) -> dict:
-    return _check(id, statement, lhs >= rhs, {"lhs": lhs, "rhs": rhs, **extra})
+def _ge(id: str, lhs: int, rhs: int, **extra) -> dict:
+    return _check(id, lhs >= rhs, {"lhs": lhs, "rhs": rhs, **extra})
 
 
-def _flag(id: str, statement: str, value: bool, **extra) -> dict:
-    return _check(id, statement, bool(value), extra)
+def _flag(id: str, value: bool, **extra) -> dict:
+    return _check(id, bool(value), extra)
 
 
 def _first_failure(checks: list[dict]) -> str | None:
@@ -137,7 +164,7 @@ _CERTIFICATE_JSON = json.JSONDecoder(parse_float=_no_floats, parse_constant=_no_
 # from engine-built or JSON-loaded values, and neither can hold a cycle.
 _CERTIFICATE_ENCODER = json.JSONEncoder(check_circular=False)
 
-_FORMAT = 2
+_FORMAT = 3
 
 
 @dataclass(slots=True)
@@ -168,13 +195,13 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         """Parse the inputs and params; every other field is kept as
         loaded, for replay to compare with its re-run.  Raises ValueError
-        unless text is a JSON object of format 2 with exactly the keys
+        unless text is a JSON object of format 3 with exactly the keys
         to_json writes."""
         d = _CERTIFICATE_JSON.decode(text)
         if not isinstance(d, dict):
             raise ValueError(f"a certificate is a JSON object, got {type(d).__name__}")
         # The decoder reads no floats and true == 1, so only the JSON
-        # integer 2 equals 2.
+        # integer 3 equals 3.
         found = d.get("format", 1)
         if found != _FORMAT:
             raise ValueError(
@@ -218,38 +245,10 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[dict]:
     facts_b = p.twisted_facts(-b)
     aw2, bw2 = a * w * w, b * w * w
     return [
-        _ge(
-            "lem.4",
-            "r >= 2g(P) + a·w(2w-1) - 1",
-            r,
-            2 * g + a * w * (2 * w - 1) - 1,
-            a=a,
-            g=g,
-            w=w,
-        ),
-        _ge(
-            "lem.5",
-            "b·w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)",
-            b * w,
-            2 * g + r - 1,
-            b=b,
-            g=g,
-            w=w,
-            r=r,
-        ),
-        _flag(
-            "lem.7",
-            f"P(U, {-b}) is a negative L-space knot",
-            facts_b.is_neg_lspace,
-            twist=-b,
-            knot=facts_b.name,
-        ),
-        _check(
-            "lem.sandwich",
-            "a·w² < r < b·w² (so 1/b < w²/r < 1/a)",
-            aw2 < r < bw2,
-            {"aw2": aw2, "r": r, "bw2": bw2},
-        ),
+        _ge("lem.4", r, 2 * g + a * w * (2 * w - 1) - 1, a=a, g=g, w=w),
+        _ge("lem.5", b * w, 2 * g + r - 1, b=b, g=g, w=w, r=r),
+        _flag("lem.7", facts_b.is_neg_lspace, twist=-b, knot=facts_b.name),
+        _check("lem.sandwich", aw2 < r < bw2, {"aw2": aw2, "r": r, "bw2": bw2}),
     ]
 
 
@@ -279,17 +278,11 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> list[dict]:
     return [
         _flag(
             "necessary.fibered",
-            "companion and P(U) are fibered",
             k.is_fibered and pu.is_fibered,
             companion_fibered=k.is_fibered,
             pattern_fibered=pu.is_fibered,
         ),
-        _flag(
-            "necessary.winding",
-            "winding number is nonzero",
-            p.winding != 0,
-            winding=p.winding,
-        ),
+        _flag("necessary.winding", p.winding != 0, winding=p.winding),
     ]
 
 
@@ -334,29 +327,22 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     checks += [
         _flag(
             "thm1.1",
-            "companion is a nontrivial L-space knot",
             k.is_lspace and not k.is_unknot,
             is_lspace=k.is_lspace,
             is_unknot=k.is_unknot,
         ),
         _flag(
             "thm1.2",
-            "winding >= 2 with a minimal meridional disk",
             p.winding >= 2 and p.has_minimal_meridional_disk,
             winding=p.winding,
             disk=p.has_minimal_meridional_disk,
         ),
-        _flag("thm1.3", f"P(U, {n}) is an L-space knot", lspace, twist=n, **about),
+        _flag("thm1.3", lspace, twist=n, **about),
     ]
     if unknown:
         return result(NOT_CERTIFIED, unknown)
     checks.append(
-        _flag(
-            "thm1.4",
-            "negative L-space tail asserted for large negative twists",
-            p.neg_lspace_threshold is not None,
-            threshold=p.neg_lspace_threshold,
-        )
+        _flag("thm1.4", p.neg_lspace_threshold is not None, threshold=p.neg_lspace_threshold)
     )
     if reason := _first_failure(checks):
         return result(NOT_CERTIFIED, reason)
@@ -371,12 +357,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     # (2g-1, ∞) and s2 the swapped open arc b → ∞ → a.
     glued = f"({Slope(params.b)}, inf] ∪ [-inf, {Slope(params.a)})"
     proof.append(
-        _check(
-            "hrrw.cover",
-            "strict slope sets of the two sides jointly cover QP^1",
-            params.a > 2 * k.genus - 1,
-            {"s1": companion_text, "s2": glued},
-        )
+        _check("hrrw.cover", params.a > 2 * k.genus - 1, {"s1": companion_text, "s2": glued})
     )
     if failed := _first_failure(proof):
         raise ConsistencyError(

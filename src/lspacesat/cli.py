@@ -5,6 +5,9 @@ Subcommands:
 * certify      -- run the satellite pipeline on a pattern/companion pair,
                   or with --replay re-run it on the pattern and companion
                   a stored certificate carries and compare the result
+* explain      -- replay a stored certificate as certify --replay does,
+                  then print each check with its statement and values,
+                  and the certificate's trusted inputs
 * cable        -- certify a cable and compare with the exact criterion
 * sweep        -- tabulate sufficient vs exact verdicts over a (p, q) grid,
                   for --companion given once per companion in any form
@@ -15,7 +18,7 @@ Subcommands:
 
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
 3 input errors (including JSON nested too deeply, a certificate of
-another format, format 1 included, and a certificate that is malformed,
+another format, formats 1 and 2 included, and a certificate that is malformed,
 holds a float, has keys other than those certificates are written with,
 or differs from the re-run) and internal consistency failures (an engine
 check that holds by construction failing, which no input should reach).
@@ -43,6 +46,7 @@ from .certify import (
     ConsistencyError,
     certify_cable,
     certify_satellite,
+    render_statement,
     replay_certificate,
 )
 from .knots import companion_from_json
@@ -110,21 +114,41 @@ def _emit_certificate(cert: Certificate, args, out) -> int:
     return _VERDICT_EXIT[cert.verdict]
 
 
+def _replay(path: str, out) -> Certificate:
+    """The certificate stored at path, once a re-run has reproduced it."""
+    try:
+        with open(path) as fh:
+            cert = Certificate.from_json(fh.read())
+        replay_certificate(cert)
+    except _BAD_INPUT as e:
+        raise InputError(f"cannot replay {path}: {type(e).__name__}: {e}")
+    print(f"REPLAY OK: verdict {cert.verdict} reproduced", file=out)
+    return cert
+
+
 def _cmd_certify(args, out) -> int:
     if args.replay:
-        try:
-            with open(args.replay) as fh:
-                verdict = replay_certificate(Certificate.from_json(fh.read()))
-        except _BAD_INPUT as e:
-            raise InputError(f"cannot replay {args.replay}: {type(e).__name__}: {e}")
-        print(f"REPLAY OK: verdict {verdict} reproduced", file=out)
-        return _VERDICT_EXIT[verdict]
+        return _VERDICT_EXIT[_replay(args.replay, out).verdict]
     if not args.pattern or not args.companion:
         raise InputError("certify needs --pattern and --companion (or --replay)")
     pattern = _parse_json_arg("pattern", pattern_from_json, args.pattern)
     companion = _parse_json_arg("companion", companion_from_json, args.companion)
     cert = certify_satellite(pattern, companion)
     return _emit_certificate(cert, args, out)
+
+
+def _cmd_explain(args, out) -> int:
+    cert = _replay(args.certificate, out)
+    if cert.reason is not None:
+        print(f"reason: {cert.reason}", file=out)
+    for check in cert.checks:
+        mark = "ok" if check["pass"] else "FAIL"
+        values = json.dumps(check["values"], ensure_ascii=False)
+        print(f"[{mark}] {check['id']}  {render_statement(check)}  {values}", file=out)
+    print("trusted_inputs:", file=out)
+    for line in cert.trusted_inputs:
+        print(f"  {line}", file=out)
+    return _VERDICT_EXIT[cert.verdict]
 
 
 def _cmd_cable(args, out) -> int:
@@ -253,6 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--format", choices=["text", "json"], default="text")
     cert.add_argument("--replay", help="re-validate a stored certificate")
 
+    explain = sub.add_parser("explain", help="replay a certificate and print its checks")
+    explain.add_argument("certificate", help="a stored certificate")
+
     cable = sub.add_parser("cable", help="certify a cable and compare")
     cable.add_argument("--companion", required=True)
     cable.add_argument("--p", type=int, required=True)
@@ -283,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "certify": _cmd_certify,
+    "explain": _cmd_explain,
     "cable": _cmd_cable,
     "sweep": _cmd_sweep,
     "set-algebra": _cmd_set_algebra,

@@ -32,7 +32,13 @@ from lspacesat import (
     torus_pattern,
 )
 from lspacesat import certify
-from lspacesat.certify import ConsistencyError, ReplayMismatchError, _companion_side
+from lspacesat.certify import (
+    STATEMENTS,
+    ConsistencyError,
+    ReplayMismatchError,
+    _companion_side,
+    render_statement,
+)
 from lspacesat.patterns import UnknownTwistError, pattern_to_json
 
 import strategies
@@ -365,6 +371,192 @@ class TestCertificateSerialization:
 # The exact certificate text.  A change of representation that moves a
 # single byte of it breaks stored certificates' replay.
 CABLE_2_3_OF_TREFOIL = (
+    r'{"format": 3, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "T(2,3)", '
+    r'"genus": 1, "is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, "verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, '
+    r'"r": 13}, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 1}}, '
+    r'{"id": "lem.4", "pass": true, "values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, '
+    r'"w": 2}}, '
+    r'{"id": "lem.5", "pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, '
+    r'"r": 13}}, '
+    r'{"id": "lem.7", "pass": true, "values": {"twist": -7, "knot": "T(2,-11)"}}, '
+    r'{"id": "lem.sandwich", "pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}, '
+    r'{"id": "hrrw.cover", "pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, '
+    r'inf] \u222a [-inf, 2/1)"}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
+)
+CABLE_3_2_OF_TREFOIL = (
+    r'{"format": 3, "pattern": {"torus_pattern": [3, 2]}, "companion": {"name": "T(2,3)", '
+    r'"genus": 1, "is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, "verdict": "NOT_CERTIFIED", "reason": "thm1.3", "params": null, '
+    r'"checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 3}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 3, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": false, "values": {"twist": -2, "knot": "T(3,-4)"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 1}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
+)
+
+
+# One certificate for each other exit path of certify_satellite; the table
+# ones pin the order of trusted_inputs: facts, entries, then tails.
+EXIT_UNKNOWN_TWIST_NECESSARY = (
+    r'{"format": 3, "pattern": {"table": {"name": "gap", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": null}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, "is_neg_lspace": false, '
+    r'"is_fibered": true, "is_unknot": false}, "verdict": "NOT_CERTIFIED", '
+    r'"reason": "unknown-twist:necessary (twist family cannot answer n = 0 (outside table and '
+    r'asserted tails))", '
+    r'"params": null, "checks": [], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: gap (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"negative tail of gap: n <= -7"]}'
+)
+EXIT_REJECTED_FIBERED = (
+    r'{"format": 3, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "unfibered", '
+    r'"genus": 2, "is_lspace": false, "is_neg_lspace": false, "is_fibered": false, '
+    r'"is_unknot": false}, "verdict": "REJECTED", "reason": "necessary.fibered", '
+    r'"params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": false, "values": {"companion_fibered": false, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}], '
+    r'"trusted_inputs": ["companion facts: unfibered (genus=2, is_lspace=False, '
+    r'is_neg_lspace=False, is_fibered=False, is_unknot=False)"]}'
+)
+EXIT_REJECTED_WINDING = (
+    r'{"format": 3, "pattern": {"table": {"name": "core-less", "winding": 0, "genus_s3": 1, '
+    r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, '
+    r'"neg_threshold": null, "pos_from": null}}, "companion": {"name": "T(2,3)", "genus": 1, '
+    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "REJECTED", "reason": "necessary.winding", "params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": false, "values": {"winding": 0}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: core-less (winding=0, genus_s3=1, meridional_disk=False)", '
+    r'"twist 0 of core-less: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)"]}'
+)
+EXIT_UNKNOWN_TWIST_THM1_3 = (
+    r'{"format": 3, "pattern": {"table": {"name": "sparse", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, "neg_threshold": 50, '
+    r'"pos_from": null}}, "companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", '
+    r'"reason": "unknown-twist:thm1.3 (twist family cannot answer n = -2 (outside table and '
+    r'asserted tails))", '
+    r'"params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": false, "values": {"twist": -2, '
+    r'"error": "twist family cannot answer n = -2 (outside table and asserted tails)"}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: sparse (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"twist 0 of sparse: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", "negative tail of sparse: n <= -50"]}'
+)
+EXIT_THM1_1 = (
+    r'{"format": 3, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "4_1", '
+    r'"genus": 1, "is_lspace": false, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, "verdict": "NOT_CERTIFIED", "reason": "thm1.1", "params": null, '
+    r'"checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": false, "values": {"is_lspace": false, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 1}}], '
+    r'"trusted_inputs": ["companion facts: 4_1 (genus=1, is_lspace=False, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
+)
+EXIT_THM1_2 = (
+    r'{"format": 3, "pattern": {"table": {"name": "no-disk", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, "neg_threshold": 7, '
+    r'"pos_from": -2}}, "companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", "reason": "thm1.2", "params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": false, "values": {"winding": 2, "disk": false}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 7}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: no-disk (winding=2, genus_s3=1, meridional_disk=False)", '
+    r'"twist 0 of no-disk: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", "negative tail of no-disk: n <= -7", '
+    r'"positive tail of no-disk: n >= -2"]}'
+)
+EXIT_THM1_4 = (
+    r'{"format": 3, "pattern": {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, '
+    r'"neg_threshold": null}}, "companion": {"name": "T(2,5)", "genus": 2, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", "reason": "thm1.4", "params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 5}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 5, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -4, "knot": "closure of B(5,2,1)"}}, '
+    r'{"id": "thm1.4", "pass": false, "values": {"threshold": null}}], '
+    r'"trusted_inputs": ["companion facts: T(2,5) (genus=2, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
+)
+EXIT_TABLE_CERTIFIED = (
+    r'{"format": 3, "pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": -2}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, "is_neg_lspace": false, '
+    r'"is_fibered": true, "is_unknot": false}, "verdict": "CERTIFIED", "reason": null, '
+    r'"params": {"a": 2, "b": 7, "r": 13}, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 7}}, '
+    r'{"id": "lem.4", "pass": true, "values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, '
+    r'"w": 2}}, '
+    r'{"id": "lem.5", "pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, '
+    r'"r": 13}}, '
+    r'{"id": "lem.7", "pass": true, "values": {"twist": -7, "knot": "table tail n=-7"}}, '
+    r'{"id": "lem.sandwich", "pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}, '
+    r'{"id": "hrrw.cover", "pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, '
+    r'inf] \u222a [-inf, 2/1)"}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", "pattern facts: t (winding=2, '
+    r'genus_s3=1, meridional_disk=True)", "negative tail of t: n <= -7", '
+    r'"positive tail of t: n >= -2"]}'
+)
+
+
+# The same certificates in format 2, which stored each check's statement
+# and which format 3 refuses.
+FORMAT_2_CABLE_2_3_OF_TREFOIL = (
     r'{"format": 2, "pattern": {"torus_pattern": [2, 3]}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
@@ -396,47 +588,7 @@ CABLE_2_3_OF_TREFOIL = (
     r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)"]}'
 )
-# The same certificate in format 1, which had no format key and held
-# lem.2, lem.3 and lem.6.
-FORMAT_1_CABLE_2_3_OF_TREFOIL = (
-    r'{"pattern": {"torus_pattern": [2, 3]}, '
-    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
-    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
-    r'"verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, "r": 13}, '
-    r'"checks": ['
-    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
-    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
-    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
-    r'"pass": true, "values": {"winding": 2}}, '
-    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
-    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
-    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
-    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
-    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", '
-    r'"pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
-    r'{"id": "thm1.4", "statement": "negative L-space tail asserted for large negative twists", '
-    r'"pass": true, "values": {"threshold": 1}}, '
-    r'{"id": "lem.2", "statement": "winding number w >= 2", '
-    r'"pass": true, "values": {"lhs": 2, "rhs": 2, "w": 2}}, '
-    r'{"id": "lem.3", "statement": "axis bounds a disk meeting the pattern in w points", '
-    r'"pass": true, "values": {}}, '
-    r'{"id": "lem.4", "statement": "r >= 2g(P) + a\u00b7w(2w-1) - 1", '
-    r'"pass": true, "values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}}, '
-    r'{"id": "lem.5", "statement": "b\u00b7w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)", '
-    r'"pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}}, '
-    r'{"id": "lem.6", "statement": "P(U, -2) is an L-space knot", '
-    r'"pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
-    r'{"id": "lem.7", "statement": "P(U, -7) is a negative L-space knot", '
-    r'"pass": true, "values": {"twist": -7, "knot": "T(2,-11)"}}, '
-    r'{"id": "lem.sandwich", "statement": "a\u00b7w\u00b2 < r < b\u00b7w\u00b2 (so 1/b < w\u00b2/r < 1/a)", '
-    r'"pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}, '
-    r'{"id": "hrrw.cover", "statement": "strict slope sets of the two sides jointly cover QP^1", '
-    r'"pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, inf] \u222a [-inf, 2/1)"}}], '
-    r'"trusted_inputs": ['
-    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
-    r'is_fibered=True, is_unknot=False)"]}'
-)
-CABLE_3_2_OF_TREFOIL = (
+FORMAT_2_CABLE_3_2_OF_TREFOIL = (
     r'{"format": 2, "pattern": {"torus_pattern": [3, 2]}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
@@ -459,10 +611,7 @@ CABLE_3_2_OF_TREFOIL = (
     r'is_fibered=True, is_unknot=False)"]}'
 )
 
-
-# One certificate for each other exit path of certify_satellite; the table
-# ones pin the order of trusted_inputs: facts, entries, then tails.
-EXIT_UNKNOWN_TWIST_NECESSARY = (
+FORMAT_2_EXIT_UNKNOWN_TWIST_NECESSARY = (
     r'{"format": 2, "pattern": {"table": {"name": "gap", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": null}}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
@@ -477,7 +626,7 @@ EXIT_UNKNOWN_TWIST_NECESSARY = (
     r'"pattern facts: gap (winding=2, genus_s3=1, meridional_disk=True)", '
     r'"negative tail of gap: n <= -7"]}'
 )
-EXIT_REJECTED_FIBERED = (
+FORMAT_2_EXIT_REJECTED_FIBERED = (
     r'{"format": 2, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "unfibered", '
     r'"genus": 2, "is_lspace": false, "is_neg_lspace": false, "is_fibered": false, '
     r'"is_unknot": false}, '
@@ -491,7 +640,7 @@ EXIT_REJECTED_FIBERED = (
     r'"companion facts: unfibered (genus=2, is_lspace=False, is_neg_lspace=False, '
     r'is_fibered=False, is_unknot=False)"]}'
 )
-EXIT_REJECTED_WINDING = (
+FORMAT_2_EXIT_REJECTED_WINDING = (
     r'{"format": 2, "pattern": {"table": {"name": "core-less", "winding": 0, "genus_s3": 1, '
     r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
     r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
@@ -511,7 +660,7 @@ EXIT_REJECTED_WINDING = (
     r'"twist 0 of core-less: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)"]}'
 )
-EXIT_UNKNOWN_TWIST_THM1_3 = (
+FORMAT_2_EXIT_UNKNOWN_TWIST_THM1_3 = (
     r'{"format": 2, "pattern": {"table": {"name": "sparse", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
     r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
@@ -542,7 +691,7 @@ EXIT_UNKNOWN_TWIST_THM1_3 = (
     r'is_fibered=True, is_unknot=False)", '
     r'"negative tail of sparse: n <= -50"]}'
 )
-EXIT_THM1_1 = (
+FORMAT_2_EXIT_THM1_1 = (
     r'{"format": 2, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "4_1", "genus": 1, '
     r'"is_lspace": false, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}, '
@@ -565,7 +714,7 @@ EXIT_THM1_1 = (
     r'"companion facts: 4_1 (genus=1, is_lspace=False, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)"]}'
 )
-EXIT_THM1_2 = (
+FORMAT_2_EXIT_THM1_2 = (
     r'{"format": 2, "pattern": {"table": {"name": "no-disk", "winding": 2, "genus_s3": 1, '
     r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, '
     r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
@@ -596,7 +745,7 @@ EXIT_THM1_2 = (
     r'"negative tail of no-disk: n <= -7", '
     r'"positive tail of no-disk: n >= -2"]}'
 )
-EXIT_THM1_4 = (
+FORMAT_2_EXIT_THM1_4 = (
     r'{"format": 2, "pattern": {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, '
     r'"neg_threshold": null}}, "companion": {"name": "T(2,5)", "genus": 2, '
     r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
@@ -620,7 +769,7 @@ EXIT_THM1_4 = (
     r'"companion facts: T(2,5) (genus=2, is_lspace=True, is_neg_lspace=False, '
     r'is_fibered=True, is_unknot=False)"]}'
 )
-EXIT_TABLE_CERTIFIED = (
+FORMAT_2_EXIT_TABLE_CERTIFIED = (
     r'{"format": 2, "pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": -2}}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
@@ -660,6 +809,65 @@ EXIT_TABLE_CERTIFIED = (
     r'"pattern facts: t (winding=2, genus_s3=1, meridional_disk=True)", '
     r'"negative tail of t: n <= -7", '
     r'"positive tail of t: n >= -2"]}'
+)
+FORMAT_2_TEXTS = [
+    pytest.param(FORMAT_2_CABLE_2_3_OF_TREFOIL, CABLE_2_3_OF_TREFOIL, id="cable_2_3_certified"),
+    pytest.param(FORMAT_2_CABLE_3_2_OF_TREFOIL, CABLE_3_2_OF_TREFOIL, id="cable_3_2_thm1.3"),
+    pytest.param(
+        FORMAT_2_EXIT_UNKNOWN_TWIST_NECESSARY,
+        EXIT_UNKNOWN_TWIST_NECESSARY,
+        id="unknown_twist_necessary",
+    ),
+    pytest.param(FORMAT_2_EXIT_REJECTED_FIBERED, EXIT_REJECTED_FIBERED, id="rejected_fibered"),
+    pytest.param(FORMAT_2_EXIT_REJECTED_WINDING, EXIT_REJECTED_WINDING, id="rejected_winding"),
+    pytest.param(
+        FORMAT_2_EXIT_UNKNOWN_TWIST_THM1_3, EXIT_UNKNOWN_TWIST_THM1_3, id="unknown_twist_thm1.3"
+    ),
+    pytest.param(FORMAT_2_EXIT_THM1_1, EXIT_THM1_1, id="thm1.1"),
+    pytest.param(FORMAT_2_EXIT_THM1_2, EXIT_THM1_2, id="thm1.2"),
+    pytest.param(FORMAT_2_EXIT_THM1_4, EXIT_THM1_4, id="thm1.4"),
+    pytest.param(FORMAT_2_EXIT_TABLE_CERTIFIED, EXIT_TABLE_CERTIFIED, id="table_certified"),
+]
+
+# The (2,3)-cable certificate in format 1, which had no format key and
+# held lem.2, lem.3 and lem.6.
+FORMAT_1_CABLE_2_3_OF_TREFOIL = (
+    r'{"pattern": {"torus_pattern": [2, 3]}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, "r": 13}, '
+    r'"checks": ['
+    r'{"id": "necessary.fibered", "statement": "companion and P(U) are fibered", '
+    r'"pass": true, "values": {"companion_fibered": true, "pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "statement": "winding number is nonzero", '
+    r'"pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "statement": "companion is a nontrivial L-space knot", '
+    r'"pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "statement": "winding >= 2 with a minimal meridional disk", '
+    r'"pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "statement": "P(U, -2) is an L-space knot", '
+    r'"pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "thm1.4", "statement": "negative L-space tail asserted for large negative twists", '
+    r'"pass": true, "values": {"threshold": 1}}, '
+    r'{"id": "lem.2", "statement": "winding number w >= 2", '
+    r'"pass": true, "values": {"lhs": 2, "rhs": 2, "w": 2}}, '
+    r'{"id": "lem.3", "statement": "axis bounds a disk meeting the pattern in w points", '
+    r'"pass": true, "values": {}}, '
+    r'{"id": "lem.4", "statement": "r >= 2g(P) + a\u00b7w(2w-1) - 1", '
+    r'"pass": true, "values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}}, '
+    r'{"id": "lem.5", "statement": "b\u00b7w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)", '
+    r'"pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}}, '
+    r'{"id": "lem.6", "statement": "P(U, -2) is an L-space knot", '
+    r'"pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "lem.7", "statement": "P(U, -7) is a negative L-space knot", '
+    r'"pass": true, "values": {"twist": -7, "knot": "T(2,-11)"}}, '
+    r'{"id": "lem.sandwich", "statement": "a\u00b7w\u00b2 < r < b\u00b7w\u00b2 (so 1/b < w\u00b2/r < 1/a)", '
+    r'"pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}, '
+    r'{"id": "hrrw.cover", "statement": "strict slope sets of the two sides jointly cover QP^1", '
+    r'"pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, inf] \u222a [-inf, 2/1)"}}], '
+    r'"trusted_inputs": ['
+    r'"companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)"]}'
 )
 
 
@@ -845,23 +1053,41 @@ class TestClosedFormCover:
 
 class TestCertificateFormat:
     """A certificate names its format in its first key; text of any
-    format but 2 is refused before its key set is read."""
+    format but 3 is refused before its key set is read."""
 
     @pytest.mark.parametrize(
         "text, shown",
         [
             (FORMAT_1_CABLE_2_3_OF_TREFOIL, "1"),
-            (CABLE_2_3_OF_TREFOIL.replace('"format": 2', '"format": 3'), "3"),
-            (CABLE_2_3_OF_TREFOIL.replace('"format": 2', '"format": true'), "true"),
-            (CABLE_2_3_OF_TREFOIL.replace('"format": 2', '"format": "2"'), '"2"'),
+            (FORMAT_2_CABLE_2_3_OF_TREFOIL, "2"),
+            (CABLE_2_3_OF_TREFOIL.replace('"format": 3', '"format": 4'), "4"),
+            (CABLE_2_3_OF_TREFOIL.replace('"format": 3', '"format": true'), "true"),
+            (CABLE_2_3_OF_TREFOIL.replace('"format": 3', '"format": "3"'), '"3"'),
         ],
-        ids=["format_1", "3", "true", "string"],
+        ids=["format_1", "format_2", "4", "true", "string"],
     )
     def test_other_formats_are_refused(self, text, shown):
-        with pytest.raises(ValueError, match=f"^certificate format {shown} is not 2$"):
+        with pytest.raises(ValueError, match=f"^certificate format {shown} is not 3$"):
             Certificate.from_json(text)
 
-    def test_format_2_with_an_extra_key_gets_the_key_set_error(self):
+    @pytest.mark.parametrize("old, text", FORMAT_2_TEXTS)
+    def test_every_format_2_golden_text_is_refused(self, old, text):
+        with pytest.raises(ValueError, match="^certificate format 2 is not 3$"):
+            Certificate.from_json(old)
+
+    @pytest.mark.parametrize("old, text", FORMAT_2_TEXTS)
+    def test_format_3_is_format_2_without_statements(self, old, text):
+        """Each check drops its statement and nothing else changes; the
+        statement rendered from the check is the one format 2 stored."""
+        data = json.loads(old)
+        for check in data["checks"]:
+            assert render_statement(check) == check.pop("statement")
+        assert json.dumps({**data, "format": 3}) == text
+
+    def test_every_check_id_has_a_statement(self):
+        assert list(STATEMENTS) == CERTIFIED_CHECK_IDS
+
+    def test_format_3_with_an_extra_key_gets_the_key_set_error(self):
         data = {**json.loads(CABLE_2_3_OF_TREFOIL), "note": "x"}
         with pytest.raises(ValueError, match="^certificate keys "):
             Certificate.from_json(json.dumps(data))

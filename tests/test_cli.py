@@ -26,7 +26,12 @@ from lspacesat.cli import main
 from lspacesat.patterns import _TorusPattern, pattern_to_json
 
 import strategies
-from test_certify import FORMAT_1_CABLE_2_3_OF_TREFOIL, seed_lemma_bug
+from test_certify import (
+    CABLE_2_3_OF_TREFOIL,
+    FORMAT_1_CABLE_2_3_OF_TREFOIL,
+    FORMAT_2_CABLE_2_3_OF_TREFOIL,
+    seed_lemma_bug,
+)
 
 
 def run(argv):
@@ -65,12 +70,7 @@ def _all_pass(data):
             check["values"]["value"] = True
     data["verdict"], data["reason"] = "CERTIFIED", None
     data["checks"].append(
-        {
-            "id": "hrrw.cover",
-            "statement": "strict slope sets of the two sides jointly cover QP^1",
-            "pass": True,
-            "values": {"op": "cover", "s1": "FULL", "s2": "EMPTY"},
-        }
+        {"id": "hrrw.cover", "pass": True, "values": {"op": "cover", "s1": "FULL", "s2": "EMPTY"}}
     )
     return json.dumps(data)
 
@@ -89,6 +89,13 @@ def _operand(data, edit):
     """lem.4, a >= check, with its left operand lhs replaced by edit(lhs)."""
     lem4 = next(c for c in data["checks"] if c["id"] == "lem.4")
     lem4["values"]["lhs"] = edit(lem4["values"]["lhs"])
+    return json.dumps(data)
+
+
+def _statement_back(data):
+    # Format 2 stored each check's statement; a format-3 certificate holds
+    # none, so one put back is a check the re-run does not make.
+    data["checks"][0]["statement"] = "companion and P(U) are fibered"
     return json.dumps(data)
 
 
@@ -114,6 +121,7 @@ FORGERIES = {
     "operand_nan": (TORUS_23, "trefoil", lambda data: _operand(data, lambda _: float("nan"))),
     "operand_infinity": (TORUS_23, "trefoil", lambda data: _operand(data, lambda _: float("inf"))),
     "without_inputs": (TORUS_23, "trefoil", _without_inputs),
+    "statement_back": (TORUS_23, "trefoil", _statement_back),
     # Replay reads exactly the keys a certificate is written with: a
     # missing reason or params, an extra key, or a key of older
     # certificates exits 3.
@@ -438,13 +446,23 @@ class TestCertify:
         assert "a certificate is a JSON object, got " in err
         assert "AttributeError" not in err
 
-    def test_replaying_a_format_1_certificate_names_the_format(self, tmp_path, capsys):
+    @staticmethod
+    def replay_error(text, tmp_path, capsys):
+        """The one error line that replaying the certificate text gives."""
         path = tmp_path / "cert.json"
-        path.write_text(FORMAT_1_CABLE_2_3_OF_TREFOIL + "\n")
-        code, text = run(["certify", "--replay", str(path)])
+        path.write_text(text + "\n")
+        code, out = run(["certify", "--replay", str(path)])
         err = capsys.readouterr().err
-        assert code == 3 and text == "" and err.count("\n") == 1
-        assert err.endswith(": ValueError: certificate format 1 is not 2\n")
+        assert code == 3 and out == "" and err.count("\n") == 1
+        return err
+
+    def test_replaying_a_format_1_certificate_names_the_format(self, tmp_path, capsys):
+        err = self.replay_error(FORMAT_1_CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
+        assert err.endswith(": ValueError: certificate format 1 is not 3\n")
+
+    def test_replaying_a_format_2_certificate_names_the_format(self, tmp_path, capsys):
+        err = self.replay_error(FORMAT_2_CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
+        assert err.endswith(": ValueError: certificate format 2 is not 3\n")
 
 
 def _leaf_paths(node, path=()):
@@ -500,18 +518,23 @@ class TestReplayFuzz:
     def test_one_changed_leaf(self, leaf, value):
         """A certificate with one leaf replaced replays (exit 0, 1 or 2)
         only when it reads back as the genuine certificate; anything else
-        exits 3 with one error line."""
+        exits 3 with one error line.  explain exits as replay does, and
+        on exit 3 prints that error line and no table."""
         cert, path = leaf
         data = _replaced(json.loads(cert.to_json()), path, value)
         with tempfile.TemporaryDirectory() as tmp:
             file = Path(tmp) / "cert.json"
             file.write_text(json.dumps(data))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code, _ = run(["certify", "--replay", str(file)])
+            results = []
+            for command in (["certify", "--replay"], ["explain"]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    results.append((*run([*command, str(file)]), err.getvalue()))
+        (code, _, err), explained = results
+        assert explained[0] == code
         if code == 3:
-            assert err.getvalue().startswith("error: ")
-            assert err.getvalue().count("\n") == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert explained[1:] == ("", err)
         else:
             assert code in (0, 1, 2)
             assert Certificate.from_json(json.dumps(data)) == cert
@@ -651,6 +674,88 @@ class TestEngineBug:
 
         monkeypatch.setattr(_TorusPattern, "_twist", lying)
         self.assert_exits_3(argv, capsys)
+
+
+class TestExplain:
+    @staticmethod
+    def explain(text, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(text + "\n")
+        capsys.readouterr()
+        code, out = run(["explain", str(path)])
+        return code, out, capsys.readouterr().err
+
+    def test_certified_table(self, tmp_path, capsys):
+        code, out, err = self.explain(CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "REPLAY OK: verdict CERTIFIED reproduced",
+            "[ok] necessary.fibered  companion and P(U) are fibered  "
+            '{"companion_fibered": true, "pattern_fibered": true}',
+            '[ok] necessary.winding  winding number is nonzero  {"winding": 2}',
+            "[ok] thm1.1  companion is a nontrivial L-space knot  "
+            '{"is_lspace": true, "is_unknot": false}',
+            "[ok] thm1.2  winding >= 2 with a minimal meridional disk  "
+            '{"winding": 2, "disk": true}',
+            '[ok] thm1.3  P(U, -2) is an L-space knot  {"twist": -2, "knot": "T(2,-1)"}',
+            "[ok] thm1.4  negative L-space tail asserted for large negative twists  "
+            '{"threshold": 1}',
+            "[ok] lem.4  r >= 2g(P) + a·w(2w-1) - 1  "
+            '{"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}',
+            "[ok] lem.5  b·w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)  "
+            '{"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}',
+            "[ok] lem.7  P(U, -7) is a negative L-space knot  "
+            '{"twist": -7, "knot": "T(2,-11)"}',
+            "[ok] lem.sandwich  a·w² < r < b·w² (so 1/b < w²/r < 1/a)  "
+            '{"aw2": 8, "r": 13, "bw2": 28}',
+            "[ok] hrrw.cover  strict slope sets of the two sides jointly cover QP^1  "
+            '{"s1": "(1/1, inf)", "s2": "(7/1, inf] ∪ [-inf, 2/1)"}',
+            "trusted_inputs:",
+            "  companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, "
+            "is_fibered=True, is_unknot=False)",
+        ]
+
+    @pytest.mark.parametrize(
+        "pattern, companion, code, failing",
+        [
+            (
+                torus_pattern(3, 4),
+                torus_knot(2, 3),
+                1,
+                '[FAIL] thm1.3  P(U, -2) is an L-space knot  {"twist": -2, "knot": "T(3,-2)"}',
+            ),
+            (
+                torus_pattern(2, 3),
+                KnotFacts("unfibered", 2, False, False, False, False),
+                2,
+                "[FAIL] necessary.fibered  companion and P(U) are fibered  "
+                '{"companion_fibered": false, "pattern_fibered": true}',
+            ),
+        ],
+        ids=["not_certified", "rejected"],
+    )
+    def test_exits_as_replay_with_the_reason_and_failing_check(
+        self, pattern, companion, code, failing, tmp_path, capsys
+    ):
+        cert = certify_satellite(pattern, companion)
+        got, out, err = self.explain(cert.to_json(), tmp_path, capsys)
+        assert (got, err) == (code, "")
+        lines = out.splitlines()
+        assert lines[1] == f"reason: {cert.reason}"
+        assert failing in lines
+
+    @pytest.mark.parametrize(
+        "text", [FORMAT_2_CABLE_2_3_OF_TREFOIL, CABLE_2_3_OF_TREFOIL.replace("13", "14")]
+    )
+    def test_a_certificate_that_fails_replay_prints_no_table(self, text, tmp_path, capsys):
+        code, out, err = self.explain(text, tmp_path, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot replay ") and err.count("\n") == 1
+
+    def test_a_missing_file_exits_3(self, tmp_path, capsys):
+        code, out = run(["explain", str(tmp_path / "absent.json")])
+        err = capsys.readouterr().err
+        assert (code, out) == (3, "") and err.startswith("error: ")
 
 
 class TestCable:

@@ -160,16 +160,26 @@ class TestGenusTwistBound:
     def test_torus_untwist_example(self):
         assert torus_pattern(2, 3).twisted_facts(-2).genus == 0 <= genus_twist_bound(1, 2, -2)
 
-    def test_violating_answer_is_rejected(self):
-        class Lying(_TorusPattern):
-            # A torus kind that answers T(2, 99), of genus 49, for every twist.
-            def _twist(self, n):
-                return torus_knot(2, 99)
+    class Lying(_TorusPattern):
+        # A torus kind of winding 2 and genus 1 that answers T(2, 99), of
+        # genus 49, for every twist: its bound at twist n is 1 + |n|.
+        def _twist(self, n):
+            return torus_knot(2, 99)
 
-        pat = Lying("bad", 2, 1, True, 1, 3)
+    def test_violating_answer_is_rejected(self):
+        pat = self.Lying("bad", 2, 1, True, 1, 3)
         assert pat.twisted_facts(48) == torus_knot(2, 99)  # bound 1 + 48 = 49
         with pytest.raises(ConsistencyError, match="genus 49 at twist 2 exceeds bound 3"):
             pat.twisted_facts(2)
+
+    @pytest.mark.parametrize("n", [48, -48])
+    def test_genus_at_the_bound_passes(self, n):
+        assert self.Lying("bad", 2, 1, True, 1, 3).twisted_facts(n) == torus_knot(2, 99)
+
+    @pytest.mark.parametrize("n", [47, -47])
+    def test_genus_one_over_the_bound_is_rejected(self, n):
+        with pytest.raises(ConsistencyError, match=f"genus 49 at twist {n} exceeds bound 48"):
+            self.Lying("bad", 2, 1, True, 1, 3).twisted_facts(n)
 
 
 class TestTablePattern:
