@@ -23,16 +23,16 @@ Theorem 1 has not already checked, and a check records no statement.
 to_json writes "format": 3 as its first key.  from_json refuses text
 whose format is not the integer 3 (a certificate without the key is
 format 1) before it looks at the other keys, then reads exactly the keys
-to_json writes; there is no reader for any other format.  Each check is
-built once, in its JSON form {"id", "pass", "values"}, so writing a
-certificate passes the checks through and replay compares them as
-loaded.  What a check states is a fixed text per id (STATEMENTS), filled
-in from the check's own values by render_statement, which lspacesat
-explain prints beside each check; only thm1.3 and lem.7 read a value,
-the twist.  The trusted inputs are read off the two inputs, not off the
-run: the companion's facts, which replay takes as given, then what the
-pattern asserts (PatternFacts.asserted), so every run on a pair lists
-the same.
+to_json writes, through json_object as the inputs are read; there is no
+reader for any other format.  Each check is built once, in its JSON form
+{"id", "pass", "values"}, so writing a certificate passes the checks
+through and replay compares them as loaded.  What a check states is a
+fixed text per id (STATEMENTS), filled in from the check's own values by
+render_statement, which lspacesat explain prints beside each check; only
+thm1.3 and lem.7 read a value, the twist.  The trusted inputs are read
+off the two inputs, not off the run: the companion's facts, which replay
+takes as given, then what the pattern asserts (PatternFacts.asserted),
+so every run on a pair lists the same.
 
 The gluing cover (hrrw.cover) is computed in closed form, which is
 exact once every check before it passes (if one fails, the run raises
@@ -76,6 +76,7 @@ from .knots import (
     companion_from_json,
     companion_to_json,
     facts_note,
+    json_object,
 )
 from .patterns import (
     ConsistencyError,
@@ -196,7 +197,7 @@ class Certificate:
         """Parse the inputs and params; every other field is kept as
         loaded, for replay to compare with its re-run.  Raises ValueError
         unless text is a JSON object of format 3 with exactly the keys
-        to_json writes."""
+        to_json writes, naming the first key that breaks this."""
         d = _CERTIFICATE_JSON.decode(text)
         if not isinstance(d, dict):
             raise ValueError(f"a certificate is a JSON object, got {type(d).__name__}")
@@ -207,21 +208,27 @@ class Certificate:
             raise ValueError(
                 f"certificate format {_CERTIFICATE_ENCODER.encode(found)} is not {_FORMAT}"
             )
-        if d.keys() != _CERTIFICATE_KEYS:
-            raise ValueError(f"certificate keys {sorted(d)} are not {sorted(_CERTIFICATE_KEYS)}")
-        params = d["params"]
+        params = json_object(d, _CERTIFICATE_TYPES)["params"]
         return cls(
             pattern=pattern_from_json(d["pattern"]),
             companion=companion_from_json(d["companion"]),
             verdict=d["verdict"],
             reason=d["reason"],
-            params=None if params is None else LemmaParams(**params),
+            params=None if params is None else LemmaParams(**json_object(params, _PARAMS_TYPES)),
             checks=d["checks"],
             trusted_inputs=d["trusted_inputs"],
         )
 
 
-_CERTIFICATE_KEYS = frozenset(["format", *(f.name for f in fields(Certificate))])
+# The keys to_json writes, typed for json_object: replay compares the
+# fields kept as loaded, and companion_from_json reads every companion form.
+_CERTIFICATE_TYPES = {
+    "format": int,
+    **dict.fromkeys((f.name for f in fields(Certificate)), object),
+    "pattern": dict,
+    "params": (dict, type(None)),
+}
+_PARAMS_TYPES = {"a": int, "b": int, "r": int}
 
 
 # -- the Lemma machinery ------------------------------------------------

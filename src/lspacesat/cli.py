@@ -23,8 +23,9 @@ holds a float, has keys other than those certificates are written with,
 or differs from the re-run) and internal consistency failures (an engine
 check that holds by construction failing, which no input should reach).
 Pattern and companion JSON is read strictly: each object holds exactly
-its documented keys, integers must be JSON integers, flags JSON true or
-false, names JSON strings, and table twist keys decimal integers.
+its documented keys, none twice, integers are JSON integers, [p, q] two
+of them, flags JSON true or false, names JSON strings, table twist keys
+decimal integers and T(p,q) digits ASCII.  --replay stands alone.
 """
 
 from __future__ import annotations
@@ -81,11 +82,23 @@ def _clip(text: str, limit: int) -> str:
 _BAD_INPUT = (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RecursionError)
 
 
+def _no_repeated_keys(pairs: list) -> dict:
+    """A decoded JSON object; a repeated key is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in obj if keys.count(k) > 1)!r}")
+    return obj
+
+
+_ARG_JSON = json.JSONDecoder(object_pairs_hook=_no_repeated_keys)  # built once, not per call
+
+
 def _parse_json_arg(kind: str, parse, text: str):
     """parse() applied to the JSON text, or to a bare name like trefoil."""
     try:
         try:
-            obj = json.loads(text)
+            obj = _ARG_JSON.decode(text)
         except json.JSONDecodeError:
             obj = text.strip()
         return parse(obj)
@@ -128,6 +141,9 @@ def _replay(path: str, out) -> Certificate:
 
 def _cmd_certify(args, out) -> int:
     if args.replay:
+        given = [f"--{o}" for o in ("pattern", "companion", "out", "format") if getattr(args, o)]
+        if given:
+            raise InputError(f"--replay cannot be combined with {', '.join(given)}")
         return _VERDICT_EXIT[_replay(args.replay, out).verdict]
     if not args.pattern or not args.companion:
         raise InputError("certify needs --pattern and --companion (or --replay)")
@@ -274,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--pattern", help="pattern JSON")
     cert.add_argument("--companion", help="companion JSON or shortcut name")
     cert.add_argument("--out", help="write the certificate JSON here")
-    cert.add_argument("--format", choices=["text", "json"], default="text")
-    cert.add_argument("--replay", help="re-validate a stored certificate")
+    cert.add_argument("--format", choices=["text", "json"], help="text unless json")
+    cert.add_argument("--replay", help="re-validate a stored certificate, given alone")
 
     explain = sub.add_parser("explain", help="replay a certificate and print its checks")
     explain.add_argument("certificate", help="a stored certificate")

@@ -4,14 +4,17 @@ The engine never computes Heegaard Floer homology: KnotFacts is a
 declarative record (genus, L-space flags, fiberedness) that the caller
 asserts, with the torus-knot family built in.  The slope set a companion
 complement contributes to the gluing argument, and the exact cable
-criterion used as ground truth in tests, both live here.
+criterion used as ground truth in tests, both live here.  So does
+json_object, through which every JSON object lspacesat reads passes:
+patterns, companions and certificates, each key checked for its type.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import gcd
+from typing import get_type_hints
 
 from .projective import SlopeSet
 from .slopes import INFINITY, Slope
@@ -142,82 +145,72 @@ _NAMED = {
     "trefoil": torus_knot(2, 3),
     "figure8": KnotFacts("4_1", 1, False, False, True, False),
 }
+_FACT_TYPES = get_type_hints(KnotFacts)  # the six fields, as json_object reads them
 
 
-def json_int(value) -> int:
-    """A JSON integer, read as is: a float or a bool is refused, not
-    rounded or coerced."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+# What a type error says each JSON type is; several types join with "or".
+_EXPECTED = {
+    int: "expected an integer",
+    bool: "expected true or false",
+    str: "a name is a JSON string",
+    dict: "expected a JSON object",
+    type(None): "null",
+}
 
 
-def json_flag(value) -> bool:
-    """A JSON true or false, read as is: nothing else is coerced."""
-    if type(value) is not bool:
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
-def json_name(value) -> str:
-    """A name, which is a JSON string read as is: nothing else is coerced."""
-    if type(value) is not str:
-        raise ValueError(f"a name is a JSON string, got {value!r}")
-    return value
-
-
-def json_object(value, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    """A JSON object that holds every key of required and no key outside
-    required and optional.  Raises ValueError naming the first key that
-    breaks this: an unknown key is refused, not ignored."""
-    if not isinstance(value, dict):
+def json_object(value, fields: dict, optional: dict = {}) -> dict:
+    """value, if it is a JSON object with every key of fields and no key
+    outside fields and optional.  Each dict maps a key to its value's
+    type or tuple of types, checked as type(v) is t: a bool is not an
+    integer, 3.0 is not 3, and object admits any value.  Raises
+    ValueError naming the first key that breaks this."""
+    if type(value) is not dict:
         raise ValueError(f"expected a JSON object, got {value!r}")
-    for key in value:
-        if key not in required and key not in optional:
-            raise ValueError(f"unknown key {key!r}: expected only {', '.join(required + optional)}")
-    for key in required:
-        if key not in value:
-            raise ValueError(f"missing key {key!r}")
+    for key, v in value.items():
+        t = fields.get(key) or optional.get(key)
+        if type(v) is t or t is object:
+            continue
+        if t is None:
+            raise ValueError(f"unknown key {key!r}: expected only {', '.join([*fields, *optional])}")
+        if type(t) is not tuple or type(v) not in t:
+            expected = " or ".join(_EXPECTED[u] for u in (t if type(t) is tuple else (t,)))
+            raise ValueError(f"{expected}, got {v!r} under {key!r}")
+    if not fields.keys() <= value.keys():
+        raise ValueError(f"missing key {next(k for k in fields if k not in value)!r}")
     return value
 
 
-_FACT_KEYS = tuple(f.name for f in fields(KnotFacts))
+def json_pair(value) -> list[int]:
+    """[p, q], a JSON array of exactly two JSON integers."""
+    if type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is int:
+        return value
+    raise ValueError(f"expected [p, q], two integers, got {value!r}")
 
 
 def companion_from_json(obj) -> KnotFacts:
-    """Build KnotFacts from the documented JSON forms.
+    """Build KnotFacts from the documented JSON forms, read by json_object.
 
     Accepts {"torus_knot": [p, m]}, {"cable": {"companion": ..., "p": p,
     "q": q}}, an explicit field dictionary (exactly the six KnotFacts
-    fields, name a JSON string), or a shortcut name like "trefoil" or
-    "T(2,3)".  An object with any other key raises ValueError naming it.
+    fields, each of its type), or a shortcut name like "trefoil" or
+    "T(2,3)", in ASCII digits.  Any other key raises ValueError naming it.
     """
     if isinstance(obj, str):
         key = obj.strip()
         if key in _NAMED:
             return _NAMED[key]
-        m = re.fullmatch(r"T\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)", key)
-        if m:
+        if m := re.fullmatch(r"T\(\s*([+-]?[0-9]+)\s*,\s*([+-]?[0-9]+)\s*\)", key):
             return torus_knot(int(m.group(1)), int(m.group(2)))
         raise ValueError(f"unknown companion name {obj!r}")
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse companion from {obj!r}")
     if "torus_knot" in obj:
-        p, m = json_object(obj, ("torus_knot",))["torus_knot"]
-        return torus_knot(json_int(p), json_int(m))
+        return torus_knot(*json_pair(json_object(obj, {"torus_knot": object})["torus_knot"]))
     if "cable" in obj:
-        spec = json_object(json_object(obj, ("cable",))["cable"], ("companion", "p", "q"))
-        inner = companion_from_json(spec["companion"])
-        return cable_facts(inner, json_int(spec["p"]), json_int(spec["q"]))
-    json_object(obj, _FACT_KEYS)
-    return KnotFacts(
-        name=json_name(obj["name"]),
-        genus=json_int(obj["genus"]),
-        is_lspace=json_flag(obj["is_lspace"]),
-        is_neg_lspace=json_flag(obj["is_neg_lspace"]),
-        is_fibered=json_flag(obj["is_fibered"]),
-        is_unknot=json_flag(obj["is_unknot"]),
-    )
+        spec = json_object(obj, {"cable": dict})["cable"]
+        spec = json_object(spec, {"companion": object, "p": int, "q": int})
+        return cable_facts(companion_from_json(spec["companion"]), spec["p"], spec["q"])
+    return KnotFacts(**json_object(obj, _FACT_TYPES))
 
 
 def companion_to_json(k: KnotFacts) -> dict:

@@ -22,6 +22,7 @@ every fact, and a table's facts, entries and declared tails.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,10 +32,8 @@ from .knots import (
     companion_from_json,
     companion_to_json,
     facts_note,
-    json_flag,
-    json_int,
-    json_name,
     json_object,
+    json_pair,
     torus_knot,
     torus_knot_genus,
 )
@@ -74,8 +73,8 @@ class PatternFacts:
     neg_lspace_threshold: int | None
 
     def __post_init__(self) -> None:
-        if self.winding < 0:
-            raise ValueError("winding must be nonnegative")
+        if self.winding < 0 or self.genus_s3 < 0:
+            raise ValueError("winding and genus_s3 must be nonnegative")
         if self.has_minimal_meridional_disk and self.winding < 1:
             raise ValueError("a meridional disk meeting P in w points forces winding >= 1")
         if self.neg_lspace_threshold is not None and self.neg_lspace_threshold < 0:
@@ -297,59 +296,43 @@ def table_pattern(
     return pattern
 
 
-def _optional_int(value) -> int | None:
-    return None if value is None else json_int(value)
-
-
 def pattern_from_json(obj) -> PatternFacts:
     """Build PatternFacts from the documented JSON forms, each an object
-    with exactly one kind key:
+    with exactly one kind key, whose spec json_object reads:
 
-    * {"torus_pattern": [p, q]};
+    * {"torus_pattern": [p, q]}, exactly two integers;
     * {"one_bridge_braid": {"w", "b", "t"}}, and optionally
       "neg_threshold";
     * {"table": {"winding", "genus_s3", "has_disk"}}, and optionally
       "name" (a JSON string), "twists" (decimal twist keys to companion
-      forms), "neg_threshold" and "pos_from".
+      forms), "neg_threshold" and "pos_from": table_pattern's parameters.
 
-    An optional integer may be absent or null.  Any other key, beside the
-    kind key or in its spec, raises ValueError naming it."""
+    Integers are JSON integers, and an optional one may be absent or null.
+    Any other key, beside the kind key or in its spec, or a value of
+    another type raises ValueError naming the key."""
+    optional_int = (int, type(None))
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse pattern from {obj!r}")
     if len(obj) != 1:
         raise ValueError(f"a pattern object has exactly one kind key, got {sorted(obj)}")
     ((kind, spec),) = obj.items()
     if kind == "torus_pattern":
-        p, q = spec
-        return torus_pattern(json_int(p), json_int(q))
+        return torus_pattern(*json_pair(spec))
     if kind == "one_bridge_braid":
-        spec = json_object(spec, ("w", "b", "t"), ("neg_threshold",))
-        return one_bridge_braid(
-            json_int(spec["w"]),
-            json_int(spec["b"]),
-            json_int(spec["t"]),
-            neg_lspace_threshold=_optional_int(spec.get("neg_threshold")),
-        )
+        spec = json_object(spec, {"w": int, "b": int, "t": int}, {"neg_threshold": optional_int})
+        return one_bridge_braid(spec["w"], spec["b"], spec["t"], spec.get("neg_threshold"))
     if kind == "table":
         spec = json_object(
             spec,
-            ("winding", "genus_s3", "has_disk"),
-            ("name", "twists", "neg_threshold", "pos_from"),
+            {"winding": int, "genus_s3": int, "has_disk": bool},
+            {"name": str, "twists": dict, "neg_threshold": optional_int, "pos_from": optional_int},
         )
         twists = {}
         for n, facts in spec.get("twists", {}).items():
-            if str(int(n)) != n:
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", n):
                 raise ValueError(f"twist keys are decimal integers, got {n!r}")
             twists[int(n)] = companion_from_json(facts)
-        return table_pattern(
-            name=json_name(spec.get("name", "table-pattern")),
-            winding=json_int(spec["winding"]),
-            genus_s3=json_int(spec["genus_s3"]),
-            has_disk=json_flag(spec["has_disk"]),
-            twists=twists,
-            neg_threshold=_optional_int(spec.get("neg_threshold")),
-            pos_from=_optional_int(spec.get("pos_from")),
-        )
+        return table_pattern(**{"name": "table-pattern", **spec, "twists": twists})
     raise ValueError(f"unrecognized pattern description: {sorted(obj)}")
 
 

@@ -1089,7 +1089,7 @@ class TestCertificateFormat:
 
     def test_format_3_with_an_extra_key_gets_the_key_set_error(self):
         data = {**json.loads(CABLE_2_3_OF_TREFOIL), "note": "x"}
-        with pytest.raises(ValueError, match="^certificate keys "):
+        with pytest.raises(ValueError, match="^unknown key 'note': expected only format, "):
             Certificate.from_json(json.dumps(data))
 
     def test_sweep_grid_states_each_fact_once(self):

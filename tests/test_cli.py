@@ -328,6 +328,12 @@ class TestCertify:
             ),
             # A knot of genus 0 is the unknot.
             (TORUS_23, GENUS_ZERO_NOT_UNKNOT),
+            # A genus is nonnegative, the pattern's as a companion's.
+            (
+                '{"table": {"name": "t", "winding": 2, "genus_s3": -1, "has_disk": true,'
+                ' "neg_threshold": 7, "pos_from": -2}}',
+                "trefoil",
+            ),
             # Pattern and companion objects hold exactly their documented
             # keys: a misspelt or extra key is refused, not ignored.
             ('{"one_bridge_braid": {"w": 4, "b": 1, "t": 10, "neg_treshold": 3}}', "trefoil"),
@@ -349,6 +355,16 @@ class TestCertify:
             ),
             (TORUS_23, '{"torus_knot": [2, 3], "name": "x"}'),
             (TORUS_23, '{"cable": {"companion": "trefoil", "p": 2, "q": 3, "r": 1}}'),
+            # A key given twice is refused, not read as its last value.
+            ('{"torus_pattern": [2, 3], "torus_pattern": [2, 1]}', "trefoil"),
+            (
+                '{"table": {"name": "t", "winding": 2, "genus_s3": 1, "has_disk": true,'
+                ' "twists": {"0": "trefoil"}, "neg_threshold": 7, "neg_threshold": null,'
+                ' "pos_from": -2}}',
+                "trefoil",
+            ),
+            # T(p,q) digits are ASCII: these are Arabic-Indic two and three.
+            (TORUS_23, "T(٢,٣)"),
             # JSON nested past the decoder's recursion limit.
             ("[" * 5000 + "]" * 5000, "trefoil"),
             b'{"verdict": "CERTIFIED"}',
@@ -356,6 +372,9 @@ class TestCertify:
             b"\xd0\x00",
             b"[]",
             b"[" * 100_000,
+            # Options replay would ignore, beside a certificate it reproduces.
+            ["--pattern", TORUS_23],
+            ["--format", "json"],
             *FORGERIES,
         ],
         ids=[
@@ -373,6 +392,7 @@ class TestCertify:
             "table_entry_contradicts_its_tail",
             "table_entry_under_the_lower_genus_bound",
             "companion_genus_zero_not_unknot",
+            "table_negative_genus",
             "braid_misspelt_threshold",
             "table_misspelt_threshold",
             "pattern_two_kinds",
@@ -380,12 +400,17 @@ class TestCertify:
             "companion_name_not_a_string",
             "companion_torus_knot_extra_key",
             "companion_cable_extra_key",
+            "pattern_repeated_kind_key",
+            "table_repeated_threshold",
+            "companion_non_ascii_digits",
             "pattern_nested_too_deeply",
             "incomplete",
             "not_json",
             "not_utf8",
             "json_list",
             "replay_nested_too_deeply",
+            "replay_with_pattern",
+            "replay_with_format_json",
             *FORGERIES,
         ],
     )
@@ -397,11 +422,15 @@ class TestCertify:
         if isinstance(bad, tuple):
             argv = ["certify", "--pattern", bad[0], "--companion", bad[1]]
         else:
-            if isinstance(bad, str):
+            options = []
+            if isinstance(bad, list):
+                path.write_text(CABLE_2_3_OF_TREFOIL)
+                options = bad
+            elif isinstance(bad, str):
                 write_forgery(path, bad)
             else:
                 path.write_bytes(bad)
-            argv = ["certify", "--replay", str(path)]
+            argv = ["certify", "--replay", str(path), *options]
         capsys.readouterr()
         code, text = run(argv)
         err = capsys.readouterr().err

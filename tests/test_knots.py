@@ -200,8 +200,27 @@ class TestJson:
             ({"torus_knot": [2, 3], "name": "x"}, "unknown key 'name'"),
             ({"cable": {"companion": "trefoil", "p": 2, "q": 3, "r": 1}}, "unknown key 'r'"),
             ({"cable": {"companion": "trefoil", "p": 2}}, "missing key 'q'"),
+            # Each value has its documented shape, and the error names the key.
+            ({"torus_knot": [2, 3, 4]}, r"^expected \[p, q\], two integers, got \[2, 3, 4\]$"),
+            (
+                {"torus_knot": {"p": 2, "q": 3}},
+                r"^expected \[p, q\], two integers, got \{'p': 2, 'q': 3\}$",
+            ),
+            (
+                {**companion_to_json(torus_knot(2, 3)), "name": None},
+                "^a name is a JSON string, got None under 'name'$",
+            ),
         ],
-        ids=["extra_field", "name_not_a_string", "torus_knot_extra", "cable_extra", "cable_missing"],
+        ids=[
+            "extra_field",
+            "name_not_a_string",
+            "torus_knot_extra",
+            "cable_extra",
+            "cable_missing",
+            "torus_knot_three_integers",
+            "torus_knot_pair_as_object",
+            "name_null",
+        ],
     )
     def test_only_documented_keys(self, obj, error):
         with pytest.raises(ValueError, match=error):

@@ -328,6 +328,28 @@ class TestJson:
                 {"table": {"name": 7, "winding": 2, "genus_s3": 1, "has_disk": True}},
                 "a name is a JSON string, got 7",
             ),
+            # Each value has its documented shape, and the error names the key.
+            ({"torus_pattern": [2, 3, 4]}, r"^expected \[p, q\], two integers, got \[2, 3, 4\]$"),
+            (
+                {"torus_pattern": {"p": 2, "q": 3}},
+                r"^expected \[p, q\], two integers, got \{'p': 2, 'q': 3\}$",
+            ),
+            (
+                {"table": {"winding": 2, "genus_s3": 1, "has_disk": True, "twists": []}},
+                r"^expected a JSON object, got \[\] under 'twists'$",
+            ),
+            (
+                {"table": {"winding": 2, "genus_s3": 1, "has_disk": True, "twists": None}},
+                "^expected a JSON object, got None under 'twists'$",
+            ),
+            (
+                {"table": {"name": None, "winding": 2, "genus_s3": 1, "has_disk": True}},
+                "^a name is a JSON string, got None under 'name'$",
+            ),
+            (
+                {"table": {"winding": 2, "genus_s3": 1, "has_disk": True, "twists": {"x": "trefoil"}}},
+                "^twist keys are decimal integers, got 'x'$",
+            ),
         ],
         ids=[
             "braid_misspelt_threshold",
@@ -336,6 +358,12 @@ class TestJson:
             "two_kinds",
             "braid_missing_t",
             "table_name_not_a_string",
+            "torus_three_integers",
+            "torus_pair_as_object",
+            "table_twists_a_list",
+            "table_twists_null",
+            "table_name_null",
+            "table_twist_key_not_a_number",
         ],
     )
     def test_only_documented_keys(self, obj, error):
