@@ -24,15 +24,19 @@ to_json writes "format": 3 as its first key.  from_json refuses text
 whose format is not the integer 3 (a certificate without the key is
 format 1) before it looks at the other keys, then reads exactly the keys
 to_json writes, through json_object as the inputs are read; there is no
-reader for any other format.  Each check is built once, in its JSON form
-{"id", "pass", "values"}, so writing a certificate passes the checks
-through and replay compares them as loaded.  What a check states is a
-fixed text per id (STATEMENTS), filled in from the check's own values by
-render_statement, which lspacesat explain prints beside each check; only
-thm1.3 and lem.7 read a value, the twist.  The trusted inputs are read
-off the two inputs, not off the run: the companion's facts, which replay
-takes as given, then what the pattern asserts (PatternFacts.asserted),
-so every run on a pair lists the same.
+reader for any other format.  The pattern and companion, too, are read
+only in the form to_json writes them: the companion as its six facts,
+and a pattern whose pattern_to_json differs from the stored object (a
+table twist given as a shortcut name, say) is refused, so no second text
+replays as the same certificate.  Each check is built once, in its JSON
+form {"id", "pass", "values"}, so writing a certificate passes the
+checks through and replay compares them as loaded.  What a check states
+is a fixed text per id (STATEMENTS), filled in from the check's own
+values by render_statement, which lspacesat explain prints beside each
+check; only thm1.3 and lem.7 read a value, the twist.  The trusted
+inputs are read off the two inputs, not off the run: the companion's
+facts, which replay takes as given, then what the pattern asserts
+(PatternFacts.asserted), so every run on a pair lists the same.
 
 The gluing cover (hrrw.cover) is computed in closed form, which is
 exact once every check before it passes (if one fails, the run raises
@@ -45,11 +49,13 @@ below):
   text s2 is (b, inf] ∪ [-inf, a).
 
 The two open arcs cover QP^1 exactly when s1 holds every slope outside
-s2, the closed arc [a, b], that is when a > 2g(K) - 1.  The text of s1
-depends on the companion alone, so like its trusted line it is built
-once per companion (_companion_side).  The general route (SlopeSet.arc,
-GluingMap.image_of_set, covers_circle, str) stays in the test suite as
-the oracle this closed form is checked against.
+s2, the closed arc [a, b], that is when a > 2g(K) - 1.  Both texts are
+written straight from the integers 2g(K) - 1, a and b, each as n/1, the
+text str(Slope(n)) gives an integer n, so the cover builds no Slope.
+The text of s1 depends on the companion alone, so like its trusted line
+it is built once per companion (_companion_side).  The general route
+(SlopeSet.arc, GluingMap.image_of_set, covers_circle, str) stays in the
+test suite as the oracle this closed form is checked against.
 
 Each stage returns its list of checks and nothing that can be read off
 them: necessary_check and check_lemma, while Theorem 1 and the gluing
@@ -71,9 +77,9 @@ import json
 from dataclasses import dataclass, fields
 
 from .knots import (
+    _FACT_TYPES,
     KnotFacts,
     cable_is_lspace_exact,
-    companion_from_json,
     companion_to_json,
     facts_note,
     json_object,
@@ -86,7 +92,6 @@ from .patterns import (
     pattern_to_json,
     torus_pattern,
 )
-from .slopes import Slope
 
 CERTIFIED = "CERTIFIED"
 NOT_CERTIFIED = "NOT_CERTIFIED"
@@ -139,7 +144,10 @@ def _flag(id: str, value: bool, **extra) -> dict:
 def _first_failure(checks: list[dict]) -> str | None:
     """The id of the first failing check, or None: the reason of every
     verdict but an unknown twist, and the check a ConsistencyError names."""
-    return next((c["id"] for c in checks if not c["pass"]), None)
+    for c in checks:
+        if not c["pass"]:
+            return c["id"]
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +205,8 @@ class Certificate:
         """Parse the inputs and params; every other field is kept as
         loaded, for replay to compare with its re-run.  Raises ValueError
         unless text is a JSON object of format 3 with exactly the keys
-        to_json writes, naming the first key that breaks this."""
+        to_json writes, naming the first key that breaks this, and holds
+        its pattern and companion in the form to_json writes them."""
         d = _CERTIFICATE_JSON.decode(text)
         if not isinstance(d, dict):
             raise ValueError(f"a certificate is a JSON object, got {type(d).__name__}")
@@ -209,9 +218,18 @@ class Certificate:
                 f"certificate format {_CERTIFICATE_ENCODER.encode(found)} is not {_FORMAT}"
             )
         params = json_object(d, _CERTIFICATE_TYPES)["params"]
+        # Each input is read in the one form to_json writes, so no second
+        # text replays as the same certificate.
+        pattern = pattern_from_json(d["pattern"])
+        if pattern_to_json(pattern) != d["pattern"]:
+            raise ValueError("pattern: not in the form certificates are written with")
+        try:
+            companion = json_object(d["companion"], _FACT_TYPES)
+        except ValueError as e:
+            raise ValueError(f"companion: {e}") from None
         return cls(
-            pattern=pattern_from_json(d["pattern"]),
-            companion=companion_from_json(d["companion"]),
+            pattern=pattern,
+            companion=KnotFacts(**companion),
             verdict=d["verdict"],
             reason=d["reason"],
             params=None if params is None else LemmaParams(**json_object(params, _PARAMS_TYPES)),
@@ -221,7 +239,7 @@ class Certificate:
 
 
 # The keys to_json writes, typed for json_object: replay compares the
-# fields kept as loaded, and companion_from_json reads every companion form.
+# fields kept as loaded, and from_json reads the inputs itself.
 _CERTIFICATE_TYPES = {
     "format": int,
     **dict.fromkeys((f.name for f in fields(Certificate)), object),
@@ -301,8 +319,9 @@ def _companion_side(k: KnotFacts) -> tuple[str, str]:
     """What a certificate reads off the companion alone, built once per
     companion and shared by the certificates that name it: the trusted
     input line, then the text of its strict L-space slopes (2g-1, ∞),
-    which only the cover stage reads, for a nontrivial L-space K."""
-    return f"companion facts: {facts_note(k)}", f"({Slope(2 * k.genus - 1)}, inf)"
+    which only the cover stage reads, for a nontrivial L-space K.  The
+    text writes the integer 2g-1 as str(Slope(2g-1)) would, as n/1."""
+    return f"companion facts: {facts_note(k)}", f"({2 * k.genus - 1}/1, inf)"
 
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
@@ -361,8 +380,8 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     # pattern answers it for b at or past its threshold.
     proof = check_lemma(p, params.a, params.b, params.r)
     # The cover in closed form (see the module docstring): s1 is
-    # (2g-1, ∞) and s2 the swapped open arc b → ∞ → a.
-    glued = f"({Slope(params.b)}, inf] ∪ [-inf, {Slope(params.a)})"
+    # (2g-1, ∞) and s2 the swapped open arc b → ∞ → a, each end n as n/1.
+    glued = f"({params.b}/1, inf] ∪ [-inf, {params.a}/1)"
     proof.append(
         _check("hrrw.cover", params.a > 2 * k.genus - 1, {"s1": companion_text, "s2": glued})
     )

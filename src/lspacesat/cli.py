@@ -17,9 +17,11 @@ Subcommands:
 * oracle       -- brute-force cross-checks of the exact cover test
 
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
-3 input errors (including JSON nested too deeply, a certificate of
+3 input errors (including an empty --out path, JSON nested too deeply
+or holding an integer of more digits than Python reads, a certificate of
 another format, formats 1 and 2 included, and a certificate that is malformed,
 holds a float, has keys other than those certificates are written with,
+holds its pattern or companion in another form than it is written in,
 or differs from the re-run) and internal consistency failures (an engine
 check that holds by construction failing, which no input should reach).
 Pattern and companion JSON is read strictly: each object holds exactly
@@ -94,6 +96,14 @@ def _no_repeated_keys(pairs: list) -> dict:
 _ARG_JSON = json.JSONDecoder(object_pairs_hook=_no_repeated_keys)  # built once, not per call
 
 
+def _reason(e: Exception) -> str:
+    """The message of e, with the interpreter's limit on the digits of an
+    integer put in terms of the JSON being read."""
+    if "set_int_max_str_digits" in str(e):
+        return f"a JSON integer has more than {sys.get_int_max_str_digits()} digits"
+    return str(e)
+
+
 def _parse_json_arg(kind: str, parse, text: str):
     """parse() applied to the JSON text, or to a bare name like trefoil."""
     try:
@@ -105,7 +115,7 @@ def _parse_json_arg(kind: str, parse, text: str):
     except _BAD_INPUT as e:
         # The reason may quote the input again, so quote only its ends
         # here: the whole message's clip then keeps the reason's start.
-        raise InputError(f"bad {kind} {_clip(text, _QUOTED_CHARS)!r}: {e}")
+        raise InputError(f"bad {kind} {_clip(text, _QUOTED_CHARS)!r}: {_reason(e)}")
 
 
 def _emit_certificate(cert: Certificate, args, out) -> int:
@@ -134,7 +144,7 @@ def _replay(path: str, out) -> Certificate:
             cert = Certificate.from_json(fh.read())
         replay_certificate(cert)
     except _BAD_INPUT as e:
-        raise InputError(f"cannot replay {path}: {type(e).__name__}: {e}")
+        raise InputError(f"cannot replay {path}: {type(e).__name__}: {_reason(e)}")
     print(f"REPLAY OK: verdict {cert.verdict} reproduced", file=out)
     return cert
 
@@ -270,6 +280,12 @@ def _positive(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse would print usage and exit 2, which reads as REJECTED.
@@ -289,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", help="certify a satellite")
     cert.add_argument("--pattern", help="pattern JSON")
     cert.add_argument("--companion", help="companion JSON or shortcut name")
-    cert.add_argument("--out", help="write the certificate JSON here")
+    cert.add_argument("--out", type=_path, help="write the certificate JSON here")
     cert.add_argument("--format", choices=["text", "json"], help="text unless json")
     cert.add_argument("--replay", help="re-validate a stored certificate, given alone")
 
@@ -300,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     cable.add_argument("--companion", required=True)
     cable.add_argument("--p", type=int, required=True)
     cable.add_argument("--q", type=int, required=True)
-    cable.add_argument("--out")
+    cable.add_argument("--out", type=_path)
     cable.add_argument("--format", choices=["text", "json"], default="text")
 
     sweep = sub.add_parser("sweep", help="sufficient vs exact verdicts on a grid")
@@ -309,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--companion", action="append", required=True, help="companion JSON or name; repeatable"
     )
-    sweep.add_argument("--out")
+    sweep.add_argument("--out", type=_path)
 
     sets = sub.add_parser("set-algebra", help="exact slope-set operations")
     operation = sets.add_mutually_exclusive_group(required=True)

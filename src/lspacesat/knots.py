@@ -2,11 +2,15 @@
 
 The engine never computes Heegaard Floer homology: KnotFacts is a
 declarative record (genus, L-space flags, fiberedness) that the caller
-asserts, with the torus-knot family built in.  The slope set a companion
-complement contributes to the gluing argument, and the exact cable
-criterion used as ground truth in tests, both live here.  So does
-json_object, through which every JSON object lspacesat reads passes:
-patterns, companions and certificates, each key checked for its type.
+asserts, with the torus-knot family built in.  Like Slope, it is a
+slotted, frozen dataclass whose one constructor checks the facts against
+each other and then stores them through the slot descriptors' setters,
+past the frozen __setattr__; dataclasses.replace goes through the same
+checks.  The slope set a companion complement contributes to the gluing
+argument, and the exact cable criterion used as ground truth in tests,
+both live here.  So does json_object, through which every JSON object
+lspacesat reads passes: patterns, companions and certificates, each key
+checked for its type.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .projective import SlopeSet
 from .slopes import INFINITY, Slope
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KnotFacts:
     """Seifert genus and surgery flags of a knot in S^3.
 
@@ -35,26 +39,44 @@ class KnotFacts:
     is_fibered: bool
     is_unknot: bool
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
+    def __init__(
+        self,
+        name: str,
+        genus: int,
+        is_lspace: bool,
+        is_neg_lspace: bool,
+        is_fibered: bool,
+        is_unknot: bool,
+    ) -> None:
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
-        if self.is_unknot and not (
-            self.genus == 0
-            and self.is_lspace
-            and self.is_neg_lspace
-            and self.is_fibered
-        ):
+        if is_unknot and not (genus == 0 and is_lspace and is_neg_lspace and is_fibered):
             raise ValueError("unknot facts are genus 0 with all flags set")
-        if self.genus == 0 and not self.is_unknot:
+        if genus == 0 and not is_unknot:
             raise ValueError("a knot of genus 0 is the unknot")
-        if self.genus >= 1 and self.is_lspace and self.is_neg_lspace:
+        if genus >= 1 and is_lspace and is_neg_lspace:
             raise ValueError(
                 "a nontrivial knot cannot admit both positive and negative "
                 "L-space surgeries"
             )
-        if (self.is_lspace or self.is_neg_lspace) and not self.is_fibered:
+        if (is_lspace or is_neg_lspace) and not is_fibered:
             raise ValueError("L-space knots are fibered")
+        _set_name(self, name)
+        _set_genus(self, genus)
+        _set_is_lspace(self, is_lspace)
+        _set_is_neg_lspace(self, is_neg_lspace)
+        _set_is_fibered(self, is_fibered)
+        _set_is_unknot(self, is_unknot)
 
+
+# The slot descriptors' setters, which skip the frozen __setattr__; only
+# the constructor calls them.
+_set_name = KnotFacts.name.__set__
+_set_genus = KnotFacts.genus.__set__
+_set_is_lspace = KnotFacts.is_lspace.__set__
+_set_is_neg_lspace = KnotFacts.is_neg_lspace.__set__
+_set_is_fibered = KnotFacts.is_fibered.__set__
+_set_is_unknot = KnotFacts.is_unknot.__set__
 
 UNKNOT = KnotFacts("unknot", 0, True, True, True, True)
 
@@ -84,14 +106,7 @@ def torus_knot(p: int, m: int) -> KnotFacts:
     Genus torus_knot_genus(p, m); admits a positive L-space surgery iff
     m >= -1 and a negative one iff m <= 1.
     """
-    return KnotFacts(
-        name=f"T({p},{m})",
-        genus=torus_knot_genus(p, m),
-        is_lspace=m >= -1,
-        is_neg_lspace=m <= 1,
-        is_fibered=True,
-        is_unknot=abs(m) == 1,
-    )
+    return KnotFacts(f"T({p},{m})", torus_knot_genus(p, m), m >= -1, m <= 1, True, abs(m) == 1)
 
 
 def lspace_slope_set(k: KnotFacts) -> SlopeSet:

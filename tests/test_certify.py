@@ -1087,6 +1087,44 @@ class TestCertificateFormat:
     def test_every_check_id_has_a_statement(self):
         assert list(STATEMENTS) == CERTIFIED_CHECK_IDS
 
+    @pytest.mark.parametrize(
+        "pattern, edit, named",
+        [
+            (torus_pattern(2, 3), {"companion": "T(2,3)"}, "companion"),
+            (torus_pattern(2, 3), {"companion": {"torus_knot": [2, 3]}}, "companion"),
+            (
+                torus_pattern(2, 3),
+                {"companion": {"cable": {"companion": "unknot", "p": 2, "q": 3}}},
+                "companion",
+            ),
+            (
+                table_pattern("t", 2, 1, True, {0: TREFOIL}, neg_threshold=7, pos_from=-2),
+                {
+                    "pattern": {
+                        "table": {
+                            "name": "t",
+                            "winding": 2,
+                            "genus_s3": 1,
+                            "has_disk": True,
+                            "twists": {"0": "trefoil"},
+                            "neg_threshold": 7,
+                            "pos_from": -2,
+                        }
+                    }
+                },
+                "pattern",
+            ),
+        ],
+        ids=["companion_name", "companion_torus_knot", "companion_cable", "table_twist_name"],
+    )
+    def test_inputs_in_a_form_to_json_does_not_write_are_refused(self, pattern, edit, named):
+        """Each edit reads back as the same inputs, so without the refusal
+        a second text would replay as the genuine certificate."""
+        cert = certify_satellite(pattern, TREFOIL)
+        assert cert.verdict == CERTIFIED
+        with pytest.raises(ValueError, match=f"^{named}: "):
+            Certificate.from_json(json.dumps({**json.loads(cert.to_json()), **edit}))
+
     def test_format_3_with_an_extra_key_gets_the_key_set_error(self):
         data = {**json.loads(CABLE_2_3_OF_TREFOIL), "note": "x"}
         with pytest.raises(ValueError, match="^unknown key 'note': expected only format, "):

@@ -99,6 +99,11 @@ def _statement_back(data):
     return json.dumps(data)
 
 
+def _table_twist_shortcut(data):
+    data["pattern"]["table"]["twists"]["0"] = "trefoil"
+    return json.dumps(data)
+
+
 def _without_inputs(data):
     # The certificate format before certificates carried their inputs.
     del data["pattern"], data["companion"]
@@ -109,6 +114,10 @@ TORUS_23 = '{"torus_pattern": [2, 3]}'
 GENUS_ZERO_NOT_UNKNOT = (
     '{"name": "x", "genus": 0, "is_lspace": true, "is_neg_lspace": false,'
     ' "is_fibered": true, "is_unknot": false}'
+)
+TABLE_WITH_TREFOIL_AT_0 = (
+    '{"table": {"name": "t", "winding": 2, "genus_s3": 1, "has_disk": true,'
+    ' "twists": {"0": "trefoil"}, "neg_threshold": 7, "pos_from": -2}}'
 )
 FORGERIES = {
     "tampered": (TORUS_23, "trefoil", _flip_verdict),
@@ -136,6 +145,13 @@ FORGERIES = {
         lambda data: json.dumps({k: v for k, v in data.items() if k != "params"}),
     ),
     "extra_key": (TORUS_23, "trefoil", lambda data: json.dumps({**data, "note": "x"})),
+    # Inputs are read only in the form certificates are written with.
+    "companion_shortcut": (
+        TORUS_23,
+        "trefoil",
+        lambda data: json.dumps({**data, "companion": "T(2,3)"}),
+    ),
+    "table_twist_shortcut": (TABLE_WITH_TREFOIL_AT_0, "trefoil", _table_twist_shortcut),
     "old_glued_image": (
         TORUS_23,
         "trefoil",
@@ -464,6 +480,42 @@ class TestCertify:
         err = capsys.readouterr().err
         assert code == 3 and text == "" and err.count("\n") == 1
         assert "unknown companion name" in err and len(err) < 600
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--pattern", TORUS_23, "--companion", "trefoil"],
+            ["cable", "--companion", "trefoil", "--p", "2", "--q", "3"],
+            ["sweep", "--p-max", "2", "--q-max", "3", "--companion", "trefoil"],
+        ],
+        ids=["certify", "cable", "sweep"],
+    )
+    def test_empty_out_path_is_refused(self, argv, capsys):
+        capsys.readouterr()
+        code, text = run([*argv, "--out", ""])
+        err = capsys.readouterr().err
+        assert (code, text) == (3, "")
+        assert err == "error: argument --out: expected a non-empty path\n"
+
+    def test_over_long_integer_gets_lspacesats_own_message(self, tmp_path, capsys):
+        """A JSON integer past the interpreter's limit on digits, in an
+        argument or in a certificate, exits 3 without Python's advice on
+        raising that limit."""
+        long = "1" + "0" * 5000
+        path = tmp_path / "cert.json"
+        path.write_text(CABLE_2_3_OF_TREFOIL.replace("[2, 3]", f"[2, {long}]", 1))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        for argv in (
+            ["certify", "--pattern", f'{{"torus_pattern": [2, {long}]}}', "--companion", "trefoil"],
+            ["certify", "--replay", str(path)],
+        ):
+            capsys.readouterr()
+            code, text = run(argv)
+            err = capsys.readouterr().err
+            assert (code, text) == (3, "") and err.count("\n") == 1
+            assert "set_int_max_str_digits" not in err
+            if 0 < limit < len(long):
+                assert err.endswith(f": a JSON integer has more than {limit} digits\n")
 
     @pytest.mark.parametrize("doc", ["[]", '"x"', "3", "null"])
     def test_replaying_json_that_is_not_an_object_names_the_format(self, doc, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from math import gcd
 
 import pytest
@@ -97,6 +98,57 @@ class TestKnotFactsInvariants:
         c = KnotFacts("T(2,3)", 1, True, False, True, False)
         assert a is not b and a == b == c and hash(a) == hash(b) == hash(c)
         assert KnotFacts("T(2,3)", 2, True, False, True, False) != a
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = KnotFacts("T(2,3)", 1, True, False, True, False)
+        keyword = KnotFacts(
+            name="T(2,3)",
+            genus=1,
+            is_lspace=True,
+            is_neg_lspace=False,
+            is_fibered=True,
+            is_unknot=False,
+        )
+        assert positional == keyword == torus_knot(2, 3)
+        assert hash(positional) == hash(keyword) == hash(torus_knot(2, 3))
+        assert repr(keyword) == (
+            "KnotFacts(name='T(2,3)', genus=1, is_lspace=True, is_neg_lspace=False, "
+            "is_fibered=True, is_unknot=False)"
+        )
+
+    def test_replace_checks_the_facts(self):
+        trefoil = torus_knot(2, 3)
+        with pytest.raises(ValueError, match="^a knot of genus 0 is the unknot$"):
+            dataclasses.replace(trefoil, genus=0)
+        renamed = dataclasses.replace(trefoil, name="3_1")
+        assert renamed == KnotFacts("3_1", 1, True, False, True, False)
+        assert trefoil.name == "T(2,3)"
+
+    @pytest.mark.parametrize(
+        "facts, text",
+        [
+            (("bad", -1, False, False, True, False), "genus must be nonnegative"),
+            (("bad", 1, True, False, True, True), "unknot facts are genus 0 with all flags set"),
+            (("bad", 0, True, False, True, False), "a knot of genus 0 is the unknot"),
+            (
+                ("bad", 2, True, True, True, False),
+                "a nontrivial knot cannot admit both positive and negative L-space surgeries",
+            ),
+            (("bad", 1, True, False, False, False), "L-space knots are fibered"),
+        ],
+        ids=["negative_genus", "unknot_shape", "genus_zero", "both_flags", "unfibered"],
+    )
+    def test_every_refusal_keeps_its_text(self, facts, text):
+        """Positional, keyword and dataclasses.replace construction refuse
+        bad facts with the same whole message."""
+        named = dict(zip((f.name for f in dataclasses.fields(KnotFacts)), facts))
+        for build in (
+            lambda: KnotFacts(*facts),
+            lambda: KnotFacts(**named),
+            lambda: dataclasses.replace(torus_knot(2, 3), **named),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                build()
 
 
 class TestLspaceSlopeSet:
