@@ -28,15 +28,17 @@ reader for any other format.  The pattern and companion, too, are read
 only in the form to_json writes them: the companion as its six facts,
 and a pattern whose pattern_to_json differs from the stored object (a
 table twist given as a shortcut name, say) is refused, so no second text
-replays as the same certificate.  Each check is built once, in its JSON
-form {"id", "pass", "values"}, so writing a certificate passes the
-checks through and replay compares them as loaded.  What a check states
-is a fixed text per id (STATEMENTS), filled in from the check's own
-values by render_statement, which lspacesat explain prints beside each
-check; only thm1.3 and lem.7 read a value, the twist.  The trusted
-inputs are read off the two inputs, not off the run: the companion's
-facts, which replay takes as given, then what the pattern asserts
-(PatternFacts.asserted), so every run on a pair lists the same.
+replays as the same certificate, bar one repeating a key (json keeps the
+last value; refusing that on replay would double a decode's cost).  Each
+check is built once, in its JSON form {"id", "pass", "values"}, so
+writing a certificate passes the checks through and replay compares them
+as loaded.  What a check states is a fixed text per id (STATEMENTS),
+filled in from the check's own values by render_statement, which
+lspacesat explain prints beside each check; only thm1.3 and lem.7 read a
+value, the twist.  The trusted inputs are read off the two inputs, not
+off the run: the companion's facts, which replay takes as given, then
+what the pattern asserts (PatternFacts.asserted), so every run on a pair
+lists the same.
 
 The gluing cover (hrrw.cover) is computed in closed form, which is
 exact once every check before it passes (if one fails, the run raises

@@ -16,14 +16,16 @@ Subcommands:
                   serialized sets
 * oracle       -- brute-force cross-checks of the exact cover test
 
-Exit codes: 0 certified / complete, 1 not certified, 2 rejected,
-3 input errors (including an empty --out path, JSON nested too deeply
-or holding an integer of more digits than Python reads, a certificate of
-another format, formats 1 and 2 included, and a certificate that is malformed,
-holds a float, has keys other than those certificates are written with,
-holds its pattern or companion in another form than it is written in,
-or differs from the re-run) and internal consistency failures (an engine
-check that holds by construction failing, which no input should reach).
+Exit codes: 0 certified / complete, 1 not certified, 2 rejected, 3 any
+other end: bad input (including an empty --out path, JSON nested too
+deeply, an integer of more digits than Python reads or writes, a
+certificate of another format, formats 1 and 2 included, or one that is
+malformed, holds a float, has keys other than those certificates are
+written with, holds its pattern or companion in another form than it is
+written in, or differs from the re-run), an output stream that cannot
+encode the text, or an engine bug: a ConsistencyError (a check that holds
+by construction failing) or any other exception, an "internal error".
+main alone turns an exception into exit 3; exit 1 means "not certified".
 Pattern and companion JSON is read strictly: each object holds exactly
 its documented keys, none twice, integers are JSON integers, [p, q] two
 of them, flags JSON true or false, names JSON strings, table twist keys
@@ -53,7 +55,7 @@ from .certify import (
     replay_certificate,
 )
 from .knots import companion_from_json
-from .patterns import pattern_from_json
+from .patterns import UnknownTwistError, pattern_from_json
 from .projective import Arc, SlopeSet, covers_circle
 from .slopes import farey_enumerate
 
@@ -78,10 +80,10 @@ def _clip(text: str, limit: int) -> str:
     return f"{text[:limit // 2]}…{text[-(limit // 2):]}"
 
 
-# What reading malformed input raises: a missing key, a value of the wrong
-# type or shape, a number too large for a float (int(1e400)), or JSON
-# nested too deeply to decode.
-_BAD_INPUT = (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RecursionError)
+# What the readers below raise on malformed input: a refused value, a
+# one-bridge link (UnknownTwistError) or JSON nested too deeply.  Anything
+# else is an engine bug, which main reports as one.
+_BAD_INPUT = (ValueError, UnknownTwistError, RecursionError)
 
 
 def _no_repeated_keys(pairs: list) -> dict:
@@ -98,9 +100,9 @@ _ARG_JSON = json.JSONDecoder(object_pairs_hook=_no_repeated_keys)  # built once,
 
 def _reason(e: Exception) -> str:
     """The message of e, with the interpreter's limit on the digits of an
-    integer put in terms of the JSON being read."""
+    integer stated without its advice on raising that limit."""
     if "set_int_max_str_digits" in str(e):
-        return f"a JSON integer has more than {sys.get_int_max_str_digits()} digits"
+        return f"an integer has more than {sys.get_int_max_str_digits()} digits"
     return str(e)
 
 
@@ -179,10 +181,7 @@ def _cmd_explain(args, out) -> int:
 
 def _cmd_cable(args, out) -> int:
     companion = _parse_json_arg("companion", companion_from_json, args.companion)
-    try:
-        cmp = certify_cable(companion, args.p, args.q)
-    except ValueError as e:
-        raise InputError(str(e))
+    cmp = certify_cable(companion, args.p, args.q)
     code = _emit_certificate(cmp.certificate, args, out)
     exact = "L-space knot" if cmp.exact else "not an L-space knot"
     print(f"exact criterion: the ({args.p},{args.q})-cable is {exact}", file=out)
@@ -229,16 +228,13 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_set_algebra(args, out) -> int:
-    try:
-        if args.covers:
-            s1, s2 = (SlopeSet.parse(t) for t in args.covers)
-            u = s1.union(s2)
-            print(str(u), file=out)
-            return EXIT_OK if u.is_full else EXIT_NOT_CERTIFIED
-        print(str(SlopeSet.parse(args.interior).interior()), file=out)
-        return EXIT_OK
-    except ValueError as e:
-        raise InputError(str(e))
+    if args.covers:
+        s1, s2 = (SlopeSet.parse(t) for t in args.covers)
+        u = s1.union(s2)
+        print(str(u), file=out)
+        return EXIT_OK if u.is_full else EXIT_NOT_CERTIFIED
+    print(str(SlopeSet.parse(args.interior).interior()), file=out)
+    return EXIT_OK
 
 
 def random_slope_set(rng: random.Random, endpoints) -> SlopeSet:
@@ -355,11 +351,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except (InputError, OSError) as e:
-        message = str(e)
     except ConsistencyError as e:
-        # An engine bug: exit 1 would read as "not certified".
         message = f"internal consistency check failed: {e}"
+    except (InputError, OSError, ValueError) as e:
+        message = _reason(e)
+    except Exception as e:  # an engine bug, as a ConsistencyError is
+        message = f"internal error: {type(e).__name__}: {e}"
     print(f"error: {_clip(message, _ERROR_CHARS)}", file=sys.stderr)
     return EXIT_INPUT
 

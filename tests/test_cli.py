@@ -21,7 +21,7 @@ from lspacesat import (
     torus_knot,
     torus_pattern,
 )
-from lspacesat import certify
+from lspacesat import certify, cli
 from lspacesat.cli import main
 from lspacesat.patterns import _TorusPattern, pattern_to_json
 
@@ -115,6 +115,13 @@ GENUS_ZERO_NOT_UNKNOT = (
     '{"name": "x", "genus": 0, "is_lspace": true, "is_neg_lspace": false,'
     ' "is_fibered": true, "is_unknot": false}'
 )
+TREFOIL_NAMED_E = (
+    '{"name": "é", "genus": 1, "is_lspace": true, "is_neg_lspace": false,'
+    ' "is_fibered": true, "is_unknot": false}'
+)
+# The interpreter's limit on the digits of an integer read or written as
+# text, 0 where there is none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 TABLE_WITH_TREFOIL_AT_0 = (
     '{"table": {"name": "t", "winding": 2, "genus_s3": 1, "has_disk": true,'
     ' "twists": {"0": "trefoil"}, "neg_threshold": 7, "pos_from": -2}}'
@@ -504,7 +511,6 @@ class TestCertify:
         long = "1" + "0" * 5000
         path = tmp_path / "cert.json"
         path.write_text(CABLE_2_3_OF_TREFOIL.replace("[2, 3]", f"[2, {long}]", 1))
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         for argv in (
             ["certify", "--pattern", f'{{"torus_pattern": [2, {long}]}}', "--companion", "trefoil"],
             ["certify", "--replay", str(path)],
@@ -514,8 +520,59 @@ class TestCertify:
             err = capsys.readouterr().err
             assert (code, text) == (3, "") and err.count("\n") == 1
             assert "set_int_max_str_digits" not in err
-            if 0 < limit < len(long):
-                assert err.endswith(f": a JSON integer has more than {limit} digits\n")
+            if 0 < DIGIT_LIMIT < len(long):
+                assert err.endswith(f": an integer has more than {DIGIT_LIMIT} digits\n")
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on the digits of an integer")
+    @pytest.mark.parametrize("command", ["certify", "sweep", "cable", "set-algebra", "replay"])
+    def test_over_long_derived_integer_gets_lspacesats_own_message(self, command, tmp_path, capsys):
+        """An integer within the limit on digits can give, through the
+        engine, one past it: T(2, m) with m of exactly the limit's digits
+        reads, but twisting the (11, 1) pattern around it derives a longer
+        integer.  A slope past the limit, and a stored genus that stays
+        within it, end the same way: exit 3 with one error line, never a
+        traceback (exit 1) or Python's advice on raising the limit."""
+        companion = json.dumps({"torus_knot": [2, 10 ** (DIGIT_LIMIT - 1) + 1]})
+        pattern = '{"torus_pattern": [11, 1]}'
+        path = tmp_path / "cert.json"
+        argv = {
+            "certify": ["certify", "--pattern", pattern, "--companion", companion],
+            "sweep": ["sweep", "--p-max", "12", "--q-max", "2", "--companion", companion],
+            "cable": ["cable", "--p", "11", "--q", "1", "--companion", companion],
+            "set-algebra": ["set-algebra", "--interior", f"[1/{'7' * (DIGIT_LIMIT + 100)}, 2]"],
+            "replay": ["certify", "--replay", str(path)],
+        }[command]
+        expected = f"an integer has more than {DIGIT_LIMIT} digits\n"
+        if command == "replay":
+            run(["certify", "--pattern", pattern, "--companion", "trefoil", "--out", str(path)])
+            data = json.loads(path.read_text())
+            data["companion"]["genus"] = 5 * 10 ** (DIGIT_LIMIT - 2)
+            path.write_text(json.dumps(data))
+            expected = f"cannot replay {path}: ValueError: {expected}"
+        capsys.readouterr()
+        code, text = run(argv)
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == f"error: {expected}"
+
+    @pytest.mark.parametrize("command", ["explain", "sweep"])
+    def test_an_output_stream_that_cannot_encode_the_text_exits_3(
+        self, command, tmp_path, capsys
+    ):
+        """The statements of the (3,17)-cable certificate of the trefoil
+        hold a "·", and a sweep prints its companion's name "é": written
+        to an ASCII-only stream, either exits 3 with one error line, not
+        1 through a traceback."""
+        path = tmp_path / "cert.json"
+        run(["cable", "--companion", "trefoil", "--p", "3", "--q", "17", "--out", str(path)])
+        argv = {
+            "explain": ["explain", str(path)],
+            "sweep": ["sweep", "--p-max", "2", "--q-max", "1", "--companion", TREFOIL_NAMED_E],
+        }[command]
+        capsys.readouterr()
+        code = main(argv, out=io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1
+        assert err.startswith("error: 'ascii' codec can't encode character ")
 
     @pytest.mark.parametrize("doc", ["[]", '"x"', "3", "null"])
     def test_replaying_json_that_is_not_an_object_names_the_format(self, doc, tmp_path, capsys):
@@ -615,6 +672,7 @@ class TestReplayFuzz:
         assert explained[0] == code
         if code == 3:
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert not err.startswith("error: internal error:")
             assert explained[1:] == ("", err)
         else:
             assert code in (0, 1, 2)
@@ -670,6 +728,7 @@ class TestInputFuzz:
         assert code in (0, 1, 2, 3)
         if code == 3:
             assert text == "" and err.getvalue().startswith("error: ")
+            assert not err.getvalue().startswith("error: internal error:")
             assert err.getvalue().count("\n") == 1
         else:
             assert err.getvalue() == ""
@@ -701,10 +760,53 @@ class TestRepeatedMain:
             assert got == (proc.returncode, proc.stdout, proc.stderr)
 
 
+# Each command's run, with the engine call it makes; CERT stands for a
+# stored certificate.
+ENGINE_CALLS = {
+    "certify": (["certify", "--pattern", TORUS_23, "--companion", "trefoil"], "certify_satellite"),
+    "replay": (["certify", "--replay", "CERT"], "replay_certificate"),
+    "explain": (["explain", "CERT"], "render_statement"),
+    "cable": (["cable", "--companion", "trefoil", "--p", "2", "--q", "3"], "certify_cable"),
+    "sweep": (["sweep", "--p-max", "2", "--q-max", "3", "--companion", "trefoil"], "certify_cable"),
+    "set-algebra": (["set-algebra", "--interior", "[1, 2]"], "SlopeSet.parse"),
+    "oracle": (["oracle", "--trials", "1"], "covers_circle"),
+}
+
+
 class TestEngineBug:
-    """A seeded engine bug raises ConsistencyError, which main turns into
-    one error line and exit 3: Python's exit 1 for an uncaught exception
+    """A seeded engine bug raises ConsistencyError, and any other
+    exception of the engine is a bug too; main turns either into one
+    error line and exit 3: Python's exit 1 for an uncaught exception
     would read as "not certified"."""
+
+    def test_every_command_runs_with_a_seeded_exception(self):
+        assert {argv[0] for argv, _ in ENGINE_CALLS.values()} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize(
+        "error", [KeyError, TypeError, ZeroDivisionError, RuntimeError, AssertionError]
+    )
+    @pytest.mark.parametrize("command", ENGINE_CALLS)
+    def test_any_exception_is_an_internal_error(self, command, error, monkeypatch, tmp_path, capsys):
+        argv, call = ENGINE_CALLS[command]
+        path = tmp_path / "cert.json"
+        path.write_text(CABLE_2_3_OF_TREFOIL)
+
+        def seeded(*args, **kwargs):
+            raise error("seeded")
+
+        monkeypatch.setattr(f"lspacesat.cli.{call}", seeded)
+        capsys.readouterr()
+        code, _ = run([str(path) if arg == "CERT" else arg for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1
+        assert err.startswith(f"error: internal error: {error.__name__}: ")
+
+    def test_help_is_no_internal_error(self, capsys):
+        """--help leaves main as argparse's SystemExit, which no handler
+        of main takes for an exception."""
+        with pytest.raises(SystemExit) as raised:
+            run(["--help"])
+        assert raised.value.code == 0 and capsys.readouterr().err == ""
 
     @staticmethod
     def assert_exits_3(argv, capsys):
@@ -1031,6 +1133,7 @@ class TestSetAlgebraFuzz:
         assert code in (0, 1, 3)
         if code == 3:
             assert text == "" and err.getvalue().startswith("error: ")
+            assert not err.getvalue().startswith("error: internal error:")
             assert err.getvalue().count("\n") == 1
         else:
             assert err.getvalue() == "" and (text == "FULL\n") == (code == 0)
