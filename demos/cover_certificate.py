@@ -8,6 +8,7 @@ L-space slopes (1, ∞) it covers the whole circle of gluing slopes.
 """
 
 from lspacesat import (
+    Arc,
     Slope,
     SlopeSet,
     certify_satellite,
@@ -26,7 +27,7 @@ print("verdict:", cert.verdict)
 print("params:", cert.params)
 # The certificate records each fact once: the arc follows from params,
 # and the cover check holds the two strict sets it joins.
-arc = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b))
+arc = SlopeSet.from_arcs([Arc(Slope(1, cert.params.a), Slope(1, cert.params.b))])
 cover = cert.checks[-1]["values"]
 print("pattern-side closed arc:    ", arc)
 print("companion strict slopes s1: ", cover["s1"])

@@ -21,11 +21,11 @@ print("ccw(2, 5, ∞):", slope_ccw(Slope(2), Slope(5), INFINITY))
 print("ccw(5, ∞, -1):", slope_ccw(Slope(5), INFINITY, Slope(-1)))
 print("ccw(∞, -1, 2):", slope_ccw(INFINITY, Slope(-1), Slope(2)))
 
-# A Farey window enumerates every reduced fraction of bounded
-# denominator in an interval; this is F_5 on [0, 1].
-f5 = farey_enumerate(5, window=(0, 1))
+# The Farey ball holds every reduced fraction of bounded height,
+# circularly ordered starting at the meridian ∞; its slopes in [0, 1]
+# are F_5, in increasing order.
+f5 = [x for x in farey_enumerate(5) if 0 <= x.num <= x.den]
 print("\nF_5 on [0,1]:", " ".join(str(x) for x in f5))
 
-# The full Farey ball is circularly ordered starting at the meridian ∞.
 ball = farey_enumerate(3)
 print("Farey ball |p|,|q| <= 3 (from ∞):", " ".join(str(x) for x in ball))

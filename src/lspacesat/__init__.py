@@ -3,8 +3,9 @@
 The package implements the full slope calculus behind a sufficient-
 condition certificate that a satellite knot is an L-space knot: exact
 rational slopes on QP^1, circular-arc slope sets with an exact cover
-test, integer gluing maps, torus-knot and braid pattern families, and
-an auditable certification pipeline with replayable certificates.
+test, the meridian-longitude gluing map, torus-knot and braid pattern
+families, and an auditable certification pipeline with replayable
+certificates.
 """
 
 from .braids import (

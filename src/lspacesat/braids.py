@@ -34,13 +34,6 @@ class BraidWord:
             if sign not in (-1, 1):
                 raise ValueError(f"letter sign must be ±1, got {sign}")
 
-    def __str__(self) -> str:
-        if not self.letters:
-            return f"e({self.strands})"
-        return " ".join(
-            f"s{idx}" if sign == 1 else f"s{idx}^-1" for idx, sign in self.letters
-        )
-
 
 def braid_free_reduce(bw: BraidWord) -> BraidWord:
     """Delete adjacent inverse pairs until none remain."""

@@ -56,8 +56,8 @@ written straight from the integers 2g(K) - 1, a and b, each as n/1, the
 text str(Slope(n)) gives an integer n, so the cover builds no Slope.
 The text of s1 depends on the companion alone, so like its trusted line
 it is built once per companion (_companion_side).  The general route
-(SlopeSet.arc, GluingMap.image_of_set, covers_circle, str) stays in the
-test suite as the oracle this closed form is checked against.
+(SlopeSet.from_arcs, GluingMap.image_of_set, covers_circle, str) stays
+in the test suite as the oracle this closed form is checked against.
 
 Each stage returns its list of checks and nothing that can be read off
 them: necessary_check and check_lemma, while Theorem 1 and the gluing

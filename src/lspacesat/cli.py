@@ -30,6 +30,8 @@ Pattern and companion JSON is read strictly: each object holds exactly
 its documented keys, none twice, integers are JSON integers, [p, q] two
 of them, flags JSON true or false, names JSON strings, table twist keys
 decimal integers and T(p,q) digits ASCII.  --replay stands alone.
+Files are read and written as UTF-8, the encoding of JSON, whatever the
+locale; only stdout follows it.
 """
 
 from __future__ import annotations
@@ -120,12 +122,19 @@ def _parse_json_arg(kind: str, parse, text: str):
         raise InputError(f"bad {kind} {_clip(text, _QUOTED_CHARS)!r}: {_reason(e)}")
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text and a newline to path in UTF-8, whatever the locale.
+    An argument's bytes that the locale could not decode stand in the
+    text as surrogates (PEP 383) and go back out as those bytes."""
+    with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.write(text + "\n")
+
+
 def _emit_certificate(cert: Certificate, args, out) -> int:
     if args.out or args.format == "json":
         text = cert.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text)
     if args.format == "json":
         print(text, file=out)
     else:
@@ -142,7 +151,7 @@ def _emit_certificate(cert: Certificate, args, out) -> int:
 def _replay(path: str, out) -> Certificate:
     """The certificate stored at path, once a re-run has reproduced it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cert = Certificate.from_json(fh.read())
         replay_certificate(cert)
     except _BAD_INPUT as e:
@@ -220,8 +229,7 @@ def _cmd_sweep(args, out) -> int:
     writer.writerows(rows)
     text = buf.getvalue().rstrip("\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text)
     else:
         print(text, file=out)
     return EXIT_OK

@@ -1,57 +1,39 @@
-"""Integer change-of-basis maps on the boundary torus.
+"""The gluing map on the boundary torus: the meridian–longitude swap.
 
-A gluing map is a 2x2 integer matrix of determinant ±1 acting on slopes
-by p/q ↦ (a·p + b·q)/(c·p + d·q).  Determinant -1 maps reverse the
+Gluing a pattern complement to a companion complement identifies the
+meridian of one side with the 0-framed longitude of the other, which on
+slopes is p/q ↦ q/p.  That map has determinant -1: it reverses the
 circular orientation of QP^1, so the image of an arc from α to β is the
 arc from the image of β to the image of α, with the closure flags
 travelling along.
 
-Such a map is a homeomorphism of the circle, so the image of a canonical
-slope set needs no sweep: its arcs stay disjoint and maximal, and their
-circular order is kept (det 1) or reversed (det -1).  Only the first arc
-changes, which a rotation to the smallest start, ∞ first, restores.
-
-The map used to glue a pattern complement to a companion complement
-swaps meridian and longitude: p/q ↦ q/p.
+The swap is a homeomorphism of the circle, so the image of a canonical
+slope set needs no sweep: its arcs stay disjoint and maximal, in reversed
+circular order.  Only the first arc changes, which a rotation to the
+smallest start, ∞ first, restores.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .projective import Arc, SlopeSet
 from .slopes import Slope, circular_keys
 
 
-@dataclass(frozen=True, slots=True)
 class GluingMap:
-    a: int
-    b: int
-    c: int
-    d: int
+    """The swap p/q ↦ q/p; it has no settings."""
 
-    def __post_init__(self) -> None:
-        if abs(self.det) != 1:
-            raise ValueError(f"gluing map must have determinant ±1, got {self.det}")
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
+    __slots__ = ()
 
     def apply(self, x: Slope) -> Slope:
-        return Slope(self.a * x.num + self.b * x.den, self.c * x.num + self.d * x.den)
+        return Slope(x.den, x.num)
 
     def image_of_set(self, s: SlopeSet) -> SlopeSet:
         if s.is_full:
             return s
         f = self.apply
-        if self.det == 1:
-            arcs = [Arc(f(a.start), f(a.end), a.start_closed, a.end_closed) for a in s.arcs]
-        else:
-            arcs = [
-                Arc(f(a.end), f(a.start), a.end_closed, a.start_closed)
-                for a in reversed(s.arcs)
-            ]
+        arcs = [
+            Arc(f(a.end), f(a.start), a.end_closed, a.start_closed) for a in reversed(s.arcs)
+        ]
         if len(arcs) > 1:
             # The sweep's order: the smallest start by circular_keys, ∞ first.
             keys, order = circular_keys([a.start for a in arcs])
@@ -63,4 +45,4 @@ class GluingMap:
 def meridian_longitude_swap() -> GluingMap:
     """The gluing p/q ↦ q/p identifying the meridian of one side with the
     0-framed longitude of the other."""
-    return GluingMap(0, 1, 1, 0)
+    return GluingMap()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import get_type_hints
 
-from .projective import SlopeSet
+from .projective import Arc, SlopeSet
 from .slopes import INFINITY, Slope
 
 
@@ -119,9 +119,9 @@ def lspace_slope_set(k: KnotFacts) -> SlopeSet:
     if k.is_unknot:
         raise ValueError("companion must be nontrivial")
     if k.is_lspace:
-        return SlopeSet.arc(Slope(2 * k.genus - 1), INFINITY)
+        return SlopeSet.from_arcs([Arc(Slope(2 * k.genus - 1), INFINITY)])
     if k.is_neg_lspace:
-        return SlopeSet.arc(INFINITY, Slope(-2 * k.genus + 1))
+        return SlopeSet.from_arcs([Arc(INFINITY, Slope(-2 * k.genus + 1))])
     return SlopeSet()
 
 

@@ -46,10 +46,10 @@ class ConsistencyError(AssertionError):
 class UnknownTwistError(LookupError):
     """The pattern cannot answer this twisting parameter."""
 
-    def __init__(self, n: int, why: str = ""):
+    def __init__(self, n: int, why: str):
         self.n = n
         # Stored certificates quote this text in their reasons.
-        super().__init__(f"twist family cannot answer n = {n}" + (f" ({why})" if why else ""))
+        super().__init__(f"twist family cannot answer n = {n} ({why})")
 
 
 def genus_twist_bound(g_p: int, w: int, n: int) -> int:

@@ -25,9 +25,11 @@ Only from_arcs, union and parse sweep, since only there can arcs
 overlap; parse reads each piece and the separators after it with one
 compiled match (the slope grammar is slopes.SLOPE_GRAMMAR) and then
 sweeps.  interior opens the ends of arcs that are already disjoint and
-maximal, and the image under a gluing map (gluing.GluingMap) is a
-homeomorphism of the circle; both map a canonical set to a canonical set
-arc by arc.
+maximal, and the image under the meridian–longitude swap
+(gluing.GluingMap) is a homeomorphism of the circle; both map a
+canonical set to a canonical set arc by arc.  from_arcs is the one
+constructor from arcs; parse reads text, and builds QP1 \\ {h}, a single
+arc, without a sweep.
 """
 
 from __future__ import annotations
@@ -108,22 +110,7 @@ class SlopeSet:
     arcs: tuple[Arc, ...] = ()
     is_full: bool = False
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def copoint(cls, hole: Slope) -> "SlopeSet":
-        """All of QP^1 except the given point."""
-        return cls((Arc(hole, hole, False, False),))
-
-    @classmethod
-    def arc(
-        cls,
-        start: Slope,
-        end: Slope,
-        start_closed: bool = True,
-        end_closed: bool = True,
-    ) -> "SlopeSet":
-        return cls((Arc(start, end, start_closed, end_closed),))
+    # -- constructor ----------------------------------------------------
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[Arc]) -> "SlopeSet":
@@ -191,7 +178,9 @@ class SlopeSet:
             return cls(is_full=t.upper() == "FULL")
         m = _COPOINT.fullmatch(t)
         if m:
-            return cls.copoint(Slope.from_groups(*m.groups()))
+            # One arc, already canonical: no sweep.
+            hole = Slope.from_groups(*m.groups())
+            return cls((Arc(hole, hole, False, False),))
         arcs = []
         pos = _LEADING_SEPARATORS.match(t).end()
         while pos < len(t):

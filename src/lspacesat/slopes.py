@@ -15,13 +15,14 @@ The circle QP^1 carries a fixed positive orientation: rationals in
 increasing order, wrapping through ∞ (so ∞ sits between arbitrarily large
 positive and arbitrarily negative slopes).  slope_det is the one ordering
 primitive; a sort uses circular_keys, the exact key num·Q² // den with Q
-the largest denominator, ∞ first.
+the largest denominator, ∞ first.  farey_enumerate lists the Farey ball
+of bounded height in that order, the sample of the brute-force oracles;
+it needs neither fractions nor floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -120,35 +121,17 @@ def circular_keys(slopes: list[Slope]) -> tuple[list[int | None], list[int | Non
     return keys, order
 
 
-def farey_enumerate(
-    max_den: int,
-    window: tuple[Fraction, Fraction] | None = None,
-) -> list[Slope]:
-    """Enumerate slopes of bounded complexity, in circular order.
-
-    With no window: all p/q with gcd(p, q) = 1, 0 <= q <= max_den and
-    |p| <= max_den (the point ∞ comes from q = 0), sorted circularly
-    starting at ∞.  With window = (lo, hi): the finite slopes in
-    [lo, hi], i.e. the Farey-type sequence of order max_den on that
-    window, sorted increasingly.
-    """
+def farey_enumerate(max_den: int) -> list[Slope]:
+    """All slopes p/q with gcd(p, q) = 1, 0 <= q <= max_den and
+    |p| <= max_den (the point ∞ comes from q = 0), in circular order
+    starting at ∞."""
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    out: list[Slope] = []
-    if window is None:
-        out.append(INFINITY)
-        for q in range(1, max_den + 1):
-            for p in range(-max_den, max_den + 1):
-                if gcd(p, q) == 1:
-                    out.append(Slope(p, q))
-    else:
-        lo, hi = window
-        for q in range(1, max_den + 1):
-            p_lo = -((-lo.numerator * q) // lo.denominator)  # ceil(lo*q)
-            p_hi = (hi.numerator * q) // hi.denominator      # floor(hi*q)
-            for p in range(p_lo, p_hi + 1):
-                if gcd(p, q) == 1:
-                    out.append(Slope(p, q))
+    out = [INFINITY]
+    for q in range(1, max_den + 1):
+        for p in range(-max_den, max_den + 1):
+            if gcd(p, q) == 1:
+                out.append(Slope(p, q))
     keys, order = circular_keys(out)
     by_key = dict(zip(keys, out))
     return [by_key[key] for key in order]

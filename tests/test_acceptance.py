@@ -10,6 +10,7 @@ import random
 from math import gcd
 
 from lspacesat import (
+    Arc,
     BraidSign,
     BraidWord,
     CERTIFIED,
@@ -116,12 +117,12 @@ def test_3_worked_lemma_instance():
     assert cert.verdict == CERTIFIED
     assert cert.params is not None
     assert (cert.params.a, cert.params.b, cert.params.r) == (2, 7, 13)
-    side = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b))
-    assert side == SlopeSet.arc(Slope(1, 2), Slope(1, 7))
+    side = SlopeSet.from_arcs([Arc(Slope(1, cert.params.a), Slope(1, cert.params.b))])
+    assert side == SlopeSet.from_arcs([Arc(Slope(1, 2), Slope(1, 7))])
     assert side.contains(INFINITY)
     glued = SlopeSet.parse(cert.checks[-1]["values"]["s2"])
     assert glued == SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
-    assert covers_circle(SlopeSet.arc(Slope(1), INFINITY, False, False), glued)
+    assert covers_circle(SlopeSet.from_arcs([Arc(Slope(1), INFINITY, False, False)]), glued)
     print(
         "ACCEPTANCE 3: PASS — (a,b,r)=(2,7,13), arc [1/2 → ∞ → 1/7], image "
         "[-inf,2) ∪ (7,inf], cover with (1,∞), verdict CERTIFIED"
@@ -141,7 +142,7 @@ def test_4_cover_oracle_and_truncation():
         glued = SlopeSet.parse(cert.checks[-1]["values"]["s2"])
         # Truncating the companion arc at 2g(K) removes the overlap
         # interval (2g(K)-1, 2g(K)) and must break the cover.
-        truncated = SlopeSet.arc(Slope(2 * k.genus), INFINITY, False, False)
+        truncated = SlopeSet.from_arcs([Arc(Slope(2 * k.genus), INFINITY, False, False)])
         assert not covers_circle(truncated, glued), (pat.name, k.name)
         truncated_failures += 1
     print(

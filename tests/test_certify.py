@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from lspacesat import (
+    Arc,
     CERTIFIED,
     NOT_CERTIFIED,
     REJECTED,
@@ -96,7 +97,7 @@ class TestCheckLemma:
         checks = check_lemma(torus_pattern(2, 3), 2, 7, 13)
         assert not failed(checks)
         # The arc the lemma certifies runs from 1/a through ∞ to 1/b.
-        assert SlopeSet.arc(Slope(1, 2), Slope(1, 7)).contains(INFINITY)
+        assert SlopeSet.from_arcs([Arc(Slope(1, 2), Slope(1, 7))]).contains(INFINITY)
         sandwich = next(c for c in checks if c["id"] == "lem.sandwich")
         assert sandwich["values"] == {"aw2": 8, "r": 13, "bw2": 28}
 
@@ -188,8 +189,8 @@ class TestCertifySatellite:
         cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
         assert cert.verdict == CERTIFIED
         assert cert.params is not None and cert.params.r == 13
-        side = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b))
-        assert side == SlopeSet.arc(Slope(1, 2), Slope(1, 7))
+        side = SlopeSet.from_arcs([Arc(Slope(1, cert.params.a), Slope(1, cert.params.b))])
+        assert side == SlopeSet.from_arcs([Arc(Slope(1, 2), Slope(1, 7))])
         glued = cert.checks[-1]["values"]["s2"]
         assert SlopeSet.parse(glued) == SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
 
@@ -199,7 +200,7 @@ class TestCertifySatellite:
         cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
         companion = lspace_slope_set(TREFOIL)
         assert str(companion) == "[1/1, inf]"
-        side = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b))
+        side = SlopeSet.from_arcs([Arc(Slope(1, cert.params.a), Slope(1, cert.params.b))])
         assert str(side) == "[1/2, inf] ∪ [-inf, 1/7]"
         cover = cert.checks[-1]
         assert cover["values"]["s2"] == "(7/1, inf] ∪ [-inf, 2/1)"
@@ -1004,7 +1005,7 @@ def matches_general_route(cert) -> bool:
     if not cert.checks or cert.checks[-1]["id"] != "hrrw.cover":
         return False
     s1 = lspace_slope_set(cert.companion).interior()
-    arc = SlopeSet.arc(Slope(1, cert.params.a), Slope(1, cert.params.b), False, False)
+    arc = SlopeSet.from_arcs([Arc(Slope(1, cert.params.a), Slope(1, cert.params.b), False, False)])
     s2 = meridian_longitude_swap().image_of_set(arc)
     cover = cert.checks[-1]
     assert cover["pass"] == covers_circle(s1, s2)

@@ -110,6 +110,7 @@ def _without_inputs(data):
     return json.dumps(data, indent=2)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 TORUS_23 = '{"torus_pattern": [2, 3]}'
 GENUS_ZERO_NOT_UNKNOT = (
     '{"name": "x", "genus": 0, "is_lspace": true, "is_neg_lspace": false,'
@@ -939,6 +940,68 @@ class TestExplain:
         code, out = run(["explain", str(tmp_path / "absent.json")])
         err = capsys.readouterr().err
         assert (code, out) == (3, "") and err.startswith("error: ")
+
+
+# An ASCII locale with Python's UTF-8 mode and locale coercion off, so
+# that open() without an encoding would read and write ASCII.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+TABLE_NAMED_TAU = TABLE_WITH_TREFOIL_AT_0.replace('"name": "t"', '"name": "\\u03c4"')
+
+
+class TestFileEncoding:
+    """Files are read and written as UTF-8, the encoding of JSON, whatever
+    the locale; only stdout follows it."""
+
+    @staticmethod
+    def run_in_ascii_locale(argv, cwd, **env):
+        """Exit code, stdout and stderr of the command line, run in a
+        process of its own under ASCII_LOCALE plus env."""
+        base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lspacesat.cli", *(arg.encode() for arg in argv)],
+            env=dict(base, PYTHONPATH=str(SRC), **ASCII_LOCALE, **env),
+            cwd=cwd,
+            capture_output=True,
+            timeout=60,
+        )
+        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+    @classmethod
+    def raw_tau_certificate(cls, tmp_path):
+        """The certificate of the table named τ over the trefoil, written
+        by certify --out under ASCII_LOCALE, then with the name's JSON
+        escape rewritten as the UTF-8 bytes of τ."""
+        argv = ["certify", "--pattern", TABLE_NAMED_TAU, "--companion", "trefoil"]
+        code, _, err = cls.run_in_ascii_locale([*argv, "--out", "tau.json"], tmp_path)
+        assert (code, err) == (0, "")
+        path = tmp_path / "tau.json"
+        text = path.read_bytes().decode()
+        assert text == run([*argv, "--format", "json"])[1] and '"\\u03c4"' in text
+        path.write_bytes(text.replace("\\u03c4", "τ").encode())
+        return path
+
+    def test_sweep_out_writes_a_non_ascii_companion(self, tmp_path):
+        argv = ["sweep", "--p-max", "2", "--q-max", "1", "--companion", TREFOIL_NAMED_E]
+        code, out, err = self.run_in_ascii_locale([*argv, "--out", "s.csv"], tmp_path)
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "s.csv").read_bytes().decode() == run(argv)[1]
+
+    def test_replay_and_explain_read_a_raw_utf8_certificate(self, tmp_path):
+        path = self.raw_tau_certificate(tmp_path)
+        code, out, err = self.run_in_ascii_locale(["certify", "--replay", str(path)], tmp_path)
+        assert (code, out, err) == (0, "REPLAY OK: verdict CERTIFIED reproduced\n", "")
+        code, out, err = self.run_in_ascii_locale(
+            ["explain", str(path)], tmp_path, PYTHONIOENCODING="utf-8"
+        )
+        assert (code, err) == (0, "")
+        assert "  twist 0 of τ: T(2,3) (genus=1" in out
+
+    def test_explain_to_an_ascii_stdout_still_exits_3(self, tmp_path):
+        """The certificate reads; its statements cannot be written."""
+        path = self.raw_tau_certificate(tmp_path)
+        code, out, err = self.run_in_ascii_locale(["explain", str(path)], tmp_path)
+        assert code == 3 and out.startswith("REPLAY OK: ") and err.count("\n") == 1
+        assert err.startswith("error: 'ascii' codec can't encode character ")
 
 
 class TestCable:

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from lspacesat import (
+    Arc,
     INFINITY,
     KnotFacts,
     Slope,
@@ -153,11 +154,11 @@ class TestKnotFactsInvariants:
 
 class TestLspaceSlopeSet:
     def test_trefoil_closed_arc(self):
-        assert lspace_slope_set(torus_knot(2, 3)) == SlopeSet.arc(Slope(1), INFINITY)
+        assert lspace_slope_set(torus_knot(2, 3)) == SlopeSet.from_arcs([Arc(Slope(1), INFINITY)])
 
     def test_negative_trefoil(self):
         got = lspace_slope_set(torus_knot(2, -3))
-        assert got == SlopeSet.arc(INFINITY, Slope(-1))
+        assert got == SlopeSet.from_arcs([Arc(INFINITY, Slope(-1))])
         assert got.contains(Slope(-5)) and not got.contains(Slope(0))
 
     def test_non_lspace_knot_empty(self):
@@ -171,7 +172,7 @@ class TestLspaceSlopeSet:
     @pytest.mark.parametrize("p,m", [(2, 3), (2, 5), (3, 5), (4, 7)])
     def test_interior_formula(self, p, m):
         got = lspace_slope_set(torus_knot(p, m)).interior()
-        assert got == SlopeSet.arc(Slope(p * m - p - m), INFINITY, False, False)
+        assert got == SlopeSet.from_arcs([Arc(Slope(p * m - p - m), INFINITY, False, False)])
 
 
 class TestCableCriterion:

@@ -28,12 +28,12 @@ class TestContains:
         assert SlopeSet(is_full=True).contains(INFINITY)
 
     def test_closed_arc_endpoints(self):
-        s = SlopeSet.arc(Slope(1), INFINITY)
+        s = SlopeSet.from_arcs([Arc(Slope(1), INFINITY)])
         assert s.contains(Slope(1))
         assert not s.contains(Slope(0))
 
     def test_open_arc_through_positives(self):
-        s = SlopeSet.arc(Slope(1, 2), INFINITY, False, False)
+        s = SlopeSet.from_arcs([Arc(Slope(1, 2), INFINITY, False, False)])
         assert s.contains(Slope(3))
         assert not s.contains(Slope(1, 2)) and not s.contains(INFINITY)
 
@@ -44,13 +44,15 @@ class TestContains:
 
 class TestUnion:
     def test_merge_at_shared_endpoint(self):
-        got = SlopeSet.arc(Slope(0), Slope(1)).union(SlopeSet.arc(Slope(1), Slope(2)))
-        assert got == SlopeSet.arc(Slope(0), Slope(2))
+        got = SlopeSet.from_arcs([Arc(Slope(0), Slope(1))]).union(
+            SlopeSet.from_arcs([Arc(Slope(1), Slope(2))])
+        )
+        assert got == SlopeSet.from_arcs([Arc(Slope(0), Slope(2))])
 
     def test_worked_cover_union_is_full(self):
         # strict companion slopes for genus 1 against the glued pattern
         # side with b = 7
-        s1 = SlopeSet.arc(Slope(1), INFINITY, False, False)
+        s1 = SlopeSet.from_arcs([Arc(Slope(1), INFINITY, False, False)])
         s2 = SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
         assert s1.union(s2).is_full
 
@@ -61,18 +63,18 @@ class TestUnion:
 
     def test_half_open_pair_merges(self):
         got = SlopeSet.parse("[0, 1)").union(SlopeSet.parse("[1, 2]"))
-        assert got == SlopeSet.arc(Slope(0), Slope(2))
+        assert got == SlopeSet.from_arcs([Arc(Slope(0), Slope(2))])
 
     def test_two_arcs_leaving_a_hole_become_copoint(self):
         got = SlopeSet.parse("[0, 1)").union(SlopeSet.parse("(1, 0]"))
-        assert got == SlopeSet.copoint(Slope(1))
+        assert got == SlopeSet.from_arcs([Arc(Slope(1), Slope(1), False, False)])
         assert str(got) == "QP1 \\ {1/1}"
 
 
 class TestInterior:
     def test_closed_companion_arc(self):
-        got = SlopeSet.arc(Slope(1), INFINITY).interior()
-        assert got == SlopeSet.arc(Slope(1), INFINITY, False, False)
+        got = SlopeSet.from_arcs([Arc(Slope(1), INFINITY)]).interior()
+        assert got == SlopeSet.from_arcs([Arc(Slope(1), INFINITY, False, False)])
         assert not got.contains(INFINITY)
 
     def test_point_vanishes(self):
@@ -137,7 +139,8 @@ class TestValueTypes:
         for x in pool:
             for y in pool:
                 if x != y:
-                    assert SlopeSet.arc(x, y, False, False) == SlopeSet.arc(x, y).interior()
+                    closed = SlopeSet.from_arcs([Arc(x, y)])
+                    assert SlopeSet.from_arcs([Arc(x, y, False, False)]) == closed.interior()
 
 
 class TestCoversCircle:
@@ -307,9 +310,10 @@ class TestSerialization:
 
     def test_infinity_interval_forms(self):
         assert SlopeSet.parse("[-inf, inf]").is_full
-        assert SlopeSet.parse("(-inf, inf)") == SlopeSet.copoint(INFINITY)
+        all_but_infinity = SlopeSet.from_arcs([Arc(INFINITY, INFINITY, False, False)])
+        assert SlopeSet.parse("(-inf, inf)") == all_but_infinity
         assert SlopeSet.parse("{+∞}") == SlopeSet.from_arcs([Arc(INFINITY, INFINITY)])
-        assert SlopeSet.parse("QP1 \\ {+∞}") == SlopeSet.copoint(INFINITY)
+        assert SlopeSet.parse("QP1 \\ {+∞}") == all_but_infinity
 
 
 class TestParseGrammar:
