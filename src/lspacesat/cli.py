@@ -30,8 +30,9 @@ Pattern and companion JSON is read strictly: each object holds exactly
 its documented keys, none twice, integers are JSON integers, [p, q] two
 of them, flags JSON true or false, names JSON strings, table twist keys
 decimal integers and T(p,q) digits ASCII.  --replay stands alone.
-Files are read and written as UTF-8, the encoding of JSON, whatever the
-locale; only stdout follows it.
+Files and JSON arguments are read as UTF-8, the encoding of JSON, and
+files written so, whatever the locale; only stdout follows it.  An
+argument that is not UTF-8 exits 3.
 """
 
 from __future__ import annotations
@@ -109,8 +110,12 @@ def _reason(e: Exception) -> str:
 
 
 def _parse_json_arg(kind: str, parse, text: str):
-    """parse() applied to the JSON text, or to a bare name like trefoil."""
+    """parse() applied to the JSON text, or to a bare name like trefoil.
+    The text is read as UTF-8 whatever the locale: bytes a non-UTF-8
+    locale could not decode stand in it as surrogates (PEP 383), and go
+    back to bytes first, so one command line gives one certificate."""
     try:
+        text = text.encode("utf-8", "surrogateescape").decode("utf-8")
         try:
             obj = _ARG_JSON.decode(text)
         except json.JSONDecodeError:

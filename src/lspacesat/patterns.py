@@ -4,20 +4,21 @@ A pattern is summarized by its winding number, the Seifert genus of its
 untwisted satellite of the unknot, the meridional-disk flag and the
 threshold of its negative L-space tail, and answers "what knot is
 P(U, n)?".  Each kind is a subclass of PatternFacts that adds only the
-data its answer needs:
+data its answer needs.  There are two kinds:
 
-* torus patterns, where P(U, n) = T(p, q + n·p) exactly;
-* 1-bridge braids B(w, b, t), where P(U, n) is the closure of
+* braided patterns B(w, b, t), where P(U, n) is the closure of
   B(w, b, t + n·w): a positive word (an L-space knot) for t + n·w >= 0,
   a negative one (a negative L-space knot) otherwise, with Bennequin
-  genus read off the letter count;
+  genus read off the letter count.  The 0-bridge braid B(p, 0, q) is
+  the torus pattern, P(U, n) = T(p, q + n·p) (Gabai's convention);
 * explicit tables with asserted tails, whose negative tail is the
   threshold itself.
 
-Patterns are built by torus_pattern, one_bridge_braid and table_pattern.
-Each kind lists in asserted() what it takes as given, the certificate's
-trusted inputs: nothing for torus and one-bridge patterns, which derive
-every fact, and a table's facts, entries and declared tails.
+Patterns are built by torus_pattern (b = 0), one_bridge_braid (b >= 1)
+and table_pattern.  Each kind lists in asserted() what it takes as
+given, the certificate's trusted inputs: nothing for a braided pattern,
+which derives every fact, and a table's facts, entries and declared
+tails.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .knots import (
     facts_note,
     json_object,
     json_pair,
-    torus_knot,
     torus_knot_genus,
 )
 
@@ -85,8 +85,8 @@ class PatternFacts:
 
     def asserted(self) -> list[str]:
         """The facts this pattern takes as given, one trusted-input line
-        each; none for torus and one-bridge patterns, which derive every
-        fact."""
+        each; none for a braided pattern, torus (b = 0) or one-bridge,
+        which derives every fact."""
         return []
 
     def twisted_facts(self, n: int) -> KnotFacts:
@@ -100,16 +100,9 @@ class PatternFacts:
         return facts
 
 
-@dataclass(frozen=True, slots=True)
-class _TorusPattern(PatternFacts):
-    q: int  # p is the winding
-
-    def _twist(self, n: int) -> KnotFacts:
-        return torus_knot(self.winding, self.q + n * self.winding)
-
-
-def _one_bridge_closure(w: int, b: int, t: int) -> KnotFacts:
-    """Facts of the closure of B(w, b, t), a knot.
+def _braid_closure(w: int, b: int, t: int) -> KnotFacts:
+    """Facts of the closure of B(w, b, t), a knot; B(w, 0, t) is the
+    torus knot T(w, t), and is named so.
 
     The freely reduced word is positive with b + t(w-1) letters when
     t >= 0; when t < 0 the b bridge letters cancel against the first
@@ -117,7 +110,7 @@ def _one_bridge_closure(w: int, b: int, t: int) -> KnotFacts:
     Bennequin genus (c - w + 1)/2 of the closure (or of its mirror)
     follows from the letter count c alone.
     """
-    name = f"closure of B({w},{b},{t})"
+    name = f"T({w},{t})" if b == 0 else f"closure of B({w},{b},{t})"
     c = b + t * (w - 1) if t >= 0 else -t * (w - 1) - b
     g = (c - w + 1) // 2
     if t >= 0:
@@ -126,17 +119,18 @@ def _one_bridge_closure(w: int, b: int, t: int) -> KnotFacts:
 
 
 @dataclass(frozen=True, slots=True)
-class _OneBridgePattern(PatternFacts):
+class _BraidPattern(PatternFacts):
     """P(U, n) of B(w, b, t) is the closure of B(w, b, t + n·w), since a
-    full twist is w more passes of the strand cycle.  Without a threshold
-    thm1.4 fails and nothing is certified; with one, it only picks b, and
-    lem.7 derives P(U, -b) whatever threshold was given."""
+    full twist is w more passes of the strand cycle; b = 0 is the torus
+    pattern, whose twists are T(w, t + n·w).  Without a threshold thm1.4
+    fails and nothing is certified; with one, it only picks b, and lem.7
+    derives P(U, -b) whatever threshold was given."""
 
     b: int
     t: int
 
     def _twist(self, n: int) -> KnotFacts:
-        return _one_bridge_closure(self.winding, self.b, self.t + n * self.winding)
+        return _braid_closure(self.winding, self.b, self.t + n * self.winding)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,17 +173,19 @@ class _TablePattern(PatternFacts):
 
 
 def torus_pattern(p: int, q: int) -> PatternFacts:
-    """The (p, q)-torus knot in its standard solid-torus embedding;
-    p is the longitudinal winding and P(U, n) = T(p, q + n·p)."""
+    """The (p, q)-torus knot in its standard solid-torus embedding, the
+    0-bridge braid B(p, 0, q); p is the longitudinal winding and
+    P(U, n) = T(p, q + n·p)."""
     genus_s3 = torus_knot_genus(p, q)  # of P(U); refuses p < 2 and gcd(p, q) != 1
     threshold = max(-(-(q - 1) // p), 0)  # least N with q - N·p <= 1, at least 0
-    return _TorusPattern(
+    return _BraidPattern(
         name=f"T({p},{q})-pattern",
         winding=p,
         genus_s3=genus_s3,
         has_minimal_meridional_disk=True,
         neg_lspace_threshold=threshold,
-        q=q,
+        b=0,
+        t=q,
     )
 
 
@@ -221,10 +217,10 @@ def one_bridge_braid(
     # many components as B(w, b, t mod w).
     if closure_components(one_bridge_braid_word(w, b, t % w)) != 1:
         raise UnknownTwistError(0, "closure is a link, not a knot")
-    return _OneBridgePattern(
+    return _BraidPattern(
         name=f"B({w},{b},{t})",
         winding=w,
-        genus_s3=_one_bridge_closure(w, b, t).genus,
+        genus_s3=_braid_closure(w, b, t).genus,
         has_minimal_meridional_disk=True,
         neg_lspace_threshold=neg_lspace_threshold,
         b=b,
@@ -339,10 +335,10 @@ def pattern_from_json(obj) -> PatternFacts:
 def pattern_to_json(p: PatternFacts) -> dict:
     """The JSON form that pattern_from_json reads back to p, for patterns
     built by torus_pattern, one_bridge_braid and table_pattern."""
-    if isinstance(p, _TorusPattern):
-        return {"torus_pattern": [p.winding, p.q]}
     threshold = p.neg_lspace_threshold
-    if isinstance(p, _OneBridgePattern):
+    if isinstance(p, _BraidPattern):
+        if p.b == 0:
+            return {"torus_pattern": [p.winding, p.t]}
         return {"one_bridge_braid": {"w": p.winding, "b": p.b, "t": p.t, "neg_threshold": threshold}}
     return {
         "table": {

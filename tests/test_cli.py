@@ -23,7 +23,7 @@ from lspacesat import (
 )
 from lspacesat import certify, cli
 from lspacesat.cli import main
-from lspacesat.patterns import _TorusPattern, pattern_to_json
+from lspacesat.patterns import _BraidPattern, pattern_to_json
 
 import strategies
 from test_certify import (
@@ -850,13 +850,13 @@ class TestEngineBug:
     def test_twist_over_the_genus_bound(self, argv, monkeypatch, capsys):
         # A torus pattern whose P(U) comes out 100 over its genus: the
         # genus cross-check in twisted_facts fails, which is no bad input.
-        twist = _TorusPattern._twist
+        twist = _BraidPattern._twist
 
         def lying(self, n):
             facts = twist(self, n)
             return dataclasses.replace(facts, genus=facts.genus + 100) if n == 0 else facts
 
-        monkeypatch.setattr(_TorusPattern, "_twist", lying)
+        monkeypatch.setattr(_BraidPattern, "_twist", lying)
         self.assert_exits_3(argv, capsys)
 
 
@@ -955,11 +955,13 @@ class TestFileEncoding:
     @staticmethod
     def run_in_ascii_locale(argv, cwd, **env):
         """Exit code, stdout and stderr of the command line, run in a
-        process of its own under ASCII_LOCALE plus env."""
+        process of its own under ASCII_LOCALE updated by env.  A str
+        argument is passed as its UTF-8 bytes, a bytes one as it is."""
         base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
         proc = subprocess.run(
-            [sys.executable, "-m", "lspacesat.cli", *(arg.encode() for arg in argv)],
-            env=dict(base, PYTHONPATH=str(SRC), **ASCII_LOCALE, **env),
+            [sys.executable, "-m", "lspacesat.cli",
+             *(arg if isinstance(arg, bytes) else arg.encode() for arg in argv)],
+            env=dict(base, PYTHONPATH=str(SRC), **{**ASCII_LOCALE, **env}),
             cwd=cwd,
             capture_output=True,
             timeout=60,
@@ -985,6 +987,26 @@ class TestFileEncoding:
         code, out, err = self.run_in_ascii_locale([*argv, "--out", "s.csv"], tmp_path)
         assert (code, out, err) == (0, "", "")
         assert (tmp_path / "s.csv").read_bytes().decode() == run(argv)[1]
+
+    def test_a_utf8_argument_gives_one_certificate_whatever_the_locale(self, tmp_path):
+        """A raw τ in --pattern is read as UTF-8 under the ASCII locale
+        too, so both locales write the certificate of the table named τ."""
+        pattern = TABLE_WITH_TREFOIL_AT_0.replace('"name": "t"', '"name": "τ"')
+        argv = ["certify", "--pattern", pattern, "--companion", "trefoil", "--format", "json"]
+        ascii_run = self.run_in_ascii_locale(argv, tmp_path)
+        utf8_run = self.run_in_ascii_locale(argv, tmp_path, PYTHONUTF8="1")
+        assert ascii_run == utf8_run == (0, run(argv)[1], "")
+        assert '"name": "\\u03c4"' in ascii_run[1]
+
+    def test_an_argument_that_is_not_utf8_exits_3(self, tmp_path):
+        pattern = TABLE_WITH_TREFOIL_AT_0.encode().replace(b'"name": "t"', b'"name": "\xff"')
+        for env in ({}, {"PYTHONUTF8": "1"}):
+            code, out, err = self.run_in_ascii_locale(
+                ["certify", "--pattern", pattern, "--companion", "trefoil"], tmp_path, **env
+            )
+            assert (code, out) == (3, "") and err.count("\n") == 1
+            assert err.startswith("error: bad pattern ")
+            assert "'utf-8' codec can't decode byte 0xff" in err
 
     def test_replay_and_explain_read_a_raw_utf8_certificate(self, tmp_path):
         path = self.raw_tau_certificate(tmp_path)

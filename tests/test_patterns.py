@@ -22,7 +22,7 @@ from lspacesat import (
 from lspacesat.patterns import (
     ConsistencyError,
     UnknownTwistError,
-    _TorusPattern,
+    _BraidPattern,
     one_bridge_braid_word,
     pattern_to_json,
 )
@@ -61,15 +61,20 @@ class TestTorusPattern:
             torus_pattern(4, 6)
 
     def test_exact_family_consistency(self):
+        """The braided rule at b = 0 against knots.torus_knot: P(U, n) of
+        T(p, q) is T(p, q + n·p), in name, genus and all four flags."""
         from math import gcd
 
-        for p in (2, 3, 5):
-            for q in (3, 7, -4, 11):
+        checked = 0
+        for p in range(2, 13):
+            for q in range(-60, 61):
                 if gcd(p, q) != 1:
                     continue
                 pat = torus_pattern(p, q)
-                for n in range(-5, 6):
+                for n in range(-8, 9):
                     assert pat.twisted_facts(n) == torus_knot(p, q + n * p)
+                    checked += 1
+        assert checked == 13226
 
     def test_twist_composition(self):
         pat = torus_pattern(2, 3)
@@ -160,26 +165,27 @@ class TestGenusTwistBound:
     def test_torus_untwist_example(self):
         assert torus_pattern(2, 3).twisted_facts(-2).genus == 0 <= genus_twist_bound(1, 2, -2)
 
-    class Lying(_TorusPattern):
-        # A torus kind of winding 2 and genus 1 that answers T(2, 99), of
-        # genus 49, for every twist: its bound at twist n is 1 + |n|.
+    class Lying(_BraidPattern):
+        # A torus pattern (b = 0) of winding 2 and genus 1 that answers
+        # T(2, 99), of genus 49, for every twist: its bound at twist n is
+        # 1 + |n|.
         def _twist(self, n):
             return torus_knot(2, 99)
 
     def test_violating_answer_is_rejected(self):
-        pat = self.Lying("bad", 2, 1, True, 1, 3)
+        pat = self.Lying("bad", 2, 1, True, 1, b=0, t=3)
         assert pat.twisted_facts(48) == torus_knot(2, 99)  # bound 1 + 48 = 49
         with pytest.raises(ConsistencyError, match="genus 49 at twist 2 exceeds bound 3"):
             pat.twisted_facts(2)
 
     @pytest.mark.parametrize("n", [48, -48])
     def test_genus_at_the_bound_passes(self, n):
-        assert self.Lying("bad", 2, 1, True, 1, 3).twisted_facts(n) == torus_knot(2, 99)
+        assert self.Lying("bad", 2, 1, True, 1, b=0, t=3).twisted_facts(n) == torus_knot(2, 99)
 
     @pytest.mark.parametrize("n", [47, -47])
     def test_genus_one_over_the_bound_is_rejected(self, n):
         with pytest.raises(ConsistencyError, match=f"genus 49 at twist {n} exceeds bound 48"):
-            self.Lying("bad", 2, 1, True, 1, 3).twisted_facts(n)
+            self.Lying("bad", 2, 1, True, 1, b=0, t=3).twisted_facts(n)
 
 
 class TestTablePattern:
