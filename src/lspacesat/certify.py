@@ -30,9 +30,11 @@ and a pattern whose pattern_to_json differs from the stored object (a
 table twist given as a shortcut name, say) is refused, so no second text
 replays as the same certificate, bar one repeating a key (json keeps the
 last value; refusing that on replay would double a decode's cost).  Each
-check is built once, in its JSON form {"id", "pass", "values"}, so
-writing a certificate passes the checks through and replay compares them
-as loaded.  What a check states is a fixed text per id (STATEMENTS),
+check is built once, as a dict literal in the form the certificate
+stores, {"id", "pass", "values"} in that order, so writing a certificate
+passes the checks through and replay compares them as loaded.  "pass" is
+always a bool: a pass read off a fact flag goes through bool(), since
+facts built in Python may hold 1 for True.  What a check states is a fixed text per id (STATEMENTS),
 filled in from the check's own values by render_statement, which
 lspacesat explain prints beside each check; only thm1.3 and lem.7 read a
 value, the twist.  The trusted inputs are read off the two inputs, not
@@ -128,19 +130,6 @@ def render_statement(check: dict) -> str:
     """The statement of a check record: its id's template filled in from
     its values."""
     return STATEMENTS[check["id"]].format_map(check["values"])
-
-
-def _check(id: str, passed: bool, values: dict) -> dict:
-    """One audit record, in the JSON form the certificate stores."""
-    return {"id": id, "pass": passed, "values": values}
-
-
-def _ge(id: str, lhs: int, rhs: int, **extra) -> dict:
-    return _check(id, lhs >= rhs, {"lhs": lhs, "rhs": rhs, **extra})
-
-
-def _flag(id: str, value: bool, **extra) -> dict:
-    return _check(id, bool(value), extra)
 
 
 def _first_failure(checks: list[dict]) -> str | None:
@@ -271,11 +260,25 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[dict]:
     g = p.genus_s3
     facts_b = p.twisted_facts(-b)
     aw2, bw2 = a * w * w, b * w * w
+    rhs4 = 2 * g + a * w * (2 * w - 1) - 1
+    bw, rhs5 = b * w, 2 * g + r - 1
     return [
-        _ge("lem.4", r, 2 * g + a * w * (2 * w - 1) - 1, a=a, g=g, w=w),
-        _ge("lem.5", b * w, 2 * g + r - 1, b=b, g=g, w=w, r=r),
-        _flag("lem.7", facts_b.is_neg_lspace, twist=-b, knot=facts_b.name),
-        _check("lem.sandwich", aw2 < r < bw2, {"aw2": aw2, "r": r, "bw2": bw2}),
+        {
+            "id": "lem.4",
+            "pass": r >= rhs4,
+            "values": {"lhs": r, "rhs": rhs4, "a": a, "g": g, "w": w},
+        },
+        {
+            "id": "lem.5",
+            "pass": bw >= rhs5,
+            "values": {"lhs": bw, "rhs": rhs5, "b": b, "g": g, "w": w, "r": r},
+        },
+        {
+            "id": "lem.7",
+            "pass": bool(facts_b.is_neg_lspace),
+            "values": {"twist": -b, "knot": facts_b.name},
+        },
+        {"id": "lem.sandwich", "pass": aw2 < r < bw2, "values": {"aw2": aw2, "r": r, "bw2": bw2}},
     ]
 
 
@@ -303,13 +306,12 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> list[dict]:
     P(U) to be fibered, and nonzero winding.  A failing check rejects it."""
     pu = p.twisted_facts(0)
     return [
-        _flag(
-            "necessary.fibered",
-            k.is_fibered and pu.is_fibered,
-            companion_fibered=k.is_fibered,
-            pattern_fibered=pu.is_fibered,
-        ),
-        _flag("necessary.winding", p.winding != 0, winding=p.winding),
+        {
+            "id": "necessary.fibered",
+            "pass": bool(k.is_fibered and pu.is_fibered),
+            "values": {"companion_fibered": k.is_fibered, "pattern_fibered": pu.is_fibered},
+        },
+        {"id": "necessary.winding", "pass": p.winding != 0, "values": {"winding": p.winding}},
     ]
 
 
@@ -331,49 +333,43 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     self-contained certificate.  Every input gets a verdict; a check that
     fails after thm1.4 has passed raises ConsistencyError instead, since
     the proof of Theorem 1 makes it hold."""
-    checks: list[dict] = []
     note, companion_text = _companion_side(k)
     trusted = [note, *p.asserted()]
-
-    def result(verdict, reason, params=None):
-        return Certificate(p, k, verdict, reason, params, checks, trusted)
-
     try:
-        checks += necessary_check(p, k)
+        checks = necessary_check(p, k)
     except UnknownTwistError as e:
-        return result(NOT_CERTIFIED, f"unknown-twist:necessary ({e})")
+        return Certificate(p, k, NOT_CERTIFIED, f"unknown-twist:necessary ({e})", None, [], trusted)
     if reason := _first_failure(checks):
-        return result(REJECTED, reason)
+        return Certificate(p, k, REJECTED, reason, None, checks, trusted)
 
     n = -2 * k.genus
     try:
         f2g = p.twisted_facts(n)
     except UnknownTwistError as e:
-        lspace, about, unknown = False, {"error": str(e)}, f"unknown-twist:thm1.3 ({e})"
+        lspace, about, unknown = False, {"twist": n, "error": str(e)}, f"unknown-twist:thm1.3 ({e})"
     else:
-        lspace, about, unknown = f2g.is_lspace, {"knot": f2g.name}, None
+        lspace, about, unknown = bool(f2g.is_lspace), {"twist": n, "knot": f2g.name}, None
     checks += [
-        _flag(
-            "thm1.1",
-            k.is_lspace and not k.is_unknot,
-            is_lspace=k.is_lspace,
-            is_unknot=k.is_unknot,
-        ),
-        _flag(
-            "thm1.2",
-            p.winding >= 2 and p.has_minimal_meridional_disk,
-            winding=p.winding,
-            disk=p.has_minimal_meridional_disk,
-        ),
-        _flag("thm1.3", lspace, twist=n, **about),
+        {
+            "id": "thm1.1",
+            "pass": bool(k.is_lspace and not k.is_unknot),
+            "values": {"is_lspace": k.is_lspace, "is_unknot": k.is_unknot},
+        },
+        {
+            "id": "thm1.2",
+            "pass": bool(p.winding >= 2 and p.has_minimal_meridional_disk),
+            "values": {"winding": p.winding, "disk": p.has_minimal_meridional_disk},
+        },
+        {"id": "thm1.3", "pass": lspace, "values": about},
     ]
     if unknown:
-        return result(NOT_CERTIFIED, unknown)
+        return Certificate(p, k, NOT_CERTIFIED, unknown, None, checks, trusted)
+    threshold = p.neg_lspace_threshold
     checks.append(
-        _flag("thm1.4", p.neg_lspace_threshold is not None, threshold=p.neg_lspace_threshold)
+        {"id": "thm1.4", "pass": threshold is not None, "values": {"threshold": threshold}}
     )
     if reason := _first_failure(checks):
-        return result(NOT_CERTIFIED, reason)
+        return Certificate(p, k, NOT_CERTIFIED, reason, None, checks, trusted)
 
     # Past thm1.4 the lemma and the cover are the proof of Theorem 1 and
     # hold by construction, so a failing check here is an engine bug.
@@ -385,14 +381,18 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     # (2g-1, ∞) and s2 the swapped open arc b → ∞ → a, each end n as n/1.
     glued = f"({params.b}/1, inf] ∪ [-inf, {params.a}/1)"
     proof.append(
-        _check("hrrw.cover", params.a > 2 * k.genus - 1, {"s1": companion_text, "s2": glued})
+        {
+            "id": "hrrw.cover",
+            "pass": params.a > 2 * k.genus - 1,
+            "values": {"s1": companion_text, "s2": glued},
+        }
     )
     if failed := _first_failure(proof):
         raise ConsistencyError(
             f"{failed} failed after thm1.4 passed, for pattern {p.name} and companion {k.name}"
         )
     checks += proof
-    return result(CERTIFIED, None, params)
+    return Certificate(p, k, CERTIFIED, None, params, checks, trusted)
 
 
 @dataclass(slots=True)

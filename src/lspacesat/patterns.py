@@ -19,6 +19,13 @@ and table_pattern.  Each kind lists in asserted() what it takes as
 given, the certificate's trusted inputs: nothing for a braided pattern,
 which derives every fact, and a table's facts, entries and declared
 tails.
+
+Like KnotFacts, each kind is a slotted, frozen dataclass with one
+constructor, which takes its fields by position or by name.
+PatternFacts.__init__ checks the shared fields and stores them through
+the slot descriptors' setters, past the frozen __setattr__; each kind's
+__init__ calls it, then stores its own fields the same way.  So
+dataclasses.replace goes through the same checks.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ def genus_twist_bound(g_p: int, w: int, n: int) -> int:
     return g_p + abs(n) * w * (w - 1) // 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PatternFacts:
     """Combinatorial data of a pattern knot P ⊂ D^2 × S^1, shared by every
     pattern kind; each kind answers P(U, n) through _twist."""
@@ -72,13 +79,25 @@ class PatternFacts:
     has_minimal_meridional_disk: bool
     neg_lspace_threshold: int | None
 
-    def __post_init__(self) -> None:
-        if self.winding < 0 or self.genus_s3 < 0:
+    def __init__(
+        self,
+        name: str,
+        winding: int,
+        genus_s3: int,
+        has_minimal_meridional_disk: bool,
+        neg_lspace_threshold: int | None,
+    ) -> None:
+        if winding < 0 or genus_s3 < 0:
             raise ValueError("winding and genus_s3 must be nonnegative")
-        if self.has_minimal_meridional_disk and self.winding < 1:
+        if has_minimal_meridional_disk and winding < 1:
             raise ValueError("a meridional disk meeting P in w points forces winding >= 1")
-        if self.neg_lspace_threshold is not None and self.neg_lspace_threshold < 0:
+        if neg_lspace_threshold is not None and neg_lspace_threshold < 0:
             raise ValueError("neg_lspace_threshold must be nonnegative")
+        _set_name(self, name)
+        _set_winding(self, winding)
+        _set_genus_s3(self, genus_s3)
+        _set_disk(self, has_minimal_meridional_disk)
+        _set_threshold(self, neg_lspace_threshold)
 
     def _twist(self, n: int) -> KnotFacts:
         raise NotImplementedError
@@ -100,6 +119,15 @@ class PatternFacts:
         return facts
 
 
+# The slot descriptors' setters, which skip the frozen __setattr__; only
+# the constructors call them.
+_set_name = PatternFacts.name.__set__
+_set_winding = PatternFacts.winding.__set__
+_set_genus_s3 = PatternFacts.genus_s3.__set__
+_set_disk = PatternFacts.has_minimal_meridional_disk.__set__
+_set_threshold = PatternFacts.neg_lspace_threshold.__set__
+
+
 def _braid_closure(w: int, b: int, t: int) -> KnotFacts:
     """Facts of the closure of B(w, b, t), a knot; B(w, 0, t) is the
     torus knot T(w, t), and is named so.
@@ -118,7 +146,7 @@ def _braid_closure(w: int, b: int, t: int) -> KnotFacts:
     return KnotFacts(name, g, g == 0, True, True, g == 0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class _BraidPattern(PatternFacts):
     """P(U, n) of B(w, b, t) is the closure of B(w, b, t + n·w), since a
     full twist is w more passes of the strand cycle; b = 0 is the torus
@@ -129,11 +157,31 @@ class _BraidPattern(PatternFacts):
     b: int
     t: int
 
+    def __init__(
+        self,
+        name: str,
+        winding: int,
+        genus_s3: int,
+        has_minimal_meridional_disk: bool,
+        neg_lspace_threshold: int | None,
+        b: int,
+        t: int,
+    ) -> None:
+        PatternFacts.__init__(
+            self, name, winding, genus_s3, has_minimal_meridional_disk, neg_lspace_threshold
+        )
+        _set_b(self, b)
+        _set_t(self, t)
+
     def _twist(self, n: int) -> KnotFacts:
         return _braid_closure(self.winding, self.b, self.t + n * self.winding)
 
 
-@dataclass(frozen=True, slots=True)
+_set_b = _BraidPattern.b.__set__
+_set_t = _BraidPattern.t.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class _TablePattern(PatternFacts):
     """Tabled twists; is_neg_lspace is asserted for n <= -threshold and
     is_lspace for n >= pos_tail_from.  table_pattern lets the tails
@@ -141,6 +189,22 @@ class _TablePattern(PatternFacts):
 
     entries: Mapping[int, KnotFacts]
     pos_tail_from: int | None
+
+    def __init__(
+        self,
+        name: str,
+        winding: int,
+        genus_s3: int,
+        has_minimal_meridional_disk: bool,
+        neg_lspace_threshold: int | None,
+        entries: Mapping[int, KnotFacts],
+        pos_tail_from: int | None,
+    ) -> None:
+        PatternFacts.__init__(
+            self, name, winding, genus_s3, has_minimal_meridional_disk, neg_lspace_threshold
+        )
+        _set_entries(self, entries)
+        _set_pos_tail_from(self, pos_tail_from)
 
     def asserted(self) -> list[str]:
         """The facts line, then each tabled twist in table order, then
@@ -172,21 +236,17 @@ class _TablePattern(PatternFacts):
         raise UnknownTwistError(n, "outside table and asserted tails")
 
 
+_set_entries = _TablePattern.entries.__set__
+_set_pos_tail_from = _TablePattern.pos_tail_from.__set__
+
+
 def torus_pattern(p: int, q: int) -> PatternFacts:
     """The (p, q)-torus knot in its standard solid-torus embedding, the
     0-bridge braid B(p, 0, q); p is the longitudinal winding and
     P(U, n) = T(p, q + n·p)."""
     genus_s3 = torus_knot_genus(p, q)  # of P(U); refuses p < 2 and gcd(p, q) != 1
     threshold = max(-(-(q - 1) // p), 0)  # least N with q - N·p <= 1, at least 0
-    return _BraidPattern(
-        name=f"T({p},{q})-pattern",
-        winding=p,
-        genus_s3=genus_s3,
-        has_minimal_meridional_disk=True,
-        neg_lspace_threshold=threshold,
-        b=0,
-        t=q,
-    )
+    return _BraidPattern(f"T({p},{q})-pattern", p, genus_s3, True, threshold, 0, q)
 
 
 def one_bridge_braid_word(w: int, b: int, t: int) -> BraidWord:
@@ -217,15 +277,8 @@ def one_bridge_braid(
     # many components as B(w, b, t mod w).
     if closure_components(one_bridge_braid_word(w, b, t % w)) != 1:
         raise UnknownTwistError(0, "closure is a link, not a knot")
-    return _BraidPattern(
-        name=f"B({w},{b},{t})",
-        winding=w,
-        genus_s3=_braid_closure(w, b, t).genus,
-        has_minimal_meridional_disk=True,
-        neg_lspace_threshold=neg_lspace_threshold,
-        b=b,
-        t=t,
-    )
+    genus_s3 = _braid_closure(w, b, t).genus
+    return _BraidPattern(f"B({w},{b},{t})", w, genus_s3, True, neg_lspace_threshold, b, t)
 
 
 def table_pattern(

@@ -1144,3 +1144,61 @@ class TestCertificateFormat:
                 certified += 1
             assert replay_certificate(Certificate.from_json(cert.to_json())) == cert.verdict
         assert certified > 0
+
+
+# Each pattern kind; against TREFOIL, FIGURE8, UNFIBERED and a trefoil
+# with 1/0 flags they reach every verdict path between them.
+RECORD_PATTERNS = [
+    torus_pattern(3, 2),
+    torus_pattern(2, -5),
+    one_bridge_braid(4, 1, 10, 2),
+    one_bridge_braid(5, 2, 21),
+    # certifies on the trefoil
+    table_pattern("t", 2, 1, True, {0: TREFOIL, -2: torus_knot(2, -1)}, 5, 3),
+    # no P(U): unknown-twist:necessary
+    table_pattern("e", 2, 1, True, {}),
+    # P(U) only: unknown-twist:thm1.3
+    table_pattern("p", 2, 1, True, {0: TREFOIL}),
+    # winding 0: REJECTED on necessary.winding
+    table_pattern("w0", 0, 0, False, {0: KnotFacts("unknot", 0, True, True, True, True)}),
+    # flags given as the integers 1 and 0, which Python callers may pass
+    table_pattern(
+        "i", 2, 1, 1, {0: KnotFacts("3_1", 1, 1, 0, 1, 0), -2: torus_knot(2, -1)}, 5, 3
+    ),
+]
+
+
+class TestCheckRecords:
+    def certificates(self):
+        return [
+            certify_satellite(p, k)
+            for p in RECORD_PATTERNS
+            for k in [TREFOIL, FIGURE8, UNFIBERED, KnotFacts("3_1", 1, 1, 0, 1, 0)]
+        ]
+
+    def test_every_verdict_path_is_reached(self):
+        reasons = {(c.verdict, (c.reason or "").split(" ")[0]) for c in self.certificates()}
+        assert reasons >= {
+            (CERTIFIED, ""),
+            (REJECTED, "necessary.fibered"),
+            (REJECTED, "necessary.winding"),
+            (NOT_CERTIFIED, "thm1.1"),
+            (NOT_CERTIFIED, "thm1.3"),
+            (NOT_CERTIFIED, "thm1.4"),
+            (NOT_CERTIFIED, "unknown-twist:necessary"),
+            (NOT_CERTIFIED, "unknown-twist:thm1.3"),
+        }
+
+    def test_every_check_has_the_stored_shape(self):
+        """Each check is {"id", "pass", "values"} in that order, passes or
+        fails as a bool even when the facts hold 1 and 0, holds only
+        JSON scalars and renders its statement."""
+        checked = 0
+        for cert in self.certificates():
+            for c in cert.checks:
+                assert list(c) == ["id", "pass", "values"]
+                assert type(c["pass"]) is bool
+                assert all(type(v) in (int, bool, str, type(None)) for v in c["values"].values())
+                assert render_statement(c)
+                checked += 1
+        assert checked > 0

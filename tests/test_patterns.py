@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from lspacesat.patterns import (
     ConsistencyError,
     UnknownTwistError,
     _BraidPattern,
+    _TablePattern,
     one_bridge_braid_word,
     pattern_to_json,
 )
@@ -144,6 +146,59 @@ class TestOneBridgeBraid:
         g0 = pat.genus_s3
         for n in (1, 2, 3):
             assert pat.twisted_facts(n).genus == g0 + n * 4 * 3 // 2
+
+
+# The base fields (name, winding, genus_s3, disk, threshold) that
+# PatternFacts refuses, with its message.
+BAD_BASE_FIELDS = [
+    (("x", -1, 0, False, None), "winding and genus_s3 must be nonnegative"),
+    (("x", 2, -1, True, None), "winding and genus_s3 must be nonnegative"),
+    (("x", 0, 0, True, None), "forces winding >= 1"),
+    (("x", 2, 1, True, -1), "neg_lspace_threshold must be nonnegative"),
+]
+BASE_NAMES = ["name", "winding", "genus_s3", "has_minimal_meridional_disk", "neg_lspace_threshold"]
+
+
+class TestConstructors:
+    """Each pattern kind is built through PatternFacts' one validating
+    constructor, by position or by name."""
+
+    KINDS = [(_BraidPattern, (0, 3)), (_TablePattern, ({}, None))]
+
+    @pytest.mark.parametrize("kind, own", KINDS, ids=["braid", "table"])
+    @pytest.mark.parametrize("base, message", BAD_BASE_FIELDS)
+    def test_base_refusals_by_position_and_by_name(self, kind, own, base, message):
+        with pytest.raises(ValueError, match=message):
+            kind(*base, *own)
+        own_names = [f.name for f in dataclasses.fields(kind)][len(BASE_NAMES) :]
+        with pytest.raises(ValueError, match=message):
+            kind(**dict(zip(BASE_NAMES + own_names, base + own)))
+
+    def test_replace_goes_through_the_checks(self):
+        with pytest.raises(ValueError, match="neg_lspace_threshold must be nonnegative"):
+            dataclasses.replace(torus_pattern(3, 2), neg_lspace_threshold=-1)
+        replaced = dataclasses.replace(torus_pattern(3, 2), t=5)
+        assert replaced == _BraidPattern("T(3,2)-pattern", 3, 1, True, 1, 0, 5)
+
+    def test_positional_and_keyword_builds_are_equal(self):
+        by_name = _BraidPattern(
+            name="T(3,2)-pattern",
+            winding=3,
+            genus_s3=1,
+            has_minimal_meridional_disk=True,
+            neg_lspace_threshold=1,
+            b=0,
+            t=2,
+        )
+        assert by_name == torus_pattern(3, 2)
+        assert hash(by_name) == hash(torus_pattern(3, 2))
+        assert one_bridge_braid(4, 1, 10, 2) == one_bridge_braid(4, 1, 10, 2)
+        assert hash(one_bridge_braid(4, 1, 10, 2)) == hash(one_bridge_braid(4, 1, 10, 2))
+        assert torus_pattern(3, 2) != torus_pattern(3, 4)
+        assert one_bridge_braid(4, 1, 10, 2) != one_bridge_braid(4, 1, 10, 3)
+        table = table_pattern("t", 2, 1, True, {0: torus_knot(2, 3)}, 1)
+        assert table == table_pattern("t", 2, 1, True, {0: torus_knot(2, 3)}, 1)
+        assert table != table_pattern("t", 2, 1, True, {0: torus_knot(2, 3)}, 2)
 
 
 class TestGenusTwistBound:
