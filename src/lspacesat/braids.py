@@ -1,10 +1,13 @@
 """Braid words in the solid torus and genus of positive braid closures.
 
 Words are sequences of (generator index, ±1) letters in the Artin
-generators σ_1 .. σ_{w-1}.  We only ever need free reduction, literal
-sign classification, full twists, and the Bennequin genus
-(c - w + 1)/2 of a positive braid closure that is a knot; no normal
-forms or word problem machinery.
+generators σ_1 .. σ_{w-1}.  The engine calls only closure_components,
+from the knot check in patterns.one_bridge_braid.  The rest (free
+reduction, literal sign classification, mirror, full twists, and the
+Bennequin genus (c - w + 1)/2 of a positive braid closure that is a
+knot) is the reference that the twist facts patterns derives in closed
+form are tested against, and the benchmark's tracer wraps it.  No
+normal forms or word problem machinery.
 """
 
 from __future__ import annotations

@@ -17,19 +17,21 @@ Subcommands:
 * oracle       -- brute-force cross-checks of the exact cover test
 
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected, 3 any
-other end: bad input (including an empty --out path, JSON nested too
-deeply, an integer of more digits than Python reads or writes, a
-certificate of another format, formats 1 and 2 included, or one that is
-malformed, holds a float, has keys other than those certificates are
-written with, holds its pattern or companion in another form than it is
-written in, or differs from the re-run), an output stream that cannot
-encode the text, or an engine bug: a ConsistencyError (a check that holds
-by construction failing) or any other exception, an "internal error".
+other end: bad input (including an empty --out, --replay or explain
+path, JSON nested too deeply, an integer of more digits than Python
+reads or writes, a certificate of another format, formats 1 and 2
+included, or one that is malformed, holds a float, has keys other than
+those certificates are written with, holds its pattern or companion in
+another form than it is written in, or differs from the re-run), an
+output stream that cannot encode the text, or an engine bug: a
+ConsistencyError (a check that holds by construction failing) or any
+other exception, an "internal error".
 main alone turns an exception into exit 3; exit 1 means "not certified".
 Pattern and companion JSON is read strictly: each object holds exactly
 its documented keys, none twice, integers are JSON integers, [p, q] two
 of them, flags JSON true or false, names JSON strings, table twist keys
-decimal integers and T(p,q) digits ASCII.  --replay stands alone.
+decimal integers and T(p,q) digits ASCII.  --replay stands alone: any
+other certify option beside it, even an empty one, exits 3.
 Files and JSON arguments are read as UTF-8, the encoding of JSON, and
 files written so, whatever the locale; only stdout follows it.  An
 argument that is not UTF-8 exits 3.
@@ -166,12 +168,13 @@ def _replay(path: str, out) -> Certificate:
 
 
 def _cmd_certify(args, out) -> int:
-    if args.replay:
-        given = [f"--{o}" for o in ("pattern", "companion", "out", "format") if getattr(args, o)]
+    if args.replay is not None:
+        options = ("pattern", "companion", "out", "format")
+        given = [f"--{o}" for o in options if getattr(args, o) is not None]
         if given:
             raise InputError(f"--replay cannot be combined with {', '.join(given)}")
         return _VERDICT_EXIT[_replay(args.replay, out).verdict]
-    if not args.pattern or not args.companion:
+    if args.pattern is None or args.companion is None:
         raise InputError("certify needs --pattern and --companion (or --replay)")
     pattern = _parse_json_arg("pattern", pattern_from_json, args.pattern)
     companion = _parse_json_arg("companion", companion_from_json, args.companion)
@@ -316,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--companion", help="companion JSON or shortcut name")
     cert.add_argument("--out", type=_path, help="write the certificate JSON here")
     cert.add_argument("--format", choices=["text", "json"], help="text unless json")
-    cert.add_argument("--replay", help="re-validate a stored certificate, given alone")
+    cert.add_argument("--replay", type=_path, help="re-validate a stored certificate, given alone")
 
     explain = sub.add_parser("explain", help="replay a certificate and print its checks")
-    explain.add_argument("certificate", help="a stored certificate")
+    explain.add_argument("certificate", type=_path, help="a stored certificate")
 
     cable = sub.add_parser("cable", help="certify a cable and compare")
     cable.add_argument("--companion", required=True)

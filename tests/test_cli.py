@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,6 +39,26 @@ def run(argv):
     buf = io.StringIO()
     code = main(argv, out=buf)
     return code, buf.getvalue()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_process(argv, cwd=None, **env):
+    """Exit code, stdout and stderr of python -m lspacesat.cli with argv,
+    run in a process of its own in the environment, less
+    PYTHONIOENCODING, updated by env.  A str argument is passed as its
+    UTF-8 bytes, a bytes one as it is."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lspacesat.cli",
+         *(arg if isinstance(arg, bytes) else arg.encode() for arg in argv)],
+        env=dict(base, PYTHONPATH=str(SRC), **env),
+        cwd=cwd,
+        capture_output=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
 def write_forgery(path, name):
@@ -110,7 +131,6 @@ def _without_inputs(data):
     return json.dumps(data, indent=2)
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 TORUS_23 = '{"torus_pattern": [2, 3]}'
 GENUS_ZERO_NOT_UNKNOT = (
     '{"name": "x", "genus": 0, "is_lspace": true, "is_neg_lspace": false,'
@@ -262,34 +282,52 @@ class TestCertify:
         assert code == 0 and "REPLAY OK" in text
 
     @pytest.mark.parametrize(
-        "pattern, companion, verdict",
+        "pattern, companion, verdict, held",
         [
             (
                 '{"one_bridge_braid": {"w": 5, "b": 2, "t": 21, "neg_threshold": 3}}',
                 "T(2,5)",
                 "CERTIFIED",
+                '"trusted_inputs": ["companion facts: T(2,5) (genus=2, is_lspace=True, '
+                'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}',
             ),
             (
                 TORUS_23,
                 '{"name": "5_2", "genus": 1, "is_lspace": false, "is_neg_lspace": false,'
                 ' "is_fibered": false, "is_unknot": false}',
                 "REJECTED",
+                '"verdict": "REJECTED", "reason": "necessary.fibered"',
             ),
             (
                 '{"table": {"name": "sparse", "winding": 2, "genus_s3": 1, "has_disk": true,'
                 ' "twists": {"0": "trefoil"}, "neg_threshold": 50}}',
                 "trefoil",
                 "NOT_CERTIFIED",
+                '"verdict": "NOT_CERTIFIED", "reason": "unknown-twist:',
             ),
+            # Every twist of a one-bridge braid is read off B(w, b, t + n·w),
+            # so its certificate trusts the companion line alone.
+            (
+                '{"one_bridge_braid": {"w": 4, "b": 1, "t": 10, "neg_threshold": 3}}',
+                "trefoil",
+                "CERTIFIED",
+                '"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+                'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}',
+            ),
+            # A table's trusted inputs name each entry.
+            (TABLE_WITH_TREFOIL_AT_0, "trefoil", "CERTIFIED", '"twist 0 of t: T(2,3) (genus=1'),
         ],
-        ids=["certified", "rejected", "unknown_twist"],
+        ids=["certified", "rejected", "unknown_twist", "one_bridge", "table"],
     )
-    def test_replay_reproduces_each_verdict(self, pattern, companion, verdict, tmp_path):
+    def test_replay_reproduces_each_verdict(self, pattern, companion, verdict, held, tmp_path):
+        """--out writes a certificate of format 3, whose first key names
+        it, holding the text held; replay reproduces its verdict and exit
+        code."""
         path = tmp_path / "cert.json"
         argv = ["certify", "--pattern", pattern, "--companion", companion]
         code, _ = run(argv + ["--out", str(path)])
-        if verdict == "NOT_CERTIFIED":
-            assert json.loads(path.read_text())["reason"].startswith("unknown-twist:")
+        text = path.read_text()
+        assert text.startswith('{"format": 3, ') and held in text
         replay_code, text = run(["certify", "--replay", str(path)])
         assert replay_code == code
         assert text.strip() == f"REPLAY OK: verdict {verdict} reproduced"
@@ -504,6 +542,85 @@ class TestCertify:
         err = capsys.readouterr().err
         assert (code, text) == (3, "")
         assert err == "error: argument --out: expected a non-empty path\n"
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (
+                ["certify", "--pattern", '{"one_bridge_braid": {"w": 4, "b": 1, "t": 10,'
+                 ' "neg_treshold": 3}}', "--companion", "trefoil"],
+                "unknown key 'neg_treshold'",
+            ),
+            (
+                ["certify", "--pattern", '{"one_bridge_braid": {"w": 4, "b": 1, "t": 10,'
+                 ' "neg_threshold": -1}}', "--companion", "trefoil"],
+                "neg_lspace_threshold must be nonnegative",
+            ),
+            (
+                ["certify", "--pattern", '{"table": {"winding": 0, "genus_s3": 0,'
+                 ' "has_disk": true}}', "--companion", "trefoil"],
+                "forces winding >= 1",
+            ),
+            (
+                ["certify", "--pattern", '{"torus_pattern": [2, 3], "torus_pattern": [2, 1]}',
+                 "--companion", "trefoil"],
+                "repeated key 'torus_pattern'",
+            ),
+            # An empty option is given, not absent.
+            (["certify", "--replay", ""], "argument --replay: expected a non-empty path"),
+            (
+                ["certify", "--replay", "", "--pattern", TORUS_23, "--companion", "trefoil"],
+                "argument --replay: expected a non-empty path",
+            ),
+            (["explain", ""], "argument certificate: expected a non-empty path"),
+            (["certify", "--replay", "CERT", "--pattern", ""], "cannot be combined with --pattern"),
+            (["certify", "--pattern", "", "--companion", "trefoil"], "bad pattern ''"),
+            (["certify", "--pattern", TORUS_23, "--companion", ""], "bad companion ''"),
+            # Two set pieces need a separator, and slope digits are ASCII:
+            # this is an Arabic-Indic three.
+            (["set-algebra", "--covers", "[1, 2] [3, 4]", "FULL"], "needs ∪ at position 7"),
+            (["set-algebra", "--interior", "[٣, 4]"], "cannot parse slope set '[٣, 4]'"),
+        ],
+        ids=[
+            "braid_misspelt_threshold",
+            "braid_negative_threshold",
+            "table_disk_without_winding",
+            "pattern_repeated_kind_key",
+            "empty_replay",
+            "empty_replay_beside_pattern_and_companion",
+            "empty_explain",
+            "replay_beside_an_empty_pattern",
+            "empty_pattern",
+            "empty_companion",
+            "set_pieces_without_separator",
+            "set_non_ascii_digit",
+        ],
+    )
+    def test_error_line_names_the_refusal(self, argv, reason, tmp_path, capsys):
+        """Exit 3 with one error line, which names what was refused; CERT
+        stands for a certificate that replays."""
+        path = tmp_path / "cert.json"
+        path.write_text(CABLE_2_3_OF_TREFOIL)
+        capsys.readouterr()
+        code, text = run([str(path) if arg == "CERT" else arg for arg in argv])
+        err = capsys.readouterr().err
+        assert (code, text) == (3, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and reason in err
+
+    def test_a_cable_certificate_holds_its_companion_as_six_facts(self, tmp_path, capsys):
+        """The (3,17)-cable certificate that cable --out writes replays;
+        with its companion rewritten to the shortcut name "T(2,3)" it
+        exits 3, and the error names the companion."""
+        path = tmp_path / "c317.json"
+        argv = ["cable", "--companion", "trefoil", "--p", "3", "--q", "17", "--out", str(path)]
+        assert run(argv)[0] == 0
+        assert run(["certify", "--replay", str(path)]) == (
+            0, "REPLAY OK: verdict CERTIFIED reproduced\n"
+        )
+        path.write_text(json.dumps({**json.loads(path.read_text()), "companion": "T(2,3)"}))
+        capsys.readouterr()
+        assert run(["certify", "--replay", str(path)]) == (3, "")
+        assert "companion: " in capsys.readouterr().err
 
     def test_over_long_integer_gets_lspacesats_own_message(self, tmp_path, capsys):
         """A JSON integer past the interpreter's limit on digits, in an
@@ -736,29 +853,38 @@ class TestInputFuzz:
 
 
 class TestRepeatedMain:
-    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
         """main() builds its parser once; a run of commands in one
         process, an argparse error among them, gives what each command
-        gives in a process of its own."""
+        gives in a process of its own, the shipped entry point: a
+        certificate it writes replays there, and a cover prints FULL."""
+        path = str(tmp_path / "cert.json")
         commands = [
             ["certify", "--pattern", TORUS_23, "--companion", "trefoil", "--format", "json"],
             ["sweep", "--p-max", "3", "--q-max", "6", "--companion", "trefoil"],
             ["certify", "--pattern", TORUS_23, "--bogus"],
             ["certify", "--pattern", '{"torus_pattern": [3, 4]}', "--companion", "trefoil"],
+            ["certify", "--pattern", TORUS_23, "--companion", "trefoil", "--out", path],
+            ["certify", "--replay", path],
+            ["set-algebra", "--covers", "[-inf, 2) ∪ (7, inf]", "(1, 8)"],
         ]
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        codes = []
         for argv in commands:
             capsys.readouterr()
             code, text = run(argv)
-            got = (code, text, capsys.readouterr().err)
-            proc = subprocess.run(
-                [sys.executable, "-m", "lspacesat.cli", *argv],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
-            assert got == (proc.returncode, proc.stdout, proc.stderr)
+            assert (code, text, capsys.readouterr().err) == run_process(argv)
+            codes.append(code)
+        assert codes == [0, 0, 3, 1, 0, 0, 0]
+
+    def test_a_fresh_process_imports_neither_fractions_nor_decimal(self):
+        """Either would cost every start of the command line a few
+        milliseconds.  PYTHONPROFILEIMPORTTIME is -X importtime."""
+        code, out, err = run_process(
+            ["set-algebra", "--interior", "[1, inf]"], PYTHONPROFILEIMPORTTIME="1"
+        )
+        assert (code, out) == (0, "(1/1, inf)\n")
+        assert re.search(r"\| +lspacesat\.slopes$", err, re.MULTILINE)
+        assert not re.search(r"\| +(fractions|decimal)$", err, re.MULTILINE)
 
 
 # Each command's run, with the engine call it makes; CERT stands for a
@@ -953,28 +1079,12 @@ class TestFileEncoding:
     the locale; only stdout follows it."""
 
     @staticmethod
-    def run_in_ascii_locale(argv, cwd, **env):
-        """Exit code, stdout and stderr of the command line, run in a
-        process of its own under ASCII_LOCALE updated by env.  A str
-        argument is passed as its UTF-8 bytes, a bytes one as it is."""
-        base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "lspacesat.cli",
-             *(arg if isinstance(arg, bytes) else arg.encode() for arg in argv)],
-            env=dict(base, PYTHONPATH=str(SRC), **{**ASCII_LOCALE, **env}),
-            cwd=cwd,
-            capture_output=True,
-            timeout=60,
-        )
-        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
-
-    @classmethod
-    def raw_tau_certificate(cls, tmp_path):
+    def raw_tau_certificate(tmp_path):
         """The certificate of the table named τ over the trefoil, written
         by certify --out under ASCII_LOCALE, then with the name's JSON
         escape rewritten as the UTF-8 bytes of τ."""
         argv = ["certify", "--pattern", TABLE_NAMED_TAU, "--companion", "trefoil"]
-        code, _, err = cls.run_in_ascii_locale([*argv, "--out", "tau.json"], tmp_path)
+        code, _, err = run_process([*argv, "--out", "tau.json"], tmp_path, **ASCII_LOCALE)
         assert (code, err) == (0, "")
         path = tmp_path / "tau.json"
         text = path.read_bytes().decode()
@@ -983,25 +1093,29 @@ class TestFileEncoding:
         return path
 
     def test_sweep_out_writes_a_non_ascii_companion(self, tmp_path):
-        argv = ["sweep", "--p-max", "2", "--q-max", "1", "--companion", TREFOIL_NAMED_E]
-        code, out, err = self.run_in_ascii_locale([*argv, "--out", "s.csv"], tmp_path)
+        argv = ["sweep", "--p-max", "4", "--q-max", "6", "--companion", TREFOIL_NAMED_E]
+        code, out, err = run_process([*argv, "--out", "s.csv"], tmp_path, **ASCII_LOCALE)
         assert (code, out, err) == (0, "", "")
-        assert (tmp_path / "s.csv").read_bytes().decode() == run(argv)[1]
+        text = (tmp_path / "s.csv").read_bytes().decode()
+        assert text == run(argv)[1] and '""é""' in text
 
     def test_a_utf8_argument_gives_one_certificate_whatever_the_locale(self, tmp_path):
         """A raw τ in --pattern is read as UTF-8 under the ASCII locale
-        too, so both locales write the certificate of the table named τ."""
+        too, so it, UTF-8 mode and the default locale each print and
+        write the certificate of the table named τ."""
         pattern = TABLE_WITH_TREFOIL_AT_0.replace('"name": "t"', '"name": "τ"')
         argv = ["certify", "--pattern", pattern, "--companion", "trefoil", "--format", "json"]
-        ascii_run = self.run_in_ascii_locale(argv, tmp_path)
-        utf8_run = self.run_in_ascii_locale(argv, tmp_path, PYTHONUTF8="1")
-        assert ascii_run == utf8_run == (0, run(argv)[1], "")
+        ascii_run = run_process([*argv, "--out", "ascii.json"], tmp_path, **ASCII_LOCALE)
+        utf8_run = run_process(argv, tmp_path, **{**ASCII_LOCALE, "PYTHONUTF8": "1"})
+        default_run = run_process([*argv, "--out", "default.json"], tmp_path)
+        assert ascii_run == utf8_run == default_run == (0, run(argv)[1], "")
         assert '"name": "\\u03c4"' in ascii_run[1]
+        assert (tmp_path / "ascii.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
     def test_an_argument_that_is_not_utf8_exits_3(self, tmp_path):
         pattern = TABLE_WITH_TREFOIL_AT_0.encode().replace(b'"name": "t"', b'"name": "\xff"')
-        for env in ({}, {"PYTHONUTF8": "1"}):
-            code, out, err = self.run_in_ascii_locale(
+        for env in (ASCII_LOCALE, {**ASCII_LOCALE, "PYTHONUTF8": "1"}):
+            code, out, err = run_process(
                 ["certify", "--pattern", pattern, "--companion", "trefoil"], tmp_path, **env
             )
             assert (code, out) == (3, "") and err.count("\n") == 1
@@ -1010,20 +1124,22 @@ class TestFileEncoding:
 
     def test_replay_and_explain_read_a_raw_utf8_certificate(self, tmp_path):
         path = self.raw_tau_certificate(tmp_path)
-        code, out, err = self.run_in_ascii_locale(["certify", "--replay", str(path)], tmp_path)
+        code, out, err = run_process(["certify", "--replay", str(path)], tmp_path, **ASCII_LOCALE)
         assert (code, out, err) == (0, "REPLAY OK: verdict CERTIFIED reproduced\n", "")
-        code, out, err = self.run_in_ascii_locale(
-            ["explain", str(path)], tmp_path, PYTHONIOENCODING="utf-8"
+        code, out, err = run_process(
+            ["explain", str(path)], tmp_path, **ASCII_LOCALE, PYTHONIOENCODING="utf-8"
         )
         assert (code, err) == (0, "")
         assert "  twist 0 of τ: T(2,3) (genus=1" in out
 
     def test_explain_to_an_ascii_stdout_still_exits_3(self, tmp_path):
-        """The certificate reads; its statements cannot be written."""
+        """The certificate reads; its statements cannot be written, to
+        stdout under the ASCII locale or encoded by PYTHONIOENCODING."""
         path = self.raw_tau_certificate(tmp_path)
-        code, out, err = self.run_in_ascii_locale(["explain", str(path)], tmp_path)
-        assert code == 3 and out.startswith("REPLAY OK: ") and err.count("\n") == 1
-        assert err.startswith("error: 'ascii' codec can't encode character ")
+        for env in (ASCII_LOCALE, {"PYTHONIOENCODING": "ascii"}):
+            code, out, err = run_process(["explain", str(path)], tmp_path, **env)
+            assert code == 3 and out.startswith("REPLAY OK: ") and err.count("\n") == 1
+            assert err.startswith("error: 'ascii' codec can't encode character ")
 
 
 class TestCable:
@@ -1041,6 +1157,18 @@ class TestCable:
     def test_not_coprime_is_input_error(self):
         code, _ = run(["cable", "--companion", "trefoil", "--p", "4", "--q", "6"])
         assert code == 3
+
+    def test_json_of_a_certified_cable(self):
+        """The cover text: the companion's strict slopes (s1) and the
+        swapped pattern arc (s2).  The torus pattern's twists keep their
+        torus-knot names: P(U, -4) in thm1.3 and P(U, -b) in lem.7."""
+        argv = ["cable", "--companion", "T(2,5)", "--p", "3", "--q", "17", "--format", "json"]
+        code, text = run(argv)
+        checks = json.loads(text.splitlines()[0])["checks"]
+        assert code == 0
+        assert checks[-1]["values"] == {"s1": "(3/1, inf)", "s2": "(41/1, inf] ∪ [-inf, 4/1)"}
+        knots = {check["id"]: check["values"].get("knot") for check in checks}
+        assert (knots["thm1.3"], knots["lem.7"]) == ("T(3,5)", "T(3,-106)")
 
 
 class TestSweep:
@@ -1087,12 +1215,18 @@ class TestSweep:
 
     @staticmethod
     def sweep_rows(*companions):
-        argv = ["sweep", "--p-max", "3", "--q-max", "12"]
+        argv = ["sweep", "--p-max", "8", "--q-max", "60"]
         for companion in companions:
             argv += ["--companion", companion]
         code, text = run(argv)
         assert code == 0
         return list(csv.reader(io.StringIO(text)))[1:]
+
+    def test_gap_rows_of_the_trefoil_and_t_2_5(self):
+        """The gap is the strip p(2g-1) < q <= 2gp - 2: 14 rows for each
+        of the trefoil and T(2,5) at p <= 8, |q| <= 60."""
+        rows = self.sweep_rows("trefoil", "T(2,5)")
+        assert [r[2] for r in rows if r[5] == "gap"] == ["T(2,5)"] * 14 + ["trefoil"] * 14
 
     def test_each_companion_form_is_read_as_certify_reads_it(self):
         rows = self.sweep_rows("trefoil", '{"torus_knot": [2, 3]}')
@@ -1153,7 +1287,7 @@ class TestSetAlgebra:
 
     def test_covers_gap_prints_union(self):
         code, text = run(["set-algebra", "--covers", "[0, 1]", "[2, 3]"])
-        assert code == 1 and "∪" in text
+        assert code == 1 and text == "[0/1, 1/1] ∪ [2/1, 3/1]\n"
 
     def test_union(self):
         code, text = run(["set-algebra", "--covers", "[0, 1]", "[1, 2]"])
@@ -1162,6 +1296,8 @@ class TestSetAlgebra:
     def test_interior(self):
         code, text = run(["set-algebra", "--interior", "[1, inf]"])
         assert code == 0 and text.strip() == "(1/1, inf)"
+        # The complement of a point, which parse builds as one arc.
+        assert run(["set-algebra", "--interior", "QP1 \\ {0}"]) == (0, "QP1 \\ {0/1}\n")
 
     def test_parse_error(self):
         code, _ = run(["set-algebra", "--interior", "[banana]"])
