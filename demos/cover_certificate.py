@@ -9,6 +9,7 @@ L-space slopes (1, ∞) it covers the whole circle of gluing slopes.
 
 from lspacesat import (
     Arc,
+    Certificate,
     Slope,
     SlopeSet,
     certify_satellite,
@@ -45,7 +46,8 @@ for check in cert.checks:
 h = meridian_longitude_swap()
 print("\nswap of s2:", h.image_of_set(SlopeSet.parse(cover["s2"])))
 
-# Certificates are self-contained JSON and replay to the same verdict.
-replayed = replay_certificate(cert)
-print("\nreplayed verdict:", replayed)
-print("certificate bytes:", len(cert.to_json()))
+# A certificate is the text to_json writes; replay reads its pattern and
+# companion back, re-runs the pipeline and compares the re-run's text.
+text = cert.to_json()
+print("\nreplayed verdict:", replay_certificate(Certificate.from_json(text)))
+print("certificate bytes:", len(text))

@@ -19,28 +19,32 @@ records; nothing recorded is trusted on its own.
 
 Certificates are written in format 3, which states each fact once: the
 arc [1/a → ∞ → 1/b] is read off params, the lemma records only what
-Theorem 1 has not already checked, and a check records no statement.
-to_json writes "format": 3 as its first key.  from_json refuses text
-whose format is not the integer 3 (a certificate without the key is
-format 1) before it looks at the other keys, then reads exactly the keys
-to_json writes, through json_object as the inputs are read; there is no
-reader for any other format.  The pattern and companion, too, are read
-only in the form to_json writes them: the companion as its six facts,
-and a pattern whose pattern_to_json differs from the stored object (a
-table twist given as a shortcut name, say) is refused, so no second text
-replays as the same certificate, bar one repeating a key (json keeps the
-last value; refusing that on replay would double a decode's cost).  Each
+Theorem 1 has not already checked, and a check records no statement.  A
+certificate is exactly the text to_json writes, as a DER encoding is for
+X.509: one text per record.  to_json writes each record shape from fixed
+key texts (each check id, the companion, a braided pattern, params),
+integers as int.__repr__, flags as true and false, and strings through
+json's ASCII escape, so its text is the one json.dumps writes for the
+same record; a table pattern goes through json.dumps itself.
+from_json reads only the head of a text: "format": 3 first (a text whose
+format is not the integer 3 is refused, and one without the key is
+format 1), then the pattern and the companion, as its six facts.  Replay
+re-runs the pipeline on those two inputs and accepts the certificate
+only when the re-run writes the stored text, so no second text replays
+as the same certificate: not a reformatted one, not one holding 1 for
+true, and not one repeating a key.  The file is UTF-8, so a non-ASCII
+character may stand in it for the \\u escape to_json writes.  Only a
+refused text is decoded in full, to name its format, its first
+top-level key that differs from the re-run's, or else its form.  Each
 check is built once, as a dict literal in the form the certificate
-stores, {"id", "pass", "values"} in that order, so writing a certificate
-passes the checks through and replay compares them as loaded.  "pass" is
-always a bool: a pass read off a fact flag goes through bool(), since
-facts built in Python may hold 1 for True.  What a check states is a fixed text per id (STATEMENTS),
-filled in from the check's own values by render_statement, which
-lspacesat explain prints beside each check; only thm1.3 and lem.7 read a
-value, the twist.  The trusted inputs are read off the two inputs, not
-off the run: the companion's facts, which replay takes as given, then
-what the pattern asserts (PatternFacts.asserted), so every run on a pair
-lists the same.
+stores, {"id", "pass", "values"} in that order; "pass" is always a bool,
+as every flag of the facts is.  What a check states is a fixed text per
+id (STATEMENTS), filled in from the check's own values by
+render_statement, which lspacesat explain prints beside each check; only
+thm1.3 and lem.7 read a value, the twist.  The trusted inputs are read
+off the two inputs, not off the run: the companion's facts, which replay
+takes as given, then what the pattern asserts (PatternFacts.asserted), so
+every run on a pair lists the same.
 
 The gluing cover (hrrw.cover) is computed in closed form, which is
 exact once every check before it passes (if one fails, the run raises
@@ -78,13 +82,15 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
+from typing import NamedTuple
 
 from .knots import (
     _FACT_TYPES,
     KnotFacts,
     cable_is_lspace_exact,
-    companion_to_json,
     facts_note,
     json_object,
 )
@@ -93,7 +99,7 @@ from .patterns import (
     PatternFacts,
     UnknownTwistError,
     pattern_from_json,
-    pattern_to_json,
+    pattern_to_text,
     torus_pattern,
 )
 
@@ -159,12 +165,51 @@ def _no_floats(text: str):
 # could compare equal to the integer the re-run records (3.0 == 3).
 _CERTIFICATE_JSON = json.JSONDecoder(parse_float=_no_floats, parse_constant=_no_floats)
 
-# ... and written through this encoder, which writes the bytes json.dumps
-# does.  Its cycle check is skipped: a certificate's dict is built afresh
-# from engine-built or JSON-loaded values, and neither can hold a cycle.
-_CERTIFICATE_ENCODER = json.JSONEncoder(check_circular=False)
-
 _FORMAT = 3
+_HEAD = f'{{"format": {_FORMAT}, "pattern": '
+_COMPANION_KEY = ', "companion": '
+
+# The JSON text of a flag.
+_FLAG = {True: "true", False: "false"}
+
+# The text of each check's values, by id, in the key order the check
+# stores them.
+_VALUES_TEXT = {
+    "necessary.fibered": lambda v: (
+        f'"companion_fibered": {_FLAG[v["companion_fibered"]]}, '
+        f'"pattern_fibered": {_FLAG[v["pattern_fibered"]]}'
+    ),
+    "necessary.winding": lambda v: f'"winding": {v["winding"]}',
+    "thm1.1": lambda v: (
+        f'"is_lspace": {_FLAG[v["is_lspace"]]}, "is_unknot": {_FLAG[v["is_unknot"]]}'
+    ),
+    "thm1.2": lambda v: f'"winding": {v["winding"]}, "disk": {_FLAG[v["disk"]]}',
+    "thm1.3": lambda v: (
+        f'"twist": {v["twist"]}, "knot": {_string(v["knot"])}'
+        if "knot" in v
+        else f'"twist": {v["twist"]}, "error": {_string(v["error"])}'
+    ),
+    "thm1.4": lambda v: f'"threshold": {"null" if v["threshold"] is None else v["threshold"]}',
+    "lem.4": lambda v: (
+        f'"lhs": {v["lhs"]}, "rhs": {v["rhs"]}, "a": {v["a"]}, "g": {v["g"]}, "w": {v["w"]}'
+    ),
+    "lem.5": lambda v: (
+        f'"lhs": {v["lhs"]}, "rhs": {v["rhs"]}, "b": {v["b"]}, "g": {v["g"]}, '
+        f'"w": {v["w"]}, "r": {v["r"]}'
+    ),
+    "lem.7": lambda v: f'"twist": {v["twist"]}, "knot": {_string(v["knot"])}',
+    "lem.sandwich": lambda v: f'"aw2": {v["aw2"]}, "r": {v["r"]}, "bw2": {v["bw2"]}',
+    "hrrw.cover": lambda v: f'"s1": {_string(v["s1"])}, "s2": {_string(v["s2"])}',
+}
+
+
+class StoredCertificate(NamedTuple):
+    """A certificate's text, with the two inputs read off its head, which
+    replay_certificate re-runs."""
+
+    pattern: PatternFacts
+    companion: KnotFacts
+    text: str
 
 
 @dataclass(slots=True)
@@ -178,66 +223,78 @@ class Certificate:
     trusted_inputs: list[str]
 
     def to_json(self) -> str:
-        return _CERTIFICATE_ENCODER.encode(
-            {
-                "format": _FORMAT,
-                "pattern": pattern_to_json(self.pattern),
-                "companion": companion_to_json(self.companion),
-                "verdict": self.verdict,
-                "reason": self.reason,
-                "params": None if self.params is None else self.params.to_dict(),
-                "checks": self.checks,
-                "trusted_inputs": self.trusted_inputs,
-            }
+        k, p, reason = self.companion, self.params, self.reason
+        checks = ", ".join(
+            f'{{"id": "{c["id"]}", "pass": {_FLAG[c["pass"]]}, '
+            f'"values": {{{_VALUES_TEXT[c["id"]](c["values"])}}}}}'
+            for c in self.checks
+        )
+        params = "null" if p is None else f'{{"a": {p.a}, "b": {p.b}, "r": {p.r}}}'
+        return (
+            f"{_HEAD}{pattern_to_text(self.pattern)}{_COMPANION_KEY}"
+            f'{{"name": {_string(k.name)}, "genus": {k.genus}, '
+            f'"is_lspace": {_FLAG[k.is_lspace]}, "is_neg_lspace": {_FLAG[k.is_neg_lspace]}, '
+            f'"is_fibered": {_FLAG[k.is_fibered]}, "is_unknot": {_FLAG[k.is_unknot]}}}, '
+            f'"verdict": {_string(self.verdict)}, '
+            f'"reason": {"null" if reason is None else _string(reason)}, '
+            f'"params": {params}, "checks": [{checks}], '
+            f'"trusted_inputs": [{", ".join(map(_string, self.trusted_inputs))}]}}'
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        """Parse the inputs and params; every other field is kept as
-        loaded, for replay to compare with its re-run.  Raises ValueError
-        unless text is a JSON object of format 3 with exactly the keys
-        to_json writes, naming the first key that breaks this, and holds
-        its pattern and companion in the form to_json writes them."""
-        d = _CERTIFICATE_JSON.decode(text)
-        if not isinstance(d, dict):
-            raise ValueError(f"a certificate is a JSON object, got {type(d).__name__}")
-        # The decoder reads no floats and true == 1, so only the JSON
-        # integer 3 equals 3.
-        found = d.get("format", 1)
-        if found != _FORMAT:
-            raise ValueError(
-                f"certificate format {_CERTIFICATE_ENCODER.encode(found)} is not {_FORMAT}"
-            )
-        params = json_object(d, _CERTIFICATE_TYPES)["params"]
-        # Each input is read in the one form to_json writes, so no second
-        # text replays as the same certificate.
-        pattern = pattern_from_json(d["pattern"])
-        if pattern_to_json(pattern) != d["pattern"]:
-            raise ValueError("pattern: not in the form certificates are written with")
+    def from_json(cls, text: str) -> StoredCertificate:
+        """The pattern and companion read off the head of text, with text
+        less one trailing newline, for replay_certificate to re-run and
+        compare.  Raises ValueError unless text begins as to_json writes,
+        naming the format when it is not 3, and unless its pattern and
+        companion read as inputs."""
+        if text.endswith("\n"):
+            text = text[:-1]
+        if not text.isascii():
+            text = re.sub(r"[^\x00-\x7f]", lambda m: _string(m[0])[1:-1], text)
+        # A text that does not begin as to_json writes is decoded in full,
+        # only to word its refusal.
         try:
-            companion = json_object(d["companion"], _FACT_TYPES)
+            if not text.startswith(_HEAD):
+                raise ValueError
+            pattern, end = _CERTIFICATE_JSON.raw_decode(text, len(_HEAD))
+            if not text.startswith(_COMPANION_KEY, end):
+                raise ValueError
+            companion, _ = _CERTIFICATE_JSON.raw_decode(text, end + len(_COMPANION_KEY))
+        except ValueError:
+            raise ValueError(_refusal(text)) from None
+        try:
+            companion = json_object(companion, _FACT_TYPES)
         except ValueError as e:
             raise ValueError(f"companion: {e}") from None
-        return cls(
-            pattern=pattern,
-            companion=KnotFacts(**companion),
-            verdict=d["verdict"],
-            reason=d["reason"],
-            params=None if params is None else LemmaParams(**json_object(params, _PARAMS_TYPES)),
-            checks=d["checks"],
-            trusted_inputs=d["trusted_inputs"],
-        )
+        return StoredCertificate(pattern_from_json(pattern), KnotFacts(**companion), text)
 
 
-# The keys to_json writes, typed for json_object: replay compares the
-# fields kept as loaded, and from_json reads the inputs itself.
-_CERTIFICATE_TYPES = {
-    "format": int,
-    **dict.fromkeys((f.name for f in fields(Certificate)), object),
-    "pattern": dict,
-    "params": (dict, type(None)),
-}
-_PARAMS_TYPES = {"a": int, "b": int, "r": int}
+def _refusal(text: str, rerun: str | None = None) -> str:
+    """Why text is not the certificate to_json writes (rerun, when given),
+    decoded in full only to say so: its format, the first top-level key
+    that differs, or else its form."""
+    d = _CERTIFICATE_JSON.decode(text)
+    if type(d) is not dict:
+        return f"a certificate is a JSON object, got {type(d).__name__}"
+    # The decoder reads no floats and true == 1, so only the JSON integer
+    # 3 equals 3.
+    found = d.get("format", 1)
+    if found != _FORMAT:
+        return f"certificate format {json.dumps(found)} is not {_FORMAT}"
+    if rerun is not None:
+        written = json.loads(rerun)
+        try:
+            json_object(d, dict.fromkeys(written, object))
+        except ValueError as e:
+            return str(e)
+        for key, value in written.items():
+            if d[key] != value:
+                return (
+                    f"field {key!r} differs from a re-run of the pipeline "
+                    "on the certificate's pattern and companion"
+                )
+    return "not in the form certificates are written in"
 
 
 # -- the Lemma machinery ------------------------------------------------
@@ -275,7 +332,7 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[dict]:
         },
         {
             "id": "lem.7",
-            "pass": bool(facts_b.is_neg_lspace),
+            "pass": facts_b.is_neg_lspace,
             "values": {"twist": -b, "knot": facts_b.name},
         },
         {"id": "lem.sandwich", "pass": aw2 < r < bw2, "values": {"aw2": aw2, "r": r, "bw2": bw2}},
@@ -308,7 +365,7 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> list[dict]:
     return [
         {
             "id": "necessary.fibered",
-            "pass": bool(k.is_fibered and pu.is_fibered),
+            "pass": k.is_fibered and pu.is_fibered,
             "values": {"companion_fibered": k.is_fibered, "pattern_fibered": pu.is_fibered},
         },
         {"id": "necessary.winding", "pass": p.winding != 0, "values": {"winding": p.winding}},
@@ -348,16 +405,16 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     except UnknownTwistError as e:
         lspace, about, unknown = False, {"twist": n, "error": str(e)}, f"unknown-twist:thm1.3 ({e})"
     else:
-        lspace, about, unknown = bool(f2g.is_lspace), {"twist": n, "knot": f2g.name}, None
+        lspace, about, unknown = f2g.is_lspace, {"twist": n, "knot": f2g.name}, None
     checks += [
         {
             "id": "thm1.1",
-            "pass": bool(k.is_lspace and not k.is_unknot),
+            "pass": k.is_lspace and not k.is_unknot,
             "values": {"is_lspace": k.is_lspace, "is_unknot": k.is_unknot},
         },
         {
             "id": "thm1.2",
-            "pass": bool(p.winding >= 2 and p.has_minimal_meridional_disk),
+            "pass": p.winding >= 2 and p.has_minimal_meridional_disk,
             "values": {"winding": p.winding, "disk": p.has_minimal_meridional_disk},
         },
         {"id": "thm1.3", "pass": lspace, "values": about},
@@ -424,17 +481,14 @@ def certify_cable(k: KnotFacts, p: int, q: int) -> CableComparison:
 # -- certificate replay -------------------------------------------------
 
 
-def replay_certificate(cert: Certificate) -> str:
-    """Re-run the pipeline on the certificate's own pattern and companion
-    and return the verdict.  Raises ReplayMismatchError naming the first
-    field of the certificate that the re-run does not reproduce."""
-    rerun = certify_satellite(cert.pattern, cert.companion)
-    if rerun != cert:
-        name = next(
-            f.name for f in fields(Certificate) if getattr(rerun, f.name) != getattr(cert, f.name)
-        )
-        raise ReplayMismatchError(
-            f"field {name!r} differs from a re-run of the pipeline "
-            "on the certificate's pattern and companion"
-        )
+def replay_certificate(stored: StoredCertificate) -> str:
+    """Re-run the pipeline on the stored certificate's own pattern and
+    companion and return the verdict, once the re-run writes the stored
+    text.  Raises ReplayMismatchError naming the first top-level key that
+    differs, or saying the text is not in the form certificates are
+    written in."""
+    rerun = certify_satellite(stored.pattern, stored.companion)
+    text = rerun.to_json()
+    if text != stored.text:
+        raise ReplayMismatchError(_refusal(stored.text, text))
     return rerun.verdict

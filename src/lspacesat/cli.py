@@ -4,7 +4,8 @@ Subcommands:
 
 * certify      -- run the satellite pipeline on a pattern/companion pair,
                   or with --replay re-run it on the pattern and companion
-                  a stored certificate carries and compare the result
+                  a stored certificate carries and compare the text it
+                  writes with the stored text
 * explain      -- replay a stored certificate as certify --replay does,
                   then print each check with its statement and values,
                   and the certificate's trusted inputs
@@ -21,8 +22,8 @@ other end: bad input (including an empty --out, --replay or explain
 path, JSON nested too deeply, an integer of more digits than Python
 reads or writes, a certificate of another format, formats 1 and 2
 included, or one that is malformed, holds a float, has keys other than
-those certificates are written with, holds its pattern or companion in
-another form than it is written in, or differs from the re-run), an
+those certificates are written with, holds its companion in another
+form than its six facts, or is not the text the re-run writes), an
 output stream that cannot encode the text, or an engine bug: a
 ConsistencyError (a check that holds by construction failing) or any
 other exception, an "internal error".
@@ -54,6 +55,7 @@ from .certify import (
     REJECTED,
     Certificate,
     ConsistencyError,
+    StoredCertificate,
     certify_cable,
     certify_satellite,
     render_statement,
@@ -155,16 +157,17 @@ def _emit_certificate(cert: Certificate, args, out) -> int:
     return _VERDICT_EXIT[cert.verdict]
 
 
-def _replay(path: str, out) -> Certificate:
-    """The certificate stored at path, once a re-run has reproduced it."""
+def _replay(path: str, out) -> tuple[StoredCertificate, str]:
+    """The certificate stored at path and its verdict, once a re-run has
+    written its text."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cert = Certificate.from_json(fh.read())
-        replay_certificate(cert)
+            stored = Certificate.from_json(fh.read())
+        verdict = replay_certificate(stored)
     except _BAD_INPUT as e:
         raise InputError(f"cannot replay {path}: {type(e).__name__}: {_reason(e)}")
-    print(f"REPLAY OK: verdict {cert.verdict} reproduced", file=out)
-    return cert
+    print(f"REPLAY OK: verdict {verdict} reproduced", file=out)
+    return stored, verdict
 
 
 def _cmd_certify(args, out) -> int:
@@ -173,7 +176,7 @@ def _cmd_certify(args, out) -> int:
         given = [f"--{o}" for o in options if getattr(args, o) is not None]
         if given:
             raise InputError(f"--replay cannot be combined with {', '.join(given)}")
-        return _VERDICT_EXIT[_replay(args.replay, out).verdict]
+        return _VERDICT_EXIT[_replay(args.replay, out)[1]]
     if args.pattern is None or args.companion is None:
         raise InputError("certify needs --pattern and --companion (or --replay)")
     pattern = _parse_json_arg("pattern", pattern_from_json, args.pattern)
@@ -183,7 +186,9 @@ def _cmd_certify(args, out) -> int:
 
 
 def _cmd_explain(args, out) -> int:
-    cert = _replay(args.certificate, out)
+    stored, _ = _replay(args.certificate, out)
+    # The re-run, whose text is the stored one.
+    cert = certify_satellite(stored.pattern, stored.companion)
     if cert.reason is not None:
         print(f"reason: {cert.reason}", file=out)
     for check in cert.checks:

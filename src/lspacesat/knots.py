@@ -5,12 +5,13 @@ declarative record (genus, L-space flags, fiberedness) that the caller
 asserts, with the torus-knot family built in.  Like Slope, it is a
 slotted, frozen dataclass whose one constructor checks the facts against
 each other and then stores them through the slot descriptors' setters,
-past the frozen __setattr__; dataclasses.replace goes through the same
-checks.  The slope set a companion complement contributes to the gluing
-argument, and the exact cable criterion used as ground truth in tests,
-both live here.  So does json_object, through which every JSON object
-lspacesat reads passes: patterns, companions and certificates, each key
-checked for its type.
+past the frozen __setattr__, each flag as a bool (a Python caller may
+pass 1 or 0); dataclasses.replace goes through the same checks.  The
+slope set a companion complement contributes to the gluing argument, and
+the exact cable criterion used as ground truth in tests, both live here.
+So does json_object, through which every JSON object lspacesat reads
+passes: patterns, companions and certificates, each key checked for its
+type.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ class KnotFacts:
             raise ValueError("L-space knots are fibered")
         _set_name(self, name)
         _set_genus(self, genus)
-        _set_is_lspace(self, is_lspace)
-        _set_is_neg_lspace(self, is_neg_lspace)
-        _set_is_fibered(self, is_fibered)
-        _set_is_unknot(self, is_unknot)
+        # Each flag as a bool; the conditional is bool() without a call,
+        # which every certify pays three times.
+        _set_is_lspace(self, True if is_lspace else False)
+        _set_is_neg_lspace(self, True if is_neg_lspace else False)
+        _set_is_fibered(self, True if is_fibered else False)
+        _set_is_unknot(self, True if is_unknot else False)
 
 
 # The slot descriptors' setters, which skip the frozen __setattr__; only

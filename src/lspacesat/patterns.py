@@ -23,13 +23,14 @@ tails.
 Like KnotFacts, each kind is a slotted, frozen dataclass with one
 constructor, which takes its fields by position or by name.
 PatternFacts.__init__ checks the shared fields and stores them through
-the slot descriptors' setters, past the frozen __setattr__; each kind's
-__init__ calls it, then stores its own fields the same way.  So
-dataclasses.replace goes through the same checks.
+the slot descriptors' setters, past the frozen __setattr__, the disk flag
+as a bool; each kind's __init__ calls it, then stores its own fields the
+same way.  So dataclasses.replace goes through the same checks.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -96,7 +97,7 @@ class PatternFacts:
         _set_name(self, name)
         _set_winding(self, winding)
         _set_genus_s3(self, genus_s3)
-        _set_disk(self, has_minimal_meridional_disk)
+        _set_disk(self, True if has_minimal_meridional_disk else False)
         _set_threshold(self, neg_lspace_threshold)
 
     def _twist(self, n: int) -> KnotFacts:
@@ -404,3 +405,17 @@ def pattern_to_json(p: PatternFacts) -> dict:
             "pos_from": p.pos_tail_from,
         }
     }
+
+
+def pattern_to_text(p: PatternFacts) -> str:
+    """The text json.dumps writes for pattern_to_json(p): a braided
+    pattern's from fixed key texts, a table's through json.dumps."""
+    if isinstance(p, _BraidPattern):
+        if p.b == 0:
+            return f'{{"torus_pattern": [{p.winding}, {p.t}]}}'
+        n = "null" if p.neg_lspace_threshold is None else p.neg_lspace_threshold
+        return (
+            f'{{"one_bridge_braid": {{"w": {p.winding}, "b": {p.b}, "t": {p.t}, '
+            f'"neg_threshold": {n}}}}}'
+        )
+    return json.dumps(pattern_to_json(p))

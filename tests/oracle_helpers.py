@@ -3,14 +3,17 @@
 These deliberately take different routes than the library code they
 check: the Seifert-algorithm genus goes through Euler characteristic of
 the smoothed diagram, the cover oracle samples a Farey ball, and the
-homology oracle clears denominators in a rational 2x2 determinant.
+homology oracle clears denominators in a rational 2x2 determinant, and
+a certificate's record is built as a dict for json.dumps to write.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lspacesat import BraidWord, SlopeSet, Slope, farey_enumerate
+from lspacesat import BraidWord, Certificate, SlopeSet, Slope, farey_enumerate
+from lspacesat.knots import companion_to_json
+from lspacesat.patterns import pattern_to_json
 
 
 def seifert_state(strands: int, letters) -> tuple[int, int]:
@@ -98,3 +101,18 @@ def linking_matrix_order_oracle(r: Slope, s: Slope, w: int) -> int:
     cleared = det * r.den * s.den
     assert cleared.denominator == 1
     return abs(int(cleared))
+
+
+def certificate_dict(cert: Certificate) -> dict:
+    """The record of cert as a dict, whose json.dumps is the text
+    Certificate.to_json writes from fixed key texts."""
+    return {
+        "format": 3,
+        "pattern": pattern_to_json(cert.pattern),
+        "companion": companion_to_json(cert.companion),
+        "verdict": cert.verdict,
+        "reason": cert.reason,
+        "params": None if cert.params is None else cert.params.to_dict(),
+        "checks": cert.checks,
+        "trusted_inputs": cert.trusted_inputs,
+    }

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import re
 from math import gcd
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from lspacesat.certify import (
 from lspacesat.patterns import UnknownTwistError, pattern_to_json
 
 import strategies
+from oracle_helpers import certificate_dict
 
 TREFOIL = torus_knot(2, 3)
 FIGURE8 = KnotFacts("4_1", 1, False, False, True, False)
@@ -332,10 +334,14 @@ GENUINE = [
 
 class TestCertificateSerialization:
     def test_json_round_trip(self):
+        """from_json reads back the two inputs and keeps the text, less the
+        newline a file ends with."""
         for pat, k in GENUINE:
             cert = certify_satellite(pat, k)
-            again = Certificate.from_json(cert.to_json())
-            assert again == cert
+            for text in (cert.to_json(), cert.to_json() + "\n"):
+                again = Certificate.from_json(text)
+                assert (again.pattern, again.companion) == (cert.pattern, cert.companion)
+                assert again.text == cert.to_json()
 
     def test_replay_reproduces_verdict(self):
         for pat, k in GENUINE:
@@ -1089,14 +1095,14 @@ class TestCertificateFormat:
         assert list(STATEMENTS) == CERTIFIED_CHECK_IDS
 
     @pytest.mark.parametrize(
-        "pattern, edit, named",
+        "pattern, edit, refusal",
         [
-            (torus_pattern(2, 3), {"companion": "T(2,3)"}, "companion"),
-            (torus_pattern(2, 3), {"companion": {"torus_knot": [2, 3]}}, "companion"),
+            (torus_pattern(2, 3), {"companion": "T(2,3)"}, "companion: "),
+            (torus_pattern(2, 3), {"companion": {"torus_knot": [2, 3]}}, "companion: "),
             (
                 torus_pattern(2, 3),
                 {"companion": {"cable": {"companion": "unknot", "p": 2, "q": 3}}},
-                "companion",
+                "companion: ",
             ),
             (
                 table_pattern("t", 2, 1, True, {0: TREFOIL}, neg_threshold=7, pos_from=-2),
@@ -1113,23 +1119,29 @@ class TestCertificateFormat:
                         }
                     }
                 },
-                "pattern",
+                "field 'pattern' differs from a re-run",
             ),
         ],
         ids=["companion_name", "companion_torus_knot", "companion_cable", "table_twist_name"],
     )
-    def test_inputs_in_a_form_to_json_does_not_write_are_refused(self, pattern, edit, named):
+    def test_inputs_in_a_form_to_json_does_not_write_are_refused(self, pattern, edit, refusal):
         """Each edit reads back as the same inputs, so without the refusal
-        a second text would replay as the genuine certificate."""
+        a second text would replay as the genuine certificate.  from_json
+        reads the companion only as its six facts; a pattern it reads is
+        refused by replay, whose re-run writes it otherwise."""
         cert = certify_satellite(pattern, TREFOIL)
         assert cert.verdict == CERTIFIED
-        with pytest.raises(ValueError, match=f"^{named}: "):
-            Certificate.from_json(json.dumps({**json.loads(cert.to_json()), **edit}))
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+            replay_certificate(
+                Certificate.from_json(json.dumps({**json.loads(cert.to_json()), **edit}))
+            )
 
     def test_format_3_with_an_extra_key_gets_the_key_set_error(self):
         data = {**json.loads(CABLE_2_3_OF_TREFOIL), "note": "x"}
-        with pytest.raises(ValueError, match="^unknown key 'note': expected only format, "):
-            Certificate.from_json(json.dumps(data))
+        with pytest.raises(
+            ReplayMismatchError, match="^unknown key 'note': expected only format, "
+        ):
+            replay_certificate(Certificate.from_json(json.dumps(data)))
 
     def test_sweep_grid_states_each_fact_once(self):
         """Every certified certificate of the sweep grid holds the 11
@@ -1153,8 +1165,8 @@ RECORD_PATTERNS = [
     torus_pattern(2, -5),
     one_bridge_braid(4, 1, 10, 2),
     one_bridge_braid(5, 2, 21),
-    # certifies on the trefoil
-    table_pattern("t", 2, 1, True, {0: TREFOIL, -2: torus_knot(2, -1)}, 5, 3),
+    # certifies on the trefoil; its name is written as a JSON escape
+    table_pattern("τ", 2, 1, True, {0: TREFOIL, -2: torus_knot(2, -1)}, 5, 3),
     # no P(U): unknown-twist:necessary
     table_pattern("e", 2, 1, True, {}),
     # P(U) only: unknown-twist:thm1.3
@@ -1202,3 +1214,69 @@ class TestCheckRecords:
                 assert render_statement(c)
                 checked += 1
         assert checked > 0
+
+    def test_every_certificate_replays(self):
+        """Facts given 1 and 0 store true and false, so their certificates
+        replay too."""
+        for cert in self.certificates():
+            assert replay_certificate(Certificate.from_json(cert.to_json())) == cert.verdict
+
+
+# The companions of the benchmark's cable grid: four named knots and the
+# non-fibered 5_2 as explicit facts.
+GRID_COMPANIONS = [
+    *(companion_from_json(name) for name in ("trefoil", "T(2,5)", "T(3,5)", "figure8")),
+    KnotFacts("5_2", 1, False, False, False, False),
+]
+
+
+def cable_grid_certificates():
+    """The 7 770 certificates of certify_cable over GRID_COMPANIONS,
+    2 <= p <= 12 and coprime |q| <= 120."""
+    for k in GRID_COMPANIONS:
+        for p in range(2, 13):
+            for q in range(-120, 121):
+                if gcd(p, q) == 1:
+                    yield certify_cable(k, p, q).certificate
+
+
+def one_bridge_grid_certificates():
+    """The certificates of each knotted B(w, b, t), 3 <= w <= 9,
+    1 <= b <= w - 2, -30 <= t < 40, with threshold t mod 4 (0 among them),
+    over GRID_COMPANIONS."""
+    for w in range(3, 10):
+        for b in range(1, w - 1):
+            for t in range(-30, 40):
+                try:
+                    pattern = one_bridge_braid(w, b, t, t % 4)
+                except UnknownTwistError:
+                    continue
+                for k in GRID_COMPANIONS:
+                    yield certify_satellite(pattern, k)
+
+
+class TestWriterOracle:
+    """to_json writes from fixed key texts the bytes json.dumps writes
+    for the certificate's record built as a dict."""
+
+    def assert_written_as_json_dumps(self, certificates) -> int:
+        count = 0
+        for cert in certificates:
+            assert cert.to_json() == json.dumps(certificate_dict(cert))
+            count += 1
+        return count
+
+    def test_cable_grid(self):
+        assert self.assert_written_as_json_dumps(cable_grid_certificates()) == 7770
+
+    def test_one_bridge_grid(self):
+        certificates = list(one_bridge_grid_certificates())
+        assert {c.verdict for c in certificates} == {CERTIFIED, NOT_CERTIFIED, REJECTED}
+        assert self.assert_written_as_json_dumps(certificates) > 0
+
+    def test_record_patterns(self):
+        """Every pattern kind, every verdict path, a table named τ and
+        facts given as 1 and 0."""
+        certificates = TestCheckRecords().certificates()
+        assert any("\\u03c4" in c.to_json() for c in certificates)
+        assert self.assert_written_as_json_dumps(certificates) == 4 * len(RECORD_PATTERNS)

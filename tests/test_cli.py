@@ -622,6 +622,38 @@ class TestCertify:
         assert run(["certify", "--replay", str(path)]) == (3, "")
         assert "companion: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: json.dumps(json.loads(text), indent=2),
+            lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+            lambda text: text.replace(
+                '{"id": "necessary.winding", "pass": true', '{"id": "necessary.winding", "pass": 1'
+            ),
+            lambda text: text.replace(
+                '"verdict": "CERTIFIED"', '"verdict": "CERTIFIED", "verdict": "CERTIFIED"'
+            ),
+        ],
+        ids=["indented", "compact", "pass_is_1", "repeated_verdict"],
+    )
+    def test_a_certificate_is_the_text_certify_writes(self, edit, tmp_path, capsys):
+        """The (3,17)-cable certificate of the trefoil, edited so that it
+        decodes to the same values, is refused by replay and by explain,
+        with one error line naming its form."""
+        text = certify_satellite(torus_pattern(3, 17), torus_knot(2, 3)).to_json()
+        path = tmp_path / "c317.json"
+        path.write_text(text + "\n")
+        assert run(["certify", "--replay", str(path)])[0] == 0
+        edited = edit(text)
+        assert edited != text and json.loads(edited) == json.loads(text)
+        path.write_text(edited + "\n")
+        for command in (["certify", "--replay"], ["explain"]):
+            capsys.readouterr()
+            assert run([*command, str(path)]) == (3, "")
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot replay {path}: ") and err.count("\n") == 1
+            assert err.endswith(": not in the form certificates are written in\n")
+
     def test_over_long_integer_gets_lspacesats_own_message(self, tmp_path, capsys):
         """A JSON integer past the interpreter's limit on digits, in an
         argument or in a certificate, exits 3 without Python's advice on
@@ -746,16 +778,19 @@ def _replaced(doc, path, value):
     return doc
 
 
-# Every input of these pairs reaches some recorded field, so a changed
-# input cannot leave a certificate that is the genuine one of other inputs.
+# Every input of the first three pairs reaches some recorded field, so a
+# changed input cannot leave a certificate that is the genuine one of
+# other inputs.  The REJECTED one records only the necessary checks,
+# which the pattern's q never reaches: another odd q gives the genuine
+# certificate of T(2, q) over the same companion.
+_REJECTED_BY_FIBERING = certify_satellite(
+    torus_pattern(2, 3), KnotFacts("unfibered", 2, False, False, False, False)
+)
 _FUZZ_CERTIFICATES = [
-    certify_satellite(pattern, companion)
-    for pattern, companion in [
-        (torus_pattern(2, 3), torus_knot(2, 3)),
-        (torus_pattern(3, 4), torus_knot(2, 3)),
-        (torus_pattern(2, 3), KnotFacts("unfibered", 2, False, False, False, False)),
-        (one_bridge_braid(5, 2, 21, neg_lspace_threshold=3), torus_knot(2, 5)),
-    ]
+    certify_satellite(torus_pattern(2, 3), torus_knot(2, 3)),
+    certify_satellite(torus_pattern(3, 4), torus_knot(2, 3)),
+    _REJECTED_BY_FIBERING,
+    certify_satellite(one_bridge_braid(5, 2, 21, neg_lspace_threshold=3), torus_knot(2, 5)),
 ]
 _FUZZ_LEAVES = [
     (cert, path) for cert in _FUZZ_CERTIFICATES for path in _leaf_paths(json.loads(cert.to_json()))
@@ -771,16 +806,19 @@ _JSON_VALUES = st.recursive(
 class TestReplayFuzz:
     @settings(max_examples=300, deadline=None)
     @given(leaf=st.sampled_from(_FUZZ_LEAVES), value=_JSON_VALUES)
+    # The genuine certificate of T(2,5) over the unfibered companion.
+    @example(leaf=(_REJECTED_BY_FIBERING, ("pattern", "torus_pattern", 1)), value=5)
     def test_one_changed_leaf(self, leaf, value):
         """A certificate with one leaf replaced replays (exit 0, 1 or 2)
-        only when it reads back as the genuine certificate; anything else
-        exits 3 with one error line.  explain exits as replay does, and
-        on exit 3 prints that error line and no table."""
+        only when it is the text certify writes for the inputs it holds,
+        and those are the genuine certificate's unless it is the REJECTED
+        one; anything else exits 3 with one error line.  explain exits as
+        replay does, and on exit 3 prints that error line and no table."""
         cert, path = leaf
-        data = _replaced(json.loads(cert.to_json()), path, value)
+        text = json.dumps(_replaced(json.loads(cert.to_json()), path, value))
         with tempfile.TemporaryDirectory() as tmp:
             file = Path(tmp) / "cert.json"
-            file.write_text(json.dumps(data))
+            file.write_text(text)
             results = []
             for command in (["certify", "--replay"], ["explain"]):
                 err = io.StringIO()
@@ -794,7 +832,10 @@ class TestReplayFuzz:
             assert explained[1:] == ("", err)
         else:
             assert code in (0, 1, 2)
-            assert Certificate.from_json(json.dumps(data)) == cert
+            stored = Certificate.from_json(text)
+            assert certify_satellite(stored.pattern, stored.companion).to_json() == text
+            if cert is not _REJECTED_BY_FIBERING:
+                assert (stored.pattern, stored.companion) == (cert.pattern, cert.companion)
 
 
 def _node_paths(node, path=()):
