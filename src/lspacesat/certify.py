@@ -36,10 +36,13 @@ true, and not one repeating a key.  The file is UTF-8, so a non-ASCII
 character may stand in it for the \\u escape to_json writes.  Only a
 refused text is decoded in full, to name its format, its first
 top-level key that differs from the re-run's, or else its form.  Each
-check is built once, as a dict literal in the form the certificate
-stores, {"id", "pass", "values"} in that order; "pass" is always a bool,
-as every flag of the facts is.  What a check states is a fixed text per
-id (STATEMENTS), filled in from the check's own values by
+check is built once, as a record (id, passed, values): passed is always
+a bool, as every flag of the facts is, and values is a tuple of the
+check's values in the order the certificate stores them.  The writer of
+each check id (_CHECK_TEXT) is the one place that names its value keys;
+a certificate's checks as dicts, {"id", "pass", "values"} in that order,
+are its text decoded (Certificate.checks).  What a check states is a
+fixed text per id (STATEMENTS), filled in from the check's own values by
 render_statement, which lspacesat explain prints beside each check; only
 thm1.3 and lem.7 read a value, the twist.  The trusted inputs are read
 off the two inputs, not off the run: the companion's facts, which replay
@@ -133,17 +136,17 @@ STATEMENTS = {
 
 
 def render_statement(check: dict) -> str:
-    """The statement of a check record: its id's template filled in from
-    its values."""
+    """The statement of a check as a certificate writes it, {"id",
+    "pass", "values"}: its id's template filled in from its values."""
     return STATEMENTS[check["id"]].format_map(check["values"])
 
 
-def _first_failure(checks: list[dict]) -> str | None:
+def _first_failure(checks: list[tuple]) -> str | None:
     """The id of the first failing check, or None: the reason of every
     verdict but an unknown twist, and the check a ConsistencyError names."""
-    for c in checks:
-        if not c["pass"]:
-            return c["id"]
+    for id, passed, _ in checks:
+        if not passed:
+            return id
     return None
 
 
@@ -152,9 +155,6 @@ class LemmaParams:
     a: int
     b: int
     r: int
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "r": self.r}
 
 
 def _no_floats(text: str):
@@ -172,34 +172,54 @@ _COMPANION_KEY = ', "companion": '
 # The JSON text of a flag.
 _FLAG = {True: "true", False: "false"}
 
-# The text of each check's values, by id, in the key order the check
-# stores them.
-_VALUES_TEXT = {
-    "necessary.fibered": lambda v: (
-        f'"companion_fibered": {_FLAG[v["companion_fibered"]]}, '
-        f'"pattern_fibered": {_FLAG[v["pattern_fibered"]]}'
+# The text of each check, by id, from whether it passed and its values;
+# the one place a value key is named.  thm1.3 holds the twist and either
+# the knot P(U, twist) or, when the pattern cannot answer the twist, the
+# error, the other of the two being None.
+_CHECK_TEXT = {
+    "necessary.fibered": lambda passed, companion, pattern: (
+        f'{{"id": "necessary.fibered", "pass": {_FLAG[passed]}, "values": '
+        f'{{"companion_fibered": {_FLAG[companion]}, "pattern_fibered": {_FLAG[pattern]}}}}}'
     ),
-    "necessary.winding": lambda v: f'"winding": {v["winding"]}',
-    "thm1.1": lambda v: (
-        f'"is_lspace": {_FLAG[v["is_lspace"]]}, "is_unknot": {_FLAG[v["is_unknot"]]}'
+    "necessary.winding": lambda passed, w: (
+        f'{{"id": "necessary.winding", "pass": {_FLAG[passed]}, "values": {{"winding": {w}}}}}'
     ),
-    "thm1.2": lambda v: f'"winding": {v["winding"]}, "disk": {_FLAG[v["disk"]]}',
-    "thm1.3": lambda v: (
-        f'"twist": {v["twist"]}, "knot": {_string(v["knot"])}'
-        if "knot" in v
-        else f'"twist": {v["twist"]}, "error": {_string(v["error"])}'
+    "thm1.1": lambda passed, lspace, unknot: (
+        f'{{"id": "thm1.1", "pass": {_FLAG[passed]}, "values": '
+        f'{{"is_lspace": {_FLAG[lspace]}, "is_unknot": {_FLAG[unknot]}}}}}'
     ),
-    "thm1.4": lambda v: f'"threshold": {"null" if v["threshold"] is None else v["threshold"]}',
-    "lem.4": lambda v: (
-        f'"lhs": {v["lhs"]}, "rhs": {v["rhs"]}, "a": {v["a"]}, "g": {v["g"]}, "w": {v["w"]}'
+    "thm1.2": lambda passed, w, disk: (
+        f'{{"id": "thm1.2", "pass": {_FLAG[passed]}, "values": '
+        f'{{"winding": {w}, "disk": {_FLAG[disk]}}}}}'
     ),
-    "lem.5": lambda v: (
-        f'"lhs": {v["lhs"]}, "rhs": {v["rhs"]}, "b": {v["b"]}, "g": {v["g"]}, '
-        f'"w": {v["w"]}, "r": {v["r"]}'
+    "thm1.3": lambda passed, twist, knot, error: (
+        f'{{"id": "thm1.3", "pass": {_FLAG[passed]}, "values": {{"twist": {twist}, '
+        + (f'"knot": {_string(knot)}}}}}' if error is None else f'"error": {_string(error)}}}}}')
     ),
-    "lem.7": lambda v: f'"twist": {v["twist"]}, "knot": {_string(v["knot"])}',
-    "lem.sandwich": lambda v: f'"aw2": {v["aw2"]}, "r": {v["r"]}, "bw2": {v["bw2"]}',
-    "hrrw.cover": lambda v: f'"s1": {_string(v["s1"])}, "s2": {_string(v["s2"])}',
+    "thm1.4": lambda passed, threshold: (
+        f'{{"id": "thm1.4", "pass": {_FLAG[passed]}, "values": '
+        f'{{"threshold": {"null" if threshold is None else threshold}}}}}'
+    ),
+    "lem.4": lambda passed, lhs, rhs, a, g, w: (
+        f'{{"id": "lem.4", "pass": {_FLAG[passed]}, "values": '
+        f'{{"lhs": {lhs}, "rhs": {rhs}, "a": {a}, "g": {g}, "w": {w}}}}}'
+    ),
+    "lem.5": lambda passed, lhs, rhs, b, g, w, r: (
+        f'{{"id": "lem.5", "pass": {_FLAG[passed]}, "values": '
+        f'{{"lhs": {lhs}, "rhs": {rhs}, "b": {b}, "g": {g}, "w": {w}, "r": {r}}}}}'
+    ),
+    "lem.7": lambda passed, twist, knot: (
+        f'{{"id": "lem.7", "pass": {_FLAG[passed]}, "values": '
+        f'{{"twist": {twist}, "knot": {_string(knot)}}}}}'
+    ),
+    "lem.sandwich": lambda passed, aw2, r, bw2: (
+        f'{{"id": "lem.sandwich", "pass": {_FLAG[passed]}, "values": '
+        f'{{"aw2": {aw2}, "r": {r}, "bw2": {bw2}}}}}'
+    ),
+    "hrrw.cover": lambda passed, s1, s2: (
+        f'{{"id": "hrrw.cover", "pass": {_FLAG[passed]}, "values": '
+        f'{{"s1": {_string(s1)}, "s2": {_string(s2)}}}}}'
+    ),
 }
 
 
@@ -219,16 +239,19 @@ class Certificate:
     verdict: str
     reason: str | None
     params: LemmaParams | None
-    checks: list[dict]
+    records: list[tuple]
     trusted_inputs: list[str]
+
+    @property
+    def checks(self) -> list[dict]:
+        """The checks as the certificate writes them, each a dict
+        {"id", "pass", "values"}, decoded afresh from to_json on each
+        read, so changing the list changes no record."""
+        return json.loads(self.to_json())["checks"]
 
     def to_json(self) -> str:
         k, p, reason = self.companion, self.params, self.reason
-        checks = ", ".join(
-            f'{{"id": "{c["id"]}", "pass": {_FLAG[c["pass"]]}, '
-            f'"values": {{{_VALUES_TEXT[c["id"]](c["values"])}}}}}'
-            for c in self.checks
-        )
+        checks = ", ".join(_CHECK_TEXT[id](passed, *values) for id, passed, values in self.records)
         params = "null" if p is None else f'{{"a": {p.a}, "b": {p.b}, "r": {p.r}}}'
         return (
             f"{_HEAD}{pattern_to_text(self.pattern)}{_COMPANION_KEY}"
@@ -300,11 +323,13 @@ def _refusal(text: str, rerun: str | None = None) -> str:
 # -- the Lemma machinery ------------------------------------------------
 
 
-def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[dict]:
+def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[tuple]:
     """Audit the hypotheses guaranteeing that the closed arc from 1/a
     through ∞ to 1/b consists of L-space filling slopes of the
     r-surgered pattern complement.  Returns the checks, whose passing
-    together certifies the arc.
+    together certifies the arc, each a record (id, passed, values):
+    lem.4 (lhs, rhs, a, g, w), lem.5 (lhs, rhs, b, g, w, r), lem.7
+    (twist, knot) and lem.sandwich (aw2, r, bw2).
 
     The lemma's other hypotheses are Theorem 1's, checked once there:
     w >= 2 and the meridional disk (thm1.2), and P(U, -a) an L-space
@@ -320,22 +345,10 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[dict]:
     rhs4 = 2 * g + a * w * (2 * w - 1) - 1
     bw, rhs5 = b * w, 2 * g + r - 1
     return [
-        {
-            "id": "lem.4",
-            "pass": r >= rhs4,
-            "values": {"lhs": r, "rhs": rhs4, "a": a, "g": g, "w": w},
-        },
-        {
-            "id": "lem.5",
-            "pass": bw >= rhs5,
-            "values": {"lhs": bw, "rhs": rhs5, "b": b, "g": g, "w": w, "r": r},
-        },
-        {
-            "id": "lem.7",
-            "pass": facts_b.is_neg_lspace,
-            "values": {"twist": -b, "knot": facts_b.name},
-        },
-        {"id": "lem.sandwich", "pass": aw2 < r < bw2, "values": {"aw2": aw2, "r": r, "bw2": bw2}},
+        ("lem.4", r >= rhs4, (r, rhs4, a, g, w)),
+        ("lem.5", bw >= rhs5, (bw, rhs5, b, g, w, r)),
+        ("lem.7", facts_b.is_neg_lspace, (-b, facts_b.name)),
+        ("lem.sandwich", aw2 < r < bw2, (aw2, r, bw2)),
     ]
 
 
@@ -358,17 +371,16 @@ def choose_lemma_params(p: PatternFacts, g_k: int) -> LemmaParams:
 # -- necessary conditions ----------------------------------------------
 
 
-def necessary_check(p: PatternFacts, k: KnotFacts) -> list[dict]:
+def necessary_check(p: PatternFacts, k: KnotFacts) -> list[tuple]:
     """Obstructions: an L-space satellite forces both the companion and
-    P(U) to be fibered, and nonzero winding.  A failing check rejects it."""
+    P(U) to be fibered, and nonzero winding.  A failing check rejects it.
+    Returns the checks as records (id, passed, values):
+    necessary.fibered (companion_fibered, pattern_fibered) and
+    necessary.winding (winding,)."""
     pu = p.twisted_facts(0)
     return [
-        {
-            "id": "necessary.fibered",
-            "pass": k.is_fibered and pu.is_fibered,
-            "values": {"companion_fibered": k.is_fibered, "pattern_fibered": pu.is_fibered},
-        },
-        {"id": "necessary.winding", "pass": p.winding != 0, "values": {"winding": p.winding}},
+        ("necessary.fibered", k.is_fibered and pu.is_fibered, (k.is_fibered, pu.is_fibered)),
+        ("necessary.winding", p.winding != 0, (p.winding,)),
     ]
 
 
@@ -403,28 +415,19 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     try:
         f2g = p.twisted_facts(n)
     except UnknownTwistError as e:
-        lspace, about, unknown = False, {"twist": n, "error": str(e)}, f"unknown-twist:thm1.3 ({e})"
+        lspace, about, unknown = False, (n, None, str(e)), f"unknown-twist:thm1.3 ({e})"
     else:
-        lspace, about, unknown = f2g.is_lspace, {"twist": n, "knot": f2g.name}, None
+        lspace, about, unknown = f2g.is_lspace, (n, f2g.name, None), None
+    disk = p.has_minimal_meridional_disk
     checks += [
-        {
-            "id": "thm1.1",
-            "pass": k.is_lspace and not k.is_unknot,
-            "values": {"is_lspace": k.is_lspace, "is_unknot": k.is_unknot},
-        },
-        {
-            "id": "thm1.2",
-            "pass": p.winding >= 2 and p.has_minimal_meridional_disk,
-            "values": {"winding": p.winding, "disk": p.has_minimal_meridional_disk},
-        },
-        {"id": "thm1.3", "pass": lspace, "values": about},
+        ("thm1.1", k.is_lspace and not k.is_unknot, (k.is_lspace, k.is_unknot)),
+        ("thm1.2", p.winding >= 2 and disk, (p.winding, disk)),
+        ("thm1.3", lspace, about),
     ]
     if unknown:
         return Certificate(p, k, NOT_CERTIFIED, unknown, None, checks, trusted)
     threshold = p.neg_lspace_threshold
-    checks.append(
-        {"id": "thm1.4", "pass": threshold is not None, "values": {"threshold": threshold}}
-    )
+    checks.append(("thm1.4", threshold is not None, (threshold,)))
     if reason := _first_failure(checks):
         return Certificate(p, k, NOT_CERTIFIED, reason, None, checks, trusted)
 
@@ -437,13 +440,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     # The cover in closed form (see the module docstring): s1 is
     # (2g-1, ∞) and s2 the swapped open arc b → ∞ → a, each end n as n/1.
     glued = f"({params.b}/1, inf] ∪ [-inf, {params.a}/1)"
-    proof.append(
-        {
-            "id": "hrrw.cover",
-            "pass": params.a > 2 * k.genus - 1,
-            "values": {"s1": companion_text, "s2": glued},
-        }
-    )
+    proof.append(("hrrw.cover", params.a > 2 * k.genus - 1, (companion_text, glued)))
     if failed := _first_failure(proof):
         raise ConsistencyError(
             f"{failed} failed after thm1.4 passed, for pattern {p.name} and companion {k.name}"

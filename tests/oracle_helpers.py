@@ -103,16 +103,47 @@ def linking_matrix_order_oracle(r: Slope, s: Slope, w: int) -> int:
     return abs(int(cleared))
 
 
+# The value keys of each check id, in the order a check record holds its
+# values.  thm1.3 holds a knot or an error, the other None, and writes
+# only the one it holds.
+VALUE_KEYS = {
+    "necessary.fibered": ("companion_fibered", "pattern_fibered"),
+    "necessary.winding": ("winding",),
+    "thm1.1": ("is_lspace", "is_unknot"),
+    "thm1.2": ("winding", "disk"),
+    "thm1.3": ("twist", "knot", "error"),
+    "thm1.4": ("threshold",),
+    "lem.4": ("lhs", "rhs", "a", "g", "w"),
+    "lem.5": ("lhs", "rhs", "b", "g", "w", "r"),
+    "lem.7": ("twist", "knot"),
+    "lem.sandwich": ("aw2", "r", "bw2"),
+    "hrrw.cover": ("s1", "s2"),
+}
+
+
+def check_dict(record: tuple) -> dict:
+    """A check record (id, passed, values) as the dict a certificate
+    writes, {"id", "pass", "values"}, with its value keys from VALUE_KEYS."""
+    id, passed, values = record
+    keys = VALUE_KEYS[id]
+    assert len(keys) == len(values), (id, values)
+    named = dict(zip(keys, values))
+    if id == "thm1.3":
+        named.pop("error" if named["error"] is None else "knot")
+    return {"id": id, "pass": passed, "values": named}
+
+
 def certificate_dict(cert: Certificate) -> dict:
     """The record of cert as a dict, whose json.dumps is the text
     Certificate.to_json writes from fixed key texts."""
+    params = cert.params
     return {
         "format": 3,
         "pattern": pattern_to_json(cert.pattern),
         "companion": companion_to_json(cert.companion),
         "verdict": cert.verdict,
         "reason": cert.reason,
-        "params": None if cert.params is None else cert.params.to_dict(),
-        "checks": cert.checks,
+        "params": None if params is None else {"a": params.a, "b": params.b, "r": params.r},
+        "checks": [check_dict(r) for r in cert.records],
         "trusted_inputs": cert.trusted_inputs,
     }

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import itertools
 import json
 import re
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from lspacesat import (
     Certificate,
     INFINITY,
     KnotFacts,
+    LemmaParams,
     Slope,
     SlopeSet,
     certify_cable,
@@ -44,7 +47,7 @@ from lspacesat.certify import (
 from lspacesat.patterns import UnknownTwistError, pattern_to_json
 
 import strategies
-from oracle_helpers import certificate_dict
+from oracle_helpers import certificate_dict, check_dict
 
 TREFOIL = torus_knot(2, 3)
 FIGURE8 = KnotFacts("4_1", 1, False, False, True, False)
@@ -79,8 +82,9 @@ RESTATED_CHECK_IDS = {"lem.2", "lem.3", "lem.6"}
 
 
 def failed(checks):
-    """The ids of the failing checks, in order."""
-    return [c["id"] for c in checks if not c["pass"]]
+    """The ids of the failing check records (id, passed, values), in
+    order."""
+    return [id for id, passed, _ in checks if not passed]
 
 
 def seed_lemma_bug(monkeypatch, id):
@@ -89,7 +93,7 @@ def seed_lemma_bug(monkeypatch, id):
     check_lemma = certify.check_lemma
 
     def flipped(*args):
-        return [{**c, "pass": False} if c["id"] == id else c for c in check_lemma(*args)]
+        return [(c[0], False, c[2]) if c[0] == id else c for c in check_lemma(*args)]
 
     monkeypatch.setattr(certify, "check_lemma", flipped)
 
@@ -100,8 +104,8 @@ class TestCheckLemma:
         assert not failed(checks)
         # The arc the lemma certifies runs from 1/a through ∞ to 1/b.
         assert SlopeSet.from_arcs([Arc(Slope(1, 2), Slope(1, 7))]).contains(INFINITY)
-        sandwich = next(c for c in checks if c["id"] == "lem.sandwich")
-        assert sandwich["values"] == {"aw2": 8, "r": 13, "bw2": 28}
+        sandwich = next(c for c in checks if c[0] == "lem.sandwich")
+        assert check_dict(sandwich)["values"] == {"aw2": 8, "r": 13, "bw2": 28}
 
     def test_r_too_small(self):
         checks = check_lemma(torus_pattern(2, 3), 2, 7, 12)
@@ -129,19 +133,11 @@ class TestCheckLemma:
 
 class TestChooseParams:
     def test_worked_instance(self):
-        assert choose_lemma_params(torus_pattern(2, 3), 1).to_dict() == {
-            "a": 2,
-            "b": 7,
-            "r": 13,
-        }
+        assert choose_lemma_params(torus_pattern(2, 3), 1) == LemmaParams(2, 7, 13)
 
     def test_larger_pattern(self):
         # g(T(3,7)) = 6, w = 3: r = 12 + 2*3*5 - 1 = 41, b = ceil(52/3) = 18.
-        assert choose_lemma_params(torus_pattern(3, 7), 1).to_dict() == {
-            "a": 2,
-            "b": 18,
-            "r": 41,
-        }
+        assert choose_lemma_params(torus_pattern(3, 7), 1) == LemmaParams(2, 18, 41)
 
     def test_threshold_dominates(self):
         pat = table_pattern(
@@ -954,8 +950,8 @@ class TestTotality:
     def test_no_check_after_thm1_4_fails(self, pair):
         """Once thm1.4 passes, the lemma and the cover hold by the choice
         of (a, b, r) and by the tables' own consistency."""
-        checks = certify_satellite(*pair).checks
-        ids = [c["id"] for c in checks]
+        checks = certify_satellite(*pair).records
+        ids = [c[0] for c in checks]
         if "thm1.4" in ids:
             assert failed(checks[ids.index("thm1.4") + 1 :]) == []
 
@@ -1202,18 +1198,37 @@ class TestCheckRecords:
         }
 
     def test_every_check_has_the_stored_shape(self):
-        """Each check is {"id", "pass", "values"} in that order, passes or
+        """Each check is stored as a record (id, passed, values) and
+        written as {"id", "pass", "values"} in that order, passes or
         fails as a bool even when the facts hold 1 and 0, holds only
         JSON scalars and renders its statement."""
         checked = 0
         for cert in self.certificates():
-            for c in cert.checks:
+            assert len(cert.records) == len(cert.checks)
+            for (id, passed, values), c in zip(cert.records, cert.checks):
+                assert type(passed) is bool and type(values) is tuple
+                assert all(type(v) in (int, bool, str, type(None)) for v in values)
                 assert list(c) == ["id", "pass", "values"]
+                assert (c["id"], c["pass"]) == (id, passed)
                 assert type(c["pass"]) is bool
                 assert all(type(v) in (int, bool, str, type(None)) for v in c["values"].values())
                 assert render_statement(c)
                 checked += 1
         assert checked > 0
+
+    def test_checks_are_the_written_checks_decoded(self):
+        """checks is the certificate's text decoded, not stored state:
+        changing the list it returns changes neither the text nor the
+        next read."""
+        for cert in self.certificates():
+            text = cert.to_json()
+            checks = cert.checks
+            assert checks == json.loads(text)["checks"]
+            checks.clear()
+            if cert.records:
+                cert.checks[0]["pass"] = not cert.records[0][1]
+            assert cert.to_json() == text
+            assert cert.checks == json.loads(text)["checks"]
 
     def test_every_certificate_replays(self):
         """Facts given 1 and 0 store true and false, so their certificates
@@ -1255,6 +1270,34 @@ def one_bridge_grid_certificates():
                     yield certify_satellite(pattern, k)
 
 
+class TestRecordMemory:
+    def test_certificates_retain_less_than_half_their_checks_as_dicts(self):
+        """A certificate stores each check as a tuple and writes its keys
+        only in to_json: the certificates of the cable grid for p <= 6
+        retain less than half the bytes their checks take as dicts.  The
+        patterns and companions are inputs, built outside the count."""
+        pairs = [
+            (torus_pattern(p, q), k)
+            for k in GRID_COMPANIONS
+            for p in range(2, 7)
+            for q in range(-120, 121)
+            if gcd(p, q) == 1
+        ]
+        for pair in pairs:
+            certify_satellite(*pair)  # fills the companion cache
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            certificates = [certify_satellite(*pair) for pair in pairs]
+            retained = tracemalloc.get_traced_memory()[0] - start
+            as_dicts = [[check_dict(r) for r in cert.records] for cert in certificates]
+            dict_bytes = tracemalloc.get_traced_memory()[0] - start - retained
+        finally:
+            tracemalloc.stop()
+        assert len(as_dicts) == len(certificates) == 3360
+        assert retained < dict_bytes / 2
+
+
 class TestWriterOracle:
     """to_json writes from fixed key texts the bytes json.dumps writes
     for the certificate's record built as a dict."""
@@ -1273,6 +1316,21 @@ class TestWriterOracle:
         certificates = list(one_bridge_grid_certificates())
         assert {c.verdict for c in certificates} == {CERTIFIED, NOT_CERTIFIED, REJECTED}
         assert self.assert_written_as_json_dumps(certificates) > 0
+
+    def test_lemma_checks_off_the_chosen_parameters(self):
+        """The pipeline picks r as the right side of lem.4, so no
+        certificate it writes tells lem.4's lhs from its rhs; the
+        lemma's checks at other (a, b, r) do, passing and failing."""
+        certificates = []
+        for pattern in (torus_pattern(2, 3), torus_pattern(3, 7), one_bridge_braid(4, 1, 10, 2)):
+            cert = certify_satellite(pattern, TREFOIL)
+            for a, b, r in itertools.product((1, 2, 4), (2, 7, 18), (12, 13, 41, 200)):
+                records = check_lemma(pattern, a, b, r)
+                certificates.append(dataclasses.replace(cert, records=records))
+        records = [r for cert in certificates for r in cert.records]
+        assert any(values[0] != values[1] for id, _, values in records if id == "lem.4")
+        assert {passed for _, passed, _ in records} == {True, False}
+        assert self.assert_written_as_json_dumps(certificates) == 3 * 36
 
     def test_record_patterns(self):
         """Every pattern kind, every verdict path, a table named τ and
