@@ -31,7 +31,8 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 2:
             raise ValueError("need at least 2 strands")
-        for idx, sign in self.letters:
+        # Each distinct letter once, in the order of first occurrence.
+        for idx, sign in dict.fromkeys(self.letters):
             if not 1 <= idx <= self.strands - 1:
                 raise ValueError(f"generator index {idx} out of range")
             if sign not in (-1, 1):

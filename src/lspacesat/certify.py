@@ -28,7 +28,15 @@ json's ASCII escape, so its text is the one json.dumps writes for the
 same record; a table pattern goes through json.dumps itself.
 from_json reads only the head of a text: "format": 3 first (a text whose
 format is not the integer 3 is refused, and one without the key is
-format 1), then the pattern and the companion, as its six facts.  Replay
+format 1), then the pattern and the companion, as its six facts.  A
+sweep's certificates name a handful of companions, so from_json reads
+each distinct companion text once: it keeps the last 256 texts it
+decoded, each with the KnotFacts it built, and looks up the text between
+the companion key and the verdict key that to_json writes next.  Only a
+text it does not keep is decoded and checked; a kept text is a whole
+object that decoded to those facts, so a hit gives what decoding would.
+Likewise _companion_side holds the text to_json writes for each
+companion, formatted once.  Replay
 re-runs the pipeline on those two inputs and accepts the certificate
 only when the re-run writes the stored text, so no second text replays
 as the same certificate: not a reformatted one, not one holding 1 for
@@ -168,6 +176,12 @@ _CERTIFICATE_JSON = json.JSONDecoder(parse_float=_no_floats, parse_constant=_no_
 _FORMAT = 3
 _HEAD = f'{{"format": {_FORMAT}, "pattern": '
 _COMPANION_KEY = ', "companion": '
+_VERDICT_KEY = ', "verdict": '
+
+# The companions from_json has read, each under the exact text it was
+# decoded from (at most _COMPANIONS_MAX, the oldest dropped first).
+_COMPANIONS: dict[str, KnotFacts] = {}
+_COMPANIONS_MAX = 256
 
 # The JSON text of a flag.
 _FLAG = {True: "true", False: "false"}
@@ -250,15 +264,12 @@ class Certificate:
         return json.loads(self.to_json())["checks"]
 
     def to_json(self) -> str:
-        k, p, reason = self.companion, self.params, self.reason
+        p, reason = self.params, self.reason
         checks = ", ".join(_CHECK_TEXT[id](passed, *values) for id, passed, values in self.records)
         params = "null" if p is None else f'{{"a": {p.a}, "b": {p.b}, "r": {p.r}}}'
         return (
             f"{_HEAD}{pattern_to_text(self.pattern)}{_COMPANION_KEY}"
-            f'{{"name": {_string(k.name)}, "genus": {k.genus}, '
-            f'"is_lspace": {_FLAG[k.is_lspace]}, "is_neg_lspace": {_FLAG[k.is_neg_lspace]}, '
-            f'"is_fibered": {_FLAG[k.is_fibered]}, "is_unknot": {_FLAG[k.is_unknot]}}}, '
-            f'"verdict": {_string(self.verdict)}, '
+            f"{_companion_side(self.companion)[2]}{_VERDICT_KEY}{_string(self.verdict)}, "
             f'"reason": {"null" if reason is None else _string(reason)}, '
             f'"params": {params}, "checks": [{checks}], '
             f'"trusted_inputs": [{", ".join(map(_string, self.trusted_inputs))}]}}'
@@ -283,14 +294,26 @@ class Certificate:
             pattern, end = _CERTIFICATE_JSON.raw_decode(text, len(_HEAD))
             if not text.startswith(_COMPANION_KEY, end):
                 raise ValueError
-            companion, _ = _CERTIFICATE_JSON.raw_decode(text, end + len(_COMPANION_KEY))
+            start = end + len(_COMPANION_KEY)
+            # A companion read before is known by its text: each key is a
+            # whole object that once decoded to it, so a decoder started
+            # here would stop at that key's end with the same dict.
+            companion = _COMPANIONS.get(text[start : text.find(_VERDICT_KEY, start)])
+            if companion is None:
+                fields, end = _CERTIFICATE_JSON.raw_decode(text, start)
         except ValueError:
             raise ValueError(_refusal(text)) from None
+        if companion is not None:
+            return StoredCertificate(pattern_from_json(pattern), companion, text)
         try:
-            companion = json_object(companion, _FACT_TYPES)
+            fields = json_object(fields, _FACT_TYPES)
         except ValueError as e:
             raise ValueError(f"companion: {e}") from None
-        return StoredCertificate(pattern_from_json(pattern), KnotFacts(**companion), text)
+        stored = StoredCertificate(pattern_from_json(pattern), KnotFacts(**fields), text)
+        if len(_COMPANIONS) >= _COMPANIONS_MAX:
+            del _COMPANIONS[next(iter(_COMPANIONS))]
+        _COMPANIONS[text[start:end]] = stored.companion
+        return stored
 
 
 def _refusal(text: str, rerun: str | None = None) -> str:
@@ -388,13 +411,20 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> list[tuple]:
 
 
 @functools.lru_cache(maxsize=256)
-def _companion_side(k: KnotFacts) -> tuple[str, str]:
+def _companion_side(k: KnotFacts) -> tuple[str, str, str]:
     """What a certificate reads off the companion alone, built once per
     companion and shared by the certificates that name it: the trusted
-    input line, then the text of its strict L-space slopes (2g-1, ∞),
-    which only the cover stage reads, for a nontrivial L-space K.  The
-    text writes the integer 2g-1 as str(Slope(2g-1)) would, as n/1."""
-    return f"companion facts: {facts_note(k)}", f"({2 * k.genus - 1}/1, inf)"
+    input line, the text of its strict L-space slopes (2g-1, ∞), which
+    only the cover stage reads, for a nontrivial L-space K, and the JSON
+    object to_json writes for it.  The slope text writes the integer 2g-1
+    as str(Slope(2g-1)) would, as n/1."""
+    return (
+        f"companion facts: {facts_note(k)}",
+        f"({2 * k.genus - 1}/1, inf)",
+        f'{{"name": {_string(k.name)}, "genus": {k.genus}, '
+        f'"is_lspace": {_FLAG[k.is_lspace]}, "is_neg_lspace": {_FLAG[k.is_neg_lspace]}, '
+        f'"is_fibered": {_FLAG[k.is_fibered]}, "is_unknot": {_FLAG[k.is_unknot]}}}',
+    )
 
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
@@ -402,7 +432,7 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     self-contained certificate.  Every input gets a verdict; a check that
     fails after thm1.4 has passed raises ConsistencyError instead, since
     the proof of Theorem 1 makes it hold."""
-    note, companion_text = _companion_side(k)
+    note, companion_text, _ = _companion_side(k)
     trusted = [note, *p.asserted()]
     try:
         checks = necessary_check(p, k)

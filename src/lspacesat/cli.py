@@ -186,19 +186,19 @@ def _cmd_certify(args, out) -> int:
 
 
 def _cmd_explain(args, out) -> int:
-    stored, _ = _replay(args.certificate, out)
-    # The re-run, whose text is the stored one.
-    cert = certify_satellite(stored.pattern, stored.companion)
-    if cert.reason is not None:
-        print(f"reason: {cert.reason}", file=out)
-    for check in cert.checks:
+    stored, verdict = _replay(args.certificate, out)
+    # Replay accepted the stored text, so it is the re-run's text.
+    cert = json.loads(stored.text)
+    if cert["reason"] is not None:
+        print(f"reason: {cert['reason']}", file=out)
+    for check in cert["checks"]:
         mark = "ok" if check["pass"] else "FAIL"
         values = json.dumps(check["values"], ensure_ascii=False)
         print(f"[{mark}] {check['id']}  {render_statement(check)}  {values}", file=out)
     print("trusted_inputs:", file=out)
-    for line in cert.trusted_inputs:
+    for line in cert["trusted_inputs"]:
         print(f"  {line}", file=out)
-    return _VERDICT_EXIT[cert.verdict]
+    return _VERDICT_EXIT[verdict]
 
 
 def _cmd_cable(args, out) -> int:

@@ -208,7 +208,7 @@ class _TablePattern(PatternFacts):
         _set_pos_tail_from(self, pos_tail_from)
 
     def asserted(self) -> list[str]:
-        """The facts line, then each tabled twist in table order, then
+        """The facts line, then each tabled twist in order of n, then
         each declared tail."""
         lines = [
             f"pattern facts: {self.name} (winding={self.winding}, "
@@ -252,13 +252,14 @@ def torus_pattern(p: int, q: int) -> PatternFacts:
 
 def one_bridge_braid_word(w: int, b: int, t: int) -> BraidWord:
     """The word (σ_b ⋯ σ_1)(σ_{w-1} ⋯ σ_1)^t on w strands; negative t
-    contributes the formal inverse of the positive power."""
-    letters = [(i, 1) for i in range(b, 0, -1)]
+    contributes the formal inverse of the positive power.  The passes
+    repeat one tuple of letters, so the word shares its letter objects."""
+    bridge = tuple((i, 1) for i in range(b, 0, -1))
     if t >= 0:
-        letters += [(i, 1) for _ in range(t) for i in range(w - 1, 0, -1)]
+        pass_ = tuple((i, 1) for i in range(w - 1, 0, -1))
     else:
-        letters += [(i, -1) for _ in range(-t) for i in range(1, w)]
-    return BraidWord(w, tuple(letters))
+        pass_ = tuple((i, -1) for i in range(1, w))
+    return BraidWord(w, bridge + pass_ * abs(t))
 
 
 def one_bridge_braid(
@@ -293,8 +294,10 @@ def table_pattern(
 ) -> PatternFacts:
     """A pattern known by tabled twists and asserted tails: P(U, n) is a
     negative L-space knot for n <= -neg_threshold and an L-space knot for
-    n >= pos_from.  Raises ValueError, naming the twist, for a table that
-    contradicts itself: an entry over the genus twist bound or under
+    n >= pos_from.  The entries are stored in order of n, so a table has
+    one text whatever order its twists are given in.  Raises ValueError
+    for a table that contradicts itself, naming the first twist at fault
+    in the order given: an entry over the genus twist bound or under
     genus_s3 - |n|·w(w-1)/2, P(U) at n = 0 of a genus other than
     genus_s3, an entry in a tail that lacks the tail's flag, or tails that
     overlap where the bound allows a nontrivial knot, which cannot have
@@ -307,7 +310,7 @@ def table_pattern(
         genus_s3=genus_s3,
         has_minimal_meridional_disk=has_disk,
         neg_lspace_threshold=neg_threshold,
-        entries=dict(twists),
+        entries=dict(sorted(twists.items())),
         pos_tail_from=pos_from,
     )
     for n, facts in twists.items():

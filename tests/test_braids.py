@@ -22,6 +22,19 @@ def word(strands, *letters):
     return BraidWord(strands, tuple(letters))
 
 
+class TestValidation:
+    def test_names_the_first_bad_letter(self):
+        """Each distinct letter is checked once, in the order of its first
+        occurrence, so the error names the first bad letter of the word."""
+        good = ((1, 1), (2, -1)) * 3
+        with pytest.raises(ValueError, match="generator index 3 out of range"):
+            BraidWord(3, good + ((3, 1), (1, 2), (3, 1)))
+        with pytest.raises(ValueError, match="letter sign must be ±1, got 2"):
+            BraidWord(3, good + ((1, 2), (3, 1), (1, 2)))
+        with pytest.raises(ValueError, match="generator index 0 out of range"):
+            BraidWord(3, ((0, 5),) + good)
+
+
 class TestFreeReduce:
     def test_adjacent_inverse_pair(self):
         assert braid_free_reduce(word(2, (1, 1), (1, -1))).letters == ()

@@ -277,18 +277,20 @@ class TestCertifySatellite:
     )
     def test_trusted_inputs_of_a_table(self, twists, pos_from, verdict, reason):
         """A table's trusted inputs are its facts, entries and tails,
-        however far the run reads."""
+        however far the run reads, the entries in order of n although
+        each table gives them in the other order."""
         pat = table_pattern("t", 2, 1, True, twists, neg_threshold=7, pos_from=pos_from)
         cert = certify_satellite(pat, TREFOIL)
         assert cert.verdict == verdict and (cert.reason or "").startswith(reason)
-        n1, n2 = twists
+        n_trefoil, n_unknot = twists
+        assert n_unknot < n_trefoil
         assert cert.trusted_inputs == [
             companion_line(TREFOIL),
             "pattern facts: t (winding=2, genus_s3=1, meridional_disk=True)",
-            f"twist {n1} of t: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, "
-            "is_fibered=True, is_unknot=False)",
-            f"twist {n2} of t: T(2,-1) (genus=0, is_lspace=True, is_neg_lspace=True, "
+            f"twist {n_unknot} of t: T(2,-1) (genus=0, is_lspace=True, is_neg_lspace=True, "
             "is_fibered=True, is_unknot=True)",
+            f"twist {n_trefoil} of t: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, "
+            "is_fibered=True, is_unknot=False)",
             "negative tail of t: n <= -7",
             f"positive tail of t: n >= {pos_from}",
         ]
@@ -933,6 +935,32 @@ class TestCertificateText:
         trefoil at -7, inside its own negative tail n <= -7."""
         with pytest.raises(ValueError, match="entry n=-7 lies in the negative tail n <= -7"):
             table_pattern("t", 2, 1, True, {0: TREFOIL, -7: TREFOIL}, neg_threshold=7, pos_from=-2)
+
+
+class TestCompanionTable:
+    """from_json reads each distinct companion text once; a later read of
+    the same text returns the object the first one built."""
+
+    def test_two_reads_of_one_companion_return_one_object(self):
+        k = KnotFacts("K-shared", 2, True, False, True, False)
+        texts = [certify_satellite(torus_pattern(p, q), k).to_json() for p, q in ((2, 3), (3, 17))]
+        certify._COMPANIONS.clear()
+        first, second = map(Certificate.from_json, texts)
+        assert first.companion == k and second.companion is first.companion
+        replay_certificate(first)
+        hits = _companion_side.cache_info().hits
+        assert replay_certificate(second) == CERTIFIED
+        assert _companion_side.cache_info().hits > hits
+
+    def test_the_table_holds_at_most_256_companions(self):
+        certify._COMPANIONS.clear()
+        for i in range(300):
+            k = KnotFacts(f"K{i}", 1, True, False, True, False)
+            last = Certificate.from_json(certify_satellite(torus_pattern(2, 3), k).to_json())
+        assert len(certify._COMPANIONS) == certify._COMPANIONS_MAX == 256
+        # The oldest went first; the latest is kept.
+        assert last.companion in certify._COMPANIONS.values()
+        assert KnotFacts("K0", 1, True, False, True, False) not in certify._COMPANIONS.values()
 
 
 class TestTotality:

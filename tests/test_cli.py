@@ -893,6 +893,92 @@ class TestInputFuzz:
             assert err.getvalue() == ""
 
 
+def _read(text):
+    """What Certificate.from_json makes of text: the stored certificate,
+    or the type and text of the error it raises."""
+    try:
+        return Certificate.from_json(text)
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _edited(cert, edit):
+    """The text of cert's document after edit(doc) changed it in place."""
+    doc = json.loads(cert.to_json())
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _move_verdict_last(doc):
+    doc["verdict"] = doc.pop("verdict")
+
+
+def _set_companion(key, value):
+    return lambda doc: doc["companion"].__setitem__(key, value)
+
+
+# Edits in the companion and just after it, where from_json looks for
+# the end of the companion's text.
+_COMPANION_EDITS = [
+    _set_companion("name", {"a": 1, "verdict": "CERTIFIED"}),
+    _set_companion("extra", {"a": 1, "verdict": "CERTIFIED"}),
+    _set_companion("name", 'K, "verdict": "CERTIFIED"'),
+    _set_companion("name", "\\u03c4"),
+    _set_companion("name", "τ"),
+    lambda doc: doc.pop("verdict"),
+    _move_verdict_last,
+]
+
+# One value of each JSON type, and values a leaf of a certificate holds.
+_LEAF_VALUES = [
+    None, True, False, 0, 1, -1, 2, 3, 7, 1.5, "", "x", "τ", "T(2,3)", "CERTIFIED",
+    [], [1], {}, {"a": 1, "verdict": 2},
+]
+
+
+class TestColdAndWarmReads:
+    """A read gives one outcome, the same stored certificate or the same
+    error, whether or not from_json has read the companion before."""
+
+    @staticmethod
+    def assert_cold_equals_warm(texts):
+        for text in texts:
+            certify._COMPANIONS.clear()
+            cold = _read(text)
+            for cert in _FUZZ_CERTIFICATES:
+                Certificate.from_json(cert.to_json())
+            _read(text)
+            assert _read(text) == cold, text
+
+    def test_every_one_leaf_edit(self):
+        self.assert_cold_equals_warm(
+            json.dumps(_replaced(json.loads(cert.to_json()), path, value))
+            for cert, path in _FUZZ_LEAVES
+            for value in _LEAF_VALUES
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(leaf=st.sampled_from(_FUZZ_LEAVES), value=_ODD_VALUES)
+    def test_one_changed_leaf(self, leaf, value):
+        cert, path = leaf
+        text = json.dumps(_replaced(json.loads(cert.to_json()), path, value))
+        self.assert_cold_equals_warm([text])
+
+    def test_edits_in_and_after_the_companion(self):
+        texts = [_edited(cert, edit) for cert in _FUZZ_CERTIFICATES for edit in _COMPANION_EDITS]
+        # A raw non-ASCII name, which from_json reads as its escape.
+        texts += [text.replace("\\u03c4", "τ") for text in texts if "\\u03c4" in text]
+        # Space before, and no space in, the separator after the companion.
+        for cert in _FUZZ_CERTIFICATES:
+            text = cert.to_json()
+            texts += [text.replace(', "verdict"', sep) for sep in (' , "verdict"', ',"verdict"')]
+        self.assert_cold_equals_warm(texts)
+        # A name holding the separator as JSON text is read once, then known.
+        text = _edited(_FUZZ_CERTIFICATES[0], _set_companion("name", 'K, "verdict": "CERTIFIED"'))
+        certify._COMPANIONS.clear()
+        assert _read(text).companion is _read(text).companion
+
+
 class TestRepeatedMain:
     def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
         """main() builds its parser once; a run of commands in one
@@ -1102,6 +1188,21 @@ class TestExplain:
         code, out, err = self.explain(text, tmp_path, capsys)
         assert (code, out) == (3, "")
         assert err.startswith("error: cannot replay ") and err.count("\n") == 1
+
+    def test_runs_the_pipeline_once(self, tmp_path, capsys, monkeypatch):
+        """Replay runs the pipeline; the table is read off the stored
+        text, which replay found to be the re-run's."""
+        calls = []
+
+        def counted(pattern, companion):
+            calls.append(companion)
+            return certify_satellite(pattern, companion)
+
+        monkeypatch.setattr(certify, "certify_satellite", counted)
+        monkeypatch.setattr(cli, "certify_satellite", counted)
+        code, out, err = self.explain(CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
+        assert (code, err, len(out.splitlines())) == (0, "", 14)
+        assert len(calls) == 1
 
     def test_a_missing_file_exits_3(self, tmp_path, capsys):
         code, out = run(["explain", str(tmp_path / "absent.json")])

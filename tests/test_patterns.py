@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
 from lspacesat import (
     BraidSign,
+    BraidWord,
     KnotFacts,
     braid_add_full_twists,
     braid_free_reduce,
@@ -134,6 +136,31 @@ class TestOneBridgeBraid:
                         assert pat.twisted_facts(n) == expected
                         checked += 1
         assert checked == 96 * 9  # 96 of the 465 (w, b, t) close to knots
+
+    def test_word_equals_the_letter_by_letter_build(self):
+        """The word repeats one pass tuple; its letters are those of the
+        word built one letter at a time."""
+        for w in range(3, 13):
+            for b in range(1, w - 1):
+                for t in range(-2 * w, 3 * w):
+                    letters = [(i, 1) for i in range(b, 0, -1)]
+                    if t >= 0:
+                        letters += [(i, 1) for _ in range(t) for i in range(w - 1, 0, -1)]
+                    else:
+                        letters += [(i, -1) for _ in range(-t) for i in range(1, w)]
+                    assert one_bridge_braid_word(w, b, t) == BraidWord(w, tuple(letters))
+
+    def test_knot_check_memory(self):
+        """The knot check of B(500, 1, 498) builds a word of 248 502
+        letters; sharing the letter tuples keeps its traced peak under
+        8 MiB (one tuple per letter took 20.8 MiB)."""
+        tracemalloc.start()
+        try:
+            one_bridge_braid(500, 1, 498)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_bridge_range(self):
         with pytest.raises(ValueError, match="bridge width"):
@@ -325,6 +352,30 @@ class TestTablePattern:
         table_pattern("t", 2, 0, True, {}, neg_threshold=0, pos_from=0)
         with pytest.raises(ValueError, match="overlap at n=-1, whose genus bound 1"):
             table_pattern("t", 2, 0, True, {}, neg_threshold=1, pos_from=-1)
+
+    def test_one_text_whatever_the_order_of_twists(self):
+        """Twists given in either order make one table: its entries and
+        trusted lines in order of n, and one certificate."""
+        twists = {0: torus_knot(2, 3), 1: torus_knot(2, 5)}
+        orders = (twists.items(), reversed(twists.items()))
+        tables = [table_pattern("t", 2, 1, True, dict(order)) for order in orders]
+        assert [list(pat.entries) for pat in tables] == [[0, 1], [0, 1]]
+        assert tables[0].asserted() == tables[1].asserted()
+        assert [line.split(":")[0] for line in tables[0].asserted()[1:]] == [
+            "twist 0 of t",
+            "twist 1 of t",
+        ]
+        texts = [certify_satellite(pat, torus_knot(2, 3)).to_json() for pat in tables]
+        assert texts[0] == texts[1]
+        assert list(json.loads(texts[0])["pattern"]["table"]["twists"]) == ["0", "1"]
+
+    def test_errors_name_the_first_twist_at_fault_in_the_order_given(self):
+        # Both entries break the genus twist bound of a genus-1 pattern.
+        bad = {3: torus_knot(2, 21), -3: torus_knot(2, 21)}
+        for twists in (bad, dict(reversed(bad.items()))):
+            n = next(iter(twists))
+            with pytest.raises(ValueError, match=f"entry n={n} violates"):
+                table_pattern("t", 2, 1, True, twists)
 
     def test_gap_errors(self):
         pat = self.build()

@@ -1,0 +1,32 @@
+"""Every Python file of the project parses as Python 3.10, the oldest
+version pyproject.toml admits and CI runs."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    path for d in ("src", "tests", "demos", "perfbench") for path in (ROOT / d).rglob("*.py")
+)
+
+
+def test_every_file_parses_as_python_3_10():
+    """ast.parse with feature_version=(3, 10) refuses syntax newer than
+    3.10, such as except* or a type statement, on any later Python.  It
+    catches newer syntax, not newer stdlib names: a call to a function
+    that 3.10 lacks still parses."""
+    assert Path(__file__).resolve() in FILES
+    refused = []
+    for path in FILES:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        except SyntaxError as e:
+            refused.append(f"{path.relative_to(ROOT)}:{e.lineno}: {e.msg}")
+    assert refused == []
+
+
+def test_newer_syntax_is_refused():
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
