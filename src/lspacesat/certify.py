@@ -21,28 +21,27 @@ Certificates are written in format 3, which states each fact once: the
 arc [1/a → ∞ → 1/b] is read off params, the lemma records only what
 Theorem 1 has not already checked, and a check records no statement.  A
 certificate is exactly the text to_json writes, as a DER encoding is for
-X.509: one text per record.  to_json writes each record shape from fixed
-key texts (each check id, the companion, a braided pattern, params),
-integers as int.__repr__, flags as true and false, and strings through
-json's ASCII escape, so its text is the one json.dumps writes for the
-same record; a table pattern goes through json.dumps itself.
+X.509: one text per record.  to_json writes each check and params from
+fixed key texts, integers as int.__repr__, flags as true and false, and
+strings through json's ASCII escape, and the inputs through their own
+modules' writers, pattern_to_text and companion_to_text, which do the
+same, so its text is the one json.dumps writes for the same record.
 from_json reads only the head of a text: "format": 3 first (a text whose
 format is not the integer 3 is refused, and one without the key is
-format 1), then the pattern and the companion, as its six facts.  A
-sweep's certificates name a handful of companions, so from_json reads
-each distinct companion text once: it keeps the last 256 texts it
-decoded, each with the KnotFacts it built, and looks up the text between
-the companion key and the verdict key that to_json writes next.  Only a
-text it does not keep is decoded and checked; a kept text is a whole
-object that decoded to those facts, so a hit gives what decoding would.
-Likewise _companion_side holds the text to_json writes for each
-companion, formatted once.  Replay
-re-runs the pipeline on those two inputs and accepts the certificate
-only when the re-run writes the stored text, so no second text replays
-as the same certificate: not a reformatted one, not one holding 1 for
-true, and not one repeating a key.  The file is UTF-8, so a non-ASCII
-character may stand in it for the \\u escape to_json writes.  Only a
-refused text is decoded in full, to name its format, its first
+format 1), then the pattern and the companion, as its six facts.  What a
+certificate reads off its companion alone (its trusted line, its strict
+slope text and its written text) is built once and kept in one table,
+_COMPANIONS, of at most 256 companions, the oldest dropped first.
+to_json looks it up by the facts, from_json by the text between the
+companion key and the verdict key to_json writes next, so a sweep's
+handful of companions is decoded once each: a kept text is a whole
+object that decodes to its record's facts, and only another is decoded.
+Replay re-runs the pipeline on those two inputs and accepts the
+certificate only when the re-run writes the stored text, so no second
+text replays as the same certificate: not a reformatted one, not one
+holding 1 for true, and not one repeating a key.  The file is UTF-8, so
+a non-ASCII character may stand in it for the \\u escape to_json writes.
+Only a refused text is decoded in full, to name its format, its first
 top-level key that differs from the re-run's, or else its form.  Each
 check is built once, as a record (id, passed, values): passed is always
 a bool, as every flag of the facts is, and values is a tuple of the
@@ -52,8 +51,8 @@ a certificate's checks as dicts, {"id", "pass", "values"} in that order,
 are its text decoded (Certificate.checks).  What a check states is a
 fixed text per id (STATEMENTS), filled in from the check's own values by
 render_statement, which lspacesat explain prints beside each check; only
-thm1.3 and lem.7 read a value, the twist.  The trusted inputs are read
-off the two inputs, not off the run: the companion's facts, which replay
+thm1.3 and lem.7 read a value, the twist.  The trusted inputs are not
+stored but read off the two inputs: the companion's facts, which replay
 takes as given, then what the pattern asserts (PatternFacts.asserted), so
 every run on a pair lists the same.
 
@@ -72,7 +71,7 @@ s2, the closed arc [a, b], that is when a > 2g(K) - 1.  Both texts are
 written straight from the integers 2g(K) - 1, a and b, each as n/1, the
 text str(Slope(n)) gives an integer n, so the cover builds no Slope.
 The text of s1 depends on the companion alone, so like its trusted line
-it is built once per companion (_companion_side).  The general route
+it is kept in the companion's record.  The general route
 (SlopeSet.from_arcs, GluingMap.image_of_set, covers_circle, str) stays
 in the test suite as the oracle this closed form is checked against.
 
@@ -91,7 +90,6 @@ ConsistencyError, naming the check, the pattern and the companion.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass
@@ -99,9 +97,10 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple
 
 from .knots import (
-    _FACT_TYPES,
     KnotFacts,
     cable_is_lspace_exact,
+    companion_to_text,
+    facts_from_json,
     facts_note,
     json_object,
 )
@@ -178,10 +177,9 @@ _HEAD = f'{{"format": {_FORMAT}, "pattern": '
 _COMPANION_KEY = ', "companion": '
 _VERDICT_KEY = ', "verdict": '
 
-# The companions from_json has read, each under the exact text it was
-# decoded from (at most _COMPANIONS_MAX, the oldest dropped first).
-_COMPANIONS: dict[str, KnotFacts] = {}
-_COMPANIONS_MAX = 256
+# One record per companion, (facts, trusted line, strict slope text,
+# written text), kept under its facts and under its written text.
+_COMPANIONS: dict[KnotFacts | str, tuple[KnotFacts, str, str, str]] = {}
 
 # The JSON text of a flag.
 _FLAG = {True: "true", False: "false"}
@@ -254,7 +252,11 @@ class Certificate:
     reason: str | None
     params: LemmaParams | None
     records: list[tuple]
-    trusted_inputs: list[str]
+
+    @property
+    def trusted_inputs(self) -> list[str]:
+        """The companion's facts line, then what the pattern asserts."""
+        return [_companion(self.companion)[1], *self.pattern.asserted()]
 
     @property
     def checks(self) -> list[dict]:
@@ -267,12 +269,13 @@ class Certificate:
         p, reason = self.params, self.reason
         checks = ", ".join(_CHECK_TEXT[id](passed, *values) for id, passed, values in self.records)
         params = "null" if p is None else f'{{"a": {p.a}, "b": {p.b}, "r": {p.r}}}'
+        _, note, _, companion = _companion(self.companion)
+        trusted = ", ".join(map(_string, [note, *self.pattern.asserted()]))
         return (
             f"{_HEAD}{pattern_to_text(self.pattern)}{_COMPANION_KEY}"
-            f"{_companion_side(self.companion)[2]}{_VERDICT_KEY}{_string(self.verdict)}, "
+            f"{companion}{_VERDICT_KEY}{_string(self.verdict)}, "
             f'"reason": {"null" if reason is None else _string(reason)}, '
-            f'"params": {params}, "checks": [{checks}], '
-            f'"trusted_inputs": [{", ".join(map(_string, self.trusted_inputs))}]}}'
+            f'"params": {params}, "checks": [{checks}], "trusted_inputs": [{trusted}]}}'
         )
 
     @classmethod
@@ -295,25 +298,16 @@ class Certificate:
             if not text.startswith(_COMPANION_KEY, end):
                 raise ValueError
             start = end + len(_COMPANION_KEY)
-            # A companion read before is known by its text: each key is a
-            # whole object that once decoded to it, so a decoder started
-            # here would stop at that key's end with the same dict.
-            companion = _COMPANIONS.get(text[start : text.find(_VERDICT_KEY, start)])
-            if companion is None:
-                fields, end = _CERTIFICATE_JSON.raw_decode(text, start)
+            # A kept text is a whole object that decodes to its record's
+            # facts: a decoder started here would stop at its end with them.
+            record = _COMPANIONS.get(text[start : text.find(_VERDICT_KEY, start)])
+            if record is None:
+                fields = _CERTIFICATE_JSON.raw_decode(text, start)[0]
         except ValueError:
             raise ValueError(_refusal(text)) from None
-        if companion is not None:
-            return StoredCertificate(pattern_from_json(pattern), companion, text)
-        try:
-            fields = json_object(fields, _FACT_TYPES)
-        except ValueError as e:
-            raise ValueError(f"companion: {e}") from None
-        stored = StoredCertificate(pattern_from_json(pattern), KnotFacts(**fields), text)
-        if len(_COMPANIONS) >= _COMPANIONS_MAX:
-            del _COMPANIONS[next(iter(_COMPANIONS))]
-        _COMPANIONS[text[start:end]] = stored.companion
-        return stored
+        if record is None:
+            record = _companion(facts_from_json(fields, "companion: "))
+        return StoredCertificate(pattern_from_json(pattern), record[0], text)
 
 
 def _refusal(text: str, rerun: str | None = None) -> str:
@@ -410,21 +404,18 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> list[tuple]:
 # -- the main pipeline --------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _companion_side(k: KnotFacts) -> tuple[str, str, str]:
-    """What a certificate reads off the companion alone, built once per
-    companion and shared by the certificates that name it: the trusted
-    input line, the text of its strict L-space slopes (2g-1, ∞), which
-    only the cover stage reads, for a nontrivial L-space K, and the JSON
-    object to_json writes for it.  The slope text writes the integer 2g-1
-    as str(Slope(2g-1)) would, as n/1."""
-    return (
-        f"companion facts: {facts_note(k)}",
-        f"({2 * k.genus - 1}/1, inf)",
-        f'{{"name": {_string(k.name)}, "genus": {k.genus}, '
-        f'"is_lspace": {_FLAG[k.is_lspace]}, "is_neg_lspace": {_FLAG[k.is_neg_lspace]}, '
-        f'"is_fibered": {_FLAG[k.is_fibered]}, "is_unknot": {_FLAG[k.is_unknot]}}}',
-    )
+def _companion(k: KnotFacts) -> tuple[KnotFacts, str, str, str]:
+    """k's record in _COMPANIONS, made on first use.  The slope text, of
+    (2g-1, ∞), writes 2g-1 as str(Slope(2g-1)) would, as n/1."""
+    record = _COMPANIONS.get(k)
+    if record is None:
+        text = companion_to_text(k)
+        record = (k, f"companion facts: {facts_note(k)}", f"({2 * k.genus - 1}/1, inf)", text)
+        if len(_COMPANIONS) >= 2 * 256:
+            # Keys go in and out in pairs, the facts first.
+            del _COMPANIONS[_COMPANIONS.pop(next(iter(_COMPANIONS)))[3]]
+        _COMPANIONS[k] = _COMPANIONS[text] = record
+    return record
 
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
@@ -432,14 +423,12 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     self-contained certificate.  Every input gets a verdict; a check that
     fails after thm1.4 has passed raises ConsistencyError instead, since
     the proof of Theorem 1 makes it hold."""
-    note, companion_text, _ = _companion_side(k)
-    trusted = [note, *p.asserted()]
     try:
         checks = necessary_check(p, k)
     except UnknownTwistError as e:
-        return Certificate(p, k, NOT_CERTIFIED, f"unknown-twist:necessary ({e})", None, [], trusted)
+        return Certificate(p, k, NOT_CERTIFIED, f"unknown-twist:necessary ({e})", None, [])
     if reason := _first_failure(checks):
-        return Certificate(p, k, REJECTED, reason, None, checks, trusted)
+        return Certificate(p, k, REJECTED, reason, None, checks)
 
     n = -2 * k.genus
     try:
@@ -455,11 +444,11 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
         ("thm1.3", lspace, about),
     ]
     if unknown:
-        return Certificate(p, k, NOT_CERTIFIED, unknown, None, checks, trusted)
+        return Certificate(p, k, NOT_CERTIFIED, unknown, None, checks)
     threshold = p.neg_lspace_threshold
     checks.append(("thm1.4", threshold is not None, (threshold,)))
     if reason := _first_failure(checks):
-        return Certificate(p, k, NOT_CERTIFIED, reason, None, checks, trusted)
+        return Certificate(p, k, NOT_CERTIFIED, reason, None, checks)
 
     # Past thm1.4 the lemma and the cover are the proof of Theorem 1 and
     # hold by construction, so a failing check here is an engine bug.
@@ -470,13 +459,13 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     # The cover in closed form (see the module docstring): s1 is
     # (2g-1, ∞) and s2 the swapped open arc b → ∞ → a, each end n as n/1.
     glued = f"({params.b}/1, inf] ∪ [-inf, {params.a}/1)"
-    proof.append(("hrrw.cover", params.a > 2 * k.genus - 1, (companion_text, glued)))
+    proof.append(("hrrw.cover", params.a > 2 * k.genus - 1, (_companion(k)[2], glued)))
     if failed := _first_failure(proof):
         raise ConsistencyError(
             f"{failed} failed after thm1.4 passed, for pattern {p.name} and companion {k.name}"
         )
     checks += proof
-    return Certificate(p, k, CERTIFIED, None, params, checks, trusted)
+    return Certificate(p, k, CERTIFIED, None, params, checks)
 
 
 @dataclass(slots=True)

@@ -20,13 +20,13 @@ Subcommands:
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected, 3 any
 other end: bad input (including an empty --out, --replay or explain
 path, JSON nested too deeply, an integer of more digits than Python
-reads or writes, a certificate of another format, formats 1 and 2
-included, or one that is malformed, holds a float, has keys other than
-those certificates are written with, holds its companion in another
-form than its six facts, or is not the text the re-run writes), an
-output stream that cannot encode the text, or an engine bug: a
-ConsistencyError (a check that holds by construction failing) or any
-other exception, an "internal error".
+reads or writes, a one-bridge braid of over 2000 strands, a certificate
+of another format, formats 1 and 2 included, or one that is malformed,
+holds a float, has keys other than those certificates are written with,
+holds its companion in another form than its six facts, or is not the
+text the re-run writes), an output stream that cannot encode the text,
+or an engine bug: a ConsistencyError (a check that holds by construction
+failing) or any other exception, an "internal error".
 main alone turns an exception into exit 3; exit 1 means "not certified".
 Pattern and companion JSON is read strictly: each object holds exactly
 its documented keys, none twice, integers are JSON integers, [p, q] two
@@ -47,6 +47,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 from math import gcd
 
 from .certify import (
@@ -94,11 +95,11 @@ _BAD_INPUT = (ValueError, UnknownTwistError, RecursionError)
 
 
 def _no_repeated_keys(pairs: list) -> dict:
-    """A decoded JSON object; a repeated key is refused, not overwritten."""
+    """A decoded JSON object; its first repeated key in order is refused."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ValueError(f"repeated key {next(k for k in obj if keys.count(k) > 1)!r}")
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"repeated key {next(k for k in obj if counts[k] > 1)!r}")
     return obj
 
 

@@ -9,15 +9,16 @@ past the frozen __setattr__, each flag as a bool (a Python caller may
 pass 1 or 0); dataclasses.replace goes through the same checks.  The
 slope set a companion complement contributes to the gluing argument, and
 the exact cable criterion used as ground truth in tests, both live here.
-So does json_object, through which every JSON object lspacesat reads
-passes: patterns, companions and certificates, each key checked for its
-type.
+So do json_object, which reads every JSON object lspacesat reads, each
+key checked for its type, and the one writer and reader of the six-fact
+companion object, companion_to_text and facts_from_json.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 from typing import get_type_hints
 
@@ -228,15 +229,27 @@ def companion_from_json(obj) -> KnotFacts:
         spec = json_object(obj, {"cable": dict})["cable"]
         spec = json_object(spec, {"companion": object, "p": int, "q": int})
         return cable_facts(companion_from_json(spec["companion"]), spec["p"], spec["q"])
-    return KnotFacts(**json_object(obj, _FACT_TYPES))
+    return facts_from_json(obj)
 
 
-def companion_to_json(k: KnotFacts) -> dict:
-    return {
-        "name": k.name,
-        "genus": k.genus,
-        "is_lspace": k.is_lspace,
-        "is_neg_lspace": k.is_neg_lspace,
-        "is_fibered": k.is_fibered,
-        "is_unknot": k.is_unknot,
-    }
+def facts_from_json(obj, where: str = "") -> KnotFacts:
+    """KnotFacts from the six fields, each of its type; a key or type
+    error is prefixed with where, a contradiction among the facts not."""
+    try:
+        fields = json_object(obj, _FACT_TYPES)
+    except ValueError as e:
+        raise ValueError(f"{where}{e}") from None
+    return KnotFacts(**fields)
+
+
+_FLAG = {True: "true", False: "false"}  # a flag's JSON text
+
+
+def companion_to_text(k: KnotFacts) -> str:
+    """The text json.dumps writes for k's six facts, from fixed key
+    texts; facts_from_json reads it back to k."""
+    return (
+        f'{{"name": {_string(k.name)}, "genus": {k.genus}, '
+        f'"is_lspace": {_FLAG[k.is_lspace]}, "is_neg_lspace": {_FLAG[k.is_neg_lspace]}, '
+        f'"is_fibered": {_FLAG[k.is_fibered]}, "is_unknot": {_FLAG[k.is_unknot]}}}'
+    )

@@ -30,16 +30,16 @@ same way.  So dataclasses.replace goes through the same checks.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 from typing import Mapping
 
 from .braids import BraidWord, closure_components
 from .knots import (
     KnotFacts,
     companion_from_json,
-    companion_to_json,
+    companion_to_text,
     facts_note,
     json_object,
     json_pair,
@@ -262,6 +262,11 @@ def one_bridge_braid_word(w: int, b: int, t: int) -> BraidWord:
     return BraidWord(w, bridge + pass_ * abs(t))
 
 
+# The knot check's word has up to (w-1)² + b letters: at w = 2000 it
+# takes under 1 s and 64 MiB.
+MAX_BRIDGE_WIDTH = 2000
+
+
 def one_bridge_braid(
     w: int, b: int, t: int, neg_lspace_threshold: int | None = None
 ) -> PatternFacts:
@@ -269,10 +274,13 @@ def one_bridge_braid(
     extra passes of the strand cycle; its closure must be a knot.
 
     Each twist P(U, n) is B(w, b, t + n·w); thm1.4 certifies nothing
-    without neg_lspace_threshold, which picks the lemma's b.
+    without neg_lspace_threshold, which picks the lemma's b.  A w over
+    MAX_BRIDGE_WIDTH is refused before the knot check builds its word.
     """
     if w < 3:
         raise ValueError(f"need w >= 3 strands, got {w}")
+    if w > MAX_BRIDGE_WIDTH:
+        raise ValueError(f"need w <= {MAX_BRIDGE_WIDTH} strands, got {w}")
     if not 1 <= b <= w - 2:
         raise ValueError(f"bridge width must satisfy 1 <= b <= w-2, got {b}")
     # Full twists permute the strands trivially, so every P(U, n) has as
@@ -389,36 +397,22 @@ def pattern_from_json(obj) -> PatternFacts:
     raise ValueError(f"unrecognized pattern description: {sorted(obj)}")
 
 
-def pattern_to_json(p: PatternFacts) -> dict:
-    """The JSON form that pattern_from_json reads back to p, for patterns
-    built by torus_pattern, one_bridge_braid and table_pattern."""
-    threshold = p.neg_lspace_threshold
-    if isinstance(p, _BraidPattern):
-        if p.b == 0:
-            return {"torus_pattern": [p.winding, p.t]}
-        return {"one_bridge_braid": {"w": p.winding, "b": p.b, "t": p.t, "neg_threshold": threshold}}
-    return {
-        "table": {
-            "name": p.name,
-            "winding": p.winding,
-            "genus_s3": p.genus_s3,
-            "has_disk": p.has_minimal_meridional_disk,
-            "twists": {str(n): companion_to_json(k) for n, k in p.entries.items()},
-            "neg_threshold": threshold,
-            "pos_from": p.pos_tail_from,
-        }
-    }
-
-
 def pattern_to_text(p: PatternFacts) -> str:
-    """The text json.dumps writes for pattern_to_json(p): a braided
-    pattern's from fixed key texts, a table's through json.dumps."""
+    """The text json.dumps writes for the JSON form pattern_from_json
+    reads back to p, from fixed key texts."""
+    threshold = "null" if p.neg_lspace_threshold is None else p.neg_lspace_threshold
     if isinstance(p, _BraidPattern):
         if p.b == 0:
             return f'{{"torus_pattern": [{p.winding}, {p.t}]}}'
-        n = "null" if p.neg_lspace_threshold is None else p.neg_lspace_threshold
         return (
             f'{{"one_bridge_braid": {{"w": {p.winding}, "b": {p.b}, "t": {p.t}, '
-            f'"neg_threshold": {n}}}}}'
+            f'"neg_threshold": {threshold}}}}}'
         )
-    return json.dumps(pattern_to_json(p))
+    twists = ", ".join(f'"{n}": {companion_to_text(k)}' for n, k in p.entries.items())
+    disk = "true" if p.has_minimal_meridional_disk else "false"
+    pos = "null" if p.pos_tail_from is None else p.pos_tail_from
+    return (
+        f'{{"table": {{"name": {_string(p.name)}, "winding": {p.winding}, "genus_s3": '
+        f'{p.genus_s3}, "has_disk": {disk}, "twists": {{{twists}}}, '
+        f'"neg_threshold": {threshold}, "pos_from": {pos}}}}}'
+    )

@@ -4,16 +4,25 @@ These deliberately take different routes than the library code they
 check: the Seifert-algorithm genus goes through Euler characteristic of
 the smoothed diagram, the cover oracle samples a Farey ball, and the
 homology oracle clears denominators in a rational 2x2 determinant, and
-a certificate's record is built as a dict for json.dumps to write.
+a certificate's record, its pattern and its companion are built as dicts
+for json.dumps to write, beside the library's writers from fixed key
+texts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lspacesat import BraidWord, Certificate, SlopeSet, Slope, farey_enumerate
-from lspacesat.knots import companion_to_json
-from lspacesat.patterns import pattern_to_json
+from lspacesat import (
+    BraidWord,
+    Certificate,
+    KnotFacts,
+    PatternFacts,
+    SlopeSet,
+    Slope,
+    farey_enumerate,
+)
+from lspacesat.patterns import _BraidPattern
 
 
 def seifert_state(strands: int, letters) -> tuple[int, int]:
@@ -131,6 +140,41 @@ def check_dict(record: tuple) -> dict:
     if id == "thm1.3":
         named.pop("error" if named["error"] is None else "knot")
     return {"id": id, "pass": passed, "values": named}
+
+
+def companion_to_json(k: KnotFacts) -> dict:
+    """The six facts of k as a dict, which companion_from_json reads
+    back to k."""
+    return {
+        "name": k.name,
+        "genus": k.genus,
+        "is_lspace": k.is_lspace,
+        "is_neg_lspace": k.is_neg_lspace,
+        "is_fibered": k.is_fibered,
+        "is_unknot": k.is_unknot,
+    }
+
+
+def pattern_to_json(p: PatternFacts) -> dict:
+    """The JSON form that pattern_from_json reads back to p, as a dict,
+    for patterns built by torus_pattern, one_bridge_braid and
+    table_pattern."""
+    threshold = p.neg_lspace_threshold
+    if isinstance(p, _BraidPattern):
+        if p.b == 0:
+            return {"torus_pattern": [p.winding, p.t]}
+        return {"one_bridge_braid": {"w": p.winding, "b": p.b, "t": p.t, "neg_threshold": threshold}}
+    return {
+        "table": {
+            "name": p.name,
+            "winding": p.winding,
+            "genus_s3": p.genus_s3,
+            "has_disk": p.has_minimal_meridional_disk,
+            "twists": {str(n): companion_to_json(k) for n, k in p.entries.items()},
+            "neg_threshold": threshold,
+            "pos_from": p.pos_tail_from,
+        }
+    }
 
 
 def certificate_dict(cert: Certificate) -> dict:

@@ -3,9 +3,10 @@
 Companions come with one of their documented JSON forms (a shortcut name,
 {"torus_knot": …}, {"cable": …} or an explicit field dictionary), so the
 same draws serve the library and the command line.  Patterns are built by
-torus_pattern, one_bridge_braid and table_pattern; pattern_to_json gives
-their JSON form, and certified_pairs draws pairs of each pattern kind that
-meet the sufficient conditions by construction.  Slope-set inputs are
+torus_pattern, one_bridge_braid and table_pattern; pattern_to_text gives
+their JSON text, and oracle_helpers.pattern_to_json the same form as a
+dict; certified_pairs draws pairs of each pattern kind that meet the
+sufficient conditions by construction.  Slope-set inputs are
 lists of arcs over a small Farey pool or over a pool of slopes with
 denominators near 10**20.
 """

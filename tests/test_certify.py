@@ -41,13 +41,12 @@ from lspacesat.certify import (
     STATEMENTS,
     ConsistencyError,
     ReplayMismatchError,
-    _companion_side,
     render_statement,
 )
-from lspacesat.patterns import UnknownTwistError, pattern_to_json
+from lspacesat.patterns import UnknownTwistError, pattern_to_text
 
 import strategies
-from oracle_helpers import certificate_dict, check_dict
+from oracle_helpers import certificate_dict, check_dict, pattern_to_json
 
 TREFOIL = torus_knot(2, 3)
 FIGURE8 = KnotFacts("4_1", 1, False, False, True, False)
@@ -207,7 +206,9 @@ class TestCertifySatellite:
 
     def test_companion_side_is_keyed_on_every_fact(self):
         """Two companions with one name but different genus get their own
-        strict slope sets in one process, not the first one's."""
+        strict slope sets in one process, not the first one's: the table
+        holds an entry per distinct set of facts."""
+        certify._COMPANIONS.clear()
         texts = []
         for genus in (1, 2, 1):
             k = KnotFacts("K", genus, True, False, True, False)
@@ -217,13 +218,14 @@ class TestCertifySatellite:
             assert cover["s1"] == str(lspace_slope_set(k).interior())
             texts.append(cover["s1"])
         assert texts == ["(1/1, inf)", "(3/1, inf)", "(1/1, inf)"]
+        assert [k.genus for k in kept_companions()] == [1, 2]
 
     def test_certificate_same_with_cold_and_warm_companion_cache(self):
         k, pat = torus_knot(2, 5), torus_pattern(3, 17)
-        _companion_side.cache_clear()
+        certify._COMPANIONS.clear()
         cold = certify_satellite(pat, k).to_json()
+        assert kept_companions() == [k]
         warm = certify_satellite(pat, k).to_json()
-        assert _companion_side.cache_info().hits >= 1
         assert cold == warm
         assert json.loads(cold)["verdict"] == CERTIFIED
 
@@ -937,9 +939,22 @@ class TestCertificateText:
             table_pattern("t", 2, 1, True, {0: TREFOIL, -7: TREFOIL}, neg_threshold=7, pos_from=-2)
 
 
+def kept_companions() -> list[KnotFacts]:
+    """The companions the one table of companion records holds, oldest
+    first: its keys that are facts, each of whose records is also kept
+    under the text to_json writes for it."""
+    kept = [key for key in certify._COMPANIONS if isinstance(key, KnotFacts)]
+    for k in kept:
+        record = certify._COMPANIONS[k]
+        assert record[0] is k and certify._COMPANIONS[record[3]] is record
+    assert len(certify._COMPANIONS) == 2 * len(kept)
+    return kept
+
+
 class TestCompanionTable:
     """from_json reads each distinct companion text once; a later read of
-    the same text returns the object the first one built."""
+    the same text returns the object the first one built, and the
+    re-run's certify_satellite and to_json use that record too."""
 
     def test_two_reads_of_one_companion_return_one_object(self):
         k = KnotFacts("K-shared", 2, True, False, True, False)
@@ -947,20 +962,19 @@ class TestCompanionTable:
         certify._COMPANIONS.clear()
         first, second = map(Certificate.from_json, texts)
         assert first.companion == k and second.companion is first.companion
+        assert kept_companions() == [k] and kept_companions()[0] is first.companion
         replay_certificate(first)
-        hits = _companion_side.cache_info().hits
         assert replay_certificate(second) == CERTIFIED
-        assert _companion_side.cache_info().hits > hits
+        assert kept_companions()[0] is first.companion
 
     def test_the_table_holds_at_most_256_companions(self):
         certify._COMPANIONS.clear()
         for i in range(300):
             k = KnotFacts(f"K{i}", 1, True, False, True, False)
             last = Certificate.from_json(certify_satellite(torus_pattern(2, 3), k).to_json())
-        assert len(certify._COMPANIONS) == certify._COMPANIONS_MAX == 256
         # The oldest went first; the latest is kept.
-        assert last.companion in certify._COMPANIONS.values()
-        assert KnotFacts("K0", 1, True, False, True, False) not in certify._COMPANIONS.values()
+        assert [k.name for k in kept_companions()] == [f"K{i}" for i in range(44, 300)]
+        assert kept_companions()[-1] is last.companion
 
 
 class TestTotality:
@@ -1298,6 +1312,34 @@ def one_bridge_grid_certificates():
                     yield certify_satellite(pattern, k)
 
 
+# Table names that json's ASCII escape writes as escapes: a quote, a
+# backslash, control characters, non-ASCII and astral characters; and the
+# empty name.
+TABLE_NAMES = ["t", 'q"uote', "back\\slash", "ctl\x00\x08\x1f\x7f", "τ é", "\U0001d517", ""]
+# No entry, and entries at zero, negative and positive twists, one of
+# them named with the same characters.
+TABLE_ENTRIES = [
+    {},
+    {0: TREFOIL},
+    {0: TREFOIL, -2: torus_knot(2, -1)},
+    {0: TREFOIL, 1: torus_knot(2, 5), -1: KnotFacts('e"\\τ\U0001d517\n', 0, True, True, True, True)},
+    {-3: torus_knot(2, -3), 2: torus_knot(2, 5)},
+]
+
+
+def table_grid_patterns():
+    """Each table of winding 2 and genus 1 over TABLE_NAMES and
+    TABLE_ENTRIES, with and without a disk, each tail absent or present
+    (pos_from <= 0 among them), that table_pattern accepts."""
+    for name, twists, neg, pos, disk in itertools.product(
+        TABLE_NAMES, TABLE_ENTRIES, (None, 0, 2, 7), (None, -3, 0, 2), (True, False)
+    ):
+        try:
+            yield table_pattern(name, 2, 1, disk, twists, neg, pos)
+        except ValueError:
+            pass
+
+
 class TestRecordMemory:
     def test_certificates_retain_less_than_half_their_checks_as_dicts(self):
         """A certificate stores each check as a tuple and writes its keys
@@ -1359,6 +1401,20 @@ class TestWriterOracle:
         assert any(values[0] != values[1] for id, _, values in records if id == "lem.4")
         assert {passed for _, passed, _ in records} == {True, False}
         assert self.assert_written_as_json_dumps(certificates) == 3 * 36
+
+    def test_table_grid(self):
+        """pattern_to_text writes each table of the grid, and to_json its
+        certificates, as json.dumps writes the dicts."""
+        patterns = list(table_grid_patterns())
+        assert {p.name for p in patterns} == set(TABLE_NAMES)
+        assert {p.neg_lspace_threshold for p in patterns} == {None, 0, 2, 7}
+        assert {p.pos_tail_from for p in patterns} == {None, -3, 0, 2}
+        assert {tuple(p.entries) for p in patterns} == {(), (0,), (-2, 0), (-1, 0, 1), (-3, 2)}
+        for pattern in patterns:
+            assert pattern_to_text(pattern) == json.dumps(pattern_to_json(pattern))
+        certificates = [certify_satellite(p, k) for p in patterns for k in GRID_COMPANIONS]
+        assert {c.verdict for c in certificates} == {CERTIFIED, NOT_CERTIFIED, REJECTED}
+        assert self.assert_written_as_json_dumps(certificates) == 5 * len(patterns)
 
     def test_record_patterns(self):
         """Every pattern kind, every verdict path, a table named τ and

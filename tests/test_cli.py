@@ -5,9 +5,11 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -24,9 +26,10 @@ from lspacesat import (
 )
 from lspacesat import certify, cli
 from lspacesat.cli import main
-from lspacesat.patterns import _BraidPattern, pattern_to_json
+from lspacesat.patterns import _BraidPattern
 
 import strategies
+from oracle_helpers import pattern_to_json
 from test_certify import (
     CABLE_2_3_OF_TREFOIL,
     FORMAT_1_CABLE_2_3_OF_TREFOIL,
@@ -566,6 +569,16 @@ class TestCertify:
                  "--companion", "trefoil"],
                 "repeated key 'torus_pattern'",
             ),
+            # Of two repeated keys, the first in the object's order.
+            (
+                ["certify", "--pattern", '{"a": 1, "b": 2, "b": 3, "a": 4}', "--companion", "trefoil"],
+                "repeated key 'a'",
+            ),
+            (
+                ["certify", "--pattern", '{"one_bridge_braid": {"w": 100000000000000000000,'
+                 ' "b": 1, "t": 0}}', "--companion", "trefoil"],
+                "need w <= 2000 strands, got 100000000000000000000",
+            ),
             # An empty option is given, not absent.
             (["certify", "--replay", ""], "argument --replay: expected a non-empty path"),
             (
@@ -586,6 +599,8 @@ class TestCertify:
             "braid_negative_threshold",
             "table_disk_without_winding",
             "pattern_repeated_kind_key",
+            "pattern_two_repeated_keys",
+            "braid_wider_than_the_cap",
             "empty_replay",
             "empty_replay_beside_pattern_and_companion",
             "empty_explain",
@@ -606,6 +621,45 @@ class TestCertify:
         err = capsys.readouterr().err
         assert (code, text) == (3, "") and err.count("\n") == 1
         assert err.startswith("error: ") and reason in err
+
+    def test_a_repeated_key_among_12000_is_found_in_linear_time(self, capsys):
+        """A --pattern object of 12 000 keys, the last given twice, fits
+        one argument (128 KiB on Linux) and is refused within 1 s."""
+        keys = [*map(str, range(12_000)), "11999"]
+        pattern = "{" + ",".join(f'"{k}":0' for k in keys) + "}"
+        assert len(pattern.encode()) < 128 * 1024
+        start = time.perf_counter()
+        code, text = run(["certify", "--pattern", pattern, "--companion", "trefoil"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert (code, text) == (3, "") and err.endswith(": repeated key '11999'\n")
+        assert elapsed < 1.0
+
+    def test_a_braid_over_the_width_cap_is_refused_before_it_is_built(self):
+        """B(10⁸, 1, 0) is refused before its knot check builds anything:
+        certify exits 3 naming the cap within 2 s, in a process whose
+        address space is limited to 512 MiB, where a permutation of its
+        10⁸ strands could not be built."""
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+        pattern = '{"one_bridge_braid": {"w": 100000000, "b": 1, "t": 0}}'
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "lspacesat.cli", "certify", "--pattern", pattern,
+             "--companion", "trefoil"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=limit_address_space,
+            capture_output=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr.decode() == (
+            f"error: bad pattern {pattern!r}: need w <= 2000 strands, got 100000000\n"
+        )
+        assert elapsed < 2.0
 
     def test_a_cable_certificate_holds_its_companion_as_six_facts(self, tmp_path, capsys):
         """The (3,17)-cable certificate that cable --out writes replays;

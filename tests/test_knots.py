@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 from math import gcd
 
@@ -17,9 +18,9 @@ from lspacesat import (
     lspace_slope_set,
     torus_knot,
 )
-from lspacesat.knots import companion_to_json
 
-from oracle_helpers import seifert_genus_oracle
+from lspacesat.knots import companion_to_text, facts_from_json
+from oracle_helpers import companion_to_json, seifert_genus_oracle
 from lspacesat import BraidWord
 
 
@@ -227,6 +228,7 @@ class TestJson:
     def test_explicit_round_trip(self):
         t = torus_knot(3, 5)
         assert companion_from_json(companion_to_json(t)) == t
+        assert facts_from_json(json.loads(companion_to_text(t))) == t
 
     def test_cable_form(self):
         got = companion_from_json(

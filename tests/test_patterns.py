@@ -23,12 +23,13 @@ from lspacesat import (
     torus_pattern,
 )
 from lspacesat.patterns import (
+    MAX_BRIDGE_WIDTH,
     ConsistencyError,
     UnknownTwistError,
     _BraidPattern,
     _TablePattern,
     one_bridge_braid_word,
-    pattern_to_json,
+    pattern_to_text,
 )
 
 
@@ -167,6 +168,11 @@ class TestOneBridgeBraid:
             one_bridge_braid(5, 4, 1)
         with pytest.raises(ValueError, match="strands"):
             one_bridge_braid(2, 1, 1)
+        # Refused before the knot check builds a word of about w² letters.
+        with pytest.raises(ValueError, match=r"^need w <= 2000 strands, got 2001$"):
+            one_bridge_braid(MAX_BRIDGE_WIDTH + 1, 1, 0)
+        with pytest.raises(ValueError, match=r"^need w <= 2000 strands, got 10{20}$"):
+            one_bridge_braid(10**20, 1, 10**20 - 1)
 
     def test_genus_grows_by_full_twist_increment(self):
         pat = one_bridge_braid(4, 2, 1)
@@ -503,5 +509,5 @@ class TestJson:
         ids=["torus", "torus_negative", "braid", "braid_threshold", "table", "table_bare"],
     )
     def test_to_json_round_trip(self, pat):
-        text = json.dumps(pattern_to_json(pat))
+        text = pattern_to_text(pat)
         assert pattern_from_json(json.loads(text)) == pat
