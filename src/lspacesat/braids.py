@@ -2,18 +2,22 @@
 
 Words are sequences of (generator index, ±1) letters in the Artin
 generators σ_1 .. σ_{w-1}.  The engine calls only closure_components,
-from the knot check in patterns.one_bridge_braid.  The rest (free
+the cycle count of a strand permutation, from the knot check in
+patterns.one_bridge_braid, which builds the permutation of B(w, b, t)
+in O(w) and no word.  The rest (the permutation a word induces, free
 reduction, literal sign classification, mirror, full twists, and the
 Bennequin genus (c - w + 1)/2 of a positive braid closure that is a
-knot) is the reference that the twist facts patterns derives in closed
-form are tested against, and the benchmark's tracer wraps it.  No
-normal forms or word problem machinery.
+knot) is the reference that the knot check and the twist facts
+patterns derives in closed form are tested against, and the
+benchmark's tracer wraps it.  No normal forms or word problem
+machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 
 class BraidSign(Enum):
@@ -93,17 +97,19 @@ def closure_permutation(bw: BraidWord) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def closure_components(bw: BraidWord) -> int:
-    perm = closure_permutation(bw)
-    seen = [False] * bw.strands
+def closure_components(perm: Sequence[int]) -> int:
+    """Number of cycles of the strand permutation perm, which sends
+    strand i to perm[i]: the number of components of the closure."""
+    seen = bytearray(len(perm))
     count = 0
-    for i in range(bw.strands):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
+    i = seen.find(0)
+    while i >= 0:
+        count += 1
+        j = i
+        while not seen[j]:
+            seen[j] = 1
+            j = perm[j]
+        i = seen.find(0, i + 1)
     return count
 
 
@@ -114,7 +120,7 @@ def positive_braid_closure_genus(bw: BraidWord) -> int:
     sign = braid_sign(reduced)
     if sign not in (BraidSign.POSITIVE, BraidSign.TRIVIAL):
         raise ValueError(f"word is {sign.value}, not positive")
-    if closure_components(reduced) != 1:
+    if closure_components(closure_permutation(reduced)) != 1:
         raise ValueError("closure has more than one component")
     c = len(reduced.letters)
     w = reduced.strands

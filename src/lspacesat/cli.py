@@ -20,7 +20,7 @@ Subcommands:
 Exit codes: 0 certified / complete, 1 not certified, 2 rejected, 3 any
 other end: bad input (including an empty --out, --replay or explain
 path, JSON nested too deeply, an integer of more digits than Python
-reads or writes, a one-bridge braid of over 2000 strands, a certificate
+reads or writes, a one-bridge braid of over 10⁶ strands, a certificate
 of another format, formats 1 and 2 included, or one that is malformed,
 holds a float, has keys other than those certificates are written with,
 holds its companion in another form than its six facts, or is not the

@@ -29,7 +29,7 @@ from lspacesat import (
     torus_knot,
     torus_pattern,
 )
-from lspacesat.braids import closure_components
+from lspacesat.braids import closure_components, closure_permutation
 from lspacesat.knots import companion_from_json
 from lspacesat.patterns import genus_twist_bound, one_bridge_braid_word
 from lspacesat.projective import Arc
@@ -94,7 +94,7 @@ _KNOTTED = [
     for w in range(3, 10)
     for b in range(1, w - 1)
     for r in range(w)
-    if closure_components(one_bridge_braid_word(w, b, r)) == 1
+    if closure_components(closure_permutation(one_bridge_braid_word(w, b, r))) == 1
 ]
 one_bridge_patterns = st.builds(
     lambda wbr, k, threshold: one_bridge_braid(wbr[0], wbr[1], wbr[2] + k * wbr[0], threshold),

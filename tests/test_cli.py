@@ -577,7 +577,7 @@ class TestCertify:
             (
                 ["certify", "--pattern", '{"one_bridge_braid": {"w": 100000000000000000000,'
                  ' "b": 1, "t": 0}}', "--companion", "trefoil"],
-                "need w <= 2000 strands, got 100000000000000000000",
+                "need w <= 1000000 strands, got 100000000000000000000",
             ),
             # An empty option is given, not absent.
             (["certify", "--replay", ""], "argument --replay: expected a non-empty path"),
@@ -657,7 +657,7 @@ class TestCertify:
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stdout) == (3, b"")
         assert proc.stderr.decode() == (
-            f"error: bad pattern {pattern!r}: need w <= 2000 strands, got 100000000\n"
+            f"error: bad pattern {pattern!r}: need w <= 1000000 strands, got 100000000\n"
         )
         assert elapsed < 2.0
 
@@ -903,10 +903,11 @@ def _node_paths(node, path=()):
             yield from _node_paths(child, path + (i,))
 
 
-# Integers stay small: a one-bridge braid B(w, b, t) builds a word of
-# about (t mod w)·w letters, so a huge width would exhaust memory.
+# Integers stay within ±10⁵: the knot check of a one-bridge braid
+# B(w, b, t) walks a permutation of w strands, O(w), so a width of 10⁵
+# costs milliseconds, and one past MAX_BRIDGE_WIDTH (10⁶) exits 3 unbuilt.
 _ODD_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-100, 100) | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers(-10**5, 10**5) | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6,

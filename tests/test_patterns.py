@@ -22,6 +22,7 @@ from lspacesat import (
     torus_knot,
     torus_pattern,
 )
+from lspacesat.braids import closure_permutation
 from lspacesat.patterns import (
     MAX_BRIDGE_WIDTH,
     ConsistencyError,
@@ -117,7 +118,7 @@ class TestOneBridgeBraid:
             for b in range(1, w - 1):
                 for t in range(-15, 16):
                     word = one_bridge_braid_word(w, b, t)
-                    if closure_components(word) != 1:
+                    if closure_components(closure_permutation(word)) != 1:
                         with pytest.raises(UnknownTwistError):
                             one_bridge_braid(w, b, t)
                         continue
@@ -151,27 +152,45 @@ class TestOneBridgeBraid:
                         letters += [(i, -1) for _ in range(-t) for i in range(1, w)]
                     assert one_bridge_braid_word(w, b, t) == BraidWord(w, tuple(letters))
 
+    def test_knot_agrees_with_the_word_permutation(self):
+        """Pins the strand map's convention: B(w, b, t) is accepted exactly
+        when the permutation of its word B(w, b, t mod w) is one cycle.
+        Reversing the bridge cycle or the passes in the map breaks this."""
+        for w in range(3, 13):
+            for b in range(1, w - 1):
+                for t in range(-2 * w, 3 * w):
+                    word = one_bridge_braid_word(w, b, t % w)
+                    knot = closure_components(closure_permutation(word)) == 1
+                    try:
+                        one_bridge_braid(w, b, t)
+                    except UnknownTwistError:
+                        assert not knot, (w, b, t)
+                    else:
+                        assert knot, (w, b, t)
+
     def test_knot_check_memory(self):
-        """The knot check of B(500, 1, 498) builds a word of 248 502
-        letters; sharing the letter tuples keeps its traced peak under
-        8 MiB (one tuple per letter took 20.8 MiB)."""
-        tracemalloc.start()
-        try:
-            one_bridge_braid(500, 1, 498)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        """The knot check of B(w, 1, w - 2) builds no word, only a
+        permutation of w strands, so its traced peak grows as w: under
+        8 MiB at w = 500 and at w = 10⁵, where the word would have about
+        10¹⁰ letters."""
+        for w in (500, 10**5):
+            tracemalloc.start()
+            try:
+                one_bridge_braid(w, 1, w - 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, w
 
     def test_bridge_range(self):
         with pytest.raises(ValueError, match="bridge width"):
             one_bridge_braid(5, 4, 1)
         with pytest.raises(ValueError, match="strands"):
             one_bridge_braid(2, 1, 1)
-        # Refused before the knot check builds a word of about w² letters.
-        with pytest.raises(ValueError, match=r"^need w <= 2000 strands, got 2001$"):
+        # Refused before the knot check builds a permutation of w strands.
+        with pytest.raises(ValueError, match=r"^need w <= 1000000 strands, got 1000001$"):
             one_bridge_braid(MAX_BRIDGE_WIDTH + 1, 1, 0)
-        with pytest.raises(ValueError, match=r"^need w <= 2000 strands, got 10{20}$"):
+        with pytest.raises(ValueError, match=r"^need w <= 1000000 strands, got 10{20}$"):
             one_bridge_braid(10**20, 1, 10**20 - 1)
 
     def test_genus_grows_by_full_twist_increment(self):
