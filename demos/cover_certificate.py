@@ -27,7 +27,9 @@ cert = certify_satellite(pattern, trefoil)
 print("verdict:", cert.verdict)
 print("params:", cert.params)
 # The certificate records each fact once: the arc follows from params,
-# and the cover check holds the two strict sets it joins.
+# the lemma checks hold only the sides they compare (a, b and r are read
+# off params, w off thm1.2), and the cover check holds the two strict
+# sets it joins.
 arc = SlopeSet.from_arcs([Arc(Slope(1, cert.params.a), Slope(1, cert.params.b))])
 cover = cert.checks[-1]["values"]
 print("pattern-side closed arc:    ", arc)

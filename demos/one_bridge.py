@@ -7,15 +7,16 @@ after free reduction, a negative one otherwise.
 """
 
 from lspacesat import (
+    BraidWord,
     braid_add_full_twists,
     braid_free_reduce,
     braid_sign,
     one_bridge_braid,
     positive_braid_closure_genus,
 )
-from lspacesat.patterns import one_bridge_braid_word
 
-word = one_bridge_braid_word(5, 2, 3)
+# B(5,2,3): the bridge s2 s1, then three passes s4 s3 s2 s1.
+word = BraidWord(5, ((2, 1), (1, 1)) + ((4, 1), (3, 1), (2, 1), (1, 1)) * 3)
 print("B(5,2,3) word:", " ".join(f"s{i}" for i, _ in word.letters))
 print("sign:", braid_sign(word).value)
 print("closure genus (Bennequin):", positive_braid_closure_genus(word))

@@ -17,21 +17,25 @@ A certificate carries its own pattern and companion, so replay is the
 pipeline re-run on those inputs and compared with what the certificate
 records; nothing recorded is trusted on its own.
 
-Certificates are written in format 3, which states each fact once: the
+Certificates are written in format 4, which states each fact once: the
 arc [1/a → ∞ → 1/b] is read off params, the lemma records only what
 Theorem 1 has not already checked, and a check records no statement.  A
-certificate is exactly the text to_json writes, as a DER encoding is for
-X.509: one text per record.  to_json writes each check and params from
-fixed key texts, integers as int.__repr__, flags as true and false, and
-strings through json's ASCII escape, and the inputs through their own
-modules' writers, pattern_to_text and companion_to_text, which do the
-same, so its text is the one json.dumps writes for the same record.
-from_json reads only the head of a text: "format": 3 first (a text whose
-format is not the integer 3 is refused, and one without the key is
-format 1), then the pattern and the companion, as its six facts.  What a
-certificate reads off its companion alone (its trusted line, its strict
-slope text and its written text) is built once and kept in one table,
-_COMPANIONS, of at most 256 companions, the oldest dropped first.
+lemma check keeps only the sides it compares and never restates a value
+an earlier field holds: a, b and r are read off params, w off thm1.2 and
+g off lem.4, so lem.4 holds (rhs, g), its left side being params.r,
+lem.5 (lhs, rhs) and lem.sandwich (aw2, bw2).  A certificate is exactly
+the text to_json writes, as a DER encoding is for X.509: one text per
+record.  to_json writes each check and params from fixed key texts,
+integers as int.__repr__, flags as true and false, and strings through
+json's ASCII escape, and the inputs through their own modules' writers,
+pattern_to_text and companion_to_text, which do the same, so its text is
+the one json.dumps writes for the same record.  from_json reads only the
+head of a text: "format": 4 first (a text whose format is not the
+integer 4 is refused, and one without the key is format 1), then the
+pattern and the companion, as its six facts.  What a certificate reads
+off its companion alone (its trusted line, its strict slope text and its
+written text) is built once and kept in one table, _COMPANIONS, of at
+most 256 companions, the oldest dropped first.
 to_json looks it up by the facts, from_json by the text between the
 companion key and the verdict key to_json writes next, so a sweep's
 handful of companions is decoded once each: a kept text is a whole
@@ -172,7 +176,7 @@ def _no_floats(text: str):
 # could compare equal to the integer the re-run records (3.0 == 3).
 _CERTIFICATE_JSON = json.JSONDecoder(parse_float=_no_floats, parse_constant=_no_floats)
 
-_FORMAT = 3
+_FORMAT = 4
 _HEAD = f'{{"format": {_FORMAT}, "pattern": '
 _COMPANION_KEY = ', "companion": '
 _VERDICT_KEY = ', "verdict": '
@@ -212,21 +216,19 @@ _CHECK_TEXT = {
         f'{{"id": "thm1.4", "pass": {_FLAG[passed]}, "values": '
         f'{{"threshold": {"null" if threshold is None else threshold}}}}}'
     ),
-    "lem.4": lambda passed, lhs, rhs, a, g, w: (
-        f'{{"id": "lem.4", "pass": {_FLAG[passed]}, "values": '
-        f'{{"lhs": {lhs}, "rhs": {rhs}, "a": {a}, "g": {g}, "w": {w}}}}}'
+    "lem.4": lambda passed, rhs, g: (
+        f'{{"id": "lem.4", "pass": {_FLAG[passed]}, "values": {{"rhs": {rhs}, "g": {g}}}}}'
     ),
-    "lem.5": lambda passed, lhs, rhs, b, g, w, r: (
-        f'{{"id": "lem.5", "pass": {_FLAG[passed]}, "values": '
-        f'{{"lhs": {lhs}, "rhs": {rhs}, "b": {b}, "g": {g}, "w": {w}, "r": {r}}}}}'
+    "lem.5": lambda passed, lhs, rhs: (
+        f'{{"id": "lem.5", "pass": {_FLAG[passed]}, "values": {{"lhs": {lhs}, "rhs": {rhs}}}}}'
     ),
     "lem.7": lambda passed, twist, knot: (
         f'{{"id": "lem.7", "pass": {_FLAG[passed]}, "values": '
         f'{{"twist": {twist}, "knot": {_string(knot)}}}}}'
     ),
-    "lem.sandwich": lambda passed, aw2, r, bw2: (
+    "lem.sandwich": lambda passed, aw2, bw2: (
         f'{{"id": "lem.sandwich", "pass": {_FLAG[passed]}, "values": '
-        f'{{"aw2": {aw2}, "r": {r}, "bw2": {bw2}}}}}'
+        f'{{"aw2": {aw2}, "bw2": {bw2}}}}}'
     ),
     "hrrw.cover": lambda passed, s1, s2: (
         f'{{"id": "hrrw.cover", "pass": {_FLAG[passed]}, "values": '
@@ -283,7 +285,7 @@ class Certificate:
         """The pattern and companion read off the head of text, with text
         less one trailing newline, for replay_certificate to re-run and
         compare.  Raises ValueError unless text begins as to_json writes,
-        naming the format when it is not 3, and unless its pattern and
+        naming the format when it is not 4, and unless its pattern and
         companion read as inputs."""
         if text.endswith("\n"):
             text = text[:-1]
@@ -318,7 +320,7 @@ def _refusal(text: str, rerun: str | None = None) -> str:
     if type(d) is not dict:
         return f"a certificate is a JSON object, got {type(d).__name__}"
     # The decoder reads no floats and true == 1, so only the JSON integer
-    # 3 equals 3.
+    # 4 equals 4.
     found = d.get("format", 1)
     if found != _FORMAT:
         return f"certificate format {json.dumps(found)} is not {_FORMAT}"
@@ -345,8 +347,10 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[tuple]:
     through ∞ to 1/b consists of L-space filling slopes of the
     r-surgered pattern complement.  Returns the checks, whose passing
     together certifies the arc, each a record (id, passed, values):
-    lem.4 (lhs, rhs, a, g, w), lem.5 (lhs, rhs, b, g, w, r), lem.7
-    (twist, knot) and lem.sandwich (aw2, r, bw2).
+    lem.4 (rhs, g), lem.5 (lhs, rhs), lem.7 (twist, knot) and
+    lem.sandwich (aw2, bw2).  a, b, r and w are not restated: a
+    certificate holds them in params and thm1.2, and lem.4's left side
+    is r.
 
     The lemma's other hypotheses are Theorem 1's, checked once there:
     w >= 2 and the meridional disk (thm1.2), and P(U, -a) an L-space
@@ -362,10 +366,10 @@ def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[tuple]:
     rhs4 = 2 * g + a * w * (2 * w - 1) - 1
     bw, rhs5 = b * w, 2 * g + r - 1
     return [
-        ("lem.4", r >= rhs4, (r, rhs4, a, g, w)),
-        ("lem.5", bw >= rhs5, (bw, rhs5, b, g, w, r)),
+        ("lem.4", r >= rhs4, (rhs4, g)),
+        ("lem.5", bw >= rhs5, (bw, rhs5)),
         ("lem.7", facts_b.is_neg_lspace, (-b, facts_b.name)),
-        ("lem.sandwich", aw2 < r < bw2, (aw2, r, bw2)),
+        ("lem.sandwich", aw2 < r < bw2, (aw2, bw2)),
     ]
 
 

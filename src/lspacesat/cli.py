@@ -21,7 +21,7 @@ Exit codes: 0 certified / complete, 1 not certified, 2 rejected, 3 any
 other end: bad input (including an empty --out, --replay or explain
 path, JSON nested too deeply, an integer of more digits than Python
 reads or writes, a one-bridge braid of over 10⁶ strands, a certificate
-of another format, formats 1 and 2 included, or one that is malformed,
+of another format, formats 1 to 3 included, or one that is malformed,
 holds a float, has keys other than those certificates are written with,
 holds its companion in another form than its six facts, or is not the
 text the re-run writes), an output stream that cannot encode the text,
@@ -36,6 +36,11 @@ other certify option beside it, even an empty one, exits 3.
 Files and JSON arguments are read as UTF-8, the encoding of JSON, and
 files written so, whatever the locale; only stdout follows it.  An
 argument that is not UTF-8 exits 3.
+Size options request work: sweep --p-max/--q-max costs about one certify
+per grid point for each companion, oracle --trials/--max-den about
+trials × max_den² containment tests.  Input data (patterns, companions,
+certificates, slope-set texts) costs work polynomial in its text's
+length; one-bridge width, the one input that broke this, is capped.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from typing import Mapping
 
-from .braids import BraidWord, closure_components
+from .braids import closure_components
 from .knots import (
     KnotFacts,
     companion_from_json,
@@ -253,18 +253,6 @@ def torus_pattern(p: int, q: int) -> PatternFacts:
     genus_s3 = torus_knot_genus(p, q)  # of P(U); refuses p < 2 and gcd(p, q) != 1
     threshold = max(-(-(q - 1) // p), 0)  # least N with q - N·p <= 1, at least 0
     return _BraidPattern(f"T({p},{q})-pattern", p, genus_s3, True, threshold, 0, q)
-
-
-def one_bridge_braid_word(w: int, b: int, t: int) -> BraidWord:
-    """The word (σ_b ⋯ σ_1)(σ_{w-1} ⋯ σ_1)^t on w strands; negative t
-    contributes the formal inverse of the positive power.  The passes
-    repeat one tuple of letters, so the word shares its letter objects."""
-    bridge = tuple((i, 1) for i in range(b, 0, -1))
-    if t >= 0:
-        pass_ = tuple((i, 1) for i in range(w - 1, 0, -1))
-    else:
-        pass_ = tuple((i, -1) for i in range(1, w))
-    return BraidWord(w, bridge + pass_ * abs(t))
 
 
 # The knot check walks a permutation of w strands, O(w) in time and

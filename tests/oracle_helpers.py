@@ -1,12 +1,13 @@
 """Independent oracles used by the test suite.
 
 These deliberately take different routes than the library code they
-check: the Seifert-algorithm genus goes through Euler characteristic of
-the smoothed diagram, the cover oracle samples a Farey ball, and the
-homology oracle clears denominators in a rational 2x2 determinant, and
-a certificate's record, its pattern and its companion are built as dicts
-for json.dumps to write, beside the library's writers from fixed key
-texts.
+check: a one-bridge braid is built as its braid word, which the library
+never builds; the Seifert-algorithm genus goes through Euler
+characteristic of the smoothed diagram, the cover oracle samples a
+Farey ball, and the homology oracle clears denominators in a rational
+2x2 determinant, and a certificate's record, its pattern and its
+companion are built as dicts for json.dumps to write, beside the
+library's writers from fixed key texts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,20 @@ from lspacesat import (
     farey_enumerate,
 )
 from lspacesat.patterns import _BraidPattern
+
+
+def one_bridge_braid_word(w: int, b: int, t: int) -> BraidWord:
+    """The word (σ_b ⋯ σ_1)(σ_{w-1} ⋯ σ_1)^t on w strands; negative t
+    contributes the formal inverse of the positive power.  The passes
+    repeat one tuple of letters, so the word shares its letter objects.
+    The library counts the cycles of B(w, b, t)'s strand permutation
+    without building this word; the word engine checks that count."""
+    bridge = tuple((i, 1) for i in range(b, 0, -1))
+    if t >= 0:
+        pass_ = tuple((i, 1) for i in range(w - 1, 0, -1))
+    else:
+        pass_ = tuple((i, -1) for i in range(1, w))
+    return BraidWord(w, bridge + pass_ * abs(t))
 
 
 def seifert_state(strands: int, letters) -> tuple[int, int]:
@@ -122,10 +137,10 @@ VALUE_KEYS = {
     "thm1.2": ("winding", "disk"),
     "thm1.3": ("twist", "knot", "error"),
     "thm1.4": ("threshold",),
-    "lem.4": ("lhs", "rhs", "a", "g", "w"),
-    "lem.5": ("lhs", "rhs", "b", "g", "w", "r"),
+    "lem.4": ("rhs", "g"),
+    "lem.5": ("lhs", "rhs"),
     "lem.7": ("twist", "knot"),
-    "lem.sandwich": ("aw2", "r", "bw2"),
+    "lem.sandwich": ("aw2", "bw2"),
     "hrrw.cover": ("s1", "s2"),
 }
 
@@ -182,7 +197,7 @@ def certificate_dict(cert: Certificate) -> dict:
     Certificate.to_json writes from fixed key texts."""
     params = cert.params
     return {
-        "format": 3,
+        "format": 4,
         "pattern": pattern_to_json(cert.pattern),
         "companion": companion_to_json(cert.companion),
         "verdict": cert.verdict,

@@ -31,8 +31,10 @@ from lspacesat import (
 )
 from lspacesat.braids import closure_components, closure_permutation
 from lspacesat.knots import companion_from_json
-from lspacesat.patterns import genus_twist_bound, one_bridge_braid_word
+from lspacesat.patterns import genus_twist_bound
 from lspacesat.projective import Arc
+
+from oracle_helpers import one_bridge_braid_word
 
 
 def _coprime_pairs(p_values, q_values):

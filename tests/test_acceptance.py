@@ -32,11 +32,11 @@ from lspacesat import (
 )
 from lspacesat.braids import closure_permutation
 from lspacesat.cli import random_slope_set
-from lspacesat.patterns import one_bridge_braid_word
 
 from oracle_helpers import (
     brute_force_covers,
     linking_matrix_order_oracle,
+    one_bridge_braid_word,
     seifert_genus_oracle,
 )
 

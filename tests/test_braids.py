@@ -14,9 +14,8 @@ from lspacesat import (
     positive_braid_closure_genus,
 )
 from lspacesat.braids import closure_permutation
-from lspacesat.patterns import one_bridge_braid_word
 
-from oracle_helpers import seifert_genus_oracle
+from oracle_helpers import one_bridge_braid_word, seifert_genus_oracle
 
 
 def word(strands, *letters):

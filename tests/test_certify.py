@@ -78,6 +78,18 @@ CERTIFIED_CHECK_IDS = [
     "hrrw.cover",
 ]
 RESTATED_CHECK_IDS = {"lem.2", "lem.3", "lem.6"}
+# The lemma values format 3 restated, by check id and key, each with the
+# field of format 4 that holds it: params or a check id, and its key.
+RESTATED_VALUES = {
+    "lem.4": {"lhs": ("params", "r"), "a": ("params", "a"), "w": ("thm1.2", "winding")},
+    "lem.5": {
+        "b": ("params", "b"),
+        "g": ("lem.4", "g"),
+        "w": ("thm1.2", "winding"),
+        "r": ("params", "r"),
+    },
+    "lem.sandwich": {"r": ("params", "r")},
+}
 
 
 def failed(checks):
@@ -104,7 +116,7 @@ class TestCheckLemma:
         # The arc the lemma certifies runs from 1/a through ∞ to 1/b.
         assert SlopeSet.from_arcs([Arc(Slope(1, 2), Slope(1, 7))]).contains(INFINITY)
         sandwich = next(c for c in checks if c[0] == "lem.sandwich")
-        assert check_dict(sandwich)["values"] == {"aw2": 8, "r": 13, "bw2": 28}
+        assert check_dict(sandwich)["values"] == {"aw2": 8, "bw2": 28}
 
     def test_r_too_small(self):
         checks = check_lemma(torus_pattern(2, 3), 2, 7, 12)
@@ -378,7 +390,7 @@ class TestCertificateSerialization:
 # The exact certificate text.  A change of representation that moves a
 # single byte of it breaks stored certificates' replay.
 CABLE_2_3_OF_TREFOIL = (
-    r'{"format": 3, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "T(2,3)", '
+    r'{"format": 4, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "T(2,3)", '
     r'"genus": 1, "is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}, "verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, '
     r'"r": 13}, "checks": ['
@@ -389,19 +401,17 @@ CABLE_2_3_OF_TREFOIL = (
     r'{"id": "thm1.2", "pass": true, "values": {"winding": 2, "disk": true}}, '
     r'{"id": "thm1.3", "pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
     r'{"id": "thm1.4", "pass": true, "values": {"threshold": 1}}, '
-    r'{"id": "lem.4", "pass": true, "values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, '
-    r'"w": 2}}, '
-    r'{"id": "lem.5", "pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, '
-    r'"r": 13}}, '
+    r'{"id": "lem.4", "pass": true, "values": {"rhs": 13, "g": 1}}, '
+    r'{"id": "lem.5", "pass": true, "values": {"lhs": 14, "rhs": 14}}, '
     r'{"id": "lem.7", "pass": true, "values": {"twist": -7, "knot": "T(2,-11)"}}, '
-    r'{"id": "lem.sandwich", "pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}, '
+    r'{"id": "lem.sandwich", "pass": true, "values": {"aw2": 8, "bw2": 28}}, '
     r'{"id": "hrrw.cover", "pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, '
     r'inf] \u222a [-inf, 2/1)"}}], '
     r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
     r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
 )
 CABLE_3_2_OF_TREFOIL = (
-    r'{"format": 3, "pattern": {"torus_pattern": [3, 2]}, "companion": {"name": "T(2,3)", '
+    r'{"format": 4, "pattern": {"torus_pattern": [3, 2]}, "companion": {"name": "T(2,3)", '
     r'"genus": 1, "is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}, "verdict": "NOT_CERTIFIED", "reason": "thm1.3", "params": null, '
     r'"checks": ['
@@ -420,7 +430,7 @@ CABLE_3_2_OF_TREFOIL = (
 # One certificate for each other exit path of certify_satellite; the table
 # ones pin the order of trusted_inputs: facts, entries, then tails.
 EXIT_UNKNOWN_TWIST_NECESSARY = (
-    r'{"format": 3, "pattern": {"table": {"name": "gap", "winding": 2, "genus_s3": 1, '
+    r'{"format": 4, "pattern": {"table": {"name": "gap", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": null}}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, "is_neg_lspace": false, '
     r'"is_fibered": true, "is_unknot": false}, "verdict": "NOT_CERTIFIED", '
@@ -433,7 +443,7 @@ EXIT_UNKNOWN_TWIST_NECESSARY = (
     r'"negative tail of gap: n <= -7"]}'
 )
 EXIT_REJECTED_FIBERED = (
-    r'{"format": 3, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "unfibered", '
+    r'{"format": 4, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "unfibered", '
     r'"genus": 2, "is_lspace": false, "is_neg_lspace": false, "is_fibered": false, '
     r'"is_unknot": false}, "verdict": "REJECTED", "reason": "necessary.fibered", '
     r'"params": null, "checks": ['
@@ -444,7 +454,7 @@ EXIT_REJECTED_FIBERED = (
     r'is_neg_lspace=False, is_fibered=False, is_unknot=False)"]}'
 )
 EXIT_REJECTED_WINDING = (
-    r'{"format": 3, "pattern": {"table": {"name": "core-less", "winding": 0, "genus_s3": 1, '
+    r'{"format": 4, "pattern": {"table": {"name": "core-less", "winding": 0, "genus_s3": 1, '
     r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, '
     r'"neg_threshold": null, "pos_from": null}}, "companion": {"name": "T(2,3)", "genus": 1, '
@@ -460,7 +470,7 @@ EXIT_REJECTED_WINDING = (
     r'is_fibered=True, is_unknot=False)"]}'
 )
 EXIT_UNKNOWN_TWIST_THM1_3 = (
-    r'{"format": 3, "pattern": {"table": {"name": "sparse", "winding": 2, "genus_s3": 1, '
+    r'{"format": 4, "pattern": {"table": {"name": "sparse", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, "neg_threshold": 50, '
     r'"pos_from": null}}, "companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
@@ -483,7 +493,7 @@ EXIT_UNKNOWN_TWIST_THM1_3 = (
     r'is_fibered=True, is_unknot=False)", "negative tail of sparse: n <= -50"]}'
 )
 EXIT_THM1_1 = (
-    r'{"format": 3, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "4_1", '
+    r'{"format": 4, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "4_1", '
     r'"genus": 1, "is_lspace": false, "is_neg_lspace": false, "is_fibered": true, '
     r'"is_unknot": false}, "verdict": "NOT_CERTIFIED", "reason": "thm1.1", "params": null, '
     r'"checks": ['
@@ -498,7 +508,7 @@ EXIT_THM1_1 = (
     r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
 )
 EXIT_THM1_2 = (
-    r'{"format": 3, "pattern": {"table": {"name": "no-disk", "winding": 2, "genus_s3": 1, '
+    r'{"format": 4, "pattern": {"table": {"name": "no-disk", "winding": 2, "genus_s3": 1, '
     r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, "neg_threshold": 7, '
     r'"pos_from": -2}}, "companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
@@ -519,7 +529,7 @@ EXIT_THM1_2 = (
     r'"positive tail of no-disk: n >= -2"]}'
 )
 EXIT_THM1_4 = (
-    r'{"format": 3, "pattern": {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, '
+    r'{"format": 4, "pattern": {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, '
     r'"neg_threshold": null}}, "companion": {"name": "T(2,5)", "genus": 2, "is_lspace": true, '
     r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
     r'"verdict": "NOT_CERTIFIED", "reason": "thm1.4", "params": null, "checks": ['
@@ -534,6 +544,187 @@ EXIT_THM1_4 = (
     r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
 )
 EXIT_TABLE_CERTIFIED = (
+    r'{"format": 4, "pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": -2}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, "is_neg_lspace": false, '
+    r'"is_fibered": true, "is_unknot": false}, "verdict": "CERTIFIED", "reason": null, '
+    r'"params": {"a": 2, "b": 7, "r": 13}, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 7}}, '
+    r'{"id": "lem.4", "pass": true, "values": {"rhs": 13, "g": 1}}, '
+    r'{"id": "lem.5", "pass": true, "values": {"lhs": 14, "rhs": 14}}, '
+    r'{"id": "lem.7", "pass": true, "values": {"twist": -7, "knot": "table tail n=-7"}}, '
+    r'{"id": "lem.sandwich", "pass": true, "values": {"aw2": 8, "bw2": 28}}, '
+    r'{"id": "hrrw.cover", "pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, '
+    r'inf] \u222a [-inf, 2/1)"}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", "pattern facts: t (winding=2, '
+    r'genus_s3=1, meridional_disk=True)", "negative tail of t: n <= -7", '
+    r'"positive tail of t: n >= -2"]}'
+)
+
+
+# The same certificates in format 3, whose lemma checks restated a, b,
+# r and w, and which format 4 refuses.
+FORMAT_3_CABLE_2_3_OF_TREFOIL = (
+    r'{"format": 3, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "T(2,3)", '
+    r'"genus": 1, "is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, "verdict": "CERTIFIED", "reason": null, "params": {"a": 2, "b": 7, '
+    r'"r": 13}, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 1}}, '
+    r'{"id": "lem.4", "pass": true, "values": {"lhs": 13, "rhs": 13, "a": 2, "g": 1, '
+    r'"w": 2}}, '
+    r'{"id": "lem.5", "pass": true, "values": {"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, '
+    r'"r": 13}}, '
+    r'{"id": "lem.7", "pass": true, "values": {"twist": -7, "knot": "T(2,-11)"}}, '
+    r'{"id": "lem.sandwich", "pass": true, "values": {"aw2": 8, "r": 13, "bw2": 28}}, '
+    r'{"id": "hrrw.cover", "pass": true, "values": {"s1": "(1/1, inf)", "s2": "(7/1, '
+    r'inf] \u222a [-inf, 2/1)"}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
+)
+FORMAT_3_CABLE_3_2_OF_TREFOIL = (
+    r'{"format": 3, "pattern": {"torus_pattern": [3, 2]}, "companion": {"name": "T(2,3)", '
+    r'"genus": 1, "is_lspace": true, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, "verdict": "NOT_CERTIFIED", "reason": "thm1.3", "params": null, '
+    r'"checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 3}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 3, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": false, "values": {"twist": -2, "knot": "T(3,-4)"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 1}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
+)
+
+FORMAT_3_EXIT_UNKNOWN_TWIST_NECESSARY = (
+    r'{"format": 3, "pattern": {"table": {"name": "gap", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": null}}, '
+    r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, "is_neg_lspace": false, '
+    r'"is_fibered": true, "is_unknot": false}, "verdict": "NOT_CERTIFIED", '
+    r'"reason": "unknown-twist:necessary (twist family cannot answer n = 0 (outside table and '
+    r'asserted tails))", '
+    r'"params": null, "checks": [], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: gap (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"negative tail of gap: n <= -7"]}'
+)
+FORMAT_3_EXIT_REJECTED_FIBERED = (
+    r'{"format": 3, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "unfibered", '
+    r'"genus": 2, "is_lspace": false, "is_neg_lspace": false, "is_fibered": false, '
+    r'"is_unknot": false}, "verdict": "REJECTED", "reason": "necessary.fibered", '
+    r'"params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": false, "values": {"companion_fibered": false, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}], '
+    r'"trusted_inputs": ["companion facts: unfibered (genus=2, is_lspace=False, '
+    r'is_neg_lspace=False, is_fibered=False, is_unknot=False)"]}'
+)
+FORMAT_3_EXIT_REJECTED_WINDING = (
+    r'{"format": 3, "pattern": {"table": {"name": "core-less", "winding": 0, "genus_s3": 1, '
+    r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, '
+    r'"neg_threshold": null, "pos_from": null}}, "companion": {"name": "T(2,3)", "genus": 1, '
+    r'"is_lspace": true, "is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "REJECTED", "reason": "necessary.winding", "params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": false, "values": {"winding": 0}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: core-less (winding=0, genus_s3=1, meridional_disk=False)", '
+    r'"twist 0 of core-less: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)"]}'
+)
+FORMAT_3_EXIT_UNKNOWN_TWIST_THM1_3 = (
+    r'{"format": 3, "pattern": {"table": {"name": "sparse", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": true, "twists": {"0": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, "neg_threshold": 50, '
+    r'"pos_from": null}}, "companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", '
+    r'"reason": "unknown-twist:thm1.3 (twist family cannot answer n = -2 (outside table and '
+    r'asserted tails))", '
+    r'"params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": false, "values": {"twist": -2, '
+    r'"error": "twist family cannot answer n = -2 (outside table and asserted tails)"}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: sparse (winding=2, genus_s3=1, meridional_disk=True)", '
+    r'"twist 0 of sparse: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", "negative tail of sparse: n <= -50"]}'
+)
+FORMAT_3_EXIT_THM1_1 = (
+    r'{"format": 3, "pattern": {"torus_pattern": [2, 3]}, "companion": {"name": "4_1", '
+    r'"genus": 1, "is_lspace": false, "is_neg_lspace": false, "is_fibered": true, '
+    r'"is_unknot": false}, "verdict": "NOT_CERTIFIED", "reason": "thm1.1", "params": null, '
+    r'"checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": false, "values": {"is_lspace": false, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 2, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -2, "knot": "T(2,-1)"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 1}}], '
+    r'"trusted_inputs": ["companion facts: 4_1 (genus=1, is_lspace=False, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
+)
+FORMAT_3_EXIT_THM1_2 = (
+    r'{"format": 3, "pattern": {"table": {"name": "no-disk", "winding": 2, "genus_s3": 1, '
+    r'"has_disk": false, "twists": {"0": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}}, "neg_threshold": 7, '
+    r'"pos_from": -2}}, "companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", "reason": "thm1.2", "params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 2}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": false, "values": {"winding": 2, "disk": false}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -2, "knot": "table tail n=-2"}}, '
+    r'{"id": "thm1.4", "pass": true, "values": {"threshold": 7}}], '
+    r'"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)", '
+    r'"pattern facts: no-disk (winding=2, genus_s3=1, meridional_disk=False)", '
+    r'"twist 0 of no-disk: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, '
+    r'is_fibered=True, is_unknot=False)", "negative tail of no-disk: n <= -7", '
+    r'"positive tail of no-disk: n >= -2"]}'
+)
+FORMAT_3_EXIT_THM1_4 = (
+    r'{"format": 3, "pattern": {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, '
+    r'"neg_threshold": null}}, "companion": {"name": "T(2,5)", "genus": 2, "is_lspace": true, '
+    r'"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}, '
+    r'"verdict": "NOT_CERTIFIED", "reason": "thm1.4", "params": null, "checks": ['
+    r'{"id": "necessary.fibered", "pass": true, "values": {"companion_fibered": true, '
+    r'"pattern_fibered": true}}, '
+    r'{"id": "necessary.winding", "pass": true, "values": {"winding": 5}}, '
+    r'{"id": "thm1.1", "pass": true, "values": {"is_lspace": true, "is_unknot": false}}, '
+    r'{"id": "thm1.2", "pass": true, "values": {"winding": 5, "disk": true}}, '
+    r'{"id": "thm1.3", "pass": true, "values": {"twist": -4, "knot": "closure of B(5,2,1)"}}, '
+    r'{"id": "thm1.4", "pass": false, "values": {"threshold": null}}], '
+    r'"trusted_inputs": ["companion facts: T(2,5) (genus=2, is_lspace=True, '
+    r'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}'
+)
+FORMAT_3_EXIT_TABLE_CERTIFIED = (
     r'{"format": 3, "pattern": {"table": {"name": "t", "winding": 2, "genus_s3": 1, '
     r'"has_disk": true, "twists": {}, "neg_threshold": 7, "pos_from": -2}}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, "is_neg_lspace": false, '
@@ -559,10 +750,27 @@ EXIT_TABLE_CERTIFIED = (
     r'genus_s3=1, meridional_disk=True)", "negative tail of t: n <= -7", '
     r'"positive tail of t: n >= -2"]}'
 )
+FORMAT_3_TEXTS = [
+    pytest.param(FORMAT_3_CABLE_2_3_OF_TREFOIL, CABLE_2_3_OF_TREFOIL, id="cable_2_3_certified"),
+    pytest.param(FORMAT_3_CABLE_3_2_OF_TREFOIL, CABLE_3_2_OF_TREFOIL, id="cable_3_2_thm1.3"),
+    pytest.param(
+        FORMAT_3_EXIT_UNKNOWN_TWIST_NECESSARY,
+        EXIT_UNKNOWN_TWIST_NECESSARY,
+        id="unknown_twist_necessary",
+    ),
+    pytest.param(FORMAT_3_EXIT_REJECTED_FIBERED, EXIT_REJECTED_FIBERED, id="rejected_fibered"),
+    pytest.param(FORMAT_3_EXIT_REJECTED_WINDING, EXIT_REJECTED_WINDING, id="rejected_winding"),
+    pytest.param(
+        FORMAT_3_EXIT_UNKNOWN_TWIST_THM1_3, EXIT_UNKNOWN_TWIST_THM1_3, id="unknown_twist_thm1.3"
+    ),
+    pytest.param(FORMAT_3_EXIT_THM1_1, EXIT_THM1_1, id="thm1.1"),
+    pytest.param(FORMAT_3_EXIT_THM1_2, EXIT_THM1_2, id="thm1.2"),
+    pytest.param(FORMAT_3_EXIT_THM1_4, EXIT_THM1_4, id="thm1.4"),
+    pytest.param(FORMAT_3_EXIT_TABLE_CERTIFIED, EXIT_TABLE_CERTIFIED, id="table_certified"),
+]
 
-
-# The same certificates in format 2, which stored each check's statement
-# and which format 3 refuses.
+# The same certificates in format 2, which stored each check's statement,
+# paired with their format-3 texts.
 FORMAT_2_CABLE_2_3_OF_TREFOIL = (
     r'{"format": 2, "pattern": {"torus_pattern": [2, 3]}, '
     r'"companion": {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
@@ -818,22 +1026,44 @@ FORMAT_2_EXIT_TABLE_CERTIFIED = (
     r'"positive tail of t: n >= -2"]}'
 )
 FORMAT_2_TEXTS = [
-    pytest.param(FORMAT_2_CABLE_2_3_OF_TREFOIL, CABLE_2_3_OF_TREFOIL, id="cable_2_3_certified"),
-    pytest.param(FORMAT_2_CABLE_3_2_OF_TREFOIL, CABLE_3_2_OF_TREFOIL, id="cable_3_2_thm1.3"),
+    pytest.param(
+        FORMAT_2_CABLE_2_3_OF_TREFOIL,
+        FORMAT_3_CABLE_2_3_OF_TREFOIL,
+        id="cable_2_3_certified",
+    ),
+    pytest.param(
+        FORMAT_2_CABLE_3_2_OF_TREFOIL,
+        FORMAT_3_CABLE_3_2_OF_TREFOIL,
+        id="cable_3_2_thm1.3",
+    ),
     pytest.param(
         FORMAT_2_EXIT_UNKNOWN_TWIST_NECESSARY,
-        EXIT_UNKNOWN_TWIST_NECESSARY,
+        FORMAT_3_EXIT_UNKNOWN_TWIST_NECESSARY,
         id="unknown_twist_necessary",
     ),
-    pytest.param(FORMAT_2_EXIT_REJECTED_FIBERED, EXIT_REJECTED_FIBERED, id="rejected_fibered"),
-    pytest.param(FORMAT_2_EXIT_REJECTED_WINDING, EXIT_REJECTED_WINDING, id="rejected_winding"),
     pytest.param(
-        FORMAT_2_EXIT_UNKNOWN_TWIST_THM1_3, EXIT_UNKNOWN_TWIST_THM1_3, id="unknown_twist_thm1.3"
+        FORMAT_2_EXIT_REJECTED_FIBERED,
+        FORMAT_3_EXIT_REJECTED_FIBERED,
+        id="rejected_fibered",
     ),
-    pytest.param(FORMAT_2_EXIT_THM1_1, EXIT_THM1_1, id="thm1.1"),
-    pytest.param(FORMAT_2_EXIT_THM1_2, EXIT_THM1_2, id="thm1.2"),
-    pytest.param(FORMAT_2_EXIT_THM1_4, EXIT_THM1_4, id="thm1.4"),
-    pytest.param(FORMAT_2_EXIT_TABLE_CERTIFIED, EXIT_TABLE_CERTIFIED, id="table_certified"),
+    pytest.param(
+        FORMAT_2_EXIT_REJECTED_WINDING,
+        FORMAT_3_EXIT_REJECTED_WINDING,
+        id="rejected_winding",
+    ),
+    pytest.param(
+        FORMAT_2_EXIT_UNKNOWN_TWIST_THM1_3,
+        FORMAT_3_EXIT_UNKNOWN_TWIST_THM1_3,
+        id="unknown_twist_thm1.3",
+    ),
+    pytest.param(FORMAT_2_EXIT_THM1_1, FORMAT_3_EXIT_THM1_1, id="thm1.1"),
+    pytest.param(FORMAT_2_EXIT_THM1_2, FORMAT_3_EXIT_THM1_2, id="thm1.2"),
+    pytest.param(FORMAT_2_EXIT_THM1_4, FORMAT_3_EXIT_THM1_4, id="thm1.4"),
+    pytest.param(
+        FORMAT_2_EXIT_TABLE_CERTIFIED,
+        FORMAT_3_EXIT_TABLE_CERTIFIED,
+        id="table_certified",
+    ),
 ]
 
 # The (2,3)-cable certificate in format 1, which had no format key and
@@ -1098,26 +1328,32 @@ class TestClosedFormCover:
 
 class TestCertificateFormat:
     """A certificate names its format in its first key; text of any
-    format but 3 is refused before its key set is read."""
+    format but 4 is refused before its key set is read."""
 
     @pytest.mark.parametrize(
         "text, shown",
         [
             (FORMAT_1_CABLE_2_3_OF_TREFOIL, "1"),
             (FORMAT_2_CABLE_2_3_OF_TREFOIL, "2"),
-            (CABLE_2_3_OF_TREFOIL.replace('"format": 3', '"format": 4'), "4"),
-            (CABLE_2_3_OF_TREFOIL.replace('"format": 3', '"format": true'), "true"),
-            (CABLE_2_3_OF_TREFOIL.replace('"format": 3', '"format": "3"'), '"3"'),
+            (FORMAT_3_CABLE_2_3_OF_TREFOIL, "3"),
+            (CABLE_2_3_OF_TREFOIL.replace('"format": 4', '"format": 5'), "5"),
+            (CABLE_2_3_OF_TREFOIL.replace('"format": 4', '"format": true'), "true"),
+            (CABLE_2_3_OF_TREFOIL.replace('"format": 4', '"format": "4"'), '"4"'),
         ],
-        ids=["format_1", "format_2", "4", "true", "string"],
+        ids=["format_1", "format_2", "format_3", "5", "true", "string"],
     )
     def test_other_formats_are_refused(self, text, shown):
-        with pytest.raises(ValueError, match=f"^certificate format {shown} is not 3$"):
+        with pytest.raises(ValueError, match=f"^certificate format {shown} is not 4$"):
             Certificate.from_json(text)
 
     @pytest.mark.parametrize("old, text", FORMAT_2_TEXTS)
     def test_every_format_2_golden_text_is_refused(self, old, text):
-        with pytest.raises(ValueError, match="^certificate format 2 is not 3$"):
+        with pytest.raises(ValueError, match="^certificate format 2 is not 4$"):
+            Certificate.from_json(old)
+
+    @pytest.mark.parametrize("old, text", FORMAT_3_TEXTS)
+    def test_every_format_3_golden_text_is_refused(self, old, text):
+        with pytest.raises(ValueError, match="^certificate format 3 is not 4$"):
             Certificate.from_json(old)
 
     @pytest.mark.parametrize("old, text", FORMAT_2_TEXTS)
@@ -1128,6 +1364,18 @@ class TestCertificateFormat:
         for check in data["checks"]:
             assert render_statement(check) == check.pop("statement")
         assert json.dumps({**data, "format": 3}) == text
+
+    @pytest.mark.parametrize("old, text", FORMAT_3_TEXTS)
+    def test_format_4_is_format_3_without_restated_values(self, old, text):
+        """Each lemma check drops the values format 3 restated and nothing
+        else changes; each dropped value equals the field that holds it."""
+        data = json.loads(old)
+        held = {"params": data["params"], **{c["id"]: c["values"] for c in data["checks"]}}
+        for id, moved in RESTATED_VALUES.items():
+            for key, (where, name) in moved.items():
+                if id in held:
+                    assert held[id].pop(key) == held[where][name]
+        assert json.dumps({**data, "format": 4}) == text
 
     def test_every_check_id_has_a_statement(self):
         assert list(STATEMENTS) == CERTIFIED_CHECK_IDS
@@ -1174,7 +1422,7 @@ class TestCertificateFormat:
                 Certificate.from_json(json.dumps({**json.loads(cert.to_json()), **edit}))
             )
 
-    def test_format_3_with_an_extra_key_gets_the_key_set_error(self):
+    def test_format_4_with_an_extra_key_gets_the_key_set_error(self):
         data = {**json.loads(CABLE_2_3_OF_TREFOIL), "note": "x"}
         with pytest.raises(
             ReplayMismatchError, match="^unknown key 'note': expected only format, "
@@ -1368,6 +1616,51 @@ class TestRecordMemory:
         assert retained < dict_bytes / 2
 
 
+def lemma_values_once(text: str) -> dict | None:
+    """Check that the certificate text states each lemma fact once, from
+    the text alone: no lem.* check restates a, b, r or w, g is written
+    once, and each kept value and pass is recomputed from a, b and r in
+    params, w in thm1.2 and g in lem.4.  Returns the lemma checks'
+    values by id, or None when the certificate holds no lemma check."""
+    data = json.loads(text)
+    checks = {c["id"]: c for c in data["checks"]}
+    if "lem.4" not in checks:
+        assert not any(id.startswith("lem.") for id in checks)
+        return None
+    lemma = {id: c["values"] for id, c in checks.items() if id.startswith("lem.")}
+    assert all(key not in ("a", "b", "r", "w") for values in lemma.values() for key in values)
+    assert sum("g" in c["values"] for c in data["checks"]) == 1
+    a, b, r = (data["params"][key] for key in ("a", "b", "r"))
+    w, g = checks["thm1.2"]["values"]["winding"], lemma["lem.4"]["g"]
+    lem4, lem5, sandwich = lemma["lem.4"], lemma["lem.5"], lemma["lem.sandwich"]
+    assert lem4 == {"rhs": 2 * g + a * w * (2 * w - 1) - 1, "g": g}
+    assert checks["lem.4"]["pass"] == (r >= lem4["rhs"])
+    assert lem5 == {"lhs": b * w, "rhs": 2 * g + r - 1}
+    assert checks["lem.5"]["pass"] == (lem5["lhs"] >= lem5["rhs"])
+    assert sandwich == {"aw2": a * w * w, "bw2": b * w * w}
+    assert checks["lem.sandwich"]["pass"] == (sandwich["aw2"] < r < sandwich["bw2"])
+    assert lemma["lem.7"]["twist"] == -b
+    return lemma
+
+
+class TestEachFactOnce:
+    """A certificate states each lemma fact once: the values a lemma
+    check keeps are only the sides it compares, recomputed from the text
+    alone.  The grids hold a lem.5 whose two sides differ, so a writer
+    that swaps them shows, as a swap within lem.4 or lem.sandwich does."""
+
+    def assert_grid_states_each_fact_once(self, certificates):
+        lemmas = [lemma_values_once(cert.to_json()) for cert in certificates]
+        lemmas = [lemma for lemma in lemmas if lemma is not None]
+        assert any(lemma["lem.5"]["lhs"] != lemma["lem.5"]["rhs"] for lemma in lemmas)
+
+    def test_cable_grid(self):
+        self.assert_grid_states_each_fact_once(cable_grid_certificates())
+
+    def test_one_bridge_grid(self):
+        self.assert_grid_states_each_fact_once(one_bridge_grid_certificates())
+
+
 class TestWriterOracle:
     """to_json writes from fixed key texts the bytes json.dumps writes
     for the certificate's record built as a dict."""
@@ -1388,17 +1681,25 @@ class TestWriterOracle:
         assert self.assert_written_as_json_dumps(certificates) > 0
 
     def test_lemma_checks_off_the_chosen_parameters(self):
-        """The pipeline picks r as the right side of lem.4, so no
-        certificate it writes tells lem.4's lhs from its rhs; the
-        lemma's checks at other (a, b, r) do, passing and failing."""
+        """The pipeline picks r as the right side of lem.4, so in every
+        certificate it writes lem.4's rhs is params.r; the lemma's checks
+        at other (a, b, r), stored with those params, differ from it,
+        passing and failing."""
         certificates = []
         for pattern in (torus_pattern(2, 3), torus_pattern(3, 7), one_bridge_braid(4, 1, 10, 2)):
             cert = certify_satellite(pattern, TREFOIL)
             for a, b, r in itertools.product((1, 2, 4), (2, 7, 18), (12, 13, 41, 200)):
                 records = check_lemma(pattern, a, b, r)
-                certificates.append(dataclasses.replace(cert, records=records))
+                certificates.append(
+                    dataclasses.replace(cert, params=LemmaParams(a, b, r), records=records)
+                )
+        assert any(
+            values[0] != cert.params.r
+            for cert in certificates
+            for id, _, values in cert.records
+            if id == "lem.4"
+        )
         records = [r for cert in certificates for r in cert.records]
-        assert any(values[0] != values[1] for id, _, values in records if id == "lem.4")
         assert {passed for _, passed, _ in records} == {True, False}
         assert self.assert_written_as_json_dumps(certificates) == 3 * 36
 

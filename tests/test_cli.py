@@ -34,6 +34,8 @@ from test_certify import (
     CABLE_2_3_OF_TREFOIL,
     FORMAT_1_CABLE_2_3_OF_TREFOIL,
     FORMAT_2_CABLE_2_3_OF_TREFOIL,
+    FORMAT_3_CABLE_2_3_OF_TREFOIL,
+    FORMAT_3_TEXTS,
     seed_lemma_bug,
 )
 
@@ -110,14 +112,14 @@ def _params_float(data):
 
 
 def _operand(data, edit):
-    """lem.4, a >= check, with its left operand lhs replaced by edit(lhs)."""
-    lem4 = next(c for c in data["checks"] if c["id"] == "lem.4")
-    lem4["values"]["lhs"] = edit(lem4["values"]["lhs"])
+    """lem.5, a >= check, with its left operand lhs replaced by edit(lhs)."""
+    lem5 = next(c for c in data["checks"] if c["id"] == "lem.5")
+    lem5["values"]["lhs"] = edit(lem5["values"]["lhs"])
     return json.dumps(data)
 
 
 def _statement_back(data):
-    # Format 2 stored each check's statement; a format-3 certificate holds
+    # Format 2 stored each check's statement; a format-4 certificate holds
     # none, so one put back is a check the re-run does not make.
     data["checks"][0]["statement"] = "companion and P(U) are fibered"
     return json.dumps(data)
@@ -323,14 +325,14 @@ class TestCertify:
         ids=["certified", "rejected", "unknown_twist", "one_bridge", "table"],
     )
     def test_replay_reproduces_each_verdict(self, pattern, companion, verdict, held, tmp_path):
-        """--out writes a certificate of format 3, whose first key names
+        """--out writes a certificate of format 4, whose first key names
         it, holding the text held; replay reproduces its verdict and exit
         code."""
         path = tmp_path / "cert.json"
         argv = ["certify", "--pattern", pattern, "--companion", companion]
         code, _ = run(argv + ["--out", str(path)])
         text = path.read_text()
-        assert text.startswith('{"format": 3, ') and held in text
+        assert text.startswith('{"format": 4, ') and held in text
         replay_code, text = run(["certify", "--replay", str(path)])
         assert replay_code == code
         assert text.strip() == f"REPLAY OK: verdict {verdict} reproduced"
@@ -800,11 +802,27 @@ class TestCertify:
 
     def test_replaying_a_format_1_certificate_names_the_format(self, tmp_path, capsys):
         err = self.replay_error(FORMAT_1_CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
-        assert err.endswith(": ValueError: certificate format 1 is not 3\n")
+        assert err.endswith(": ValueError: certificate format 1 is not 4\n")
 
     def test_replaying_a_format_2_certificate_names_the_format(self, tmp_path, capsys):
         err = self.replay_error(FORMAT_2_CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
-        assert err.endswith(": ValueError: certificate format 2 is not 3\n")
+        assert err.endswith(": ValueError: certificate format 2 is not 4\n")
+
+    @pytest.mark.parametrize("command", ["replay", "explain"])
+    @pytest.mark.parametrize("old, text", FORMAT_3_TEXTS)
+    def test_every_format_3_certificate_exits_3_naming_the_format(
+        self, old, text, command, tmp_path, capsys
+    ):
+        """Format 3 restated a, b, r and w in its lemma checks; each of its
+        golden texts is refused by replay and by explain alike."""
+        path = tmp_path / "cert.json"
+        path.write_text(old + "\n")
+        argv = {"replay": ["certify", "--replay"], "explain": ["explain"]}[command]
+        code, out = run([*argv, str(path)])
+        err = capsys.readouterr().err
+        assert (code, out) == (3, "") and err.count("\n") == 1
+        assert err.startswith("error: cannot replay ")
+        assert err.endswith(": ValueError: certificate format 3 is not 4\n")
 
 
 def _leaf_paths(node, path=()):
@@ -1192,14 +1210,13 @@ class TestExplain:
             '[ok] thm1.3  P(U, -2) is an L-space knot  {"twist": -2, "knot": "T(2,-1)"}',
             "[ok] thm1.4  negative L-space tail asserted for large negative twists  "
             '{"threshold": 1}',
-            "[ok] lem.4  r >= 2g(P) + a·w(2w-1) - 1  "
-            '{"lhs": 13, "rhs": 13, "a": 2, "g": 1, "w": 2}',
+            '[ok] lem.4  r >= 2g(P) + a·w(2w-1) - 1  {"rhs": 13, "g": 1}',
             "[ok] lem.5  b·w >= 2g(P) + r - 1 (exact form of b >= (2g(P)+r-1)/w)  "
-            '{"lhs": 14, "rhs": 14, "b": 7, "g": 1, "w": 2, "r": 13}',
+            '{"lhs": 14, "rhs": 14}',
             "[ok] lem.7  P(U, -7) is a negative L-space knot  "
             '{"twist": -7, "knot": "T(2,-11)"}',
             "[ok] lem.sandwich  a·w² < r < b·w² (so 1/b < w²/r < 1/a)  "
-            '{"aw2": 8, "r": 13, "bw2": 28}',
+            '{"aw2": 8, "bw2": 28}',
             "[ok] hrrw.cover  strict slope sets of the two sides jointly cover QP^1  "
             '{"s1": "(1/1, inf)", "s2": "(7/1, inf] ∪ [-inf, 2/1)"}',
             "trusted_inputs:",
@@ -1237,7 +1254,12 @@ class TestExplain:
         assert failing in lines
 
     @pytest.mark.parametrize(
-        "text", [FORMAT_2_CABLE_2_3_OF_TREFOIL, CABLE_2_3_OF_TREFOIL.replace("13", "14")]
+        "text",
+        [
+            FORMAT_2_CABLE_2_3_OF_TREFOIL,
+            FORMAT_3_CABLE_2_3_OF_TREFOIL,
+            CABLE_2_3_OF_TREFOIL.replace("13", "14"),
+        ],
     )
     def test_a_certificate_that_fails_replay_prints_no_table(self, text, tmp_path, capsys):
         code, out, err = self.explain(text, tmp_path, capsys)

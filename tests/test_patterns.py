@@ -29,9 +29,10 @@ from lspacesat.patterns import (
     UnknownTwistError,
     _BraidPattern,
     _TablePattern,
-    one_bridge_braid_word,
     pattern_to_text,
 )
+
+from oracle_helpers import one_bridge_braid_word
 
 
 class TestTorusPattern:
