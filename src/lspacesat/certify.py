@@ -17,29 +17,32 @@ A certificate carries its own pattern and companion, so replay is the
 pipeline re-run on those inputs and compared with what the certificate
 records; nothing recorded is trusted on its own.
 
-Certificates are written in format 4, which states each fact once: the
+Certificates are written in format 5, which states each fact once: the
 arc [1/a → ∞ → 1/b] is read off params, the lemma records only what
 Theorem 1 has not already checked, and a check records no statement.  A
 lemma check keeps only the sides it compares and never restates a value
 an earlier field holds: a, b and r are read off params, w off thm1.2 and
 g off lem.4, so lem.4 holds (rhs, g), its left side being params.r,
-lem.5 (lhs, rhs) and lem.sandwich (aw2, bw2).  A certificate is exactly
-the text to_json writes, as a DER encoding is for X.509: one text per
-record.  to_json writes each check and params from fixed key texts,
+lem.5 (lhs, rhs) and lem.sandwich (aw2, bw2).  trusted_inputs names the
+head keys the certificate takes as given and restates none of their
+facts: ["companion"] for a braided pattern, which derives every fact,
+and ["companion", "pattern"] for a table, which asserts its facts
+(PatternFacts.asserts_facts).  A certificate is exactly the text to_json
+writes, as a DER encoding is for X.509: one text per record.  to_json writes each check and params from fixed key texts,
 integers as int.__repr__, flags as true and false, and strings through
 json's ASCII escape, and the inputs through their own modules' writers,
 pattern_to_text and companion_to_text, which do the same, so its text is
 the one json.dumps writes for the same record.  from_json reads only the
-head of a text: "format": 4 first (a text whose format is not the
-integer 4 is refused, and one without the key is format 1), then the
-pattern and the companion, as its six facts.  What a certificate reads
-off its companion alone (its trusted line, its strict slope text and its
-written text) is built once and kept in one table, _COMPANIONS, of at
-most 256 companions, the oldest dropped first.
-to_json looks it up by the facts, from_json by the text between the
-companion key and the verdict key to_json writes next, so a sweep's
-handful of companions is decoded once each: a kept text is a whole
-object that decodes to its record's facts, and only another is decoded.
+head of a text: "format": 5 first (a text whose format is not the
+integer 5 is refused, and one without the key is format 1), then the
+pattern and the companion, as its six facts.  The text to_json writes
+for a companion is built once and kept in one table, _COMPANIONS, with
+the facts it decodes to, for at most 256 companions, the oldest dropped
+first.  to_json looks the text up by the facts, from_json the facts by
+the text between the companion key and the verdict key to_json writes
+next, so a sweep's handful of companions is decoded once each: a kept
+text is a whole object that decodes to its facts, and only another is
+decoded.
 Replay re-runs the pipeline on those two inputs and accepts the
 certificate only when the re-run writes the stored text, so no second
 text replays as the same certificate: not a reformatted one, not one
@@ -55,10 +58,7 @@ a certificate's checks as dicts, {"id", "pass", "values"} in that order,
 are its text decoded (Certificate.checks).  What a check states is a
 fixed text per id (STATEMENTS), filled in from the check's own values by
 render_statement, which lspacesat explain prints beside each check; only
-thm1.3 and lem.7 read a value, the twist.  The trusted inputs are not
-stored but read off the two inputs: the companion's facts, which replay
-takes as given, then what the pattern asserts (PatternFacts.asserted), so
-every run on a pair lists the same.
+thm1.3 and lem.7 read a value, the twist.
 
 The gluing cover (hrrw.cover) is computed in closed form, which is
 exact once every check before it passes (if one fails, the run raises
@@ -73,9 +73,8 @@ below):
 The two open arcs cover QP^1 exactly when s1 holds every slope outside
 s2, the closed arc [a, b], that is when a > 2g(K) - 1.  Both texts are
 written straight from the integers 2g(K) - 1, a and b, each as n/1, the
-text str(Slope(n)) gives an integer n, so the cover builds no Slope.
-The text of s1 depends on the companion alone, so like its trusted line
-it is kept in the companion's record.  The general route
+text str(Slope(n)) gives an integer n, so the cover builds no Slope and
+certify_satellite reads no companion table.  The general route
 (SlopeSet.from_arcs, GluingMap.image_of_set, covers_circle, str) stays
 in the test suite as the oracle this closed form is checked against.
 
@@ -101,11 +100,11 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple
 
 from .knots import (
+    _FLAG,
     KnotFacts,
     cable_is_lspace_exact,
     companion_to_text,
     facts_from_json,
-    facts_note,
     json_object,
 )
 from .patterns import (
@@ -176,17 +175,18 @@ def _no_floats(text: str):
 # could compare equal to the integer the re-run records (3.0 == 3).
 _CERTIFICATE_JSON = json.JSONDecoder(parse_float=_no_floats, parse_constant=_no_floats)
 
-_FORMAT = 4
+_FORMAT = 5
 _HEAD = f'{{"format": {_FORMAT}, "pattern": '
 _COMPANION_KEY = ', "companion": '
 _VERDICT_KEY = ', "verdict": '
 
-# One record per companion, (facts, trusted line, strict slope text,
-# written text), kept under its facts and under its written text.
-_COMPANIONS: dict[KnotFacts | str, tuple[KnotFacts, str, str, str]] = {}
+# Each kept companion's written text under its facts, and its facts under
+# that text.
+_COMPANIONS: dict[KnotFacts | str, str | KnotFacts] = {}
 
-# The JSON text of a flag.
-_FLAG = {True: "true", False: "false"}
+# The head keys a certificate takes as given, by whether its pattern
+# asserts facts.
+_TRUSTED = {False: '["companion"]', True: '["companion", "pattern"]'}
 
 # The text of each check, by id, from whether it passed and its values;
 # the one place a value key is named.  thm1.3 holds the twist and either
@@ -256,11 +256,6 @@ class Certificate:
     records: list[tuple]
 
     @property
-    def trusted_inputs(self) -> list[str]:
-        """The companion's facts line, then what the pattern asserts."""
-        return [_companion(self.companion)[1], *self.pattern.asserted()]
-
-    @property
     def checks(self) -> list[dict]:
         """The checks as the certificate writes them, each a dict
         {"id", "pass", "values"}, decoded afresh from to_json on each
@@ -271,13 +266,12 @@ class Certificate:
         p, reason = self.params, self.reason
         checks = ", ".join(_CHECK_TEXT[id](passed, *values) for id, passed, values in self.records)
         params = "null" if p is None else f'{{"a": {p.a}, "b": {p.b}, "r": {p.r}}}'
-        _, note, _, companion = _companion(self.companion)
-        trusted = ", ".join(map(_string, [note, *self.pattern.asserted()]))
         return (
             f"{_HEAD}{pattern_to_text(self.pattern)}{_COMPANION_KEY}"
-            f"{companion}{_VERDICT_KEY}{_string(self.verdict)}, "
+            f"{_companion_text(self.companion)}{_VERDICT_KEY}{_string(self.verdict)}, "
             f'"reason": {"null" if reason is None else _string(reason)}, '
-            f'"params": {params}, "checks": [{checks}], "trusted_inputs": [{trusted}]}}'
+            f'"params": {params}, "checks": [{checks}], '
+            f'"trusted_inputs": {_TRUSTED[self.pattern.asserts_facts]}}}'
         )
 
     @classmethod
@@ -285,7 +279,7 @@ class Certificate:
         """The pattern and companion read off the head of text, with text
         less one trailing newline, for replay_certificate to re-run and
         compare.  Raises ValueError unless text begins as to_json writes,
-        naming the format when it is not 4, and unless its pattern and
+        naming the format when it is not 5, and unless its pattern and
         companion read as inputs."""
         if text.endswith("\n"):
             text = text[:-1]
@@ -300,16 +294,17 @@ class Certificate:
             if not text.startswith(_COMPANION_KEY, end):
                 raise ValueError
             start = end + len(_COMPANION_KEY)
-            # A kept text is a whole object that decodes to its record's
-            # facts: a decoder started here would stop at its end with them.
-            record = _COMPANIONS.get(text[start : text.find(_VERDICT_KEY, start)])
-            if record is None:
+            # A kept text is a whole object that decodes to its facts: a
+            # decoder started here would stop at its end with them.
+            companion = _COMPANIONS.get(text[start : text.find(_VERDICT_KEY, start)])
+            if companion is None:
                 fields = _CERTIFICATE_JSON.raw_decode(text, start)[0]
         except ValueError:
             raise ValueError(_refusal(text)) from None
-        if record is None:
-            record = _companion(facts_from_json(fields, "companion: "))
-        return StoredCertificate(pattern_from_json(pattern), record[0], text)
+        if companion is None:
+            # The kept facts, which equal the decoded ones when kept already.
+            companion = _COMPANIONS[_companion_text(facts_from_json(fields, "companion: "))]
+        return StoredCertificate(pattern_from_json(pattern), companion, text)
 
 
 def _refusal(text: str, rerun: str | None = None) -> str:
@@ -320,7 +315,7 @@ def _refusal(text: str, rerun: str | None = None) -> str:
     if type(d) is not dict:
         return f"a certificate is a JSON object, got {type(d).__name__}"
     # The decoder reads no floats and true == 1, so only the JSON integer
-    # 4 equals 4.
+    # 5 equals 5.
     found = d.get("format", 1)
     if found != _FORMAT:
         return f"certificate format {json.dumps(found)} is not {_FORMAT}"
@@ -408,18 +403,17 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> list[tuple]:
 # -- the main pipeline --------------------------------------------------
 
 
-def _companion(k: KnotFacts) -> tuple[KnotFacts, str, str, str]:
-    """k's record in _COMPANIONS, made on first use.  The slope text, of
-    (2g-1, ∞), writes 2g-1 as str(Slope(2g-1)) would, as n/1."""
-    record = _COMPANIONS.get(k)
-    if record is None:
+def _companion_text(k: KnotFacts) -> str:
+    """The text to_json writes for k, kept in _COMPANIONS on first use."""
+    text = _COMPANIONS.get(k)
+    if text is None:
         text = companion_to_text(k)
-        record = (k, f"companion facts: {facts_note(k)}", f"({2 * k.genus - 1}/1, inf)", text)
         if len(_COMPANIONS) >= 2 * 256:
             # Keys go in and out in pairs, the facts first.
-            del _COMPANIONS[_COMPANIONS.pop(next(iter(_COMPANIONS)))[3]]
-        _COMPANIONS[k] = _COMPANIONS[text] = record
-    return record
+            del _COMPANIONS[_COMPANIONS.pop(next(iter(_COMPANIONS)))]
+        _COMPANIONS[k] = text
+        _COMPANIONS[text] = k
+    return text
 
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
@@ -462,8 +456,9 @@ def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:
     proof = check_lemma(p, params.a, params.b, params.r)
     # The cover in closed form (see the module docstring): s1 is
     # (2g-1, ∞) and s2 the swapped open arc b → ∞ → a, each end n as n/1.
+    edge = 2 * k.genus - 1
     glued = f"({params.b}/1, inf] ∪ [-inf, {params.a}/1)"
-    proof.append(("hrrw.cover", params.a > 2 * k.genus - 1, (_companion(k)[2], glued)))
+    proof.append(("hrrw.cover", params.a > edge, (f"({edge}/1, inf)", glued)))
     if failed := _first_failure(proof):
         raise ConsistencyError(
             f"{failed} failed after thm1.4 passed, for pattern {p.name} and companion {k.name}"

@@ -7,8 +7,8 @@ Subcommands:
                   a stored certificate carries and compare the text it
                   writes with the stored text
 * explain      -- replay a stored certificate as certify --replay does,
-                  then print each check with its statement and values,
-                  and the certificate's trusted inputs
+                  then print its params a, b and r, each check with its
+                  statement and values, and the head keys it trusts
 * cable        -- certify a cable and compare with the exact criterion
 * sweep        -- tabulate sufficient vs exact verdicts over a (p, q) grid,
                   for --companion given once per companion in any form
@@ -21,7 +21,7 @@ Exit codes: 0 certified / complete, 1 not certified, 2 rejected, 3 any
 other end: bad input (including an empty --out, --replay or explain
 path, JSON nested too deeply, an integer of more digits than Python
 reads or writes, a one-bridge braid of over 10⁶ strands, a certificate
-of another format, formats 1 to 3 included, or one that is malformed,
+of another format, formats 1 to 4 included, or one that is malformed,
 holds a float, has keys other than those certificates are written with,
 holds its companion in another form than its six facts, or is not the
 text the re-run writes), an output stream that cannot encode the text,
@@ -197,13 +197,16 @@ def _cmd_explain(args, out) -> int:
     cert = json.loads(stored.text)
     if cert["reason"] is not None:
         print(f"reason: {cert['reason']}", file=out)
+    # The lemma statements name a, b and r, which the checks do not restate.
+    if (params := cert["params"]) is not None:
+        print(f"params: a={params['a']} b={params['b']} r={params['r']}", file=out)
     for check in cert["checks"]:
         mark = "ok" if check["pass"] else "FAIL"
         values = json.dumps(check["values"], ensure_ascii=False)
         print(f"[{mark}] {check['id']}  {render_statement(check)}  {values}", file=out)
     print("trusted_inputs:", file=out)
-    for line in cert["trusted_inputs"]:
-        print(f"  {line}", file=out)
+    for key in cert["trusted_inputs"]:
+        print(f"  {key}", file=out)
     return _VERDICT_EXIT[verdict]
 
 

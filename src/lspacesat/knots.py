@@ -10,8 +10,9 @@ pass 1 or 0); dataclasses.replace goes through the same checks.  The
 slope set a companion complement contributes to the gluing argument, and
 the exact cable criterion used as ground truth in tests, both live here.
 So do json_object, which reads every JSON object lspacesat reads, each
-key checked for its type, and the one writer and reader of the six-fact
-companion object, companion_to_text and facts_from_json.
+key checked for its type, the one writer and reader of the six-fact
+companion object, companion_to_text and facts_from_json, and _FLAG, the
+JSON text of a flag, which every writer of a certificate uses.
 """
 
 from __future__ import annotations
@@ -83,15 +84,6 @@ _set_is_fibered = KnotFacts.is_fibered.__set__
 _set_is_unknot = KnotFacts.is_unknot.__set__
 
 UNKNOT = KnotFacts("unknot", 0, True, True, True, True)
-
-
-def facts_note(k: KnotFacts) -> str:
-    """k's name and every fact, as trusted-input lines quote a knot."""
-    return (
-        f"{k.name} (genus={k.genus}, is_lspace={k.is_lspace}, "
-        f"is_neg_lspace={k.is_neg_lspace}, is_fibered={k.is_fibered}, "
-        f"is_unknot={k.is_unknot})"
-    )
 
 
 def torus_knot_genus(p: int, m: int) -> int:

@@ -15,10 +15,10 @@ data its answer needs.  There are two kinds:
   threshold itself.
 
 Patterns are built by torus_pattern (b = 0), one_bridge_braid (b >= 1)
-and table_pattern.  Each kind lists in asserted() what it takes as
-given, the certificate's trusted inputs: nothing for a braided pattern,
-which derives every fact, and a table's facts, entries and declared
-tails.
+and table_pattern.  Each kind says by one class flag, asserts_facts,
+whether it takes facts as given: a braided pattern derives every fact,
+a table asserts its facts, entries and declared tails, so a table's
+certificate names its pattern among its trusted inputs.
 
 Like KnotFacts, each kind is a slotted, frozen dataclass with one
 constructor, which takes its fields by position or by name.
@@ -33,14 +33,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .braids import closure_components
 from .knots import (
+    _FLAG,
     KnotFacts,
     companion_from_json,
     companion_to_text,
-    facts_note,
     json_object,
     json_pair,
     torus_knot_genus,
@@ -79,6 +79,9 @@ class PatternFacts:
     genus_s3: int
     has_minimal_meridional_disk: bool
     neg_lspace_threshold: int | None
+    # Whether the kind takes facts as given; a braided pattern, torus
+    # (b = 0) or one-bridge, derives every fact.
+    asserts_facts: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -102,12 +105,6 @@ class PatternFacts:
 
     def _twist(self, n: int) -> KnotFacts:
         raise NotImplementedError
-
-    def asserted(self) -> list[str]:
-        """The facts this pattern takes as given, one trusted-input line
-        each; none for a braided pattern, torus (b = 0) or one-bridge,
-        which derives every fact."""
-        return []
 
     def twisted_facts(self, n: int) -> KnotFacts:
         """Full facts of the n-twisted satellite of the unknot P(U, n)."""
@@ -195,6 +192,7 @@ class _TablePattern(PatternFacts):
 
     entries: Mapping[int, KnotFacts]
     pos_tail_from: int | None
+    asserts_facts: ClassVar[bool] = True
 
     def __init__(
         self,
@@ -211,20 +209,6 @@ class _TablePattern(PatternFacts):
         )
         _set_entries(self, entries)
         _set_pos_tail_from(self, pos_tail_from)
-
-    def asserted(self) -> list[str]:
-        """The facts line, then each tabled twist in order of n, then
-        each declared tail."""
-        lines = [
-            f"pattern facts: {self.name} (winding={self.winding}, "
-            f"genus_s3={self.genus_s3}, meridional_disk={self.has_minimal_meridional_disk})",
-            *(f"twist {n} of {self.name}: {facts_note(k)}" for n, k in self.entries.items()),
-        ]
-        if self.neg_lspace_threshold is not None:
-            lines.append(f"negative tail of {self.name}: n <= -{self.neg_lspace_threshold}")
-        if self.pos_tail_from is not None:
-            lines.append(f"positive tail of {self.name}: n >= {self.pos_tail_from}")
-        return lines
 
     def _twist(self, n: int) -> KnotFacts:
         if n in self.entries:
@@ -411,10 +395,9 @@ def pattern_to_text(p: PatternFacts) -> str:
             f'"neg_threshold": {threshold}}}}}'
         )
     twists = ", ".join(f'"{n}": {companion_to_text(k)}' for n, k in p.entries.items())
-    disk = "true" if p.has_minimal_meridional_disk else "false"
     pos = "null" if p.pos_tail_from is None else p.pos_tail_from
     return (
         f'{{"table": {{"name": {_string(p.name)}, "winding": {p.winding}, "genus_s3": '
-        f'{p.genus_s3}, "has_disk": {disk}, "twists": {{{twists}}}, '
-        f'"neg_threshold": {threshold}, "pos_from": {pos}}}}}'
+        f'{p.genus_s3}, "has_disk": {_FLAG[p.has_minimal_meridional_disk]}, '
+        f'"twists": {{{twists}}}, "neg_threshold": {threshold}, "pos_from": {pos}}}}}'
     )

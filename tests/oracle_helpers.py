@@ -196,13 +196,14 @@ def certificate_dict(cert: Certificate) -> dict:
     """The record of cert as a dict, whose json.dumps is the text
     Certificate.to_json writes from fixed key texts."""
     params = cert.params
+    braided = isinstance(cert.pattern, _BraidPattern)
     return {
-        "format": 4,
+        "format": 5,
         "pattern": pattern_to_json(cert.pattern),
         "companion": companion_to_json(cert.companion),
         "verdict": cert.verdict,
         "reason": cert.reason,
         "params": None if params is None else {"a": params.a, "b": params.b, "r": params.r},
         "checks": [check_dict(r) for r in cert.records],
-        "trusted_inputs": cert.trusted_inputs,
+        "trusted_inputs": ["companion"] if braided else ["companion", "pattern"],
     }

@@ -36,6 +36,8 @@ from test_certify import (
     FORMAT_2_CABLE_2_3_OF_TREFOIL,
     FORMAT_3_CABLE_2_3_OF_TREFOIL,
     FORMAT_3_TEXTS,
+    FORMAT_4_CABLE_2_3_OF_TREFOIL,
+    FORMAT_4_TEXTS,
     seed_lemma_bug,
 )
 
@@ -293,8 +295,7 @@ class TestCertify:
                 '{"one_bridge_braid": {"w": 5, "b": 2, "t": 21, "neg_threshold": 3}}',
                 "T(2,5)",
                 "CERTIFIED",
-                '"trusted_inputs": ["companion facts: T(2,5) (genus=2, is_lspace=True, '
-                'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}',
+                '"trusted_inputs": ["companion"]}',
             ),
             (
                 TORUS_23,
@@ -311,28 +312,33 @@ class TestCertify:
                 '"verdict": "NOT_CERTIFIED", "reason": "unknown-twist:',
             ),
             # Every twist of a one-bridge braid is read off B(w, b, t + n·w),
-            # so its certificate trusts the companion line alone.
+            # so its certificate trusts the companion alone.
             (
                 '{"one_bridge_braid": {"w": 4, "b": 1, "t": 10, "neg_threshold": 3}}',
                 "trefoil",
                 "CERTIFIED",
-                '"trusted_inputs": ["companion facts: T(2,3) (genus=1, is_lspace=True, '
-                'is_neg_lspace=False, is_fibered=True, is_unknot=False)"]}',
+                '"trusted_inputs": ["companion"]}',
             ),
-            # A table's trusted inputs name each entry.
-            (TABLE_WITH_TREFOIL_AT_0, "trefoil", "CERTIFIED", '"twist 0 of t: T(2,3) (genus=1'),
+            # A table asserts its entries, so its certificate trusts the
+            # pattern too.
+            (
+                TABLE_WITH_TREFOIL_AT_0,
+                "trefoil",
+                "CERTIFIED",
+                '"trusted_inputs": ["companion", "pattern"]}',
+            ),
         ],
         ids=["certified", "rejected", "unknown_twist", "one_bridge", "table"],
     )
     def test_replay_reproduces_each_verdict(self, pattern, companion, verdict, held, tmp_path):
-        """--out writes a certificate of format 4, whose first key names
+        """--out writes a certificate of format 5, whose first key names
         it, holding the text held; replay reproduces its verdict and exit
         code."""
         path = tmp_path / "cert.json"
         argv = ["certify", "--pattern", pattern, "--companion", companion]
         code, _ = run(argv + ["--out", str(path)])
         text = path.read_text()
-        assert text.startswith('{"format": 4, ') and held in text
+        assert text.startswith('{"format": 5, ') and held in text
         replay_code, text = run(["certify", "--replay", str(path)])
         assert replay_code == code
         assert text.strip() == f"REPLAY OK: verdict {verdict} reproduced"
@@ -802,11 +808,11 @@ class TestCertify:
 
     def test_replaying_a_format_1_certificate_names_the_format(self, tmp_path, capsys):
         err = self.replay_error(FORMAT_1_CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
-        assert err.endswith(": ValueError: certificate format 1 is not 4\n")
+        assert err.endswith(": ValueError: certificate format 1 is not 5\n")
 
     def test_replaying_a_format_2_certificate_names_the_format(self, tmp_path, capsys):
         err = self.replay_error(FORMAT_2_CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
-        assert err.endswith(": ValueError: certificate format 2 is not 4\n")
+        assert err.endswith(": ValueError: certificate format 2 is not 5\n")
 
     @pytest.mark.parametrize("command", ["replay", "explain"])
     @pytest.mark.parametrize("old, text", FORMAT_3_TEXTS)
@@ -822,7 +828,24 @@ class TestCertify:
         err = capsys.readouterr().err
         assert (code, out) == (3, "") and err.count("\n") == 1
         assert err.startswith("error: cannot replay ")
-        assert err.endswith(": ValueError: certificate format 3 is not 4\n")
+        assert err.endswith(": ValueError: certificate format 3 is not 5\n")
+
+    @pytest.mark.parametrize("command", ["replay", "explain"])
+    @pytest.mark.parametrize("old, text", FORMAT_4_TEXTS)
+    def test_every_format_4_certificate_exits_3_naming_the_format(
+        self, old, text, command, tmp_path, capsys
+    ):
+        """Format 4 restated the companion's facts, and a table's, in its
+        trusted inputs; each of its golden texts is refused by replay and
+        by explain alike."""
+        path = tmp_path / "cert.json"
+        path.write_text(old + "\n")
+        argv = {"replay": ["certify", "--replay"], "explain": ["explain"]}[command]
+        code, out = run([*argv, str(path)])
+        err = capsys.readouterr().err
+        assert (code, out) == (3, "") and err.count("\n") == 1
+        assert err.startswith("error: cannot replay ")
+        assert err.endswith(": ValueError: certificate format 4 is not 5\n")
 
 
 def _leaf_paths(node, path=()):
@@ -1200,6 +1223,7 @@ class TestExplain:
         assert (code, err) == (0, "")
         assert out.splitlines() == [
             "REPLAY OK: verdict CERTIFIED reproduced",
+            "params: a=2 b=7 r=13",
             "[ok] necessary.fibered  companion and P(U) are fibered  "
             '{"companion_fibered": true, "pattern_fibered": true}',
             '[ok] necessary.winding  winding number is nonzero  {"winding": 2}',
@@ -1220,8 +1244,7 @@ class TestExplain:
             "[ok] hrrw.cover  strict slope sets of the two sides jointly cover QP^1  "
             '{"s1": "(1/1, inf)", "s2": "(7/1, inf] ∪ [-inf, 2/1)"}',
             "trusted_inputs:",
-            "  companion facts: T(2,3) (genus=1, is_lspace=True, is_neg_lspace=False, "
-            "is_fibered=True, is_unknot=False)",
+            "  companion",
         ]
 
     @pytest.mark.parametrize(
@@ -1258,6 +1281,7 @@ class TestExplain:
         [
             FORMAT_2_CABLE_2_3_OF_TREFOIL,
             FORMAT_3_CABLE_2_3_OF_TREFOIL,
+            FORMAT_4_CABLE_2_3_OF_TREFOIL,
             CABLE_2_3_OF_TREFOIL.replace("13", "14"),
         ],
     )
@@ -1278,7 +1302,7 @@ class TestExplain:
         monkeypatch.setattr(certify, "certify_satellite", counted)
         monkeypatch.setattr(cli, "certify_satellite", counted)
         code, out, err = self.explain(CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
-        assert (code, err, len(out.splitlines())) == (0, "", 14)
+        assert (code, err, len(out.splitlines())) == (0, "", 15)
         assert len(calls) == 1
 
     def test_a_missing_file_exits_3(self, tmp_path, capsys):
@@ -1349,7 +1373,8 @@ class TestFileEncoding:
             ["explain", str(path)], tmp_path, **ASCII_LOCALE, PYTHONIOENCODING="utf-8"
         )
         assert (code, err) == (0, "")
-        assert "  twist 0 of τ: T(2,3) (genus=1" in out
+        assert "[ok] lem.4  r >= 2g(P) + a·w(2w-1) - 1  " in out
+        assert out.endswith("trusted_inputs:\n  companion\n  pattern\n")
 
     def test_explain_to_an_ascii_stdout_still_exits_3(self, tmp_path):
         """The certificate reads; its statements cannot be written, to

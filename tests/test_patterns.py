@@ -380,17 +380,12 @@ class TestTablePattern:
             table_pattern("t", 2, 0, True, {}, neg_threshold=1, pos_from=-1)
 
     def test_one_text_whatever_the_order_of_twists(self):
-        """Twists given in either order make one table: its entries and
-        trusted lines in order of n, and one certificate."""
+        """Twists given in either order make one table: its entries in
+        order of n, and one certificate."""
         twists = {0: torus_knot(2, 3), 1: torus_knot(2, 5)}
         orders = (twists.items(), reversed(twists.items()))
         tables = [table_pattern("t", 2, 1, True, dict(order)) for order in orders]
         assert [list(pat.entries) for pat in tables] == [[0, 1], [0, 1]]
-        assert tables[0].asserted() == tables[1].asserted()
-        assert [line.split(":")[0] for line in tables[0].asserted()[1:]] == [
-            "twist 0 of t",
-            "twist 1 of t",
-        ]
         texts = [certify_satellite(pat, torus_knot(2, 3)).to_json() for pat in tables]
         assert texts[0] == texts[1]
         assert list(json.loads(texts[0])["pattern"]["table"]["twists"]) == ["0", "1"]
