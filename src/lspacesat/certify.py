@@ -27,38 +27,42 @@ lem.5 (lhs, rhs) and lem.sandwich (aw2, bw2).  trusted_inputs names the
 head keys the certificate takes as given and restates none of their
 facts: ["companion"] for a braided pattern, which derives every fact,
 and ["companion", "pattern"] for a table, which asserts its facts
-(PatternFacts.asserts_facts).  A certificate is exactly the text to_json
-writes, as a DER encoding is for X.509: one text per record.  to_json writes each check and params from fixed key texts,
-integers as int.__repr__, flags as true and false, and strings through
-json's ASCII escape, and the inputs through their own modules' writers,
-pattern_to_text and companion_to_text, which do the same, so its text is
-the one json.dumps writes for the same record.  from_json reads only the
-head of a text: "format": 5 first (a text whose format is not the
-integer 5 is refused, and one without the key is format 1), then the
-pattern and the companion, as its six facts.  The text to_json writes
-for a companion is built once and kept in one table, _COMPANIONS, with
-the facts it decodes to, for at most 256 companions, the oldest dropped
-first.  to_json looks the text up by the facts, from_json the facts by
-the text between the companion key and the verdict key to_json writes
-next, so a sweep's handful of companions is decoded once each: a kept
-text is a whole object that decodes to its facts, and only another is
-decoded.
-Replay re-runs the pipeline on those two inputs and accepts the
-certificate only when the re-run writes the stored text, so no second
-text replays as the same certificate: not a reformatted one, not one
-holding 1 for true, and not one repeating a key.  The file is UTF-8, so
-a non-ASCII character may stand in it for the \\u escape to_json writes.
-Only a refused text is decoded in full, to name its format, its first
-top-level key that differs from the re-run's, or else its form.  Each
-check is built once, as a record (id, passed, values): passed is always
-a bool, as every flag of the facts is, and values is a tuple of the
-check's values in the order the certificate stores them.  The writer of
-each check id (_CHECK_TEXT) is the one place that names its value keys;
-a certificate's checks as dicts, {"id", "pass", "values"} in that order,
-are its text decoded (Certificate.checks).  What a check states is a
-fixed text per id (STATEMENTS), filled in from the check's own values by
-render_statement, which lspacesat explain prints beside each check; only
-thm1.3 and lem.7 read a value, the twist.
+(PatternFacts.asserts_facts).
+
+A certificate is exactly the text to_json writes, as a DER encoding is
+for X.509: one text per record.  Each check is built once, as a record
+(id, passed, values) of a bool and a tuple of the values in the order
+the certificate stores them.  to_json writes the checks one pipeline
+stage at a time, by how far the pipeline got (0, 2, 5, 6 or 11 records;
+any other count is refused): the necessary checks, thm1.1 to thm1.3 with
+thm1.4 once reached, and the proof, lem.4 to hrrw.cover.  Each stage's
+writer unpacks its records by position into one f-string and is the one
+place that names their value keys.  Integers are written as
+int.__repr__, flags as true and false, strings through json's ASCII
+escape, and the inputs through pattern_to_text and companion_to_text, so
+the text is the one json.dumps writes for the same record, and a
+certificate's checks as dicts, {"id", "pass", "values"}, are its text
+decoded (Certificate.checks).  What a check states is a fixed text per
+id (STATEMENTS), filled in from its values by render_statement, which
+lspacesat explain prints beside each check; only thm1.3 and lem.7 read a
+value, the twist.
+
+from_json reads only the head of a text: "format": 5 first (a text whose
+format is not the integer 5 is refused, and one without the key is
+format 1), then the pattern and the companion, as its six facts.  The
+text to_json writes for a companion is built once and kept in one table,
+_COMPANIONS, with the facts it decodes to, for at most 256 companions,
+the oldest dropped first.  to_json looks the text up by the facts,
+from_json the facts by the text between the companion key and the
+verdict key to_json writes next, so a sweep's handful of companions is
+decoded once each.  Replay re-runs the pipeline on those two inputs and
+accepts the certificate only when the re-run writes the stored text, so
+no second text replays as the same certificate: not a reformatted one,
+not one holding 1 for true, and not one repeating a key.  The file is
+UTF-8, so a non-ASCII character may stand in it for the \\u escape
+to_json writes.  Only a refused text is decoded in full, to name its
+format, its first top-level key that differs from the re-run's, or else
+its form.
 
 The gluing cover (hrrw.cover) is computed in closed form, which is
 exact once every check before it passes (if one fails, the run raises
@@ -188,53 +192,47 @@ _COMPANIONS: dict[KnotFacts | str, str | KnotFacts] = {}
 # asserts facts.
 _TRUSTED = {False: '["companion"]', True: '["companion", "pattern"]'}
 
-# The text of each check, by id, from whether it passed and its values;
-# the one place a value key is named.  thm1.3 holds the twist and either
-# the knot P(U, twist) or, when the pattern cannot answer the twist, the
-# error, the other of the two being None.
-_CHECK_TEXT = {
-    "necessary.fibered": lambda passed, companion, pattern: (
-        f'{{"id": "necessary.fibered", "pass": {_FLAG[passed]}, "values": '
-        f'{{"companion_fibered": {_FLAG[companion]}, "pattern_fibered": {_FLAG[pattern]}}}}}'
-    ),
-    "necessary.winding": lambda passed, w: (
-        f'{{"id": "necessary.winding", "pass": {_FLAG[passed]}, "values": {{"winding": {w}}}}}'
-    ),
-    "thm1.1": lambda passed, lspace, unknot: (
-        f'{{"id": "thm1.1", "pass": {_FLAG[passed]}, "values": '
-        f'{{"is_lspace": {_FLAG[lspace]}, "is_unknot": {_FLAG[unknot]}}}}}'
-    ),
-    "thm1.2": lambda passed, w, disk: (
-        f'{{"id": "thm1.2", "pass": {_FLAG[passed]}, "values": '
-        f'{{"winding": {w}, "disk": {_FLAG[disk]}}}}}'
-    ),
-    "thm1.3": lambda passed, twist, knot, error: (
-        f'{{"id": "thm1.3", "pass": {_FLAG[passed]}, "values": {{"twist": {twist}, '
-        + (f'"knot": {_string(knot)}}}}}' if error is None else f'"error": {_string(error)}}}}}')
-    ),
-    "thm1.4": lambda passed, threshold: (
-        f'{{"id": "thm1.4", "pass": {_FLAG[passed]}, "values": '
-        f'{{"threshold": {"null" if threshold is None else threshold}}}}}'
-    ),
-    "lem.4": lambda passed, rhs, g: (
-        f'{{"id": "lem.4", "pass": {_FLAG[passed]}, "values": {{"rhs": {rhs}, "g": {g}}}}}'
-    ),
-    "lem.5": lambda passed, lhs, rhs: (
-        f'{{"id": "lem.5", "pass": {_FLAG[passed]}, "values": {{"lhs": {lhs}, "rhs": {rhs}}}}}'
-    ),
-    "lem.7": lambda passed, twist, knot: (
-        f'{{"id": "lem.7", "pass": {_FLAG[passed]}, "values": '
-        f'{{"twist": {twist}, "knot": {_string(knot)}}}}}'
-    ),
-    "lem.sandwich": lambda passed, aw2, bw2: (
-        f'{{"id": "lem.sandwich", "pass": {_FLAG[passed]}, "values": '
-        f'{{"aw2": {aw2}, "bw2": {bw2}}}}}'
-    ),
-    "hrrw.cover": lambda passed, s1, s2: (
-        f'{{"id": "hrrw.cover", "pass": {_FLAG[passed]}, "values": '
+# The writers of the three pipeline stages (see the module docstring).  thm1.3
+# holds the knot P(U, twist) or, when the pattern cannot answer, the error.
+def _necessary_text(fibered: tuple, winding: tuple) -> str:
+    (_, ok, (companion, pattern)), (_, w_ok, (w,)) = fibered, winding
+    return (
+        f'{{"id": "necessary.fibered", "pass": {_FLAG[ok]}, "values": '
+        f'{{"companion_fibered": {_FLAG[companion]}, "pattern_fibered": {_FLAG[pattern]}}}}}, '
+        f'{{"id": "necessary.winding", "pass": {_FLAG[w_ok]}, "values": {{"winding": {w}}}}}'
+    )
+
+
+def _theorem1_text(k: tuple, p: tuple, twist: tuple, tail: tuple | None = None) -> str:
+    (_, ok1, (lspace, unknot)), (_, ok2, (w, disk)), (_, ok3, (n, knot, error)) = k, p, twist
+    about = f'"knot": {_string(knot)}' if error is None else f'"error": {_string(error)}'
+    text = (
+        f'{{"id": "thm1.1", "pass": {_FLAG[ok1]}, "values": '
+        f'{{"is_lspace": {_FLAG[lspace]}, "is_unknot": {_FLAG[unknot]}}}}}, '
+        f'{{"id": "thm1.2", "pass": {_FLAG[ok2]}, "values": '
+        f'{{"winding": {w}, "disk": {_FLAG[disk]}}}}}, '
+        f'{{"id": "thm1.3", "pass": {_FLAG[ok3]}, "values": {{"twist": {n}, {about}}}}}'
+    )
+    if tail is None:
+        return text
+    _, ok4, (threshold,) = tail
+    values = f'{{"threshold": {"null" if threshold is None else threshold}}}'
+    return f'{text}, {{"id": "thm1.4", "pass": {_FLAG[ok4]}, "values": {values}}}'
+
+
+def _proof_text(lem4: tuple, lem5: tuple, lem7: tuple, sandwich: tuple, cover: tuple) -> str:
+    (_, ok4, (rhs4, g)), (_, ok5, (lhs5, rhs5)), (_, ok7, (twist, knot)) = lem4, lem5, lem7
+    (_, ok_sandwich, (aw2, bw2)), (_, ok_cover, (s1, s2)) = sandwich, cover
+    return (
+        f'{{"id": "lem.4", "pass": {_FLAG[ok4]}, "values": {{"rhs": {rhs4}, "g": {g}}}}}, '
+        f'{{"id": "lem.5", "pass": {_FLAG[ok5]}, "values": {{"lhs": {lhs5}, "rhs": {rhs5}}}}}, '
+        f'{{"id": "lem.7", "pass": {_FLAG[ok7]}, "values": '
+        f'{{"twist": {twist}, "knot": {_string(knot)}}}}}, '
+        f'{{"id": "lem.sandwich", "pass": {_FLAG[ok_sandwich]}, "values": '
+        f'{{"aw2": {aw2}, "bw2": {bw2}}}}}, '
+        f'{{"id": "hrrw.cover", "pass": {_FLAG[ok_cover]}, "values": '
         f'{{"s1": {_string(s1)}, "s2": {_string(s2)}}}}}'
-    ),
-}
+    )
 
 
 class StoredCertificate(NamedTuple):
@@ -263,14 +261,20 @@ class Certificate:
         return json.loads(self.to_json())["checks"]
 
     def to_json(self) -> str:
-        p, reason = self.params, self.reason
-        checks = ", ".join(_CHECK_TEXT[id](passed, *values) for id, passed, values in self.records)
+        p, reason, records = self.params, self.reason, self.records
+        if len(records) not in {0, 2, 5, 6, 11}:  # the stages the pipeline reached
+            raise ValueError(f"a certificate holds 0, 2, 5, 6 or 11 checks, not {len(records)}")
+        checks = [_necessary_text(*records[:2])] if records else []
+        if len(records) > 2:
+            checks.append(_theorem1_text(*records[2:6]))
+        if len(records) > 6:
+            checks.append(_proof_text(*records[6:]))
         params = "null" if p is None else f'{{"a": {p.a}, "b": {p.b}, "r": {p.r}}}'
         return (
             f"{_HEAD}{pattern_to_text(self.pattern)}{_COMPANION_KEY}"
             f"{_companion_text(self.companion)}{_VERDICT_KEY}{_string(self.verdict)}, "
             f'"reason": {"null" if reason is None else _string(reason)}, '
-            f'"params": {params}, "checks": [{checks}], '
+            f'"params": {params}, "checks": [{", ".join(checks)}], '
             f'"trusted_inputs": {_TRUSTED[self.pattern.asserts_facts]}}}'
         )
 
@@ -340,12 +344,9 @@ def _refusal(text: str, rerun: str | None = None) -> str:
 def check_lemma(p: PatternFacts, a: int, b: int, r: int) -> list[tuple]:
     """Audit the hypotheses guaranteeing that the closed arc from 1/a
     through ∞ to 1/b consists of L-space filling slopes of the
-    r-surgered pattern complement.  Returns the checks, whose passing
-    together certifies the arc, each a record (id, passed, values):
-    lem.4 (rhs, g), lem.5 (lhs, rhs), lem.7 (twist, knot) and
-    lem.sandwich (aw2, bw2).  a, b, r and w are not restated: a
-    certificate holds them in params and thm1.2, and lem.4's left side
-    is r.
+    r-surgered pattern complement.  Returns the checks lem.4, lem.5,
+    lem.7 and lem.sandwich, whose passing together certifies the arc,
+    as records (id, passed, values) that restate none of a, b, r and w.
 
     The lemma's other hypotheses are Theorem 1's, checked once there:
     w >= 2 and the meridional disk (thm1.2), and P(U, -a) an L-space
@@ -390,9 +391,8 @@ def choose_lemma_params(p: PatternFacts, g_k: int) -> LemmaParams:
 def necessary_check(p: PatternFacts, k: KnotFacts) -> list[tuple]:
     """Obstructions: an L-space satellite forces both the companion and
     P(U) to be fibered, and nonzero winding.  A failing check rejects it.
-    Returns the checks as records (id, passed, values):
-    necessary.fibered (companion_fibered, pattern_fibered) and
-    necessary.winding (winding,)."""
+    Returns the checks necessary.fibered and necessary.winding as records
+    (id, passed, values)."""
     pu = p.twisted_facts(0)
     return [
         ("necessary.fibered", k.is_fibered and pu.is_fibered, (k.is_fibered, pu.is_fibered)),

@@ -8,7 +8,8 @@ Subcommands:
                   writes with the stored text
 * explain      -- replay a stored certificate as certify --replay does,
                   then print its params a, b and r, each check with its
-                  statement and values, and the head keys it trusts
+                  statement and values, and each head key it trusts
+                  with its value
 * cable        -- certify a cable and compare with the exact criterion
 * sweep        -- tabulate sufficient vs exact verdicts over a (p, q) grid,
                   for --companion given once per companion in any form
@@ -206,7 +207,7 @@ def _cmd_explain(args, out) -> int:
         print(f"[{mark}] {check['id']}  {render_statement(check)}  {values}", file=out)
     print("trusted_inputs:", file=out)
     for key in cert["trusted_inputs"]:
-        print(f"  {key}", file=out)
+        print(f"  {key}: {json.dumps(cert[key], ensure_ascii=False)}", file=out)
     return _VERDICT_EXIT[verdict]
 
 

@@ -182,7 +182,8 @@ def json_object(value, fields: dict, optional: dict = {}) -> dict:
         if type(v) is t or t is object:
             continue
         if t is None:
-            raise ValueError(f"unknown key {key!r}: expected only {', '.join([*fields, *optional])}")
+            expected = ", ".join([*fields, *optional])
+            raise ValueError(f"unknown key {key!r}: expected only {expected}")
         if type(t) is not tuple or type(v) not in t:
             expected = " or ".join(_EXPECTED[u] for u in (t if type(t) is tuple else (t,)))
             raise ValueError(f"{expected}, got {v!r} under {key!r}")

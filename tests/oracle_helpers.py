@@ -145,6 +145,13 @@ VALUE_KEYS = {
 }
 
 
+# The check ids of every certificate the pipeline writes, by how far it
+# got: none (unknown-twist:necessary), the necessary checks (REJECTED),
+# through thm1.3 (unknown-twist:thm1.3), through thm1.4 (NOT_CERTIFIED)
+# and all eleven (CERTIFIED).  VALUE_KEYS lists the ids in pipeline order.
+CHECK_ID_SEQUENCES = {tuple(VALUE_KEYS)[:n] for n in (0, 2, 5, 6, 11)}
+
+
 def check_dict(record: tuple) -> dict:
     """A check record (id, passed, values) as the dict a certificate
     writes, {"id", "pass", "values"}, with its value keys from VALUE_KEYS."""

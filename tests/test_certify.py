@@ -47,7 +47,7 @@ from lspacesat.knots import companion_to_text
 from lspacesat.patterns import UnknownTwistError, pattern_to_text
 
 import strategies
-from oracle_helpers import certificate_dict, check_dict, pattern_to_json
+from oracle_helpers import CHECK_ID_SEQUENCES, certificate_dict, check_dict, pattern_to_json
 
 TREFOIL = torus_knot(2, 3)
 FIGURE8 = KnotFacts("4_1", 1, False, False, True, False)
@@ -1892,13 +1892,16 @@ class TestWriterOracle:
     def test_lemma_checks_off_the_chosen_parameters(self):
         """The pipeline picks r as the right side of lem.4, so in every
         certificate it writes lem.4's rhs is params.r; the lemma's checks
-        at other (a, b, r), stored with those params, differ from it,
-        passing and failing."""
+        at other (a, b, r), stored with those params in place of the
+        certified list's lemma checks, differ from it, passing and
+        failing."""
         certificates = []
         for pattern in (torus_pattern(2, 3), torus_pattern(3, 7), one_bridge_braid(4, 1, 10, 2)):
             cert = certify_satellite(pattern, TREFOIL)
+            lemma_ids = [id for id, _, _ in cert.records[6:10]]
+            assert lemma_ids == ["lem.4", "lem.5", "lem.7", "lem.sandwich"]
             for a, b, r in itertools.product((1, 2, 4), (2, 7, 18), (12, 13, 41, 200)):
-                records = check_lemma(pattern, a, b, r)
+                records = [*cert.records[:6], *check_lemma(pattern, a, b, r), cert.records[10]]
                 certificates.append(
                     dataclasses.replace(cert, params=LemmaParams(a, b, r), records=records)
                 )
@@ -1908,9 +1911,33 @@ class TestWriterOracle:
             for id, _, values in cert.records
             if id == "lem.4"
         )
-        records = [r for cert in certificates for r in cert.records]
+        records = [r for cert in certificates for r in cert.records[6:10]]
         assert {passed for _, passed, _ in records} == {True, False}
         assert self.assert_written_as_json_dumps(certificates) == 3 * 36
+
+    def test_every_stage_shape(self):
+        """The check ids of the certificates of the cable, one-bridge and
+        table grids are exactly the five sequences the pipeline writes,
+        and to_json writes a certificate of each as json.dumps does."""
+        tables = (certify_satellite(p, k) for p in table_grid_patterns() for k in GRID_COMPANIONS)
+        grids = (cable_grid_certificates(), one_bridge_grid_certificates(), tables)
+        shapes = {}
+        for cert in itertools.chain(*grids):
+            shapes.setdefault(tuple(id for id, _, _ in cert.records), cert)
+        assert set(shapes) == CHECK_ID_SEQUENCES
+        assert shapes[()].reason.startswith("unknown-twist:necessary")
+        assert self.assert_written_as_json_dumps(shapes.values()) == 5
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 7, 10, 12])
+    def test_a_record_list_the_pipeline_never_makes_is_refused(self, count):
+        """The stage writers read records by position, so to_json refuses
+        a list of any other length, naming the lengths it writes, and
+        writes nothing of it."""
+        cert = certify_satellite(torus_pattern(2, 3), TREFOIL)
+        records = (cert.records * 2)[:count]
+        message = rf"^a certificate holds 0, 2, 5, 6 or 11 checks, not {count}$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cert, records=records).to_json()
 
     def test_table_grid(self):
         """pattern_to_text writes each table of the grid, and to_json its

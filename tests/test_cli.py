@@ -1244,7 +1244,8 @@ class TestExplain:
             "[ok] hrrw.cover  strict slope sets of the two sides jointly cover QP^1  "
             '{"s1": "(1/1, inf)", "s2": "(7/1, inf] ∪ [-inf, 2/1)"}',
             "trusted_inputs:",
-            "  companion",
+            '  companion: {"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+            '"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}',
         ]
 
     @pytest.mark.parametrize(
@@ -1374,7 +1375,15 @@ class TestFileEncoding:
         )
         assert (code, err) == (0, "")
         assert "[ok] lem.4  r >= 2g(P) + a·w(2w-1) - 1  " in out
-        assert out.endswith("trusted_inputs:\n  companion\n  pattern\n")
+        trefoil = (
+            '{"name": "T(2,3)", "genus": 1, "is_lspace": true, '
+            '"is_neg_lspace": false, "is_fibered": true, "is_unknot": false}'
+        )
+        table = (
+            '{"table": {"name": "τ", "winding": 2, "genus_s3": 1, "has_disk": true, '
+            f'"twists": {{"0": {trefoil}}}, "neg_threshold": 7, "pos_from": -2}}}}'
+        )
+        assert out.endswith(f"trusted_inputs:\n  companion: {trefoil}\n  pattern: {table}\n")
 
     def test_explain_to_an_ascii_stdout_still_exits_3(self, tmp_path):
         """The certificate reads; its statements cannot be written, to

@@ -1,5 +1,6 @@
 """Every Python file of the project parses as Python 3.10, the oldest
-version pyproject.toml admits and CI runs."""
+version pyproject.toml admits and CI runs, and no line of the library
+is longer than 100 characters."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,16 @@ def test_every_file_parses_as_python_3_10():
 def test_newer_syntax_is_refused():
     with pytest.raises(SyntaxError, match="3.11"):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_no_library_line_is_longer_than_100_characters():
+    """Characters, not bytes: a line holding ∞ or · counts each as one."""
+    library = [path for path in FILES if path.is_relative_to(ROOT / "src")]
+    assert library
+    long_lines = [
+        f"{path.relative_to(ROOT)}:{number}: {len(line)} characters"
+        for path in library
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []
