@@ -49,20 +49,20 @@ value, the twist.
 
 from_json reads only the head of a text: "format": 5 first (a text whose
 format is not the integer 5 is refused, and one without the key is
-format 1), then the pattern and the companion, as its six facts.  The
-text to_json writes for a companion is built once and kept in one table,
-_COMPANIONS, with the facts it decodes to, for at most 256 companions,
-the oldest dropped first.  to_json looks the text up by the facts,
-from_json the facts by the text between the companion key and the
-verdict key to_json writes next, so a sweep's handful of companions is
-decoded once each.  Replay re-runs the pipeline on those two inputs and
-accepts the certificate only when the re-run writes the stored text, so
-no second text replays as the same certificate: not a reformatted one,
-not one holding 1 for true, and not one repeating a key.  The file is
-UTF-8, so a non-ASCII character may stand in it for the \\u escape
-to_json writes.  Only a refused text is decoded in full, to name its
-format, its first top-level key that differs from the re-run's, or else
-its form.
+format 1), then the pattern and the companion, as its six facts.
+from_json looks the companion up in one table, _COMPANIONS, by the text
+between the companion key and the verdict key to_json writes next; a
+miss decodes the companion and keeps its facts under the text to_json
+writes for them, for at most 256 companions, the oldest dropped first,
+so a sweep's handful of companions is decoded once each.  to_json reads
+no table: it writes companion_to_text afresh.  Replay re-runs the
+pipeline on those two inputs and accepts the certificate only when the
+re-run writes the stored text, so no second text replays as the same
+certificate: not a reformatted one, not one holding 1 for true, and not
+one repeating a key.  The file is UTF-8, so a non-ASCII character may
+stand in it for the \\u escape to_json writes.  Only a refused text is
+decoded in full, to name its format, its first top-level key that
+differs from the re-run's, or else its form.
 
 The gluing cover (hrrw.cover) is computed in closed form, which is
 exact once every check before it passes (if one fails, the run raises
@@ -184,9 +184,9 @@ _HEAD = f'{{"format": {_FORMAT}, "pattern": '
 _COMPANION_KEY = ', "companion": '
 _VERDICT_KEY = ', "verdict": '
 
-# Each kept companion's written text under its facts, and its facts under
-# that text.
-_COMPANIONS: dict[KnotFacts | str, str | KnotFacts] = {}
+# The facts of each companion from_json has decoded, under the text to_json
+# writes for them.
+_COMPANIONS: dict[str, KnotFacts] = {}
 
 # The head keys a certificate takes as given, by whether its pattern
 # asserts facts.
@@ -272,7 +272,7 @@ class Certificate:
         params = "null" if p is None else f'{{"a": {p.a}, "b": {p.b}, "r": {p.r}}}'
         return (
             f"{_HEAD}{pattern_to_text(self.pattern)}{_COMPANION_KEY}"
-            f"{_companion_text(self.companion)}{_VERDICT_KEY}{_string(self.verdict)}, "
+            f"{companion_to_text(self.companion)}{_VERDICT_KEY}{_string(self.verdict)}, "
             f'"reason": {"null" if reason is None else _string(reason)}, '
             f'"params": {params}, "checks": [{", ".join(checks)}], '
             f'"trusted_inputs": {_TRUSTED[self.pattern.asserts_facts]}}}'
@@ -306,8 +306,10 @@ class Certificate:
         except ValueError:
             raise ValueError(_refusal(text)) from None
         if companion is None:
-            # The kept facts, which equal the decoded ones when kept already.
-            companion = _COMPANIONS[_companion_text(facts_from_json(fields, "companion: "))]
+            companion = facts_from_json(fields, "companion: ")
+            if len(_COMPANIONS) >= 256:
+                del _COMPANIONS[next(iter(_COMPANIONS))]
+            _COMPANIONS[companion_to_text(companion)] = companion
         return StoredCertificate(pattern_from_json(pattern), companion, text)
 
 
@@ -401,19 +403,6 @@ def necessary_check(p: PatternFacts, k: KnotFacts) -> list[tuple]:
 
 
 # -- the main pipeline --------------------------------------------------
-
-
-def _companion_text(k: KnotFacts) -> str:
-    """The text to_json writes for k, kept in _COMPANIONS on first use."""
-    text = _COMPANIONS.get(k)
-    if text is None:
-        text = companion_to_text(k)
-        if len(_COMPANIONS) >= 2 * 256:
-            # Keys go in and out in pairs, the facts first.
-            del _COMPANIONS[_COMPANIONS.pop(next(iter(_COMPANIONS)))]
-        _COMPANIONS[k] = text
-        _COMPANIONS[text] = k
-    return text
 
 
 def certify_satellite(p: PatternFacts, k: KnotFacts) -> Certificate:

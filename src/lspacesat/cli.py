@@ -271,7 +271,7 @@ def _cmd_set_algebra(args, out) -> int:
 def random_slope_set(rng: random.Random, endpoints) -> SlopeSet:
     """A random union of one or two arcs with ends drawn from endpoints."""
     return SlopeSet.from_arcs(
-        Arc(*rng.sample(endpoints, 2), rng.random() < 0.5, rng.random() < 0.5)
+        Arc(*rng.sample(endpoints, 2), bool(rng.getrandbits(1)), bool(rng.getrandbits(1)))
         for _ in range(rng.choice([1, 1, 2]))
     )
 

@@ -34,6 +34,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="generator index 0 out of range"):
             BraidWord(3, ((0, 5),) + good)
 
+    def test_needs_two_strands(self):
+        for strands in (1, 0):
+            with pytest.raises(ValueError, match="need at least 2 strands"):
+                BraidWord(strands)
+
 
 class TestFreeReduce:
     def test_adjacent_inverse_pair(self):

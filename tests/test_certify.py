@@ -126,6 +126,11 @@ class TestCheckLemma:
         checks2 = check_lemma(torus_pattern(3, 7), 4, 2, 200)
         assert failed(checks2)
 
+    @pytest.mark.parametrize("a, b, r", [(0, 7, 13), (2, 0, 13), (2, 7, 0), (2, 7, -13)])
+    def test_parameters_below_one_are_refused(self, a, b, r):
+        with pytest.raises(ValueError, match="a, b, r must be positive integers"):
+            check_lemma(torus_pattern(2, 3), a, b, r)
+
     def test_unknown_twist_propagates(self):
         pat = table_pattern(
             "sparse", 2, 1, True, {0: torus_knot(2, 3)}, neg_threshold=None
@@ -152,6 +157,11 @@ class TestChooseParams:
         pat = table_pattern("bare", 2, 1, True, {0: torus_knot(2, 3)})
         with pytest.raises(ValueError, match="no negative-side tail"):
             choose_lemma_params(pat, 1)
+
+    def test_companion_genus_must_be_positive(self):
+        for g_k in (0, -1):
+            with pytest.raises(ValueError, match="companion genus must be positive"):
+                choose_lemma_params(torus_pattern(2, 3), g_k)
 
     def test_chosen_params_pass_lemma(self):
         from math import gcd
@@ -211,15 +221,18 @@ class TestCertifySatellite:
     def test_companion_side_is_keyed_on_every_fact(self):
         """Two companions with one name but different genus get their own
         strict slope sets and written texts in one process, not the first
-        one's: the table holds an entry per distinct set of facts."""
+        one's, and read back as their own facts: the companion table holds
+        an entry per distinct set of facts."""
         certify._COMPANIONS.clear()
         texts = []
         for genus in (1, 2, 1):
             k = KnotFacts("K", genus, True, False, True, False)
             cert = certify_satellite(torus_pattern(2, 9), k)
             assert cert.verdict == CERTIFIED
-            data = json.loads(cert.to_json())
+            text = cert.to_json()
+            data = json.loads(text)
             assert data["companion"]["genus"] == genus
+            assert Certificate.from_json(text).companion == k
             cover = data["checks"][-1]["values"]
             assert cover["s1"] == str(lspace_slope_set(k).interior())
             texts.append(cover["s1"])
@@ -227,12 +240,13 @@ class TestCertifySatellite:
         assert [k.genus for k in kept_companions()] == [1, 2]
 
     def test_certificate_same_with_cold_and_warm_companion_cache(self):
+        """Writing a certificate neither reads nor fills the companion
+        table, so a second write gives the same text."""
         k, pat = torus_knot(2, 5), torus_pattern(3, 17)
         certify._COMPANIONS.clear()
         cold = certify_satellite(pat, k).to_json()
-        assert kept_companions() == [k]
         warm = certify_satellite(pat, k).to_json()
-        assert cold == warm
+        assert cold == warm and kept_companions() == []
         assert json.loads(cold)["verdict"] == CERTIFIED
 
     def test_sufficient_but_not_necessary(self):
@@ -1283,6 +1297,16 @@ FORMAT_1_CABLE_2_3_OF_TREFOIL = (
 )
 
 
+class _NoTable:
+    """Stands in for certify._COMPANIONS and refuses any use of it."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the companion table was used")
+
+    __getattr__ = __getitem__ = __setitem__ = __delitem__ = _refuse
+    __contains__ = __iter__ = __len__ = __bool__ = _refuse
+
+
 class TestCertificateText:
     @pytest.mark.parametrize(
         "pattern, companion, text",
@@ -1334,7 +1358,10 @@ class TestCertificateText:
             ),
         ],
     )
-    def test_golden_json(self, pattern, companion, text):
+    def test_golden_json(self, pattern, companion, text, monkeypatch):
+        """Each exit's text, written with the companion table replaced by
+        an object that refuses any use: writing reads no module state."""
+        monkeypatch.setattr(certify, "_COMPANIONS", _NoTable())
         assert certify_satellite(pattern, companion).to_json() == text
 
     def test_lem_7_exit_table_is_refused(self):
@@ -1345,21 +1372,17 @@ class TestCertificateText:
 
 
 def kept_companions() -> list[KnotFacts]:
-    """The companions the one companion table holds, oldest first: its
-    keys that are facts, each kept with the text to_json writes for it,
-    under which the same facts object is kept."""
-    kept = [key for key in certify._COMPANIONS if isinstance(key, KnotFacts)]
-    for k in kept:
-        text = certify._COMPANIONS[k]
-        assert text == companion_to_text(k) and certify._COMPANIONS[text] is k
-    assert len(certify._COMPANIONS) == 2 * len(kept)
-    return kept
+    """The companions the companion table holds, oldest first, each kept
+    under the text to_json writes for it."""
+    for text, k in certify._COMPANIONS.items():
+        assert type(k) is KnotFacts and text == companion_to_text(k)
+    return list(certify._COMPANIONS.values())
 
 
 class TestCompanionTable:
-    """from_json reads each distinct companion text once; a later read of
-    the same text returns the object the first one built, and the
-    re-run's certify_satellite and to_json use that record too."""
+    """from_json decodes each distinct companion text once; a later read
+    of the same text returns the object the first one built, and replay
+    leaves the table as it is."""
 
     def test_two_reads_of_one_companion_return_one_object(self):
         k = KnotFacts("K-shared", 2, True, False, True, False)

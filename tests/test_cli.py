@@ -138,6 +138,12 @@ def _without_inputs(data):
     return json.dumps(data, indent=2)
 
 
+def _move_verdict_first(text):
+    """The certificate text with its verdict ahead of its companion."""
+    data = json.loads(text)
+    return json.dumps({key: data[key] for key in ("format", "pattern", "verdict")} | data)
+
+
 TORUS_23 = '{"torus_pattern": [2, 3]}'
 GENUS_ZERO_NOT_UNKNOT = (
     '{"name": "x", "genus": 0, "is_lspace": true, "is_neg_lspace": false,'
@@ -685,23 +691,33 @@ class TestCertify:
         assert "companion: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, error",
         [
-            lambda text: json.dumps(json.loads(text), indent=2),
-            lambda text: json.dumps(json.loads(text), separators=(",", ":")),
-            lambda text: text.replace(
-                '{"id": "necessary.winding", "pass": true', '{"id": "necessary.winding", "pass": 1'
+            (lambda text: json.dumps(json.loads(text), indent=2), "ValueError"),
+            (lambda text: json.dumps(json.loads(text), separators=(",", ":")), "ValueError"),
+            (
+                lambda text: text.replace(
+                    '{"id": "necessary.winding", "pass": true',
+                    '{"id": "necessary.winding", "pass": 1',
+                ),
+                "ReplayMismatchError",
             ),
-            lambda text: text.replace(
-                '"verdict": "CERTIFIED"', '"verdict": "CERTIFIED", "verdict": "CERTIFIED"'
+            (
+                lambda text: text.replace(
+                    '"verdict": "CERTIFIED"', '"verdict": "CERTIFIED", "verdict": "CERTIFIED"'
+                ),
+                "ReplayMismatchError",
             ),
+            (_move_verdict_first, "ValueError"),
         ],
-        ids=["indented", "compact", "pass_is_1", "repeated_verdict"],
+        ids=["indented", "compact", "pass_is_1", "repeated_verdict", "verdict_first"],
     )
-    def test_a_certificate_is_the_text_certify_writes(self, edit, tmp_path, capsys):
+    def test_a_certificate_is_the_text_certify_writes(self, edit, error, tmp_path, capsys):
         """The (3,17)-cable certificate of the trefoil, edited so that it
         decodes to the same values, is refused by replay and by explain,
-        with one error line naming its form."""
+        with one error line naming its form: by Certificate.from_json
+        (ValueError) when the head is not the one to_json writes, else by
+        the comparison with the re-run."""
         text = certify_satellite(torus_pattern(3, 17), torus_knot(2, 3)).to_json()
         path = tmp_path / "c317.json"
         path.write_text(text + "\n")
@@ -714,7 +730,7 @@ class TestCertify:
             assert run([*command, str(path)]) == (3, "")
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot replay {path}: ") and err.count("\n") == 1
-            assert err.endswith(": not in the form certificates are written in\n")
+            assert err.endswith(f": {error}: not in the form certificates are written in\n")
 
     def test_over_long_integer_gets_lspacesats_own_message(self, tmp_path, capsys):
         """A JSON integer past the interpreter's limit on digits, in an
@@ -903,11 +919,14 @@ class TestReplayFuzz:
     @given(leaf=st.sampled_from(_FUZZ_LEAVES), value=_JSON_VALUES)
     # The genuine certificate of T(2,5) over the unfibered companion.
     @example(leaf=(_REJECTED_BY_FIBERING, ("pattern", "torus_pattern", 1)), value=5)
+    # The genuine certificate of T(3,4) over the trefoil renamed "".
+    @example(leaf=(_FUZZ_CERTIFICATES[1], ("companion", "name")), value="")
     def test_one_changed_leaf(self, leaf, value):
         """A certificate with one leaf replaced replays (exit 0, 1 or 2)
         only when it is the text certify writes for the inputs it holds,
-        and those are the genuine certificate's unless it is the REJECTED
-        one; anything else exits 3 with one error line.  explain exits as
+        and those are the genuine certificate's, up to the companion's
+        name, which only the head writes, unless it is the REJECTED one;
+        anything else exits 3 with one error line.  explain exits as
         replay does, and on exit 3 prints that error line and no table."""
         cert, path = leaf
         text = json.dumps(_replaced(json.loads(cert.to_json()), path, value))
@@ -930,7 +949,8 @@ class TestReplayFuzz:
             stored = Certificate.from_json(text)
             assert certify_satellite(stored.pattern, stored.companion).to_json() == text
             if cert is not _REJECTED_BY_FIBERING:
-                assert (stored.pattern, stored.companion) == (cert.pattern, cert.companion)
+                renamed = dataclasses.replace(cert.companion, name=stored.companion.name)
+                assert (stored.pattern, stored.companion) == (cert.pattern, renamed)
 
 
 def _node_paths(node, path=()):
@@ -1511,6 +1531,14 @@ class TestSweep:
         assert code == 3 and text == ""
         assert err.startswith("error: bad companion 'trefoil,T(2,5)'")
         assert err.count("\n") == 1
+
+    def test_a_size_that_is_not_an_integer_is_refused(self, capsys):
+        capsys.readouterr()
+        code, text = run(["sweep", "--p-max", "x", "--q-max", "3", "--companion", "trefoil"])
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: argument --p-max: expected a positive integer, got 'x'\n"
+        )
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "sweep.csv"

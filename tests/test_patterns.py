@@ -259,6 +259,8 @@ class TestGenusTwistBound:
         assert genus_twist_bound(1, 2, -2) == 3
         assert genus_twist_bound(5, 3, 0) == 5
         assert genus_twist_bound(0, 4, 1) == 6
+        with pytest.raises(ValueError, match="winding must be nonnegative"):
+            genus_twist_bound(0, -1, 1)
 
     def test_bound_holds_on_builtin_families(self):
         pats = [torus_pattern(2, 3), torus_pattern(3, 7), one_bridge_braid(4, 2, 1)]

@@ -152,6 +152,9 @@ class TestFarey:
 
     def test_f1_window(self):
         assert unit_interval(farey_enumerate(1)) == [Slope(0), Slope(1)]
+        # 1 is the smallest denominator bound.
+        with pytest.raises(ValueError, match="max_den must be >= 1"):
+            farey_enumerate(0)
 
     def test_f3_window(self):
         got = unit_interval(farey_enumerate(3))

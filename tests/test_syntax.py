@@ -1,8 +1,10 @@
 """Every Python file of the project parses as Python 3.10, the oldest
-version pyproject.toml admits and CI runs, and no line of the library
-is longer than 100 characters."""
+version pyproject.toml admits and CI runs; no line of the library is
+longer than 100 characters, and the library imports only the standard
+library and computes without floats."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,28 @@ def test_no_library_line_is_longer_than_100_characters():
         if len(line) > 100
     ]
     assert long_lines == []
+
+
+def test_the_library_imports_only_the_standard_library_and_uses_no_floats():
+    """Each import of src/ is relative, __future__ or a module of
+    sys.stdlib_module_names, and no line holds a float literal, a
+    float(...) call or true division."""
+    library = [path for path in FILES if path.is_relative_to(ROOT / "src")]
+    assert library
+    found = []
+    for path in library:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            bad = [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+            if bad or (
+                isinstance(node, ast.Constant) and type(node.value) is float
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+                or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
