@@ -3,8 +3,7 @@
 A pattern is summarized by its winding number, the Seifert genus of its
 untwisted satellite of the unknot, the meridional-disk flag and the
 threshold of its negative L-space tail, and answers "what knot is
-P(U, n)?".  Each kind is a subclass of PatternFacts that adds only the
-data its answer needs.  There are two kinds:
+P(U, n)?".  Each kind is a subclass of PatternFacts.  There are two:
 
 * braided patterns B(w, b, t), where P(U, n) is the closure of
   B(w, b, t + n·w): a positive word (an L-space knot) for t + n·w >= 0,
@@ -14,24 +13,26 @@ data its answer needs.  There are two kinds:
 * explicit tables with asserted tails, whose negative tail is the
   threshold itself.
 
-Patterns are built by torus_pattern (b = 0), one_bridge_braid (b >= 1)
-and table_pattern.  Each kind says by one class flag, asserts_facts,
-whether it takes facts as given: a braided pattern derives every fact,
-a table asserts its facts, entries and declared tails, so a table's
-certificate names its pattern among its trusted inputs.
+Each kind says by one class flag, asserts_facts, whether it takes facts
+as given: a braided pattern derives every fact, a table asserts its
+facts, entries and declared tails, so a table's certificate names its
+pattern among its trusted inputs.
 
-Like KnotFacts, each kind is a slotted, frozen dataclass with one
-constructor, which takes its fields by position or by name.
-PatternFacts.__init__ checks the shared fields and stores them through
-the slot descriptors' setters, past the frozen __setattr__, the disk flag
-as a bool; each kind's __init__ calls it, then stores its own fields the
-same way.  So dataclasses.replace goes through the same checks.
+Like KnotFacts, each kind is a slotted, frozen dataclass whose class is
+its one constructor, built from the kind's inputs alone, that stores
+through the slot descriptors' setters, past the frozen __setattr__.  A
+braided pattern takes (winding, b, t) and a one-bridge threshold and
+derives its name, genus_s3, disk flag and a torus threshold, fields with
+init=False; a table checks its facts and sorts its entries by n.
+torus_pattern (b = 0), one_bridge_braid (b >= 1) and table_pattern each
+call one.  So dataclasses.replace re-runs every check and re-derives
+every derived fact, and refuses a derived field.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _string
 from typing import ClassVar, Mapping
 
@@ -55,7 +56,6 @@ class UnknownTwistError(LookupError):
     """The pattern cannot answer this twisting parameter."""
 
     def __init__(self, n: int, why: str):
-        self.n = n
         # Stored certificates quote this text in their reasons.
         super().__init__(f"twist family cannot answer n = {n} ({why})")
 
@@ -71,37 +71,13 @@ def genus_twist_bound(g_p: int, w: int, n: int) -> int:
 
 @dataclass(frozen=True, slots=True, init=False)
 class PatternFacts:
-    """Combinatorial data of a pattern knot P ⊂ D^2 × S^1, shared by every
-    pattern kind; each kind answers P(U, n) through _twist."""
+    """Combinatorial data of a pattern knot P ⊂ D^2 × S^1: each kind
+    stores name, winding, genus_s3, has_minimal_meridional_disk and
+    neg_lspace_threshold, and answers P(U, n) through _twist."""
 
-    name: str
-    winding: int
-    genus_s3: int
-    has_minimal_meridional_disk: bool
-    neg_lspace_threshold: int | None
     # Whether the kind takes facts as given; a braided pattern, torus
     # (b = 0) or one-bridge, derives every fact.
     asserts_facts: ClassVar[bool] = False
-
-    def __init__(
-        self,
-        name: str,
-        winding: int,
-        genus_s3: int,
-        has_minimal_meridional_disk: bool,
-        neg_lspace_threshold: int | None,
-    ) -> None:
-        if winding < 0 or genus_s3 < 0:
-            raise ValueError("winding and genus_s3 must be nonnegative")
-        if has_minimal_meridional_disk and winding < 1:
-            raise ValueError("a meridional disk meeting P in w points forces winding >= 1")
-        if neg_lspace_threshold is not None and neg_lspace_threshold < 0:
-            raise ValueError("neg_lspace_threshold must be nonnegative")
-        _set_name(self, name)
-        _set_winding(self, winding)
-        _set_genus_s3(self, genus_s3)
-        _set_disk(self, True if has_minimal_meridional_disk else False)
-        _set_threshold(self, neg_lspace_threshold)
 
     def _twist(self, n: int) -> KnotFacts:
         raise NotImplementedError
@@ -115,15 +91,6 @@ class PatternFacts:
                 f"{self.name}: genus {facts.genus} at twist {n} exceeds bound {bound}"
             )
         return facts
-
-
-# The slot descriptors' setters, which skip the frozen __setattr__; only
-# the constructors call them.
-_set_name = PatternFacts.name.__set__
-_set_winding = PatternFacts.winding.__set__
-_set_genus_s3 = PatternFacts.genus_s3.__set__
-_set_disk = PatternFacts.has_minimal_meridional_disk.__set__
-_set_threshold = PatternFacts.neg_lspace_threshold.__set__
 
 
 def _braid_genus(w: int, b: int, t: int) -> int:
@@ -149,48 +116,99 @@ def _braid_closure(w: int, b: int, t: int) -> KnotFacts:
     return KnotFacts(name, g, g == 0, True, True, g == 0)
 
 
+# The knot check walks a permutation of w strands, O(w) in time and
+# memory: at w = 10⁶ it takes under 0.5 s and a traced peak of 40 MiB.
+MAX_BRIDGE_WIDTH = 10**6
+
+
+def _check_bridge(w: int, b: int) -> None:
+    """Refuse a one-bridge width w or bridge b out of range."""
+    if w < 3:
+        raise ValueError(f"need w >= 3 strands, got {w}")
+    if w > MAX_BRIDGE_WIDTH:
+        raise ValueError(f"need w <= {MAX_BRIDGE_WIDTH} strands, got {w}")
+    if not 1 <= b <= w - 2:
+        raise ValueError(f"bridge width must satisfy 1 <= b <= w-2, got {b}")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class _BraidPattern(PatternFacts):
     """P(U, n) of B(w, b, t) is the closure of B(w, b, t + n·w), since a
     full twist is w more passes of the strand cycle; b = 0 is the torus
-    pattern, whose twists are T(w, t + n·w).  Without a threshold thm1.4
-    fails and nothing is certified; with one, it only picks b, and lem.7
+    pattern, whose twists are T(w, t + n·w), and whose threshold is
+    derived: a given one is not read.  Without a threshold thm1.4 fails
+    and nothing is certified; with one, it only picks b, and lem.7
     derives P(U, -b) whatever threshold was given."""
 
+    winding: int
     b: int
     t: int
+    neg_lspace_threshold: int | None
+    name: str = field(init=False)
+    genus_s3: int = field(init=False)
+    has_minimal_meridional_disk: bool = field(init=False)
 
     def __init__(
-        self,
-        name: str,
-        winding: int,
-        genus_s3: int,
-        has_minimal_meridional_disk: bool,
-        neg_lspace_threshold: int | None,
-        b: int,
-        t: int,
+        self, winding: int, b: int, t: int, neg_lspace_threshold: int | None = None
     ) -> None:
-        PatternFacts.__init__(
-            self, name, winding, genus_s3, has_minimal_meridional_disk, neg_lspace_threshold
-        )
+        if b == 0:
+            name = f"T({winding},{t})-pattern"
+            genus_s3 = torus_knot_genus(winding, t)  # refuses w < 2 and gcd(w, t) != 1
+            neg_lspace_threshold = max(-(-(t - 1) // winding), 0)  # least N: t - N·w <= 1
+        else:
+            _check_bridge(winding, b)
+            # Full twists permute the strands trivially, so every P(U, n)
+            # has as many components as B(w, b, k), k = t mod w.  Its
+            # strand map is the bridge's (b+1)-cycle, i -> i + 1 for i < b
+            # and b -> 0, followed by k passes, each a rotation by one:
+            # i -> i + 1 + k (mod w) for i < b, b -> k and i -> i + k
+            # (mod w) for i > b.  So it is the rotation by k + 1 with k
+            # inserted at b, the images after it shifted one place.
+            k = t % winding
+            perm = [*range(k + 1, winding), *range(k + 1)]
+            perm.insert(b, k)
+            perm.pop()
+            if closure_components(perm) != 1:
+                raise UnknownTwistError(0, "closure is a link, not a knot")
+            if neg_lspace_threshold is not None and neg_lspace_threshold < 0:
+                raise ValueError("neg_lspace_threshold must be nonnegative")
+            name = f"B({winding},{b},{t})"
+            genus_s3 = _braid_genus(winding, b, t)
+        _set_braid_winding(self, winding)
         _set_b(self, b)
         _set_t(self, t)
+        _set_braid_threshold(self, neg_lspace_threshold)
+        _set_braid_name(self, name)
+        _set_braid_genus_s3(self, genus_s3)
+        _set_braid_disk(self, True)
 
     def _twist(self, n: int) -> KnotFacts:
         return _braid_closure(self.winding, self.b, self.t + n * self.winding)
 
 
+# The slot descriptors' setters, which skip the frozen __setattr__; only
+# the constructors call them.
+_set_braid_winding = _BraidPattern.winding.__set__
 _set_b = _BraidPattern.b.__set__
 _set_t = _BraidPattern.t.__set__
+_set_braid_threshold = _BraidPattern.neg_lspace_threshold.__set__
+_set_braid_name = _BraidPattern.name.__set__
+_set_braid_genus_s3 = _BraidPattern.genus_s3.__set__
+_set_braid_disk = _BraidPattern.has_minimal_meridional_disk.__set__
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class _TablePattern(PatternFacts):
     """Tabled twists; is_neg_lspace is asserted for n <= -threshold and
-    is_lspace for n >= pos_tail_from.  table_pattern lets the tails
-    overlap only where the genus bound is 0, and both give the unknot."""
+    is_lspace for n >= pos_tail_from.  The tails may overlap only where
+    the genus bound is 0, and both give the unknot."""
 
+    name: str
+    winding: int
+    genus_s3: int
+    has_minimal_meridional_disk: bool
     entries: Mapping[int, KnotFacts]
+    neg_lspace_threshold: int | None
     pos_tail_from: int | None
     asserts_facts: ClassVar[bool] = True
 
@@ -200,15 +218,59 @@ class _TablePattern(PatternFacts):
         winding: int,
         genus_s3: int,
         has_minimal_meridional_disk: bool,
-        neg_lspace_threshold: int | None,
         entries: Mapping[int, KnotFacts],
-        pos_tail_from: int | None,
+        neg_lspace_threshold: int | None = None,
+        pos_tail_from: int | None = None,
     ) -> None:
-        PatternFacts.__init__(
-            self, name, winding, genus_s3, has_minimal_meridional_disk, neg_lspace_threshold
-        )
-        _set_entries(self, entries)
-        _set_pos_tail_from(self, pos_tail_from)
+        neg, pos = neg_lspace_threshold, pos_tail_from
+        if winding < 0 or genus_s3 < 0:
+            raise ValueError("winding and genus_s3 must be nonnegative")
+        if has_minimal_meridional_disk and winding < 1:
+            raise ValueError("a meridional disk meeting P in w points forces winding >= 1")
+        if neg is not None and neg < 0:
+            raise ValueError("neg_lspace_threshold must be nonnegative")
+        for n, facts in entries.items():
+            reach = genus_twist_bound(0, winding, n)  # |n|·w(w-1)/2
+            if facts.genus > genus_s3 + reach:
+                raise ValueError(f"table entry n={n} violates the genus twist bound")
+            if n == 0 and facts.genus != genus_s3:
+                raise ValueError(
+                    f"table entry n=0 is P(U), of genus {facts.genus}, not {genus_s3}"
+                )
+            if facts.genus < genus_s3 - reach:
+                raise ValueError(
+                    f"table entry n={n} has genus {facts.genus}, under the lower genus twist "
+                    f"bound {genus_s3 - reach}"
+                )
+            if neg is not None and n <= -neg and not facts.is_neg_lspace:
+                raise ValueError(
+                    f"table entry n={n} lies in the negative tail n <= -{neg} "
+                    "but is not a negative L-space knot"
+                )
+            if pos is not None and n >= pos and not facts.is_lspace:
+                raise ValueError(
+                    f"table entry n={n} lies in the positive tail n >= {pos} "
+                    "but is not an L-space knot"
+                )
+        # The tails overlap on [pos, -neg], twists n <= 0, so the bound,
+        # which grows with |n|, is largest at n = pos.
+        if (
+            neg is not None
+            and pos is not None
+            and pos <= -neg
+            and (bound := genus_twist_bound(genus_s3, winding, pos)) >= 1
+        ):
+            raise ValueError(
+                f"tails n <= -{neg} and n >= {pos} overlap at n={pos}, "
+                f"whose genus bound {bound} allows a nontrivial knot"
+            )
+        _set_table_name(self, name)
+        _set_table_winding(self, winding)
+        _set_table_genus_s3(self, genus_s3)
+        _set_table_disk(self, True if has_minimal_meridional_disk else False)
+        _set_entries(self, dict(sorted(entries.items())))
+        _set_table_threshold(self, neg)
+        _set_pos_tail_from(self, pos)
 
     def _twist(self, n: int) -> KnotFacts:
         if n in self.entries:
@@ -226,7 +288,12 @@ class _TablePattern(PatternFacts):
         raise UnknownTwistError(n, "outside table and asserted tails")
 
 
+_set_table_name = _TablePattern.name.__set__
+_set_table_winding = _TablePattern.winding.__set__
+_set_table_genus_s3 = _TablePattern.genus_s3.__set__
+_set_table_disk = _TablePattern.has_minimal_meridional_disk.__set__
 _set_entries = _TablePattern.entries.__set__
+_set_table_threshold = _TablePattern.neg_lspace_threshold.__set__
 _set_pos_tail_from = _TablePattern.pos_tail_from.__set__
 
 
@@ -234,14 +301,7 @@ def torus_pattern(p: int, q: int) -> PatternFacts:
     """The (p, q)-torus knot in its standard solid-torus embedding, the
     0-bridge braid B(p, 0, q); p is the longitudinal winding and
     P(U, n) = T(p, q + n·p)."""
-    genus_s3 = torus_knot_genus(p, q)  # of P(U); refuses p < 2 and gcd(p, q) != 1
-    threshold = max(-(-(q - 1) // p), 0)  # least N with q - N·p <= 1, at least 0
-    return _BraidPattern(f"T({p},{q})-pattern", p, genus_s3, True, threshold, 0, q)
-
-
-# The knot check walks a permutation of w strands, O(w) in time and
-# memory: at w = 10⁶ it takes under 0.5 s and a traced peak of 40 MiB.
-MAX_BRIDGE_WIDTH = 10**6
+    return _BraidPattern(p, 0, q)
 
 
 def one_bridge_braid(
@@ -255,26 +315,9 @@ def one_bridge_braid(
     check counts the cycles of the braid's strand permutation, and a w
     over MAX_BRIDGE_WIDTH is refused before it is built.
     """
-    if w < 3:
-        raise ValueError(f"need w >= 3 strands, got {w}")
-    if w > MAX_BRIDGE_WIDTH:
-        raise ValueError(f"need w <= {MAX_BRIDGE_WIDTH} strands, got {w}")
-    if not 1 <= b <= w - 2:
-        raise ValueError(f"bridge width must satisfy 1 <= b <= w-2, got {b}")
-    # Full twists permute the strands trivially, so every P(U, n) has as
-    # many components as B(w, b, k), k = t mod w.  Its strand map is the
-    # bridge's (b+1)-cycle, i -> i + 1 for i < b and b -> 0, followed by
-    # k passes, each a rotation by one: i -> i + 1 + k (mod w) for i < b,
-    # b -> k and i -> i + k (mod w) for i > b.  So it is the rotation by
-    # k + 1 with k inserted at b, the images after it shifted one place.
-    k = t % w
-    perm = [*range(k + 1, w), *range(k + 1)]
-    perm.insert(b, k)
-    perm.pop()
-    if closure_components(perm) != 1:
-        raise UnknownTwistError(0, "closure is a link, not a knot")
-    genus_s3 = _braid_genus(w, b, t)
-    return _BraidPattern(f"B({w},{b},{t})", w, genus_s3, True, neg_lspace_threshold, b, t)
+    if b == 0:
+        _check_bridge(w, b)  # B(w, 0, t) is torus_pattern's: refused
+    return _BraidPattern(w, b, t, neg_lspace_threshold)
 
 
 def table_pattern(
@@ -296,51 +339,7 @@ def table_pattern(
     genus_s3, an entry in a tail that lacks the tail's flag, or tails that
     overlap where the bound allows a nontrivial knot, which cannot have
     both flags."""
-    # Built first, so that PatternFacts refuses a negative threshold
-    # before the tails are read.
-    pattern = _TablePattern(
-        name=name,
-        winding=winding,
-        genus_s3=genus_s3,
-        has_minimal_meridional_disk=has_disk,
-        neg_lspace_threshold=neg_threshold,
-        entries=dict(sorted(twists.items())),
-        pos_tail_from=pos_from,
-    )
-    for n, facts in twists.items():
-        reach = genus_twist_bound(0, winding, n)  # |n|·w(w-1)/2
-        if facts.genus > genus_s3 + reach:
-            raise ValueError(f"table entry n={n} violates the genus twist bound")
-        if n == 0 and facts.genus != genus_s3:
-            raise ValueError(f"table entry n=0 is P(U), of genus {facts.genus}, not {genus_s3}")
-        if facts.genus < genus_s3 - reach:
-            raise ValueError(
-                f"table entry n={n} has genus {facts.genus}, under the lower genus twist "
-                f"bound {genus_s3 - reach}"
-            )
-        if neg_threshold is not None and n <= -neg_threshold and not facts.is_neg_lspace:
-            raise ValueError(
-                f"table entry n={n} lies in the negative tail n <= -{neg_threshold} "
-                "but is not a negative L-space knot"
-            )
-        if pos_from is not None and n >= pos_from and not facts.is_lspace:
-            raise ValueError(
-                f"table entry n={n} lies in the positive tail n >= {pos_from} "
-                "but is not an L-space knot"
-            )
-    # The tails overlap on [pos_from, -neg_threshold], twists n <= 0, so
-    # the bound, which grows with |n|, is largest at n = pos_from.
-    if (
-        neg_threshold is not None
-        and pos_from is not None
-        and pos_from <= -neg_threshold
-        and (bound := genus_twist_bound(genus_s3, winding, pos_from)) >= 1
-    ):
-        raise ValueError(
-            f"tails n <= -{neg_threshold} and n >= {pos_from} overlap at n={pos_from}, "
-            f"whose genus bound {bound} allows a nontrivial knot"
-        )
-    return pattern
+    return _TablePattern(name, winding, genus_s3, has_disk, twists, neg_threshold, pos_from)
 
 
 def pattern_from_json(obj) -> PatternFacts:

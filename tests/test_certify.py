@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import functools
+import hashlib
 import itertools
 import json
 import re
@@ -44,7 +46,7 @@ from lspacesat.certify import (
     render_statement,
 )
 from lspacesat.knots import companion_to_text
-from lspacesat.patterns import UnknownTwistError, pattern_to_text
+from lspacesat.patterns import MAX_BRIDGE_WIDTH, UnknownTwistError, pattern_to_text
 
 import strategies
 from oracle_helpers import CHECK_ID_SEQUENCES, certificate_dict, check_dict, pattern_to_json
@@ -1982,3 +1984,74 @@ class TestWriterOracle:
         certificates = TestCheckRecords().certificates()
         assert any("\\u03c4" in c.to_json() for c in certificates)
         assert self.assert_written_as_json_dumps(certificates) == 4 * len(RECORD_PATTERNS)
+
+
+def constructor_outcomes():
+    """What each public pattern constructor gives over a grid of inputs,
+    valid or not: the pattern's text, or the refusal's type and message."""
+    calls = [
+        *(functools.partial(torus_pattern, p, q) for p in range(-1, 9) for q in range(-20, 21)),
+        *(
+            functools.partial(one_bridge_braid, w, b, t, threshold)
+            for w in range(10)
+            for b in range(-1, w)
+            for t in range(-12, 13)
+            for threshold in (None, -1, 0, 2)
+        ),
+        functools.partial(one_bridge_braid, MAX_BRIDGE_WIDTH + 1, 0, 1),
+        *(
+            functools.partial(table_pattern, "t", *args)
+            for args in itertools.product(
+                range(-1, 4),
+                range(-1, 3),
+                (True, False),
+                TABLE_ENTRIES,
+                (None, -1, 0, 2, 7),
+                (None, -3, 0, 2),
+            )
+        ),
+    ]
+    for call in calls:
+        try:
+            yield pattern_to_text(call())
+        except (ValueError, UnknownTwistError) as e:
+            yield f"{type(e).__name__}: {e}"
+
+
+def digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# The digests of the texts the grids wrote when each was first pinned.
+CABLE_GRID_SHA256 = "9ea3d4ccf9eb328d8bfa4f061ab341beb7f0db7db6dd73edc002aa33fee9e205"
+ONE_BRIDGE_GRID_SHA256 = "e7990650bb1a7c78c5d58ca1c433fef29a798697fdf4d12525547c574fcc22d1"
+TABLE_GRID_SHA256 = "ccf0df0d42d5d931c41ab2a4b848eabcee12493c19072458507874f16efa6134"
+CONSTRUCTOR_GRID_SHA256 = "d99042740bfea5dff08cb678b0b9be9aa30a8132bf44ce5ba36049b2a648cab5"
+
+
+class TestGridDigests:
+    """One sha256 per grid over every text it writes, so that a change
+    that should keep the bytes is checked for it: every certificate of the
+    cable, one-bridge and table grids, and every pattern or refusal of the
+    constructors' grid.  A change that alters these bytes on purpose
+    recomputes the digests and says why."""
+
+    def test_cable_grid(self):
+        texts = (cert.to_json() for cert in cable_grid_certificates())
+        assert digest(texts) == CABLE_GRID_SHA256
+
+    def test_one_bridge_grid(self):
+        texts = (cert.to_json() for cert in one_bridge_grid_certificates())
+        assert digest(texts) == ONE_BRIDGE_GRID_SHA256
+
+    def test_table_grid(self):
+        patterns = table_grid_patterns()
+        texts = (certify_satellite(p, k).to_json() for p in patterns for k in GRID_COMPANIONS)
+        assert digest(texts) == TABLE_GRID_SHA256
+
+    def test_constructor_grid(self):
+        assert digest(constructor_outcomes()) == CONSTRUCTOR_GRID_SHA256

@@ -3,11 +3,15 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lspacesat import (
     BraidSign,
     BraidWord,
+    Certificate,
     KnotFacts,
+    PatternFacts,
     braid_add_full_twists,
     braid_free_reduce,
     braid_mirror,
@@ -18,6 +22,7 @@ from lspacesat import (
     one_bridge_braid,
     pattern_from_json,
     positive_braid_closure_genus,
+    replay_certificate,
     table_pattern,
     torus_knot,
     torus_pattern,
@@ -32,6 +37,7 @@ from lspacesat.patterns import (
     pattern_to_text,
 )
 
+import strategies
 from oracle_helpers import one_bridge_braid_word
 
 
@@ -201,8 +207,8 @@ class TestOneBridgeBraid:
             assert pat.twisted_facts(n).genus == g0 + n * 4 * 3 // 2
 
 
-# The base fields (name, winding, genus_s3, disk, threshold) that
-# PatternFacts refuses, with its message.
+# The base fields (name, winding, genus_s3, disk, threshold) that a
+# table refuses, with its message.
 BAD_BASE_FIELDS = [
     (("x", -1, 0, False, None), "winding and genus_s3 must be nonnegative"),
     (("x", 2, -1, True, None), "winding and genus_s3 must be nonnegative"),
@@ -211,40 +217,153 @@ BAD_BASE_FIELDS = [
 ]
 BASE_NAMES = ["name", "winding", "genus_s3", "has_minimal_meridional_disk", "neg_lspace_threshold"]
 
+# Braid inputs (winding, b, t, threshold) that torus_pattern (b = 0) or
+# one_bridge_braid refuses, with the error and its message.
+BAD_BRAIDS = [
+    ((1, 0, 3, None), ValueError, r"^longitudinal winding p must be >= 2, got 1$"),
+    ((4, 0, 2, None), ValueError, r"^T\(4,2\) needs gcd\(p, m\) = 1$"),
+    ((2, 1, 1, None), ValueError, r"^need w >= 3 strands, got 2$"),
+    ((MAX_BRIDGE_WIDTH + 1, 1, 0, None), ValueError, r"^need w <= 1000000 strands, got 1000001$"),
+    ((5, 4, 1, None), ValueError, r"^bridge width must satisfy 1 <= b <= w-2, got 4$"),
+    ((5, 2, 15, None), UnknownTwistError, r"closure is a link, not a knot"),
+    ((5, 2, 21, -1), ValueError, r"^neg_lspace_threshold must be nonnegative$"),
+]
+BRAID_NAMES = ["winding", "b", "t", "neg_lspace_threshold"]
+TREFOIL = torus_knot(2, 3)
+
+
+def built_publicly(pattern, changes):
+    """The pattern the public constructor of its kind builds from its
+    inputs with changes: torus_pattern for b = 0, one_bridge_braid for
+    other b, table_pattern for a table."""
+    inputs = {f.name: getattr(pattern, f.name) for f in dataclasses.fields(pattern) if f.init}
+    inputs.update(changes)
+    if isinstance(pattern, _TablePattern):
+        name, winding, genus_s3, disk, threshold = (inputs[name] for name in BASE_NAMES)
+        return table_pattern(
+            name, winding, genus_s3, disk, inputs["entries"], threshold, inputs["pos_tail_from"]
+        )
+    w, b, t, threshold = (inputs[name] for name in BRAID_NAMES)
+    return torus_pattern(w, t) if b == 0 else one_bridge_braid(w, b, t, threshold)
+
+
+def outcome(build):
+    """The pattern build returns with its text, or its refusal."""
+    try:
+        pattern = build()
+    except (ValueError, UnknownTwistError) as e:
+        return type(e), str(e)
+    return pattern, pattern_to_text(pattern)
+
+
+@st.composite
+def replaced_inputs(draw):
+    """A pattern of tests/strategies and changes to some of its inputs:
+    winding, b, t or threshold of a braided pattern; winding, entries (the
+    same ones reordered, or others) or a tail of a table."""
+    pattern = draw(strategies.patterns)
+    threshold = st.none() | st.integers(-2, 8)
+    if isinstance(pattern, _BraidPattern):
+        options = {"b": st.integers(-1, 10), "t": st.integers(-40, 40)}
+    else:
+        options = {
+            "entries": st.just(dict(reversed(pattern.entries.items())))
+            | st.dictionaries(st.integers(-6, 6), strategies.companions, max_size=3),
+            "pos_tail_from": st.none() | st.integers(-6, 4),
+        }
+    options.update(winding=st.integers(-3, 12), neg_lspace_threshold=threshold)
+    return pattern, draw(st.fixed_dictionaries({}, optional=options))
+
 
 class TestConstructors:
-    """Each pattern kind is built through PatternFacts' one validating
-    constructor, by position or by name."""
+    """Each pattern kind's class is its one constructor, built from the
+    kind's inputs by position or by name; the public constructors each
+    call one, and dataclasses.replace re-derives every derived fact."""
 
-    KINDS = [(_BraidPattern, (0, 3)), (_TablePattern, ({}, None))]
-
-    @pytest.mark.parametrize("kind, own", KINDS, ids=["braid", "table"])
     @pytest.mark.parametrize("base, message", BAD_BASE_FIELDS)
-    def test_base_refusals_by_position_and_by_name(self, kind, own, base, message):
+    def test_base_refusals_by_position_and_by_name(self, base, message):
         with pytest.raises(ValueError, match=message):
-            kind(*base, *own)
-        own_names = [f.name for f in dataclasses.fields(kind)][len(BASE_NAMES) :]
+            _TablePattern(*base[:4], {}, base[4])
         with pytest.raises(ValueError, match=message):
-            kind(**dict(zip(BASE_NAMES + own_names, base + own)))
+            _TablePattern(**dict(zip(BASE_NAMES, base)), entries={})
+        with pytest.raises(ValueError, match=message):
+            table_pattern(*base[:4], {}, base[4])
+
+    @pytest.mark.parametrize("inputs, error, message", BAD_BRAIDS)
+    def test_braid_refusals_by_position_and_by_name(self, inputs, error, message):
+        w, b, t, threshold = inputs
+        with pytest.raises(error, match=message):
+            _BraidPattern(*inputs)
+        with pytest.raises(error, match=message):
+            _BraidPattern(**dict(zip(BRAID_NAMES, inputs)))
+        with pytest.raises(error, match=message):
+            torus_pattern(w, t) if b == 0 else one_bridge_braid(w, b, t, threshold)
+
+    def test_one_bridge_braid_refuses_b_0(self):
+        with pytest.raises(ValueError, match=r"^bridge width must satisfy 1 <= b <= w-2, got 0$"):
+            one_bridge_braid(5, 0, 2)
+        with pytest.raises(ValueError, match=r"^need w >= 3 strands, got 2$"):
+            one_bridge_braid(2, 0, 1)
 
     def test_replace_goes_through_the_checks(self):
         with pytest.raises(ValueError, match="neg_lspace_threshold must be nonnegative"):
-            dataclasses.replace(torus_pattern(3, 2), neg_lspace_threshold=-1)
+            dataclasses.replace(one_bridge_braid(5, 2, 21), neg_lspace_threshold=-1)
+        with pytest.raises(ValueError, match="neg_lspace_threshold must be nonnegative"):
+            dataclasses.replace(table_pattern("t", 2, 1, True, {}), neg_lspace_threshold=-1)
+        # A torus pattern derives its threshold and reads no given one.
+        assert dataclasses.replace(torus_pattern(3, 2), neg_lspace_threshold=-1) == torus_pattern(3, 2)
         replaced = dataclasses.replace(torus_pattern(3, 2), t=5)
-        assert replaced == _BraidPattern("T(3,2)-pattern", 3, 1, True, 1, 0, 5)
+        assert replaced == torus_pattern(3, 5)
+        assert replaced.name == "T(3,5)-pattern"
+        assert (replaced.genus_s3, replaced.neg_lspace_threshold) == (4, 2)
+
+    def test_a_replaced_width_is_refused_before_anything_is_built(self):
+        """A permutation of 10⁸ strands would take about 800 MB."""
+        pattern = one_bridge_braid(5, 2, 21)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^need w <= 1000000 strands, got 100000000$"):
+                dataclasses.replace(pattern, winding=10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("field", ["name", "genus_s3", "has_minimal_meridional_disk"])
+    def test_a_derived_field_cannot_be_replaced(self, field):
+        for pattern in (torus_pattern(3, 2), one_bridge_braid(5, 2, 21, 3)):
+            with pytest.raises(ValueError, match=f"^field {field} is declared with init=False"):
+                dataclasses.replace(pattern, **{field: getattr(pattern, field)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(replaced_inputs(), strategies.companions)
+    @example((one_bridge_braid(5, 2, 21, 3), {"t": 15}), TREFOIL)
+    @example((one_bridge_braid(5, 2, 21, 3), {"t": 22}), TREFOIL)
+    @example((torus_pattern(3, 2), {"t": 5}), TREFOIL)
+    @example(
+        (
+            table_pattern("t", 2, 1, True, {0: TREFOIL, 1: torus_knot(2, 5)}, 2, 1),
+            {"entries": {1: torus_knot(2, 5), 0: TREFOIL}},
+        ),
+        TREFOIL,
+    )
+    def test_replace_builds_what_the_public_constructor_builds(self, case, companion):
+        """replace gives the pattern, and text, of the public constructor
+        on the same inputs, or its refusal; each certificate written for
+        the pattern replays to its verdict."""
+        pattern, changes = case
+        got = outcome(lambda: dataclasses.replace(pattern, **changes))
+        assert got == outcome(lambda: built_publicly(pattern, changes))
+        if isinstance(got[0], PatternFacts):
+            cert = certify_satellite(got[0], companion)
+            assert replay_certificate(Certificate.from_json(cert.to_json())) == cert.verdict
 
     def test_positional_and_keyword_builds_are_equal(self):
-        by_name = _BraidPattern(
-            name="T(3,2)-pattern",
-            winding=3,
-            genus_s3=1,
-            has_minimal_meridional_disk=True,
-            neg_lspace_threshold=1,
-            b=0,
-            t=2,
-        )
-        assert by_name == torus_pattern(3, 2)
+        by_name = _BraidPattern(winding=3, b=0, t=2)
+        assert by_name == torus_pattern(3, 2) == _BraidPattern(3, 0, 2)
         assert hash(by_name) == hash(torus_pattern(3, 2))
+        braid = _BraidPattern(winding=4, b=1, t=10, neg_lspace_threshold=2)
+        assert braid == one_bridge_braid(4, 1, 10, 2) == _BraidPattern(4, 1, 10, 2)
         assert one_bridge_braid(4, 1, 10, 2) == one_bridge_braid(4, 1, 10, 2)
         assert hash(one_bridge_braid(4, 1, 10, 2)) == hash(one_bridge_braid(4, 1, 10, 2))
         assert torus_pattern(3, 2) != torus_pattern(3, 4)
@@ -252,6 +371,15 @@ class TestConstructors:
         table = table_pattern("t", 2, 1, True, {0: torus_knot(2, 3)}, 1)
         assert table == table_pattern("t", 2, 1, True, {0: torus_knot(2, 3)}, 1)
         assert table != table_pattern("t", 2, 1, True, {0: torus_knot(2, 3)}, 2)
+        by_name = _TablePattern(
+            name="t",
+            winding=2,
+            genus_s3=1,
+            has_minimal_meridional_disk=True,
+            entries={0: torus_knot(2, 3)},
+            neg_lspace_threshold=1,
+        )
+        assert by_name == table == _TablePattern("t", 2, 1, True, {0: torus_knot(2, 3)}, 1)
 
 
 class TestGenusTwistBound:
@@ -276,26 +404,26 @@ class TestGenusTwistBound:
         assert torus_pattern(2, 3).twisted_facts(-2).genus == 0 <= genus_twist_bound(1, 2, -2)
 
     class Lying(_BraidPattern):
-        # A torus pattern (b = 0) of winding 2 and genus 1 that answers
-        # T(2, 99), of genus 49, for every twist: its bound at twist n is
-        # 1 + |n|.
+        # The torus pattern T(2,3) (b = 0), of winding 2 and genus 1,
+        # answering T(2, 99), of genus 49, for every twist: its bound at
+        # twist n is 1 + |n|.
         def _twist(self, n):
             return torus_knot(2, 99)
 
     def test_violating_answer_is_rejected(self):
-        pat = self.Lying("bad", 2, 1, True, 1, b=0, t=3)
+        pat = self.Lying(winding=2, b=0, t=3)
         assert pat.twisted_facts(48) == torus_knot(2, 99)  # bound 1 + 48 = 49
         with pytest.raises(ConsistencyError, match="genus 49 at twist 2 exceeds bound 3"):
             pat.twisted_facts(2)
 
     @pytest.mark.parametrize("n", [48, -48])
     def test_genus_at_the_bound_passes(self, n):
-        assert self.Lying("bad", 2, 1, True, 1, b=0, t=3).twisted_facts(n) == torus_knot(2, 99)
+        assert self.Lying(winding=2, b=0, t=3).twisted_facts(n) == torus_knot(2, 99)
 
     @pytest.mark.parametrize("n", [47, -47])
     def test_genus_one_over_the_bound_is_rejected(self, n):
         with pytest.raises(ConsistencyError, match=f"genus 49 at twist {n} exceeds bound 48"):
-            self.Lying("bad", 2, 1, True, 1, b=0, t=3).twisted_facts(n)
+            self.Lying(winding=2, b=0, t=3).twisted_facts(n)
 
 
 class TestTablePattern:
