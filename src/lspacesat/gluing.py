@@ -8,7 +8,7 @@ arc from the image of β to the image of α, with the closure flags
 travelling along.
 
 The swap is a homeomorphism of the circle, so the image of a canonical
-slope set needs no sweep: its arcs stay disjoint and maximal, in reversed
+slope set needs no merge: its arcs stay disjoint and maximal, in reversed
 circular order.  Only the first arc changes, which a rotation to the
 smallest start, ∞ first, restores.
 """
@@ -35,9 +35,9 @@ class GluingMap:
             Arc(f(a.end), f(a.start), a.end_closed, a.start_closed) for a in reversed(s.arcs)
         ]
         if len(arcs) > 1:
-            # The sweep's order: the smallest start by circular_keys, ∞ first.
-            keys, order = circular_keys([a.start for a in arcs])
-            first = keys.index(order[0])
+            # The merge's order: the smallest start by circular_keys, ∞ first.
+            keys = circular_keys([a.start for a in arcs])
+            first = keys.index(min(keys))
             arcs = arcs[first:] + arcs[:first]
         return SlopeSet(tuple(arcs))
 

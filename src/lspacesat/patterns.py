@@ -223,6 +223,8 @@ class _TablePattern(PatternFacts):
         pos_tail_from: int | None = None,
     ) -> None:
         neg, pos = neg_lspace_threshold, pos_tail_from
+        if not isinstance(name, str):
+            raise ValueError(f"a table's name must be a string, got {type(name).__name__}")
         if winding < 0 or genus_s3 < 0:
             raise ValueError("winding and genus_s3 must be nonnegative")
         if has_minimal_meridional_disk and winding < 1:
@@ -338,7 +340,7 @@ def table_pattern(
     genus_s3 - |n|·w(w-1)/2, P(U) at n = 0 of a genus other than
     genus_s3, an entry in a tail that lacks the tail's flag, or tails that
     overlap where the bound allows a nontrivial knot, which cannot have
-    both flags."""
+    both flags, and for a name that is not a string."""
     return _TablePattern(name, winding, genus_s3, has_disk, twists, neg_threshold, pos_from)
 
 

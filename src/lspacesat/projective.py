@@ -10,33 +10,30 @@ refusing mixed flags when start = end, and stores its fields through the
 slot descriptors as Slope's does; Arc and SlopeSet are slotted, frozen
 dataclasses, immutable and without a __dict__, like the Slopes they hold.
 
-Canonical form is one integer sweep: the m distinct endpoints of all
-contributing arcs cut the circle into 2m pieces (each endpoint, then the
-open gap after it), every arc covers a cyclic run of pieces, and a
-difference array counts the runs into a bytes coverage map, one byte per
-piece.  Each finite endpoint gets one exact integer key, num·Q² // den,
-and ∞ goes first; the keys sort, deduplicate and index the endpoints, so
-every coverage question is decided in integers.  _canonical reads the
-maximal covered runs off the map with one compiled scan and makes each
-an arc; covers_circle stops at the map, asking only whether a piece is
-uncovered, and builds no arc.
+Canonical form is one sorted interval merge on exact integer keys
+(slopes.circular_keys): a slope with key k sits at position 2k of a line
+and the open gap after it starts at 2k + 1, so each arc covers one span
+of the line, or two if it passes through the gap that closes the line
+into the circle.  _merge sorts the spans and merges them into maximal
+runs in one pass; _canonical makes each run an arc, keeping the given
+Arc where a run is exactly its span, and covers_circle asks only
+whether one run covers the line, building no arc.
 
-Only from_arcs, union and parse sweep, since only there can arcs
+Only from_arcs, union and parse merge, since only there can arcs
 overlap; parse reads each piece and the separators after it with one
 compiled match (the slope grammar is slopes.SLOPE_GRAMMAR) and then
-sweeps.  interior opens the ends of arcs that are already disjoint and
+merges.  interior opens the ends of arcs that are already disjoint and
 maximal, and the image under the meridian–longitude swap
 (gluing.GluingMap) is a homeomorphism of the circle; both map a
 canonical set to a canonical set arc by arc.  from_arcs is the one
 constructor from arcs; parse reads text, and builds QP1 \\ {h}, a single
-arc, without a sweep.
+arc, without a merge.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable
 
 from .slopes import INFINITY, SLOPE_GRAMMAR, Slope, circular_keys, slope_ccw, slope_det
@@ -135,7 +132,7 @@ class SlopeSet:
         Closed endpoints of arcs open up and isolated points vanish;
         Full and the complement of a point are already open.  Opening the
         ends of disjoint maximal arcs keeps them disjoint, maximal and in
-        the same order, so the result is canonical without a sweep.
+        the same order, so the result is canonical without a merge.
         """
         if self.is_full:
             return self
@@ -170,7 +167,7 @@ class SlopeSet:
         when both brackets are closed and an error when not, so
         [1/0, 1/0] and [-inf, 1/0] are the point {1/0} and (inf, 1/0)
         is an error.  One compiled match reads each piece with the
-        separators after it, then the sweep merges the pieces.  Malformed
+        separators after it, then _merge merges the pieces.  Malformed
         text raises ValueError.
         """
         t = text.strip()
@@ -178,7 +175,7 @@ class SlopeSet:
             return cls(is_full=t.upper() == "FULL")
         m = _COPOINT.fullmatch(t)
         if m:
-            # One arc, already canonical: no sweep.
+            # One arc, already canonical: no merge.
             hole = Slope.from_groups(*m.groups())
             return cls((Arc(hole, hole, False, False),))
         arcs = []
@@ -228,62 +225,65 @@ def _arc_to_str(a: Arc) -> str:
 
 # -- canonicalization ---------------------------------------------------
 
-_RUN = re.compile(rb"\x01+")  # a maximal run of covered pieces
 
-
-def _coverage(arcs: tuple[Arc, ...]) -> tuple[list[Slope], bytes]:
-    """The distinct endpoints p_0, ..., p_{m-1} of one or more arcs, in
-    circular order (slopes.circular_keys, ∞ first), and the coverage map:
-    byte k is 1 when the arcs cover piece k and 0 when not.
-
-    Piece 2i is the point p_i and piece 2i+1 the open gap from p_i to
-    p_{i+1 mod m}.  Each arc covers one cyclic run of pieces, and a
-    difference array counts the runs.
-    """
-    keys, order = circular_keys([p for a in arcs for p in (a.start, a.end)])
-    m = len(order)
-    index = dict(zip(order, range(m)))
-    pts = [None] * m  # filled by the sweep below
-    n = 2 * m
-    diff = [0] * (n + 1)
+def _merge(arcs: tuple[Arc, ...]) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The maximal runs the arcs cover, and begin = 2·(least key) − 1:
+    with end = 2·(greatest key) + 2 it lies beyond every position, two
+    halves of the gap that closes the line.  An arc from key i to key j
+    covers [2i + (start open), 2j + (end closed)), or, if that runs
+    backwards, [that start, end) and [begin, that end).  A run (s, e,
+    first, last) covers [s, e); arcs[first]'s span starts at s and
+    reaches furthest, arcs[last]'s ends at e, so first == last only when
+    the run is exactly that arc's span."""
+    keys = circular_keys([p for a in arcs for p in (a.start, a.end)])
+    begin = 2 * min(keys) - 1
+    end = 2 * max(keys) + 2
+    spans = []
     pairs = iter(keys)  # start and end keys, arc by arc
-    for a, start_key, end_key in zip(arcs, pairs, pairs):
-        i, j = index[start_key], index[end_key]
-        pts[i], pts[j] = a.start, a.end
-        first = 2 * i + (not a.start_closed)
-        last = 2 * j - (not a.end_closed)
-        stop = first + (last - first) % n + 1
-        diff[first] += 1
-        if stop > n:
-            diff[0] += 1
-            stop -= n
-        diff[stop] -= 1
-    return pts, bytes(map(bool, accumulate(diff[:n])))
+    for i, (a, j, k) in enumerate(zip(arcs, pairs, pairs)):
+        s = 2 * j + (not a.start_closed)
+        e = 2 * k + 1 if a.end_closed else 2 * k
+        if s < e:
+            spans.append((s, e, i))
+        else:
+            spans += (s, end, i), (begin, e, i)
+    spans.sort()
+    runs = []
+    run_s, run_e, first = spans[0]
+    last = first
+    for s, e, i in spans:
+        if s > run_e:
+            runs.append((run_s, run_e, first, last))
+            run_s, run_e, first, last = s, e, i, i
+        elif e > run_e:
+            run_e, last = e, i
+            if s == run_s:
+                first = i
+    runs.append((run_s, run_e, first, last))
+    return runs, begin
 
 
 def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
     """Canonical SlopeSet covering exactly the points of the given arcs:
-    one arc per maximal covered run of the coverage map, in piece order.
-    A run through piece 0 shows in the map as a run at its end and a run
-    at its start, which join into the last arc.
+    one arc per run of _merge, in order, keeping the given Arc where a
+    run is exactly its span.  The runs from begin and to end join into
+    the last arc; one run over the whole line is FULL.  A run [s, e) is
+    closed at its start when s is even and at its end when e is odd.
     """
     if not arcs:
         return SlopeSet()
-    pts, cov = _coverage(arcs)
-    if 0 not in cov:
-        return SlopeSet(is_full=True)
-    runs = [r.span() for r in _RUN.finditer(cov)]
-    if cov[0] and cov[-1]:
-        # Both ends covered, with an uncovered piece between them: the
-        # last run and the first are one run through piece 0.
-        runs.append((runs.pop()[0], runs.pop(0)[1]))
-    m = len(pts)
-    # The run over pieces s..stop-1 (cyclically) is the arc from point
-    # s // 2 to point stop // 2, closed at an end that is a point piece.
+    runs, begin = _merge(arcs)
+    if runs[0][0] == begin:
+        if len(runs) == 1:
+            return SlopeSet(is_full=True)
+        _, e, _, last = runs.pop(0)
+        runs[-1] = (runs[-1][0], e, runs[-1][2], last)
     return SlopeSet(
         tuple(
-            Arc(pts[s // 2], pts[stop // 2 % m], s % 2 == 0, stop % 2 == 1)
-            for s, stop in runs
+            arcs[first]
+            if first == last
+            else Arc(arcs[first].start, arcs[last].end, s % 2 == 0, e % 2 == 1)
+            for s, e, first, last in runs
         )
     )
 
@@ -292,8 +292,8 @@ def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
 
 
 def covers_circle(s1: SlopeSet, s2: SlopeSet) -> bool:
-    """True iff every slope of QP^1 lies in s1 or in s2, read off the
-    coverage map of their arcs; no arc or SlopeSet is built.
+    """True iff every slope of QP^1 lies in s1 or in s2: _merge finds
+    one run over the whole line; no arc or SlopeSet is built.
 
     Both sets must already live in a common boundary coordinate system;
     apply the gluing map to one side first.
@@ -301,4 +301,7 @@ def covers_circle(s1: SlopeSet, s2: SlopeSet) -> bool:
     if s1.is_full or s2.is_full:
         return True
     arcs = s1.arcs + s2.arcs
-    return bool(arcs) and 0 not in _coverage(arcs)[1]
+    if not arcs:
+        return False
+    runs, begin = _merge(arcs)
+    return len(runs) == 1 and runs[0][0] == begin

@@ -104,21 +104,17 @@ def slope_ccw(a: Slope, b: Slope, c: Slope) -> bool:
     return _lt(a, b) or _lt(b, c)
 
 
-def circular_keys(slopes: list[Slope]) -> tuple[list[int | None], list[int | None]]:
-    """Exact circular sort keys: the key of each slope, and the distinct
-    keys in circular order starting at ∞.
-
-    With Q the largest denominator among the slopes, distinct finite
-    slopes differ by at least 1/Q², so num·Q² // den orders them exactly;
-    ∞ is keyed None and comes first.
-    """
+def circular_keys(slopes: list[Slope]) -> list[int]:
+    """One exact int key per slope, increasing round the circle from ∞:
+    with Q the largest denominator, distinct finite slopes differ by at
+    least 1/Q², so num·Q² // den orders them, and ∞ is keyed one below
+    the least finite key."""
     q2 = max([s.den for s in slopes], default=0) ** 2
     keys = [s.num * q2 // s.den if s.den else None for s in slopes]
-    distinct = set(keys)
-    order = sorted(distinct - {None})
-    if None in distinct:
-        order.insert(0, None)
-    return keys, order
+    if None in keys:
+        below = min([k for k in keys if k is not None], default=0) - 1
+        keys = [below if k is None else k for k in keys]
+    return keys
 
 
 def farey_enumerate(max_den: int) -> list[Slope]:
@@ -132,6 +128,4 @@ def farey_enumerate(max_den: int) -> list[Slope]:
         for p in range(-max_den, max_den + 1):
             if gcd(p, q) == 1:
                 out.append(Slope(p, q))
-    keys, order = circular_keys(out)
-    by_key = dict(zip(keys, out))
-    return [by_key[key] for key in order]
+    return [x for _, x in sorted(zip(circular_keys(out), out))]

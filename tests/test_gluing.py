@@ -66,7 +66,7 @@ class TestImageOfSet:
 
     @given(slope_set_arcs)
     def test_image_is_canonical(self, arcs):
-        """image_of_set() skips the sweep; the sweep must leave every
+        """image_of_set() skips the merge; the merge must leave every
         image as it is."""
         img = SWAP.image_of_set(SlopeSet.from_arcs(arcs))
         if not img.is_full:

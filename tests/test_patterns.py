@@ -214,6 +214,7 @@ BAD_BASE_FIELDS = [
     (("x", 2, -1, True, None), "winding and genus_s3 must be nonnegative"),
     (("x", 0, 0, True, None), "forces winding >= 1"),
     (("x", 2, 1, True, -1), "neg_lspace_threshold must be nonnegative"),
+    ((5, 2, 1, True, 1), r"^a table's name must be a string, got int$"),
 ]
 BASE_NAMES = ["name", "winding", "genus_s3", "has_minimal_meridional_disk", "neg_lspace_threshold"]
 

@@ -159,8 +159,8 @@ class TestCoversCircle:
 
     @given(slope_sets, slope_sets)
     def test_agrees_with_the_union(self, s1, s2):
-        """covers_circle stops at the coverage map; the union reads its
-        runs, so the two must agree on whether nothing is left out."""
+        """covers_circle stops at the merged runs; the union makes arcs of
+        them, so the two must agree on whether nothing is left out."""
         assert covers_circle(s1, s2) == s1.union(s2).is_full
 
 
@@ -192,16 +192,31 @@ class TestCanonicalForm:
             ([Arc(Slope(-1), INFINITY, False, False), Arc(INFINITY, INFINITY)], "(-1/1, inf]"),
             ([Arc(INFINITY, INFINITY)], "{1/0}"),
             ([], "EMPTY"),
+            ([Arc(Slope(5), Slope(1), True, False)], "[5/1, inf] ∪ [-inf, 1/1)"),
+            ([Arc(INFINITY, INFINITY, False, False)], "QP1 \\ {1/0}"),
+            ([Arc(INFINITY, INFINITY, False, False), Arc(INFINITY, INFINITY)], "FULL"),
+            ([Arc(Slope(0), Slope(1), 1, 2), Arc(Slope(1), Slope(2), 0, 0)], "[0/1, 2/1)"),
         ],
         ids=[
             "order", "shared-end", "hole", "point-and-arc", "worked-cover",
             "shared-open-end", "wrap", "from-inf", "to-inf", "point-inf", "empty",
+            "wrap-open-at-least-key", "copoint-inf", "copoint-and-point-inf", "truthy-flags",
         ],
     )
     def test_text_of_worked_sets(self, arcs, text):
-        """The text of each worked set, byte for byte: runs through piece 0
-        join into one arc, which comes last."""
+        """The text of each worked set, byte for byte: a run through the
+        gap where the line of positions closes into the circle (from its
+        last key round to its first) joins into one arc, which comes
+        last.  The line's ends lie beyond every endpoint, so a wrap that
+        ends open at the least key keeps the gap before it; a flag reads
+        by its truth value."""
         assert str(SlopeSet.from_arcs(arcs)) == text
+
+    def test_a_run_that_is_one_arc_keeps_it(self):
+        longest = Arc(Slope(0), Slope(2))
+        inner = [Arc(Slope(0), Slope(1)), Arc(Slope(1, 2), Slope(1), False, False)]
+        for arcs in (inner + [longest], [longest] + inner):
+            assert SlopeSet.from_arcs(arcs).arcs[0] is longest
 
     def test_arc_order_independent(self):
         arcs = [
@@ -269,11 +284,14 @@ class TestCanonicalProperties:
         s = SlopeSet.from_arcs(arcs)
         assert SlopeSet.from_arcs(data.draw(st.permutations(arcs))) == s
         if not s.is_full:
-            assert SlopeSet.from_arcs(s.arcs) == s
+            again = SlopeSet.from_arcs(s.arcs)
+            assert again == s
+            # Each run is exactly one canonical arc's span, which is kept.
+            assert all(kept is arc for kept, arc in zip(again.arcs, s.arcs))
 
     @given(slope_set_arcs)
     def test_interior_is_canonical(self, arcs):
-        """interior() skips the sweep; the sweep must leave it as it is."""
+        """interior() skips the merge; the merge must leave it as it is."""
         inner = SlopeSet.from_arcs(arcs).interior()
         if not inner.is_full:
             assert SlopeSet.from_arcs(inner.arcs) == inner

@@ -210,12 +210,12 @@ def circular_sorted(points):
 
 def canonical_point_order(points):
     """The points of SlopeSet.from_arcs over the given points, in arc order,
-    which is the order of the sweep's integer key."""
+    which is the order of the merge's integer key."""
     return [a.start for a in SlopeSet.from_arcs([Arc(x, x) for x in points]).arcs]
 
 
 class TestSortKey:
-    """The sweep of SlopeSet.from_arcs sorts by num·Q² // den with Q the
+    """The merge of SlopeSet.from_arcs sorts by num·Q² // den with Q the
     largest denominator; it must order every pair as slope_det does."""
 
     @given(st.lists(big_slopes, min_size=1, max_size=6))
