@@ -3,14 +3,14 @@
 Words are sequences of (generator index, ±1) letters in the Artin
 generators σ_1 .. σ_{w-1}.  The engine calls only closure_components,
 the cycle count of a strand permutation, from the knot check in
-patterns.one_bridge_braid, which builds the permutation of B(w, b, t)
+patterns._BraidPattern.__init__, which one_bridge_braid, replay and
+dataclasses.replace all reach; it builds the permutation of B(w, b, t)
 in O(w) and no word.  The rest (the permutation a word induces, free
 reduction, literal sign classification, mirror, full twists, and the
 Bennequin genus (c - w + 1)/2 of a positive braid closure that is a
-knot) is the reference that the knot check and the twist facts
-patterns derives in closed form are tested against, and the
-benchmark's tracer wraps it.  No normal forms or word problem
-machinery.
+knot) is the reference that the knot check and the twist facts patterns
+derives in closed form are tested against, and the benchmark's tracer
+wraps it.  No normal forms or word problem machinery.
 """
 
 from __future__ import annotations

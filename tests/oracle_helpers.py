@@ -3,15 +3,17 @@
 These deliberately take different routes than the library code they
 check: a one-bridge braid is built as its braid word, which the library
 never builds; the Seifert-algorithm genus goes through Euler
-characteristic of the smoothed diagram, the cover oracle samples a
-Farey ball, and the homology oracle clears denominators in a rational
-2x2 determinant, and a certificate's record, its pattern and its
-companion are built as dicts for json.dumps to write, beside the
-library's writers from fixed key texts.
+characteristic of the smoothed diagram, the cover oracle samples the
+Farey ball that its sets' arc ends make complete, and the homology
+oracle clears denominators in a rational 2x2 determinant, and a
+certificate's record, its pattern and its companion are built as dicts
+for json.dumps to write, beside the library's writers from fixed key
+texts.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from lspacesat import (
@@ -101,15 +103,29 @@ def seifert_genus_oracle(bw: BraidWord) -> int:
     return num // 2
 
 
-_FAREY_BALLS: dict[int, list[Slope]] = {}
+_farey_ball = functools.cache(farey_enumerate)
 
 
-def brute_force_covers(s1: SlopeSet, s2: SlopeSet, max_den: int) -> bool:
-    """Sampled cover test over the Farey ball of the given order."""
-    if max_den not in _FAREY_BALLS:
-        _FAREY_BALLS[max_den] = farey_enumerate(max_den)
-    sample = _FAREY_BALLS[max_den]
-    return all(s1.contains(x) or s2.contains(x) for x in sample)
+def complete_sample(*sets: SlopeSet) -> list[Slope]:
+    """A Farey ball on which membership decides each of the sets exactly.
+
+    With h the greatest height max(|p|, q) of their arc ends, the ball
+    farey_enumerate(2h) holds every end, and the mediant of two
+    neighbours of height <= h, of height <= 2h, lies strictly between
+    them, so the ball puts a slope inside every gap between the ends.  A
+    larger ball could change no verdict.  Heights over 50 are refused;
+    sets with such ends are sampled by their ends and gap witnesses.
+    """
+    ends = [x for s in sets for a in s.arcs for x in (a.start, a.end)]
+    h = max((max(abs(x.num), x.den) for x in ends), default=1)
+    if h > 50:
+        raise ValueError(f"arc ends of height {h} > 50: sample ends and gap witnesses instead")
+    return _farey_ball(2 * h)
+
+
+def brute_force_covers(s1: SlopeSet, s2: SlopeSet) -> bool:
+    """Sampled cover test over the complete sample of the two sets."""
+    return all(s1.contains(x) or s2.contains(x) for x in complete_sample(s1, s2))
 
 
 def linking_matrix_order_oracle(r: Slope, s: Slope, w: int) -> int:

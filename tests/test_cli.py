@@ -6,6 +6,7 @@ import json
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -1415,11 +1416,44 @@ class TestFileEncoding:
             assert err.startswith("error: 'ascii' codec can't encode character ")
 
 
+def documented_commands():
+    """The argv of each lspacesat command in README's "Command line"
+    block and in the CI workflow, with its source for a test id."""
+    root = SRC.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = [("README", line) for line in re.sub(r"\\\n\s*", " ", block).splitlines()]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    lines += [("tier1.yml", line.strip()) for line in workflow.splitlines()]
+    command = re.compile(r"(?:- run: )?(?:PYTHONPATH=\S+ python -m lspacesat\.cli|lspacesat) (.*)")
+    commands = []
+    for source, line in lines:
+        found = command.match(line)
+        if found:
+            commands.append(pytest.param(shlex.split(found[1]), id=f"{source}: {found[1]}"))
+    return commands
+
+
+DOCUMENTED_COMMANDS = documented_commands()
+
+
+class TestDocumentedCommands:
+    """Each command the docs or CI run parses, so an option the command
+    line drops cannot linger in either; parse_args runs none of them."""
+
+    def test_both_sources_are_read(self):
+        assert {c.id.split(":")[0] for c in DOCUMENTED_COMMANDS} == {"README", "tier1.yml"}
+
+    @pytest.mark.parametrize("argv", DOCUMENTED_COMMANDS)
+    def test_parses(self, argv):
+        cli.build_parser().parse_args(argv)
+
+
 class TestCable:
     def test_agreeing(self):
         code, text = run(["cable", "--companion", "trefoil", "--p", "2", "--q", "3"])
         assert code == 0
-        assert "exact criterion: the (2,3)-cable is L-space knot" in text
+        assert "exact criterion: the (2,3)-cable is an L-space knot" in text
         assert "gap" not in text
 
     def test_gap(self):
@@ -1643,9 +1677,14 @@ class TestSetAlgebraFuzz:
 
 class TestOracle:
     def test_small_run_clean(self):
-        code, text = run(["oracle", "--max-den", "30", "--trials", "40", "--seed", "7"])
+        code, text = run(["oracle", "--trials", "40", "--seed", "7"])
         assert code == 0
-        assert "40 random pairs" in text and "0 discrepancies" in text
+        assert text == "oracle: 40 random pairs on 720 slopes, 0 discrepancies\n"
+
+    def test_sample_is_not_an_option(self):
+        """The sample is derived from the arc ends: no --max-den to set wrong."""
+        code, _ = run(["oracle", "--max-den", "40"])
+        assert code == 3
 
     def test_rejects_nonpositive_trials(self):
         code, _ = run(["oracle", "--trials", "0"])

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from lspacesat import INFINITY, Slope, SlopeSet, covers_circle, farey_enumerate
 from lspacesat.cli import random_slope_set
 from lspacesat.projective import Arc
 
-from oracle_helpers import brute_force_covers
+from oracle_helpers import brute_force_covers, complete_sample
 from strategies import CLOSE_POOL, arcs_over, pool_arcs, slope_set_arcs
 
 # Slope sets for cover properties: FULL, EMPTY and the canonical sets of
@@ -86,12 +87,11 @@ class TestInterior:
     def test_idempotent_and_subset(self):
         rng = random.Random(7)
         endpoints = farey_enumerate(8)
-        sample = farey_enumerate(12)
         for _ in range(60):
             s = random_slope_set(rng, endpoints)
             inner = s.interior()
             assert inner.interior() == inner
-            for x in sample:
+            for x in complete_sample(s, inner):
                 if inner.contains(x):
                     assert s.contains(x)
 
@@ -232,12 +232,11 @@ class TestCanonicalForm:
     def test_union_membership_oracle(self):
         rng = random.Random(11)
         endpoints = farey_enumerate(8)
-        sample = farey_enumerate(16)
         for _ in range(40):
             s1 = random_slope_set(rng, endpoints)
             s2 = random_slope_set(rng, endpoints)
             u = s1.union(s2)
-            for x in sample:
+            for x in complete_sample(s1, s2, u):
                 assert u.contains(x) == (s1.contains(x) or s2.contains(x))
 
     def test_covers_matches_brute_force(self):
@@ -246,7 +245,53 @@ class TestCanonicalForm:
         for _ in range(60):
             s1 = random_slope_set(rng, endpoints)
             s2 = random_slope_set(rng, endpoints)
-            assert covers_circle(s1, s2) == brute_force_covers(s1, s2, 20)
+            assert covers_circle(s1, s2) == brute_force_covers(s1, s2)
+
+    def test_brute_force_pair_left_open_below_the_complete_sample(self):
+        """The pair leaves (3/5, 5/8) open, whose mediant 8/13 has height
+        13: a sample of height 12 misses the gap."""
+        s1 = SlopeSet.parse("[5/8, inf] ∪ [-inf, 2/7)")
+        s2 = SlopeSet.parse("(7/3, inf] ∪ [-inf, 3/5]")
+
+        def covered_at(height):
+            return all(s1.contains(x) or s2.contains(x) for x in farey_enumerate(height))
+
+        assert covered_at(12) and not covered_at(24)
+        assert brute_force_covers(s1, s2) is covers_circle(s1, s2) is False
+
+
+def empty_gaps(h: int, n: int) -> tuple[int, int]:
+    """How many of the circular gaps between the slopes of
+    farey_enumerate(h) hold no slope of farey_enumerate(n) strictly
+    inside, and how many gaps there are.  ∞ closes the line at both
+    ends; every other slope is compared as a Fraction."""
+
+    def line(height):
+        return sorted(Fraction(x.num, x.den) for x in farey_enumerate(height) if x.den)
+
+    ends, sample = line(h), line(n)
+    bounds = [None, *ends, None]
+    empty = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        first = 0 if lo is None else bisect_right(sample, lo)
+        stop = len(sample) if hi is None else bisect_left(sample, hi)
+        empty += first == stop
+    return empty, len(bounds) - 1
+
+
+class TestCompleteSample:
+    @pytest.mark.parametrize("h", range(1, 13))
+    def test_double_height_fills_every_gap(self, h):
+        assert empty_gaps(h, 2 * h) == (0, len(farey_enumerate(h)))
+
+    def test_height_22_misses_gaps_of_height_12(self):
+        assert empty_gaps(12, 22) == (8, 184)
+
+    def test_height_is_read_off_the_arc_ends(self):
+        assert complete_sample(SlopeSet.parse("[1/3, 5/2]")) == farey_enumerate(10)
+        assert complete_sample(SlopeSet(), SlopeSet(is_full=True)) == farey_enumerate(2)
+        with pytest.raises(ValueError, match="height 51 > 50"):
+            complete_sample(SlopeSet.parse("[0, 1/51]"))
 
 
 SAMPLE = farey_enumerate(12)
