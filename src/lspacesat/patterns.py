@@ -9,7 +9,10 @@ P(U, n)?".  Each kind is a subclass of PatternFacts.  There are two:
   B(w, b, t + n·w): a positive word (an L-space knot) for t + n·w >= 0,
   a negative one (a negative L-space knot) otherwise, with Bennequin
   genus read off the letter count.  The 0-bridge braid B(p, 0, q) is
-  the torus pattern, P(U, n) = T(p, q + n·p) (Gabai's convention);
+  the torus pattern, P(U, n) = T(p, q + n·p) (Gabai's convention).
+  The flags of a closure rest on 1-bridge braid closures being L-space
+  knots (Greene, Lewallen and Vafaee, "(1,1) L-space knots", Compositio
+  Math. 154 (2018)), and their mirrors negative L-space knots;
 * explicit tables with asserted tails, whose negative tail is the
   threshold itself.
 

@@ -6,18 +6,25 @@ orientation of the circle, with independent closure flags at the two
 endpoints.  Two arcs have start = end: a single point (both ends
 closed) and the complement of a point, the open arc h -> h that runs
 once round the circle.  Arc's one constructor validates that shape,
-refusing mixed flags when start = end, and stores its fields through the
-slot descriptors as Slope's does; Arc and SlopeSet are slotted, frozen
-dataclasses, immutable and without a __dict__, like the Slopes they hold.
+refusing mixed flags when start = end, and stores its fields, the flags
+as bools, through the slot descriptors as Slope's does; Arc and SlopeSet
+are slotted, frozen dataclasses, immutable and without a __dict__, like
+the Slopes they hold.
 
-Canonical form is one sorted interval merge on exact integer keys
-(slopes.circular_keys): a slope with key k sits at position 2k of a line
-and the open gap after it starts at 2k + 1, so each arc covers one span
-of the line, or two if it passes through the gap that closes the line
-into the circle.  _merge sorts the spans and merges them into maximal
-runs in one pass; _canonical makes each run an arc, keeping the given
-Arc where a run is exactly its span, and covers_circle asks only
-whether one run covers the line, building no arc.
+Canonical form is one sorted interval merge on exact integer keys.
+With Q the largest denominator (1 when every end is ∞), a finite slope
+has key num·Q² // den (distinct slopes differ by at least 1/Q²) and ∞
+the key −(M+1)·Q², M the largest |num|, below every finite key.  A slope with key k sits at
+position 2k of a line and the open gap after it starts at 2k + 1, so
+each arc covers one span of the line, or two if it passes through the
+gap that closes the line into the circle.  One span builder, _spans,
+keys both ends of each arc as it builds its span, in one loop.  _merge
+sorts the spans and merges them into maximal runs in one pass;
+_canonical makes each run an arc, keeping the given Arc where a run is
+exactly its span.  covers_circle scans the sorted spans itself, building
+no run: it is False when no span wraps, and otherwise stops at the first
+gap after the wrapped spans' reach, or as soon as that reach passes the
+least wrapped start.
 
 Only from_arcs, union and parse merge, since only there can arcs
 overlap; parse reads each piece and the separators after it with one
@@ -36,7 +43,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .slopes import INFINITY, SLOPE_GRAMMAR, Slope, circular_keys, slope_ccw, slope_det
+from .slopes import INFINITY, SLOPE_GRAMMAR, Slope, slope_ccw, slope_det
 
 # The text parse reads: a piece "{x}" (groups 1-2) or an arc (groups 3-8),
 # with no newline inside, then the run of separators after it, whose ∪, U
@@ -70,7 +77,10 @@ class Arc:
     def __init__(
         self, start: Slope, end: Slope, start_closed: bool = True, end_closed: bool = True
     ) -> None:
-        # Flags first: most arcs then pass without comparing two Slopes.
+        # Flags stored as bools, so that equal point sets compare and hash
+        # equal; flags first, so most arcs pass without comparing two Slopes.
+        start_closed = True if start_closed else False
+        end_closed = True if end_closed else False
         if start_closed != end_closed and start == end:
             raise ValueError("degenerate arc must be a closed point or an open copoint")
         _set_start(self, start)
@@ -225,28 +235,56 @@ def _arc_to_str(a: Arc) -> str:
 
 # -- canonicalization ---------------------------------------------------
 
+# (s, e, i): arcs[i] covers the positions s <= x < e of the line.
+_Span = tuple[int, int, int]
 
-def _merge(arcs: tuple[Arc, ...]) -> tuple[list[tuple[int, int, int, int]], int]:
-    """The maximal runs the arcs cover, and begin = 2·(least key) − 1:
-    with end = 2·(greatest key) + 2 it lies beyond every position, two
-    halves of the gap that closes the line.  An arc from key i to key j
-    covers [2i + (start open), 2j + (end closed)), or, if that runs
-    backwards, [that start, end) and [begin, that end).  A run (s, e,
-    first, last) covers [s, e); arcs[first]'s span starts at s and
-    reaches furthest, arcs[last]'s ends at e, so first == last only when
-    the run is exactly that arc's span."""
-    keys = circular_keys([p for a in arcs for p in (a.start, a.end)])
-    begin = 2 * min(keys) - 1
-    end = 2 * max(keys) + 2
-    spans = []
-    pairs = iter(keys)  # start and end keys, arc by arc
-    for i, (a, j, k) in enumerate(zip(arcs, pairs, pairs)):
-        s = 2 * j + (not a.start_closed)
-        e = 2 * k + 1 if a.end_closed else 2 * k
+
+def _spans(arcs: tuple[Arc, ...]) -> tuple[list[_Span], list[_Span], int]:
+    """Each arc's span of the line, keyed as it is built: (spans, wraps, Q²).
+
+    With Q the largest denominator (1 when every end is ∞), a finite
+    slope has key num·Q² // den and ∞ the key −(M+1)·Q², M the largest
+    |num|, below every finite key.  A slope with key k sits at position 2k and the open gap after it
+    starts at 2k + 1, so an arc from key j to key k covers the span [s, e)
+    with s = 2j + (start open) and e = 2k + (end closed).  (s, e, i) is in
+    spans for arcs[i] when s < e, and in wraps when it runs backwards,
+    through the gap that closes the line.
+    """
+    dens = [a.start.den for a in arcs] + [a.end.den for a in arcs]
+    q2 = max(dens) ** 2 or 1
+    inf = -_reach(arcs, q2) if 0 in dens else None
+    spans, wraps = [], []
+    for i, a in enumerate(arcs):
+        x, y = a.start, a.end
+        s = 2 * (x.num * q2 // x.den if x.den else inf) + 1 - a.start_closed
+        e = 2 * (y.num * q2 // y.den if y.den else inf) + a.end_closed
         if s < e:
             spans.append((s, e, i))
         else:
-            spans += (s, end, i), (begin, e, i)
+            wraps.append((s, e, i))
+    return spans, wraps, q2
+
+
+def _reach(arcs: tuple[Arc, ...], q2: int) -> int:
+    """(M+1)·Q², beyond every key: |num·Q² // den| <= M·Q²."""
+    return (max([abs(a.start.num) for a in arcs] + [abs(a.end.num) for a in arcs]) + 1) * q2
+
+
+def _merge(arcs: tuple[Arc, ...]) -> tuple[list[tuple[int, int, int, int]], int | None]:
+    """The maximal runs the arcs' spans cover, and the line's start begin,
+    None when no span wraps.  The line's ends begin = −2·(M+1)·Q² − 1 and
+    end = 2·(M+1)·Q² lie beyond every position, two halves of the gap
+    that closes the line, and a wrapped span covers [s, end) and
+    [begin, e).  A run (s, e, first, last) covers [s, e); arcs[first]'s
+    span starts at s and reaches furthest, arcs[last]'s ends at e, so
+    first == last only when the run is exactly that arc's span."""
+    spans, wraps, q2 = _spans(arcs)
+    begin = None
+    if wraps:
+        end = 2 * _reach(arcs, q2)
+        begin = -end - 1
+        spans += [(s, end, i) for s, _, i in wraps]
+        spans += [(begin, e, i) for _, e, i in wraps]
     spans.sort()
     runs = []
     run_s, run_e, first = spans[0]
@@ -292,8 +330,14 @@ def _canonical(arcs: tuple[Arc, ...]) -> SlopeSet:
 
 
 def covers_circle(s1: SlopeSet, s2: SlopeSet) -> bool:
-    """True iff every slope of QP^1 lies in s1 or in s2: _merge finds
-    one run over the whole line; no arc or SlopeSet is built.
+    """True iff every slope of QP^1 lies in s1 or in s2; no run, arc or
+    SlopeSet is built.
+
+    Without a wrapped span nothing covers the gap after the greatest key.
+    Otherwise the wrapped spans cover the line below reach, the furthest
+    of their ends, and from their least start on; the sorted spans must
+    close the gap between, and the scan stops at the first hole or as
+    soon as reach passes that start.
 
     Both sets must already live in a common boundary coordinate system;
     apply the gluing map to one side first.
@@ -303,5 +347,15 @@ def covers_circle(s1: SlopeSet, s2: SlopeSet) -> bool:
     arcs = s1.arcs + s2.arcs
     if not arcs:
         return False
-    runs, begin = _merge(arcs)
-    return len(runs) == 1 and runs[0][0] == begin
+    spans, wraps, _ = _spans(arcs)
+    if not wraps:
+        return False
+    reach = max([e for _, e, _ in wraps])
+    least = min([s for s, _, _ in wraps])
+    spans.sort()
+    for s, e, _ in spans:
+        if reach >= least or s > reach:
+            break
+        if e > reach:
+            reach = e
+    return reach >= least

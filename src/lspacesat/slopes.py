@@ -14,10 +14,13 @@ anything built on it) touches floating point.
 The circle QP^1 carries a fixed positive orientation: rationals in
 increasing order, wrapping through ∞ (so ∞ sits between arbitrarily large
 positive and arbitrarily negative slopes).  slope_det is the one ordering
-primitive; a sort uses circular_keys, the exact key num·Q² // den with Q
-the largest denominator, ∞ first.  farey_enumerate lists the Farey ball
-of bounded height in that order, the sample of the brute-force oracles;
-it needs neither fractions nor floats.
+primitive.  circular_keys gives the exact key num·Q² // den, with Q the
+largest denominator and ∞ first, for the two sorts of slopes:
+farey_enumerate, which lists the Farey ball of bounded height in that
+order, the sample of the brute-force oracles, and the rotation of a
+glued set to its smallest start (gluing.GluingMap).  Neither needs
+fractions nor floats.  The slope-set merge (projective._spans) keys arc
+ends inline by the same num·Q² // den rule.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ torus_pattern, one_bridge_braid and table_pattern; pattern_to_text gives
 their JSON text, and oracle_helpers.pattern_to_json the same form as a
 dict; certified_pairs draws pairs of each pattern kind that meet the
 sufficient conditions by construction.  Slope-set inputs are
-lists of arcs over a small Farey pool or over a pool of slopes with
-denominators near 10**20.
+lists of arcs over a small Farey pool, over a pool of slopes with
+denominators near 10**20, or over its image next to ∞.
 """
 
 from __future__ import annotations
@@ -236,6 +236,9 @@ def close_pool():
 
 
 CLOSE_POOL = close_pool()
+# The same clusters carried next to ∞ by p/q ↦ q/p: within 10**-39 of ∞
+# on both sides, with numerators near 10**20.
+FAR_POOL = [Slope(x.den, x.num) for x in CLOSE_POOL]
 
 
 def arcs_over(pool):
@@ -270,11 +273,13 @@ def disjoint_arcs(draw, pool):
     return arcs + [Arc(ends[-1], ends[-1])] if len(ends) % 2 else arcs
 
 
-# Arc lists for slope-set properties: overlapping arcs over both pools,
-# and separated ones, which survive as several canonical arcs.
+# Arc lists for slope-set properties: overlapping arcs over the three
+# pools, and separated ones, which survive as several canonical arcs.
 slope_set_arcs = st.one_of(
     pool_arcs,
     arcs_over(CLOSE_POOL),
+    arcs_over(FAR_POOL),
     disjoint_arcs(farey_enumerate(4)),
     disjoint_arcs(CLOSE_POOL),
+    disjoint_arcs(FAR_POOL),
 )

@@ -125,6 +125,17 @@ class TestValueTypes:
         t = SlopeSet.from_arcs([Arc(Slope(-6, 2), Slope(-3, 1)), b])
         assert s == t and hash(s) == hash(t)
 
+    def test_truthy_flags_are_stored_as_bools(self):
+        """Flags 2, 2 close both ends, as True, True does: the sets are
+        equal, hash equal and round-trip, and contains answers a bool."""
+        arc = Arc(Slope(0), Slope(1), 2, 2)
+        assert (arc.start_closed, arc.end_closed) == (True, True)
+        assert arc.contains(Slope(0)) is True
+        s = SlopeSet.from_arcs([arc])
+        t = SlopeSet.from_arcs([Arc(Slope(0), Slope(1))])
+        assert s == t and hash(s) == hash(t)
+        assert SlopeSet.parse(str(s)) == s
+
     @pytest.mark.parametrize("flags", [(True, False), (False, True)])
     @pytest.mark.parametrize("x", [Slope(0), Slope(-5, 3), INFINITY])
     def test_mixed_flags_at_one_point_rejected(self, x, flags):
@@ -157,10 +168,35 @@ class TestCoversCircle:
     def test_full_empty(self):
         assert covers_circle(SlopeSet(is_full=True), SlopeSet())
 
+    @pytest.mark.parametrize(
+        "text1, text2, covered",
+        [
+            ("[-inf, 0]", "[0, 5]", False),
+            ("[1, 0] ∪ {1/2}", "[-1, -2]", True),
+            ("[3, 1] ∪ {2}", "[1, 4]", True),
+            ("[5, 1] ∪ [2, 3]", "[1, 2] ∪ [3, 5]", True),
+            ("[0, 1)", "(1, 0]", False),
+            ("[0, 1/2) ∪ (1, 2]", "(1, 0] ∪ [1/2, 1)", False),
+        ],
+        ids=[
+            "no-wrap", "wraps-alone", "reach-passes-mid-scan", "last-span-completes",
+            "one-point-gap-at-wrap", "one-point-gap-between-spans",
+        ],
+    )
+    def test_scan_exits(self, text1, text2, covered):
+        """Each exit of the cover scan: no wrapped span; the wrapped spans
+        alone; reach passing the least wrapped start with spans left; the
+        last sorted span closing the gap (the arcs alternate between the
+        sets, so that they stay three spans); and a hole of one point,
+        after a wrapping arc's end or between two plain spans."""
+        s1, s2 = SlopeSet.parse(text1), SlopeSet.parse(text2)
+        assert covers_circle(s1, s2) == s1.union(s2).is_full == covered
+
     @given(slope_sets, slope_sets)
     def test_agrees_with_the_union(self, s1, s2):
-        """covers_circle stops at the merged runs; the union makes arcs of
-        them, so the two must agree on whether nothing is left out."""
+        """covers_circle scans the spans itself and shares only the span
+        builder with the union, so the two must agree on whether nothing
+        is left out."""
         assert covers_circle(s1, s2) == s1.union(s2).is_full
 
 
@@ -195,12 +231,14 @@ class TestCanonicalForm:
             ([Arc(Slope(5), Slope(1), True, False)], "[5/1, inf] ∪ [-inf, 1/1)"),
             ([Arc(INFINITY, INFINITY, False, False)], "QP1 \\ {1/0}"),
             ([Arc(INFINITY, INFINITY, False, False), Arc(INFINITY, INFINITY)], "FULL"),
+            ([Arc(INFINITY, INFINITY, False, False)] * 2, "QP1 \\ {1/0}"),
             ([Arc(Slope(0), Slope(1), 1, 2), Arc(Slope(1), Slope(2), 0, 0)], "[0/1, 2/1)"),
         ],
         ids=[
             "order", "shared-end", "hole", "point-and-arc", "worked-cover",
             "shared-open-end", "wrap", "from-inf", "to-inf", "point-inf", "empty",
-            "wrap-open-at-least-key", "copoint-inf", "copoint-and-point-inf", "truthy-flags",
+            "wrap-open-at-least-key", "copoint-inf", "copoint-and-point-inf",
+            "copoint-inf-twice", "truthy-flags",
         ],
     )
     def test_text_of_worked_sets(self, arcs, text):
