@@ -470,10 +470,10 @@ class CableComparison:
 
 def certify_cable(k: KnotFacts, p: int, q: int) -> CableComparison:
     """Certify the (p, q)-cable of k through the satellite pipeline and
-    attach the exact cabling criterion as ground truth."""
-    pattern = torus_pattern(p, q)
-    cert = certify_satellite(pattern, k)
+    attach the exact cabling criterion as ground truth; the criterion
+    runs first, so a bad (p, q) is refused as a cable."""
     exact = cable_is_lspace_exact(k, p, q)
+    cert = certify_satellite(torus_pattern(p, q), k)
     if cert.verdict == CERTIFIED and not exact:
         raise ConsistencyError(
             f"certified the ({p},{q})-cable of {k.name} although the exact "

@@ -9,14 +9,16 @@ travelling along.
 
 The swap is a homeomorphism of the circle, so the image of a canonical
 slope set needs no merge: its arcs stay disjoint and maximal, in reversed
-circular order.  Only the first arc changes, which a rotation to the
-smallest start, ∞ first, restores.
+circular order.  Only the first arc changes: the merge's order starts at
+∞, and the reversed starts increase round the circle, so a rotation to
+the arc that starts at ∞, or else to the arc at the single descent of
+the starts by slope_det, restores it.
 """
 
 from __future__ import annotations
 
 from .projective import Arc, SlopeSet
-from .slopes import Slope, circular_keys
+from .slopes import Slope, slope_det
 
 
 class GluingMap:
@@ -35,9 +37,14 @@ class GluingMap:
             Arc(f(a.end), f(a.start), a.end_closed, a.start_closed) for a in reversed(s.arcs)
         ]
         if len(arcs) > 1:
-            # The merge's order: the smallest start by circular_keys, ∞ first.
-            keys = circular_keys([a.start for a in arcs])
-            first = keys.index(min(keys))
+            # The merge's order, ∞ first: the arc that starts at ∞, or else
+            # the one whose finite predecessor starts after it.
+            prev = arcs[-1].start
+            for first, a in enumerate(arcs):
+                x = a.start
+                if not x.den or (prev.den and slope_det(prev, x) > 0):
+                    break
+                prev = x
             arcs = arcs[first:] + arcs[:first]
         return SlopeSet(tuple(arcs))
 

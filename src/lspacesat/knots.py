@@ -126,7 +126,7 @@ def cable_is_lspace_exact(companion: KnotFacts, p: int, q: int) -> bool:
     an L-space knot iff K is an L-space knot and q > p(2g(K) - 1).  The
     cable of the unknot is T(p, q), an L-space knot iff q >= -1."""
     if p <= 1:
-        raise ValueError(f"longitudinal winding p must be > 1, got {p}")
+        raise ValueError(f"longitudinal winding p must be >= 2, got {p}")
     if gcd(p, q) != 1:
         raise ValueError(f"cable needs gcd(p, q) = 1, got ({p}, {q})")
     if companion.is_unknot:

@@ -18,13 +18,14 @@ the key −(M+1)·Q², M the largest |num|, below every finite key.  A slope wit
 position 2k of a line and the open gap after it starts at 2k + 1, so
 each arc covers one span of the line, or two if it passes through the
 gap that closes the line into the circle.  One span builder, _spans,
-keys both ends of each arc as it builds its span, in one loop.  _merge
-sorts the spans and merges them into maximal runs in one pass;
-_canonical makes each run an arc, keeping the given Arc where a run is
-exactly its span.  covers_circle scans the sorted spans itself, building
-no run: it is False when no span wraps, and otherwise stops at the first
-gap after the wrapped spans' reach, or as soon as that reach passes the
-least wrapped start.
+keys both ends of each arc as it builds its span, in one loop; it holds
+the package's one integer key of a slope, and every other comparison of
+two slopes is slopes.slope_det.  _merge sorts the spans and merges them
+into maximal runs in one pass; _canonical makes each run an arc, keeping
+the given Arc where a run is exactly its span.  covers_circle scans the
+sorted spans itself, building no run: it is False when no span wraps,
+and otherwise stops at the first gap after the wrapped spans' reach, or
+as soon as that reach passes the least wrapped start.
 
 Only from_arcs, union and parse merge, since only there can arcs
 overlap; parse reads each piece and the separators after it with one

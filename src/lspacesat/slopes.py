@@ -13,19 +13,18 @@ anything built on it) touches floating point.
 
 The circle QP^1 carries a fixed positive orientation: rationals in
 increasing order, wrapping through ∞ (so ∞ sits between arbitrarily large
-positive and arbitrarily negative slopes).  slope_det is the one ordering
-primitive.  circular_keys gives the exact key num·Q² // den, with Q the
-largest denominator and ∞ first, for the two sorts of slopes:
-farey_enumerate, which lists the Farey ball of bounded height in that
-order, the sample of the brute-force oracles, and the rotation of a
-glued set to its smallest start (gluing.GluingMap).  Neither needs
-fractions nor floats.  The slope-set merge (projective._spans) keys arc
-ends inline by the same num·Q² // den rule.
+positive and arbitrarily negative slopes).  slope_det is the one
+comparison of two slopes: slope_ccw orders three slopes round the circle
+through it, and farey_enumerate lists the Farey ball of bounded height,
+the sample of the brute-force oracles, with ∞ first and the finite
+slopes sorted by it.  The one integer key of a slope is the slope-set
+merge's (projective._spans); nothing here needs fractions or floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from math import gcd
 
 
@@ -93,31 +92,15 @@ def slope_det(a: Slope, b: Slope) -> int:
     return a.num * b.den - b.num * a.den
 
 
-def _lt(a: Slope, b: Slope) -> bool:
-    # Total order with ∞ greatest; wrapping it up gives the circular order.
-    return slope_det(a, b) < 0
-
-
 def slope_ccw(a: Slope, b: Slope, c: Slope) -> bool:
     """True iff b lies strictly inside the positively oriented arc a -> c."""
     if a == b or b == c or a == c:
         raise ValueError("slope_ccw needs pairwise distinct slopes")
-    if _lt(a, c):
-        return _lt(a, b) and _lt(b, c)
-    return _lt(a, b) or _lt(b, c)
-
-
-def circular_keys(slopes: list[Slope]) -> list[int]:
-    """One exact int key per slope, increasing round the circle from ∞:
-    with Q the largest denominator, distinct finite slopes differ by at
-    least 1/Q², so num·Q² // den orders them, and ∞ is keyed one below
-    the least finite key."""
-    q2 = max([s.den for s in slopes], default=0) ** 2
-    keys = [s.num * q2 // s.den if s.den else None for s in slopes]
-    if None in keys:
-        below = min([k for k in keys if k is not None], default=0) - 1
-        keys = [below if k is None else k for k in keys]
-    return keys
+    # slope_det(x, y) < 0 orders x before y with ∞ greatest; wrapping that
+    # line up gives the circular order.
+    if slope_det(a, c) < 0:
+        return slope_det(a, b) < 0 and slope_det(b, c) < 0
+    return slope_det(a, b) < 0 or slope_det(b, c) < 0
 
 
 def farey_enumerate(max_den: int) -> list[Slope]:
@@ -126,9 +109,10 @@ def farey_enumerate(max_den: int) -> list[Slope]:
     starting at ∞."""
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    out = [INFINITY]
-    for q in range(1, max_den + 1):
-        for p in range(-max_den, max_den + 1):
-            if gcd(p, q) == 1:
-                out.append(Slope(p, q))
-    return [x for _, x in sorted(zip(circular_keys(out), out))]
+    finite = [
+        Slope(p, q)
+        for q in range(1, max_den + 1)
+        for p in range(-max_den, max_den + 1)
+        if gcd(p, q) == 1
+    ]
+    return [INFINITY] + sorted(finite, key=cmp_to_key(slope_det))

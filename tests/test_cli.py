@@ -1461,9 +1461,18 @@ class TestCable:
         assert code == 1
         assert "gap: exact criterion holds" in text
 
-    def test_not_coprime_is_input_error(self):
-        code, _ = run(["cable", "--companion", "trefoil", "--p", "4", "--q", "6"])
-        assert code == 3
+    def test_not_coprime_is_input_error(self, capsys):
+        """The exact criterion runs first, so the error names the cable,
+        not the torus pattern T(4,6) built from it."""
+        code, text = run(["cable", "--companion", "trefoil", "--p", "4", "--q", "6"])
+        assert code == 3 and text == ""
+        assert capsys.readouterr().err == "error: cable needs gcd(p, q) = 1, got (4, 6)\n"
+
+    def test_winding_below_two_is_input_error(self, capsys):
+        """The criterion and the torus pattern word this refusal alike."""
+        code, text = run(["cable", "--companion", "trefoil", "--p", "1", "--q", "3"])
+        assert code == 3 and text == ""
+        assert capsys.readouterr().err == "error: longitudinal winding p must be >= 2, got 1\n"
 
     def test_json_of_a_certified_cable(self):
         """The cover text: the companion's strict slopes (s1) and the

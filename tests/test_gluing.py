@@ -73,6 +73,31 @@ class TestImageOfSet:
         if not img.is_full:
             assert SlopeSet.from_arcs(img.arcs) == img
 
+    @pytest.mark.parametrize(
+        "text, image",
+        [
+            # ∞ starts the last arc.
+            ("[-1, 0] ∪ [1, 2]", "[-inf, -1/1] ∪ [1/2, 1/1]"),
+            # ∞ comes first; the arc after it is no descent.
+            ("[1, 2] ∪ [3, 0]", "[-inf, 1/3] ∪ [1/2, 1/1]"),
+            # The descent is at index 0.
+            ("[2, 3] ∪ [5, 7]", "[1/7, 1/5] ∪ [1/3, 1/2]"),
+            # The descent is in the middle.
+            ("[-3, -2] ∪ [2, 3] ∪ [5, 7]", "[-1/2, -1/3] ∪ [1/7, 1/5] ∪ [1/3, 1/2]"),
+            # One arc wraps through ∞.
+            ("[0, 1] ∪ [3, -3]", "[-1/3, 1/3] ∪ [1/1, inf]"),
+        ],
+    )
+    def test_rotation_to_the_merge_order(self, text, image):
+        s = SlopeSet.parse(text)
+        img = SWAP.image_of_set(s)
+        assert str(img) == image
+        mapped = [
+            Arc(SWAP.apply(a.end), SWAP.apply(a.start), a.end_closed, a.start_closed)
+            for a in s.arcs
+        ]
+        assert img == SlopeSet.from_arcs(mapped)
+
     def test_endpoint_closure_flip_on_reversal(self):
         s = SlopeSet.parse("[2, 3)")
         img = SWAP.image_of_set(s)

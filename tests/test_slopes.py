@@ -235,7 +235,7 @@ class TestSortKey:
         x = Slope(p, q)
         assert canonical_point_order([x, Slope(3 * p, 3 * q), Slope(-p, -q)]) == [x]
 
-    @pytest.mark.parametrize("max_den", [1, 2, 5, 9])
+    @pytest.mark.parametrize("max_den", [1, 2, 5, 9, 12, 24])
     def test_farey_order_unchanged(self, max_den):
         ball = [INFINITY] + [
             Slope(p, q)
