@@ -23,9 +23,10 @@ Theorem 1 has not already checked, and a check records no statement.  A
 lemma check keeps only the sides it compares and never restates a value
 an earlier field holds: a, b and r are read off params, w off thm1.2 and
 g off lem.4, so lem.4 holds (rhs, g), its left side being params.r,
-lem.5 (lhs, rhs) and lem.sandwich (aw2, bw2).  trusted_inputs names the
-head keys the certificate takes as given and restates none of their
-facts: ["companion"] for a braided pattern, which derives every fact,
+which the pipeline picks equal to rhs, lem.5 (lhs, rhs) and
+lem.sandwich (aw2, bw2).  trusted_inputs names the head keys the
+certificate takes as given and restates none of their facts:
+["companion"] for a braided pattern, which derives every fact,
 and ["companion", "pattern"] for a table, which asserts its facts
 (PatternFacts.asserts_facts).
 

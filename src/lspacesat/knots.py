@@ -6,9 +6,10 @@ asserts, with the torus-knot family built in.  Like Slope, it is a
 slotted, frozen dataclass whose one constructor checks the facts against
 each other and then stores them through the slot descriptors' setters,
 past the frozen __setattr__, each flag as a bool (a Python caller may
-pass 1 or 0); dataclasses.replace goes through the same checks.  The
-slope set a companion complement contributes to the gluing argument, and
-the exact cable criterion used as ground truth in tests, both live here.
+pass 1 or 0); the genus must be exactly an int and the name a str.
+dataclasses.replace goes through the same checks.  The slope set a
+companion complement contributes to the gluing argument, and the exact
+cable criterion used as ground truth in tests, both live here.
 So do json_object, which reads every JSON object lspacesat reads, each
 key checked for its type, the one writer and reader of the six-fact
 companion object, companion_to_text and facts_from_json, and _FLAG, the
@@ -51,6 +52,11 @@ class KnotFacts:
         is_fibered: bool,
         is_unknot: bool,
     ) -> None:
+        # As in json_object, a bool is not an integer and 3.0 is not 3.
+        if type(genus) is not int:
+            raise ValueError(f"genus must be an integer, got {type(genus).__name__}")
+        if not isinstance(name, str):
+            raise ValueError(f"a knot's name must be a string, got {type(name).__name__}")
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         if is_unknot and not (genus == 0 and is_lspace and is_neg_lspace and is_fibered):

@@ -28,8 +28,10 @@ braided pattern takes (winding, b, t) and a one-bridge threshold and
 derives its name, genus_s3, disk flag and a torus threshold, fields with
 init=False; a table checks its facts and sorts its entries by n.
 torus_pattern (b = 0), one_bridge_braid (b >= 1) and table_pattern each
-call one.  So dataclasses.replace re-runs every check and re-derives
-every derived fact, and refuses a derived field.
+call one.  Every integer input, a table's twist keys included, must be
+exactly an int, as json_object reads one.  So dataclasses.replace
+re-runs every check and re-derives every derived fact, and refuses a
+derived field.
 """
 
 from __future__ import annotations
@@ -119,6 +121,17 @@ def _braid_closure(w: int, b: int, t: int) -> KnotFacts:
     return KnotFacts(name, g, g == 0, True, True, g == 0)
 
 
+def _refuse_non_integers(required: dict, optional: dict) -> None:
+    """Raise ValueError naming the first value of required that is not
+    exactly an int, or of optional that is neither an int nor None: as in
+    json_object, a bool is not an integer and 3.0 is not 3.  The
+    constructors call it once an inline test, which builds no dict, has
+    found such a value."""
+    for field, value in (*required.items(), *optional.items()):
+        if type(value) is not int and (value is not None or field in required):
+            raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
+
+
 # The knot check walks a permutation of w strands, O(w) in time and
 # memory: at w = 10⁶ it takes under 0.5 s and a traced peak of 40 MiB.
 MAX_BRIDGE_WIDTH = 10**6
@@ -154,6 +167,16 @@ class _BraidPattern(PatternFacts):
     def __init__(
         self, winding: int, b: int, t: int, neg_lspace_threshold: int | None = None
     ) -> None:
+        if (
+            type(winding) is not int
+            or type(b) is not int
+            or type(t) is not int
+            or (neg_lspace_threshold is not None and type(neg_lspace_threshold) is not int)
+        ):
+            _refuse_non_integers(
+                {"winding": winding, "b": b, "t": t},
+                {"neg_lspace_threshold": neg_lspace_threshold},
+            )
         if b == 0:
             name = f"T({winding},{t})-pattern"
             genus_s3 = torus_knot_genus(winding, t)  # refuses w < 2 and gcd(w, t) != 1
@@ -228,6 +251,16 @@ class _TablePattern(PatternFacts):
         neg, pos = neg_lspace_threshold, pos_tail_from
         if not isinstance(name, str):
             raise ValueError(f"a table's name must be a string, got {type(name).__name__}")
+        if (
+            type(winding) is not int
+            or type(genus_s3) is not int
+            or (neg is not None and type(neg) is not int)
+            or (pos is not None and type(pos) is not int)
+        ):
+            _refuse_non_integers(
+                {"winding": winding, "genus_s3": genus_s3},
+                {"neg_lspace_threshold": neg, "pos_tail_from": pos},
+            )
         if winding < 0 or genus_s3 < 0:
             raise ValueError("winding and genus_s3 must be nonnegative")
         if has_minimal_meridional_disk and winding < 1:
@@ -235,6 +268,8 @@ class _TablePattern(PatternFacts):
         if neg is not None and neg < 0:
             raise ValueError("neg_lspace_threshold must be nonnegative")
         for n, facts in entries.items():
+            if type(n) is not int:
+                raise ValueError(f"a twist key must be an integer, got {type(n).__name__}")
             reach = genus_twist_bound(0, winding, n)  # |n|·w(w-1)/2
             if facts.genus > genus_s3 + reach:
                 raise ValueError(f"table entry n={n} violates the genus twist bound")

@@ -26,6 +26,7 @@ from lspacesat import (
     torus_pattern,
 )
 from lspacesat import certify, cli
+from lspacesat.certify import STATEMENTS
 from lspacesat.cli import main
 from lspacesat.patterns import _BraidPattern
 
@@ -36,9 +37,8 @@ from test_certify import (
     FORMAT_1_CABLE_2_3_OF_TREFOIL,
     FORMAT_2_CABLE_2_3_OF_TREFOIL,
     FORMAT_3_CABLE_2_3_OF_TREFOIL,
-    FORMAT_3_TEXTS,
     FORMAT_4_CABLE_2_3_OF_TREFOIL,
-    FORMAT_4_TEXTS,
+    GOLDEN_CERTIFICATES,
     seed_lemma_bug,
 )
 
@@ -122,8 +122,8 @@ def _operand(data, edit):
 
 
 def _statement_back(data):
-    # Format 2 stored each check's statement; a format-4 certificate holds
-    # none, so one put back is a check the re-run does not make.
+    # A certificate stores no statement, so a check holding one is a check
+    # the re-run does not make.
     data["checks"][0]["statement"] = "companion and P(U) are fibered"
     return json.dumps(data)
 
@@ -813,56 +813,30 @@ class TestCertify:
         assert "a certificate is a JSON object, got " in err
         assert "AttributeError" not in err
 
-    @staticmethod
-    def replay_error(text, tmp_path, capsys):
-        """The one error line that replaying the certificate text gives."""
+    @pytest.mark.parametrize("command", ["replay", "explain"])
+    @pytest.mark.parametrize(
+        "text, found",
+        [
+            (FORMAT_1_CABLE_2_3_OF_TREFOIL, 1),
+            (FORMAT_2_CABLE_2_3_OF_TREFOIL, 2),
+            (FORMAT_3_CABLE_2_3_OF_TREFOIL, 3),
+            (FORMAT_4_CABLE_2_3_OF_TREFOIL, 4),
+        ],
+        ids=["format_1", "format_2", "format_3", "format_4"],
+    )
+    def test_each_old_format_exits_3_naming_the_format(
+        self, text, found, command, tmp_path, capsys
+    ):
+        """A genuine certificate of each format before 5 is refused by
+        replay and by explain alike."""
         path = tmp_path / "cert.json"
         path.write_text(text + "\n")
-        code, out = run(["certify", "--replay", str(path)])
-        err = capsys.readouterr().err
-        assert code == 3 and out == "" and err.count("\n") == 1
-        return err
-
-    def test_replaying_a_format_1_certificate_names_the_format(self, tmp_path, capsys):
-        err = self.replay_error(FORMAT_1_CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
-        assert err.endswith(": ValueError: certificate format 1 is not 5\n")
-
-    def test_replaying_a_format_2_certificate_names_the_format(self, tmp_path, capsys):
-        err = self.replay_error(FORMAT_2_CABLE_2_3_OF_TREFOIL, tmp_path, capsys)
-        assert err.endswith(": ValueError: certificate format 2 is not 5\n")
-
-    @pytest.mark.parametrize("command", ["replay", "explain"])
-    @pytest.mark.parametrize("old, text", FORMAT_3_TEXTS)
-    def test_every_format_3_certificate_exits_3_naming_the_format(
-        self, old, text, command, tmp_path, capsys
-    ):
-        """Format 3 restated a, b, r and w in its lemma checks; each of its
-        golden texts is refused by replay and by explain alike."""
-        path = tmp_path / "cert.json"
-        path.write_text(old + "\n")
         argv = {"replay": ["certify", "--replay"], "explain": ["explain"]}[command]
         code, out = run([*argv, str(path)])
         err = capsys.readouterr().err
         assert (code, out) == (3, "") and err.count("\n") == 1
         assert err.startswith("error: cannot replay ")
-        assert err.endswith(": ValueError: certificate format 3 is not 5\n")
-
-    @pytest.mark.parametrize("command", ["replay", "explain"])
-    @pytest.mark.parametrize("old, text", FORMAT_4_TEXTS)
-    def test_every_format_4_certificate_exits_3_naming_the_format(
-        self, old, text, command, tmp_path, capsys
-    ):
-        """Format 4 restated the companion's facts, and a table's, in its
-        trusted inputs; each of its golden texts is refused by replay and
-        by explain alike."""
-        path = tmp_path / "cert.json"
-        path.write_text(old + "\n")
-        argv = {"replay": ["certify", "--replay"], "explain": ["explain"]}[command]
-        code, out = run([*argv, str(path)])
-        err = capsys.readouterr().err
-        assert (code, out) == (3, "") and err.count("\n") == 1
-        assert err.startswith("error: cannot replay ")
-        assert err.endswith(": ValueError: certificate format 4 is not 5\n")
+        assert err.endswith(f": ValueError: certificate format {found} is not 5\n")
 
 
 def _leaf_paths(node, path=()):
@@ -1331,6 +1305,53 @@ class TestExplain:
         code, out = run(["explain", str(tmp_path / "absent.json")])
         err = capsys.readouterr().err
         assert (code, out) == (3, "") and err.startswith("error: ")
+
+
+GOLDEN_TEXTS = [pytest.param(p.values[2], id=p.id) for p in GOLDEN_CERTIFICATES]
+VERDICT_EXIT = {"CERTIFIED": 0, "NOT_CERTIFIED": 1, "REJECTED": 2}
+
+
+class TestGoldenCertificates:
+    """The golden certificate of each exit path of the pipeline replays
+    and explains on the command line, exiting with its verdict's code."""
+
+    @staticmethod
+    def run_on(argv, text, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(text + "\n")
+        capsys.readouterr()
+        code, out = run([*argv, str(path)])
+        return code, out, capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", GOLDEN_TEXTS)
+    def test_replay(self, text, tmp_path, capsys):
+        verdict = json.loads(text)["verdict"]
+        got = self.run_on(["certify", "--replay"], text, tmp_path, capsys)
+        assert got == (VERDICT_EXIT[verdict], f"REPLAY OK: verdict {verdict} reproduced\n", "")
+
+    @pytest.mark.parametrize("text", GOLDEN_TEXTS)
+    def test_explain(self, text, tmp_path, capsys):
+        """The reason and the parameters if the certificate holds them,
+        one line per check with its statement filled in from its values,
+        then the trusted inputs, each with the facts it holds."""
+        cert = json.loads(text)
+        expected = [f"REPLAY OK: verdict {cert['verdict']} reproduced"]
+        if cert["reason"] is not None:
+            expected.append(f"reason: {cert['reason']}")
+        if (params := cert["params"]) is not None:
+            expected.append(f"params: a={params['a']} b={params['b']} r={params['r']}")
+        for check in cert["checks"]:
+            values = check["values"]
+            statement = STATEMENTS[check["id"]].replace("{twist}", str(values.get("twist")))
+            mark = "ok" if check["pass"] else "FAIL"
+            dumped = json.dumps(values, ensure_ascii=False)
+            expected.append(f"[{mark}] {check['id']}  {statement}  {dumped}")
+        expected.append("trusted_inputs:")
+        for key in cert["trusted_inputs"]:
+            expected.append(f"  {key}: {json.dumps(cert[key], ensure_ascii=False)}")
+        code, out, err = self.run_on(["explain"], text, tmp_path, capsys)
+        assert (code, err) == (VERDICT_EXIT[cert["verdict"]], "")
+        assert out.splitlines() == expected
 
 
 # An ASCII locale with Python's UTF-8 mode and locale coercion off, so

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -137,8 +138,29 @@ class TestKnotFactsInvariants:
                 "a nontrivial knot cannot admit both positive and negative L-space surgeries",
             ),
             (("bad", 1, True, False, False, False), "L-space knots are fibered"),
+            # As in JSON, a bool is not an integer and 1.0 is not 1.
+            (("bad", 1.0, True, False, True, False), "genus must be an integer, got float"),
+            (("bad", True, True, False, True, False), "genus must be an integer, got bool"),
+            (("bad", Fraction(1), True, False, True, False), "genus must be an integer, got Fraction"),
+            (("bad", "1", True, False, True, False), "genus must be an integer, got str"),
+            ((5, 1, True, False, True, False), "a knot's name must be a string, got int"),
+            ((b"K", 1, True, False, True, False), "a knot's name must be a string, got bytes"),
+            ((None, 1, True, False, True, False), "a knot's name must be a string, got NoneType"),
         ],
-        ids=["negative_genus", "unknot_shape", "genus_zero", "both_flags", "unfibered"],
+        ids=[
+            "negative_genus",
+            "unknot_shape",
+            "genus_zero",
+            "both_flags",
+            "unfibered",
+            "float_genus",
+            "bool_genus",
+            "fraction_genus",
+            "str_genus",
+            "int_name",
+            "bytes_name",
+            "none_name",
+        ],
     )
     def test_every_refusal_keeps_its_text(self, facts, text):
         """Positional, keyword and dataclasses.replace construction refuse
@@ -280,3 +302,44 @@ class TestJson:
     def test_only_documented_keys(self, obj, error):
         with pytest.raises(ValueError, match=error):
             companion_from_json(obj)
+
+    @pytest.mark.parametrize("kind", [float, bool], ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize(
+        "form, outer, key, built",
+        [
+            ({"torus_knot": [2, 3]}, "torus_knot", 0, torus_knot(2, 3)),
+            ({"torus_knot": [2, 3]}, "torus_knot", 1, torus_knot(2, 3)),
+            (
+                {"cable": {"companion": "trefoil", "p": 2, "q": 3}},
+                "cable",
+                "p",
+                cable_facts(torus_knot(2, 3), 2, 3),
+            ),
+            (
+                {"cable": {"companion": "trefoil", "p": 2, "q": 3}},
+                "cable",
+                "q",
+                cable_facts(torus_knot(2, 3), 2, 3),
+            ),
+            (companion_to_json(torus_knot(2, 3)), None, "genus", torus_knot(2, 3)),
+        ],
+        ids=["torus_knot-p", "torus_knot-m", "cable-p", "cable-q", "facts-genus"],
+    )
+    def test_an_integer_key_refuses_a_float_and_a_bool(self, form, outer, key, built, kind):
+        """The form builds the knot; the same number as a float or a bool
+        under any one integer key is refused, naming the key, before
+        KnotFacts sees it."""
+        assert companion_from_json(form) == built
+        form = dict(form)
+        if outer is not None:
+            inner = form[outer]
+            form[outer] = inner = list(inner) if isinstance(inner, list) else dict(inner)
+        else:
+            inner = form
+        inner[key] = kind(inner[key])
+        if isinstance(inner, list):
+            message = rf"^expected \[p, q\], two integers, got {re.escape(repr(inner))}$"
+        else:
+            message = rf"^expected an integer, got {re.escape(repr(inner[key]))} under '{key}'$"
+        with pytest.raises(ValueError, match=message):
+            companion_from_json(form)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -215,6 +217,10 @@ BAD_BASE_FIELDS = [
     (("x", 0, 0, True, None), "forces winding >= 1"),
     (("x", 2, 1, True, -1), "neg_lspace_threshold must be nonnegative"),
     ((5, 2, 1, True, 1), r"^a table's name must be a string, got int$"),
+    (("x", 2.0, 1, True, 7), r"^winding must be an integer, got float$"),
+    (("x", 2, True, True, 7), r"^genus_s3 must be an integer, got bool$"),
+    (("x", 2, 1, True, 7.0), r"^neg_lspace_threshold must be an integer, got float$"),
+    (("x", 2, 1, True, True), r"^neg_lspace_threshold must be an integer, got bool$"),
 ]
 BASE_NAMES = ["name", "winding", "genus_s3", "has_minimal_meridional_disk", "neg_lspace_threshold"]
 
@@ -228,9 +234,30 @@ BAD_BRAIDS = [
     ((5, 4, 1, None), ValueError, r"^bridge width must satisfy 1 <= b <= w-2, got 4$"),
     ((5, 2, 15, None), UnknownTwistError, r"closure is a link, not a knot"),
     ((5, 2, 21, -1), ValueError, r"^neg_lspace_threshold must be nonnegative$"),
+    ((5.0, 2, 21, None), ValueError, r"^winding must be an integer, got float$"),
+    ((5, 2, 21, 3.0), ValueError, r"^neg_lspace_threshold must be an integer, got float$"),
+    ((5, 2, 21, True), ValueError, r"^neg_lspace_threshold must be an integer, got bool$"),
+    ((2, 0, True, None), ValueError, r"^t must be an integer, got bool$"),
 ]
 BRAID_NAMES = ["winding", "b", "t", "neg_lspace_threshold"]
 TREFOIL = torus_knot(2, 3)
+
+# Each integer input of each pattern kind, on a record that holds it,
+# and the types that stand for the int it holds yet are not int.
+TABLE = table_pattern("t", 2, 1, True, {0: TREFOIL}, neg_threshold=7, pos_from=-2)
+INTEGER_INPUTS = [
+    pytest.param(torus_pattern(2, 3), "winding", id="torus-winding"),
+    pytest.param(torus_pattern(2, 3), "t", id="torus-t"),
+    *(
+        pytest.param(one_bridge_braid(5, 2, 21, 3), name, id=f"braid-{name}")
+        for name in BRAID_NAMES
+    ),
+    *(
+        pytest.param(TABLE, name, id=f"table-{name}")
+        for name in ["winding", "genus_s3", "neg_lspace_threshold", "pos_tail_from"]
+    ),
+]
+NOT_INTS = [float, Fraction, str, bool]
 
 
 def built_publicly(pattern, changes):
@@ -299,6 +326,24 @@ class TestConstructors:
             _BraidPattern(**dict(zip(BRAID_NAMES, inputs)))
         with pytest.raises(error, match=message):
             torus_pattern(w, t) if b == 0 else one_bridge_braid(w, b, t, threshold)
+
+    @pytest.mark.parametrize("kind", NOT_INTS, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("pattern, name", INTEGER_INPUTS)
+    def test_replace_refuses_an_integer_that_is_not_an_int(self, pattern, name, kind):
+        """The int an input holds rebuilds the record; the same number as
+        a float, a Fraction, a str or a bool is refused, naming the input
+        and the type, as json_object refuses it."""
+        value = getattr(pattern, name)
+        assert dataclasses.replace(pattern, **{name: value}) == pattern
+        message = f"^{name} must be an integer, got {kind.__name__}$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(pattern, **{name: kind(value)})
+
+    @pytest.mark.parametrize("kind", NOT_INTS, ids=lambda kind: kind.__name__)
+    def test_replace_refuses_a_twist_key_that_is_not_an_int(self, kind):
+        assert dataclasses.replace(TABLE, entries={0: TREFOIL}) == TABLE
+        with pytest.raises(ValueError, match=f"^a twist key must be an integer, got {kind.__name__}$"):
+            dataclasses.replace(TABLE, entries={kind(0): TREFOIL})
 
     def test_one_bridge_braid_refuses_b_0(self):
         with pytest.raises(ValueError, match=r"^bridge width must satisfy 1 <= b <= w-2, got 0$"):
@@ -482,6 +527,9 @@ class TestTablePattern:
                 -2,
                 "entry n=-1 has genus 0, under the lower genus twist bound 4",
             ),
+            # A twist key or a tail that is not exactly an int.
+            (1, {0.0: torus_knot(2, 3)}, 7, -2, r"^a twist key must be an integer, got float$"),
+            (1, {}, 7, -2.0, r"^pos_tail_from must be an integer, got float$"),
         ],
         ids=[
             "entry_in_negative_tail",
@@ -489,6 +537,8 @@ class TestTablePattern:
             "overlapping_tails",
             "p_of_u_genus",
             "under_the_lower_bound",
+            "float_twist_key",
+            "float_pos_from",
         ],
     )
     def test_refuses_a_table_that_contradicts_itself(
@@ -633,6 +683,57 @@ class TestJson:
     def test_only_documented_keys(self, obj, error):
         with pytest.raises(ValueError, match=error):
             pattern_from_json(obj)
+
+    @pytest.mark.parametrize("kind", [float, bool], ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize(
+        "form, key, built",
+        [
+            *(({"torus_pattern": [2, 3]}, i, torus_pattern(2, 3)) for i in (0, 1)),
+            *(
+                (
+                    {"one_bridge_braid": {"w": 5, "b": 2, "t": 21, "neg_threshold": 3}},
+                    key,
+                    one_bridge_braid(5, 2, 21, 3),
+                )
+                for key in ["w", "b", "t", "neg_threshold"]
+            ),
+            *(
+                (
+                    {
+                        "table": {
+                            "name": "t",
+                            "winding": 2,
+                            "genus_s3": 1,
+                            "has_disk": True,
+                            "twists": {"0": "trefoil"},
+                            "neg_threshold": 7,
+                            "pos_from": -2,
+                        }
+                    },
+                    key,
+                    TABLE,
+                )
+                for key in ["winding", "genus_s3", "neg_threshold", "pos_from"]
+            ),
+        ],
+        ids=["torus-p", "torus-q", "braid-w", "braid-b", "braid-t", "braid-neg_threshold",
+             "table-winding", "table-genus_s3", "table-neg_threshold", "table-pos_from"],
+    )
+    def test_an_integer_key_refuses_a_float_and_a_bool(self, form, key, built, kind):
+        """The form builds the record; the same number as a float or a
+        bool under any one integer key is refused, naming the key, before
+        a record constructor sees it."""
+        assert pattern_from_json(form) == built
+        ((name, spec),) = form.items()
+        spec = list(spec) if isinstance(spec, list) else dict(spec)
+        spec[key] = kind(spec[key])
+        if isinstance(spec, list):
+            message = rf"^expected \[p, q\], two integers, got {re.escape(repr(spec))}$"
+        else:
+            got = re.escape(repr(spec[key]))
+            message = rf"^expected an integer(?: or null)?, got {got} under '{key}'$"
+        with pytest.raises(ValueError, match=message):
+            pattern_from_json({name: spec})
 
     @pytest.mark.parametrize(
         "pat",
