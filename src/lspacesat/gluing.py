@@ -5,7 +5,10 @@ meridian of one side with the 0-framed longitude of the other, which on
 slopes is p/q ↦ q/p.  That map has determinant -1: it reverses the
 circular orientation of QP^1, so the image of an arc from α to β is the
 arc from the image of β to the image of α, with the closure flags
-travelling along.
+travelling along.  On one slope the map is slopes.slope_swap, the one
+writer of a Slope's num and den besides its constructor: a swapped
+coprime pair stays coprime, so it needs no gcd, only the sign moved to
+the new denominator, and the image is normalized like every Slope.
 
 The swap is a homeomorphism of the circle, so the image of a canonical
 slope set needs no merge: its arcs stay disjoint and maximal, in reversed
@@ -18,7 +21,7 @@ the starts by slope_det, restores it.
 from __future__ import annotations
 
 from .projective import Arc, SlopeSet
-from .slopes import Slope, slope_det
+from .slopes import Slope, slope_det, slope_swap
 
 
 class GluingMap:
@@ -27,14 +30,14 @@ class GluingMap:
     __slots__ = ()
 
     def apply(self, x: Slope) -> Slope:
-        return Slope(x.den, x.num)
+        return slope_swap(x)
 
     def image_of_set(self, s: SlopeSet) -> SlopeSet:
         if s.is_full:
             return s
-        f = self.apply
         arcs = [
-            Arc(f(a.end), f(a.start), a.end_closed, a.start_closed) for a in reversed(s.arcs)
+            Arc(slope_swap(a.end), slope_swap(a.start), a.end_closed, a.start_closed)
+            for a in reversed(s.arcs)
         ]
         if len(arcs) > 1:
             # The merge's order, ∞ first: the arc that starts at ∞, or else

@@ -5,11 +5,15 @@ declarative record (genus, L-space flags, fiberedness) that the caller
 asserts, with the torus-knot family built in.  Like Slope, it is a
 slotted, frozen dataclass whose one constructor checks the facts against
 each other and then stores them through the slot descriptors' setters,
-past the frozen __setattr__, each flag as a bool (a Python caller may
-pass 1 or 0); the genus must be exactly an int and the name a str.
-dataclasses.replace goes through the same checks.  The slope set a
-companion complement contributes to the gluing argument, and the exact
-cable criterion used as ground truth in tests, both live here.
+past the frozen __setattr__, each flag as a bool.  A flag must be a bool
+or the int 0 or 1, which a Python caller may pass, the genus exactly an
+int and the name a str; anything else raises ValueError naming the
+field, so a truthy "false" is never read as True.  torus_knot and
+cable_facts take exactly ints too, checked by _refuse_non_integers,
+which the pattern kinds also call.  dataclasses.replace goes through the
+same checks.  The slope set a companion complement contributes to the
+gluing argument, and the exact cable criterion used as ground truth in
+tests, both live here.
 So do json_object, which reads every JSON object lspacesat reads, each
 key checked for its type, the one writer and reader of the six-fact
 companion object, companion_to_text and facts_from_json, and _FLAG, the
@@ -57,6 +61,20 @@ class KnotFacts:
             raise ValueError(f"genus must be an integer, got {type(genus).__name__}")
         if not isinstance(name, str):
             raise ValueError(f"a knot's name must be a string, got {type(name).__name__}")
+        if not (
+            (is_lspace is True or is_lspace is False)
+            and (is_neg_lspace is True or is_neg_lspace is False)
+            and (is_fibered is True or is_fibered is False)
+            and (is_unknot is True or is_unknot is False)
+        ):
+            is_lspace, is_neg_lspace, is_fibered, is_unknot = _flags_as_bools(
+                {
+                    "is_lspace": is_lspace,
+                    "is_neg_lspace": is_neg_lspace,
+                    "is_fibered": is_fibered,
+                    "is_unknot": is_unknot,
+                }
+            )
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         if is_unknot and not (genus == 0 and is_lspace and is_neg_lspace and is_fibered):
@@ -72,12 +90,10 @@ class KnotFacts:
             raise ValueError("L-space knots are fibered")
         _set_name(self, name)
         _set_genus(self, genus)
-        # Each flag as a bool; the conditional is bool() without a call,
-        # which every certify pays three times.
-        _set_is_lspace(self, True if is_lspace else False)
-        _set_is_neg_lspace(self, True if is_neg_lspace else False)
-        _set_is_fibered(self, True if is_fibered else False)
-        _set_is_unknot(self, True if is_unknot else False)
+        _set_is_lspace(self, is_lspace)
+        _set_is_neg_lspace(self, is_neg_lspace)
+        _set_is_fibered(self, is_fibered)
+        _set_is_unknot(self, is_unknot)
 
 
 # The slot descriptors' setters, which skip the frozen __setattr__; only
@@ -88,6 +104,29 @@ _set_is_lspace = KnotFacts.is_lspace.__set__
 _set_is_neg_lspace = KnotFacts.is_neg_lspace.__set__
 _set_is_fibered = KnotFacts.is_fibered.__set__
 _set_is_unknot = KnotFacts.is_unknot.__set__
+
+
+def _flags_as_bools(flags: dict) -> list[bool]:
+    """The values of flags as bools; raises ValueError naming the first
+    that is neither a bool nor the int 0 or 1.  KnotFacts and the table
+    pattern call it once an identity test, which builds no dict, has
+    found a value that is not True or False."""
+    for field, value in flags.items():
+        if type(value) is not bool and not (type(value) is int and value in (0, 1)):
+            raise ValueError(f"{field} must be a bool, 0 or 1, got {value!r}")
+    return [value == 1 for value in flags.values()]
+
+
+def _refuse_non_integers(required: dict, optional: dict) -> None:
+    """Raise ValueError naming the first value of required that is not
+    exactly an int, or of optional that is neither an int nor None: as in
+    json_object, a bool is not an integer and 3.0 is not 3.  The
+    constructors call it once an inline test, which builds no dict, has
+    found such a value."""
+    for field, value in (*required.items(), *optional.items()):
+        if type(value) is not int and (value is not None or field in required):
+            raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
+
 
 UNKNOT = KnotFacts("unknot", 0, True, True, True, True)
 
@@ -106,8 +145,10 @@ def torus_knot(p: int, m: int) -> KnotFacts:
     """The (p, m) torus knot, p >= 2; m = ±1 gives the unknot.
 
     Genus torus_knot_genus(p, m); admits a positive L-space surgery iff
-    m >= -1 and a negative one iff m <= 1.
+    m >= -1 and a negative one iff m <= 1.  p and m must be exactly ints.
     """
+    if type(p) is not int or type(m) is not int:
+        _refuse_non_integers({"p": p, "m": m}, {})
     return KnotFacts(f"T({p},{m})", torus_knot_genus(p, m), m >= -1, m <= 1, True, abs(m) == 1)
 
 
@@ -144,7 +185,10 @@ def cable_facts(companion: KnotFacts, p: int, q: int) -> KnotFacts:
     """Derived facts of the (p, q)-cable, as a convenience for building
     companions out of cables.  Genus p·g + (p-1)(|q|-1)/2; L-space flags
     from the exact criterion on each side.  That criterion is for
-    nontrivial companions: a cable of the unknot is the torus knot T(p, q)."""
+    nontrivial companions: a cable of the unknot is the torus knot T(p, q).
+    p and q must be exactly ints."""
+    if type(p) is not int or type(q) is not int:
+        _refuse_non_integers({"p": p, "q": q}, {})
     if companion.is_unknot:
         return torus_knot(p, q)
     return KnotFacts(

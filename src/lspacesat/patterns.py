@@ -29,7 +29,9 @@ derives its name, genus_s3, disk flag and a torus threshold, fields with
 init=False; a table checks its facts and sorts its entries by n.
 torus_pattern (b = 0), one_bridge_braid (b >= 1) and table_pattern each
 call one.  Every integer input, a table's twist keys included, must be
-exactly an int, as json_object reads one.  So dataclasses.replace
+exactly an int, as json_object reads one, a table's disk flag a bool, 0
+or 1, and each of its twist values KnotFacts; each refusal is a
+ValueError naming the field or the twist.  So dataclasses.replace
 re-runs every check and re-derives every derived fact, and refuses a
 derived field.
 """
@@ -45,6 +47,8 @@ from .braids import closure_components
 from .knots import (
     _FLAG,
     KnotFacts,
+    _flags_as_bools,
+    _refuse_non_integers,
     companion_from_json,
     companion_to_text,
     json_object,
@@ -119,17 +123,6 @@ def _braid_closure(w: int, b: int, t: int) -> KnotFacts:
     if t >= 0:
         return KnotFacts(name, g, True, g == 0, True, g == 0)
     return KnotFacts(name, g, g == 0, True, True, g == 0)
-
-
-def _refuse_non_integers(required: dict, optional: dict) -> None:
-    """Raise ValueError naming the first value of required that is not
-    exactly an int, or of optional that is neither an int nor None: as in
-    json_object, a bool is not an integer and 3.0 is not 3.  The
-    constructors call it once an inline test, which builds no dict, has
-    found such a value."""
-    for field, value in (*required.items(), *optional.items()):
-        if type(value) is not int and (value is not None or field in required):
-            raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
 
 
 # The knot check walks a permutation of w strands, O(w) in time and
@@ -261,15 +254,20 @@ class _TablePattern(PatternFacts):
                 {"winding": winding, "genus_s3": genus_s3},
                 {"neg_lspace_threshold": neg, "pos_tail_from": pos},
             )
+        disk = has_minimal_meridional_disk
+        if disk is not True and disk is not False:
+            (disk,) = _flags_as_bools({"has_minimal_meridional_disk": disk})
         if winding < 0 or genus_s3 < 0:
             raise ValueError("winding and genus_s3 must be nonnegative")
-        if has_minimal_meridional_disk and winding < 1:
+        if disk and winding < 1:
             raise ValueError("a meridional disk meeting P in w points forces winding >= 1")
         if neg is not None and neg < 0:
             raise ValueError("neg_lspace_threshold must be nonnegative")
         for n, facts in entries.items():
             if type(n) is not int:
                 raise ValueError(f"a twist key must be an integer, got {type(n).__name__}")
+            if not isinstance(facts, KnotFacts):
+                raise ValueError(f"table entry n={n} must be KnotFacts, got {type(facts).__name__}")
             reach = genus_twist_bound(0, winding, n)  # |n|·w(w-1)/2
             if facts.genus > genus_s3 + reach:
                 raise ValueError(f"table entry n={n} violates the genus twist bound")
@@ -307,7 +305,7 @@ class _TablePattern(PatternFacts):
         _set_table_name(self, name)
         _set_table_winding(self, winding)
         _set_table_genus_s3(self, genus_s3)
-        _set_table_disk(self, True if has_minimal_meridional_disk else False)
+        _set_table_disk(self, disk)
         _set_entries(self, dict(sorted(entries.items())))
         _set_table_threshold(self, neg)
         _set_pos_tail_from(self, pos)

@@ -14,28 +14,32 @@ the Slopes they hold.
 Canonical form is one sorted interval merge on exact integer keys.
 With Q the largest denominator (1 when every end is ∞), a finite slope
 has key num·Q² // den (distinct slopes differ by at least 1/Q²) and ∞
-the key −(M+1)·Q², M the largest |num|, below every finite key.  A slope with key k sits at
-position 2k of a line and the open gap after it starts at 2k + 1, so
-each arc covers one span of the line, or two if it passes through the
-gap that closes the line into the circle.  One span builder, _spans,
-keys both ends of each arc as it builds its span, in one loop; it holds
-the package's one integer key of a slope, and every other comparison of
-two slopes is slopes.slope_det.  _merge sorts the spans and merges them
-into maximal runs in one pass; _canonical makes each run an arc, keeping
-the given Arc where a run is exactly its span.  covers_circle scans the
-sorted spans itself, building no run: it is False when no span wraps,
-and otherwise stops at the first gap after the wrapped spans' reach, or
-as soon as that reach passes the least wrapped start.
+the key −(M+1)·Q², M the largest |num|, below every finite key.  A
+slope with key k sits at position 2k of a line and the open gap after
+it starts at 2k + 1, so each arc covers one span of the line, or two if
+it passes through the gap that closes the line into the circle.  One
+span builder, _spans, keys both ends of each arc as it builds its span,
+in one loop; it holds the package's one integer key of a slope, and
+every order comparison of two slopes is slopes.slope_det.  Two slopes
+are equal when their normalized pairs are equal field by field, so the
+per-arc loops of interior, str and Arc's mixed-flag check read each
+end's num and den directly, and str tells ∞ by den = 0 and writes
+num/den itself.  _merge sorts the spans and merges them into maximal
+runs in one pass; _canonical makes each run an arc, keeping the given
+Arc where a run is exactly its span.  covers_circle scans the sorted
+spans itself, building no run: it is False when no span wraps, and
+otherwise stops at the first gap after the wrapped spans' reach, or as
+soon as that reach passes the least wrapped start.
 
 Only from_arcs, union and parse merge, since only there can arcs
 overlap; parse reads each piece and the separators after it with one
 compiled match (the slope grammar is slopes.SLOPE_GRAMMAR) and then
 merges.  interior opens the ends of arcs that are already disjoint and
 maximal, and the image under the meridian–longitude swap
-(gluing.GluingMap) is a homeomorphism of the circle; both map a
-canonical set to a canonical set arc by arc.  from_arcs is the one
-constructor from arcs; parse reads text, and builds QP1 \\ {h}, a single
-arc, without a merge.
+(gluing.GluingMap, each end through slopes.slope_swap) is a
+homeomorphism of the circle; both map a canonical set to a canonical
+set arc by arc.  from_arcs is the one constructor from arcs; parse
+reads text, and builds QP1 \\ {h}, a single arc, without a merge.
 """
 
 from __future__ import annotations
@@ -79,10 +83,11 @@ class Arc:
         self, start: Slope, end: Slope, start_closed: bool = True, end_closed: bool = True
     ) -> None:
         # Flags stored as bools, so that equal point sets compare and hash
-        # equal; flags first, so most arcs pass without comparing two Slopes.
+        # equal; flags first, so most arcs pass without comparing two ends,
+        # which compare field by field as normalized pairs.
         start_closed = True if start_closed else False
         end_closed = True if end_closed else False
-        if start_closed != end_closed and start == end:
+        if start_closed != end_closed and start.num == end.num and start.den == end.den:
             raise ValueError("degenerate arc must be a closed point or an open copoint")
         _set_start(self, start)
         _set_end(self, end)
@@ -148,7 +153,12 @@ class SlopeSet:
         if self.is_full:
             return self
         return SlopeSet(
-            tuple(Arc(a.start, a.end, False, False) for a in self.arcs if not a.is_point)
+            tuple(
+                Arc(a.start, a.end, False, False)
+                for a in self.arcs
+                # not a point: ends compared field by field
+                if not a.start_closed or a.start.num != a.end.num or a.start.den != a.end.den
+            )
         )
 
     # -- serialization --------------------------------------------------
@@ -219,19 +229,23 @@ class SlopeSet:
 
 
 def _arc_to_str(a: Arc) -> str:
-    if a.start == a.end:
-        return f"{{{a.start}}}" if a.start_closed else f"QP1 \\ {{{a.start}}}"
+    # Each end's integers read once; ends compare field by field and ∞ is
+    # den = 0, so only the wrap test calls slope_det.
+    x, y = a.start, a.end
+    p, q, r, s = x.num, x.den, y.num, y.den
+    if p == r and q == s:
+        return f"{{{p}/{q}}}" if a.start_closed else f"QP1 \\ {{{p}/{q}}}"
     sb = "[" if a.start_closed else "("
     eb = "]" if a.end_closed else ")"
-    if a.start.is_infinity:
-        return f"{sb}-inf, {a.end}{eb}"
-    if a.end.is_infinity:
-        return f"{sb}{a.start}, inf{eb}"
-    if slope_det(a.start, a.end) > 0:
+    if not q:
+        return f"{sb}-inf, {r}/{s}{eb}"
+    if not s:
+        return f"{sb}{p}/{q}, inf{eb}"
+    if slope_det(x, y) > 0:
         # start > end, so the arc wraps through ∞; print in the
         # two-interval notation.
-        return f"{sb}{a.start}, inf] ∪ [-inf, {a.end}{eb}"
-    return f"{sb}{a.start}, {a.end}{eb}"
+        return f"{sb}{p}/{q}, inf] ∪ [-inf, {r}/{s}{eb}"
+    return f"{sb}{p}/{q}, {r}/{s}{eb}"
 
 
 # -- canonicalization ---------------------------------------------------

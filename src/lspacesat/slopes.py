@@ -4,16 +4,22 @@ After fixing a basis of H_1 of the boundary torus, the set of slopes is
 QP^1 = Q ∪ {1/0}.  A slope is stored as a coprime integer pair (num, den)
 taken mod ±1, normalized so that den >= 0 and the point at infinity is
 (1, 0).  Slope's one constructor does that normalization, so every Slope
-is normalized; Slope is a slotted, frozen dataclass, immutable and
-without a __dict__.  The constructor stores its fields through the slot
-descriptors themselves (_set_num, _set_den), which skip the frozen
-__setattr__ and cost less than object.__setattr__; nothing else writes
-them.  All arithmetic is exact; nothing in this module (or
+is normalized, and two slopes are equal exactly when their normalized
+pairs are equal field by field.  Slope is a slotted, frozen dataclass,
+immutable and without a __dict__.  The constructor stores its fields
+through the slot descriptors themselves (_set_num, _set_den), which skip
+the frozen __setattr__ and cost less than object.__setattr__.  The one
+other writer is slope_swap, the meridian–longitude swap p/q ↦ q/p: it
+builds the swapped pair of a normalized slope without a gcd, since a
+swapped coprime pair stays coprime and only the sign needs moving to the
+new denominator, with 0 = 0/1 and ∞ = 1/0 trading places.  So the normal
+form holds for every Slope, and nothing outside this module writes
+num or den.  All arithmetic is exact; nothing in this module (or
 anything built on it) touches floating point.
 
 The circle QP^1 carries a fixed positive orientation: rationals in
 increasing order, wrapping through ∞ (so ∞ sits between arbitrarily large
-positive and arbitrarily negative slopes).  slope_det is the one
+positive and arbitrarily negative slopes).  slope_det is the one order
 comparison of two slopes: slope_ccw orders three slopes round the circle
 through it, and farey_enumerate lists the Farey ball of bounded height,
 the sample of the brute-force oracles, with ∞ first and the finite
@@ -75,11 +81,30 @@ class Slope:
 
 
 # The slot descriptors' setters, which skip the frozen __setattr__; only
-# the constructor calls them.
+# the constructor and slope_swap call them.
 _set_num = Slope.num.__set__
 _set_den = Slope.den.__set__
+_new = object.__new__
 
 INFINITY = Slope(1, 0)
+
+
+def slope_swap(x: Slope) -> Slope:
+    """q/p for x = p/q, equal to Slope(x.den, x.num): 0 and ∞ trade places.
+
+    x's pair is coprime with den >= 0, so the swapped pair is coprime
+    too and needs no gcd; when num < 0 both signs flip, making the new
+    den = -num positive.
+    """
+    num, den = x.num, x.den
+    y = _new(Slope)
+    if num < 0:
+        _set_num(y, -den)
+        _set_den(y, -num)
+    else:
+        _set_num(y, den)
+        _set_den(y, num)
+    return y
 
 
 def slope_det(a: Slope, b: Slope) -> int:

@@ -32,6 +32,14 @@ class TestApply:
         for x in farey_enumerate(10):
             assert SWAP.apply(SWAP.apply(x)) == x
 
+    def test_is_the_constructor_on_the_swapped_pair(self):
+        big = 10**30 + 7
+        for x in farey_enumerate(12) + [Slope(-big, 3), Slope(3, -big)]:
+            y = SWAP.apply(x)
+            assert (y.num, y.den) == (Slope(x.den, x.num).num, Slope(x.den, x.num).den)
+        s = SlopeSet.parse(f"[-{big}/3, 1/{big}) ∪ {{1/2}}")
+        assert str(SWAP.image_of_set(s)) == f"{{2/1}} ∪ ({big}/1, inf] ∪ [-inf, -3/{big}]"
+
     def test_takes_no_settings(self):
         with pytest.raises(TypeError):
             GluingMap(0, 1, 1, 0)

@@ -25,6 +25,10 @@ from oracle_helpers import companion_to_json, seifert_genus_oracle
 from lspacesat import BraidWord
 
 
+# Types that stand for an int's value yet are not int.
+NOT_INTS = [float, Fraction, str, bool]
+
+
 class TestTorusKnot:
     def test_trefoil(self):
         t = torus_knot(2, 3)
@@ -45,6 +49,15 @@ class TestTorusKnot:
             torus_knot(2, 0)
         with pytest.raises(ValueError, match="must be >= 2"):
             torus_knot(1, 5)
+
+    @pytest.mark.parametrize("kind", NOT_INTS, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("field", ["p", "m"])
+    def test_refuses_a_parameter_that_is_not_an_int(self, field, kind):
+        """As in json_object, a bool is not an integer and 3.0 is not 3."""
+        args = {"p": 2, "m": 3}
+        args[field] = kind(args[field])
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {kind.__name__}$"):
+            torus_knot(**args)
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -127,6 +140,13 @@ class TestKnotFactsInvariants:
         assert renamed == KnotFacts("3_1", 1, True, False, True, False)
         assert trefoil.name == "T(2,3)"
 
+    def test_flags_one_and_zero_are_stored_as_bools(self):
+        k = KnotFacts("K", 1, 1, 0, 1, 0)
+        flags = (k.is_lspace, k.is_neg_lspace, k.is_fibered, k.is_unknot)
+        assert all(type(flag) is bool for flag in flags) and flags == (True, False, True, False)
+        assert k == dataclasses.replace(torus_knot(2, 3), name="K")
+        assert hash(k) == hash(dataclasses.replace(torus_knot(2, 3), name="K"))
+
     @pytest.mark.parametrize(
         "facts, text",
         [
@@ -146,6 +166,11 @@ class TestKnotFactsInvariants:
             ((5, 1, True, False, True, False), "a knot's name must be a string, got int"),
             ((b"K", 1, True, False, True, False), "a knot's name must be a string, got bytes"),
             ((None, 1, True, False, True, False), "a knot's name must be a string, got NoneType"),
+            # A flag is a bool or the int 0 or 1: a truthy "false" is refused.
+            (("bad", 1, "false", False, True, False), "is_lspace must be a bool, 0 or 1, got 'false'"),
+            (("bad", 1, True, None, True, False), "is_neg_lspace must be a bool, 0 or 1, got None"),
+            (("bad", 1, True, False, 2, False), "is_fibered must be a bool, 0 or 1, got 2"),
+            (("bad", 1, True, False, True, 0.0), "is_unknot must be a bool, 0 or 1, got 0.0"),
         ],
         ids=[
             "negative_genus",
@@ -160,6 +185,10 @@ class TestKnotFactsInvariants:
             "int_name",
             "bytes_name",
             "none_name",
+            "str_flag",
+            "none_flag",
+            "two_flag",
+            "float_flag",
         ],
     )
     def test_every_refusal_keeps_its_text(self, facts, text):
@@ -237,6 +266,15 @@ class TestCableCriterion:
     def test_cable_facts_rejects_bad_p_q(self, companion, p, q, error):
         with pytest.raises(ValueError, match=error):
             cable_facts(companion, p, q)
+
+    @pytest.mark.parametrize("companion", [UNKNOT, torus_knot(2, 3)], ids=["unknot", "trefoil"])
+    @pytest.mark.parametrize("kind", NOT_INTS, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("field", ["p", "q"])
+    def test_cable_facts_refuses_a_parameter_that_is_not_an_int(self, companion, field, kind):
+        args = {"p": 2, "q": 3}
+        args[field] = kind(args[field])
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {kind.__name__}$"):
+            cable_facts(companion, **args)
 
 
 class TestJson:

@@ -221,6 +221,10 @@ BAD_BASE_FIELDS = [
     (("x", 2, True, True, 7), r"^genus_s3 must be an integer, got bool$"),
     (("x", 2, 1, True, 7.0), r"^neg_lspace_threshold must be an integer, got float$"),
     (("x", 2, 1, True, True), r"^neg_lspace_threshold must be an integer, got bool$"),
+    # The disk flag is a bool or the int 0 or 1: a truthy "no" is refused.
+    (("x", 2, 1, "no", None), r"^has_minimal_meridional_disk must be a bool, 0 or 1, got 'no'$"),
+    (("x", 2, 1, 2, None), r"^has_minimal_meridional_disk must be a bool, 0 or 1, got 2$"),
+    (("x", 2, 1, None, None), r"^has_minimal_meridional_disk must be a bool, 0 or 1, got None$"),
 ]
 BASE_NAMES = ["name", "winding", "genus_s3", "has_minimal_meridional_disk", "neg_lspace_threshold"]
 
@@ -530,6 +534,9 @@ class TestTablePattern:
             # A twist key or a tail that is not exactly an int.
             (1, {0.0: torus_knot(2, 3)}, 7, -2, r"^a twist key must be an integer, got float$"),
             (1, {}, 7, -2.0, r"^pos_tail_from must be an integer, got float$"),
+            # A twist value that is not KnotFacts, after good entries.
+            (1, {0: torus_knot(2, 3), 1: "trefoil"}, 7, -2, r"^table entry n=1 must be KnotFacts, got str$"),
+            (1, {-1: None}, 7, -2, r"^table entry n=-1 must be KnotFacts, got NoneType$"),
         ],
         ids=[
             "entry_in_negative_tail",
@@ -539,6 +546,8 @@ class TestTablePattern:
             "under_the_lower_bound",
             "float_twist_key",
             "float_pos_from",
+            "str_twist_value",
+            "none_twist_value",
         ],
     )
     def test_refuses_a_table_that_contradicts_itself(
@@ -548,6 +557,11 @@ class TestTablePattern:
             table_pattern(
                 "t", 2, genus_s3, True, twists, neg_threshold=neg_threshold, pos_from=pos_from
             )
+
+    def test_disk_flag_one_and_zero_are_stored_as_bools(self):
+        for given, stored in ((1, True), (0, False)):
+            disk = table_pattern("t", 2, 1, given, {}).has_minimal_meridional_disk
+            assert type(disk) is bool and disk is stored
 
     def test_tails_may_overlap_where_the_bound_is_zero(self):
         # Winding 1 adds no genus, so both tails of a genus-0 pattern give

@@ -154,6 +154,101 @@ class TestValueTypes:
                     assert SlopeSet.from_arcs([Arc(x, y, False, False)]) == closed.interior()
 
 
+class TestEqualEndsThatAreDistinctObjects:
+    """Ends equal in value, built apart (Slope(2, 4) and Slope(1, 2)),
+    compare as the same point in the Arc check, interior and str; ends
+    that share only a numerator or only a denominator do not."""
+
+    def test_arc_check(self):
+        with pytest.raises(ValueError, match="degenerate arc"):
+            Arc(Slope(2, 4), Slope(1, 2), True, False)
+        with pytest.raises(ValueError, match="degenerate arc"):
+            Arc(Slope(-3, 0), INFINITY, False, True)
+        for start, end in [(Slope(1, 3), Slope(1, 2)), (Slope(1, 2), Slope(3, 2))]:
+            arc = Arc(start, end, True, False)
+            assert (arc.start, arc.end) == (start, end)
+
+    @pytest.mark.parametrize(
+        "arcs, text",
+        [
+            ([Arc(Slope(2, 4), Slope(1, 2))], "EMPTY"),
+            ([Arc(Slope(-3, 0), INFINITY), Arc(Slope(3), Slope(5))], "(3/1, 5/1)"),
+            ([Arc(Slope(10, 4), Slope(5, 2), False, False)], "QP1 \\ {5/2}"),
+            ([Arc(Slope(1, 3), Slope(1, 2))], "(1/3, 1/2)"),
+            ([Arc(Slope(1, 2), Slope(3, 2))], "(1/2, 3/2)"),
+        ],
+        ids=["point", "point-at-inf", "copoint", "same-num", "same-den"],
+    )
+    def test_interior(self, arcs, text):
+        s = SlopeSet.from_arcs(arcs)
+        assert s.arcs[0] is arcs[0] and arcs[0].start is not arcs[0].end
+        assert str(s.interior()) == text
+
+    @pytest.mark.parametrize(
+        "arc, text",
+        [
+            (Arc(Slope(-6, 4), Slope(-3, 2)), "{-3/2}"),
+            (Arc(Slope(-2, 0), INFINITY), "{1/0}"),
+            (Arc(Slope(10, 4), Slope(5, 2), False, False), "QP1 \\ {5/2}"),
+            (Arc(Slope(0, -3), Slope(0), False, False), "QP1 \\ {0/1}"),
+            (Arc(Slope(1, 3), Slope(1, 2), False, True), "(1/3, 1/2]"),
+            (Arc(Slope(1, 2), Slope(3, 2), True, False), "[1/2, 3/2)"),
+        ],
+        ids=["point", "point-at-inf", "copoint", "copoint-at-zero", "same-num", "same-den"],
+    )
+    def test_str(self, arc, text):
+        assert str(SlopeSet.from_arcs([arc])) == text
+
+
+BIG = 10**30 + 7  # 31 digits
+
+
+class TestGoldenText:
+    """str of canonical sets, byte for byte: each kind of arc the printer
+    tells apart, alone and together."""
+
+    @pytest.mark.parametrize(
+        "arcs, text",
+        [
+            ([Arc(Slope(7, 3), Slope(7, 3))], "{7/3}"),
+            ([Arc(Slope(-7, 3), Slope(-7, 3), False, False)], "QP1 \\ {-7/3}"),
+            ([Arc(INFINITY, Slope(-1, 2), False, True)], "(-inf, -1/2]"),
+            ([Arc(Slope(-5), INFINITY, True, False)], "[-5/1, inf)"),
+            ([Arc(Slope(3), Slope(-2, 5), False, True)], "(3/1, inf] ∪ [-inf, -2/5]"),
+            ([Arc(Slope(-2, 5), Slope(3), False, True)], "(-2/5, 3/1]"),
+            (
+                [Arc(Slope(-BIG, 3), Slope(1, BIG), True, False)],
+                f"[-{BIG}/3, 1/{BIG})",
+            ),
+            (
+                [
+                    Arc(Slope(9), Slope(-9), False, False),
+                    Arc(Slope(-1), Slope(-1)),
+                    Arc(Slope(0), Slope(1, 2), True, False),
+                    Arc(Slope(2), Slope(2)),
+                ],
+                "{-1/1} ∪ [0/1, 1/2) ∪ {2/1} ∪ (9/1, inf] ∪ [-inf, -9/1)",
+            ),
+            (
+                [
+                    Arc(INFINITY, Slope(-3), False, False),
+                    Arc(Slope(4), Slope(4)),
+                    Arc(Slope(6), INFINITY, False, False),
+                ],
+                "(-inf, -3/1) ∪ {4/1} ∪ (6/1, inf)",
+            ),
+        ],
+        ids=[
+            "point", "copoint", "start-at-inf", "end-at-inf", "wrapped", "not-wrapped",
+            "big", "point-arc-point-wrap", "inf-arcs-around-a-point",
+        ],
+    )
+    def test_text(self, arcs, text):
+        s = SlopeSet.from_arcs(arcs)
+        assert str(s) == text
+        assert SlopeSet.parse(text) == s
+
+
 class TestCoversCircle:
     def test_worked_example(self):
         s1 = SlopeSet.parse("(1, inf)")

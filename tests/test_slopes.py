@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lspacesat import INFINITY, Slope, SlopeSet, farey_enumerate, slope_ccw, slope_det
 from lspacesat.projective import Arc
+from lspacesat.slopes import slope_swap
 
 
 nonzero_pairs = st.tuples(
@@ -93,6 +94,52 @@ class TestValueType:
         p, q = pq
         a, b = Slope(p, q), Slope(k * p, k * q)
         assert a == b and hash(a) == hash(b)
+
+
+BIG = 10**30 + 7  # 31 digits, coprime to the denominators below
+
+# Slopes the swap must take to Slope(den, num), grouped by what they test.
+SWAP_CASES = {
+    "farey_24": farey_enumerate(24),
+    "zero": [Slope(0), Slope(0, -5)],
+    "infinity": [INFINITY, Slope(-7, 0)],
+    "negative": [Slope(-1), Slope(-3, 5), Slope(5, -3), Slope(-1, 24), Slope(-24)],
+    "big": [Slope(BIG, 3), Slope(-BIG, 3), Slope(3, BIG), Slope(-3, BIG), Slope(-BIG, BIG - 1)],
+}
+
+
+class TestSwap:
+    """slope_swap builds q/p of a normalized p/q without a gcd; it must be
+    the constructor's Slope(den, num), field for field."""
+
+    @pytest.mark.parametrize("xs", list(SWAP_CASES.values()), ids=list(SWAP_CASES))
+    def test_is_the_constructor_on_the_swapped_pair(self, xs):
+        for x in xs:
+            y, expected = slope_swap(x), Slope(x.den, x.num)
+            assert type(y) is Slope
+            assert (y.num, y.den) == (expected.num, expected.den)
+            assert y == expected and hash(y) == hash(expected)
+
+    @given(st.integers(), st.integers())
+    @example(0, 1)
+    @example(1, 0)
+    @example(-(10**40), 3)
+    def test_keeps_the_normal_form(self, p, q):
+        if p == q == 0:
+            return
+        y = slope_swap(Slope(p, q))
+        assert (y.num, y.den) == reference_normal(q, p)
+        assert slope_swap(y) == Slope(p, q)
+
+    def test_zero_and_infinity_trade_places(self):
+        assert (slope_swap(Slope(0)).num, slope_swap(Slope(0)).den) == (1, 0)
+        assert (slope_swap(INFINITY).num, slope_swap(INFINITY).den) == (0, 1)
+
+    def test_is_frozen_like_a_constructed_slope(self):
+        y = slope_swap(Slope(-2, 7))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            y.num = 1
+        assert not hasattr(y, "__dict__") and str(y) == "-7/2"
 
 
 class TestDet:
