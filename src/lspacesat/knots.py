@@ -8,12 +8,12 @@ each other and then stores them through the slot descriptors' setters,
 past the frozen __setattr__, each flag as a bool.  A flag must be a bool
 or the int 0 or 1, which a Python caller may pass, the genus exactly an
 int and the name a str; anything else raises ValueError naming the
-field, so a truthy "false" is never read as True.  torus_knot and
-cable_facts take exactly ints too, checked by _refuse_non_integers,
-which the pattern kinds also call.  dataclasses.replace goes through the
-same checks.  The slope set a companion complement contributes to the
-gluing argument, and the exact cable criterion used as ground truth in
-tests, both live here.
+field, so a truthy "false" is never read as True.  torus_knot,
+cable_facts and cable_is_lspace_exact take exactly ints too, checked by
+slopes._refuse_non_integers, which Slope and the pattern kinds also
+call.  dataclasses.replace goes through the same checks.  The slope
+set a companion complement contributes to the gluing argument, and the
+exact cable criterion used as ground truth in tests, both live here.
 So do json_object, which reads every JSON object lspacesat reads, each
 key checked for its type, the one writer and reader of the six-fact
 companion object, companion_to_text and facts_from_json, and _FLAG, the
@@ -29,7 +29,7 @@ from math import gcd
 from typing import get_type_hints
 
 from .projective import Arc, SlopeSet
-from .slopes import INFINITY, Slope
+from .slopes import INFINITY, Slope, _refuse_non_integers
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -117,17 +117,6 @@ def _flags_as_bools(flags: dict) -> list[bool]:
     return [value == 1 for value in flags.values()]
 
 
-def _refuse_non_integers(required: dict, optional: dict) -> None:
-    """Raise ValueError naming the first value of required that is not
-    exactly an int, or of optional that is neither an int nor None: as in
-    json_object, a bool is not an integer and 3.0 is not 3.  The
-    constructors call it once an inline test, which builds no dict, has
-    found such a value."""
-    for field, value in (*required.items(), *optional.items()):
-        if type(value) is not int and (value is not None or field in required):
-            raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
-
-
 UNKNOT = KnotFacts("unknot", 0, True, True, True, True)
 
 
@@ -171,7 +160,10 @@ def lspace_slope_set(k: KnotFacts) -> SlopeSet:
 def cable_is_lspace_exact(companion: KnotFacts, p: int, q: int) -> bool:
     """The exact cabling criterion: the (p, q)-cable of a nontrivial K is
     an L-space knot iff K is an L-space knot and q > p(2g(K) - 1).  The
-    cable of the unknot is T(p, q), an L-space knot iff q >= -1."""
+    cable of the unknot is T(p, q), an L-space knot iff q >= -1.  p and
+    q must be exactly ints."""
+    if type(p) is not int or type(q) is not int:
+        _refuse_non_integers({"p": p, "q": q}, {})
     if p <= 1:
         raise ValueError(f"longitudinal winding p must be >= 2, got {p}")
     if gcd(p, q) != 1:

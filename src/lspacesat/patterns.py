@@ -48,13 +48,13 @@ from .knots import (
     _FLAG,
     KnotFacts,
     _flags_as_bools,
-    _refuse_non_integers,
     companion_from_json,
     companion_to_text,
     json_object,
     json_pair,
     torus_knot_genus,
 )
+from .slopes import _refuse_non_integers
 
 
 class ConsistencyError(AssertionError):

@@ -7,7 +7,10 @@ endpoints.  Two arcs have start = end: a single point (both ends
 closed) and the complement of a point, the open arc h -> h that runs
 once round the circle.  Arc's one constructor validates that shape,
 refusing mixed flags when start = end, and stores its fields, the flags
-as bools, through the slot descriptors as Slope's does; Arc and SlopeSet
+as bools, through the slot descriptors as Slope's does.  The one other
+writer is parse, which refuses equal ends that are not both closed, a
+stricter check, and then writes its points and two-slope arcs through
+the same setters, past the constructor.  Arc and SlopeSet
 are slotted, frozen dataclasses, immutable and without a __dict__, like
 the Slopes they hold.
 
@@ -33,13 +36,14 @@ soon as that reach passes the least wrapped start.
 
 Only from_arcs, union and parse merge, since only there can arcs
 overlap; parse reads each piece and the separators after it with one
-compiled match (the slope grammar is slopes.SLOPE_GRAMMAR) and then
-merges.  interior opens the ends of arcs that are already disjoint and
-maximal, and the image under the meridian–longitude swap
-(gluing.GluingMap, each end through slopes.slope_swap) is a
-homeomorphism of the circle; both map a canonical set to a canonical
-set arc by arc.  from_arcs is the one constructor from arcs; parse
-reads text, and builds QP1 \\ {h}, a single arc, without a merge.
+compiled match (the slope grammar is slopes.SLOPE_GRAMMAR), builds each
+end straight from the matched digits, and then merges.  interior opens
+the ends of arcs that are already disjoint and maximal, and the image
+under the meridian–longitude swap (gluing.GluingMap, each end through
+slopes.slope_swap) is a homeomorphism of the circle; both map a
+canonical set to a canonical set arc by arc.  from_arcs is the one
+constructor from arcs; parse reads text, and builds QP1 \\ {h}, a
+single arc, without a merge.
 """
 
 from __future__ import annotations
@@ -94,10 +98,6 @@ class Arc:
         _set_start_closed(self, start_closed)
         _set_end_closed(self, end_closed)
 
-    @property
-    def is_point(self) -> bool:
-        return self.start_closed and self.start == self.end
-
     def contains(self, x: Slope) -> bool:
         if x == self.start:
             return self.start_closed
@@ -109,11 +109,12 @@ class Arc:
 
 
 # The slot descriptors' setters, which skip the frozen __setattr__; only
-# the constructor calls them.
+# the constructor and parse, after its own stricter check, call them.
 _set_start = Arc.start.__set__
 _set_end = Arc.end.__set__
 _set_start_closed = Arc.start_closed.__set__
 _set_end_closed = Arc.end_closed.__set__
+_new = object.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,38 +189,62 @@ class SlopeSet:
         when both brackets are closed and an error when not, so
         [1/0, 1/0] and [-inf, 1/0] are the point {1/0} and (inf, 1/0)
         is an error.  One compiled match reads each piece with the
-        separators after it, then _merge merges the pieces.  Malformed
-        text raises ValueError.
+        separators after it, and each end is built from the matched
+        digits.  That refusal of a degenerate arc is stricter than Arc's
+        mixed-flag check, so points and two-slope arcs are written
+        through Arc's slot setters, past its constructor; the ∞-word
+        and QP1 \\ {h} pieces go through Arc.  Then _merge merges the
+        pieces.  Malformed text raises ValueError.
         """
         t = text.strip()
-        if t.upper() in ("EMPTY", "FULL"):
+        # Upper-casing never shortens a string, so only a text of at most
+        # five characters can read EMPTY or FULL.
+        if len(t) <= 5 and t.upper() in ("EMPTY", "FULL"):
             return cls(is_full=t.upper() == "FULL")
         m = _COPOINT.fullmatch(t)
         if m:
             # One arc, already canonical: no merge.
-            hole = Slope.from_groups(*m.groups())
+            num, den = m.groups()
+            hole = INFINITY if num is None else Slope(int(num), int(den) if den else 1)
             return cls((Arc(hole, hole, False, False),))
         arcs = []
+        append = arcs.append
+        match = _PIECE.match
         pos = _LEADING_SEPARATORS.match(t).end()
         while pos < len(t):
-            m = _PIECE.match(t, pos)
+            m = match(t, pos)
             if m is None:
                 raise ValueError(f"cannot parse slope set {text!r} at position {pos}")
             x_num, x_den, sb, a_num, a_den, b_num, b_den, eb, sep = m.groups()
             if sb is None:
-                x = Slope.from_groups(x_num, x_den)
-                arcs.append(Arc(x, x))
+                x = INFINITY if x_num is None else Slope(int(x_num), int(x_den) if x_den else 1)
+                # A closed point: Arc's check has nothing to refuse.
+                a = _new(Arc)
+                _set_start(a, x)
+                _set_end(a, x)
+                _set_start_closed(a, True)
+                _set_end_closed(a, True)
+                append(a)
             elif a_num is None and b_num is None:
                 # Both ends spelled as ∞: all but ∞, and ∞ too if a bracket is closed.
-                arcs.append(Arc(INFINITY, INFINITY, False, False))
+                append(Arc(INFINITY, INFINITY, False, False))
                 if sb == "[" or eb == "]":
-                    arcs.append(Arc(INFINITY, INFINITY))
+                    append(Arc(INFINITY, INFINITY))
             else:
-                start, end = Slope.from_groups(a_num, a_den), Slope.from_groups(b_num, b_den)
+                start = INFINITY if a_num is None else Slope(int(a_num), int(a_den) if a_den else 1)
+                end = INFINITY if b_num is None else Slope(int(b_num), int(b_den) if b_den else 1)
                 start_closed, end_closed = sb == "[", eb == "]"
+                # Equal ends that are not both closed are refused here, so
+                # Arc's mixed-flag check could never fire: the arc is
+                # written through the slot setters.
                 if not (start_closed and end_closed) and start == end:
                     raise ValueError(f"degenerate open arc {t[pos:m.end(8)]!r}")
-                arcs.append(Arc(start, end, start_closed, end_closed))
+                a = _new(Arc)
+                _set_start(a, start)
+                _set_end(a, end)
+                _set_start_closed(a, start_closed)
+                _set_end_closed(a, end_closed)
+                append(a)
             pos = m.end()
             if sep is None and pos < len(t):
                 raise ValueError(f"slope set {text!r} needs ∪ at position {pos}")

@@ -14,7 +14,10 @@ builds the swapped pair of a normalized slope without a gcd, since a
 swapped coprime pair stays coprime and only the sign needs moving to the
 new denominator, with 0 = 0/1 and ∞ = 1/0 trading places.  So the normal
 form holds for every Slope, and nothing outside this module writes
-num or den.  All arithmetic is exact; nothing in this module (or
+num or den.  num and den must be exactly ints: a bool, a float, a
+Fraction or a str raises ValueError naming the field, through
+_refuse_non_integers, which the torus knots, cables and pattern kinds
+call too.  All arithmetic is exact; nothing in this module (or
 anything built on it) touches floating point.
 
 The circle QP^1 carries a fixed positive orientation: rationals in
@@ -47,13 +50,16 @@ class Slope:
     """A point of QP^1, normalized by its one constructor.
 
     Slope(p, q) and Slope(-p, -q) are the same point; den = 0 encodes
-    ∞ = 1/0.  Slope(0, 0) raises ValueError.
+    ∞ = 1/0.  Slope(0, 0), or a num or den that is not exactly an int,
+    raises ValueError.
     """
 
     num: int
     den: int
 
     def __init__(self, num: int, den: int = 1) -> None:
+        if type(num) is not int or type(den) is not int:
+            _refuse_non_integers({"num": num, "den": den}, {})
         # One gcd: its sign flips the pair to den >= 0 (∞ = 1/0), and the
         # division runs only when the pair needs it.
         g = gcd(num, den)
@@ -71,13 +77,19 @@ class Slope:
     def is_infinity(self) -> bool:
         return self.den == 0
 
-    @classmethod
-    def from_groups(cls, num: str | None, den: str | None) -> "Slope":
-        """The slope that one match of SLOPE_GRAMMAR spells, from its groups."""
-        return INFINITY if num is None else cls(int(num), int(den) if den else 1)
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
+
+
+def _refuse_non_integers(required: dict, optional: dict) -> None:
+    """Raise ValueError naming the first value of required that is not
+    exactly an int, or of optional that is neither an int nor None: as in
+    knots.json_object, a bool is not an integer and 3.0 is not 3.  The
+    constructors call it once an inline test, which builds no dict, has
+    found such a value."""
+    for field, value in (*required.items(), *optional.items()):
+        if type(value) is not int and (value is not None or field in required):
+            raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
 
 
 # The slot descriptors' setters, which skip the frozen __setattr__; only

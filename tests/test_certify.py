@@ -317,6 +317,19 @@ class TestCertifyCable:
         cmp = certify_cable(TREFOIL, 2, 1)
         assert cmp.certificate.verdict == NOT_CERTIFIED and not cmp.exact
 
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (2, True, "q must be an integer, got bool"),
+            (2, 3.0, "q must be an integer, got float"),
+            (True, 3, "p must be an integer, got bool"),
+            (2.0, 3, "p must be an integer, got float"),
+        ],
+    )
+    def test_refuses_a_parameter_that_is_not_an_int(self, p, q, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            certify_cable(TREFOIL, p, q)
+
 
 # Pairs whose certificates cover every pattern family, CERTIFIED, REJECTED
 # and the NOT_CERTIFIED reasons thm1.1, thm1.3, thm1.4 and unknown-twist.

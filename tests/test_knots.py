@@ -276,6 +276,17 @@ class TestCableCriterion:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {kind.__name__}$"):
             cable_facts(companion, **args)
 
+    @pytest.mark.parametrize("companion", [UNKNOT, torus_knot(2, 3)], ids=["unknot", "trefoil"])
+    @pytest.mark.parametrize("kind", NOT_INTS, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("field", ["p", "q"])
+    def test_criterion_refuses_a_parameter_that_is_not_an_int(self, companion, field, kind):
+        """Refused before the range test: q = True is not read as 1, which
+        would answer False, and p = True is not reported as too small."""
+        args = {"p": 2, "q": 3}
+        args[field] = kind(args[field])
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {kind.__name__}$"):
+            cable_is_lspace_exact(companion, **args)
+
 
 class TestJson:
     def test_torus_knot_form(self):

@@ -512,6 +512,47 @@ class TestSerialization:
         assert SlopeSet.parse("QP1 \\ {+∞}") == all_but_infinity
 
 
+_INFINITY_WORDS = ["inf", "+inf", "-inf", "∞", "+∞", "-∞"]
+
+
+@st.composite
+def spelled_slopes(draw):
+    """(text, slope, is_word): a slope of height at most 3, spelled
+    unnormalized: num and den times a nonzero k, an optional + sign, an
+    integer without /1, or ∞ as a word or as n/0."""
+    p, q = draw(
+        st.tuples(st.integers(-3, 3), st.integers(0, 3)).filter(lambda pq: pq != (0, 0))
+    )
+    slope = Slope(p, q)
+    if q == 0 and draw(st.booleans()):
+        return draw(st.sampled_from(_INFINITY_WORDS)), slope, True
+    k = draw(st.sampled_from([1, 2, -1, -3]))
+    num, den = k * p, k * q
+    sign = "+" if num >= 0 and draw(st.booleans()) else ""
+    if den == 1 and draw(st.booleans()):
+        return f"{sign}{num}", slope, False
+    return f"{sign}{num}/{den}", slope, False
+
+
+@st.composite
+def pieces(draw):
+    """(text, arcs): one piece of parse's grammar and the arcs it spells,
+    built through Arc; arcs is [None] for a degenerate open arc."""
+    x_text, x, x_word = draw(spelled_slopes())
+    if draw(st.integers(0, 3)) == 0:
+        return f"{{{x_text}}}", [Arc(x, x)]
+    y_text, y, y_word = draw(spelled_slopes())
+    start_closed, end_closed = draw(st.booleans()), draw(st.booleans())
+    sb, eb = "[" if start_closed else "(", "]" if end_closed else ")"
+    text = f"{sb}{x_text}, {y_text}{eb}"
+    if x_word and y_word:
+        arcs = [Arc(INFINITY, INFINITY, False, False)]
+        return text, arcs + [Arc(INFINITY, INFINITY)] * (start_closed or end_closed)
+    if x == y and not (start_closed and end_closed):
+        return text, [None]
+    return text, [Arc(x, y, start_closed, end_closed)]
+
+
 class TestParseGrammar:
     @pytest.mark.parametrize(
         "text",
@@ -556,6 +597,12 @@ class TestParseGrammar:
             ("[1, 2, 3]", "cannot parse slope set '[1, 2, 3]' at position 0"),
             ("", "cannot parse slope set ''"),
             (" ∪ u U ", "cannot parse slope set ' ∪ u U '"),
+            # Equal ends spelled differently: parse alone refuses them, as
+            # it writes arcs past Arc's mixed-flag check.
+            ("[1/2, 2/4)", "degenerate open arc '[1/2, 2/4)'"),
+            ("(2/4, 1/2]", "degenerate open arc '(2/4, 1/2]'"),
+            ("(-1/-2, 1/2)", "degenerate open arc '(-1/-2, 1/2)'"),
+            ("[1/0, -1/0)", "degenerate open arc '[1/0, -1/0)'"),
         ],
     )
     def test_error_text(self, text, message):
@@ -581,6 +628,7 @@ class TestParseGrammar:
             ("(inf, +∞)", "QP1 \\ {1/0}"),
             ("[inf, -inf)", "FULL"),
             ("[-inf, 1/0]", "{1/0}"),
+            ("[1/2, 2/4]", "{1/2}"),
             ("empty", "EMPTY"),
             ("Full", "FULL"),
             ("QP1\n\\ { -3 }", "QP1 \\ {-3/1}"),
@@ -588,6 +636,25 @@ class TestParseGrammar:
     )
     def test_accepts(self, text, canonical):
         assert str(SlopeSet.parse(text)) == canonical
+
+    @given(st.lists(pieces(), min_size=1, max_size=6))
+    def test_spellings_agree_with_the_constructors(self, drawn):
+        """parse of unnormalized spellings (2/4, -3/-6, +5, every spelling
+        of ∞) is from_arcs of the same pieces built through Arc and Slope:
+        equal, hash equal, flags stored as bools, and a degenerate open
+        arc refused."""
+        text = " ∪ ".join(piece_text for piece_text, _ in drawn)
+        arcs = [arc for _, piece_arcs in drawn for arc in piece_arcs]
+        if None in arcs:
+            with pytest.raises(ValueError, match="^degenerate open arc"):
+                SlopeSet.parse(text)
+            return
+        s = SlopeSet.parse(text)
+        t = SlopeSet.from_arcs(arcs)
+        assert s == t and hash(s) == hash(t)
+        for a in s.arcs:
+            assert a.start_closed is True or a.start_closed is False
+            assert a.end_closed is True or a.end_closed is False
 
     @pytest.mark.parametrize(
         "text",

@@ -77,6 +77,17 @@ class TestValueType:
     def test_default_denominator_is_one(self):
         assert (Slope(-4).num, Slope(-4).den) == (-4, 1)
 
+    @pytest.mark.parametrize("value", [True, 1.5, Fraction(1), "1"], ids=repr)
+    @pytest.mark.parametrize("field", ["num", "den"])
+    def test_refuses_a_field_that_is_not_an_int(self, field, value):
+        """As in json_object, a bool is not an integer, and neither is a
+        float, a Fraction or a str: none is stored or reaches gcd."""
+        args = {"num": 1, "den": 2}
+        args[field] = value
+        message = f"^{field} must be an integer, got {type(value).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            Slope(**args)
+
     def test_immutable_and_slotted(self):
         s = Slope(2, 3)
         for name in ("num", "den"):
