@@ -21,16 +21,13 @@ the starts by slope_det, restores it.
 from __future__ import annotations
 
 from .projective import Arc, SlopeSet
-from .slopes import Slope, slope_det, slope_swap
+from .slopes import slope_det, slope_swap
 
 
 class GluingMap:
     """The swap p/q ↦ q/p; it has no settings."""
 
     __slots__ = ()
-
-    def apply(self, x: Slope) -> Slope:
-        return slope_swap(x)
 
     def image_of_set(self, s: SlopeSet) -> SlopeSet:
         if s.is_full:

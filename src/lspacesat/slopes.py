@@ -73,10 +73,6 @@ class Slope:
         _set_num(self, num)
         _set_den(self, den)
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.den == 0
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 

@@ -131,11 +131,11 @@ def brute_force_covers(s1: SlopeSet, s2: SlopeSet) -> bool:
 def linking_matrix_order_oracle(r: Slope, s: Slope, w: int) -> int:
     """|H_1| via the rational linking-matrix determinant [[r, w], [w, s]]
     with denominators cleared."""
-    if r.is_infinity and s.is_infinity:
+    if r.den == 0 and s.den == 0:
         return 1
-    if r.is_infinity:
+    if r.den == 0:
         return abs(s.num)
-    if s.is_infinity:
+    if s.den == 0:
         return abs(r.num)
     det = Fraction(r.num, r.den) * Fraction(s.num, s.den) - w * w
     cleared = det * r.den * s.den

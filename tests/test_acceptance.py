@@ -32,6 +32,7 @@ from lspacesat import (
 )
 from lspacesat.braids import closure_permutation
 from lspacesat.cli import random_slope_set
+from lspacesat.slopes import slope_swap
 
 from oracle_helpers import (
     brute_force_covers,
@@ -219,14 +220,14 @@ def test_8_gluing_involution_and_transport():
     swap = meridian_longitude_swap()
     slopes = farey_enumerate(30)
     for x in slopes:
-        assert swap.apply(swap.apply(x)) == x
+        assert slope_swap(slope_swap(x)) == x
     rng = random.Random(8)
     endpoints = farey_enumerate(8)
     for _ in range(20):
         s = random_slope_set(rng, endpoints)
         img = swap.image_of_set(s)
         for x in complete_sample(s, img):
-            assert img.contains(swap.apply(x)) == s.contains(x)
+            assert img.contains(slope_swap(x)) == s.contains(x)
     print(
         f"ACCEPTANCE 8: PASS — swap is an involution on {len(slopes)} Farey "
         "slopes and membership commutes with image_of_set"

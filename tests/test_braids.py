@@ -41,12 +41,16 @@ class TestValidation:
 
 
 class TestFreeReduce:
-    def test_adjacent_inverse_pair(self):
-        assert braid_free_reduce(word(2, (1, 1), (1, -1))).letters == ()
-
-    def test_cancellation_exposes_new_pair(self):
-        got = braid_free_reduce(word(3, (1, 1), (2, 1), (2, -1), (1, 1)))
-        assert got.letters == ((1, 1), (1, 1))
+    @pytest.mark.parametrize(
+        "bw, letters",
+        [
+            (word(2, (1, 1), (1, -1)), ()),
+            # A cancellation exposes a new pair.
+            (word(3, (1, 1), (2, 1), (2, -1), (1, 1)), ((1, 1), (1, 1))),
+        ],
+    )
+    def test_worked_words(self, bw, letters):
+        assert braid_free_reduce(bw).letters == letters
 
     def test_word_times_inverse_is_trivial(self):
         rng = random.Random(3)
@@ -65,9 +69,14 @@ class TestFullTwists:
         bw = word(3, (1, 1))
         assert braid_add_full_twists(bw, 0) is bw
 
-    def test_positive_full_twist_letter_count(self):
-        got = braid_add_full_twists(word(3, (1, 1)), 1)
-        assert len(got.letters) == 1 + 6
+    @pytest.mark.parametrize(
+        "bw, letters",
+        [(word(3, (1, 1)), 1 + 6), (one_bridge_braid_word(5, 2, 3), 14 + 20)],
+        ids=["one_letter", "one_bridge"],
+    )
+    def test_positive_full_twist_letter_count(self, bw, letters):
+        got = braid_add_full_twists(bw, 1)
+        assert len(got.letters) == letters
         assert all(sign == 1 for _, sign in got.letters)
 
     def test_twist_then_untwist_reduces_back(self):
@@ -75,44 +84,46 @@ class TestFullTwists:
         round_trip = braid_add_full_twists(braid_add_full_twists(bw, -1), 1)
         assert braid_free_reduce(round_trip) == braid_free_reduce(bw)
 
-    def test_one_bridge_word_plus_twist_letter_count(self):
-        base = one_bridge_braid_word(5, 2, 3)
-        assert len(base.letters) == 14
-        assert len(braid_add_full_twists(base, 1).letters) == 14 + 20
-
 
 class TestSign:
-    def test_one_bridge_word_positive(self):
-        assert braid_sign(one_bridge_braid_word(5, 2, 3)) is BraidSign.POSITIVE
-
-    def test_all_inverse_negative(self):
-        assert braid_sign(word(3, (1, -1), (2, -1))) is BraidSign.NEGATIVE
-
-    def test_mixed(self):
-        assert braid_sign(word(3, (1, 1), (2, -1))) is BraidSign.MIXED
-
-    def test_reduction_happens_first(self):
-        assert braid_sign(word(2, (1, 1), (1, -1))) is BraidSign.TRIVIAL
-        assert braid_sign(word(3, (1, 1), (2, 1), (2, -1))) is BraidSign.POSITIVE
+    @pytest.mark.parametrize(
+        "bw, sign",
+        [
+            (one_bridge_braid_word(5, 2, 3), BraidSign.POSITIVE),
+            (word(3, (1, -1), (2, -1)), BraidSign.NEGATIVE),
+            (word(3, (1, 1), (2, -1)), BraidSign.MIXED),
+            # Reduction happens first.
+            (word(2, (1, 1), (1, -1)), BraidSign.TRIVIAL),
+            (word(3, (1, 1), (2, 1), (2, -1)), BraidSign.POSITIVE),
+        ],
+    )
+    def test_worked_words(self, bw, sign):
+        assert braid_sign(bw) is sign
 
 
 class TestClosureGenus:
-    def test_unknot_closure(self):
-        assert positive_braid_closure_genus(word(2, (1, 1))) == 0
+    @pytest.mark.parametrize(
+        "bw, genus",
+        [
+            (word(2, (1, 1)), 0),
+            (word(2, (1, 1), (1, 1), (1, 1)), 1),
+            (one_bridge_braid_word(5, 2, 3), 5),
+        ],
+        ids=["unknot", "trefoil", "one_bridge"],
+    )
+    def test_worked_words(self, bw, genus):
+        assert positive_braid_closure_genus(bw) == genus
 
-    def test_trefoil(self):
-        assert positive_braid_closure_genus(word(2, (1, 1), (1, 1), (1, 1))) == 1
-
-    def test_one_bridge_example(self):
-        assert positive_braid_closure_genus(one_bridge_braid_word(5, 2, 3)) == 5
-
-    def test_not_positive(self):
-        with pytest.raises(ValueError, match="not positive"):
-            positive_braid_closure_genus(word(3, (1, 1), (2, -1)))
-
-    def test_link_closure_rejected(self):
-        with pytest.raises(ValueError, match="more than one component"):
-            positive_braid_closure_genus(word(2, (1, 1), (1, 1)))
+    @pytest.mark.parametrize(
+        "bw, message",
+        [
+            (word(3, (1, 1), (2, -1)), "not positive"),
+            (word(2, (1, 1), (1, 1)), "more than one component"),
+        ],
+    )
+    def test_refusals(self, bw, message):
+        with pytest.raises(ValueError, match=message):
+            positive_braid_closure_genus(bw)
 
     def test_mirror_preserves_genus_data(self):
         bw = one_bridge_braid_word(4, 2, 1)

@@ -203,42 +203,23 @@ FORGERIES = {
 
 
 class TestCertify:
-    def test_certified_text(self):
-        code, text = run(
-            ["certify", "--pattern", '{"torus_pattern": [2, 3]}', "--companion", "trefoil"]
+    @pytest.mark.parametrize(
+        "pattern, companion, code, line",
+        [
+            (TORUS_23, "trefoil", 0, "CERTIFIED: r=13 surgery is an L-space"),
+            ('{"torus_pattern": [3, 4]}', "trefoil", 1, "NOT CERTIFIED: thm1.3"),
+            # figure8 is fibered but not an L-space knot: thm1.1 fails.
+            (TORUS_23, "figure8", 1, "NOT CERTIFIED: thm1.1"),
+            # The (3,2)-cable of the unknot is the trefoil.
+            (TORUS_23, '{"cable": {"companion": "unknot", "p": 3, "q": 2}}', 0,
+             "CERTIFIED: r=13 surgery is an L-space"),
+        ],
+        ids=["certified", "not_certified", "non_lspace_companion", "cable_of_unknot"],
+    )
+    def test_verdict_line(self, pattern, companion, code, line):
+        assert run(["certify", "--pattern", pattern, "--companion", companion]) == (
+            code, line + "\n"
         )
-        assert code == 0
-        assert text.strip() == "CERTIFIED: r=13 surgery is an L-space"
-
-    def test_not_certified(self):
-        code, text = run(
-            ["certify", "--pattern", '{"torus_pattern": [3, 4]}', "--companion", "trefoil"]
-        )
-        assert code == 1 and text.startswith("NOT CERTIFIED")
-
-    def test_non_lspace_companion(self):
-        code, text = run(
-            ["certify", "--pattern", '{"torus_pattern": [2, 3]}', "--companion", "figure8"]
-        )
-        # figure8 is fibered but not an L-space knot: thm1.1 fails.
-        assert code == 1 and "thm1.1" in text
-
-    def test_json_format(self):
-        code, text = run(
-            [
-                "certify",
-                "--pattern",
-                '{"torus_pattern": [2, 9]}',
-                "--companion",
-                "T(2,5)",
-                "--format",
-                "json",
-            ]
-        )
-        assert code == 0
-        data = json.loads(text)
-        assert data["verdict"] == "CERTIFIED"
-        assert data["params"]["a"] == 4
 
     def test_out_and_json_format_encode_once(self, tmp_path, monkeypatch):
         """--out and --format json write the same text, encoded once."""
@@ -255,49 +236,11 @@ class TestCertify:
             torus_pattern(2, 3), torus_knot(2, 3)
         ).to_json() + "\n"
 
-    def test_bad_companion_is_input_error(self):
-        code, _ = run(
-            ["certify", "--pattern", '{"torus_pattern": [2, 3]}', "--companion", "granny"]
-        )
-        assert code == 3
-
-    def test_missing_args(self):
-        code, _ = run(["certify", "--pattern", '{"torus_pattern": [2, 3]}'])
-        assert code == 3
-
-    def test_cable_of_unknot_companion(self):
-        # The (3,2)-cable of the unknot is the trefoil.
-        code, text = run(
-            [
-                "certify",
-                "--pattern",
-                TORUS_23,
-                "--companion",
-                '{"cable": {"companion": "unknot", "p": 3, "q": 2}}',
-            ]
-        )
-        assert code == 0 and text.strip() == "CERTIFIED: r=13 surgery is an L-space"
-
-    def test_out_and_replay_round_trip(self, tmp_path):
-        path = tmp_path / "cert.json"
-        code, _ = run(
-            [
-                "certify",
-                "--pattern",
-                '{"torus_pattern": [2, 3]}',
-                "--companion",
-                "trefoil",
-                "--out",
-                str(path),
-            ]
-        )
-        assert code == 0 and path.exists()
-        code, text = run(["certify", "--replay", str(path)])
-        assert code == 0 and "REPLAY OK" in text
-
     @pytest.mark.parametrize(
         "pattern, companion, verdict, held",
         [
+            (TORUS_23, "trefoil", "CERTIFIED", '"trusted_inputs": ["companion"]}'),
+            ('{"torus_pattern": [2, 9]}', "T(2,5)", "CERTIFIED", '"params": {"a": 4, '),
             (
                 '{"one_bridge_braid": {"w": 5, "b": 2, "t": 21, "neg_threshold": 3}}',
                 "T(2,5)",
@@ -335,7 +278,8 @@ class TestCertify:
                 '"trusted_inputs": ["companion", "pattern"]}',
             ),
         ],
-        ids=["certified", "rejected", "unknown_twist", "one_bridge", "table"],
+        ids=["torus", "torus_over_t_2_5", "certified", "rejected", "unknown_twist", "one_bridge",
+             "table"],
     )
     def test_replay_reproduces_each_verdict(self, pattern, companion, verdict, held, tmp_path):
         """--out writes a certificate of format 5, whose first key names
@@ -349,12 +293,6 @@ class TestCertify:
         replay_code, text = run(["certify", "--replay", str(path)])
         assert replay_code == code
         assert text.strip() == f"REPLAY OK: verdict {verdict} reproduced"
-
-    def test_replay_detects_tampering(self, tmp_path):
-        path = tmp_path / "cert.json"
-        write_forgery(path, "tampered")
-        code, _ = run(["certify", "--replay", str(path)])
-        assert code == 3
 
     @pytest.mark.parametrize(
         "bad",
@@ -406,6 +344,7 @@ class TestCertify:
                 ' "twists": {"0": "T(2,11)", "-1": "unknot"}, "neg_threshold": 7, "pos_from": -2}}',
                 "trefoil",
             ),
+            (TORUS_23, "granny"),
             # A knot of genus 0 is the unknot.
             (TORUS_23, GENUS_ZERO_NOT_UNKNOT),
             # A genus is nonnegative, the pattern's as a companion's.
@@ -471,6 +410,7 @@ class TestCertify:
             "table_twist_key_not_decimal",
             "table_entry_contradicts_its_tail",
             "table_entry_under_the_lower_genus_bound",
+            "unknown_companion_name",
             "companion_genus_zero_not_unknot",
             "table_negative_genus",
             "braid_misspelt_threshold",
@@ -536,15 +476,6 @@ class TestCertify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "…" in err and len(err) < 600
 
-    def test_long_bad_companion_name_keeps_its_reason(self, capsys):
-        """The input is quoted clipped, so the clip of the whole line
-        leaves the reason in."""
-        pattern = '{"torus_pattern": [2, 3]}'
-        code, text = run(["certify", "--pattern", pattern, "--companion", "x" * 50_000])
-        err = capsys.readouterr().err
-        assert code == 3 and text == "" and err.count("\n") == 1
-        assert "unknown companion name" in err and len(err) < 600
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -604,10 +535,43 @@ class TestCertify:
             (["certify", "--replay", "CERT", "--pattern", ""], "cannot be combined with --pattern"),
             (["certify", "--pattern", "", "--companion", "trefoil"], "bad pattern ''"),
             (["certify", "--pattern", TORUS_23, "--companion", ""], "bad companion ''"),
+            (["certify", "--pattern", TORUS_23], "certify needs --pattern and --companion"),
+            # The input is quoted clipped, so the clip of the whole line
+            # leaves the reason in.
+            (["certify", "--pattern", TORUS_23, "--companion", "x" * 50_000],
+             "unknown companion name"),
             # Two set pieces need a separator, and slope digits are ASCII:
             # this is an Arabic-Indic three.
             (["set-algebra", "--covers", "[1, 2] [3, 4]", "FULL"], "needs ∪ at position 7"),
             (["set-algebra", "--interior", "[٣, 4]"], "cannot parse slope set '[٣, 4]'"),
+            (["set-algebra", "--interior", "[banana]"], "cannot parse slope set '[banana]'"),
+            (["set-algebra"], "one of the arguments --covers --interior is required"),
+            (
+                ["set-algebra", "--covers", "[0, 1]", "[1, 2]", "--interior", "[0, 1]"],
+                "argument --interior: not allowed with argument --covers",
+            ),
+            # The exact criterion runs first, so the error names the cable,
+            # not the torus pattern T(4,6) built from it; the criterion and
+            # the torus pattern word a winding below two alike.
+            (
+                ["cable", "--companion", "trefoil", "--p", "4", "--q", "6"],
+                ": cable needs gcd(p, q) = 1, got (4, 6)\n",
+            ),
+            (
+                ["cable", "--companion", "trefoil", "--p", "1", "--q", "3"],
+                ": longitudinal winding p must be >= 2, got 1\n",
+            ),
+            (
+                ["sweep", "--p-max", "2", "--q-max", "3", "--companion", "trefoil,T(2,5)"],
+                ": bad companion 'trefoil,T(2,5)'",
+            ),
+            (
+                ["sweep", "--p-max", "x", "--q-max", "3", "--companion", "trefoil"],
+                ": argument --p-max: expected a positive integer, got 'x'\n",
+            ),
+            # The sample is derived from the arc ends: no --max-den to set wrong.
+            (["oracle", "--max-den", "40"], "unrecognized arguments: --max-den 40"),
+            (["oracle", "--trials", "0"], "argument --trials: expected a positive integer, got '0'"),
         ],
         ids=[
             "braid_misspelt_threshold",
@@ -622,8 +586,19 @@ class TestCertify:
             "replay_beside_an_empty_pattern",
             "empty_pattern",
             "empty_companion",
+            "missing_companion",
+            "long_companion_name",
             "set_pieces_without_separator",
             "set_non_ascii_digit",
+            "set_parse_error",
+            "set_no_operation",
+            "set_two_operations",
+            "cable_not_coprime",
+            "cable_winding_below_two",
+            "sweep_comma_separated_companions",
+            "sweep_size_not_an_integer",
+            "oracle_sample_is_not_an_option",
+            "oracle_nonpositive_trials",
         ],
     )
     def test_error_line_names_the_refusal(self, argv, reason, tmp_path, capsys):
@@ -1162,9 +1137,21 @@ class TestEngineBug:
         assert err.startswith("error: internal consistency check failed: ")
         assert err.count("\n") == 1
 
-    def test_certify(self, monkeypatch, capsys):
-        seed_lemma_bug(monkeypatch, "lem.7")
-        self.assert_exits_3(["certify", "--pattern", TORUS_23, "--companion", "trefoil"], capsys)
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [
+            (ENGINE_CALLS["certify"][0], lambda mp: seed_lemma_bug(mp, "lem.7")),
+            (
+                ENGINE_CALLS["cable"][0],
+                lambda mp: mp.setattr(certify, "cable_is_lspace_exact", lambda k, p, q: False),
+            ),
+            (ENGINE_CALLS["sweep"][0], lambda mp: seed_lemma_bug(mp, "lem.sandwich")),
+        ],
+        ids=["certify", "cable_certified_against_the_exact_criterion", "sweep"],
+    )
+    def test_seeded_bug(self, argv, seed, monkeypatch, capsys):
+        seed(monkeypatch)
+        self.assert_exits_3(argv, capsys)
 
     def test_replay(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "cert.json"
@@ -1172,16 +1159,6 @@ class TestEngineBug:
         assert code == 0
         seed_lemma_bug(monkeypatch, "lem.7")
         self.assert_exits_3(["certify", "--replay", str(path)], capsys)
-
-    def test_cable_certified_against_the_exact_criterion(self, monkeypatch, capsys):
-        monkeypatch.setattr(certify, "cable_is_lspace_exact", lambda k, p, q: False)
-        self.assert_exits_3(["cable", "--companion", "trefoil", "--p", "2", "--q", "3"], capsys)
-
-    def test_sweep(self, monkeypatch, capsys):
-        seed_lemma_bug(monkeypatch, "lem.sandwich")
-        self.assert_exits_3(
-            ["sweep", "--p-max", "2", "--q-max", "3", "--companion", "trefoil"], capsys
-        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -1471,29 +1448,18 @@ class TestDocumentedCommands:
 
 
 class TestCable:
-    def test_agreeing(self):
-        code, text = run(["cable", "--companion", "trefoil", "--p", "2", "--q", "3"])
-        assert code == 0
-        assert "exact criterion: the (2,3)-cable is an L-space knot" in text
-        assert "gap" not in text
-
-    def test_gap(self):
-        code, text = run(["cable", "--companion", "trefoil", "--p", "3", "--q", "4"])
-        assert code == 1
-        assert "gap: exact criterion holds" in text
-
-    def test_not_coprime_is_input_error(self, capsys):
-        """The exact criterion runs first, so the error names the cable,
-        not the torus pattern T(4,6) built from it."""
-        code, text = run(["cable", "--companion", "trefoil", "--p", "4", "--q", "6"])
-        assert code == 3 and text == ""
-        assert capsys.readouterr().err == "error: cable needs gcd(p, q) = 1, got (4, 6)\n"
-
-    def test_winding_below_two_is_input_error(self, capsys):
-        """The criterion and the torus pattern word this refusal alike."""
-        code, text = run(["cable", "--companion", "trefoil", "--p", "1", "--q", "3"])
-        assert code == 3 and text == ""
-        assert capsys.readouterr().err == "error: longitudinal winding p must be >= 2, got 1\n"
+    @pytest.mark.parametrize(
+        "p, q, code, line",
+        [
+            ("2", "3", 0, "exact criterion: the (2,3)-cable is an L-space knot"),
+            ("3", "4", 1, "gap: exact criterion holds but sufficient conditions do not"),
+        ],
+        ids=["agreeing", "gap"],
+    )
+    def test_verdict_lines(self, p, q, code, line):
+        got, text = run(["cable", "--companion", "trefoil", "--p", p, "--q", q])
+        assert got == code and line in text.splitlines()
+        assert ("gap" in text) is (code == 1)
 
     def test_json_of_a_certified_cable(self):
         """The cover text: the companion's strict slopes (s1) and the
@@ -1509,46 +1475,22 @@ class TestCable:
 
 
 class TestSweep:
-    def test_csv_shape_and_boundary(self):
-        code, text = run(
-            ["sweep", "--p-max", "3", "--q-max", "12", "--companion", "trefoil"]
-        )
+    def test_csv_shape_boundaries_and_soundness(self):
+        argv = ["sweep", "--p-max", "4", "--q-max", "15"]
+        for companion in ("trefoil", "T(2,5)", '{"cable": {"companion": "trefoil", "p": 2, "q": 3}}'):
+            argv += ["--companion", companion]
+        code, text = run(argv)
         assert code == 0
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
+        header, *rows = csv.reader(io.StringIO(text))
         assert header == ["p", "q", "companion", "sufficient_verdict", "exact_verdict", "gap_flag"]
-        rows = list(reader)
-        # Exact boundary for the trefoil (g = 1): q > p, i.e. q >= p + 1.
-        for p, q, _, _, exact, _ in rows:
-            assert (exact == "lspace") == (int(q) > int(p))
-        # Sufficient boundary: q >= 2p - 1; the strip p < q < 2p - 1 is the gap.
-        gap_rows = [r for r in rows if r[5] == "gap"]
-        assert gap_rows and all(
-            int(p) < int(q) < 2 * int(p) - 1 for p, q, *_ in gap_rows
-        )
-
-    def test_soundness_on_grid(self):
-        code, text = run(
-            [
-                "sweep",
-                "--p-max",
-                "4",
-                "--q-max",
-                "15",
-                "--companion",
-                "trefoil",
-                "--companion",
-                "T(2,5)",
-                "--companion",
-                '{"cable": {"companion": "trefoil", "p": 2, "q": 3}}',
-            ]
-        )
-        assert code == 0
-        reader = csv.reader(io.StringIO(text))
-        next(reader)
-        for _, _, _, verdict, exact, _ in reader:
-            if verdict == "CERTIFIED":
-                assert exact == "lspace"
+        for p, q, companion, verdict, exact, gap in rows:
+            assert verdict != "CERTIFIED" or exact == "lspace"
+            if companion == "trefoil":
+                # Exact boundary for g = 1: q > p.  Sufficient boundary:
+                # q >= 2p - 1, so the strip p < q < 2p - 1 is the gap.
+                assert (exact == "lspace") == (int(q) > int(p))
+                assert (gap == "gap") == (int(p) < int(q) < 2 * int(p) - 1)
+        assert "gap" in {row[5] for row in rows}
 
     @staticmethod
     def sweep_rows(*companions):
@@ -1586,24 +1528,6 @@ class TestSweep:
         rows = self.sweep_rows(five_two)
         assert rows and {tuple(r[2:5]) for r in rows} == {(five_two, "REJECTED", "not_lspace")}
 
-    def test_a_comma_separated_list_is_one_bad_companion(self, capsys):
-        capsys.readouterr()
-        code, text = run(
-            ["sweep", "--p-max", "2", "--q-max", "3", "--companion", "trefoil,T(2,5)"]
-        )
-        err = capsys.readouterr().err
-        assert code == 3 and text == ""
-        assert err.startswith("error: bad companion 'trefoil,T(2,5)'")
-        assert err.count("\n") == 1
-
-    def test_a_size_that_is_not_an_integer_is_refused(self, capsys):
-        capsys.readouterr()
-        code, text = run(["sweep", "--p-max", "x", "--q-max", "3", "--companion", "trefoil"])
-        assert (code, text) == (3, "")
-        assert capsys.readouterr().err == (
-            "error: argument --p-max: expected a positive integer, got 'x'\n"
-        )
-
     def test_out_file(self, tmp_path):
         path = tmp_path / "sweep.csv"
         code, text = run(
@@ -1624,37 +1548,21 @@ class TestSweep:
 
 
 class TestSetAlgebra:
-    def test_covers_full(self):
-        code, text = run(
-            ["set-algebra", "--covers", "[-inf, 2) ∪ (7, inf]", "(1, 8)"]
-        )
-        assert code == 0 and text.strip() == "FULL"
-
-    def test_covers_gap_prints_union(self):
-        code, text = run(["set-algebra", "--covers", "[0, 1]", "[2, 3]"])
-        assert code == 1 and text == "[0/1, 1/1] ∪ [2/1, 3/1]\n"
-
-    def test_union(self):
-        code, text = run(["set-algebra", "--covers", "[0, 1]", "[1, 2]"])
-        assert code == 1 and text.strip() == "[0/1, 2/1]"
-
-    def test_interior(self):
-        code, text = run(["set-algebra", "--interior", "[1, inf]"])
-        assert code == 0 and text.strip() == "(1/1, inf)"
-        # The complement of a point, which parse builds as one arc.
-        assert run(["set-algebra", "--interior", "QP1 \\ {0}"]) == (0, "QP1 \\ {0/1}\n")
-
-    def test_parse_error(self):
-        code, _ = run(["set-algebra", "--interior", "[banana]"])
-        assert code == 3
-
-    def test_no_operation(self):
-        code, _ = run(["set-algebra"])
-        assert code == 3
-
-    def test_two_operations(self):
-        code, text = run(["set-algebra", "--covers", "[0, 1]", "[1, 2]", "--interior", "[0, 1]"])
-        assert code == 3 and text == ""
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (["--covers", "[-inf, 2) ∪ (7, inf]", "(1, 8)"], 0, "FULL\n"),
+            # A gap prints the union.
+            (["--covers", "[0, 1]", "[2, 3]"], 1, "[0/1, 1/1] ∪ [2/1, 3/1]\n"),
+            (["--covers", "[0, 1]", "[1, 2]"], 1, "[0/1, 2/1]\n"),
+            (["--interior", "[1, inf]"], 0, "(1/1, inf)\n"),
+            # The complement of a point, which parse builds as one arc.
+            (["--interior", "QP1 \\ {0}"], 0, "QP1 \\ {0/1}\n"),
+        ],
+        ids=["covers_full", "covers_gap", "union", "interior", "interior_copoint"],
+    )
+    def test_output(self, argv, code, out):
+        assert run(["set-algebra", *argv]) == (code, out)
 
 
 _SLOPE_TEXTS = st.sampled_from(["inf", "-inf", "+∞", "-∞"]) | st.builds(
@@ -1711,11 +1619,3 @@ class TestOracle:
         assert code == 0
         assert text == "oracle: 40 random pairs on 720 slopes, 0 discrepancies\n"
 
-    def test_sample_is_not_an_option(self):
-        """The sample is derived from the arc ends: no --max-den to set wrong."""
-        code, _ = run(["oracle", "--max-den", "40"])
-        assert code == 3
-
-    def test_rejects_nonpositive_trials(self):
-        code, _ = run(["oracle", "--trials", "0"])
-        assert code == 3

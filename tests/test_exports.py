@@ -1,4 +1,5 @@
-"""Every public name of lspacesat has a caller outside the test suite.
+"""Every public name of lspacesat, and every public method and property
+of an exported class, has a caller outside the test suite.
 
 A name counts as used when it occurs, as a name, an attribute or a whole
 string constant, in a library module other than the package's
@@ -8,6 +9,7 @@ definition alone (def, class, import) is not a use.
 
 import ast
 from pathlib import Path
+from types import FunctionType
 
 import lspacesat
 
@@ -31,6 +33,23 @@ def used_names(path: Path) -> set[str]:
     return used
 
 
+USED = set().union(*(used_names(p) for p in SOURCES))
+
+
 def test_every_export_has_a_caller():
-    used = set().union(*(used_names(p) for p in SOURCES))
-    assert sorted(set(lspacesat.__all__) - used) == []
+    assert sorted(set(lspacesat.__all__) - USED) == []
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller():
+    """The same rule for each public method and property that an exported
+    class defines itself."""
+    unused = [
+        f"{name}.{attr}"
+        for name in lspacesat.__all__
+        if isinstance(cls := getattr(lspacesat, name), type)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_")
+        and isinstance(value, (FunctionType, property, classmethod, staticmethod))
+        and attr not in USED
+    ]
+    assert unused == []

@@ -6,40 +6,21 @@ from hypothesis import given
 from lspacesat import (
     Arc,
     GluingMap,
-    INFINITY,
-    Slope,
     SlopeSet,
     farey_enumerate,
     meridian_longitude_swap,
 )
 from lspacesat.cli import random_slope_set
+from lspacesat.slopes import slope_swap
 
 from oracle_helpers import complete_sample
 from strategies import slope_set_arcs
 
 SWAP = meridian_longitude_swap()
+BIG = 10**30 + 7
 
 
-class TestApply:
-    def test_swap_is_reciprocal(self):
-        assert SWAP.apply(Slope(3, 5)) == Slope(5, 3)
-        assert SWAP.apply(Slope(-3, 5)) == Slope(-5, 3)
-
-    def test_swap_meridian_to_longitude(self):
-        assert SWAP.apply(INFINITY) == Slope(0)
-
-    def test_swap_twice_is_identity(self):
-        for x in farey_enumerate(10):
-            assert SWAP.apply(SWAP.apply(x)) == x
-
-    def test_is_the_constructor_on_the_swapped_pair(self):
-        big = 10**30 + 7
-        for x in farey_enumerate(12) + [Slope(-big, 3), Slope(3, -big)]:
-            y = SWAP.apply(x)
-            assert (y.num, y.den) == (Slope(x.den, x.num).num, Slope(x.den, x.num).den)
-        s = SlopeSet.parse(f"[-{big}/3, 1/{big}) ∪ {{1/2}}")
-        assert str(SWAP.image_of_set(s)) == f"{{2/1}} ∪ ({big}/1, inf] ∪ [-inf, -3/{big}]"
-
+class TestGluingMap:
     def test_takes_no_settings(self):
         with pytest.raises(TypeError):
             GluingMap(0, 1, 1, 0)
@@ -47,31 +28,20 @@ class TestApply:
 
 
 class TestImageOfSet:
-    def test_worked_interval_image(self):
-        s = SlopeSet.parse("[-inf, 1/7) ∪ (1/2, inf]")
-        assert SWAP.image_of_set(s) == SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
-
-    def test_swap_full_and_point(self):
+    def test_full_is_fixed(self):
         assert SWAP.image_of_set(SlopeSet(is_full=True)).is_full
-        point = SlopeSet.from_arcs([Arc(INFINITY, INFINITY)])
-        assert SWAP.image_of_set(point) == SlopeSet.parse("{0}")
 
-    def test_swap_set_involution(self):
-        rng = random.Random(5)
+    @pytest.mark.parametrize("seed, count", [(5, 25), (9, 50)])
+    def test_involution_and_membership(self, seed, count):
+        rng = random.Random(seed)
         endpoints = farey_enumerate(6)
-        for _ in range(25):
-            s = random_slope_set(rng, endpoints)
-            assert SWAP.image_of_set(SWAP.image_of_set(s)) == s
-
-    def test_membership_commutes(self):
-        rng = random.Random(9)
-        endpoints = farey_enumerate(6)
-        for _ in range(50):
+        for _ in range(count):
             s = random_slope_set(rng, endpoints)
             img = SWAP.image_of_set(s)
+            assert SWAP.image_of_set(img) == s
             # SWAP keeps heights, so it maps the sample onto itself.
             for x in complete_sample(s, img):
-                assert img.contains(SWAP.apply(x)) == s.contains(x)
+                assert img.contains(slope_swap(x)) == s.contains(x)
 
     @given(slope_set_arcs)
     def test_image_is_canonical(self, arcs):
@@ -94,6 +64,11 @@ class TestImageOfSet:
             ("[-3, -2] ∪ [2, 3] ∪ [5, 7]", "[-1/2, -1/3] ∪ [1/7, 1/5] ∪ [1/3, 1/2]"),
             # One arc wraps through ∞.
             ("[0, 1] ∪ [3, -3]", "[-1/3, 1/3] ∪ [1/1, inf]"),
+            ("[-inf, 1/7) ∪ (1/2, inf]", "(7/1, inf] ∪ [-inf, 2/1)"),
+            ("{inf}", "{0/1}"),
+            # Reversal flips which end is closed.
+            ("[2, 3)", "(1/3, 1/2]"),
+            (f"[-{BIG}/3, 1/{BIG}) ∪ {{1/2}}", f"{{2/1}} ∪ ({BIG}/1, inf] ∪ [-inf, -3/{BIG}]"),
         ],
     )
     def test_rotation_to_the_merge_order(self, text, image):
@@ -101,12 +76,7 @@ class TestImageOfSet:
         img = SWAP.image_of_set(s)
         assert str(img) == image
         mapped = [
-            Arc(SWAP.apply(a.end), SWAP.apply(a.start), a.end_closed, a.start_closed)
+            Arc(slope_swap(a.end), slope_swap(a.start), a.end_closed, a.start_closed)
             for a in s.arcs
         ]
         assert img == SlopeSet.from_arcs(mapped)
-
-    def test_endpoint_closure_flip_on_reversal(self):
-        s = SlopeSet.parse("[2, 3)")
-        img = SWAP.image_of_set(s)
-        assert img == SlopeSet.from_arcs([Arc(Slope(1, 3), Slope(1, 2), False, True)])

@@ -44,36 +44,15 @@ from oracle_helpers import one_bridge_braid_word
 
 
 class TestTorusPattern:
-    def test_untwisting_to_unknot(self):
-        pat = torus_pattern(2, 3)
-        assert pat.twisted_facts(-2).is_unknot
-
-    def test_zero_twist(self):
-        facts = torus_pattern(2, 3).twisted_facts(0)
-        assert facts == torus_knot(2, 3)
-        assert facts.genus == 1
-
-    def test_negative_side(self):
-        facts = torus_pattern(3, 7).twisted_facts(-4)
-        assert facts == torus_knot(3, -5)
-        assert facts.is_neg_lspace and not facts.is_lspace
-
-    def test_threshold(self):
-        assert torus_pattern(2, 3).neg_lspace_threshold == 1
-        assert torus_pattern(3, 7).neg_lspace_threshold == 2
-        assert torus_pattern(2, -5).neg_lspace_threshold == 0
-
-    def test_threshold_is_least(self):
-        for p, q in [(2, 3), (3, 7), (4, 9), (5, 13)]:
-            pat = torus_pattern(p, q)
-            n = pat.neg_lspace_threshold
-            assert pat.twisted_facts(-n).is_neg_lspace
-            if n > 0:
-                assert not pat.twisted_facts(-(n - 1)).is_neg_lspace
-
-    def test_coprime_required(self):
-        with pytest.raises(ValueError, match="needs gcd"):
-            torus_pattern(4, 6)
+    @pytest.mark.parametrize(
+        "p, q, threshold", [(2, 3, 1), (3, 7, 2), (2, -5, 0), (4, 9, 2), (5, 13, 3)]
+    )
+    def test_threshold_is_least(self, p, q, threshold):
+        pat = torus_pattern(p, q)
+        assert pat.neg_lspace_threshold == threshold
+        assert pat.twisted_facts(-threshold).is_neg_lspace
+        if threshold > 0:
+            assert not pat.twisted_facts(-(threshold - 1)).is_neg_lspace
 
     def test_exact_family_consistency(self):
         """The braided rule at b = 0 against knots.torus_knot: P(U, n) of
@@ -100,25 +79,6 @@ class TestTorusPattern:
 
 
 class TestOneBridgeBraid:
-    def test_basic_facts(self):
-        pat = one_bridge_braid(5, 2, 3)
-        assert pat.winding == 5
-        assert pat.genus_s3 == 5
-        f = pat.twisted_facts(0)
-        assert f.is_lspace and f.is_fibered and not f.is_unknot
-
-    def test_positive_twist_stays_positive(self):
-        pat = one_bridge_braid(5, 2, 3)
-        assert pat.twisted_facts(1).is_lspace
-        word = one_bridge_braid_word(5, 2, 3)
-        assert braid_sign(braid_add_full_twists(word, 1)) is BraidSign.POSITIVE
-
-    def test_negative_twist_reduces_to_negative_word(self):
-        # Untwisting once cancels a full strand cycle, leaving an
-        # all-negative word, so the mirror Bennequin bound applies.
-        f = one_bridge_braid(5, 2, 3).twisted_facts(-1)
-        assert f.is_neg_lspace and not f.is_lspace
-
     def test_twists_match_the_braid_engine(self):
         """P(U, n) of B(w, b, t) read off B(w, b, t + n·w) agrees with
         twisting, reducing and measuring the literal word."""
@@ -191,24 +151,6 @@ class TestOneBridgeBraid:
                 tracemalloc.stop()
             assert peak < 8 * 2**20, w
 
-    def test_bridge_range(self):
-        with pytest.raises(ValueError, match="bridge width"):
-            one_bridge_braid(5, 4, 1)
-        with pytest.raises(ValueError, match="strands"):
-            one_bridge_braid(2, 1, 1)
-        # Refused before the knot check builds a permutation of w strands.
-        with pytest.raises(ValueError, match=r"^need w <= 1000000 strands, got 1000001$"):
-            one_bridge_braid(MAX_BRIDGE_WIDTH + 1, 1, 0)
-        with pytest.raises(ValueError, match=r"^need w <= 1000000 strands, got 10{20}$"):
-            one_bridge_braid(10**20, 1, 10**20 - 1)
-
-    def test_genus_grows_by_full_twist_increment(self):
-        pat = one_bridge_braid(4, 2, 1)
-        g0 = pat.genus_s3
-        for n in (1, 2, 3):
-            assert pat.twisted_facts(n).genus == g0 + n * 4 * 3 // 2
-
-
 # The base fields (name, winding, genus_s3, disk, threshold) that a
 # table refuses, with its message.
 BAD_BASE_FIELDS = [
@@ -233,8 +175,10 @@ BASE_NAMES = ["name", "winding", "genus_s3", "has_minimal_meridional_disk", "neg
 BAD_BRAIDS = [
     ((1, 0, 3, None), ValueError, r"^longitudinal winding p must be >= 2, got 1$"),
     ((4, 0, 2, None), ValueError, r"^T\(4,2\) needs gcd\(p, m\) = 1$"),
+    ((4, 0, 6, None), ValueError, r"^T\(4,6\) needs gcd\(p, m\) = 1$"),
     ((2, 1, 1, None), ValueError, r"^need w >= 3 strands, got 2$"),
     ((MAX_BRIDGE_WIDTH + 1, 1, 0, None), ValueError, r"^need w <= 1000000 strands, got 1000001$"),
+    ((10**20, 1, 10**20 - 1, None), ValueError, r"^need w <= 1000000 strands, got 10{20}$"),
     ((5, 4, 1, None), ValueError, r"^bridge width must satisfy 1 <= b <= w-2, got 4$"),
     ((5, 2, 15, None), UnknownTwistError, r"closure is a link, not a knot"),
     ((5, 2, 21, -1), ValueError, r"^neg_lspace_threshold must be nonnegative$"),
@@ -355,18 +299,6 @@ class TestConstructors:
         with pytest.raises(ValueError, match=r"^need w >= 3 strands, got 2$"):
             one_bridge_braid(2, 0, 1)
 
-    def test_replace_goes_through_the_checks(self):
-        with pytest.raises(ValueError, match="neg_lspace_threshold must be nonnegative"):
-            dataclasses.replace(one_bridge_braid(5, 2, 21), neg_lspace_threshold=-1)
-        with pytest.raises(ValueError, match="neg_lspace_threshold must be nonnegative"):
-            dataclasses.replace(table_pattern("t", 2, 1, True, {}), neg_lspace_threshold=-1)
-        # A torus pattern derives its threshold and reads no given one.
-        assert dataclasses.replace(torus_pattern(3, 2), neg_lspace_threshold=-1) == torus_pattern(3, 2)
-        replaced = dataclasses.replace(torus_pattern(3, 2), t=5)
-        assert replaced == torus_pattern(3, 5)
-        assert replaced.name == "T(3,5)-pattern"
-        assert (replaced.genus_s3, replaced.neg_lspace_threshold) == (4, 2)
-
     def test_a_replaced_width_is_refused_before_anything_is_built(self):
         """A permutation of 10⁸ strands would take about 800 MB."""
         pattern = one_bridge_braid(5, 2, 21)
@@ -390,6 +322,10 @@ class TestConstructors:
     @example((one_bridge_braid(5, 2, 21, 3), {"t": 15}), TREFOIL)
     @example((one_bridge_braid(5, 2, 21, 3), {"t": 22}), TREFOIL)
     @example((torus_pattern(3, 2), {"t": 5}), TREFOIL)
+    # A threshold below 0 is refused, except by a torus pattern, which reads none.
+    @example((one_bridge_braid(5, 2, 21), {"neg_lspace_threshold": -1}), TREFOIL)
+    @example((table_pattern("t", 2, 1, True, {}), {"neg_lspace_threshold": -1}), TREFOIL)
+    @example((torus_pattern(3, 2), {"neg_lspace_threshold": -1}), TREFOIL)
     @example(
         (
             table_pattern("t", 2, 1, True, {0: TREFOIL, 1: torus_knot(2, 5)}, 2, 1),
@@ -450,9 +386,6 @@ class TestGenusTwistBound:
                     continue
                 assert facts.genus <= genus_twist_bound(pat.genus_s3, pat.winding, n)
 
-    def test_torus_untwist_example(self):
-        assert torus_pattern(2, 3).twisted_facts(-2).genus == 0 <= genus_twist_bound(1, 2, -2)
-
     class Lying(_BraidPattern):
         # The torus pattern T(2,3) (b = 0), of winding 2 and genus 1,
         # answering T(2, 99), of genus 49, for every twist: its bound at
@@ -460,19 +393,13 @@ class TestGenusTwistBound:
         def _twist(self, n):
             return torus_knot(2, 99)
 
-    def test_violating_answer_is_rejected(self):
-        pat = self.Lying(winding=2, b=0, t=3)
-        assert pat.twisted_facts(48) == torus_knot(2, 99)  # bound 1 + 48 = 49
-        with pytest.raises(ConsistencyError, match="genus 49 at twist 2 exceeds bound 3"):
-            pat.twisted_facts(2)
-
     @pytest.mark.parametrize("n", [48, -48])
     def test_genus_at_the_bound_passes(self, n):
         assert self.Lying(winding=2, b=0, t=3).twisted_facts(n) == torus_knot(2, 99)
 
-    @pytest.mark.parametrize("n", [47, -47])
-    def test_genus_one_over_the_bound_is_rejected(self, n):
-        with pytest.raises(ConsistencyError, match=f"genus 49 at twist {n} exceeds bound 48"):
+    @pytest.mark.parametrize("n, bound", [(47, 48), (-47, 48), (2, 3)])
+    def test_genus_over_the_bound_is_rejected(self, n, bound):
+        with pytest.raises(ConsistencyError, match=f"genus 49 at twist {n} exceeds bound {bound}"):
             self.Lying(winding=2, b=0, t=3).twisted_facts(n)
 
 
@@ -488,15 +415,25 @@ class TestTablePattern:
             pos_from=3,
         )
 
-    def test_explicit_entries(self):
-        pat = self.build()
-        assert pat.twisted_facts(0) == torus_knot(2, 3)
-        assert pat.twisted_facts(-2).is_unknot
-
-    def test_tails(self):
-        pat = self.build()
-        assert pat.twisted_facts(-7).is_neg_lspace
-        assert pat.twisted_facts(4).is_lspace
+    @pytest.mark.parametrize(
+        "n, facts",
+        [
+            (0, torus_knot(2, 3)),
+            (-2, torus_knot(2, -1)),
+            # The tails n <= -5 and n >= 3.
+            (-7, KnotFacts("table tail n=-7", 8, False, True, True, False)),
+            (4, KnotFacts("table tail n=4", 5, True, False, True, False)),
+            # Neither an entry nor in a tail.
+            (-3, UnknownTwistError),
+            (2, UnknownTwistError),
+        ],
+    )
+    def test_twisted_facts(self, n, facts):
+        if facts is UnknownTwistError:
+            with pytest.raises(UnknownTwistError):
+                self.build().twisted_facts(n)
+        else:
+            assert self.build().twisted_facts(n) == facts
 
     def test_tail_at_genus_bound_zero_is_the_unknot(self):
         # Winding 1 adds no genus under twisting, so every tail twist of a
@@ -593,25 +530,7 @@ class TestTablePattern:
             with pytest.raises(ValueError, match=f"entry n={n} violates"):
                 table_pattern("t", 2, 1, True, twists)
 
-    def test_gap_errors(self):
-        pat = self.build()
-        with pytest.raises(UnknownTwistError):
-            pat.twisted_facts(-3)
-        with pytest.raises(UnknownTwistError):
-            pat.twisted_facts(2)
-
-
 class TestJson:
-    def test_torus_form(self):
-        pat = pattern_from_json({"torus_pattern": [2, 3]})
-        assert pat.winding == 2 and pat.genus_s3 == 1
-
-    def test_one_bridge_form(self):
-        pat = pattern_from_json(
-            {"one_bridge_braid": {"w": 5, "b": 2, "t": 3, "neg_threshold": 9}}
-        )
-        assert pat.winding == 5 and pat.neg_lspace_threshold == 9
-
     def test_table_form(self):
         pat = pattern_from_json(
             {
@@ -627,10 +546,6 @@ class TestJson:
         )
         assert pat.twisted_facts(0) == torus_knot(2, 3)
         assert pat.twisted_facts(-4).is_neg_lspace
-
-    def test_unknown_form(self):
-        with pytest.raises(ValueError):
-            pattern_from_json({"mystery": 1})
 
     @pytest.mark.parametrize(
         "obj, error",
@@ -652,6 +567,7 @@ class TestJson:
                 r"exactly one kind key, got \['table', 'torus_pattern'\]",
             ),
             ({"one_bridge_braid": {"w": 4, "b": 1}}, "missing key 't'"),
+            ({"mystery": 1}, r"^unrecognized pattern description: \['mystery'\]$"),
             (
                 {"table": {"name": 7, "winding": 2, "genus_s3": 1, "has_disk": True}},
                 "a name is a JSON string, got 7",
@@ -685,6 +601,7 @@ class TestJson:
             "table_misspelt_threshold",
             "two_kinds",
             "braid_missing_t",
+            "unknown_kind",
             "table_name_not_a_string",
             "torus_three_integers",
             "torus_pair_as_object",
@@ -755,7 +672,10 @@ class TestJson:
             torus_pattern(2, 3),
             torus_pattern(3, -7),
             one_bridge_braid(5, 2, 3),
+            one_bridge_braid(5, 2, 3, neg_lspace_threshold=9),
             one_bridge_braid(5, 2, 21, neg_lspace_threshold=3),
+            # The widest braid the cap admits: w = 10⁶ is even, so t = w - 2 is a knot.
+            one_bridge_braid(MAX_BRIDGE_WIDTH, 1, MAX_BRIDGE_WIDTH - 2),
             table_pattern(
                 "tabled",
                 2,
@@ -767,7 +687,8 @@ class TestJson:
             ),
             table_pattern("bare", 0, 0, False, {}),
         ],
-        ids=["torus", "torus_negative", "braid", "braid_threshold", "table", "table_bare"],
+        ids=["torus", "torus_negative", "braid", "braid_9", "braid_threshold", "braid_widest", "table",
+             "table_bare"],
     )
     def test_to_json_round_trip(self, pat):
         text = pattern_to_text(pat)

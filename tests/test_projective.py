@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lspacesat import INFINITY, Slope, SlopeSet, covers_circle, farey_enumerate
+from lspacesat import INFINITY, Slope, SlopeSet, covers_circle, farey_enumerate, torus_knot
 from lspacesat.cli import random_slope_set
 from lspacesat.projective import Arc
+from lspacesat.slopes import slope_swap
 
 from oracle_helpers import brute_force_covers, complete_sample
 from strategies import CLOSE_POOL, arcs_over, pool_arcs, slope_set_arcs
@@ -25,64 +26,48 @@ slope_sets = st.one_of(
 
 
 class TestContains:
-    def test_full(self):
-        assert SlopeSet(is_full=True).contains(INFINITY)
-
-    def test_closed_arc_endpoints(self):
-        s = SlopeSet.from_arcs([Arc(Slope(1), INFINITY)])
-        assert s.contains(Slope(1))
-        assert not s.contains(Slope(0))
-
-    def test_open_arc_through_positives(self):
-        s = SlopeSet.from_arcs([Arc(Slope(1, 2), INFINITY, False, False)])
-        assert s.contains(Slope(3))
-        assert not s.contains(Slope(1, 2)) and not s.contains(INFINITY)
-
-    def test_point(self):
-        s = SlopeSet.parse("{5/7}")
-        assert s.contains(Slope(5, 7)) and not s.contains(Slope(5, 8))
+    @pytest.mark.parametrize(
+        "text, inside, outside",
+        [
+            ("FULL", [INFINITY], []),
+            # A closed arc holds its ends.
+            ("[1, inf]", [Slope(1)], [Slope(0)]),
+            ("(1/2, inf)", [Slope(3)], [Slope(1, 2), INFINITY]),
+            ("{5/7}", [Slope(5, 7)], [Slope(5, 8)]),
+        ],
+    )
+    def test_membership(self, text, inside, outside):
+        s = SlopeSet.parse(text)
+        assert all(s.contains(x) for x in inside) and not any(s.contains(x) for x in outside)
 
 
 class TestUnion:
-    def test_merge_at_shared_endpoint(self):
-        got = SlopeSet.from_arcs([Arc(Slope(0), Slope(1))]).union(
-            SlopeSet.from_arcs([Arc(Slope(1), Slope(2))])
-        )
-        assert got == SlopeSet.from_arcs([Arc(Slope(0), Slope(2))])
-
-    def test_worked_cover_union_is_full(self):
-        # strict companion slopes for genus 1 against the glued pattern
-        # side with b = 7
-        s1 = SlopeSet.from_arcs([Arc(Slope(1), INFINITY, False, False)])
-        s2 = SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
-        assert s1.union(s2).is_full
-
-    def test_empty_identity(self):
-        s = SlopeSet.parse("[1/3, 4)")
-        assert SlopeSet().union(s) == s
-        assert s.union(SlopeSet()) == s
-
-    def test_half_open_pair_merges(self):
-        got = SlopeSet.parse("[0, 1)").union(SlopeSet.parse("[1, 2]"))
-        assert got == SlopeSet.from_arcs([Arc(Slope(0), Slope(2))])
-
-    def test_two_arcs_leaving_a_hole_become_copoint(self):
-        got = SlopeSet.parse("[0, 1)").union(SlopeSet.parse("(1, 0]"))
-        assert got == SlopeSet.from_arcs([Arc(Slope(1), Slope(1), False, False)])
-        assert str(got) == "QP1 \\ {1/1}"
+    @pytest.mark.parametrize(
+        "text1, text2, union",
+        [
+            ("[0, 1]", "[1, 2]", "[0/1, 2/1]"),
+            # The strict companion slopes for genus 1 against the glued
+            # pattern side with b = 7.
+            ("(1, inf)", "[-inf, 2) ∪ (7, inf]", "FULL"),
+            ("EMPTY", "[1/3, 4)", "[1/3, 4/1)"),
+            ("[1/3, 4)", "EMPTY", "[1/3, 4/1)"),
+            ("[0, 1)", "[1, 2]", "[0/1, 2/1]"),
+            # Two arcs leaving a hole become a copoint.
+            ("[0, 1)", "(1, 0]", "QP1 \\ {1/1}"),
+        ],
+    )
+    def test_worked_unions(self, text1, text2, union):
+        assert str(SlopeSet.parse(text1).union(SlopeSet.parse(text2))) == union
 
 
 class TestInterior:
-    def test_closed_companion_arc(self):
-        got = SlopeSet.from_arcs([Arc(Slope(1), INFINITY)]).interior()
-        assert got == SlopeSet.from_arcs([Arc(Slope(1), INFINITY, False, False)])
-        assert not got.contains(INFINITY)
-
-    def test_point_vanishes(self):
-        assert SlopeSet.parse("{0}").interior() == SlopeSet()
-
-    def test_full_fixed(self):
-        assert SlopeSet(is_full=True).interior().is_full
+    @pytest.mark.parametrize(
+        "text, interior",
+        [("[1, inf]", "(1/1, inf)"), ("{0}", "EMPTY"), ("FULL", "FULL")],
+        ids=["closed_companion_arc", "point_vanishes", "full_fixed"],
+    )
+    def test_worked_interiors(self, text, interior):
+        assert str(SlopeSet.parse(text).interior()) == interior
 
     def test_idempotent_and_subset(self):
         rng = random.Random(7)
@@ -103,8 +88,14 @@ class TestValueTypes:
             (Arc(Slope(0), Slope(1), False, True), "start_closed"),
             (SlopeSet.parse("[0, 1] ∪ {3}"), "arcs"),
             (SlopeSet(is_full=True), "is_full"),
+            (Slope(2, 3), "num"),
+            (Slope(2, 3), "den"),
+            (slope_swap(Slope(-2, 7)), "num"),
+            (torus_knot(2, 5), "genus"),
+            (torus_knot(2, 5), "name"),
         ],
-        ids=["arc", "slope_set", "full"],
+        ids=["arc", "slope_set", "full", "slope-num", "slope-den", "swapped-slope", "knot-genus",
+             "knot-name"],
     )
     def test_immutable_and_slotted(self, value, field):
         before = getattr(value, field)
@@ -216,6 +207,8 @@ class TestGoldenText:
             ([Arc(Slope(-5), INFINITY, True, False)], "[-5/1, inf)"),
             ([Arc(Slope(3), Slope(-2, 5), False, True)], "(3/1, inf] ∪ [-inf, -2/5]"),
             ([Arc(Slope(-2, 5), Slope(3), False, True)], "(-2/5, 3/1]"),
+            # Farey neighbours: slope_det of the ends is 1.
+            ([Arc(Slope(0), Slope(-1, 2))], "[0/1, inf] ∪ [-inf, -1/2]"),
             (
                 [Arc(Slope(-BIG, 3), Slope(1, BIG), True, False)],
                 f"[-{BIG}/3, 1/{BIG})",
@@ -239,7 +232,7 @@ class TestGoldenText:
             ),
         ],
         ids=[
-            "point", "copoint", "start-at-inf", "end-at-inf", "wrapped", "not-wrapped",
+            "point", "copoint", "start-at-inf", "end-at-inf", "wrapped", "not-wrapped", "wrapped-det-1",
             "big", "point-arc-point-wrap", "inf-arcs-around-a-point",
         ],
     )
@@ -250,19 +243,6 @@ class TestGoldenText:
 
 
 class TestCoversCircle:
-    def test_worked_example(self):
-        s1 = SlopeSet.parse("(1, inf)")
-        s2 = SlopeSet.parse("[-inf, 2) ∪ (7, inf]")
-        assert covers_circle(s1, s2)
-
-    def test_shared_open_endpoint_fails(self):
-        s1 = SlopeSet.parse("(1, inf)")
-        s2 = SlopeSet.parse("[-inf, 1)")
-        assert not covers_circle(s1, s2)
-
-    def test_full_empty(self):
-        assert covers_circle(SlopeSet(is_full=True), SlopeSet())
-
     @pytest.mark.parametrize(
         "text1, text2, covered",
         [
@@ -272,10 +252,15 @@ class TestCoversCircle:
             ("[5, 1] ∪ [2, 3]", "[1, 2] ∪ [3, 5]", True),
             ("[0, 1)", "(1, 0]", False),
             ("[0, 1/2) ∪ (1, 2]", "(1, 0] ∪ [1/2, 1)", False),
+            ("(1, inf)", "[-inf, 2) ∪ (7, inf]", True),
+            ("(1, inf)", "[-inf, 1)", False),
+            ("FULL", "EMPTY", True),
+            ("{1/2}", "QP1 \\ {1/2}", True),
         ],
         ids=[
             "no-wrap", "wraps-alone", "reach-passes-mid-scan", "last-span-completes",
             "one-point-gap-at-wrap", "one-point-gap-between-spans",
+            "worked-example", "shared-open-endpoint", "full-empty", "point-fills-its-copoint",
         ],
     )
     def test_scan_exits(self, text1, text2, covered):
@@ -342,25 +327,14 @@ class TestCanonicalForm:
         last key round to its first) joins into one arc, which comes
         last.  The line's ends lie beyond every endpoint, so a wrap that
         ends open at the least key keeps the gap before it; a flag reads
-        by its truth value."""
-        assert str(SlopeSet.from_arcs(arcs)) == text
+        by its truth value.  The order of the arcs does not matter."""
+        assert str(SlopeSet.from_arcs(arcs)) == str(SlopeSet.from_arcs(arcs[::-1])) == text
 
     def test_a_run_that_is_one_arc_keeps_it(self):
         longest = Arc(Slope(0), Slope(2))
         inner = [Arc(Slope(0), Slope(1)), Arc(Slope(1, 2), Slope(1), False, False)]
         for arcs in (inner + [longest], [longest] + inner):
             assert SlopeSet.from_arcs(arcs).arcs[0] is longest
-
-    def test_arc_order_independent(self):
-        arcs = [
-            Arc(Slope(0), Slope(1)),
-            Arc(Slope(3), Slope(4), False, True),
-            Arc(Slope(1), Slope(2)),
-        ]
-        a = SlopeSet.from_arcs(arcs)
-        b = SlopeSet.from_arcs(reversed(arcs))
-        assert a == b
-        assert str(a) == str(b)
 
     def test_union_membership_oracle(self):
         rng = random.Random(11)
@@ -434,7 +408,7 @@ def endpoints_and_gap_witnesses(arcs):
     """Every endpoint of the arcs, and one slope strictly inside each gap
     between circularly consecutive endpoints (the mediant, or ∞ for the
     gap that runs through it)."""
-    ends = {x for a in arcs for x in (a.start, a.end) if not x.is_infinity}
+    ends = {x for a in arcs for x in (a.start, a.end) if x.den != 0}
     finite = sorted(ends, key=lambda x: Fraction(x.num, x.den))
     witnesses = [Slope(a.num + b.num, a.den + b.den) for a, b in zip(finite, finite[1:])]
     if finite:
@@ -478,38 +452,6 @@ class TestCanonicalProperties:
     def test_text_round_trip(self, arcs):
         s = SlopeSet.from_arcs(arcs)
         assert SlopeSet.parse(str(s)) == s
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "EMPTY",
-            "FULL",
-            "QP1 \\ {0/1}",
-            "{1/0}",
-            "[1/2, 3/4]",
-            "(1/2, 3/4]",
-            "[-inf, 2)",
-            "(7, inf]",
-            "[1/2, inf] ∪ [-inf, 1/7]",
-            "[-inf, 1/7) ∪ (1/2, inf]",
-        ],
-    )
-    def test_round_trip(self, text):
-        s = SlopeSet.parse(text)
-        assert SlopeSet.parse(str(s)) == s
-
-    def test_degenerate_open_arc_rejected(self):
-        with pytest.raises(ValueError):
-            SlopeSet.parse("(1/2, 1/2)")
-
-    def test_infinity_interval_forms(self):
-        assert SlopeSet.parse("[-inf, inf]").is_full
-        all_but_infinity = SlopeSet.from_arcs([Arc(INFINITY, INFINITY, False, False)])
-        assert SlopeSet.parse("(-inf, inf)") == all_but_infinity
-        assert SlopeSet.parse("{+∞}") == SlopeSet.from_arcs([Arc(INFINITY, INFINITY)])
-        assert SlopeSet.parse("QP1 \\ {+∞}") == all_but_infinity
 
 
 _INFINITY_WORDS = ["inf", "+inf", "-inf", "∞", "+∞", "-∞"]
@@ -632,10 +574,31 @@ class TestParseGrammar:
             ("empty", "EMPTY"),
             ("Full", "FULL"),
             ("QP1\n\\ { -3 }", "QP1 \\ {-3/1}"),
+            ("EMPTY", "EMPTY"),
+            ("FULL", "FULL"),
+            ("QP1 \\ {0/1}", "QP1 \\ {0/1}"),
+            ("[1/2, 3/4]", "[1/2, 3/4]"),
+            ("(1/2, 3/4]", "(1/2, 3/4]"),
+            ("[-inf, 2)", "[-inf, 2/1)"),
+            ("(7, inf]", "(7/1, inf]"),
+            ("[1/2, inf] ∪ [-inf, 1/7]", "[1/2, inf] ∪ [-inf, 1/7]"),
+            ("[-inf, 1/7) ∪ (1/2, inf]", "(1/2, inf] ∪ [-inf, 1/7)"),
+            ("[-inf, inf]", "FULL"),
+            ("(-inf, inf)", "QP1 \\ {1/0}"),
+            ("QP1 \\ {+∞}", "QP1 \\ {1/0}"),
+            ("{13/1}", "{13/1}"),
+            ("{-5/3}", "{-5/3}"),
+            ("{7}", "{7/1}"),
+            ("{1/0}", "{1/0}"),
+            ("{inf}", "{1/0}"),
+            ("{-inf}", "{1/0}"),
+            ("{+∞}", "{1/0}"),
         ],
     )
     def test_accepts(self, text, canonical):
-        assert str(SlopeSet.parse(text)) == canonical
+        """The canonical text, which parses back to the same set."""
+        s = SlopeSet.parse(text)
+        assert str(s) == canonical and SlopeSet.parse(canonical) == s
 
     @given(st.lists(pieces(), min_size=1, max_size=6))
     def test_spellings_agree_with_the_constructors(self, drawn):

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -18,37 +17,6 @@ nonzero_pairs = st.tuples(
 slopes = nonzero_pairs.map(lambda pq: Slope(*pq))
 
 
-class TestNormalization:
-    def test_gcd_reduction(self):
-        assert Slope(2, 4) == Slope(1, 2)
-
-    def test_infinity_mod_sign(self):
-        assert Slope(-3, 0) == Slope(1, 0) == INFINITY
-
-    def test_sign_normalization(self):
-        s = Slope(5, -10)
-        assert (s.num, s.den) == (-1, 2)
-
-    def test_zero_zero_rejected(self):
-        with pytest.raises(ValueError, match="does not represent a slope"):
-            Slope(0, 0)
-
-    @given(nonzero_pairs)
-    def test_idempotent(self, pq):
-        s = Slope(*pq)
-        assert Slope(s.num, s.den) == s
-
-    @given(nonzero_pairs)
-    def test_mod_plus_minus_one(self, pq):
-        p, q = pq
-        assert Slope(p, q) == Slope(-p, -q)
-
-    def test_string_round_trip(self):
-        for text in ["13/1", "1/0", "-5/3", "7", "inf", "-inf", "+∞"]:
-            s = SlopeSet.parse(f"{{{text}}}")
-            assert SlopeSet.parse(str(s)) == s
-
-
 def reference_normal(p, q):
     """(p, q) reduced by the gcd, den >= 0, and ∞ written (1, 0)."""
     g = gcd(p, q)
@@ -61,6 +29,9 @@ def reference_normal(p, q):
 class TestValueType:
     @given(st.integers(), st.integers())
     @example(0, 0)
+    @example(2, 4)
+    @example(5, -10)
+    @example(-3, 0)
     @example(0, -7)
     @example(-9, 0)
     @example(-6, -4)
@@ -77,7 +48,7 @@ class TestValueType:
     def test_default_denominator_is_one(self):
         assert (Slope(-4).num, Slope(-4).den) == (-4, 1)
 
-    @pytest.mark.parametrize("value", [True, 1.5, Fraction(1), "1"], ids=repr)
+    @pytest.mark.parametrize("value", [True, 1.5, Fraction(1), "1", None], ids=repr)
     @pytest.mark.parametrize("field", ["num", "den"])
     def test_refuses_a_field_that_is_not_an_int(self, field, value):
         """As in json_object, a bool is not an integer, and neither is a
@@ -87,18 +58,6 @@ class TestValueType:
         message = f"^{field} must be an integer, got {type(value).__name__}$"
         with pytest.raises(ValueError, match=message):
             Slope(**args)
-
-    def test_immutable_and_slotted(self):
-        s = Slope(2, 3)
-        for name in ("num", "den"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(s, name, 5)
-        # A new name is refused too (as TypeError where CPython's frozen
-        # __setattr__ refers to the class before slots were added).
-        with pytest.raises((AttributeError, TypeError)):
-            s.extra = 5
-        assert not hasattr(s, "__dict__")
-        assert (s.num, s.den) == (2, 3)
 
     @given(nonzero_pairs, st.integers(-50, 50).filter(bool))
     def test_equal_values_hash_equal(self, pq, k):
@@ -130,6 +89,7 @@ class TestSwap:
             assert type(y) is Slope
             assert (y.num, y.den) == (expected.num, expected.den)
             assert y == expected and hash(y) == hash(expected)
+            assert slope_swap(y) == x
 
     @given(st.integers(), st.integers())
     @example(0, 1)
@@ -142,26 +102,14 @@ class TestSwap:
         assert (y.num, y.den) == reference_normal(q, p)
         assert slope_swap(y) == Slope(p, q)
 
-    def test_zero_and_infinity_trade_places(self):
-        assert (slope_swap(Slope(0)).num, slope_swap(Slope(0)).den) == (1, 0)
-        assert (slope_swap(INFINITY).num, slope_swap(INFINITY).den) == (0, 1)
-
-    def test_is_frozen_like_a_constructed_slope(self):
-        y = slope_swap(Slope(-2, 7))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            y.num = 1
-        assert not hasattr(y, "__dict__") and str(y) == "-7/2"
-
-
 class TestDet:
-    def test_standard_basis(self):
-        assert slope_det(INFINITY, Slope(0)) == 1
-
-    def test_equal_is_zero(self):
-        assert slope_det(Slope(1, 2), Slope(1, 2)) == 0
-
-    def test_direct_evaluation(self):
-        assert slope_det(Slope(2, 3), Slope(3, 4)) == -1
+    @pytest.mark.parametrize(
+        "a, b, det",
+        [(INFINITY, Slope(0), 1), (Slope(1, 2), Slope(1, 2), 0), (Slope(2, 3), Slope(3, 4), -1)],
+        ids=["standard_basis", "equal_is_zero", "direct_evaluation"],
+    )
+    def test_worked_values(self, a, b, det):
+        assert slope_det(a, b) == det
 
     @given(slopes, slopes)
     def test_antisymmetry(self, a, b):
@@ -173,18 +121,23 @@ class TestDet:
 
 
 class TestCcw:
-    def test_one_between_zero_and_infinity(self):
-        assert slope_ccw(Slope(0), Slope(1), INFINITY)
+    @pytest.mark.parametrize(
+        "a, b, c, inside",
+        [
+            (Slope(0), Slope(1), INFINITY, True),
+            (Slope(0), INFINITY, Slope(-1), True),  # wraps through ∞
+            (Slope(1, 2), Slope(1, 3), INFINITY, False),
+        ],
+    )
+    def test_worked_triples(self, a, b, c, inside):
+        assert slope_ccw(a, b, c) is inside
 
-    def test_wrap_through_infinity(self):
-        assert slope_ccw(Slope(0), INFINITY, Slope(-1))
-
-    def test_not_between(self):
-        assert not slope_ccw(Slope(1, 2), Slope(1, 3), INFINITY)
-
-    def test_distinct_required(self):
+    @pytest.mark.parametrize(
+        "a, b, c", [(Slope(0), Slope(0), Slope(1)), (INFINITY, Slope(-2), INFINITY)]
+    )
+    def test_distinct_required(self, a, b, c):
         with pytest.raises(ValueError, match="pairwise distinct"):
-            slope_ccw(Slope(0), Slope(0), Slope(1))
+            slope_ccw(a, b, c)
 
     @given(slopes, slopes, slopes)
     def test_exactly_one_orientation(self, a, b, c):
@@ -208,31 +161,16 @@ class TestFarey:
     """The Farey ball's slopes in the window [0, 1] are the Farey
     sequence F_n, in increasing order."""
 
-    def test_f1_window(self):
-        assert unit_interval(farey_enumerate(1)) == [Slope(0), Slope(1)]
-        # 1 is the smallest denominator bound.
+    @pytest.mark.parametrize(
+        "n, window",
+        [(1, [Slope(0), Slope(1)]), (3, [Slope(0), Slope(1, 3), Slope(1, 2), Slope(2, 3), Slope(1)])],
+    )
+    def test_window(self, n, window):
+        assert unit_interval(farey_enumerate(n)) == window
+
+    def test_max_den_at_least_one(self):
         with pytest.raises(ValueError, match="max_den must be >= 1"):
             farey_enumerate(0)
-
-    def test_f3_window(self):
-        got = unit_interval(farey_enumerate(3))
-        assert got == [Slope(0), Slope(1, 3), Slope(1, 2), Slope(2, 3), Slope(1)]
-
-    def test_f5_count(self):
-        assert len(unit_interval(farey_enumerate(5))) == 11
-
-    def test_ball_starts_at_infinity_and_is_sorted(self):
-        ball = farey_enumerate(6)
-        assert ball[0] == INFINITY
-        values = [Fraction(s.num, s.den) for s in ball[1:]]
-        assert values == sorted(values)
-        assert len(set(ball)) == len(ball)
-
-    def test_ball_contents(self):
-        ball = set(farey_enumerate(4))
-        assert Slope(1, 4) in ball and Slope(-4, 1) in ball
-        assert Slope(5, 1) not in ball
-
 
 # -- the exact sort key --------------------------------------------------
 
@@ -259,7 +197,7 @@ def farey_neighbours(draw):
 def circular_sorted(points):
     """Reference order: ∞ first, then finite slopes by slope_det."""
     def cmp(a, b):
-        if a.is_infinity or b.is_infinity:
+        if a.den == 0 or b.den == 0:
             return a.den - b.den
         return slope_det(a, b)
 
@@ -293,7 +231,7 @@ class TestSortKey:
         x = Slope(p, q)
         assert canonical_point_order([x, Slope(3 * p, 3 * q), Slope(-p, -q)]) == [x]
 
-    @pytest.mark.parametrize("max_den", [1, 2, 5, 9, 12, 24])
+    @pytest.mark.parametrize("max_den", [1, 2, 4, 5, 6, 9, 12, 24])
     def test_farey_order_unchanged(self, max_den):
         ball = [INFINITY] + [
             Slope(p, q)
